@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint bench bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
+.PHONY: build vet test race lint bench bench-e2e bench-e2e-compare bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -30,23 +30,36 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
+# The end-to-end benchmark (bench/README.md, BENCHMARK.json): all five
+# workloads, untraced and traced, ~3.5 min; results.json and the traces land
+# under .bench_build/e2e. Compare two such runs — every exact per-layer
+# count and report_sha256 must match, end-to-end metrics within their
+# bounds — with `make bench-e2e-compare A=old/results.json B=new/results.json`.
+bench-e2e:
+	bash bench/run.sh -all -out .bench_build/e2e
+
+bench-e2e-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
 # Engine hot-path benchmark with the regression gate, mirroring the CI
 # race-parallel job: message throughput, the allocation-free steady-state
-# delivery cycle and the skewed-degree workload, checked against the
-# committed BENCH_engine.json baseline. ns/op and B/op may regress at most
-# 25%, and the steady-state benchmark's 0 allocs/op baseline is matched
-# exactly — one allocation on the delivery path fails the gate.
+# delivery cycle and its keyed-combine counterpart (send table + fold
+# table), the per-batch cost of New against Reset, and the skewed-degree
+# workload, checked against the committed BENCH_engine.json baseline.
+# ns/op and B/op may regress at most 25%, and the 0 allocs/op baselines
+# (both steady-state cycles and Reset) are matched exactly — one allocation
+# on the delivery, combine or re-arm path fails the gate.
 # BenchmarkEngineWorkers is deliberately NOT in the gate: its wall clock
 # measures pool scaling, which depends on the host's core count and means
 # nothing on an arbitrary CI runner; it stays an uploaded artifact
 # (bench-workers below).
 bench-engine:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine_run.json 		-compare BENCH_engine.json -max-regress 0.25
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine_run.json 		-compare BENCH_engine.json -max-regress 0.25
 
 # Refresh the committed engine baseline after a deliberate hot-path change;
 # commit the resulting BENCH_engine.json alongside the change justifying it.
 bench-engine-baseline:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine.json
 
 # Worker-pool scaling artifact (not a gate; see bench-engine).
 bench-workers:

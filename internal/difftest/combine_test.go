@@ -64,49 +64,63 @@ func requireSameReport(t *testing.T, label string, atSend, atDelivery []byte) {
 func TestCombineTimingDifferential(t *testing.T) {
 	for _, seed := range seeds {
 		g := graph.GenerateChungLu(nVertices, nEdges, 2.5, seed)
-		part := graph.HashPartition(nVertices, nMachines)
 		sources := []graph.VertexID{5, graph.VertexID(seed * 13 % nVertices), 222}
+		combineTimingCase(t, "chung-lu", g, sources, seed)
+	}
+	// High duplication: on a star every message a leaf sends goes to the
+	// hub, so once the hub (vertex 0) has reached the leaves, all the leaves
+	// of one machine send the same (hub, source) pair in the same round and
+	// all but one of them merge — the branch the random graphs, where a
+	// machine rarely sends one pair twice, barely touch.
+	star := graph.GenerateStar(nVertices)
+	combineTimingCase(t, "star", star, []graph.VertexID{0, 5, 222}, seeds[0])
+}
 
-		for _, w := range workerGrid {
-			mssp := func(atDelivery bool) []byte {
-				return combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
-					job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
-						Sources: sources, Seed: seed, Workers: w,
-						Combine: true, CombineAtDelivery: atDelivery,
-					})
-					if err != nil {
-						return 0, err
-					}
-					_, err = job.RunBatch(run, len(sources), 0)
-					return len(sources), err
+// combineTimingCase runs the three tasks on g with the combiner at send
+// time and at delivery time, at every worker-pool size, and requires
+// byte-identical reports.
+func combineTimingCase(t *testing.T, label string, g *graph.Graph, sources []graph.VertexID, seed uint64) {
+	t.Helper()
+	part := graph.HashPartition(g.NumVertices(), nMachines)
+	for _, w := range workerGrid {
+		mssp := func(atDelivery bool) []byte {
+			return combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
+				job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
+					Sources: sources, Seed: seed, Workers: w,
+					Combine: true, CombineAtDelivery: atDelivery,
 				})
-			}
-			bkhs := func(atDelivery bool) []byte {
-				return combineReport(t, "BKHS", func(run *sim.Run) (int, error) {
-					job := tasks.NewBKHS(g, part, tasks.BKHSConfig{
-						Sources: sources, K: 3, Seed: seed, Workers: w,
-						Combine: true, CombineAtDelivery: atDelivery,
-					})
-					_, err := job.RunBatch(run, len(sources), 0)
-					return len(sources), err
+				if err != nil {
+					return 0, err
+				}
+				_, err = job.RunBatch(run, len(sources), 0)
+				return len(sources), err
+			})
+		}
+		bkhs := func(atDelivery bool) []byte {
+			return combineReport(t, "BKHS", func(run *sim.Run) (int, error) {
+				job := tasks.NewBKHS(g, part, tasks.BKHSConfig{
+					Sources: sources, K: 3, Seed: seed, Workers: w,
+					Combine: true, CombineAtDelivery: atDelivery,
 				})
-			}
-			bppr := func(atDelivery bool) []byte {
-				return combineReport(t, "BPPR", func(run *sim.Run) (int, error) {
-					job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
-						WalksPerNode: 4, Seed: seed, Workers: w,
-						Combine: true, CombineAtDelivery: atDelivery,
-					})
-					_, err := job.RunBatch(run, 4, 0)
-					return 4, err
+				_, err := job.RunBatch(run, len(sources), 0)
+				return len(sources), err
+			})
+		}
+		bppr := func(atDelivery bool) []byte {
+			return combineReport(t, "BPPR", func(run *sim.Run) (int, error) {
+				job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
+					WalksPerNode: 4, Seed: seed, Workers: w,
+					Combine: true, CombineAtDelivery: atDelivery,
 				})
-			}
-			for _, tc := range []struct {
-				name string
-				run  func(atDelivery bool) []byte
-			}{{"mssp", mssp}, {"bkhs", bkhs}, {"bppr", bppr}} {
-				requireSameReport(t, tc.name, tc.run(false), tc.run(true))
-			}
+				_, err := job.RunBatch(run, 4, 0)
+				return 4, err
+			})
+		}
+		for _, tc := range []struct {
+			name string
+			run  func(atDelivery bool) []byte
+		}{{"mssp", mssp}, {"bkhs", bkhs}, {"bppr", bppr}} {
+			requireSameReport(t, label+" "+tc.name, tc.run(false), tc.run(true))
 		}
 	}
 }

@@ -168,13 +168,17 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 	// repopulates the identical routing layout.
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.outRows)))
+	var payload []byte
 	for r := range e.outRows {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.outRows[r])))
-		for _, env := range e.outRows[r] {
-			out = binary.LittleEndian.AppendUint32(out, env.dst)
-			payload := co.Codec.Encode(nil, env.payload)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-			out = append(out, payload...)
+		row := &e.outRows[r]
+		out = binary.LittleEndian.AppendUint32(out, uint32(row.n))
+		for ci := range row.chunks {
+			for _, env := range row.filled(ci) {
+				out = binary.LittleEndian.AppendUint32(out, env.dst)
+				payload = co.Codec.Encode(payload[:0], env.payload)
+				out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+				out = append(out, payload...)
+			}
 		}
 	}
 	snap.Add(secOutbox, out)
@@ -268,10 +272,18 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 	}
 	out = out[4:]
 	e.outPending = 0
+	for m := range e.owed {
+		e.owed[m] = 0
+	}
 	for r := range e.outRows {
 		n := int(binary.LittleEndian.Uint32(out))
 		out = out[4:]
-		e.outRows[r] = e.outRows[r][:0]
+		src := r
+		if e.perDst {
+			src = r / e.k
+		}
+		row := &e.outRows[r]
+		row.release()
 		for i := 0; i < n; i++ {
 			dst := binary.LittleEndian.Uint32(out)
 			plen := int(binary.LittleEndian.Uint32(out[4:]))
@@ -280,13 +292,15 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 				return fmt.Errorf("snapshot outbox payload decoded %d of %d bytes", used, plen)
 			}
 			out = out[8+plen:]
-			e.outRows[r] = append(e.outRows[r], envelope[M]{dst: dst, payload: payload})
-			e.outPending++
+			row.push(envelope[M]{dst: dst, payload: payload})
 		}
+		e.outPending += n
+		e.owed[src] += int64(n)
 	}
 	// Stale send-combine bookkeeping from the abandoned timeline is
-	// discarded at the next delivery (route clears the maps before any
-	// post-restore Compute call can emit), so nothing to restore here.
+	// discarded at the next delivery (route bumps the table generations
+	// before any post-restore Compute call can emit), so nothing to
+	// restore here.
 
 	for i := range e.forcedFlag {
 		e.forcedFlag[i] = false
@@ -368,5 +382,7 @@ func (e *Engine[M]) restoreSpill(sec []byte) error {
 		return fmt.Errorf("spill restore: %w", err)
 	}
 	e.spill = &spillState{w: w}
+	// The restored barrier owes the spilled envelopes too (see checkOwed).
+	e.owed[0] += records
 	return nil
 }

@@ -127,3 +127,100 @@ func (s *statObserver) OnBatchStart(int, float64) {}
 func (s *statObserver) OnRound(o sim.RoundObservation) {
 	s.combined += o.Stats.CombinedAtSend
 }
+
+// TestSendTableTagCollisionAcrossRows pins the one case where a send-table
+// candidate is not the pair being sent: two pairs with the same table index
+// and the same 16-bit tag whose destinations live on different machines.
+// The entry names a position in the other pair's row, which may be past the
+// end of this one (first phase) or hold an unrelated envelope (second
+// phase); either way the second pair must get its own slot and later sends
+// of both pairs must merge into the right one.
+func TestSendTableTagCollisionAcrossRows(t *testing.T) {
+	const n, k = 64, 4
+	g := graph.GenerateRing(n)
+	part := graph.HashPartition(n, k)
+	keyOf := func(p int32) uint64 { return uint64(p & 1023) }
+	e := New[int32](g, part, nopProg{}, nil, Options[int32]{
+		Workers: 1, CombinerKey: keyOf,
+		Combiner: func(a, b int32) int32 { return a + b&^1023 },
+	})
+
+	// Birthday search over 64 × 512 pairs for a 26-bit (index, tag) match.
+	type pair struct {
+		dst graph.VertexID
+		key int32
+	}
+	seen := map[uint64]pair{}
+	var a, b pair
+	found := false
+	for dst := graph.VertexID(0); dst < n && !found; dst++ {
+		for key := int32(0); key < 512 && !found; key++ {
+			h := hashPair(dst, uint64(key))
+			sig := h&(sendTableMinCap-1) | h>>48<<32
+			if p, ok := seen[sig]; ok && e.owners[p.dst] != e.owners[dst] {
+				a, b, found = p, pair{dst, key}, true
+			}
+			seen[sig] = pair{dst, key}
+		}
+	}
+	if !found {
+		t.Fatal("no colliding pair on different machines; widen the search")
+	}
+
+	send := func(p pair, value int32) {
+		e.sent[0].physical++
+		e.emit(0, int(e.owners[p.dst]), envelope[int32]{dst: p.dst, payload: value<<10 | p.key})
+	}
+	// filler returns the i-th pair on machine m that is neither a nor b.
+	filler := func(m int32, i int) pair {
+		for dst := graph.VertexID(0); ; dst++ {
+			if e.owners[dst] == m && dst != a.dst && dst != b.dst {
+				return pair{dst, 600 + int32(i)}
+			}
+		}
+	}
+	rowA, rowB := &e.outRows[e.owners[a.dst]], &e.outRows[e.owners[b.dst]]
+	for phase, bFillers := range []int{0, 5} {
+		for i := 0; i < 3; i++ {
+			send(filler(e.owners[a.dst], i), 1)
+		}
+		for i := 0; i < bFillers; i++ {
+			send(filler(e.owners[b.dst], i), 1)
+		}
+		send(a, 1) // position 3 of its row
+		send(b, 2) // finds a's entry first
+		send(b, 4)
+		send(a, 8)
+		if rowA.n != 4 || rowB.n != bFillers+1 {
+			t.Fatalf("phase %d: rows hold %d and %d envelopes, want 4 and %d", phase, rowA.n, rowB.n, bFillers+1)
+		}
+		if got := *rowA.at(3); got.dst != a.dst || got.payload != 9<<10|a.key {
+			t.Fatalf("phase %d: a's slot holds %+v", phase, got)
+		}
+		if got := *rowB.at(uint32(bFillers)); got.dst != b.dst || got.payload != 6<<10|b.key {
+			t.Fatalf("phase %d: b's slot holds %+v", phase, got)
+		}
+		if e.combinedSend[0] != 2 {
+			t.Fatalf("phase %d: %d merges, want 2", phase, e.combinedSend[0])
+		}
+		e.rollCounters()
+		e.route()
+	}
+}
+
+// TestBarrierConservationPanics checks that the always-on conservation
+// assertion fires when an outbox row holds an envelope nobody counted as
+// sent — a state only an engine bug can produce.
+func TestBarrierConservationPanics(t *testing.T) {
+	g := graph.GenerateRing(10)
+	part := graph.HashPartition(10, 2)
+	e := New[int32](g, part, nopProg{}, nil, Options[int32]{Workers: 1})
+	e.emit(0, int(e.owners[3]), envelope[int32]{dst: 3, payload: 1})
+	e.rollCounters()
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("route accepted an uncounted envelope")
+		}
+	}()
+	e.route()
+}

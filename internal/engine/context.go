@@ -19,12 +19,11 @@ type Context[M any] struct {
 	e       *Engine[M]
 	machine int
 	vertex  graph.VertexID
-	// Hot-path caches resolved at construction: this machine's send
-	// counters and (in the per-destination row layout) its k outbox rows —
-	// a subslice of Engine.outRows, so appends through either view update
-	// the same headers.
+	// Hot-path caches: this machine's send counters and (in the
+	// per-destination row layout) its k outbox rows — a subslice of
+	// Engine.outRows, so pushes through either view update the same rows.
 	sc   *machineCounters
-	rows [][]envelope[M]
+	rows []outRow[M]
 }
 
 // Graph returns the graph under computation. In out-of-core mode this is
@@ -74,7 +73,15 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) {
 		}
 	}
 	if e.fastEmit {
-		c.rows[d] = append(c.rows[d], envelope[M]{dst: dst, payload: m})
+		// outRow.push, written out: with its grow call it is past the
+		// compiler's inlining budget, and a call per message shows.
+		r := &c.rows[d]
+		off := r.n & chunkMask
+		if off == 0 {
+			r.grow()
+		}
+		r.tail[off] = envelope[M]{dst: dst, payload: m}
+		r.n++
 		return
 	}
 	e.emit(c.machine, d, envelope[M]{dst: dst, payload: m})
@@ -102,6 +109,7 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 		e.ensureMirrorSpan()
 		span := int64(e.mirrorSpan[src])
 		sc.physical += span + 1 // the local copy plus one per mirror
+		sc.fanout += int64(len(ns)) - (span + 1)
 		sc.remoteLogical += w * span
 		sc.remotePhysical += span
 		if e.opts.WireSizer != nil {
@@ -123,8 +131,13 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 	if e.fastEmit {
 		rows := c.rows
 		for _, u := range ns {
-			d := e.owners[u]
-			rows[d] = append(rows[d], envelope[M]{dst: u, payload: m})
+			r := &rows[e.owners[u]] // outRow.push, written out as in Send
+			off := r.n & chunkMask
+			if off == 0 {
+				r.grow()
+			}
+			r.tail[off] = envelope[M]{dst: u, payload: m}
+			r.n++
 		}
 		return
 	}
@@ -165,42 +178,28 @@ func (e *Engine[M]) emit(src, dstM int, env envelope[M]) {
 		}
 		return
 	}
-	if e.combineAtSend {
-		row := src*e.k + dstM
-		if e.sendGen != nil {
-			// Unkeyed fast path: direct-mapped, generation-tagged table.
-			seen := e.sendSeen[src]
-			gen := e.sendGen[src]
-			if seen[env.dst] == gen {
-				slot := &e.outRows[row][e.sendPos[src][env.dst]]
-				slot.payload = e.opts.Combiner(slot.payload, env.payload)
-				e.combinedSend[src]++
-				return
-			}
-			seen[env.dst] = gen
-			e.sendPos[src][env.dst] = int32(len(e.outRows[row]))
-			e.outRows[row] = append(e.outRows[row], env)
-			return
-		}
-		key := sendKey{dst: env.dst, key: e.opts.CombinerKey(env.payload)}
-		if idx, ok := e.sendKeys[src][key]; ok {
-			slot := &e.outRows[row][idx]
+	if e.perDst {
+		r := &e.outRows[src*e.k+dstM]
+		switch {
+		case !e.combineAtSend:
+			r.push(env)
+		case e.opts.CombinerKey != nil:
+			e.emitKeyed(src, r, env)
+		case e.sendSeen[src][env.dst] == e.sendGen[src]:
+			// Unkeyed: direct-mapped, generation-tagged table.
+			slot := r.at(e.sendPos[src][env.dst])
 			slot.payload = e.opts.Combiner(slot.payload, env.payload)
 			e.combinedSend[src]++
-			return
+		default:
+			e.sendSeen[src][env.dst] = e.sendGen[src]
+			e.sendPos[src][env.dst] = uint32(r.n)
+			r.push(env)
 		}
-		e.sendKeys[src][key] = int32(len(e.outRows[row]))
-		e.outRows[row] = append(e.outRows[row], env)
-		return
-	}
-	if e.perDst {
-		row := src*e.k + dstM
-		e.outRows[row] = append(e.outRows[row], env)
 		return
 	}
 	// Legacy one-row-per-machine layout, used only in spill mode: count
 	// globally buffered envelopes to flush at the historical threshold.
-	e.outRows[src] = append(e.outRows[src], env)
+	e.outRows[src].push(env)
 	e.outPending++
 	if e.outPending >= e.opts.Spill.ThresholdMsgs {
 		e.flushSpill()

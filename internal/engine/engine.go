@@ -16,12 +16,14 @@
 // results, message ordering and round statistics are reproducible
 // bit-for-bit.
 //
-// The steady-state superstep core is allocation-free: messages route
-// through a K×K matrix of reusable outbox rows (row [src][dst] buffers
-// machine src's messages to machine dst's vertices), delivery runs one
-// independent counting sort per destination machine over small dense-rank
-// count arrays, and all scratch (counts, offsets, inbox storage, worker
-// pool) persists across rounds. Combiners apply at send time by default,
+// The steady-state superstep core is allocation-free and map-free:
+// messages route through a K×K matrix of outbox rows (row [src][dst]
+// buffers machine src's messages to machine dst's vertices) built from
+// fixed-size chunks that cycle through per-machine free lists, delivery
+// runs one independent counting sort per destination machine over small
+// dense-rank count arrays, and all scratch (chunks, counts, offsets, inbox
+// storage, combine tables) persists across rounds — and, through Reset,
+// across the batches of one job. Combiners apply at send time by default,
 // shrinking outbox rows before the barrier (see Options.CombineAtDelivery).
 //
 // The engine also implements the two implementation families of §3:
@@ -76,19 +78,24 @@ type Options[M any] struct {
 	// CombinerKey, when set alongside Combiner, restricts combining to
 	// messages that agree on a key: only messages addressed to the same
 	// vertex with equal keys merge. Multi-source tasks use the source
-	// vertex as the key so per-source streams stay separate. Ignored when
-	// Combiner is nil.
+	// vertex as the key so per-source streams stay separate. The engine
+	// looks (vertex, key) pairs up in open-addressed tables (see sendTable
+	// and foldTable) and calls CombinerKey once per message plus once per
+	// probed candidate, so it must be a pure function of the payload.
+	// Ignored when Combiner is nil.
 	CombinerKey func(m M) uint64
 	// CombineAtDelivery forces the historical combiner timing: buffer
 	// every sent message and fold each vertex's inbox only at delivery.
-	// By default the combiner is applied at send time — messages from the
-	// same machine to the same (vertex, key) merge in the outbox row,
-	// shrinking barrier state before delivery — followed by a cross-machine
-	// fold at delivery. Both timings produce bit-identical inboxes,
-	// results and reports for exact combiners (see Combiner); the flag
-	// exists so the differential tests can prove it. Spill and OOC modes
-	// always combine at delivery (their emission-ordered byte streams
-	// record raw messages).
+	// By default the combiner is applied at send time — a message from the
+	// same machine to an already-buffered (vertex, key) merges into that
+	// envelope's slot, found through the source machine's send table, so
+	// the outbox shrinks before the barrier — followed by a cross-machine
+	// fold at delivery. A slot is created at a pair's first occurrence and
+	// never moves, so both timings produce bit-identical inboxes, results
+	// and reports for exact combiners (see Combiner); the flag exists so
+	// the differential tests can prove it. Spill and OOC modes always
+	// combine at delivery (their emission-ordered byte streams record raw
+	// messages).
 	CombineAtDelivery bool
 	// MaxRounds bounds the superstep count (0 means the default of 10000).
 	MaxRounds int
@@ -141,21 +148,6 @@ type Options[M any] struct {
 // computation drains.
 var ErrMaxRounds = errors.New("engine: maximum superstep count reached")
 
-// sendKey identifies a combinable outbox slot: the destination vertex plus
-// the optional combiner key (0 when unkeyed).
-type sendKey struct {
-	dst graph.VertexID
-	key uint64
-}
-
-// foldSlot marks where a key's combined representative lives during a
-// delivery-time keyed fold. The epoch stamp makes one persistent map per
-// machine serve every vertex segment of every round without clearing.
-type foldSlot struct {
-	epoch uint64
-	pos   int32
-}
-
 // Engine executes one Program over one graph partition.
 type Engine[M any] struct {
 	g    *graph.Graph
@@ -190,17 +182,23 @@ type Engine[M any] struct {
 	// Spill mode keeps the legacy one-row-per-machine layout (perDst
 	// false): its mid-superstep flushes must reproduce the chronological
 	// cross-destination record stream of the single-outbox engine. Rows
-	// are truncated, never freed, so steady-state appends don't allocate.
-	outRows [][]envelope[M]
+	// are chunk lists (see outbox.go); free[m] is the free list that the
+	// rows machine m writes draw from and route refills.
+	outRows []outRow[M]
+	free    [][]*chunk[M]
 	perDst  bool
 	// scatterRows is the per-destination staging used only in the legacy
 	// (spill) layout: delivery first scatters the mixed rows plus any
 	// spilled envelopes into per-destination rows in chunk-major order.
-	scatterRows [][]envelope[M]
+	scatterRows []outRow[M]
 	// outPending counts buffered envelopes across all rows; maintained
 	// only in spill mode (which is sequential) to trigger flushes at the
 	// same global threshold the single-outbox engine used.
 	outPending int
+	// owed[m] is what machine m's rows must hold at the next route: the
+	// physical messages it sent since the last one, net of send-time
+	// merges (see rollCounters). Conservation is checked at every barrier.
+	owed []int64
 
 	// inbox holds the delivered payloads, laid out as one contiguous
 	// region per destination machine (regionStart[d]..regionStart[d+1]).
@@ -222,17 +220,17 @@ type Engine[M any] struct {
 	// Send-time combining state (combineAtSend caches the decision).
 	// Unkeyed combiners use a direct-mapped table per source machine:
 	// sendSeen[src][v] == sendGen[src] means vertex v already has a slot
-	// this round, at row index sendPos[src][v]. Generation tags make the
-	// per-round reset a single counter bump instead of an O(n) clear or a
-	// per-message map lookup. Keyed combiners (CombinerKey set) fall back
-	// to the sendKeys[src] map from (dst vertex, key) to the slot index,
-	// cleared once per round at delivery. combinedSend counts messages
-	// merged into an existing slot.
+	// this round, at row position sendPos[src][v]. Keyed combiners
+	// (CombinerKey set) use sendTabs[src], an open-addressed table over
+	// (dst vertex, key) with the same contract (see sendTable). Both reset
+	// by a generation bump at delivery, never by a clear or a per-message
+	// map operation. combinedSend counts messages merged into an existing
+	// slot.
 	combineAtSend bool
 	sendSeen      [][]uint32
-	sendPos       [][]int32
+	sendPos       [][]uint32
 	sendGen       []uint32
-	sendKeys      []map[sendKey]int32
+	sendTabs      []sendTable
 	combinedSend  []int64
 
 	// fastEmit marks the plain per-destination-row append path (no OOC, no
@@ -240,9 +238,9 @@ type Engine[M any] struct {
 	// call per message.
 	fastEmit bool
 
-	// Delivery-time keyed-fold scratch (per destination machine).
-	foldKeys  []map[uint64]foldSlot
-	foldEpoch []uint64
+	// foldTabs is the delivery-time keyed-fold scratch, one table per
+	// destination machine (see foldTable).
+	foldTabs []foldTable
 
 	// pool is the persistent phase-dispatch worker pool (nil until the
 	// first parallel phase; see parallel.go).
@@ -314,30 +312,28 @@ type machineCounters struct {
 	// remoteWireBytes is the exact encoded size of the remote physical
 	// messages, accumulated only when Options.WireSizer is set.
 	remoteWireBytes int64
+	// fanout is the envelopes buffered beyond physical: a mirrored
+	// broadcast is one wire message per mirror machine but one envelope
+	// per neighbor.
+	fanout int64
 }
 
 // New constructs an engine. run may be nil when only the computation result
-// matters (tests); statistics are then discarded.
+// matters (tests); statistics are then discarded. New builds everything
+// that follows from (g, part) alone and leaves the rest to Reset, so a
+// fresh engine and a re-armed one start a run from the same state by the
+// same code.
 func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim.Run, opts Options[M]) *Engine[M] {
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 10000
-	}
 	k := part.NumMachines()
 	n := g.NumVertices()
-	perDst := opts.Spill == nil
-	rowCount := k
-	if perDst {
-		rowCount = k * k
-	}
 	e := &Engine[M]{
-		g: g, part: part, prog: prog, run: run, opts: opts,
+		g: g, part: part,
 		k:              k,
-		workers:        effectiveWorkers(opts),
-		perDst:         perDst,
 		vertsByMachine: make([][]graph.VertexID, k),
 		owners:         make([]int32, n),
 		rank:           make([]int32, n),
-		outRows:        make([][]envelope[M], rowCount),
+		free:           make([][]*chunk[M], k),
+		owed:           make([]int64, k),
 		regionStart:    make([]int32, k+1),
 		mcount:         make([][]int32, k),
 		moffs:          make([][]int32, k),
@@ -349,9 +345,9 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		recv:           make([]machineCounters, k),
 		active:         make([]int64, k),
 		forcedNextBy:   make([][]graph.VertexID, k),
-	}
-	if e.workers > k {
-		e.workers = k
+		forcedFlag:     make([]bool, n),
+		forcedNow:      make([]bool, n),
+		ctxs:           make([]*Context[M], k),
 	}
 	for v := 0; v < n; v++ {
 		m := part.Owner(graph.VertexID(v))
@@ -363,50 +359,119 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		nl := len(e.vertsByMachine[m])
 		e.mcount[m] = make([]int32, nl)
 		e.moffs[m] = make([]int32, nl+1)
+		e.rngs[m] = randx.New(0)
+		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m]}
 	}
-	if !perDst {
-		e.scatterRows = make([][]envelope[M], k)
+	e.Reset(prog, run, opts)
+	return e
+}
+
+// Reset re-arms the engine to run prog from superstep 1 under opts, exactly
+// as a fresh New(g, part, prog, run, opts) would, while keeping what a
+// finished run leaves that depends only on the graph and the partition or
+// is pure capacity: the routing tables, the chunk population, the inbox,
+// the combine tables and the forced-activation flags. RNG streams,
+// counters, aggregators (register them again) and checkpoint, spill and
+// out-of-core state start over. One engine per job, Reset per batch: a job
+// of many small batches then pays construction once.
+func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
+	if opts.MaxRounds == 0 {
+		opts.MaxRounds = 10000
 	}
+	k, n := e.k, e.g.NumVertices()
+	e.CleanupSpill()
+	e.prog, e.run, e.opts = prog, run, opts
+	e.workers = min(effectiveWorkers(opts), k)
+
+	// Whatever an abandoned run left buffered goes back to the free lists.
+	for r := range e.outRows {
+		e.outRows[r].release()
+	}
+	if perDst := opts.Spill == nil; perDst != e.perDst || e.outRows == nil {
+		e.perDst = perDst
+		e.layoutRows()
+	}
+	e.outPending = 0
+
 	e.combineAtSend = opts.Combiner != nil && !opts.CombineAtDelivery &&
 		opts.Spill == nil && opts.OOC == nil
-	e.fastEmit = perDst && !e.combineAtSend && opts.OOC == nil
-	if e.combineAtSend {
-		if opts.CombinerKey == nil {
-			e.sendSeen = make([][]uint32, k)
-			e.sendPos = make([][]int32, k)
-			for m := 0; m < k; m++ {
-				e.sendSeen[m] = make([]uint32, n)
-				e.sendPos[m] = make([]int32, n)
-			}
-			e.sendGen = make([]uint32, k)
-			for m := range e.sendGen {
-				e.sendGen[m] = 1
-			}
-		} else {
-			e.sendKeys = make([]map[sendKey]int32, k)
-			for m := range e.sendKeys {
-				e.sendKeys[m] = make(map[sendKey]int32)
-			}
+	e.fastEmit = e.perDst && !e.combineAtSend && opts.OOC == nil
+	if e.combineAtSend && opts.CombinerKey == nil && e.sendGen == nil {
+		e.sendSeen = make([][]uint32, k)
+		e.sendPos = make([][]uint32, k)
+		e.sendGen = make([]uint32, k)
+		for m := 0; m < k; m++ {
+			e.sendSeen[m] = make([]uint32, n)
+			e.sendPos[m] = make([]uint32, n)
 		}
 	}
-	if opts.Combiner != nil && opts.CombinerKey != nil {
-		e.foldKeys = make([]map[uint64]foldSlot, k)
-		for m := range e.foldKeys {
-			e.foldKeys[m] = make(map[uint64]foldSlot)
-		}
-		e.foldEpoch = make([]uint64, k)
+	if e.combineAtSend && opts.CombinerKey != nil && e.sendTabs == nil {
+		e.sendTabs = make([]sendTable, k)
 	}
-	e.ctxs = make([]*Context[M], k)
+	if opts.Combiner != nil && e.foldTabs == nil {
+		e.foldTabs = make([]foldTable, k)
+	}
+	// Entries of an abandoned round must not be mistaken for this run's.
+	e.nextSendRound()
+
 	for m := 0; m < k; m++ {
-		e.rngs[m] = randx.New(opts.Seed ^ (uint64(m+1) * 0x9e3779b97f4a7c15))
-		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m]}
-		if perDst {
-			e.ctxs[m].rows = e.outRows[m*k : (m+1)*k]
+		e.rngs[m].SetState(opts.Seed ^ (uint64(m+1) * 0x9e3779b97f4a7c15))
+		for _, v := range e.forcedNextBy[m] {
+			e.forcedFlag[v] = false
+		}
+		e.forcedNextBy[m] = e.forcedNextBy[m][:0]
+		e.sent[m], e.recv[m] = machineCounters{}, machineCounters{}
+		e.active[m], e.combinedSend[m], e.owed[m] = 0, 0, 0
+	}
+	e.rounds, e.stopped, e.aggs = 0, false, nil
+	e.ooc = nil
+	e.oocReadBytes, e.oocWriteBytes, e.oocWindowPeak = 0, 0, 0
+	e.oocReadTotal, e.oocWriteTotal, e.oocPeakMax, e.oocPartitions = 0, 0, 0, 0
+	e.spilledRecords, e.spilledBytes = 0, 0
+	e.obsSpilledRecords, e.obsSpilledBytes = 0, 0
+	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
+	e.replayTo, e.recoveries = 0, 0
+}
+
+// layoutRows builds the (empty) outbox rows for the current layout, each
+// bound to the free list of the machine that writes it.
+func (e *Engine[M]) layoutRows() {
+	k := e.k
+	e.scatterRows = nil
+	if e.perDst {
+		e.outRows = make([]outRow[M], k*k)
+		for r := range e.outRows {
+			e.outRows[r].free = &e.free[r/k]
+		}
+	} else {
+		e.outRows = make([]outRow[M], k)
+		e.scatterRows = make([]outRow[M], k)
+		for m := 0; m < k; m++ {
+			e.outRows[m].free = &e.free[m]
+			e.scatterRows[m].free = &e.free[m]
 		}
 	}
-	e.forcedFlag = make([]bool, n)
-	e.forcedNow = make([]bool, n)
-	return e
+	for m, ctx := range e.ctxs {
+		ctx.rows = nil
+		if e.perDst {
+			ctx.rows = e.outRows[m*k : (m+1)*k]
+		}
+	}
+}
+
+// nextSendRound empties the send-time combine tables by bumping their
+// generations (clearing for real only on wrap-around).
+func (e *Engine[M]) nextSendRound() {
+	for m := range e.sendGen {
+		e.sendGen[m]++
+		if e.sendGen[m] == 0 {
+			clear(e.sendSeen[m])
+			e.sendGen[m] = 1
+		}
+	}
+	for m := range e.sendTabs {
+		e.sendTabs[m].nextRound()
+	}
 }
 
 // Rounds returns the number of supersteps executed so far.
@@ -472,7 +537,7 @@ func (e *Engine[M]) pending() bool {
 		return true
 	}
 	for r := range e.outRows {
-		if len(e.outRows[r]) > 0 {
+		if e.outRows[r].n > 0 {
 			return true
 		}
 	}
@@ -592,6 +657,17 @@ func (e *Engine[M]) computeMachine(m int) {
 		e.prog.Compute(ctx, v, msgs)
 		e.active[m]++
 	}
+	e.checkReceived(m, rc.physical)
+}
+
+// checkReceived asserts the other half of barrier conservation: machine m's
+// Compute calls consumed exactly the messages its folded inbox region held.
+func (e *Engine[M]) checkReceived(m int, got int64) {
+	offs := e.moffs[m]
+	if want := int64(offs[len(offs)-1]); got != want {
+		panic(fmt.Sprintf("engine: conservation violated in round %d: machine %d received %d messages, its inbox held %d",
+			e.rounds+1, m, got, want))
+	}
 }
 
 // computeSequential runs all machines in index order on the calling
@@ -606,6 +682,8 @@ func (e *Engine[M]) computeSequential() {
 		base := e.regionStart[m]
 		weigh := e.opts.Weight
 		maxStep := e.opts.MaxInboxPerStep
+		// Sub-step observations reset rc mid-round, so count separately.
+		got := int64(0)
 		for i, v := range e.vertsByMachine[m] {
 			lo, hi := offs[i], offs[i+1]
 			if lo == hi && !e.forcedNow[v] {
@@ -623,6 +701,7 @@ func (e *Engine[M]) computeSequential() {
 			rc.physical += int64(len(msgs))
 			e.prog.Compute(ctx, v, msgs)
 			e.active[m]++
+			got += int64(len(msgs))
 			processed += len(msgs)
 			// Giraph-style superstep splitting: bound the messages a
 			// sub-step holds in flight.
@@ -631,6 +710,7 @@ func (e *Engine[M]) computeSequential() {
 				processed = 0
 			}
 		}
+		e.checkReceived(m, got)
 	}
 }
 
@@ -659,12 +739,13 @@ func (e *Engine[M]) deliver() {
 
 // route performs the counting-sort placement of every pending envelope
 // (buffered rows plus any spilled overflow) into the inbox, leaving
-// regionStart/moffs describing the per-vertex segments. No allocation on
-// the steady-state path: rows, counts, offsets and the inbox itself are
-// all persistent scratch.
+// regionStart/moffs describing the per-vertex segments, and hands the rows'
+// chunks back to the free lists. No allocation on the steady-state path:
+// chunks, counts, offsets and the inbox itself are all persistent scratch.
 func (e *Engine[M]) route() {
 	k := e.k
 	spilled := e.drainSpill()
+	e.checkOwed(len(spilled))
 	if !e.perDst {
 		e.scatterLegacy(spilled)
 	}
@@ -673,10 +754,10 @@ func (e *Engine[M]) route() {
 		t := 0
 		if e.perDst {
 			for s := 0; s < k; s++ {
-				t += len(e.outRows[s*k+d])
+				t += e.outRows[s*k+d].n
 			}
 		} else {
-			t = len(e.scatterRows[d])
+			t = e.scatterRows[d].n
 		}
 		e.machLoad[d] = int64(t)
 		e.regionStart[d] = int32(total)
@@ -695,30 +776,45 @@ func (e *Engine[M]) route() {
 			e.runTask(phaseDeliver, i)
 		}
 	}
-	// Truncate rows keeping capacity — the pooled chunks for next round.
 	for r := range e.outRows {
-		e.outRows[r] = e.outRows[r][:0]
+		e.outRows[r].release()
 	}
-	if !e.perDst {
-		for d := range e.scatterRows {
-			e.scatterRows[d] = e.scatterRows[d][:0]
-		}
+	for d := range e.scatterRows {
+		e.scatterRows[d].release()
 	}
 	e.outPending = 0
 	if e.combineAtSend {
-		if e.sendGen != nil {
-			for m := range e.sendGen {
-				e.sendGen[m]++
-				if e.sendGen[m] == 0 { // generation wrap: invalidate for real
-					clear(e.sendSeen[m])
-					e.sendGen[m] = 1
-				}
+		e.nextSendRound()
+	}
+}
+
+// checkOwed asserts message conservation at the barrier: what each
+// machine's rows hold (plus, in spill mode, what was spilled) is what the
+// machine sent since the last barrier, net of send-time merges. Spill
+// flushes move envelopes between machines' rows and the file, so that mode
+// is checked in total. Only an engine bug can violate this.
+func (e *Engine[M]) checkOwed(spilled int) {
+	var held, owed int64
+	for m := 0; m < e.k; m++ {
+		h := int64(0)
+		if e.perDst {
+			for d := 0; d < e.k; d++ {
+				h += int64(e.outRows[m*e.k+d].n)
+			}
+			if h != e.owed[m] {
+				panic(fmt.Sprintf("engine: conservation violated entering round %d: machine %d buffered %d envelopes, sent %d net of merges",
+					e.rounds+1, m, h, e.owed[m]))
 			}
 		} else {
-			for m := range e.sendKeys {
-				clear(e.sendKeys[m])
-			}
+			h = int64(e.outRows[m].n)
 		}
+		held += h
+		owed += e.owed[m]
+		e.owed[m] = 0
+	}
+	if held+int64(spilled) != owed {
+		panic(fmt.Sprintf("engine: conservation violated entering round %d: %d envelopes buffered + %d spilled, sent %d net of merges",
+			e.rounds+1, held, spilled, owed))
 	}
 }
 
@@ -744,18 +840,18 @@ func (e *Engine[M]) orderByLoad() {
 // order (machine rows in index order, then the spill stream), so the
 // per-destination counting sorts see the same stable order as always.
 func (e *Engine[M]) scatterLegacy(spilled []envelope[M]) {
-	for d := range e.scatterRows {
-		e.scatterRows[d] = e.scatterRows[d][:0]
-	}
 	for m := range e.outRows {
-		for _, env := range e.outRows[m] {
-			d := e.owners[env.dst]
-			e.scatterRows[d] = append(e.scatterRows[d], env)
+		r := &e.outRows[m]
+		for ci := range r.chunks {
+			for _, env := range r.filled(ci) {
+				d := e.owners[env.dst]
+				e.scatterRows[d].push(env)
+			}
 		}
 	}
 	for _, env := range spilled {
 		d := e.owners[env.dst]
-		e.scatterRows[d] = append(e.scatterRows[d], env)
+		e.scatterRows[d].push(env)
 	}
 }
 
@@ -768,20 +864,15 @@ func (e *Engine[M]) deliverMachine(d int) {
 	k := e.k
 	cnt := e.mcount[d]
 	offs := e.moffs[d]
-	rank := e.rank
 	for i := range cnt {
 		cnt[i] = 0
 	}
 	if e.perDst {
 		for s := 0; s < k; s++ {
-			for _, env := range e.outRows[s*k+d] {
-				cnt[rank[env.dst]]++
-			}
+			e.countRow(&e.outRows[s*k+d], cnt)
 		}
 	} else {
-		for _, env := range e.scatterRows[d] {
-			cnt[rank[env.dst]]++
-		}
+		e.countRow(&e.scatterRows[d], cnt)
 	}
 	offs[0] = 0
 	for i := range cnt {
@@ -794,80 +885,33 @@ func (e *Engine[M]) deliverMachine(d int) {
 	copy(cur, offs[:len(cnt)])
 	if e.perDst {
 		for s := 0; s < k; s++ {
-			for _, env := range e.outRows[s*k+d] {
-				r := rank[env.dst]
-				reg[cur[r]] = env.payload
-				cur[r]++
-			}
+			e.placeRow(&e.outRows[s*k+d], reg, cur)
 		}
 	} else {
-		for _, env := range e.scatterRows[d] {
-			r := rank[env.dst]
-			reg[cur[r]] = env.payload
-			cur[r]++
+		e.placeRow(&e.scatterRows[d], reg, cur)
+	}
+}
+
+// countRow adds one row's envelopes to the per-rank histogram.
+func (e *Engine[M]) countRow(r *outRow[M], cnt []int32) {
+	rank := e.rank
+	for ci := range r.chunks {
+		for _, env := range r.filled(ci) {
+			cnt[rank[env.dst]]++
 		}
 	}
 }
 
-// combineMachine folds machine d's freshly delivered segments with the
-// configured combiner, compacting in place within d's region and
-// rewriting moffs. Unkeyed: each segment folds left-to-right to one
-// message. Keyed: each segment folds to one message per distinct key, the
-// representative sitting at the key's first occurrence — which is exactly
-// the layout send-time combining plus this cross-machine fold produces,
-// so both timings yield bit-identical inboxes.
-func (e *Engine[M]) combineMachine(d int) {
-	comb := e.opts.Combiner
-	offs := e.moffs[d]
-	base := e.regionStart[d]
-	nloc := len(e.mcount[d])
-	if e.opts.CombinerKey == nil {
-		lw := int32(0)
-		prev := int32(0)
-		for i := 0; i < nloc; i++ {
-			lo, hi := prev, offs[i+1]
-			prev = offs[i+1]
-			offs[i] = lw
-			if lo == hi {
-				continue
-			}
-			acc := e.inbox[base+lo]
-			for j := lo + 1; j < hi; j++ {
-				acc = comb(acc, e.inbox[base+j])
-			}
-			e.inbox[base+lw] = acc
-			lw++
-		}
-		offs[nloc] = lw
-		return
-	}
-	keyOf := e.opts.CombinerKey
-	mp := e.foldKeys[d]
-	lw := int32(0)
-	prev := int32(0)
-	for i := 0; i < nloc; i++ {
-		lo, hi := prev, offs[i+1]
-		prev = offs[i+1]
-		offs[i] = lw
-		if lo == hi {
-			continue
-		}
-		e.foldEpoch[d]++
-		ep := e.foldEpoch[d]
-		for j := lo; j < hi; j++ {
-			msg := e.inbox[base+j]
-			kk := keyOf(msg)
-			if s, ok := mp[kk]; ok && s.epoch == ep {
-				e.inbox[base+s.pos] = comb(e.inbox[base+s.pos], msg)
-				continue
-			}
-			mp[kk] = foldSlot{epoch: ep, pos: lw}
-			// lw <= lo + kept count <= j: the write never passes the read.
-			e.inbox[base+lw] = msg
-			lw++
+// placeRow copies one row's payloads to their vertices' cursors.
+func (e *Engine[M]) placeRow(r *outRow[M], reg []M, cur []int32) {
+	rank := e.rank
+	for ci := range r.chunks {
+		for _, env := range r.filled(ci) {
+			i := rank[env.dst]
+			reg[cur[i]] = env.payload
+			cur[i]++
 		}
 	}
-	offs[nloc] = lw
 }
 
 // segment returns vertex v's delivered inbox slice for the current
@@ -890,12 +934,7 @@ func (e *Engine[M]) observeRound() {
 	if e.rounds <= e.replayTo {
 		e.obsSpilledBytes = e.spilledBytes
 		e.obsSpilledRecords = e.spilledRecords
-		for m := range e.sent {
-			e.sent[m] = machineCounters{}
-			e.recv[m] = machineCounters{}
-			e.active[m] = 0
-			e.combinedSend[m] = 0
-		}
+		e.rollCounters()
 		return
 	}
 	if e.run != nil {
@@ -933,7 +972,15 @@ func (e *Engine[M]) observeRound() {
 	}
 	e.obsSpilledBytes = e.spilledBytes
 	e.obsSpilledRecords = e.spilledRecords
+	e.rollCounters()
+}
+
+// rollCounters zeroes the per-round counters, first crediting what each
+// machine sent, net of send-time merges, to the envelopes its rows owe the
+// next barrier (see checkOwed).
+func (e *Engine[M]) rollCounters() {
 	for m := range e.sent {
+		e.owed[m] += e.sent[m].physical + e.sent[m].fanout - e.combinedSend[m]
 		e.sent[m] = machineCounters{}
 		e.recv[m] = machineCounters{}
 		e.active[m] = 0

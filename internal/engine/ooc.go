@@ -200,40 +200,6 @@ func (e *Engine[M]) OOCWindowPeakBytes() int64 { return e.oocPeakMax }
 // OOCPartitions returns the partition count the run used (0 in-memory).
 func (e *Engine[M]) OOCPartitions() int { return e.oocPartitions }
 
-// combineSegment folds one vertex's delivered messages in place and
-// returns the shortened slice: a full left-to-right fold when unkeyed, or
-// one representative per distinct key (at its first occurrence, folded in
-// arrival order) when Options.CombinerKey is set — the same layout the
-// in-memory delivery fold produces. OOC runs sequentially, so machine 0's
-// persistent fold map serves every segment.
-func (e *Engine[M]) combineSegment(seg []M) []M {
-	comb := e.opts.Combiner
-	if e.opts.CombinerKey == nil {
-		acc := seg[0]
-		for _, m := range seg[1:] {
-			acc = comb(acc, m)
-		}
-		seg[0] = acc
-		return seg[:1]
-	}
-	keyOf := e.opts.CombinerKey
-	mp := e.foldKeys[0]
-	e.foldEpoch[0]++
-	ep := e.foldEpoch[0]
-	w := int32(0)
-	for _, m := range seg {
-		kk := keyOf(m)
-		if s, ok := mp[kk]; ok && s.epoch == ep {
-			seg[s.pos] = comb(seg[s.pos], m)
-			continue
-		}
-		mp[kk] = foldSlot{epoch: ep, pos: w}
-		seg[w] = m
-		w++
-	}
-	return seg[:w]
-}
-
 // computePartition streams partition p through the memory window: load the
 // edge window, read the inbox, counting-sort it into per-vertex segments in
 // local index space (stable, so each vertex's segment is in global emission
@@ -299,7 +265,9 @@ func (e *Engine[M]) computePartition(p int) error {
 		}
 		seg := st.msgs[lo:hi]
 		if e.opts.Combiner != nil && len(seg) > 1 {
-			seg = e.combineSegment(seg)
+			// OOC runs sequentially, so machine 0's fold table serves
+			// every segment.
+			seg = seg[:e.foldSegment(&e.foldTabs[0], seg)]
 		}
 		m := e.part.Owner(v)
 		ctx := e.ctxs[m]

@@ -1,0 +1,129 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"vcmt/internal/graph"
+	"vcmt/internal/sim"
+	"vcmt/internal/vcapi"
+)
+
+// traceProg floods hop-limited messages along RNG-chosen edges, keeps every
+// vertex of machine 0 active through forced activation, feeds an
+// aggregator, and digests every Compute call it sees — so two runs with
+// equal digests had equal inboxes, RNG streams, activations and aggregator
+// values in every round.
+type traceProg struct {
+	hops   int32
+	digest [8]uint64 // one lane per machine; machines compute concurrently
+}
+
+func (p *traceProg) Seed(ctx vcapi.Context[hopMsg]) {
+	for _, v := range ctx.OwnedVertices() {
+		ctx.Send(v, hopMsg{Hop: 1})
+		if ctx.Machine() == 0 {
+			ctx.(*Context[hopMsg]).ActivateNextRound(v)
+		}
+	}
+}
+
+func (p *traceProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
+	c := ctx.(*Context[hopMsg])
+	h := fnv.New64a()
+	fmt.Fprint(h, p.digest[c.Machine()], c.Round(), v, msgs, c.AggregatorGet("n"))
+	p.digest[c.Machine()] = h.Sum64()
+	c.Aggregate("n", float64(len(msgs)))
+	ns := c.Graph().Neighbors(v)
+	for _, m := range msgs {
+		if m.Hop < p.hops {
+			c.Send(ns[c.RNG().Intn(len(ns))], hopMsg{Hop: m.Hop + 1})
+			c.Send(ns[c.RNG().Intn(len(ns))], hopMsg{Hop: m.Hop + 1})
+		}
+	}
+	if c.Machine() == 0 && c.Round() < 4 {
+		c.ActivateNextRound(v)
+	}
+}
+
+// TestResetAcrossModes re-arms one engine through every execution mode in
+// turn — including a run abandoned at its round bound with messages still
+// buffered, and a switch to the spill layout and back — and requires each
+// run to match a fresh engine's exactly: same digest, rounds, priced
+// result and error.
+func TestResetAcrossModes(t *testing.T) {
+	g := graph.GenerateChungLu(400, 1600, 2.5, 9)
+	part := graph.HashPartition(g.NumVertices(), 4)
+	minHop := func(a, b hopMsg) hopMsg {
+		if b.Hop < a.Hop {
+			return b
+		}
+		return a
+	}
+	parity := func(m hopMsg) uint64 { return uint64(m.Hop & 1) }
+	modes := []struct {
+		name string
+		opts func(t *testing.T) Options[hopMsg]
+	}{
+		{"plain", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 3} }},
+		{"unkeyed", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 4, Combiner: minHop} }},
+		{"aborted", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 5, Combiner: minHop, MaxRounds: 3} }},
+		{"keyed", func(*testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 6, Combiner: minHop, CombinerKey: parity}
+		}},
+		{"keyed-at-delivery", func(*testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 7, Combiner: minHop, CombinerKey: parity, CombineAtDelivery: true}
+		}},
+		{"spill", func(t *testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 8, Spill: &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), ThresholdMsgs: 64}}
+		}},
+		{"ooc", func(t *testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 9, Combiner: minHop, CombinerKey: parity,
+				OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3}}
+		}},
+		{"keyed-again", func(*testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 10, Combiner: minHop, CombinerKey: parity}
+		}},
+	}
+	type outcome struct {
+		digest [8]uint64
+		rounds int
+		res    sim.JobResult
+		err    error
+	}
+	for _, workers := range []int{1, 4} {
+		var reused *Engine[hopMsg]
+		for _, mode := range modes {
+			exec := func(fresh bool) outcome {
+				prog := &traceProg{hops: 5}
+				run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(4), System: sim.PregelPlus})
+				run.BeginBatch()
+				opts := mode.opts(t)
+				opts.Workers = workers
+				e := reused
+				switch {
+				case fresh || e == nil:
+					e = New[hopMsg](g, part, prog, run, opts)
+				default:
+					e.Reset(prog, run, opts)
+				}
+				if !fresh {
+					reused = e
+				}
+				e.RegisterAggregator("n", AggSum)
+				err := e.Run()
+				return outcome{prog.digest, e.Rounds(), run.Result(), err}
+			}
+			want, got := exec(true), exec(false)
+			if (mode.name == "aborted") != errors.Is(want.err, ErrMaxRounds) {
+				t.Fatalf("workers=%d %s: fresh run returned %v", workers, mode.name, want.err)
+			}
+			if fmt.Sprint(want.err) != fmt.Sprint(got.err) || want.digest != got.digest ||
+				want.rounds != got.rounds || want.res != got.res {
+				t.Fatalf("workers=%d %s: Reset diverged from a fresh engine:\nfresh %+v\nreset %+v", workers, mode.name, want, got)
+			}
+		}
+	}
+}

@@ -76,16 +76,19 @@ func (e *Engine[M]) flushSpill() {
 	}
 	var scratch []byte
 	for m := range e.outRows {
-		for _, env := range e.outRows[m] {
-			scratch = opts.Codec.Encode(scratch[:0], env.payload)
-			before := e.spill.w.Bytes()
-			if err := e.spill.w.AppendMessage(env.dst, scratch); err != nil {
-				panic(fmt.Sprintf("engine: spill write: %v", err))
+		r := &e.outRows[m]
+		for ci := range r.chunks {
+			for _, env := range r.filled(ci) {
+				scratch = opts.Codec.Encode(scratch[:0], env.payload)
+				before := e.spill.w.Bytes()
+				if err := e.spill.w.AppendMessage(env.dst, scratch); err != nil {
+					panic(fmt.Sprintf("engine: spill write: %v", err))
+				}
+				e.spilledRecords++
+				e.spilledBytes += e.spill.w.Bytes() - before
 			}
-			e.spilledRecords++
-			e.spilledBytes += e.spill.w.Bytes() - before
 		}
-		e.outRows[m] = e.outRows[m][:0]
+		r.release()
 	}
 	e.outPending = 0
 }

@@ -63,6 +63,14 @@ type BKHSJob struct {
 	// the source itself).
 	reached []int64
 	done    int
+
+	// eng runs every synchronous batch (see runBatch); srcIdx is the
+	// batches' shared source index (see newSourceIndex) and hops their
+	// shared hop tables, one row per batch source, grown to the largest
+	// batch and re-initialised per batch instead of reallocated.
+	eng    *engine.Engine[HopMsg]
+	srcIdx []int32
+	hops   [][]uint8
 }
 
 // NewBKHS constructs a BKHS job.
@@ -73,6 +81,7 @@ func NewBKHS(g *graph.Graph, part *graph.Partition, cfg BKHSConfig) *BKHSJob {
 	return &BKHSJob{
 		g: g, part: part, cfg: cfg,
 		reached: make([]int64, len(cfg.Sources)),
+		srcIdx:  newSourceIndex(g.NumVertices()),
 	}
 }
 
@@ -115,19 +124,25 @@ func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	prog := &bkhsProg{
 		job:     j,
 		sources: batch,
-		srcIdx:  make(map[graph.VertexID]int, len(batch)),
-		hops:    make([][]uint8, len(batch)),
+		srcIdx:  j.srcIdx,
 		counts:  make([][]int64, k),
 		entries: make([]int64, k),
 	}
 	for m := 0; m < k; m++ {
 		prog.counts[m] = make([]int64, len(batch))
 	}
+	for len(j.hops) < len(batch) {
+		j.hops = append(j.hops, make([]uint8, n))
+	}
+	prog.hops = j.hops[:len(batch)]
 	for i, s := range batch {
-		prog.srcIdx[s] = i
-		prog.hops[i] = make([]uint8, n)
-		for v := range prog.hops[i] {
-			prog.hops[i][v] = unreachedHop
+		j.srcIdx[s] = int32(i)
+		// Doubling copies fill a row at memmove speed; a byte loop over
+		// 1024 × n entries per batch is a measurable share of a pass.
+		row := prog.hops[i]
+		row[0] = unreachedHop
+		for f := 1; f < n; f *= 2 {
+			copy(row[f:], row[:f])
 		}
 	}
 	seed := j.cfg.Seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15
@@ -158,8 +173,10 @@ func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 			opts.CombinerKey = func(m HopMsg) uint64 { return uint64(m.Src) }
 			opts.CombineAtDelivery = j.cfg.CombineAtDelivery
 		}
-		e := engine.New[HopMsg](j.g, j.part, prog, run, opts)
-		err = e.Run()
+		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
+	}
+	for _, s := range batch {
+		j.srcIdx[s] = -1
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tasks: BKHS batch %d: %w", batchIdx, err)
@@ -185,7 +202,7 @@ const unreachedHop = ^uint8(0)
 type bkhsProg struct {
 	job     *BKHSJob
 	sources []graph.VertexID
-	srcIdx  map[graph.VertexID]int
+	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
 	hops    [][]uint8
 	// counts[m][i] is machine m's tally of first reaches for batch source
 	// i; per-machine lanes because machines compute concurrently, summed
@@ -206,8 +223,8 @@ func (p *bkhsProg) visit(i int, v graph.VertexID, h uint8) bool {
 
 func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
 	for _, s := range ctx.OwnedVertices() {
-		i, ok := p.srcIdx[s]
-		if !ok {
+		i := int(p.srcIdx[s])
+		if i < 0 {
 			continue
 		}
 		p.visit(i, s, 0)
@@ -218,7 +235,7 @@ func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
 
 func (p *bkhsProg) Compute(ctx vcapi.Context[HopMsg], v graph.VertexID, msgs []HopMsg) {
 	for _, m := range msgs {
-		i := p.srcIdx[m.Src]
+		i := int(p.srcIdx[m.Src])
 		first := p.hops[i][v] == unreachedHop
 		if !p.visit(i, v, uint8(m.Hop)) {
 			continue

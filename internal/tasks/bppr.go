@@ -110,6 +110,11 @@ type BPPRJob struct {
 	baseline    []int64 // entry counts at the start of the current batch
 	launched    int     // walks per node launched so far across batches
 	sourcesDone int     // sources completed (source-subset mode)
+
+	// The engine that runs every synchronous batch (see runBatch): mcEng
+	// for the Monte-Carlo program, pushEng for the mirror variant.
+	mcEng   *engine.Engine[WalkMsg]
+	pushEng *engine.Engine[MassMsg]
 }
 
 // NewBPPR constructs a BPPR job over the given graph partition. It panics
@@ -313,7 +318,7 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 		err = a.Run()
 	case j.cfg.Mirror:
 		prog := newBpprPush(j, perNode, batchSources)
-		e := engine.New[MassMsg](j.g, j.part, prog, run, engine.Options[MassMsg]{
+		err = runBatch(&j.pushEng, j.g, j.part, prog, run, engine.Options[MassMsg]{
 			MaxRounds:          opts.MaxRounds,
 			Seed:               opts.Seed,
 			Workers:            j.cfg.Workers,
@@ -322,11 +327,9 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 			Fault:              j.cfg.Fault,
 			OOC:                oocOptions[MassMsg](MassMsgCodec{}, j.cfg.OOC, batchIdx, j.cfg.Mirror),
 		})
-		err = e.Run()
 	default:
 		prog := newBpprMC(j, perNode, batchSources)
-		e := engine.New[WalkMsg](j.g, j.part, prog, run, opts)
-		err = e.Run()
+		err = runBatch(&j.mcEng, j.g, j.part, prog, run, opts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tasks: BPPR batch %d: %w", batchIdx, err)

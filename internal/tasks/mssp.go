@@ -74,6 +74,11 @@ type MSSPJob struct {
 	// dist[i] is the distance table of Sources[i]; nil until its batch ran.
 	dist [][]float32
 	done int // sources fully processed so far
+
+	// eng runs every synchronous batch (see runBatch); srcIdx is the
+	// batches' shared source index (see newSourceIndex).
+	eng    *engine.Engine[DistMsg]
+	srcIdx []int32
 }
 
 // NewMSSP constructs an MSSP job. It fails for a mirror configuration on a
@@ -87,7 +92,8 @@ func NewMSSP(g *graph.Graph, part *graph.Partition, cfg MSSPConfig) (*MSSPJob, e
 	}
 	return &MSSPJob{
 		g: g, part: part, cfg: cfg,
-		dist: make([][]float32, len(cfg.Sources)),
+		dist:   make([][]float32, len(cfg.Sources)),
+		srcIdx: newSourceIndex(g.NumVertices()),
 	}, nil
 }
 
@@ -131,7 +137,7 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	prog := &msspProg{
 		job:          j,
 		sources:      batch,
-		srcIdx:       make(map[graph.VertexID]int, len(batch)),
+		srcIdx:       j.srcIdx,
 		dist:         make([][]float32, len(batch)),
 		entries:      make([]int64, k),
 		improved:     make([][]int32, k),
@@ -142,7 +148,7 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 		prog.improved[m] = make([]int32, len(batch))
 	}
 	for i, s := range batch {
-		prog.srcIdx[s] = i
+		j.srcIdx[s] = int32(i)
 		prog.dist[i] = make([]float32, n)
 		for v := range prog.dist[i] {
 			prog.dist[i][v] = float32(math.Inf(1))
@@ -178,8 +184,10 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 			opts.CombinerKey = func(m DistMsg) uint64 { return uint64(m.Src) }
 			opts.CombineAtDelivery = j.cfg.CombineAtDelivery
 		}
-		e := engine.New[DistMsg](j.g, j.part, prog, run, opts)
-		err = e.Run()
+		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
+	}
+	for _, s := range batch {
+		j.srcIdx[s] = -1
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tasks: MSSP batch %d: %w", batchIdx, err)
@@ -197,7 +205,7 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 type msspProg struct {
 	job     *MSSPJob
 	sources []graph.VertexID
-	srcIdx  map[graph.VertexID]int
+	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
 	dist    [][]float32
 	entries []int64 // finite entries per machine
 
@@ -210,8 +218,8 @@ type msspProg struct {
 
 func (p *msspProg) Seed(ctx vcapi.Context[DistMsg]) {
 	for _, s := range ctx.OwnedVertices() {
-		i, ok := p.srcIdx[s]
-		if !ok {
+		i := int(p.srcIdx[s])
+		if i < 0 {
 			continue
 		}
 		p.dist[i][s] = 0
@@ -227,7 +235,7 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 	improved := p.improved[mach]
 	list := p.improvedList[mach][:0]
 	for _, m := range msgs {
-		i := p.srcIdx[m.Src]
+		i := int(p.srcIdx[m.Src])
 		d := m.Dist
 		if p.job.cfg.Mirror {
 			// Broadcast variant: the message carries the sender's own

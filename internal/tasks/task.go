@@ -15,8 +15,10 @@ import (
 	"path/filepath"
 
 	"vcmt/internal/engine"
+	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
 	"vcmt/internal/sim"
+	"vcmt/internal/vcapi"
 )
 
 // Job is a multi-processing task that can be executed in batches. The
@@ -33,6 +35,31 @@ type Job interface {
 	RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error)
 	// MemModel returns the task's memory constants for the cost model.
 	MemModel() sim.TaskMemModel
+}
+
+// runBatch runs prog for one batch on the job's engine: the first batch
+// constructs it, every later one re-arms it with Reset, so a job pays the
+// partition-derived tables, the outbox chunks, the inbox and the combine
+// tables once however many batches it is cut into.
+func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partition, prog vcapi.Program[M], run *sim.Run, opts engine.Options[M]) error {
+	if *eng == nil {
+		*eng = engine.New(g, part, prog, run, opts)
+	} else {
+		(*eng).Reset(prog, run, opts)
+	}
+	return (*eng).Run()
+}
+
+// newSourceIndex returns a job-lifetime dense map from vertex to the
+// vertex's index among the current batch's sources, -1 for every other
+// vertex. A batch marks its own sources before it runs and unmarks them
+// after, so the cost per batch is O(batch), not O(n).
+func newSourceIndex(n int) []int32 {
+	idx := make([]int32, n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	return idx
 }
 
 // pairKey packs a (source, vertex) pair into a map key.
