@@ -26,6 +26,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -75,7 +76,8 @@ func main() {
 		log.Fatalf("go test: %v\n%s", err, buf.String())
 	}
 
-	o := Output{Package: *pkg, Bench: *bench, Results: parse(&buf)}
+	// The child go test inherits this process's GOMAXPROCS.
+	o := Output{Package: *pkg, Bench: *bench, Results: parse(&buf, runtime.GOMAXPROCS(0))}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {
 		o.GoVersion = strings.TrimSpace(string(v))
 	}
@@ -191,8 +193,11 @@ func compareResults(base Output, fresh []Result, maxRegress float64) []string {
 }
 
 // parse extracts "BenchmarkX-N  iters  v1 unit1  v2 unit2 ..." lines from
-// go test output.
-func parse(r *bytes.Buffer) []Result {
+// go test output. procs is the GOMAXPROCS the benchmarks ran at: go test
+// appends "-procs" to every name when it is above 1, and that suffix is
+// dropped so results carry the same names on every runner as the committed
+// baselines do. A name that merely ends in another "-N" is left alone.
+func parse(r *bytes.Buffer, procs int) []Result {
 	var results []Result
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -204,7 +209,11 @@ func parse(r *bytes.Buffer) []Result {
 		if err != nil {
 			continue
 		}
-		res := Result{Name: fields[0], Iterations: iters}
+		name := fields[0]
+		if procs > 1 {
+			name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+		}
+		res := Result{Name: name, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

@@ -124,7 +124,7 @@ func TestParseBenchOutput(t *testing.T) {
 		"BenchmarkEngineSkewedDegree/w1     \t      10\t  17818135 ns/op\t        65.00 Mmsgs/s\t 6005152 B/op\t    1084 allocs/op",
 		"PASS",
 	}, "\n"))
-	res := parse(out)
+	res := parse(out, 1)
 	if len(res) != 2 {
 		t.Fatalf("parsed %d results, want 2", len(res))
 	}
@@ -137,5 +137,38 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if v := res[1].Metrics["B/op"]; v != 6005152 {
 		t.Fatalf("B/op = %v want 6005152", v)
+	}
+}
+
+// TestParseStripsGOMAXPROCSSuffix: on a multi-core runner go test names
+// every result BenchmarkX-N; parse must hand back the names the committed
+// baselines use, or the gate reports each of them as missing.
+func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
+	lines := func(names ...string) *bytes.Buffer {
+		var b bytes.Buffer
+		for _, n := range names {
+			b.WriteString(n + " \t 10\t 100 ns/op\n")
+		}
+		return &b
+	}
+	names := func(rs []Result) string {
+		var out []string
+		for _, r := range rs {
+			out = append(out, r.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	got := names(parse(lines("BenchmarkEngineKeyedCombine-4", "BenchmarkEngineSkewedDegree/w1-4", "BenchmarkTop-8-4", "BenchmarkTop-8"), 4))
+	if want := "BenchmarkEngineKeyedCombine BenchmarkEngineSkewedDegree/w1 BenchmarkTop-8 BenchmarkTop-8"; got != want {
+		t.Fatalf("at 4 procs parsed %q, want %q", got, want)
+	}
+	// One proc: go test adds no suffix, so a trailing -N belongs to the name.
+	got = names(parse(lines("BenchmarkTop-8", "BenchmarkTop-1"), 1))
+	if want := "BenchmarkTop-8 BenchmarkTop-1"; got != want {
+		t.Fatalf("at 1 proc parsed %q, want %q", got, want)
+	}
+	base := Output{Results: []Result{{Name: "BenchmarkEngineKeyedCombine", NsPerOp: 100}}}
+	if regs := compareResults(base, parse(lines("BenchmarkEngineKeyedCombine-2"), 2), 0.25); len(regs) != 0 {
+		t.Fatalf("suffixed fresh result did not match its baseline: %v", regs)
 	}
 }

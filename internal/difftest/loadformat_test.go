@@ -58,7 +58,7 @@ func TestBinaryFormatReportIdentity(t *testing.T) {
 	sources := []graph.VertexID{5, 77, 222}
 	for _, w := range workerGrid {
 		report := func(gg *graph.Graph) []byte {
-			return combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
+			rep, _ := combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
 				job, err := tasks.NewMSSP(gg, part, tasks.MSSPConfig{
 					Sources: sources, Seed: seeds[0], Workers: w,
 				})
@@ -68,6 +68,7 @@ func TestBinaryFormatReportIdentity(t *testing.T) {
 				_, err = job.RunBatch(run, len(sources), 0)
 				return len(sources), err
 			})
+			return reportJSON(t, "MSSP", rep)
 		}
 		requireSameReport(t, "v2-dump-vs-v3-rewrite", report(fromV2), report(fromV3))
 	}

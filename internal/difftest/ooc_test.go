@@ -210,49 +210,43 @@ func TestOOCReportMatchesInMemory(t *testing.T) {
 		return col.Report(meta, r.Result())
 	}
 
-	// stripOOC removes everything only an ooc run populates: the result
-	// counters, the per-superstep and per-batch IO columns, and the ooc_*
-	// registry metrics.
-	stripOOC := func(rep *obs.RunReport) {
-		rep.Result.OOCReadBytes = 0
-		rep.Result.OOCWriteBytes = 0
-		rep.Result.OOCWindowPeakBytes = 0
-		for i := range rep.Supersteps {
-			rep.Supersteps[i].OOCReadBytes = 0
-			rep.Supersteps[i].OOCWriteBytes = 0
-			rep.Supersteps[i].OOCWindowPeakBytes = 0
-		}
-		for i := range rep.Batches {
-			rep.Batches[i].OOCReadBytes = 0
-			rep.Batches[i].OOCWriteBytes = 0
-		}
-		kept := rep.Metrics[:0]
-		for _, m := range rep.Metrics {
-			if strings.HasPrefix(m.Name, "ooc_") {
-				continue
-			}
+	label := "mssp report"
+	want := oocStrippedJSON(t, label, runReport(nil), false)
+	got := oocStrippedJSON(t, label, runReport(oocDiffConfig(t)), true)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("reports diverge modulo ooc counters:\n--- in-memory ---\n%s\n--- ooc ---\n%s", want, got)
+	}
+}
+
+// oocStrippedJSON serializes rep without everything only an ooc run
+// populates — the result counters, the per-superstep and per-batch IO
+// columns and the ooc_* registry metrics — so that the in-memory and the ooc
+// report of one job can be compared byte for byte. streamed names the ooc
+// side, which must show partition IO: none would mean the backend never
+// engaged and the comparison is vacuous.
+func oocStrippedJSON(t *testing.T, label string, rep *obs.RunReport, streamed bool) []byte {
+	t.Helper()
+	if streamed && rep.Result.OOCWriteBytes <= 0 {
+		t.Fatalf("%s: ooc report shows no partition IO (write=%d)", label, rep.Result.OOCWriteBytes)
+	}
+	rep.Result.OOCReadBytes = 0
+	rep.Result.OOCWriteBytes = 0
+	rep.Result.OOCWindowPeakBytes = 0
+	for i := range rep.Supersteps {
+		rep.Supersteps[i].OOCReadBytes = 0
+		rep.Supersteps[i].OOCWriteBytes = 0
+		rep.Supersteps[i].OOCWindowPeakBytes = 0
+	}
+	for i := range rep.Batches {
+		rep.Batches[i].OOCReadBytes = 0
+		rep.Batches[i].OOCWriteBytes = 0
+	}
+	kept := rep.Metrics[:0]
+	for _, m := range rep.Metrics {
+		if !strings.HasPrefix(m.Name, "ooc_") {
 			kept = append(kept, m)
 		}
-		rep.Metrics = kept
 	}
-
-	base := runReport(nil)
-	got := runReport(&tasks.OOCConfig{Dir: t.TempDir(), MemoryBudgetBytes: 8 << 10})
-	if got.Result.OOCWriteBytes <= 0 {
-		t.Fatalf("ooc report shows no partition IO (write=%d)", got.Result.OOCWriteBytes)
-	}
-	stripOOC(base)
-	stripOOC(got)
-
-	var wantJSON, gotJSON bytes.Buffer
-	if err := base.WriteJSON(&wantJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.WriteJSON(&gotJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
-		t.Fatalf("reports diverge modulo ooc counters:\n--- in-memory ---\n%s\n--- ooc ---\n%s",
-			wantJSON.String(), gotJSON.String())
-	}
+	rep.Metrics = kept
+	return reportJSON(t, label, rep)
 }

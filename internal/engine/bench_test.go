@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"os"
-	"strings"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -252,23 +251,6 @@ func BenchmarkEngineSkewedDegree(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpill measures the real out-of-core path (encode, write,
-// read back, decode through a temp file).
-func BenchmarkEngineSpill(b *testing.B) {
-	g := graph.GenerateChungLu(5000, 20000, 2.5, 3)
-	part := graph.HashPartition(g.NumVertices(), 4)
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		e := New[hopMsg](g, part, &floodProg{rounds: 5}, nil, Options[hopMsg]{
-			Seed:  1,
-			Spill: &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: dir, ThresholdMsgs: 4096},
-		})
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEngineBaselinePinsReuseAndZeroAlloc holds the committed
 // BENCH_engine.json to what the hot path promises, so that a refreshed
 // baseline cannot quietly give it up: both steady-state barrier cycles
@@ -291,8 +273,7 @@ func TestEngineBaselinePinsReuseAndZeroAlloc(t *testing.T) {
 	}
 	metrics := map[string]map[string]float64{}
 	for _, r := range base.Results {
-		name, _, _ := strings.Cut(r.Name, "-") // strip any -GOMAXPROCS suffix
-		metrics[name] = r.Metrics
+		metrics[r.Name] = r.Metrics
 	}
 	for _, name := range []string{"BenchmarkEngineDeliverySteadyState", "BenchmarkEngineKeyedCombine", "BenchmarkEngineBatchReuse/Reset"} {
 		m, ok := metrics[name]

@@ -4,25 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/graph"
-	"vcmt/internal/ooc"
 )
 
 // CheckpointOptions enables periodic superstep checkpointing. At each
 // barrier whose round number is 1 or a multiple of Interval, the engine
 // snapshots everything the next superstep depends on — buffered outboxes,
-// forced activations, per-machine RNG streams, aggregator values, program
-// state, and any spill-file contents — into a checksummed ckpt file.
+// forced activations, per-machine RNG streams, aggregator values and
+// program state — into a checksummed ckpt file.
 // Combined with an injected fault.Plan, a crashed superstep rolls back to
 // the latest checkpoint and replays forward; the determinism contract
 // (machine-ordered merges, per-machine RNG lanes) makes the replayed run
 // bit-for-bit identical to an unfaulted one.
 type CheckpointOptions[M any] struct {
-	// Codec serializes outbox payloads (the same contract as spill codecs).
+	// Codec serializes outbox payloads.
 	Codec Codec[M]
 	// Dir receives the checkpoint files; created if missing.
 	Dir string
@@ -40,8 +38,10 @@ const (
 	secRNG    = "rng"
 	secAggs   = "aggs"
 	secProg   = "prog"
-	secSpill  = "spill"
 )
+
+// metaLen is the size of the meta section: the round plus two reserved words.
+const metaLen = 3 * 8
 
 // Recoveries returns how many injected crashes this engine recovered from.
 func (e *Engine[M]) Recoveries() int { return e.recoveries }
@@ -64,9 +64,6 @@ func (e *Engine[M]) initCheckpoints() error {
 	}
 	if _, ok := e.prog.(StateSnapshotter); !ok {
 		return fmt.Errorf("engine: checkpointing requires the program to implement vcapi.StateSnapshotter")
-	}
-	if e.opts.MaxInboxPerStep > 0 {
-		return fmt.Errorf("engine: checkpointing is incompatible with MaxInboxPerStep (sub-step barriers are not checkpoint cuts)")
 	}
 	e.ckptMgr = &ckpt.Manager{Dir: co.Dir, Keep: 1}
 	e.lastCkptRounds = -1
@@ -157,15 +154,15 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 	k := e.part.NumMachines()
 	snap := &ckpt.Snapshot{Step: e.rounds}
 
-	meta := make([]byte, 0, 3*8)
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(e.rounds))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(e.spilledRecords))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(e.spilledBytes))
+	// The round, then two reserved zero words: the section keeps its 24-byte
+	// layout so checkpoint sizes, and the reports that price them, do not
+	// change.
+	meta := make([]byte, metaLen)
+	binary.LittleEndian.PutUint64(meta, uint64(e.rounds))
 	snap.Add(secMeta, meta)
 
-	// Outbox rows are serialized as the engine holds them — k legacy rows
-	// in spill mode, k×k per-destination rows otherwise — so restore
-	// repopulates the identical routing layout.
+	// Outbox rows are serialized as the engine holds them, row by row, so
+	// restore repopulates the identical routing layout.
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.outRows)))
 	var payload []byte
@@ -219,34 +216,7 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 		return nil, fmt.Errorf("program SaveState: %w", err)
 	}
 	snap.Add(secProg, prog)
-
-	if e.spill != nil {
-		spillSec, err := e.snapshotSpill()
-		if err != nil {
-			return nil, err
-		}
-		snap.Add(secSpill, spillSec)
-	}
 	return snap, nil
-}
-
-// snapshotSpill copies the current spill-file bytes into the snapshot
-// (inline: drainSpill deletes the file, so a path reference would dangle).
-// The writer's buffer is flushed first; flushing does not change the record
-// stream, so delivery order is unaffected. The snapshot is the raw
-// partition-format prefix (header + records, no trailer) that
-// ooc.ResumeWriter replays on restore.
-func (e *Engine[M]) snapshotSpill() ([]byte, error) {
-	st := e.spill
-	content, err := st.w.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("spill snapshot: %w", err)
-	}
-	var sec []byte
-	sec = binary.LittleEndian.AppendUint64(sec, uint64(st.w.Records()))
-	sec = binary.LittleEndian.AppendUint64(sec, uint64(len(content)))
-	sec = append(sec, content...)
-	return sec, nil
 }
 
 // restoreSnapshot rolls every piece of volatile superstep state back to
@@ -256,32 +226,22 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 	k := e.part.NumMachines()
 
 	meta := snap.Get(secMeta)
-	if len(meta) < 24 {
+	if len(meta) < metaLen {
 		return fmt.Errorf("snapshot meta section truncated")
 	}
 	e.rounds = int(binary.LittleEndian.Uint64(meta))
-	e.spilledRecords = int64(binary.LittleEndian.Uint64(meta[8:]))
-	e.spilledBytes = int64(binary.LittleEndian.Uint64(meta[16:]))
-	// At a barrier observeRound has already synced the observed totals.
-	e.obsSpilledRecords = e.spilledRecords
-	e.obsSpilledBytes = e.spilledBytes
 
 	out := snap.Get(secOutbox)
 	if got := int(binary.LittleEndian.Uint32(out)); got != len(e.outRows) {
 		return fmt.Errorf("snapshot has %d outbox rows, engine has %d", got, len(e.outRows))
 	}
 	out = out[4:]
-	e.outPending = 0
 	for m := range e.owed {
 		e.owed[m] = 0
 	}
 	for r := range e.outRows {
 		n := int(binary.LittleEndian.Uint32(out))
 		out = out[4:]
-		src := r
-		if e.perDst {
-			src = r / e.k
-		}
 		row := &e.outRows[r]
 		row.release()
 		for i := 0; i < n; i++ {
@@ -294,8 +254,7 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 			out = out[8+plen:]
 			row.push(envelope[M]{dst: dst, payload: payload})
 		}
-		e.outPending += n
-		e.owed[src] += int64(n)
+		e.owed[r/e.k] += int64(n)
 	}
 	// Stale send-combine bookkeeping from the abandoned timeline is
 	// discarded at the next delivery (route bumps the table generations
@@ -347,42 +306,8 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 		}
 	}
 
-	if err := e.restoreSpill(snap.Get(secSpill)); err != nil {
-		return err
-	}
-
 	if err := e.prog.(StateSnapshotter).LoadState(snap.Get(secProg)); err != nil {
 		return fmt.Errorf("program LoadState: %w", err)
 	}
-	return nil
-}
-
-// restoreSpill recreates the spill file from the snapshot (or discards the
-// current one when the snapshot had none): the raw partition-format prefix
-// is replayed through ooc.ResumeWriter, which rebuilds the running CRC so
-// later appends and the drain-time trailer verify exactly as if the writer
-// had never stopped.
-func (e *Engine[M]) restoreSpill(sec []byte) error {
-	e.CleanupSpill()
-	if len(sec) == 0 {
-		return nil
-	}
-	records := int64(binary.LittleEndian.Uint64(sec))
-	n := int64(binary.LittleEndian.Uint64(sec[8:]))
-	content := sec[16 : 16+n]
-	f, err := os.CreateTemp(e.opts.Spill.Dir, "vcmt-spill-*.vp")
-	if err != nil {
-		return fmt.Errorf("spill restore: %w", err)
-	}
-	name := f.Name()
-	f.Close()
-	w, err := ooc.ResumeWriter(name, content, records)
-	if err != nil {
-		os.Remove(name)
-		return fmt.Errorf("spill restore: %w", err)
-	}
-	e.spill = &spillState{w: w}
-	// The restored barrier owes the spilled envelopes too (see checkOwed).
-	e.owed[0] += records
 	return nil
 }

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
@@ -174,15 +176,6 @@ func TestCheckpointValidation(t *testing.T) {
 	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "StateSnapshotter") {
 		t.Fatalf("want snapshotter error, got %v", err)
 	}
-
-	// MaxInboxPerStep conflict.
-	e = New[hopMsg](g, part, snapBFS{newBFS(g.NumVertices(), 0)}, nil, Options[hopMsg]{
-		MaxInboxPerStep: 100,
-		Checkpoint:      &CheckpointOptions[hopMsg]{Codec: hopMsgCodec{}, Dir: dir},
-	})
-	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "MaxInboxPerStep") {
-		t.Fatalf("want inbox-cap error, got %v", err)
-	}
 }
 
 // TestCheckpointFilesUnderDir verifies checkpoints land in the configured
@@ -201,5 +194,40 @@ func TestCheckpointFilesUnderDir(t *testing.T) {
 		if !strings.HasSuffix(ent.Name(), ".vck") {
 			t.Fatalf("unexpected file %q", ent.Name())
 		}
+	}
+}
+
+// TestCheckpointBytesPinned holds the snapshot format to the bytes it had
+// before the spill section was deleted (recorded at commit 6aa8e73): the meta
+// section keeps its 24 bytes, the last snapshot of the fixture run is
+// byte-identical, and so is the checkpoint volume the run reports — which
+// is what sim prices and every report prints as checkpoint_bytes.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		wantFile     = "ckpt-000000014.vck"
+		wantSize     = 423
+		wantCRC      = 0x4b31632e
+		wantWritten  = 8
+		wantRunBytes = 3696
+	)
+	dir := t.TempDir()
+	_, res, _ := runSnapBFS(t, dir, nil)
+	if res.CheckpointsWritten != wantWritten || res.CheckpointBytes != wantRunBytes {
+		t.Fatalf("run wrote %d checkpoints, %d bytes; pinned %d, %d",
+			res.CheckpointsWritten, res.CheckpointBytes, wantWritten, wantRunBytes)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, wantFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != wantSize || crc32.ChecksumIEEE(data) != wantCRC {
+		t.Fatalf("snapshot is %d bytes, CRC %#x; pinned %d, %#x", len(data), crc32.ChecksumIEEE(data), wantSize, wantCRC)
+	}
+	snap, err := ckpt.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(snap.Get(secMeta)); got != 24 {
+		t.Fatalf("meta section is %d bytes, want 24", got)
 	}
 }

@@ -28,15 +28,34 @@ func (p *keyedProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []
 	p.got = append(p.got, msgs...)
 }
 
-func keyedOptions(atDelivery bool) Options[hopMsg] {
+func keyedOptions() Options[hopMsg] {
 	return Options[hopMsg]{
 		// Sum values within a key, preserving the key's hundreds digit.
 		Combiner: func(a, b hopMsg) hopMsg {
 			return hopMsg{Hop: a.Hop + b.Hop%100}
 		},
-		CombinerKey:       func(m hopMsg) uint64 { return uint64(m.Hop / 100) },
-		CombineAtDelivery: atDelivery,
+		CombinerKey: func(m hopMsg) uint64 { return uint64(m.Hop / 100) },
 	}
+}
+
+// foldAtDelivery turns send-time combining off on a freshly built or Reset
+// engine: every message is buffered raw and each inbox is folded only at
+// delivery, the timing the OOC backend uses. It is the in-memory reference
+// the send-time tests compare against; no option selects it.
+func foldAtDelivery[M any](e *Engine[M]) *Engine[M] {
+	e.combineAtSend = false
+	e.fastEmit = true
+	return e
+}
+
+// buffer puts env in machine src's outbox the way Context.Send does once it
+// has counted the message.
+func buffer[M any](e *Engine[M], src, dstM int, env envelope[M]) {
+	if e.fastEmit {
+		e.ctxs[src].rows[dstM].push(env)
+		return
+	}
+	e.emit(src, dstM, env)
 }
 
 // TestKeyedCombinerGroupsPerKey checks that CombinerKey restricts the fold
@@ -47,7 +66,10 @@ func TestKeyedCombinerGroupsPerKey(t *testing.T) {
 	part := graph.HashPartition(10, 4)
 	for _, atDelivery := range []bool{false, true} {
 		prog := &keyedProg{}
-		e := New[hopMsg](g, part, prog, nil, keyedOptions(atDelivery))
+		e := New[hopMsg](g, part, prog, nil, keyedOptions())
+		if atDelivery {
+			foldAtDelivery(e)
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +86,8 @@ func TestKeyedCombinerGroupsPerKey(t *testing.T) {
 }
 
 // TestSendTimeCombiningIsDefault checks the timing selection logic: a
-// combiner alone opts into send-time merging, CombineAtDelivery restores
-// the old fold point, and spill mode always combines at delivery (spilled
-// envelopes cannot be merged retroactively).
+// combiner alone opts into send-time merging, and the OOC backend always
+// combines at delivery (routed records cannot be merged retroactively).
 func TestSendTimeCombiningIsDefault(t *testing.T) {
 	g := graph.GenerateRing(10)
 	part := graph.HashPartition(10, 2)
@@ -76,15 +97,10 @@ func TestSendTimeCombiningIsDefault(t *testing.T) {
 		t.Fatal("combiner alone should combine at send time")
 	}
 	if e := New[hopMsg](g, part, &combSumProg{}, nil, Options[hopMsg]{
-		Combiner: sum, CombineAtDelivery: true,
-	}); e.combineAtSend {
-		t.Fatal("CombineAtDelivery should disable send-time combining")
-	}
-	if e := New[hopMsg](g, part, &combSumProg{}, nil, Options[hopMsg]{
 		Combiner: sum,
-		Spill:    &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), ThresholdMsgs: 4},
+		OOC:      &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir()},
 	}); e.combineAtSend {
-		t.Fatal("spill mode must combine at delivery")
+		t.Fatal("the OOC backend must combine at delivery")
 	}
 }
 
@@ -103,8 +119,10 @@ func TestCombinedAtSendStatFlowsToObserver(t *testing.T) {
 			Observer: rec,
 		})
 		r.BeginBatch()
-		opts := keyedOptions(atDelivery)
-		e := New[hopMsg](g, part, &keyedProg{}, r, opts)
+		e := New[hopMsg](g, part, &keyedProg{}, r, keyedOptions())
+		if atDelivery {
+			foldAtDelivery(e)
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +233,7 @@ func TestBarrierConservationPanics(t *testing.T) {
 	g := graph.GenerateRing(10)
 	part := graph.HashPartition(10, 2)
 	e := New[int32](g, part, nopProg{}, nil, Options[int32]{Workers: 1})
-	e.emit(0, int(e.owners[3]), envelope[int32]{dst: 3, payload: 1})
+	buffer(e, 0, int(e.owners[3]), envelope[int32]{dst: 3, payload: 1})
 	e.rollCounters()
 	defer func() {
 		if r := recover(); r == nil {

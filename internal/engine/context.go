@@ -19,9 +19,9 @@ type Context[M any] struct {
 	e       *Engine[M]
 	machine int
 	vertex  graph.VertexID
-	// Hot-path caches: this machine's send counters and (in the
-	// per-destination row layout) its k outbox rows — a subslice of
-	// Engine.outRows, so pushes through either view update the same rows.
+	// Hot-path caches: this machine's send counters and its k outbox rows —
+	// a subslice of Engine.outRows, so pushes through either view update
+	// the same rows.
 	sc   *machineCounters
 	rows []outRow[M]
 }
@@ -68,9 +68,6 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) {
 	if d != c.machine {
 		sc.remoteLogical += w
 		sc.remotePhysical++
-		if e.opts.WireSizer != nil {
-			sc.remoteWireBytes += int64(e.opts.WireSizer(dst, m))
-		}
 	}
 	if e.fastEmit {
 		// outRow.push, written out: with its grow call it is past the
@@ -112,19 +109,12 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 		sc.fanout += int64(len(ns)) - (span + 1)
 		sc.remoteLogical += w * span
 		sc.remotePhysical += span
-		if e.opts.WireSizer != nil {
-			// Each mirror machine receives one copy keyed by the source.
-			sc.remoteWireBytes += span * int64(e.opts.WireSizer(src, m))
-		}
 	} else {
 		sc.physical += int64(len(ns))
 		for _, u := range ns {
 			if int(e.owners[u]) != c.machine {
 				sc.remoteLogical += w
 				sc.remotePhysical++
-				if e.opts.WireSizer != nil {
-					sc.remoteWireBytes += int64(e.opts.WireSizer(u, m))
-				}
 			}
 		}
 	}
@@ -160,16 +150,14 @@ func (c *Context[M]) ActivateNextRound(v graph.VertexID) {
 	}
 }
 
-// emit buffers one envelope in the outbox row of (source machine src,
-// destination machine dstM). With send-time combining active, a message
-// to an already-buffered (vertex, key) merges into the existing slot
-// instead of appending — the outbox shrinks before the barrier. In
-// out-of-core mode the envelope is instead encoded and routed straight
-// into its destination partition's append file — appends preserve emission
-// order, so the merged inbox reproduces the in-memory layout. In spill
-// mode (always sequential, legacy one-row-per-machine layout) the global
-// buffered count triggers flushes at the same threshold the single-outbox
-// engine used.
+// emit is the send path when fastEmit is off. With send-time combining it
+// buffers one envelope in the outbox row of (source machine src,
+// destination machine dstM), unless the row already holds its (vertex,
+// key): then the message merges into the existing slot instead of
+// appending — the outbox shrinks before the barrier. In out-of-core mode
+// the envelope is instead encoded and routed straight into its destination
+// partition's append file — appends preserve emission order, so the merged
+// inbox reproduces the in-memory layout.
 func (e *Engine[M]) emit(src, dstM int, env envelope[M]) {
 	if e.ooc != nil {
 		e.ooc.enc = e.ooc.codec.Encode(e.ooc.enc[:0], env.payload)
@@ -178,30 +166,18 @@ func (e *Engine[M]) emit(src, dstM int, env envelope[M]) {
 		}
 		return
 	}
-	if e.perDst {
-		r := &e.outRows[src*e.k+dstM]
-		switch {
-		case !e.combineAtSend:
-			r.push(env)
-		case e.opts.CombinerKey != nil:
-			e.emitKeyed(src, r, env)
-		case e.sendSeen[src][env.dst] == e.sendGen[src]:
-			// Unkeyed: direct-mapped, generation-tagged table.
-			slot := r.at(e.sendPos[src][env.dst])
-			slot.payload = e.opts.Combiner(slot.payload, env.payload)
-			e.combinedSend[src]++
-		default:
-			e.sendSeen[src][env.dst] = e.sendGen[src]
-			e.sendPos[src][env.dst] = uint32(r.n)
-			r.push(env)
-		}
-		return
-	}
-	// Legacy one-row-per-machine layout, used only in spill mode: count
-	// globally buffered envelopes to flush at the historical threshold.
-	e.outRows[src].push(env)
-	e.outPending++
-	if e.outPending >= e.opts.Spill.ThresholdMsgs {
-		e.flushSpill()
+	r := &e.outRows[src*e.k+dstM]
+	switch {
+	case e.opts.CombinerKey != nil:
+		e.emitKeyed(src, r, env)
+	case e.sendSeen[src][env.dst] == e.sendGen[src]:
+		// Unkeyed: direct-mapped, generation-tagged table.
+		slot := r.at(e.sendPos[src][env.dst])
+		slot.payload = e.opts.Combiner(slot.payload, env.payload)
+		e.combinedSend[src]++
+	default:
+		e.sendSeen[src][env.dst] = e.sendGen[src]
+		e.sendPos[src][env.dst] = uint32(r.n)
+		r.push(env)
 	}
 }

@@ -9,7 +9,7 @@
 // classified as machine-local or remote, and per-superstep statistics are
 // reported to a sim.Run, which prices them with the paper-calibrated cost
 // model. Supersteps execute the K logical machines on a worker pool
-// (Options.Workers; 1 reproduces the historical single-thread engine), and
+// (Options.Workers; 1 runs every phase on the calling goroutine), and
 // every run is fully deterministic regardless of worker count: each machine
 // owns its SplitMix64 RNG stream, outbox rows, counters and aggregator
 // lane, and cross-machine merges always walk machines in index order, so
@@ -23,8 +23,8 @@
 // runs one independent counting sort per destination machine over small
 // dense-rank count arrays, and all scratch (chunks, counts, offsets, inbox
 // storage, combine tables) persists across rounds — and, through Reset,
-// across the batches of one job. Combiners apply at send time by default,
-// shrinking outbox rows before the barrier (see Options.CombineAtDelivery).
+// across the batches of one job. Combiners apply at send time, shrinking
+// outbox rows before the barrier (see Options.Combiner).
 //
 // The engine also implements the two implementation families of §3:
 // point-to-point sends (Pregel-based systems) via Context.Send, and the
@@ -73,7 +73,15 @@ type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1 per message.
 	Weight WeightFunc[M]
 	// Combiner, when set, merges each vertex's incoming messages into one
-	// (one per key when CombinerKey is also set).
+	// (one per key when CombinerKey is also set). It is applied at send time
+	// — a message from the same machine to an already-buffered (vertex, key)
+	// merges into that envelope's slot, found through the source machine's
+	// send table, so the outbox shrinks before the barrier — followed by a
+	// cross-machine fold at delivery. A slot is created at a pair's first
+	// occurrence and never moves, so the result is bit-identical to folding
+	// each inbox only at delivery, which is what the OOC backend does (its
+	// emission-ordered byte streams record raw messages); the differential
+	// tests compare the two.
 	Combiner Combiner[M]
 	// CombinerKey, when set alongside Combiner, restricts combining to
 	// messages that agree on a key: only messages addressed to the same
@@ -84,43 +92,18 @@ type Options[M any] struct {
 	// probed candidate, so it must be a pure function of the payload.
 	// Ignored when Combiner is nil.
 	CombinerKey func(m M) uint64
-	// CombineAtDelivery forces the historical combiner timing: buffer
-	// every sent message and fold each vertex's inbox only at delivery.
-	// By default the combiner is applied at send time — a message from the
-	// same machine to an already-buffered (vertex, key) merges into that
-	// envelope's slot, found through the source machine's send table, so
-	// the outbox shrinks before the barrier — followed by a cross-machine
-	// fold at delivery. A slot is created at a pair's first occurrence and
-	// never moves, so both timings produce bit-identical inboxes, results
-	// and reports for exact combiners (see Combiner); the flag exists so
-	// the differential tests can prove it. Spill and OOC modes always
-	// combine at delivery (their emission-ordered byte streams record raw
-	// messages).
-	CombineAtDelivery bool
 	// MaxRounds bounds the superstep count (0 means the default of 10000).
 	MaxRounds int
 	// Seed makes per-machine RNG streams deterministic.
 	Seed uint64
 	// Workers sets the superstep worker-pool size: 0 means GOMAXPROCS and 1
 	// runs fully sequentially. Results are bit-identical for every value.
-	// Spill and MaxInboxPerStep force sequential execution (their global
-	// outbox stream and sub-step accounting have no parallel equivalent).
+	// OOC forces sequential execution (partition files are one
+	// emission-ordered byte stream).
 	Workers int
 	// StopWhenOverloaded makes the engine abandon the run once the sim.Run
 	// passes the paper's 6000 s cutoff, like the paper's experiments do.
 	StopWhenOverloaded bool
-	// Spill enables real out-of-core buffering of delivered messages (the
-	// GraphD mechanism): when a superstep's message volume exceeds
-	// ThresholdMsgs, the overflow is written to a temporary file through
-	// the codec and streamed back during delivery.
-	Spill *SpillOptions[M]
-	// MaxInboxPerStep splits message-heavy supersteps into sub-steps that
-	// each process at most this many delivered messages — the Giraph
-	// improvement Facebook contributed (§2.2: "split a message-heavy
-	// superstep into several sub-steps for message reduction"). Zero
-	// disables splitting. Programs must treat their inbox incrementally
-	// (all the tasks in this repository do).
-	MaxInboxPerStep int
 	// OOC selects the out-of-core execution backend (see OOCOptions):
 	// streamed edge/message partition files and a bounded memory window in
 	// place of in-memory outboxes and inboxes. Forces sequential execution;
@@ -134,14 +117,6 @@ type Options[M any] struct {
 	// and silently replays forward); drop/delay/slow events are wall-clock
 	// faults that only the rpcrt runtime exercises.
 	Fault *fault.Plan
-	// WireSizer, when set, reports the exact encoded wire size in bytes of
-	// one remote message to dst (e.g. wire.EnvelopeSize on an envelope
-	// codec). The engine then accumulates measured per-machine remote wire
-	// bytes each round and the simulator's cost model uses them in place
-	// of the profile's per-message estimate (see
-	// sim.MachineRound.RemoteWireBytes). Nil keeps the estimate — the
-	// calibrated paper profiles are unaffected unless a task opts in.
-	WireSizer func(dst graph.VertexID, m M) int
 }
 
 // ErrMaxRounds is returned when the superstep bound is hit before the
@@ -175,26 +150,13 @@ type Engine[M any] struct {
 	mirrorSpan []int32
 	mirrorOnce sync.Once
 
-	// outRows is the outbox matrix for the current superstep. In the
-	// default mode (perDst true) it has k×k rows: row src*k+dst buffers
-	// machine src's messages to machine dst's vertices, in emission order,
-	// so delivery runs one independent counting sort per destination.
-	// Spill mode keeps the legacy one-row-per-machine layout (perDst
-	// false): its mid-superstep flushes must reproduce the chronological
-	// cross-destination record stream of the single-outbox engine. Rows
-	// are chunk lists (see outbox.go); free[m] is the free list that the
-	// rows machine m writes draw from and route refills.
+	// outRows is the k×k outbox matrix for the current superstep: row
+	// src*k+dst buffers machine src's messages to machine dst's vertices,
+	// in emission order, so delivery runs one independent counting sort per
+	// destination. Rows are chunk lists (see outbox.go); free[m] is the
+	// free list that the rows machine m writes draw from and route refills.
 	outRows []outRow[M]
 	free    [][]*chunk[M]
-	perDst  bool
-	// scatterRows is the per-destination staging used only in the legacy
-	// (spill) layout: delivery first scatters the mixed rows plus any
-	// spilled envelopes into per-destination rows in chunk-major order.
-	scatterRows []outRow[M]
-	// outPending counts buffered envelopes across all rows; maintained
-	// only in spill mode (which is sequential) to trigger flushes at the
-	// same global threshold the single-outbox engine used.
-	outPending int
 	// owed[m] is what machine m's rows must hold at the next route: the
 	// physical messages it sent since the last one, net of send-time
 	// merges (see rollCounters). Conservation is checked at every barrier.
@@ -233,9 +195,8 @@ type Engine[M any] struct {
 	sendTabs      []sendTable
 	combinedSend  []int64
 
-	// fastEmit marks the plain per-destination-row append path (no OOC, no
-	// spill, no send-time combining), which Send/Broadcast inline to skip a
-	// call per message.
+	// fastEmit marks the plain row append path (no OOC, no send-time
+	// combining), which Send/Broadcast inline to skip a call per message.
 	fastEmit bool
 
 	// foldTabs is the delivery-time keyed-fold scratch, one table per
@@ -253,7 +214,6 @@ type Engine[M any] struct {
 	active  []int64
 	rounds  int
 	stopped bool
-	spill   *spillState
 	aggs    map[string]*aggregator
 
 	// ooc is the live out-of-core backend (nil for in-memory runs). The
@@ -282,13 +242,6 @@ type Engine[M any] struct {
 	forcedNow    []bool
 	forcedAll    []graph.VertexID
 
-	spilledRecords int64
-	spilledBytes   int64
-	// observed spill totals at the previous observeRound, so each round
-	// reports only its own delta to the sim.Run.
-	obsSpilledRecords int64
-	obsSpilledBytes   int64
-
 	// Checkpoint/recovery state. lastCkptRounds/Bytes identify the latest
 	// checkpoint; ckptSimSeconds is the simulated clock right after it was
 	// priced (so a crash knows how much simulated work it loses). replayTo
@@ -309,9 +262,6 @@ type envelope[M any] struct {
 
 type machineCounters struct {
 	logical, physical, remoteLogical, remotePhysical int64
-	// remoteWireBytes is the exact encoded size of the remote physical
-	// messages, accumulated only when Options.WireSizer is set.
-	remoteWireBytes int64
 	// fanout is the envelopes buffered beyond physical: a mirrored
 	// broadcast is one wire message per mirror machine but one envelope
 	// per neighbor.
@@ -332,6 +282,7 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		vertsByMachine: make([][]graph.VertexID, k),
 		owners:         make([]int32, n),
 		rank:           make([]int32, n),
+		outRows:        make([]outRow[M], k*k),
 		free:           make([][]*chunk[M], k),
 		owed:           make([]int64, k),
 		regionStart:    make([]int32, k+1),
@@ -360,7 +311,10 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		e.mcount[m] = make([]int32, nl)
 		e.moffs[m] = make([]int32, nl+1)
 		e.rngs[m] = randx.New(0)
-		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m]}
+		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m], rows: e.outRows[m*k : (m+1)*k]}
+	}
+	for r := range e.outRows {
+		e.outRows[r].free = &e.free[r/k]
 	}
 	e.Reset(prog, run, opts)
 	return e
@@ -371,7 +325,7 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 // finished run leaves that depends only on the graph and the partition or
 // is pure capacity: the routing tables, the chunk population, the inbox,
 // the combine tables and the forced-activation flags. RNG streams,
-// counters, aggregators (register them again) and checkpoint, spill and
+// counters, aggregators (register them again) and checkpoint and
 // out-of-core state start over. One engine per job, Reset per batch: a job
 // of many small batches then pays construction once.
 func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
@@ -379,7 +333,6 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		opts.MaxRounds = 10000
 	}
 	k, n := e.k, e.g.NumVertices()
-	e.CleanupSpill()
 	e.prog, e.run, e.opts = prog, run, opts
 	e.workers = min(effectiveWorkers(opts), k)
 
@@ -387,15 +340,9 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	for r := range e.outRows {
 		e.outRows[r].release()
 	}
-	if perDst := opts.Spill == nil; perDst != e.perDst || e.outRows == nil {
-		e.perDst = perDst
-		e.layoutRows()
-	}
-	e.outPending = 0
 
-	e.combineAtSend = opts.Combiner != nil && !opts.CombineAtDelivery &&
-		opts.Spill == nil && opts.OOC == nil
-	e.fastEmit = e.perDst && !e.combineAtSend && opts.OOC == nil
+	e.combineAtSend = opts.Combiner != nil && opts.OOC == nil
+	e.fastEmit = !e.combineAtSend && opts.OOC == nil
 	if e.combineAtSend && opts.CombinerKey == nil && e.sendGen == nil {
 		e.sendSeen = make([][]uint32, k)
 		e.sendPos = make([][]uint32, k)
@@ -427,36 +374,8 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	e.ooc = nil
 	e.oocReadBytes, e.oocWriteBytes, e.oocWindowPeak = 0, 0, 0
 	e.oocReadTotal, e.oocWriteTotal, e.oocPeakMax, e.oocPartitions = 0, 0, 0, 0
-	e.spilledRecords, e.spilledBytes = 0, 0
-	e.obsSpilledRecords, e.obsSpilledBytes = 0, 0
 	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
 	e.replayTo, e.recoveries = 0, 0
-}
-
-// layoutRows builds the (empty) outbox rows for the current layout, each
-// bound to the free list of the machine that writes it.
-func (e *Engine[M]) layoutRows() {
-	k := e.k
-	e.scatterRows = nil
-	if e.perDst {
-		e.outRows = make([]outRow[M], k*k)
-		for r := range e.outRows {
-			e.outRows[r].free = &e.free[r/k]
-		}
-	} else {
-		e.outRows = make([]outRow[M], k)
-		e.scatterRows = make([]outRow[M], k)
-		for m := 0; m < k; m++ {
-			e.outRows[m].free = &e.free[m]
-			e.scatterRows[m].free = &e.free[m]
-		}
-	}
-	for m, ctx := range e.ctxs {
-		ctx.rows = nil
-		if e.perDst {
-			ctx.rows = e.outRows[m*k : (m+1)*k]
-		}
-	}
 }
 
 // nextSendRound empties the send-time combine tables by bumping their
@@ -531,11 +450,8 @@ func (e *Engine[M]) ensureMirrorSpan() {
 }
 
 // pending reports whether any superstep work remains: buffered outbox
-// envelopes, spilled envelopes on disk, or forced activations.
+// envelopes or forced activations.
 func (e *Engine[M]) pending() bool {
-	if e.spill != nil {
-		return true
-	}
 	for r := range e.outRows {
 		if e.outRows[r].n > 0 {
 			return true
@@ -587,12 +503,10 @@ func (e *Engine[M]) Run() error {
 
 	for e.pending() {
 		if e.rounds >= e.opts.MaxRounds {
-			e.CleanupSpill()
 			return fmt.Errorf("%w (%d)", ErrMaxRounds, e.opts.MaxRounds)
 		}
 		if e.opts.StopWhenOverloaded && e.run != nil && e.run.Overloaded() {
 			e.stopped = true
-			e.CleanupSpill()
 			return nil
 		}
 		if machine, ok := e.crashPending(); ok {
@@ -600,7 +514,6 @@ func (e *Engine[M]) Run() error {
 				e.run.ObserveCrash(e.rounds+1, machine)
 			}
 			if err := e.recoverFromCheckpoint(); err != nil {
-				e.CleanupSpill()
 				return err
 			}
 			continue
@@ -611,18 +524,13 @@ func (e *Engine[M]) Run() error {
 			e.forcedFlag[v] = false
 		}
 		e.deliver()
-		if e.workers > 1 {
-			e.runPhase(phaseCompute, e.k)
-		} else {
-			e.computeSequential()
-		}
+		e.runPhase(phaseCompute, e.k)
 		for _, v := range forced {
 			e.forcedNow[v] = false
 		}
 		e.rollAggregators()
 		e.observeRound()
 		if err := e.maybeCheckpoint(); err != nil {
-			e.CleanupSpill()
 			return err
 		}
 	}
@@ -670,60 +578,15 @@ func (e *Engine[M]) checkReceived(m int, got int64) {
 	}
 }
 
-// computeSequential runs all machines in index order on the calling
-// goroutine, with the Giraph-style sub-step splitting that threads a
-// cross-machine processed counter through mid-round observations.
-func (e *Engine[M]) computeSequential() {
-	processed := 0
-	for m := 0; m < e.k; m++ {
-		ctx := e.ctxs[m]
-		rc := &e.recv[m]
-		offs := e.moffs[m]
-		base := e.regionStart[m]
-		weigh := e.opts.Weight
-		maxStep := e.opts.MaxInboxPerStep
-		// Sub-step observations reset rc mid-round, so count separately.
-		got := int64(0)
-		for i, v := range e.vertsByMachine[m] {
-			lo, hi := offs[i], offs[i+1]
-			if lo == hi && !e.forcedNow[v] {
-				continue
-			}
-			ctx.vertex = v
-			msgs := e.inbox[base+lo : base+hi]
-			if weigh == nil {
-				rc.logical += int64(len(msgs))
-			} else {
-				for _, msg := range msgs {
-					rc.logical += weigh(msg)
-				}
-			}
-			rc.physical += int64(len(msgs))
-			e.prog.Compute(ctx, v, msgs)
-			e.active[m]++
-			got += int64(len(msgs))
-			processed += len(msgs)
-			// Giraph-style superstep splitting: bound the messages a
-			// sub-step holds in flight.
-			if maxStep > 0 && processed >= maxStep {
-				e.observeRound()
-				processed = 0
-			}
-		}
-		e.checkReceived(m, got)
-	}
-}
-
 // Stopped reports whether the run was abandoned due to overload.
 func (e *Engine[M]) Stopped() bool { return e.stopped }
 
 // deliver routes the pending envelopes into per-vertex inbox segments and
 // applies the combiner's delivery-time fold. Routing runs one counting
 // sort per destination machine over that machine's dense local ranks; the
-// sort places row contents in (source machine, emission) order, which is
-// exactly the chunk-major stable layout of the historical single-outbox
-// engine, so sequential and parallel execution produce bit-identical
-// inboxes.
+// sort places row contents in (source machine, emission) order whichever
+// goroutine runs it, so sequential and parallel execution produce
+// bit-identical inboxes.
 func (e *Engine[M]) deliver() {
 	e.route()
 	if e.opts.Combiner != nil {
@@ -737,27 +600,19 @@ func (e *Engine[M]) deliver() {
 	}
 }
 
-// route performs the counting-sort placement of every pending envelope
-// (buffered rows plus any spilled overflow) into the inbox, leaving
-// regionStart/moffs describing the per-vertex segments, and hands the rows'
-// chunks back to the free lists. No allocation on the steady-state path:
-// chunks, counts, offsets and the inbox itself are all persistent scratch.
+// route performs the counting-sort placement of every buffered envelope
+// into the inbox, leaving regionStart/moffs describing the per-vertex
+// segments, and hands the rows' chunks back to the free lists. No allocation
+// on the steady-state path: chunks, counts, offsets and the inbox itself are
+// all persistent scratch.
 func (e *Engine[M]) route() {
 	k := e.k
-	spilled := e.drainSpill()
-	e.checkOwed(len(spilled))
-	if !e.perDst {
-		e.scatterLegacy(spilled)
-	}
+	e.checkOwed()
 	total := 0
 	for d := 0; d < k; d++ {
 		t := 0
-		if e.perDst {
-			for s := 0; s < k; s++ {
-				t += e.outRows[s*k+d].n
-			}
-		} else {
-			t = e.scatterRows[d].n
+		for s := 0; s < k; s++ {
+			t += e.outRows[s*k+d].n
 		}
 		e.machLoad[d] = int64(t)
 		e.regionStart[d] = int32(total)
@@ -779,42 +634,25 @@ func (e *Engine[M]) route() {
 	for r := range e.outRows {
 		e.outRows[r].release()
 	}
-	for d := range e.scatterRows {
-		e.scatterRows[d].release()
-	}
-	e.outPending = 0
 	if e.combineAtSend {
 		e.nextSendRound()
 	}
 }
 
 // checkOwed asserts message conservation at the barrier: what each
-// machine's rows hold (plus, in spill mode, what was spilled) is what the
-// machine sent since the last barrier, net of send-time merges. Spill
-// flushes move envelopes between machines' rows and the file, so that mode
-// is checked in total. Only an engine bug can violate this.
-func (e *Engine[M]) checkOwed(spilled int) {
-	var held, owed int64
+// machine's rows hold is what the machine sent since the last barrier, net
+// of send-time merges. Only an engine bug can violate this.
+func (e *Engine[M]) checkOwed() {
 	for m := 0; m < e.k; m++ {
-		h := int64(0)
-		if e.perDst {
-			for d := 0; d < e.k; d++ {
-				h += int64(e.outRows[m*e.k+d].n)
-			}
-			if h != e.owed[m] {
-				panic(fmt.Sprintf("engine: conservation violated entering round %d: machine %d buffered %d envelopes, sent %d net of merges",
-					e.rounds+1, m, h, e.owed[m]))
-			}
-		} else {
-			h = int64(e.outRows[m].n)
+		held := int64(0)
+		for d := 0; d < e.k; d++ {
+			held += int64(e.outRows[m*e.k+d].n)
 		}
-		held += h
-		owed += e.owed[m]
+		if held != e.owed[m] {
+			panic(fmt.Sprintf("engine: conservation violated entering round %d: machine %d buffered %d envelopes, sent %d net of merges",
+				e.rounds+1, m, held, e.owed[m]))
+		}
 		e.owed[m] = 0
-	}
-	if held+int64(spilled) != owed {
-		panic(fmt.Sprintf("engine: conservation violated entering round %d: %d envelopes buffered + %d spilled, sent %d net of merges",
-			e.rounds+1, held, spilled, owed))
 	}
 }
 
@@ -835,26 +673,6 @@ func (e *Engine[M]) orderByLoad() {
 	}
 }
 
-// scatterLegacy stages the legacy mixed-destination rows (spill mode) plus
-// the spilled envelopes into per-destination scatter rows, in chunk-major
-// order (machine rows in index order, then the spill stream), so the
-// per-destination counting sorts see the same stable order as always.
-func (e *Engine[M]) scatterLegacy(spilled []envelope[M]) {
-	for m := range e.outRows {
-		r := &e.outRows[m]
-		for ci := range r.chunks {
-			for _, env := range r.filled(ci) {
-				d := e.owners[env.dst]
-				e.scatterRows[d].push(env)
-			}
-		}
-	}
-	for _, env := range spilled {
-		d := e.owners[env.dst]
-		e.scatterRows[d].push(env)
-	}
-}
-
 // deliverMachine counting-sorts every envelope addressed to machine d into
 // d's inbox region: histogram over dense local ranks, prefix sum into the
 // per-vertex offsets, then stable placement walking source rows in machine
@@ -867,12 +685,8 @@ func (e *Engine[M]) deliverMachine(d int) {
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	if e.perDst {
-		for s := 0; s < k; s++ {
-			e.countRow(&e.outRows[s*k+d], cnt)
-		}
-	} else {
-		e.countRow(&e.scatterRows[d], cnt)
+	for s := 0; s < k; s++ {
+		e.countRow(&e.outRows[s*k+d], cnt)
 	}
 	offs[0] = 0
 	for i := range cnt {
@@ -883,12 +697,8 @@ func (e *Engine[M]) deliverMachine(d int) {
 	reg := e.inbox[e.regionStart[d]:e.regionStart[d+1]]
 	cur := cnt
 	copy(cur, offs[:len(cnt)])
-	if e.perDst {
-		for s := 0; s < k; s++ {
-			e.placeRow(&e.outRows[s*k+d], reg, cur)
-		}
-	} else {
-		e.placeRow(&e.scatterRows[d], reg, cur)
+	for s := 0; s < k; s++ {
+		e.placeRow(&e.outRows[s*k+d], reg, cur)
 	}
 }
 
@@ -932,8 +742,6 @@ func (e *Engine[M]) segment(v graph.VertexID) []M {
 func (e *Engine[M]) observeRound() {
 	e.rounds++
 	if e.rounds <= e.replayTo {
-		e.obsSpilledBytes = e.spilledBytes
-		e.obsSpilledRecords = e.spilledRecords
 		e.rollCounters()
 		return
 	}
@@ -946,14 +754,13 @@ func (e *Engine[M]) observeRound() {
 		var combined int64
 		for m := 0; m < k; m++ {
 			per[m] = sim.MachineRound{
-				SentLogical:     e.sent[m].logical,
-				SentPhysical:    e.sent[m].physical,
-				RecvLogical:     e.recv[m].logical,
-				RecvPhysical:    e.recv[m].physical,
-				RemoteLogical:   e.sent[m].remoteLogical,
-				RemotePhysical:  e.sent[m].remotePhysical,
-				RemoteWireBytes: e.sent[m].remoteWireBytes,
-				ActiveVertices:  e.active[m],
+				SentLogical:    e.sent[m].logical,
+				SentPhysical:   e.sent[m].physical,
+				RecvLogical:    e.recv[m].logical,
+				RecvPhysical:   e.recv[m].physical,
+				RemoteLogical:  e.sent[m].remoteLogical,
+				RemotePhysical: e.sent[m].remotePhysical,
+				ActiveVertices: e.active[m],
 			}
 			if hasState {
 				per[m].StateEntries = reporter.StateEntries(m)
@@ -962,16 +769,12 @@ func (e *Engine[M]) observeRound() {
 		}
 		e.run.ObserveRound(sim.RoundStats{
 			PerMachine:         per,
-			SpilledBytes:       e.spilledBytes - e.obsSpilledBytes,
-			SpilledRecords:     e.spilledRecords - e.obsSpilledRecords,
 			OOCReadBytes:       e.oocReadBytes,
 			OOCWriteBytes:      e.oocWriteBytes,
 			OOCWindowPeakBytes: e.oocWindowPeak,
 			CombinedAtSend:     combined,
 		})
 	}
-	e.obsSpilledBytes = e.spilledBytes
-	e.obsSpilledRecords = e.spilledRecords
 	e.rollCounters()
 }
 

@@ -267,42 +267,6 @@ func (hopCodec) Decode(data []byte) (hopMsg, int) {
 	return hopMsg{Hop: int32(binary.LittleEndian.Uint32(data))}, 4
 }
 
-func TestSpillRoundTripPreservesResults(t *testing.T) {
-	g := graph.GenerateChungLu(400, 2000, 2.5, 9)
-	ref := runBFS(t, g, 4)
-
-	part := graph.HashPartition(g.NumVertices(), 4)
-	prog := newBFS(g.NumVertices(), 0)
-	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
-		Spill: &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), ThresholdMsgs: 64},
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.SpilledRecords() == 0 {
-		t.Fatal("test expected spilling to trigger")
-	}
-	for v := range ref.dist {
-		if prog.dist[v] != ref.dist[v] {
-			t.Fatalf("spilled run diverged at %d: %d vs %d", v, prog.dist[v], ref.dist[v])
-		}
-	}
-}
-
-func TestSpillBytesTracked(t *testing.T) {
-	g := graph.GenerateStar(100)
-	part := graph.HashPartition(100, 2)
-	e := New[countMsg](g, part, &broadcastProg{}, nil, Options[countMsg]{
-		Spill: &SpillOptions[countMsg]{Codec: countCodec{}, Dir: t.TempDir(), ThresholdMsgs: 8},
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.SpilledBytes() <= 0 {
-		t.Fatal("expected spill bytes")
-	}
-}
-
 type countCodec struct{}
 
 func (countCodec) Encode(buf []byte, m countMsg) []byte {
@@ -394,39 +358,4 @@ func (p *probeProg) Seed(ctx vcapi.Context[hopMsg]) {
 }
 func (p *probeProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
 	p.onCompute(ctx, v)
-}
-
-func TestSpillCountersReachSimTrace(t *testing.T) {
-	g := graph.GenerateStar(100)
-	part := graph.HashPartition(100, 2)
-	run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(2), System: sim.GraphD})
-	trace := &sim.Trace{PerMachine: true}
-	run.SetTrace(trace)
-	e := New[countMsg](g, part, &broadcastProg{}, run, Options[countMsg]{
-		Spill: &SpillOptions[countMsg]{Codec: countCodec{}, Dir: t.TempDir(), ThresholdMsgs: 8},
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.SpilledBytes() <= 0 {
-		t.Fatal("test expected spilling to trigger")
-	}
-	res := run.Result()
-	if res.SpilledBytes != e.SpilledBytes() || res.SpilledRecords != e.SpilledRecords() {
-		t.Fatalf("job result spill %d/%d, engine measured %d/%d",
-			res.SpilledBytes, res.SpilledRecords, e.SpilledBytes(), e.SpilledRecords())
-	}
-	var traceBytes, traceRecs int64
-	for _, row := range trace.Rows {
-		traceBytes += row.SpilledBytes
-		traceRecs += row.SpilledRecords
-	}
-	if traceBytes != e.SpilledBytes() || traceRecs != e.SpilledRecords() {
-		t.Fatalf("trace spill %d/%d, engine measured %d/%d",
-			traceBytes, traceRecs, e.SpilledBytes(), e.SpilledRecords())
-	}
-	if len(trace.MachineRows) != 2*len(trace.Rows) {
-		t.Fatalf("machine rows %d, want 2 per round (%d rounds)",
-			len(trace.MachineRows), len(trace.Rows))
-	}
 }

@@ -205,79 +205,3 @@ func TestForcedActivationCountsAsActive(t *testing.T) {
 		t.Fatalf("rounds=%d want 6", got)
 	}
 }
-
-// TestWireSizerMeasuresExactBytes: with Options.WireSizer set, the run's
-// wire-byte total is the sizer summed over exactly the remote physical
-// messages — a measured quantity, not the profile's per-message estimate —
-// and scales linearly in the per-message size.
-func TestWireSizerMeasuresExactBytes(t *testing.T) {
-	g := graph.GenerateChungLu(120, 480, 2.5, 3)
-	part := graph.HashPartition(120, 4)
-	runAt := func(bytesPerMsg int) (float64, int) {
-		run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(4), System: sim.PregelPlus})
-		opts := Options[hopMsg]{}
-		if bytesPerMsg > 0 {
-			opts.WireSizer = func(dst graph.VertexID, m hopMsg) int { return bytesPerMsg }
-		}
-		e := New[hopMsg](g, part, newBFS(120, 0), run, opts)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return run.Result().WireBytesTotal, e.Rounds()
-	}
-	est, estRounds := runAt(0)
-	ten, tenRounds := runAt(10)
-	twenty, _ := runAt(20)
-	if estRounds != tenRounds {
-		t.Fatalf("sizer changed execution: %d vs %d rounds", estRounds, tenRounds)
-	}
-	if ten <= 0 || twenty != 2*ten {
-		t.Fatalf("measured bytes must scale with message size: 10B=%v 20B=%v", ten, twenty)
-	}
-	// remote = ten/10 is the exact remote physical message count; the
-	// estimate prices the same traffic at the profile's rate.
-	remote := ten / 10
-	if want := remote * float64(sim.PregelPlus.WireBytesPerMsg); est != want {
-		t.Fatalf("estimate path: %v want %v (remote=%v)", est, want, remote)
-	}
-}
-
-func TestSuperstepSplittingPreservesResults(t *testing.T) {
-	g := graph.GenerateChungLu(400, 1600, 2.5, 5)
-	ref := runBFS(t, g, 4)
-	part := graph.HashPartition(400, 4)
-	prog := newBFS(400, 0)
-	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{MaxInboxPerStep: 64})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := range ref.dist {
-		if prog.dist[v] != ref.dist[v] {
-			t.Fatalf("splitting changed BFS at %d", v)
-		}
-	}
-}
-
-func TestSuperstepSplittingBoundsPerRoundMessages(t *testing.T) {
-	g := graph.GenerateChungLu(400, 1600, 2.5, 7)
-	part := graph.HashPartition(400, 4)
-
-	runWith := func(maxPerStep int) (rounds int, maxRecv float64) {
-		run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(4), System: sim.PregelPlus})
-		prog := newBFS(400, 0)
-		e := New[hopMsg](g, part, prog, run, Options[hopMsg]{MaxInboxPerStep: maxPerStep})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		res := run.Result()
-		return res.Rounds, res.MaxMsgsPerRound
-	}
-	plainRounds, plainPeak := runWith(0)
-	splitRounds, splitPeak := runWith(32)
-	if splitRounds <= plainRounds {
-		t.Fatalf("splitting must add sub-steps: %d vs %d", splitRounds, plainRounds)
-	}
-	if splitPeak >= plainPeak {
-		t.Fatalf("splitting must cut the per-step message peak: %v vs %v", splitPeak, plainPeak)
-	}
-}

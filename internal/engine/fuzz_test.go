@@ -45,12 +45,12 @@ func FuzzDeliverRouting(f *testing.F) {
 		part := graph.HashPartition(n, k)
 		sum := func(a, b int32) int32 { return a + b }
 
-		seq := New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 1, Combiner: sum, CombineAtDelivery: true,
-		})
-		par := New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 4, Combiner: sum, CombineAtDelivery: true,
-		})
+		seq := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
+			Workers: 1, Combiner: sum,
+		}))
+		par := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
+			Workers: 4, Combiner: sum,
+		}))
 		defer par.stopPool()
 		send := New[int32](g, part, nopProg{}, nil, Options[int32]{
 			Workers: 1, Combiner: sum,
@@ -73,7 +73,7 @@ func FuzzDeliverRouting(f *testing.F) {
 			d := int(seq.owners[dst])
 			for _, eng := range []*Engine[int32]{seq, par, send} {
 				eng.sent[m].physical++ // what Context.Send would count
-				eng.emit(m, d, env)
+				buffer(eng, m, d, env)
 			}
 			chunks[m] = append(chunks[m], env)
 			wantPerVertex[dst]++
@@ -238,9 +238,9 @@ func FuzzKeyedSendTable(f *testing.F) {
 		send := New[int32](g, part, nopProg{}, nil, Options[int32]{
 			Workers: 1, Combiner: fuzzKeyedSum, CombinerKey: fuzzKeyOf,
 		})
-		deliv := New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 1, Combiner: fuzzKeyedSum, CombinerKey: fuzzKeyOf, CombineAtDelivery: true,
-		})
+		deliv := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
+			Workers: 1, Combiner: fuzzKeyedSum, CombinerKey: fuzzKeyOf,
+		}))
 		for m := range send.sendTabs {
 			send.sendTabs[m].gen = sendGenMax - 1
 		}
@@ -268,7 +268,7 @@ func FuzzKeyedSendTable(f *testing.F) {
 			d := int(send.owners[dst])
 			for _, eng := range []*Engine[int32]{send, deliv} {
 				eng.sent[m].physical++
-				eng.emit(m, d, env)
+				buffer(eng, m, d, env)
 			}
 			p := pair{dst, key}
 			if s, ok := where[m][p]; ok {

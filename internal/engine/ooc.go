@@ -7,6 +7,15 @@ import (
 	"vcmt/internal/ooc"
 )
 
+// Codec serializes message payloads for partition files and checkpoints.
+// Encode appends the payload to buf and returns the extended slice; Decode
+// parses one payload from data and returns the payload and the number of
+// bytes consumed.
+type Codec[M any] interface {
+	Encode(buf []byte, m M) []byte
+	Decode(data []byte) (M, int)
+}
+
 // OOCOptions selects the out-of-core execution backend: instead of buffering
 // outboxes and inboxes in memory, every emitted message is encoded and
 // routed into a per-destination-partition append file, and each superstep
@@ -21,7 +30,7 @@ import (
 // run. Only the ooc_* IO counters differ.
 type OOCOptions[M any] struct {
 	// Codec serializes message payloads into partition files (the same
-	// contract as spill and checkpoint codecs).
+	// contract as checkpoint codecs).
 	Codec Codec[M]
 	// Dir is the partition-file directory; empty means a private temporary
 	// directory removed when the run finishes.
@@ -74,12 +83,6 @@ func (e *Engine[M]) initOOC() error {
 	oo := e.opts.OOC
 	if oo.Codec == nil {
 		return fmt.Errorf("engine: out-of-core execution requires a Codec")
-	}
-	if e.opts.Spill != nil {
-		return fmt.Errorf("engine: OOC replaces Spill (the partitioned backend spills everything); configure one or the other")
-	}
-	if e.opts.MaxInboxPerStep > 0 {
-		return fmt.Errorf("engine: OOC is incompatible with MaxInboxPerStep (partition windows are the inbox bound)")
 	}
 	if e.opts.Checkpoint != nil {
 		return fmt.Errorf("engine: OOC is incompatible with Checkpoint (partition files are not snapshot sections yet)")

@@ -176,13 +176,6 @@ func TestOOCValidation(t *testing.T) {
 		opts Options[hopMsg]
 	}{
 		{"missing codec", Options[hopMsg]{OOC: &OOCOptions[hopMsg]{}}},
-		{"spill conflict", Options[hopMsg]{
-			OOC:   &OOCOptions[hopMsg]{Codec: hopCodec{}},
-			Spill: &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: "x", ThresholdMsgs: 1},
-		}},
-		{"sub-step conflict", Options[hopMsg]{
-			OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}}, MaxInboxPerStep: 10,
-		}},
 		{"checkpoint conflict", Options[hopMsg]{
 			OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}}, Checkpoint: &CheckpointOptions[hopMsg]{Codec: hopCodec{}, Dir: "x", Interval: 1},
 		}},

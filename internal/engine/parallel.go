@@ -27,23 +27,17 @@ import (
 // threshold never affects results.
 const parallelDeliverMin = 4096
 
-// effectiveWorkers resolves Options.Workers: 0 means GOMAXPROCS, and modes
-// whose semantics are inherently sequential (out-of-core spilling and
-// partitioned execution track a global emission-ordered byte stream;
-// Giraph-style sub-step splitting threads a cross-machine processed counter
-// through mid-round observations) force one worker.
+// effectiveWorkers resolves Options.Workers: 0 means GOMAXPROCS, and the
+// out-of-core backend, whose partition files are one global
+// emission-ordered byte stream, forces one worker.
 func effectiveWorkers[M any](opts Options[M]) int {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if opts.OOC != nil {
+		return 1
 	}
-	if opts.Spill != nil || opts.MaxInboxPerStep > 0 || opts.OOC != nil {
-		w = 1
+	if opts.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return opts.Workers
 }
 
 // phaseKind names the per-machine task a pool wake-up executes.

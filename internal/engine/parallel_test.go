@@ -122,33 +122,6 @@ func TestAggregatorIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSpillForcesSequentialWorkers(t *testing.T) {
-	g := graph.GenerateRing(8)
-	part := graph.HashPartition(8, 4)
-	e := New[hopMsg](g, part, newBFS(8, 0), nil, Options[hopMsg]{
-		Workers: 8,
-		Spill:   &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), ThresholdMsgs: 4},
-	})
-	if e.Workers() != 1 {
-		t.Fatalf("spill mode must force workers=1, got %d", e.Workers())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSuperstepSplittingForcesSequentialWorkers(t *testing.T) {
-	g := graph.GenerateRing(8)
-	part := graph.HashPartition(8, 4)
-	e := New[hopMsg](g, part, newBFS(8, 0), nil, Options[hopMsg]{Workers: 8, MaxInboxPerStep: 4})
-	if e.Workers() != 1 {
-		t.Fatalf("superstep splitting must force workers=1, got %d", e.Workers())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWorkersCappedAtMachineCount(t *testing.T) {
 	g := graph.GenerateRing(8)
 	part := graph.HashPartition(8, 3)

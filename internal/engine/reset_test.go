@@ -50,9 +50,9 @@ func (p *traceProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []
 
 // TestResetAcrossModes re-arms one engine through every execution mode in
 // turn — including a run abandoned at its round bound with messages still
-// buffered, and a switch to the spill layout and back — and requires each
-// run to match a fresh engine's exactly: same digest, rounds, priced
-// result and error.
+// buffered, and a switch out of core and back — and requires each run to
+// match a fresh engine's exactly: same digest, rounds, priced result and
+// error.
 func TestResetAcrossModes(t *testing.T) {
 	g := graph.GenerateChungLu(400, 1600, 2.5, 9)
 	part := graph.HashPartition(g.NumVertices(), 4)
@@ -66,24 +66,27 @@ func TestResetAcrossModes(t *testing.T) {
 	modes := []struct {
 		name string
 		opts func(t *testing.T) Options[hopMsg]
+		// atDelivery applies foldAtDelivery to the armed engine.
+		atDelivery bool
 	}{
-		{"plain", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 3} }},
-		{"unkeyed", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 4, Combiner: minHop} }},
-		{"aborted", func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 5, Combiner: minHop, MaxRounds: 3} }},
-		{"keyed", func(*testing.T) Options[hopMsg] {
+		{name: "plain", opts: func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 3} }},
+		{name: "unkeyed", opts: func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 4, Combiner: minHop} }},
+		{name: "aborted", opts: func(*testing.T) Options[hopMsg] { return Options[hopMsg]{Seed: 5, Combiner: minHop, MaxRounds: 3} }},
+		{name: "keyed", opts: func(*testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 6, Combiner: minHop, CombinerKey: parity}
 		}},
-		{"keyed-at-delivery", func(*testing.T) Options[hopMsg] {
-			return Options[hopMsg]{Seed: 7, Combiner: minHop, CombinerKey: parity, CombineAtDelivery: true}
+		{name: "keyed-at-delivery", atDelivery: true, opts: func(*testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 7, Combiner: minHop, CombinerKey: parity}
 		}},
-		{"spill", func(t *testing.T) Options[hopMsg] {
-			return Options[hopMsg]{Seed: 8, Spill: &SpillOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), ThresholdMsgs: 64}}
+		{name: "ooc", opts: func(t *testing.T) Options[hopMsg] {
+			return Options[hopMsg]{Seed: 8,
+				OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3}}
 		}},
-		{"ooc", func(t *testing.T) Options[hopMsg] {
+		{name: "ooc-combine", opts: func(t *testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 9, Combiner: minHop, CombinerKey: parity,
 				OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3}}
 		}},
-		{"keyed-again", func(*testing.T) Options[hopMsg] {
+		{name: "keyed-again", opts: func(*testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 10, Combiner: minHop, CombinerKey: parity}
 		}},
 	}
@@ -108,6 +111,9 @@ func TestResetAcrossModes(t *testing.T) {
 					e = New[hopMsg](g, part, prog, run, opts)
 				default:
 					e.Reset(prog, run, opts)
+				}
+				if mode.atDelivery {
+					foldAtDelivery(e)
 				}
 				if !fresh {
 					reused = e

@@ -59,21 +59,18 @@ type batchRecord struct {
 	seconds    float64
 	msgs       float64
 	phases     PhaseBreakdown
-	spillBytes int64
-	spillRecs  int64
 	oocRead    int64
 	oocWrite   int64
 }
 
 type machineAgg struct {
-	sentLogical     int64
-	recvLogical     int64
-	remoteLogical   int64
-	remoteWireBytes int64
-	activeVertices  int64
-	maxStateEntry   int64
-	phases          PhaseBreakdown
-	maxMemBytes     float64
+	sentLogical    int64
+	recvLogical    int64
+	remoteLogical  int64
+	activeVertices int64
+	maxStateEntry  int64
+	phases         PhaseBreakdown
+	maxMemBytes    float64
 }
 
 // CollectorOptions configures a Collector.
@@ -171,8 +168,6 @@ func (c *Collector) OnRound(o sim.RoundObservation) {
 		b.seconds += o.Result.Seconds
 		b.msgs += logical
 		b.phases.Add(ph)
-		b.spillBytes += o.Stats.SpilledBytes
-		b.spillRecs += o.Stats.SpilledRecords
 		b.oocRead += o.Stats.OOCReadBytes
 		b.oocWrite += o.Stats.OOCWriteBytes
 	}
@@ -184,7 +179,6 @@ func (c *Collector) OnRound(o sim.RoundObservation) {
 		agg.sentLogical += mr.SentLogical
 		agg.recvLogical += mr.RecvLogical
 		agg.remoteLogical += mr.RemoteLogical
-		agg.remoteWireBytes += mr.RemoteWireBytes
 		agg.activeVertices += mr.ActiveVertices
 		if mr.StateEntries > agg.maxStateEntry {
 			agg.maxStateEntry = mr.StateEntries
@@ -268,18 +262,6 @@ func (c *Collector) OnRound(o sim.RoundObservation) {
 		MemRatio:   o.Result.MemRatio,
 		SkewRatio:  o.Result.SkewRatio,
 	})
-	if o.Stats.SpilledBytes > 0 || o.Stats.SpilledRecords > 0 {
-		c.reg.Counter("engine_spilled_bytes_total").Add(o.Stats.SpilledBytes)
-		c.reg.Counter("engine_spilled_records_total").Add(o.Stats.SpilledRecords)
-		c.events.Emit(Event{
-			Type:       EventSpill,
-			SimSeconds: o.CumSeconds,
-			Batch:      o.Batch,
-			Round:      o.Round,
-			SpillBytes: o.Stats.SpilledBytes,
-			SpillRecs:  o.Stats.SpilledRecords,
-		})
-	}
 	if o.Stats.OOCReadBytes > 0 || o.Stats.OOCWriteBytes > 0 {
 		c.reg.Counter("ooc_read_bytes_total").Add(o.Stats.OOCReadBytes)
 		c.reg.Counter("ooc_write_bytes_total").Add(o.Stats.OOCWriteBytes)

@@ -35,10 +35,7 @@ func collectorRun(t *testing.T, events *bytes.Buffer) (*obs.Collector, sim.JobRe
 	})
 	run.BeginBatch()
 	run.ObserveRound(skewedRound(8))
-	run.ObserveRound(sim.RoundStats{
-		PerMachine:   skewedRound(8).PerMachine,
-		SpilledBytes: 4096, SpilledRecords: 128,
-	})
+	run.ObserveRound(skewedRound(8))
 	run.BeginBatch()
 	run.ObserveRound(skewedRound(8))
 	return col, run.Result()
@@ -72,11 +69,6 @@ func TestCollectorBuildsReport(t *testing.T) {
 	if rep.Machines[0].Phases.ComputeSeconds <= rep.Machines[1].Phases.ComputeSeconds {
 		t.Fatal("straggler machine should accumulate more compute time")
 	}
-	// Spill counters must survive into round 2 of the report and totals.
-	if rep.Supersteps[1].SpilledBytes != 4096 || rep.Result.SpilledBytes != 4096 {
-		t.Fatalf("spill lost: round=%d total=%d",
-			rep.Supersteps[1].SpilledBytes, rep.Result.SpilledBytes)
-	}
 	if len(rep.Metrics) == 0 {
 		t.Fatal("no metrics in report")
 	}
@@ -106,7 +98,7 @@ func TestCollectorEventLog(t *testing.T) {
 	}
 	joined := strings.Join(types, ",")
 	for _, want := range []string{
-		obs.EventBatchStart, obs.EventSuperstep, obs.EventSpill, obs.EventBatchEnd,
+		obs.EventBatchStart, obs.EventSuperstep, obs.EventBatchEnd,
 	} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("event log missing %q: %v", want, types)

@@ -19,8 +19,6 @@ type Event struct {
 	Seconds    float64 `json:"seconds,omitempty"`
 	MemRatio   float64 `json:"mem_ratio,omitempty"`
 	SkewRatio  float64 `json:"skew_ratio,omitempty"`
-	SpillBytes int64   `json:"spill_bytes,omitempty"`
-	SpillRecs  int64   `json:"spill_records,omitempty"`
 	CkptBytes  int64   `json:"ckpt_bytes,omitempty"`
 	RoundsLost int     `json:"rounds_lost,omitempty"`
 	RelError   float64 `json:"rel_error,omitempty"`
@@ -46,7 +44,6 @@ const (
 	EventBatchStart = "batch_start"
 	EventBatchEnd   = "batch_end"
 	EventSuperstep  = "superstep"
-	EventSpill      = "spill"
 	EventOOC        = "ooc"        // one round's partition-file IO (out-of-core backend)
 	EventOverload   = "overload"   // cumulative simulated time crossed the cutoff
 	EventOverflow   = "overflow"   // a machine's memory demand passed the overflow ratio

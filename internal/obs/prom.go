@@ -21,8 +21,6 @@ var helpDefaults = map[string]string{
 	"sim_sent_logical_total":           "Logical messages sent per simulated machine.",
 	"sim_combined_send_total":          "Messages merged into an outbox slot by send-time combining.",
 	"sim_recv_logical_total":           "Logical messages received per simulated machine.",
-	"engine_spilled_bytes_total":       "Bytes spilled to disk by the out-of-core engine.",
-	"engine_spilled_records_total":     "Records spilled to disk by the out-of-core engine.",
 	"ckpt_writes_total":                "Checkpoints written at superstep barriers.",
 	"ckpt_bytes_total":                 "Checkpoint bytes written.",
 	"ckpt_write_seconds":               "Simulated seconds per checkpoint write.",

@@ -40,6 +40,8 @@ type ResultSummary struct {
 	IOOveruseSeconds  float64 `json:"io_overuse_seconds"`
 	WireBytesTotal    float64 `json:"wire_bytes_total"`
 	MaxSkewRatio      float64 `json:"max_skew_ratio"`
+	// SpilledBytes and SpilledRecords have no producer and always print 0;
+	// the keys stay because report bytes are a contract.
 	SpilledBytes      int64   `json:"spilled_bytes"`
 	SpilledRecords    int64   `json:"spilled_records"`
 	Credits           float64 `json:"credits,omitempty"`
@@ -69,8 +71,6 @@ type BatchReport struct {
 	Seconds       float64        `json:"seconds"`
 	LogicalMsgs   float64        `json:"logical_msgs"`
 	Phases        PhaseBreakdown `json:"phases"`
-	SpilledBytes  int64          `json:"spilled_bytes,omitempty"`
-	SpilledRecs   int64          `json:"spilled_records,omitempty"`
 	OOCReadBytes  int64          `json:"ooc_read_bytes,omitempty"`
 	OOCWriteBytes int64          `json:"ooc_write_bytes,omitempty"`
 }
@@ -78,18 +78,14 @@ type BatchReport struct {
 // MachineReport aggregates one simulated machine over the whole run — the
 // per-worker view that exposes stragglers.
 type MachineReport struct {
-	Machine       int   `json:"machine"`
-	SentLogical   int64 `json:"sent_logical"`
-	RecvLogical   int64 `json:"recv_logical"`
-	RemoteLogical int64 `json:"remote_logical"`
-	// RemoteWireBytes is the exact measured wire-byte total (replica
-	// scale); omitted when the executor did not measure encoded sizes, so
-	// estimate-based reports are unchanged.
-	RemoteWireBytes int64          `json:"remote_wire_bytes,omitempty"`
-	ActiveVertices  int64          `json:"active_vertices"`
-	MaxStateEntry   int64          `json:"max_state_entries"`
-	Phases          PhaseBreakdown `json:"phases"`
-	MaxMemBytes     float64        `json:"max_mem_bytes"`
+	Machine        int            `json:"machine"`
+	SentLogical    int64          `json:"sent_logical"`
+	RecvLogical    int64          `json:"recv_logical"`
+	RemoteLogical  int64          `json:"remote_logical"`
+	ActiveVertices int64          `json:"active_vertices"`
+	MaxStateEntry  int64          `json:"max_state_entries"`
+	Phases         PhaseBreakdown `json:"phases"`
+	MaxMemBytes    float64        `json:"max_mem_bytes"`
 }
 
 // SuperstepReport is one superstep's row in the report time series.
@@ -103,8 +99,6 @@ type SuperstepReport struct {
 	ThrashFactor float64        `json:"thrash_factor"`
 	DiskUtil     float64        `json:"disk_util,omitempty"`
 	SkewRatio    float64        `json:"skew_ratio"`
-	SpilledBytes int64          `json:"spilled_bytes,omitempty"`
-	SpilledRecs  int64          `json:"spilled_records,omitempty"`
 	// Out-of-core partition-file IO for this round (trailing omitempty so
 	// in-memory rows are unchanged).
 	OOCReadBytes       int64 `json:"ooc_read_bytes,omitempty"`
@@ -160,8 +154,6 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 			IOOveruseSeconds:  res.IOOveruseSec,
 			WireBytesTotal:    res.WireBytesTotal,
 			MaxSkewRatio:      res.MaxSkewRatio,
-			SpilledBytes:      res.SpilledBytes,
-			SpilledRecords:    res.SpilledRecords,
 			Credits:           res.Credits,
 			CreditsLowerBound: res.CreditsLowerBound,
 
@@ -197,8 +189,6 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 			ThrashFactor: o.Result.ThrashFactor,
 			DiskUtil:     o.Result.DiskUtil,
 			SkewRatio:    o.Result.SkewRatio,
-			SpilledBytes: o.Stats.SpilledBytes,
-			SpilledRecs:  o.Stats.SpilledRecords,
 
 			OOCReadBytes:       o.Stats.OOCReadBytes,
 			OOCWriteBytes:      o.Stats.OOCWriteBytes,
@@ -221,8 +211,6 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 			Seconds:      b.seconds,
 			LogicalMsgs:  b.msgs,
 			Phases:       b.phases,
-			SpilledBytes: b.spillBytes,
-			SpilledRecs:  b.spillRecs,
 
 			OOCReadBytes:  b.oocRead,
 			OOCWriteBytes: b.oocWrite,
@@ -230,15 +218,14 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 	}
 	for m, agg := range c.machines {
 		rep.Machines = append(rep.Machines, MachineReport{
-			Machine:         m,
-			SentLogical:     agg.sentLogical,
-			RecvLogical:     agg.recvLogical,
-			RemoteLogical:   agg.remoteLogical,
-			RemoteWireBytes: agg.remoteWireBytes,
-			ActiveVertices:  agg.activeVertices,
-			MaxStateEntry:   agg.maxStateEntry,
-			Phases:          agg.phases,
-			MaxMemBytes:     agg.maxMemBytes,
+			Machine:        m,
+			SentLogical:    agg.sentLogical,
+			RecvLogical:    agg.recvLogical,
+			RemoteLogical:  agg.remoteLogical,
+			ActiveVertices: agg.activeVertices,
+			MaxStateEntry:  agg.maxStateEntry,
+			Phases:         agg.phases,
+			MaxMemBytes:    agg.maxMemBytes,
 		})
 	}
 	// The combined-send counter is a live diagnostic only: its value (and

@@ -85,8 +85,7 @@ func uvarintLen(v uint64) int {
 
 // Writer appends records to a partition file. It maintains a running
 // CRC-64/ECMA over every byte written so Finish can emit the trailer without
-// re-reading the file, and so ResumeWriter can recreate mid-stream writer
-// state from a raw byte snapshot (the checkpoint restore path).
+// re-reading the file.
 type Writer struct {
 	f        *os.File
 	w        *bufio.Writer
@@ -122,42 +121,6 @@ func Create(path string, kind byte, weighted bool) (*Writer, error) {
 	w.f = f
 	w.path = path
 	return w, w.err
-}
-
-// ResumeWriter recreates a mid-stream Writer from a raw snapshot of a
-// partition file taken before Finish (the checkpoint restore path): content
-// is written to path verbatim and replayed through the running CRC, so
-// subsequent appends and the eventual trailer are identical to a writer
-// that never stopped. records is the record count the snapshot holds.
-func ResumeWriter(path string, content []byte, records int64) (*Writer, error) {
-	if len(content) < headerLen {
-		return nil, corrupt("resume snapshot truncated at %d bytes", len(content))
-	}
-	if content[0] != partMagic0 || content[1] != partMagic1 {
-		return nil, corrupt("bad magic %q", content[:2])
-	}
-	if content[2] != Version {
-		return nil, fmt.Errorf("ooc: version %d: %w", content[2], ErrVersion)
-	}
-	kind := content[3]
-	if kind != KindEdges && kind != KindMessages {
-		return nil, corrupt("unknown partition kind %d", kind)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := &Writer{
-		f: f, w: bufio.NewWriterSize(f, 1<<20), path: path,
-		kind: kind, weighted: content[4]&flagWeighted != 0, records: records,
-	}
-	w.write(content)
-	if w.err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, w.err
-	}
-	return w, nil
 }
 
 func (w *Writer) write(b []byte) {
@@ -268,23 +231,6 @@ func (w *Writer) Abort() {
 		w.f = nil
 		os.Remove(w.path)
 	}
-}
-
-// Snapshot flushes buffered writes and returns the raw bytes written so far
-// (header + records, no trailer), suitable for ResumeWriter. Only valid on
-// file-backed writers.
-func (w *Writer) Snapshot() ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.f == nil {
-		return nil, fmt.Errorf("ooc: Snapshot on non-file writer")
-	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
-		return nil, err
-	}
-	return os.ReadFile(w.path)
 }
 
 // Reader streams records from a partition file, verifying the record count

@@ -219,47 +219,6 @@ func TestVersionRejected(t *testing.T) {
 	}
 }
 
-// TestResumeWriter snapshots a half-written partition, resumes it in a new
-// file, finishes both identically, and checks the resumed file verifies.
-func TestResumeWriter(t *testing.T) {
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.vp")
-	w, err := Create(p1, KindMessages, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.AppendMessage(5, []byte("one"))
-	w.AppendMessage(9, []byte("two"))
-	snap, err := w.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	records := w.Records()
-
-	p2 := filepath.Join(dir, "b.vp")
-	w2, err := ResumeWriter(p2, snap, records)
-	if err != nil {
-		t.Fatalf("ResumeWriter: %v", err)
-	}
-	w.AppendMessage(11, []byte("three"))
-	w2.AppendMessage(11, []byte("three"))
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w2.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(p1)
-	b2, _ := os.ReadFile(p2)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("resumed file differs from continuous file")
-	}
-	got := readMessages(t, p2)
-	if len(got) != 3 || got[2].dst != 11 {
-		t.Fatalf("resumed file decoded wrong: %+v", got)
-	}
-}
-
 // TestAbortRemovesFile checks Abort deletes a half-written partition.
 func TestAbortRemovesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.vp")

@@ -137,12 +137,6 @@ func (r *Run) roundCost(rs RoundStats) RoundResult {
 			float64(mr.Activations)*f*lockNs) / 1e9 / float64(cl.Cores)
 
 		wireBytes := float64(wireMsgs) * f * float64(sys.WireBytesPerMsg)
-		if mr.RemoteWireBytes > 0 {
-			// An executor measured the exact encoded bytes on this round's
-			// remote path: scale the replica measurement up and use it in
-			// place of the per-message estimate.
-			wireBytes = float64(mr.RemoteWireBytes) * f
-		}
 		netSec := wireBytes / cl.NetBytesPerSec
 
 		msgMemBytes := float64(bufMsgs) * f * float64(sys.MemBytesPerMsg)

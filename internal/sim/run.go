@@ -94,8 +94,6 @@ type Run struct {
 	maxQueue       float64
 	wireBytes      float64
 	maxSkew        float64
-	spilledBytes   int64
-	spilledRecords int64
 	oocReadBytes   int64
 	oocWriteBytes  int64
 	oocWindowPeak  int64
@@ -221,8 +219,6 @@ func (r *Run) ObserveRound(rs RoundStats) RoundResult {
 	if res.SkewRatio > r.maxSkew {
 		r.maxSkew = res.SkewRatio
 	}
-	r.spilledBytes += rs.SpilledBytes
-	r.spilledRecords += rs.SpilledRecords
 	r.oocReadBytes += rs.OOCReadBytes
 	r.oocWriteBytes += rs.OOCWriteBytes
 	if rs.OOCWindowPeakBytes > r.oocWindowPeak {
@@ -321,8 +317,6 @@ func (r *Run) Result() JobResult {
 		MaxIOQueueLen:    r.maxQueue,
 		WireBytesTotal:   r.wireBytes,
 		MaxSkewRatio:     r.maxSkew,
-		SpilledBytes:     r.spilledBytes,
-		SpilledRecords:   r.spilledRecords,
 
 		OOCReadBytes:       r.oocReadBytes,
 		OOCWriteBytes:      r.oocWriteBytes,

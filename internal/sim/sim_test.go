@@ -117,49 +117,10 @@ func TestMoreMessagesCostMore(t *testing.T) {
 	if heavy.Seconds() <= light.Seconds() {
 		t.Fatal("more messages must cost more time")
 	}
-}
-
-// TestMeasuredWireBytesOverrideEstimate: a round that carries exact
-// encoded byte measurements (RemoteWireBytes) is priced on those bytes,
-// not on the profile's WireBytesPerMsg estimate; a round without them
-// keeps the estimate.
-func TestMeasuredWireBytesOverrideEstimate(t *testing.T) {
-	mk := func(wireBytes int64) RoundStats {
-		per := make([]MachineRound, 8)
-		for i := range per {
-			per[i] = MachineRound{
-				SentLogical: 1000, SentPhysical: 1000,
-				RecvLogical: 1000, RecvPhysical: 1000,
-				RemoteLogical: 875, RemotePhysical: 875,
-				RemoteWireBytes: wireBytes,
-			}
-		}
-		return RoundStats{PerMachine: per}
-	}
-	estimated := NewRun(basicConfig(Galaxy8, PregelPlus))
-	estimated.ObserveRound(mk(0))
-	wantEst := float64(8*875) * float64(PregelPlus.WireBytesPerMsg)
-	if got := estimated.Result().WireBytesTotal; got != wantEst {
-		t.Fatalf("estimate path: wire bytes %g want %g", got, wantEst)
-	}
-	// Measured bytes (say a compact varint encoding: ~7 bytes/msg instead
-	// of the profile's estimate) replace the per-message pricing exactly.
-	const measuredPerMachine = 875 * 7
-	measured := NewRun(basicConfig(Galaxy8, PregelPlus))
-	measured.ObserveRound(mk(measuredPerMachine))
-	if got := measured.Result().WireBytesTotal; got != float64(8*measuredPerMachine) {
-		t.Fatalf("measured path: wire bytes %g want %d", got, 8*measuredPerMachine)
-	}
-	if measured.Seconds() >= estimated.Seconds() {
-		t.Fatal("fewer wire bytes must cost less network time")
-	}
-	// StatScale extrapolates measured bytes like every other counter.
-	cfg := basicConfig(Galaxy8, PregelPlus)
-	cfg.StatScale = 10
-	scaled := NewRun(cfg)
-	scaled.ObserveRound(mk(measuredPerMachine))
-	if got := scaled.Result().WireBytesTotal; got != float64(10*8*measuredPerMachine) {
-		t.Fatalf("scaled measured path: wire bytes %g want %d", got, 10*8*measuredPerMachine)
+	// The network is charged the profile's per-message estimate.
+	wantWire := float64(8*875) * float64(PregelPlus.WireBytesPerMsg)
+	if got := light.Result().WireBytesTotal; got != wantWire {
+		t.Fatalf("wire bytes %g want %g", got, wantWire)
 	}
 }
 
@@ -568,21 +529,21 @@ func TestObserverReceivesCallbacks(t *testing.T) {
 	r.BeginBatch()
 	r.ObserveRound(RoundStats{PerMachine: per})
 	r.BeginBatch()
-	r.ObserveRound(RoundStats{PerMachine: per, SpilledBytes: 7, SpilledRecords: 2})
+	r.ObserveRound(RoundStats{PerMachine: per, OOCReadBytes: 7, OOCWriteBytes: 2})
 	if len(obs.batches) != 2 || len(obs.rounds) != 2 {
 		t.Fatalf("observer saw %d batches, %d rounds", len(obs.batches), len(obs.rounds))
 	}
 	if obs.rounds[1].Round != 2 || obs.rounds[1].Batch != 2 {
 		t.Fatalf("round attribution: %+v", obs.rounds[1])
 	}
-	if obs.rounds[1].Stats.SpilledBytes != 7 {
-		t.Fatal("spill counters not forwarded to observer")
+	if obs.rounds[1].Stats.OOCReadBytes != 7 {
+		t.Fatal("ooc counters not forwarded to observer")
 	}
 	if obs.rounds[1].CumSeconds <= obs.rounds[0].CumSeconds {
 		t.Fatal("cumulative time must grow")
 	}
-	if r.Result().SpilledBytes != 7 || r.Result().SpilledRecords != 2 {
-		t.Fatal("spill totals missing from JobResult")
+	if r.Result().OOCReadBytes != 7 || r.Result().OOCWriteBytes != 2 {
+		t.Fatal("ooc totals missing from JobResult")
 	}
 }
 

@@ -16,28 +16,14 @@ type MachineRound struct {
 	RecvPhysical   int64
 	RemoteLogical  int64 // sent messages whose destination is another machine
 	RemotePhysical int64
-	// RemoteWireBytes is the exact encoded size (replica scale, bytes) of
-	// the remote physical messages, measured by an executor that runs a
-	// real wire codec (engine.Options.WireSizer, internal/rpcrt). When
-	// positive, the cost model charges the network these measured bytes
-	// instead of the profile's WireBytesPerMsg estimate; zero keeps the
-	// estimate.
-	RemoteWireBytes int64
-	ActiveVertices  int64
-	StateEntries    int64 // live task-state entries resident on this machine
-	Activations     int64 // async engines: vertex activations in this epoch
+	ActiveVertices int64
+	StateEntries   int64 // live task-state entries resident on this machine
+	Activations    int64 // async engines: vertex activations in this epoch
 }
 
 // RoundStats aggregates one superstep across all machines.
 type RoundStats struct {
 	PerMachine []MachineRound
-
-	// SpilledBytes / SpilledRecords are the real out-of-core spill volumes
-	// the engine measured during this superstep (replica scale, engine-wide:
-	// the spill file is shared across the simulated machines). Zero for
-	// in-memory runs.
-	SpilledBytes   int64
-	SpilledRecords int64
 
 	// OOCReadBytes / OOCWriteBytes are the real partition-file volumes the
 	// partitioned out-of-core backend measured during this superstep
@@ -147,8 +133,6 @@ type JobResult struct {
 	WireBytesTotal   float64
 	WireBytesPerMach float64
 	MaxSkewRatio     float64 // worst per-round machine imbalance (1 = balanced)
-	SpilledBytes     int64   // real engine spill volume (replica scale)
-	SpilledRecords   int64   // real engine spill record count (replica scale)
 	// OOC* totals summarize the partitioned out-of-core backend's measured
 	// partition-file traffic (replica scale): bytes summed over rounds, the
 	// window peak maxed. Zero for in-memory runs.

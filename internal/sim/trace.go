@@ -37,8 +37,6 @@ type TraceRow struct {
 	DiskUtil       float64
 	WireBytes      float64
 	SkewRatio      float64
-	SpilledBytes   int64 // real engine spill (replica scale)
-	SpilledRecords int64
 	// Partitioned out-of-core backend's measured partition-file traffic and
 	// peak resident window for the round (replica scale; zero in-memory).
 	OOCReadBytes       int64
@@ -86,8 +84,6 @@ func (r *Run) traceRound(rs RoundStats, res RoundResult) {
 		DiskUtil:       res.DiskUtil,
 		WireBytes:      res.WireBytes,
 		SkewRatio:      res.SkewRatio,
-		SpilledBytes:   rs.SpilledBytes,
-		SpilledRecords: rs.SpilledRecords,
 
 		OOCReadBytes:       rs.OOCReadBytes,
 		OOCWriteBytes:      rs.OOCWriteBytes,
@@ -125,8 +121,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		"round", "batch", "seconds", "logical_msgs", "peak_mem_bytes",
 		"mem_ratio", "thrash_factor", "net_seconds", "disk_seconds",
 		"disk_util", "wire_bytes", "compute_seconds", "barrier_seconds",
-		"skew_ratio", "spilled_bytes", "spilled_records",
-		"ooc_read_bytes", "ooc_write_bytes", "ooc_window_peak_bytes",
+		"skew_ratio", "ooc_read_bytes", "ooc_write_bytes", "ooc_window_peak_bytes",
 	}); err != nil {
 		return err
 	}
@@ -146,8 +141,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%.6f", r.ComputeSeconds),
 			fmt.Sprintf("%.6f", r.BarrierSeconds),
 			fmt.Sprintf("%.4f", r.SkewRatio),
-			fmt.Sprintf("%d", r.SpilledBytes),
-			fmt.Sprintf("%d", r.SpilledRecords),
 			fmt.Sprintf("%d", r.OOCReadBytes),
 			fmt.Sprintf("%d", r.OOCWriteBytes),
 			fmt.Sprintf("%d", r.OOCWindowPeakBytes),

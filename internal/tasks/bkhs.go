@@ -45,10 +45,8 @@ type BKHSConfig struct {
 	// path (see OOCConfig); ignored in Async and Mirror modes.
 	OOC *OOCConfig
 	// Combine merges same-destination messages of the same source with a
-	// minimum-hop combiner; CombineAtDelivery defers the fold to the
-	// delivery barrier. See MSSPConfig for the contract.
-	Combine           bool
-	CombineAtDelivery bool
+	// minimum-hop combiner. See MSSPConfig for the contract.
+	Combine bool
 }
 
 // BKHSJob computes, for every source s in S, the set of vertices within K
@@ -171,7 +169,6 @@ func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 				return a
 			}
 			opts.CombinerKey = func(m HopMsg) uint64 { return uint64(m.Src) }
-			opts.CombineAtDelivery = j.cfg.CombineAtDelivery
 		}
 		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
 	}

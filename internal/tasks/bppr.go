@@ -80,9 +80,7 @@ type BPPRConfig struct {
 	// walks). Applies to the synchronous Monte-Carlo path only: the mirror
 	// variant's fractional mass is floating point, where regrouping the
 	// addition is not bit-exact, and Async folds per activation already.
-	// CombineAtDelivery defers the fold to the delivery barrier.
-	Combine           bool
-	CombineAtDelivery bool
+	Combine bool
 }
 
 func (c *BPPRConfig) defaults() {
@@ -287,7 +285,6 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	}
 	opts := engine.Options[WalkMsg]{
 		Weight:             func(m WalkMsg) int64 { return int64(m.Count) },
-		CombineAtDelivery:  j.cfg.CombineAtDelivery,
 		MaxRounds:          j.cfg.MaxRounds,
 		Seed:               j.cfg.Seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15,
 		Workers:            j.cfg.Workers,

@@ -57,10 +57,6 @@ type MSSPConfig struct {
 	// occupancy drop. Ignored in Async mode (the GAS executor folds per
 	// activation already).
 	Combine bool
-	// CombineAtDelivery defers the combiner fold from send time to the
-	// delivery barrier. Both timings produce byte-identical reports (the
-	// difftest combine axis); this switch exists to prove exactly that.
-	CombineAtDelivery bool
 }
 
 // MSSPJob computes single-source shortest path distances from every source
@@ -182,7 +178,6 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 				return a
 			}
 			opts.CombinerKey = func(m DistMsg) uint64 { return uint64(m.Src) }
-			opts.CombineAtDelivery = j.cfg.CombineAtDelivery
 		}
 		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
 	}

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -76,42 +74,5 @@ func BenchmarkDeliverWire(b *testing.B) {
 		PutEnvelopes(sl)
 		*buf = frame
 		PutBuf(buf)
-	}
-}
-
-// gobBatch mirrors the DeliverArgs shape the runtime used before the
-// binary codec: a struct with the sender id and a message slice, pushed
-// through gob.
-type gobBatch struct {
-	From  int
-	Batch []Envelope
-}
-
-// BenchmarkDeliverGob is the gob baseline for the same round-trip, using a
-// persistent encoder/decoder pair over one buffer — gob's steady state on
-// a long-lived net/rpc connection (type descriptors already exchanged).
-func BenchmarkDeliverGob(b *testing.B) {
-	batch := benchBatch(benchBatchSize)
-	var network bytes.Buffer
-	enc := gob.NewEncoder(&network)
-	dec := gob.NewDecoder(&network)
-	// Prime the connection so type descriptors are not re-sent per op.
-	if err := enc.Encode(gobBatch{From: 1, Batch: batch[:1]}); err != nil {
-		b.Fatal(err)
-	}
-	var sink gobBatch
-	if err := dec.Decode(&sink); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(DeliverSize(1, 3, 0, batch)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(gobBatch{From: 1, Batch: batch}); err != nil {
-			b.Fatal(err)
-		}
-		var out gobBatch
-		if err := dec.Decode(&out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
