@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint loc bench bench-e2e bench-e2e-compare bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
+.PHONY: build vet test race lint loc loc-check bench bench-e2e bench-e2e-compare bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -9,8 +9,17 @@ vet:
 	$(GO) vet ./...
 
 # The tracked "net non-test LoC" number, exactly as CHANGES.md counts it.
+LOC = find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc:
-	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@$(LOC)
+
+# LOC_MAX is the last recorded `make loc`, a committed number like the
+# BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
+# tracked size goes up only by an edit to this line that a reviewer sees.
+# Lower it in the PR that shrinks the tree.
+LOC_MAX := 19023
+loc-check:
+	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
 # Mirrors the CI lint job: gofmt must report nothing, vet must be clean,
 # and govulncheck scans the module (fetched with `go run`, so nothing is
@@ -47,12 +56,12 @@ bench-e2e-compare:
 
 # Engine hot-path benchmark with the regression gate, mirroring the CI
 # race-parallel job: message throughput, the allocation-free steady-state
-# delivery cycle and its keyed-combine counterpart (send table + fold
+# delivery cycle and its keyed-combine counterpart (counting sort + fold
 # table), the per-batch cost of New against Reset, and the skewed-degree
 # workload, checked against the committed BENCH_engine.json baseline.
 # ns/op and B/op may regress at most 25%, and the 0 allocs/op baselines
 # (both steady-state cycles and Reset) are matched exactly — one allocation
-# on the delivery, combine or re-arm path fails the gate.
+# on the delivery, fold or re-arm path fails the gate.
 # BenchmarkEngineWorkers is deliberately NOT in the gate: its wall clock
 # measures pool scaling, which depends on the host's core count and means
 # nothing on an arbitrary CI runner; it stays an uploaded artifact

@@ -16,10 +16,10 @@
 // -trace-out a Chrome trace-event JSON span file (load it in Perfetto:
 // run → batch → superstep → per-machine phase spans, with checkpoint,
 // crash and recovery spans when faults are injected), and -debug-addr
-// serves /metrics (Prometheus text), /metrics.json, /debug/trace,
-// /debug/vars and /debug/pprof while the job runs. Report, events and
-// traces carry only simulated time, so identical seeded invocations
-// produce byte-identical files.
+// serves /metrics (Prometheus text), /metrics.json, /debug/trace and
+// /debug/pprof while the job runs. Report, events and traces carry only
+// simulated time, so identical seeded invocations produce byte-identical
+// files.
 package main
 
 import (
@@ -58,7 +58,7 @@ func main() {
 		reportPath  = flag.String("report", "", "write a JSON run report to this file")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto)")
 		eventsPath  = flag.String("events", "", "write a JSONL event log to this file")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, expvar and pprof on this address (e.g. :6060)")
+		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json and pprof on this address (e.g. :6060)")
 		ckptDir     = flag.String("checkpoint-dir", "", "enable superstep checkpointing into this directory")
 		ckptIval    = flag.Int("checkpoint-interval", 0, "checkpoint every N supersteps (0 = engine default)")
 		faultSpec   = flag.String("fault-plan", "", `deterministic fault plan, e.g. "crash:worker=1,step=5" (see internal/fault; crashes need -checkpoint-dir)`)
@@ -227,7 +227,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		log.Printf("debug server on http://%s (/metrics, /metrics.json, /debug/vars, /debug/pprof)", srv.Addr())
+		log.Printf("debug server on http://%s (/metrics, /metrics.json, /debug/pprof)", srv.Addr())
 	}
 
 	run := sim.NewRun(cfgTask)

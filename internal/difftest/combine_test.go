@@ -14,12 +14,10 @@ import (
 // combineReport runs one task batch under a full collector and returns the
 // run report — it embeds every per-round statistic, the per-machine
 // aggregates and the metrics snapshot, so byte equality is the strongest
-// available statement that two runs were indistinguishable — and how many
-// messages the engine merged at send time, which the report never carries.
-func combineReport(t *testing.T, name string, runBatch func(run *sim.Run) (int, error)) (*obs.RunReport, int64) {
+// available statement that two runs were indistinguishable.
+func combineReport(t *testing.T, name string, runBatch func(run *sim.Run) (int, error)) *obs.RunReport {
 	t.Helper()
-	reg := obs.NewRegistry()
-	col := obs.NewCollector(obs.CollectorOptions{Registry: reg})
+	col := obs.NewCollector(obs.CollectorOptions{Registry: obs.NewRegistry()})
 	run := sim.NewRun(sim.JobConfig{
 		Cluster:  sim.Galaxy8.WithMachines(nMachines),
 		System:   sim.PregelPlus,
@@ -30,11 +28,10 @@ func combineReport(t *testing.T, name string, runBatch func(run *sim.Run) (int, 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	rep := col.Report(obs.RunMeta{
+	return col.Report(obs.RunMeta{
 		Task: name, System: "PregelPlus", Cluster: "Galaxy8",
 		Machines: nMachines, Workload: workload, Batches: 1, Seed: 1,
 	}, run.Result())
-	return rep, reg.Counter("sim_combined_send_total").Value()
 }
 
 // reportJSON serializes rep the way vcrun -report writes it.
@@ -48,61 +45,56 @@ func reportJSON(t *testing.T, label string, rep *obs.RunReport) []byte {
 }
 
 // requireSameReport fails with the first differing line of the two reports.
-func requireSameReport(t *testing.T, label string, atSend, atDelivery []byte) {
+func requireSameReport(t *testing.T, label string, mem, ooc []byte) {
 	t.Helper()
-	if bytes.Equal(atSend, atDelivery) {
+	if bytes.Equal(mem, ooc) {
 		return
 	}
-	sendLines := bytes.Split(atSend, []byte("\n"))
-	delivLines := bytes.Split(atDelivery, []byte("\n"))
-	for i := range sendLines {
-		if i >= len(delivLines) || !bytes.Equal(sendLines[i], delivLines[i]) {
-			t.Fatalf("%s: reports diverge at line %d:\n  send-time:     %s\n  delivery-time: %s",
-				label, i+1, sendLines[i], delivLines[i])
+	memLines := bytes.Split(mem, []byte("\n"))
+	oocLines := bytes.Split(ooc, []byte("\n"))
+	for i := range memLines {
+		if i >= len(oocLines) || !bytes.Equal(memLines[i], oocLines[i]) {
+			t.Fatalf("%s: reports diverge at line %d:\n  in-memory:   %s\n  out-of-core: %s",
+				label, i+1, memLines[i], oocLines[i])
 		}
 	}
-	t.Fatalf("%s: delivery-time report has %d extra lines", label, len(delivLines)-len(sendLines))
+	t.Fatalf("%s: out-of-core report has %d extra lines", label, len(oocLines)-len(memLines))
 }
 
-// TestCombineTimingDifferential proves the engine's send-time combining is
-// observationally equivalent to folding each inbox only at delivery, on the
-// production path that does the latter: the out-of-core backend, which
-// records raw messages and combines when a partition's inbox is read back.
-// For each task and each worker-pool size the in-memory run and the ooc run
-// must produce byte-identical run reports modulo the ooc IO counters — same
+// TestCombineBackendDifferential proves a combined job is the same job on
+// both backends: the in-memory engine folds each machine's freshly sorted
+// inbox region, the out-of-core backend folds a partition's inbox when it is
+// read back, and for each task and each worker-pool size the two must
+// produce byte-identical run reports modulo the ooc IO counters — same
 // rounds, same logical and physical message counts, same per-machine
 // aggregates, same cost-model output.
-func TestCombineTimingDifferential(t *testing.T) {
+func TestCombineBackendDifferential(t *testing.T) {
 	for _, seed := range seeds {
 		g := graph.GenerateChungLu(nVertices, nEdges, 2.5, seed)
 		sources := []graph.VertexID{5, graph.VertexID(seed * 13 % nVertices), 222}
-		combineTimingCase(t, "chung-lu", g, sources, seed)
+		combineBackendCase(t, "chung-lu", g, sources, seed)
 	}
 	// High duplication: on a star every message a leaf sends goes to the
-	// hub, so once the hub (vertex 0) has reached the leaves, all the leaves
-	// of one machine send the same (hub, source) pair in the same round and
-	// all but one of them merge — the branch the random graphs, where a
-	// machine rarely sends one pair twice, barely touch. Here the send-time
-	// side must be seen merging, or the comparison proves nothing.
+	// hub, so once the hub (vertex 0) has reached the leaves, the hub's
+	// segment holds one message per leaf for each source and all but one of
+	// them merge — the branch the random graphs barely touch.
 	star := graph.GenerateStar(nVertices)
-	for task, merged := range combineTimingCase(t, "star", star, []graph.VertexID{0, 5, 222}, seeds[0]) {
-		if merged <= 0 {
-			t.Fatalf("star %s: the in-memory runs merged nothing at send time", task)
-		}
-	}
+	combineBackendCase(t, "star", star, []graph.VertexID{0, 5, 222}, seeds[0])
 }
 
-// combineTimingCase runs the three tasks on g with the combiner on, in
-// memory at every worker-pool size (send-time merging) and out of core
-// (delivery-time fold only), and requires byte-identical reports. It returns
-// each task's send-time merge count over the in-memory runs.
-func combineTimingCase(t *testing.T, label string, g *graph.Graph, sources []graph.VertexID, seed uint64) map[string]int64 {
+// combineBackendCase runs the three tasks on g with the combiner on, in
+// memory at every worker-pool size and out of core, and requires
+// byte-identical reports. The fold must also be seen merging, or the
+// comparison proves nothing: the combined report has to differ from an
+// uncombined one (fewer messages received; for BPPR, merged walk bundles
+// draw from the RNG differently).
+func combineBackendCase(t *testing.T, label string, g *graph.Graph, sources []graph.VertexID, seed uint64) {
 	t.Helper()
 	part := graph.HashPartition(g.NumVertices(), nMachines)
-	mssp := func(w int, ooc *tasks.OOCConfig) (*obs.RunReport, int64) {
+	mssp := func(w int, ooc *tasks.OOCConfig, combine bool) *obs.RunReport {
 		return combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
 			job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
-				Sources: sources, Seed: seed, Workers: w, Combine: true, OOC: ooc,
+				Sources: sources, Seed: seed, Workers: w, Combine: combine, OOC: ooc,
 			})
 			if err != nil {
 				return 0, err
@@ -111,41 +103,39 @@ func combineTimingCase(t *testing.T, label string, g *graph.Graph, sources []gra
 			return len(sources), err
 		})
 	}
-	bkhs := func(w int, ooc *tasks.OOCConfig) (*obs.RunReport, int64) {
+	bkhs := func(w int, ooc *tasks.OOCConfig, combine bool) *obs.RunReport {
 		return combineReport(t, "BKHS", func(run *sim.Run) (int, error) {
 			job := tasks.NewBKHS(g, part, tasks.BKHSConfig{
-				Sources: sources, K: 3, Seed: seed, Workers: w, Combine: true, OOC: ooc,
+				Sources: sources, K: 3, Seed: seed, Workers: w, Combine: combine, OOC: ooc,
 			})
 			_, err := job.RunBatch(run, len(sources), 0)
 			return len(sources), err
 		})
 	}
-	bppr := func(w int, ooc *tasks.OOCConfig) (*obs.RunReport, int64) {
+	bppr := func(w int, ooc *tasks.OOCConfig, combine bool) *obs.RunReport {
 		return combineReport(t, "BPPR", func(run *sim.Run) (int, error) {
 			job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
-				WalksPerNode: 4, Seed: seed, Workers: w, Combine: true, OOC: ooc,
+				WalksPerNode: 4, Seed: seed, Workers: w, Combine: combine, OOC: ooc,
 			})
 			_, err := job.RunBatch(run, 4, 0)
 			return 4, err
 		})
 	}
-	merged := map[string]int64{}
 	for _, tc := range []struct {
 		name string
-		run  func(w int, ooc *tasks.OOCConfig) (*obs.RunReport, int64)
+		run  func(w int, ooc *tasks.OOCConfig, combine bool) *obs.RunReport
 	}{{"mssp", mssp}, {"bkhs", bkhs}, {"bppr", bppr}} {
 		name := label + " " + tc.name
 		// The ooc backend forces one worker, so one run serves the grid.
-		oocRep, _ := tc.run(0, oocDiffConfig(t))
-		atDelivery := oocStrippedJSON(t, name, oocRep, true)
+		oocJSON := oocStrippedJSON(t, name, tc.run(0, oocDiffConfig(t), true), true)
 		for _, w := range workerGrid {
-			rep, n := tc.run(w, nil)
-			merged[tc.name] += n
 			requireSameReport(t, fmt.Sprintf("%s workers=%d", name, w),
-				oocStrippedJSON(t, name, rep, false), atDelivery)
+				oocStrippedJSON(t, name, tc.run(w, nil, true), false), oocJSON)
+		}
+		if bytes.Equal(oocStrippedJSON(t, name, tc.run(1, nil, false), false), oocJSON) {
+			t.Fatalf("%s: the combined report equals the uncombined one; the fold merged nothing", name)
 		}
 	}
-	return merged
 }
 
 // TestCombineResultsUnchanged checks that enabling the combiner does not

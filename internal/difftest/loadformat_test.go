@@ -58,7 +58,7 @@ func TestBinaryFormatReportIdentity(t *testing.T) {
 	sources := []graph.VertexID{5, 77, 222}
 	for _, w := range workerGrid {
 		report := func(gg *graph.Graph) []byte {
-			rep, _ := combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
+			rep := combineReport(t, "MSSP", func(run *sim.Run) (int, error) {
 				job, err := tasks.NewMSSP(gg, part, tasks.MSSPConfig{
 					Sources: sources, Seed: seeds[0], Workers: w,
 				})

@@ -9,9 +9,9 @@ import "math"
 //
 // The paper's systems use aggregators for convergence checks (e.g. "the
 // process ends if in one round no shorter paths are found"); the engine's
-// message-drain halting covers that case, but aggregators are part of the
-// programming contract real Pregel programs rely on, so tasks such as
-// Connected Components use them here.
+// message-drain halting covers that case, and no task in this repository
+// calls Aggregate; aggregators are kept as part of the programming contract
+// real Pregel programs rely on, exercised by the engine's own tests.
 //
 // Each aggregator keeps one accumulation lane per logical machine, so
 // parallel machines contribute without synchronization; the roll at the

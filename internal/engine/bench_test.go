@@ -59,11 +59,9 @@ func minHop(a, c hopMsg) hopMsg {
 func hopKey(m hopMsg) uint64 { return uint64(m.Hop & 3) }
 
 // BenchmarkEngineWithCombiner measures whole combined runs of the flood
-// workload, construction included: every message merges at send time into
-// the slot its (vertex, key) already owns in the source machine's outbox
-// (the default timing), and the survivors of different machines fold at
-// delivery. "unkeyed" finds slots through the direct-mapped sendSeen table,
-// "keyed" through the open-addressed sendTable.
+// workload, construction included: every message is a row append and each
+// vertex's delivered segment is folded once. "unkeyed" is the plain
+// left-to-right fold, "keyed" goes through the fold table.
 func BenchmarkEngineWithCombiner(b *testing.B) {
 	g := graph.GenerateChungLu(10000, 40000, 2.5, 3)
 	part := graph.HashPartition(g.NumVertices(), 8)
@@ -149,11 +147,11 @@ func BenchmarkEngineDeliverySteadyState(b *testing.B) {
 
 // BenchmarkEngineKeyedCombine is the keyed counterpart of the steady-state
 // delivery cycle: every vertex sends each neighbor one message in one of
-// four keyed streams, so a barrier exercises the send table (first
-// occurrences and merges — several vertices of a machine share a neighbor
-// and a key), the counting sort and the delivery-time fold table. After the
-// warm-up cycle has grown the chunks and both tables, the path must not
-// allocate: the CI gate pins this benchmark at exactly 0 allocs/op.
+// four keyed streams, so a barrier is the row appends, the counting sort
+// and the keyed fold (a vertex's neighbors share keys, so segments hold
+// first occurrences and merges). After the warm-up cycle has grown the
+// chunks, the inbox and the fold tables, the path must not allocate: the CI
+// gate pins this benchmark at exactly 0 allocs/op.
 func BenchmarkEngineKeyedCombine(b *testing.B) {
 	g := graph.GenerateChungLu(10000, 40000, 2.5, 3)
 	part := graph.HashPartition(g.NumVertices(), 8)

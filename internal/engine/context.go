@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"vcmt/internal/graph"
 	"vcmt/internal/randx"
 	"vcmt/internal/vcapi"
@@ -69,19 +67,19 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) {
 		sc.remoteLogical += w
 		sc.remotePhysical++
 	}
-	if e.fastEmit {
-		// outRow.push, written out: with its grow call it is past the
-		// compiler's inlining budget, and a call per message shows.
-		r := &c.rows[d]
-		off := r.n & chunkMask
-		if off == 0 {
-			r.grow()
-		}
-		r.tail[off] = envelope[M]{dst: dst, payload: m}
-		r.n++
+	if e.opts.OOC != nil {
+		e.routeOOC(dst, m)
 		return
 	}
-	e.emit(c.machine, d, envelope[M]{dst: dst, payload: m})
+	// outRow.push, written out: with its grow call it is past the
+	// compiler's inlining budget, and a call per message shows.
+	r := &c.rows[d]
+	off := r.n & chunkMask
+	if off == 0 {
+		r.grow()
+	}
+	r.tail[off] = envelope[M]{dst: dst, payload: m}
+	r.n++
 }
 
 // Broadcast delivers m to every neighbor of src: the broadcast interface of
@@ -118,21 +116,21 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 			}
 		}
 	}
-	if e.fastEmit {
-		rows := c.rows
+	if e.opts.OOC != nil {
 		for _, u := range ns {
-			r := &rows[e.owners[u]] // outRow.push, written out as in Send
-			off := r.n & chunkMask
-			if off == 0 {
-				r.grow()
-			}
-			r.tail[off] = envelope[M]{dst: u, payload: m}
-			r.n++
+			e.routeOOC(u, m)
 		}
 		return
 	}
+	rows := c.rows
 	for _, u := range ns {
-		e.emit(c.machine, int(e.owners[u]), envelope[M]{dst: u, payload: m})
+		r := &rows[e.owners[u]] // outRow.push, written out as in Send
+		off := r.n & chunkMask
+		if off == 0 {
+			r.grow()
+		}
+		r.tail[off] = envelope[M]{dst: u, payload: m}
+		r.n++
 	}
 }
 
@@ -147,37 +145,5 @@ func (c *Context[M]) ActivateNextRound(v graph.VertexID) {
 	if !e.forcedFlag[v] {
 		e.forcedFlag[v] = true
 		e.forcedNextBy[c.machine] = append(e.forcedNextBy[c.machine], v)
-	}
-}
-
-// emit is the send path when fastEmit is off. With send-time combining it
-// buffers one envelope in the outbox row of (source machine src,
-// destination machine dstM), unless the row already holds its (vertex,
-// key): then the message merges into the existing slot instead of
-// appending — the outbox shrinks before the barrier. In out-of-core mode
-// the envelope is instead encoded and routed straight into its destination
-// partition's append file — appends preserve emission order, so the merged
-// inbox reproduces the in-memory layout.
-func (e *Engine[M]) emit(src, dstM int, env envelope[M]) {
-	if e.ooc != nil {
-		e.ooc.enc = e.ooc.codec.Encode(e.ooc.enc[:0], env.payload)
-		if err := e.ooc.runner.Route(env.dst, e.ooc.enc); err != nil {
-			panic(fmt.Sprintf("engine: ooc route: %v", err))
-		}
-		return
-	}
-	r := &e.outRows[src*e.k+dstM]
-	switch {
-	case e.opts.CombinerKey != nil:
-		e.emitKeyed(src, r, env)
-	case e.sendSeen[src][env.dst] == e.sendGen[src]:
-		// Unkeyed: direct-mapped, generation-tagged table.
-		slot := r.at(e.sendPos[src][env.dst])
-		slot.payload = e.opts.Combiner(slot.payload, env.payload)
-		e.combinedSend[src]++
-	default:
-		e.sendSeen[src][env.dst] = e.sendGen[src]
-		e.sendPos[src][env.dst] = uint32(r.n)
-		r.push(env)
 	}
 }

@@ -22,9 +22,9 @@
 // fixed-size chunks that cycle through per-machine free lists, delivery
 // runs one independent counting sort per destination machine over small
 // dense-rank count arrays, and all scratch (chunks, counts, offsets, inbox
-// storage, combine tables) persists across rounds — and, through Reset,
-// across the batches of one job. Combiners apply at send time, shrinking
-// outbox rows before the barrier (see Options.Combiner).
+// storage, fold tables) persists across rounds — and, through Reset,
+// across the batches of one job. Every send is a row append; a combiner
+// folds each vertex's segment at delivery (see Options.Combiner).
 //
 // The engine also implements the two implementation families of §3:
 // point-to-point sends (Pregel-based systems) via Context.Send, and the
@@ -62,10 +62,9 @@ type WeightFunc[M any] = vcapi.WeightFunc[M]
 // combiner contract: the operation must be commutative and associative,
 // e.g. summing walk counts or taking a minimum). The engine additionally
 // requires exact operations — selection (min/max) or integer sums — so
-// that send-time and delivery-time combining produce bit-identical
-// results; every combiner in this repository qualifies. The wire-level
-// effect of combining across machines is modelled by the system profile's
-// Combines flag.
+// that the fold's result does not depend on how a backend groups it; every
+// combiner in this repository qualifies. The wire-level effect of combining
+// across machines is modelled by the system profile's Combines flag.
 type Combiner[M any] func(a, b M) M
 
 // Options tunes an engine run.
@@ -73,24 +72,22 @@ type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1 per message.
 	Weight WeightFunc[M]
 	// Combiner, when set, merges each vertex's incoming messages into one
-	// (one per key when CombinerKey is also set). It is applied at send time
-	// — a message from the same machine to an already-buffered (vertex, key)
-	// merges into that envelope's slot, found through the source machine's
-	// send table, so the outbox shrinks before the barrier — followed by a
-	// cross-machine fold at delivery. A slot is created at a pair's first
-	// occurrence and never moves, so the result is bit-identical to folding
-	// each inbox only at delivery, which is what the OOC backend does (its
-	// emission-ordered byte streams record raw messages); the differential
-	// tests compare the two.
+	// (one per key when CombinerKey is also set). Messages are buffered raw
+	// and each vertex's segment is folded once, at delivery, left to right
+	// in (source machine, emission) order (see foldSegment) — the same fold
+	// on the in-memory and the out-of-core backend, whose reports the
+	// differential tests require to be byte-identical. Nothing merges at
+	// send time: under hash partitioning ≈ 0.2 % of messages share a
+	// (vertex, key) with an earlier one from the same machine, so a
+	// send-side table is pure per-message overhead (DESIGN.md §14).
 	Combiner Combiner[M]
 	// CombinerKey, when set alongside Combiner, restricts combining to
 	// messages that agree on a key: only messages addressed to the same
 	// vertex with equal keys merge. Multi-source tasks use the source
-	// vertex as the key so per-source streams stay separate. The engine
-	// looks (vertex, key) pairs up in open-addressed tables (see sendTable
-	// and foldTable) and calls CombinerKey once per message plus once per
-	// probed candidate, so it must be a pure function of the payload.
-	// Ignored when Combiner is nil.
+	// vertex as the key so per-source streams stay separate. The fold
+	// looks keys up in an open-addressed table (see foldTable) and calls
+	// CombinerKey once per message, so it must be a pure function of the
+	// payload. Ignored when Combiner is nil.
 	CombinerKey func(m M) uint64
 	// MaxRounds bounds the superstep count (0 means the default of 10000).
 	MaxRounds int
@@ -158,8 +155,8 @@ type Engine[M any] struct {
 	outRows []outRow[M]
 	free    [][]*chunk[M]
 	// owed[m] is what machine m's rows must hold at the next route: the
-	// physical messages it sent since the last one, net of send-time
-	// merges (see rollCounters). Conservation is checked at every barrier.
+	// envelopes it sent since the last one (see rollCounters). Conservation
+	// is checked at every barrier.
 	owed []int64
 
 	// inbox holds the delivered payloads, laid out as one contiguous
@@ -179,28 +176,8 @@ type Engine[M any] struct {
 	machLoad  []int64
 	machOrder []int32
 
-	// Send-time combining state (combineAtSend caches the decision).
-	// Unkeyed combiners use a direct-mapped table per source machine:
-	// sendSeen[src][v] == sendGen[src] means vertex v already has a slot
-	// this round, at row position sendPos[src][v]. Keyed combiners
-	// (CombinerKey set) use sendTabs[src], an open-addressed table over
-	// (dst vertex, key) with the same contract (see sendTable). Both reset
-	// by a generation bump at delivery, never by a clear or a per-message
-	// map operation. combinedSend counts messages merged into an existing
-	// slot.
-	combineAtSend bool
-	sendSeen      [][]uint32
-	sendPos       [][]uint32
-	sendGen       []uint32
-	sendTabs      []sendTable
-	combinedSend  []int64
-
-	// fastEmit marks the plain row append path (no OOC, no send-time
-	// combining), which Send/Broadcast inline to skip a call per message.
-	fastEmit bool
-
-	// foldTabs is the delivery-time keyed-fold scratch, one table per
-	// destination machine (see foldTable).
+	// foldTabs is the keyed fold's scratch, one table per destination
+	// machine (see foldTable).
 	foldTabs []foldTable
 
 	// pool is the persistent phase-dispatch worker pool (nil until the
@@ -290,7 +267,6 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		moffs:          make([][]int32, k),
 		machLoad:       make([]int64, k),
 		machOrder:      make([]int32, k),
-		combinedSend:   make([]int64, k),
 		rngs:           make([]*randx.RNG, k),
 		sent:           make([]machineCounters, k),
 		recv:           make([]machineCounters, k),
@@ -324,7 +300,7 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 // as a fresh New(g, part, prog, run, opts) would, while keeping what a
 // finished run leaves that depends only on the graph and the partition or
 // is pure capacity: the routing tables, the chunk population, the inbox,
-// the combine tables and the forced-activation flags. RNG streams,
+// the fold tables and the forced-activation flags. RNG streams,
 // counters, aggregators (register them again) and checkpoint and
 // out-of-core state start over. One engine per job, Reset per batch: a job
 // of many small batches then pays construction once.
@@ -332,7 +308,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 10000
 	}
-	k, n := e.k, e.g.NumVertices()
+	k := e.k
 	e.prog, e.run, e.opts = prog, run, opts
 	e.workers = min(effectiveWorkers(opts), k)
 
@@ -341,26 +317,9 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		e.outRows[r].release()
 	}
 
-	e.combineAtSend = opts.Combiner != nil && opts.OOC == nil
-	e.fastEmit = !e.combineAtSend && opts.OOC == nil
-	if e.combineAtSend && opts.CombinerKey == nil && e.sendGen == nil {
-		e.sendSeen = make([][]uint32, k)
-		e.sendPos = make([][]uint32, k)
-		e.sendGen = make([]uint32, k)
-		for m := 0; m < k; m++ {
-			e.sendSeen[m] = make([]uint32, n)
-			e.sendPos[m] = make([]uint32, n)
-		}
-	}
-	if e.combineAtSend && opts.CombinerKey != nil && e.sendTabs == nil {
-		e.sendTabs = make([]sendTable, k)
-	}
 	if opts.Combiner != nil && e.foldTabs == nil {
 		e.foldTabs = make([]foldTable, k)
 	}
-	// Entries of an abandoned round must not be mistaken for this run's.
-	e.nextSendRound()
-
 	for m := 0; m < k; m++ {
 		e.rngs[m].SetState(opts.Seed ^ (uint64(m+1) * 0x9e3779b97f4a7c15))
 		for _, v := range e.forcedNextBy[m] {
@@ -368,7 +327,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		}
 		e.forcedNextBy[m] = e.forcedNextBy[m][:0]
 		e.sent[m], e.recv[m] = machineCounters{}, machineCounters{}
-		e.active[m], e.combinedSend[m], e.owed[m] = 0, 0, 0
+		e.active[m], e.owed[m] = 0, 0
 	}
 	e.rounds, e.stopped, e.aggs = 0, false, nil
 	e.ooc = nil
@@ -376,21 +335,6 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	e.oocReadTotal, e.oocWriteTotal, e.oocPeakMax, e.oocPartitions = 0, 0, 0, 0
 	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
 	e.replayTo, e.recoveries = 0, 0
-}
-
-// nextSendRound empties the send-time combine tables by bumping their
-// generations (clearing for real only on wrap-around).
-func (e *Engine[M]) nextSendRound() {
-	for m := range e.sendGen {
-		e.sendGen[m]++
-		if e.sendGen[m] == 0 {
-			clear(e.sendSeen[m])
-			e.sendGen[m] = 1
-		}
-	}
-	for m := range e.sendTabs {
-		e.sendTabs[m].nextRound()
-	}
 }
 
 // Rounds returns the number of supersteps executed so far.
@@ -582,9 +526,9 @@ func (e *Engine[M]) checkReceived(m int, got int64) {
 func (e *Engine[M]) Stopped() bool { return e.stopped }
 
 // deliver routes the pending envelopes into per-vertex inbox segments and
-// applies the combiner's delivery-time fold. Routing runs one counting
-// sort per destination machine over that machine's dense local ranks; the
-// sort places row contents in (source machine, emission) order whichever
+// applies the combiner's fold. Routing runs one counting sort per
+// destination machine over that machine's dense local ranks; the sort
+// places row contents in (source machine, emission) order whichever
 // goroutine runs it, so sequential and parallel execution produce
 // bit-identical inboxes.
 func (e *Engine[M]) deliver() {
@@ -620,7 +564,10 @@ func (e *Engine[M]) route() {
 	}
 	e.regionStart[k] = int32(total)
 	if cap(e.inbox) < total {
-		e.inbox = make([]M, total)
+		// A quarter of headroom: the rounds around a job's peak, and the next
+		// batch's peak, exceed one another by a few percent, and an exact fit
+		// would re-allocate the whole inbox for each new maximum.
+		e.inbox = make([]M, total+total/4)
 	}
 	e.inbox = e.inbox[:total]
 	e.orderByLoad()
@@ -634,14 +581,11 @@ func (e *Engine[M]) route() {
 	for r := range e.outRows {
 		e.outRows[r].release()
 	}
-	if e.combineAtSend {
-		e.nextSendRound()
-	}
 }
 
 // checkOwed asserts message conservation at the barrier: what each
-// machine's rows hold is what the machine sent since the last barrier, net
-// of send-time merges. Only an engine bug can violate this.
+// machine's rows hold is what the machine sent since the last barrier. Only
+// an engine bug can violate this.
 func (e *Engine[M]) checkOwed() {
 	for m := 0; m < e.k; m++ {
 		held := int64(0)
@@ -649,7 +593,7 @@ func (e *Engine[M]) checkOwed() {
 			held += int64(e.outRows[m*e.k+d].n)
 		}
 		if held != e.owed[m] {
-			panic(fmt.Sprintf("engine: conservation violated entering round %d: machine %d buffered %d envelopes, sent %d net of merges",
+			panic(fmt.Sprintf("engine: conservation violated entering round %d: machine %d buffered %d envelopes, sent %d",
 				e.rounds+1, m, held, e.owed[m]))
 		}
 		e.owed[m] = 0
@@ -751,7 +695,6 @@ func (e *Engine[M]) observeRound() {
 		// reference it after the round), so it cannot be pooled.
 		per := make([]sim.MachineRound, k)
 		reporter, hasState := e.prog.(StateReporter)
-		var combined int64
 		for m := 0; m < k; m++ {
 			per[m] = sim.MachineRound{
 				SentLogical:    e.sent[m].logical,
@@ -765,28 +708,25 @@ func (e *Engine[M]) observeRound() {
 			if hasState {
 				per[m].StateEntries = reporter.StateEntries(m)
 			}
-			combined += e.combinedSend[m]
 		}
 		e.run.ObserveRound(sim.RoundStats{
 			PerMachine:         per,
 			OOCReadBytes:       e.oocReadBytes,
 			OOCWriteBytes:      e.oocWriteBytes,
 			OOCWindowPeakBytes: e.oocWindowPeak,
-			CombinedAtSend:     combined,
 		})
 	}
 	e.rollCounters()
 }
 
 // rollCounters zeroes the per-round counters, first crediting what each
-// machine sent, net of send-time merges, to the envelopes its rows owe the
-// next barrier (see checkOwed).
+// machine sent to the envelopes its rows owe the next barrier (see
+// checkOwed).
 func (e *Engine[M]) rollCounters() {
 	for m := range e.sent {
-		e.owed[m] += e.sent[m].physical + e.sent[m].fanout - e.combinedSend[m]
+		e.owed[m] += e.sent[m].physical + e.sent[m].fanout
 		e.sent[m] = machineCounters{}
 		e.recv[m] = machineCounters{}
 		e.active[m] = 0
-		e.combinedSend[m] = 0
 	}
 }

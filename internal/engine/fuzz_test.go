@@ -26,9 +26,7 @@ func (nopProg) Compute(vcapi.Context[int32], graph.VertexID, []int32) {}
 //     sequential path (the determinism contract);
 //   - after combining, each non-empty segment holds exactly one message,
 //     the message count equals the number of non-empty inboxes, and a sum
-//     combiner preserves the payload total;
-//   - an engine combining at send time ends up with segments bit-identical
-//     to the delivery-time engines', before-compute and after-combine.
+//     combiner preserves the payload total.
 func FuzzDeliverRouting(f *testing.F) {
 	f.Add([]byte{8, 2, 0, 0, 1, 5, 2, 9, 0, 3})
 	f.Add([]byte{120, 7, 1, 1, 1, 1, 1, 1})
@@ -45,19 +43,13 @@ func FuzzDeliverRouting(f *testing.F) {
 		part := graph.HashPartition(n, k)
 		sum := func(a, b int32) int32 { return a + b }
 
-		seq := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 1, Combiner: sum,
-		}))
-		par := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 4, Combiner: sum,
-		}))
-		defer par.stopPool()
-		send := New[int32](g, part, nopProg{}, nil, Options[int32]{
+		seq := New[int32](g, part, nopProg{}, nil, Options[int32]{
 			Workers: 1, Combiner: sum,
 		})
-		if !send.combineAtSend {
-			t.Fatal("send-time combining should be the default with a combiner")
-		}
+		par := New[int32](g, part, nopProg{}, nil, Options[int32]{
+			Workers: 4, Combiner: sum,
+		})
+		defer par.stopPool()
 
 		// Decode (machine, dst) pairs; payload is the send sequence number.
 		// chunks[m] records machine m's emission stream for the expected
@@ -69,13 +61,10 @@ func FuzzDeliverRouting(f *testing.F) {
 		for i := 0; i+1 < len(data)-2; i += 2 {
 			m := int(data[2+i]) % k
 			dst := graph.VertexID(int(data[3+i]) % n)
-			env := envelope[int32]{dst: dst, payload: int32(total)}
-			d := int(seq.owners[dst])
-			for _, eng := range []*Engine[int32]{seq, par, send} {
-				eng.sent[m].physical++ // what Context.Send would count
-				buffer(eng, m, d, env)
+			for _, eng := range []*Engine[int32]{seq, par} {
+				eng.ctxs[m].Send(dst, int32(total))
 			}
-			chunks[m] = append(chunks[m], env)
+			chunks[m] = append(chunks[m], envelope[int32]{dst: dst, payload: int32(total)})
 			wantPerVertex[dst]++
 			paySum += int64(total)
 			total++
@@ -83,9 +72,8 @@ func FuzzDeliverRouting(f *testing.F) {
 
 		// Close the emitting round the way observeRound does, so that the
 		// barrier's conservation check sees what was sent.
-		for _, eng := range []*Engine[int32]{seq, par, send} {
-			eng.rollCounters()
-		}
+		seq.rollCounters()
+		par.rollCounters()
 		seq.route()
 		par.route()
 
@@ -137,18 +125,12 @@ func FuzzDeliverRouting(f *testing.F) {
 			}
 		}
 
-		// Combiner invariants on both delivery-time paths, and send-time
-		// equivalence: the send-time engine's routed-and-folded segments
-		// must be bit-identical to the delivery-time result.
+		// Combiner invariants on both paths.
 		nonEmpty := 0
 		for v := 0; v < n; v++ {
 			if wantPerVertex[v] > 0 {
 				nonEmpty++
 			}
-		}
-		send.route()
-		for i := 0; i < k; i++ {
-			send.runTask(phaseCombine, i)
 		}
 		for _, eng := range []*Engine[int32]{seq, par} {
 			for i := 0; i < k; i++ {
@@ -169,15 +151,6 @@ func FuzzDeliverRouting(f *testing.F) {
 				for _, m := range seg {
 					got += int64(m)
 				}
-				st := send.segment(graph.VertexID(v))
-				if len(st) != len(seg) {
-					t.Fatalf("vertex %d: send-time segment length %d vs delivery-time %d", v, len(st), len(seg))
-				}
-				for i := range seg {
-					if st[i] != seg[i] {
-						t.Fatalf("vertex %d: send-time payload %d vs delivery-time %d", v, st[i], seg[i])
-					}
-				}
 			}
 			if combined != nonEmpty {
 				t.Fatalf("workers=%d: combined inbox holds %d messages, %d inboxes were non-empty",
@@ -196,37 +169,29 @@ func fuzzKeyOf(p int32) uint64 { return uint64(p & 15) }
 
 func fuzzKeyedSum(a, b int32) int32 { return a + b&^15 }
 
-// rowEnvelopes flattens a chunked outbox row.
-func rowEnvelopes[M any](r *outRow[M]) []envelope[M] {
-	var out []envelope[M]
-	for ci := range r.chunks {
-		out = append(out, r.filled(ci)...)
-	}
-	return out
-}
-
-// FuzzKeyedSendTable drives the open-addressed send table and the fold
-// table against a map model. The input decodes into rounds of runs — one
-// (machine, dst, key) start expanded into up to 1009 emits that repeat the
-// pair, walk the destinations, walk the keys or walk both — so a few bytes
-// make streams with heavy duplication, all-same-key, all-distinct, rows
-// longer than a chunk and more pairs than the table's initial capacity
-// (growth mid-round). The table generations start one short of wrapping.
-// At every barrier the outbox rows must equal the model's — same slots in
-// the same order with the same folded payloads, which pins every slot
-// position the table handed out — with the same merge count; and after
-// routing and folding, the inbox of the send-time engine, of a
-// delivery-time engine fed the raw stream, and of the model must agree.
-func FuzzKeyedSendTable(f *testing.F) {
+// FuzzKeyedFold drives the keyed delivery fold against a map model. The
+// input decodes into rounds of runs — one (machine, dst, key) start expanded
+// into up to 1009 sends that repeat the pair, walk the destinations, walk
+// the keys or walk both — so a few bytes make segments with heavy
+// duplication, all-same-key, all-distinct, and rows longer than a chunk.
+// Every barrier starts each machine's fold table at its smallest size, one
+// epoch short of wrapping, so tables grow mid-round and wrap. After
+// deliver() every vertex's inbox must equal the model's: one representative
+// per key, at the key's first occurrence in (source machine, emission)
+// order, folded in that order.
+func FuzzKeyedFold(f *testing.F) {
 	// One pair repeated, a barrier, then a short mixed run.
 	f.Add([]byte{100, 3, 0, 5, 1, 63, 0, 5, 1, 63, 250, 0, 0, 1, 9, 2, 127})
-	// One machine, 127 vertices, 2018 distinct pairs (two table growths, a
-	// row of two chunks), then the first 1009 again (all merges).
+	// One machine, 127 vertices, 2018 distinct pairs (a row of two chunks),
+	// then the first 1009 again (every one a merge).
 	f.Add([]byte{119, 0, 0, 0, 0, 127, 0, 0, 8, 127, 0, 0, 0, 127})
-	// Key walks on one vertex across four rounds: the generations wrap.
+	// Key walks on one vertex across four rounds: 1009-message segments.
 	f.Add([]byte{40, 7, 1, 2, 3, 191, 240, 2, 2, 3, 191, 241, 3, 2, 3, 191, 242, 3, 2, 4, 130})
 	// Eight machines, both walks, duplicated.
 	f.Add([]byte{119, 7, 0, 0, 0, 255, 1, 0, 0, 255, 2, 9, 3, 255, 0, 0, 0, 255, 250, 1, 1, 63})
+	// Three two-message segments and a single: the epoch wraps before the
+	// table has to grow.
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 2, 1, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -235,73 +200,19 @@ func FuzzKeyedSendTable(f *testing.F) {
 		k := 1 + int(data[1])%8
 		g := graph.GenerateRing(n)
 		part := graph.HashPartition(n, k)
-		send := New[int32](g, part, nopProg{}, nil, Options[int32]{
+		e := New[int32](g, part, nopProg{}, nil, Options[int32]{
 			Workers: 1, Combiner: fuzzKeyedSum, CombinerKey: fuzzKeyOf,
 		})
-		deliv := foldAtDelivery(New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 1, Combiner: fuzzKeyedSum, CombinerKey: fuzzKeyOf,
-		}))
-		for m := range send.sendTabs {
-			send.sendTabs[m].gen = sendGenMax - 1
-		}
-		for _, eng := range []*Engine[int32]{send, deliv} {
-			for m := range eng.foldTabs {
-				eng.foldTabs[m] = foldTable{slots: make([]foldEntry, 64), epoch: ^uint32(0) - 2}
-			}
-		}
 
-		type pair struct {
-			dst graph.VertexID
-			key uint64
-		}
-		type slot struct{ row, pos int }
-		rows := make([][]envelope[int32], k*k) // the model's outbox
-		where := make([]map[pair]slot, k)      // the model's send tables
-		merged := make([]int64, k)
-		for m := range where {
-			where[m] = map[pair]slot{}
-		}
+		// The model's inbox: per vertex, one representative per key at its
+		// first occurrence. sent[m] is machine m's emission stream.
+		sent := make([][]envelope[int32], k)
 		seq := int32(0)
-		emit := func(m int, dst graph.VertexID, key uint64) {
-			seq++
-			env := envelope[int32]{dst: dst, payload: seq<<4 | int32(key)}
-			d := int(send.owners[dst])
-			for _, eng := range []*Engine[int32]{send, deliv} {
-				eng.sent[m].physical++
-				buffer(eng, m, d, env)
-			}
-			p := pair{dst, key}
-			if s, ok := where[m][p]; ok {
-				rows[s.row][s.pos].payload = fuzzKeyedSum(rows[s.row][s.pos].payload, env.payload)
-				merged[m]++
-				return
-			}
-			where[m][p] = slot{m*k + d, len(rows[m*k+d])}
-			rows[m*k+d] = append(rows[m*k+d], env)
-		}
 		barrier := func() {
-			for r := range rows {
-				got := rowEnvelopes(&send.outRows[r])
-				if len(got) != len(rows[r]) {
-					t.Fatalf("row %d holds %d envelopes, model %d", r, len(got), len(rows[r]))
-				}
-				for i := range got {
-					if got[i] != rows[r][i] {
-						t.Fatalf("row %d slot %d: %+v, model %+v", r, i, got[i], rows[r][i])
-					}
-				}
-			}
-			for m := 0; m < k; m++ {
-				if send.combinedSend[m] != merged[m] {
-					t.Fatalf("machine %d merged %d at send, model %d", m, send.combinedSend[m], merged[m])
-				}
-			}
-			// The model's inbox: per vertex, rows in source order, one
-			// representative per key at its first occurrence.
 			want := make([][]int32, n)
 			at := make([]map[uint64]int, n)
-			for r := range rows {
-				for _, env := range rows[r] {
+			for m := range sent {
+				for _, env := range sent[m] {
 					v, key := env.dst, fuzzKeyOf(env.payload)
 					if at[v] == nil {
 						at[v] = map[uint64]int{}
@@ -313,28 +224,23 @@ func FuzzKeyedSendTable(f *testing.F) {
 					at[v][key] = len(want[v])
 					want[v] = append(want[v], env.payload)
 				}
+				sent[m] = sent[m][:0]
 			}
-			for _, eng := range []*Engine[int32]{send, deliv} {
-				eng.rollCounters()
-				eng.deliver()
-				for v := 0; v < n; v++ {
-					got := eng.segment(graph.VertexID(v))
-					if len(got) != len(want[v]) {
-						t.Fatalf("atSend=%v vertex %d: %d messages, model %d", eng.combineAtSend, v, len(got), len(want[v]))
-					}
-					for i := range got {
-						if got[i] != want[v][i] {
-							t.Fatalf("atSend=%v vertex %d slot %d: %d, model %d", eng.combineAtSend, v, i, got[i], want[v][i])
-						}
+			for m := range e.foldTabs {
+				e.foldTabs[m] = foldTable{slots: make([]foldEntry, 16), epoch: ^uint32(0) - 1}
+			}
+			e.rollCounters()
+			e.deliver()
+			for v := 0; v < n; v++ {
+				got := e.segment(graph.VertexID(v))
+				if len(got) != len(want[v]) {
+					t.Fatalf("vertex %d: %d messages, model %d", v, len(got), len(want[v]))
+				}
+				for i := range got {
+					if got[i] != want[v][i] {
+						t.Fatalf("vertex %d slot %d: %d, model %d", v, i, got[i], want[v][i])
 					}
 				}
-			}
-			for r := range rows {
-				rows[r] = rows[r][:0]
-			}
-			for m := range where {
-				clear(where[m])
-				merged[m] = 0
 			}
 		}
 
@@ -346,7 +252,10 @@ func FuzzKeyedSendTable(f *testing.F) {
 			dst, key := int(ops[1])%n, uint64(ops[2])&15
 			run, walk := 1+int(ops[3]&63)*16, ops[3]>>6
 			for i := 0; i < run; i++ {
-				emit(m, graph.VertexID(dst), key)
+				seq++
+				env := envelope[int32]{dst: graph.VertexID(dst), payload: seq<<4 | int32(key)}
+				e.ctxs[m].Send(env.dst, env.payload)
+				sent[m] = append(sent[m], env)
 				if walk&1 != 0 {
 					if dst++; dst == n {
 						dst = 0

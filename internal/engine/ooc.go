@@ -78,6 +78,17 @@ func (e *Engine[M]) curGraph() *graph.Graph {
 	return e.g
 }
 
+// routeOOC is the out-of-core send: the payload is encoded and appended to
+// its destination partition's file. Appends preserve emission order, so the
+// merged inbox reproduces the in-memory layout.
+func (e *Engine[M]) routeOOC(dst graph.VertexID, m M) {
+	st := e.ooc
+	st.enc = st.codec.Encode(st.enc[:0], m)
+	if err := st.runner.Route(dst, st.enc); err != nil {
+		panic(fmt.Sprintf("engine: ooc route: %v", err))
+	}
+}
+
 // initOOC validates the out-of-core configuration.
 func (e *Engine[M]) initOOC() error {
 	oo := e.opts.OOC

@@ -62,11 +62,6 @@ func (r *outRow[M]) grow() {
 	r.tail = c
 }
 
-// at returns the slot of the envelope at position pos (pos < n).
-func (r *outRow[M]) at(pos uint32) *envelope[M] {
-	return &r.chunks[pos>>chunkShift][pos&chunkMask]
-}
-
 // filled returns the occupied prefix of chunk ci; walking ci over
 // range r.chunks visits the row in emission order.
 func (r *outRow[M]) filled(ci int) []envelope[M] {

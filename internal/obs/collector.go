@@ -198,9 +198,6 @@ func (c *Collector) OnRound(o sim.RoundObservation) {
 		c.reg.Counter("sim_sent_logical_total", lbl).Add(mr.SentLogical)
 		c.reg.Counter("sim_recv_logical_total", lbl).Add(mr.RecvLogical)
 	}
-	if o.Stats.CombinedAtSend > 0 {
-		c.reg.Counter("sim_combined_send_total").Add(o.Stats.CombinedAtSend)
-	}
 	c.reg.Counter("sim_rounds_total").Inc()
 	c.reg.Histogram("sim_round_seconds").Observe(o.Result.Seconds)
 	c.reg.Histogram("sim_round_msgs").Observe(logical)

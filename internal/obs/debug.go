@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 //	/debug/trace   — completed spans as Chrome trace-event JSON (if a
 //	                 tracer is attached)
 //	/debug/flight  — the flight-recorder ring as JSON (if attached)
-//	/debug/vars    — expvar (includes the registry under "vcmt_metrics")
 //	/debug/pprof/  — the standard pprof handlers
 //
 // It exists for long or real (rpcrt) runs; short simulated runs finish
@@ -75,7 +73,6 @@ func StartDebugServerWith(addr string, opts DebugOptions) (*DebugServer, error) 
 			fr.Dump(w) //nolint:errcheck // best-effort over HTTP
 		})
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -92,10 +89,3 @@ func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
 // Close shuts the server down.
 func (d *DebugServer) Close() error { return d.srv.Close() }
-
-// PublishExpvar exposes the registry under the given expvar name so it
-// shows up in /debug/vars. Publishing the same name twice panics (expvar
-// semantics), so call at most once per process per name.
-func PublishExpvar(name string, reg *Registry) {
-	expvar.Publish(name, expvar.Func(func() any { return reg.Snapshot() }))
-}

@@ -78,10 +78,6 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 		t.Fatalf("/debug/flight schema = %v", flight["schema"])
 	}
 
-	var vars map[string]any
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
 	if len(get("/debug/pprof/")) == 0 {
 		t.Fatal("pprof index empty")
 	}

@@ -19,7 +19,6 @@ var helpDefaults = map[string]string{
 	"sim_round_skew_ratio":             "Worst/mean machine load ratio per superstep.",
 	"sim_seconds":                      "Cumulative simulated seconds of the current run.",
 	"sim_sent_logical_total":           "Logical messages sent per simulated machine.",
-	"sim_combined_send_total":          "Messages merged into an outbox slot by send-time combining.",
 	"sim_recv_logical_total":           "Logical messages received per simulated machine.",
 	"ckpt_writes_total":                "Checkpoints written at superstep barriers.",
 	"ckpt_bytes_total":                 "Checkpoint bytes written.",

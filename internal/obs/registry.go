@@ -2,7 +2,7 @@
 // (counters, gauges, streaming histograms keyed by name+labels), phase
 // timers, a structured JSONL event log, per-machine time series, and
 // exporters — a machine-readable JSON run report, CSV traces, and a live
-// debug HTTP endpoint (expvar + pprof).
+// debug HTTP endpoint (metrics + pprof).
 //
 // The paper's contribution is measurement: every insight (round–congestion
 // tradeoff, memory-bound vs disk-bound states, straggler machines under

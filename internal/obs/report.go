@@ -228,19 +228,7 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 			MaxMemBytes:    agg.maxMemBytes,
 		})
 	}
-	// The combined-send counter is a live diagnostic only: its value (and
-	// its lazily created presence) differs between send-time and
-	// delivery-time combiner runs whose reports must stay byte-identical
-	// (see sim.RoundStats.CombinedAtSend), so it is excluded here and
-	// visible on /metrics alone.
-	snap := c.reg.Snapshot()
-	rep.Metrics = make([]MetricSnapshot, 0, len(snap))
-	for _, m := range snap {
-		if m.Name == "sim_combined_send_total" {
-			continue
-		}
-		rep.Metrics = append(rep.Metrics, m)
-	}
+	rep.Metrics = c.reg.Snapshot()
 	rep.Adaptive = c.adaptive
 	return rep
 }

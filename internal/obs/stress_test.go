@@ -63,7 +63,7 @@ func TestDebugServerConcurrentScrapeStress(t *testing.T) {
 		}(m)
 	}
 
-	paths := []string{"/metrics", "/metrics.json", "/debug/trace", "/debug/flight", "/debug/vars"}
+	paths := []string{"/metrics", "/metrics.json", "/debug/trace", "/debug/flight"}
 	for s := 0; s < scrapers; s++ {
 		wg.Add(1)
 		go func(s int) {

@@ -34,11 +34,10 @@ type RoundStats struct {
 	OOCWriteBytes      int64
 	OOCWindowPeakBytes int64
 
-	// CombinedAtSend counts messages the engine merged into an existing
-	// outbox slot by applying the combiner at send time this superstep
-	// (engine-wide, replica scale). Surfaced only through the metrics
-	// registry — never through reports or events, whose bytes must stay
-	// identical between send-time and delivery-time combiner runs.
+	// CombinedAtSend is never assigned: the engine buffers every send raw
+	// and combines only at delivery. The field stays solely because
+	// bench/probe.go reads it and bench/ changes in its own PRs; the
+	// benchmark's next schema bump removes both.
 	CombinedAtSend int64
 }
 

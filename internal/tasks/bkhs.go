@@ -44,8 +44,8 @@ type BKHSConfig struct {
 	// OOC enables partitioned out-of-core execution on the synchronous
 	// path (see OOCConfig); ignored in Async and Mirror modes.
 	OOC *OOCConfig
-	// Combine merges same-destination messages of the same source with a
-	// minimum-hop combiner. See MSSPConfig for the contract.
+	// Combine folds each vertex's delivered messages to one per source
+	// with a minimum-hop combiner. See MSSPConfig for the contract.
 	Combine bool
 }
 

@@ -74,12 +74,13 @@ type BPPRConfig struct {
 	// OOC enables partitioned out-of-core execution on the synchronous
 	// paths (see OOCConfig); ignored in Async and Mirror modes.
 	OOC *OOCConfig
-	// Combine merges same-destination walk messages of the same source by
-	// adding their counts — integer walk counts, so the merge is exact and
-	// the walk semantics are unchanged (receivers already handle counted
-	// walks). Applies to the synchronous Monte-Carlo path only: the mirror
-	// variant's fractional mass is floating point, where regrouping the
-	// addition is not bit-exact, and Async folds per activation already.
+	// Combine folds each vertex's delivered walk messages to one per source
+	// by adding their counts — integer walk counts, so the merge is exact
+	// and the walk semantics are unchanged (receivers already handle
+	// counted walks; see MSSPConfig for when the fold runs). Applies to the
+	// synchronous Monte-Carlo path only: the mirror variant's fractional
+	// mass is floating point, where regrouping the addition is not
+	// bit-exact, and Async folds per activation already.
 	Combine bool
 }
 

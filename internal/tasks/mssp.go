@@ -51,11 +51,12 @@ type MSSPConfig struct {
 	// OOC enables partitioned out-of-core execution on the synchronous
 	// path (see OOCConfig); ignored in Async and Mirror modes.
 	OOC *OOCConfig
-	// Combine merges same-destination messages of the same source with a
-	// minimum-distance combiner (the physical-message reduction of §4.8).
-	// Distances are unchanged; only physical message counts and buffer
-	// occupancy drop. Ignored in Async mode (the GAS executor folds per
-	// activation already).
+	// Combine folds each vertex's delivered messages to one per source
+	// with a minimum-distance combiner (§4.8). The fold runs at delivery,
+	// on the in-memory and the out-of-core backend alike: distances and
+	// sent counts are unchanged, a vertex receives — and relaxes — at most
+	// one message per source per round. Ignored in Async mode (the GAS
+	// executor folds per activation already).
 	Combine bool
 }
 
@@ -170,7 +171,7 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 		}
 		if j.cfg.Combine {
 			// Selection combiner: keeps one whole operand (first on ties),
-			// so send-time and delivery-time folds are byte-identical.
+			// so the fold is exact however a backend groups it.
 			opts.Combiner = func(a, b DistMsg) DistMsg {
 				if b.Dist < a.Dist {
 					return b
