@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 19023
+LOC_MAX := 18370
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
@@ -79,7 +79,9 @@ bench-workers:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineWorkers' 		-pkg ./internal/engine -benchtime 2x -out BENCH_workers_run.json
 
 # Fault-injection + checkpoint/recovery tests under the race detector,
-# mirroring the CI fault-recovery job.
+# mirroring the CI fault-recovery job. `Crash` also selects the cluster's
+# exhaustive axis, rpcrt's TestEveryCrashPointMatchesFaultFree (a crash at
+# every superstep × worker of every task, ~10 s under -race).
 fault:
 	$(GO) test -race -count=1 -timeout 20m 		-run 'Crash|Recover|Fault|Checkpoint|Close|Drop|Delay|Slow' 		./internal/ckpt/... ./internal/fault/... ./internal/engine/... 		./internal/rpcrt/... ./internal/difftest/... ./internal/tasks/...
 

@@ -107,6 +107,9 @@ func main() {
 	if *machines > 0 {
 		cluster = cluster.WithMachines(*machines)
 	}
+	if *taskName == "BKHS" && *khops > tasks.MaxBKHSHops {
+		log.Fatalf("-k %d exceeds the largest BKHS radius, %d", *khops, tasks.MaxBKHSHops)
+	}
 	if *graphFile != "" {
 		// Accepts v3 (bulk/mmap zero-copy load) and legacy v2 dumps alike.
 		// The checksummed loader rejects corrupt dumps; PrimeDataset rejects
@@ -132,7 +135,7 @@ func main() {
 		System:               system,
 		StatScale:            statScale,
 		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(cluster.Machines),
+		GraphBytesPerMachine: d.PaperBytesPerMachine(cluster.Machines),
 	}
 
 	async := system.Async == sim.FullAsync
@@ -152,7 +155,7 @@ func main() {
 			OOC: oocCfg,
 		})
 	case "MSSP":
-		sources := firstSources(g.NumVertices(), *workload)
+		sources := tasks.FirstSources(g.NumVertices(), *workload)
 		job, err = tasks.NewMSSP(g, part, tasks.MSSPConfig{
 			Sources: sources, Mirror: system.Mirror, Async: async, Seed: *seed,
 			Workers:       *workers,
@@ -163,7 +166,7 @@ func main() {
 			log.Fatal(err)
 		}
 	case "BKHS":
-		sources := firstSources(g.NumVertices(), *workload)
+		sources := tasks.FirstSources(g.NumVertices(), *workload)
 		job = tasks.NewBKHS(g, part, tasks.BKHSConfig{
 			Sources: sources, K: *khops, Mirror: system.Mirror, Async: async, Seed: *seed,
 			Workers:       *workers,
@@ -348,20 +351,4 @@ func main() {
 			fmt.Fprintf(w, "spans:     %s (%d spans; open in Perfetto)\n", *traceOut, len(tracer.Spans()))
 		}
 	}
-}
-
-func firstSources(n, count int) []graph.VertexID {
-	if count > n {
-		count = n
-	}
-	seen := make(map[graph.VertexID]bool, count)
-	out := make([]graph.VertexID, 0, count)
-	for i := 0; len(out) < count; i++ {
-		v := graph.VertexID(uint64(i) * 2654435761 % uint64(n))
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		System:               sim.PregelPlus,
 		StatScale:            *scale,
 		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(*machines),
+		GraphBytesPerMachine: d.PaperBytesPerMachine(*machines),
 	}
 	var mkErr error
 	mk := func() tasks.Job {

@@ -321,7 +321,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		e.foldTabs = make([]foldTable, k)
 	}
 	for m := 0; m < k; m++ {
-		e.rngs[m].SetState(opts.Seed ^ (uint64(m+1) * 0x9e3779b97f4a7c15))
+		e.rngs[m].SetState(vcapi.MachineSeed(opts.Seed, m))
 		for _, v := range e.forcedNextBy[m] {
 			e.forcedFlag[v] = false
 		}

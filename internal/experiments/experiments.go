@@ -167,12 +167,6 @@ func (s setting) label(x string) string {
 	return fmt.Sprintf("(%d,%d,%s)", s.paperW, s.machines, x)
 }
 
-// paperGraphBytes estimates the paper-scale CSR footprint (16 B per vertex
-// for offsets+state, 8 B per arc for id+metadata).
-func paperGraphBytes(d graph.DatasetSpec) float64 {
-	return float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8
-}
-
 // pickSources deterministically selects count distinct source vertices.
 func pickSources(n, count int, seed uint64) []graph.VertexID {
 	if count > n {
@@ -198,9 +192,9 @@ func (s setting) jobConfig(d graph.DatasetSpec, replicaW int) sim.JobConfig {
 	if s.statScaleOverride != 0 {
 		statScale = s.statScaleOverride
 	}
-	gb := paperGraphBytes(d) / float64(cl.Machines)
+	gb := d.PaperBytesPerMachine(cl.Machines)
 	if s.wholeGraph {
-		gb = paperGraphBytes(d)
+		gb = d.PaperBytesPerMachine(1)
 	}
 	return sim.JobConfig{
 		Cluster:              cl,

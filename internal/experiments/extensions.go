@@ -50,7 +50,7 @@ func ScaleUpVsScaleOut(o Options, paperW int) (ScaleUpResult, error) {
 		return batch.Run(job, cfg, batch.Single(replicaW))
 	}
 
-	clusterRes, err := run(sim.Galaxy8, paperGraphBytes(d)/8)
+	clusterRes, err := run(sim.Galaxy8, d.PaperBytesPerMachine(8))
 	if err != nil {
 		return ScaleUpResult{}, err
 	}
@@ -59,7 +59,7 @@ func ScaleUpVsScaleOut(o Options, paperW int) (ScaleUpResult, error) {
 		MemBytes: 8 * (16 << 30), UsableFrac: 14.0 / 16.0,
 		Cores: 64, NetBytesPerSec: 117e6, DiskBytesPerSec: 450e6, Disk: sim.SSD,
 	}
-	strongRes, err := run(strong, paperGraphBytes(d))
+	strongRes, err := run(strong, d.PaperBytesPerMachine(1))
 	if err != nil {
 		return ScaleUpResult{}, err
 	}
@@ -113,7 +113,7 @@ func AblationMirroring(o Options) (AblationResult, error) {
 		cfg := sim.JobConfig{
 			Cluster: sim.Galaxy8, System: sys,
 			StatScale: d.ScaleNodes(), NodeScale: d.ScaleNodes(),
-			GraphBytesPerMachine: paperGraphBytes(d) / 8,
+			GraphBytesPerMachine: d.PaperBytesPerMachine(8),
 		}
 		return batch.Run(job, cfg, batch.Equal(w, 2))
 	}

@@ -462,7 +462,7 @@ func Table4(o Options) ([]Table4Cell, error) {
 				System:               sys,
 				StatScale:            statScale,
 				NodeScale:            d.ScaleNodes(),
-				GraphBytesPerMachine: paperGraphBytes(d) / float64(machines),
+				GraphBytesPerMachine: d.PaperBytesPerMachine(machines),
 			}
 		}
 		// PageRank: sync 30 iterations vs async delta propagation.

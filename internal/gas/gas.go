@@ -111,7 +111,7 @@ func NewAsync[M any](g *graph.Graph, part *graph.Partition, prog vcapi.Program[M
 		a.vertsByMachine[m] = append(a.vertsByMachine[m], graph.VertexID(v))
 	}
 	for m := 0; m < k; m++ {
-		a.rngs[m] = randx.New(opts.Seed ^ (uint64(m+1) * 0x9e3779b97f4a7c15))
+		a.rngs[m] = randx.New(vcapi.MachineSeed(opts.Seed, m))
 	}
 	return a
 }

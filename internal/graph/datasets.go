@@ -35,6 +35,13 @@ func (d DatasetSpec) ScaleNodes() float64 {
 	return float64(d.PaperNodes) / float64(d.Nodes)
 }
 
+// PaperBytesPerMachine estimates the paper-scale static graph footprint of
+// one of `machines` machines: a CSR of 16 B per vertex (offsets + state) and
+// 8 B per arc (id + metadata), split evenly.
+func (d DatasetSpec) PaperBytesPerMachine(machines int) float64 {
+	return (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(machines)
+}
+
 // ScaleEdges returns the edge-count ratio paper/replica.
 func (d DatasetSpec) ScaleEdges() float64 {
 	return float64(d.PaperEdges) / float64(d.Edges)

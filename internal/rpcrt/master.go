@@ -19,6 +19,7 @@ import (
 type Cluster struct {
 	k       int
 	g       *graph.Graph
+	part    *graph.Partition // worker i is machine i of graph.HashPartition(n, k)
 	workers []*Worker
 	clients []*rpc.Client
 	addrs   []string
@@ -59,9 +60,9 @@ func StartCluster(g *graph.Graph, k int) (*Cluster, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rpcrt: need at least one worker, got %d", k)
 	}
-	c := &Cluster{k: k, g: g, rpcTimeout: defaultRPCTimeout, addrs: make([]string, k)}
+	c := &Cluster{k: k, g: g, part: graph.HashPartition(g.NumVertices(), k), rpcTimeout: defaultRPCTimeout, addrs: make([]string, k)}
 	for i := 0; i < k; i++ {
-		w := newWorker(i, k, g)
+		w := newWorker(i, c.part, g)
 		if err := serveWorker(w); err != nil {
 			c.Close()
 			return nil, err
@@ -169,20 +170,6 @@ func (c *Cluster) Close() error {
 
 // Workers returns the cluster size.
 func (c *Cluster) Workers() int { return c.k }
-
-// SetComputeParallelism bounds the number of goroutines each worker may use
-// for one ComputeRound (default GOMAXPROCS). n <= 1 forces sequential
-// rounds. Programs whose compute is not parallel-safe (see
-// workerProgram.parallelOK) always run sequentially regardless of n.
-// Results and conservation counters are identical for every setting.
-func (c *Cluster) SetComputeParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for _, w := range c.workers {
-		w.procs = n
-	}
-}
 
 // SetRPCTimeout bounds every master->worker and worker->worker call
 // (default 30 s; net/rpc itself would block forever on a hung peer).
@@ -463,7 +450,7 @@ func (c *Cluster) checkpointAll(round int) (int64, error) {
 // cluster-wide snapshot at the barrier after Advance; when a compute round
 // fails it restarts dead workers, rolls every worker back to the latest
 // checkpoint, and silently replays forward — the determinism contract
-// (sorted inboxes, checkpointed RNG streams) makes the recovered run
+// (sender-ordered inboxes, checkpointed RNG streams) makes the recovered run
 // bit-for-bit identical to an unfaulted one.
 func (c *Cluster) runJob(spec JobSpec) error {
 	c.jobSpan = c.tracer.Begin(0, "job", "rpcrt", 0, 0, obs.L("program", spec.Program))
@@ -665,8 +652,7 @@ func (c *Cluster) recoverJob(spec JobSpec, last ckptMeta) (err error) {
 // every surviving peer re-dials the new address.
 func (c *Cluster) restartWorker(i int) error {
 	old := c.workers[i]
-	w := newWorker(i, c.k, c.g)
-	w.procs = old.procs
+	w := newWorker(i, c.part, c.g)
 	w.fplan = c.fplan
 	w.rpcTimeout = c.rpcTimeout
 	w.tracer = c.tracer
@@ -709,8 +695,11 @@ func (c *Cluster) restartWorker(i int) error {
 	return nil
 }
 
-// collectAll gathers result entries from every worker.
-func (c *Cluster) collectAll() ([]ResultEntry, error) {
+// runAndCollect runs the job and gathers every worker's result entries.
+func (c *Cluster) runAndCollect(spec JobSpec) ([]ResultEntry, error) {
+	if err := c.runJob(spec); err != nil {
+		return nil, err
+	}
 	var out []ResultEntry
 	for i, cl := range c.clients {
 		var part []ResultEntry
@@ -725,12 +714,9 @@ func (c *Cluster) collectAll() ([]ResultEntry, error) {
 // RunMSSP computes shortest-path distances from every source over the RPC
 // cluster. dist[i][v] is +Inf where unreachable.
 func (c *Cluster) RunMSSP(sources []graph.VertexID) ([][]float64, error) {
-	if err := c.runJob(JobSpec{Program: "mssp", Sources: sources}); err != nil {
+	entries, err := c.runAndCollect(JobSpec{Program: "mssp", Sources: sources})
+	if err != nil {
 		return nil, err
-	}
-	idx := make(map[graph.VertexID]int, len(sources))
-	for i, s := range sources {
-		idx[s] = i
 	}
 	dist := make([][]float64, len(sources))
 	for i := range dist {
@@ -739,30 +725,29 @@ func (c *Cluster) RunMSSP(sources []graph.VertexID) ([][]float64, error) {
 			dist[i][v] = math.Inf(1)
 		}
 	}
-	entries, err := c.collectAll()
-	if err != nil {
-		return nil, err
-	}
 	for _, e := range entries {
-		dist[idx[e.Src]][e.V] = float64(e.Val)
+		dist[e.Row][e.V] = e.Val
 	}
 	return dist, nil
 }
 
+// maxWalks bounds RunBPPR's walk count: a bundle of walks rides in the
+// envelope's float32 payload, which counts exactly only up to 2^24.
+const maxWalks = 1 << 24
+
 // RunBPPR runs walks per-vertex α-decay random walks over the RPC cluster
 // and returns the PPR estimates as a map from (src, target) to probability.
 func (c *Cluster) RunBPPR(walks int, alpha float64, seed uint64) (map[[2]graph.VertexID]float64, error) {
-	spec := JobSpec{Program: "bppr", Walks: int32(walks), Alpha: float32(alpha), Seed: seed}
-	if err := c.runJob(spec); err != nil {
-		return nil, err
+	if walks < 1 || walks > maxWalks {
+		return nil, fmt.Errorf("rpcrt: BPPR needs 1..%d walks per vertex, got %d", maxWalks, walks)
 	}
-	entries, err := c.collectAll()
+	entries, err := c.runAndCollect(JobSpec{Program: "bppr", Walks: int32(walks), Alpha: alpha, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[[2]graph.VertexID]float64, len(entries))
 	for _, e := range entries {
-		out[[2]graph.VertexID{e.Src, e.V}] += float64(e.Val) / float64(walks)
+		out[[2]graph.VertexID{e.Row, e.V}] = e.Val / float64(walks)
 	}
 	return out, nil
 }
@@ -770,20 +755,13 @@ func (c *Cluster) RunBPPR(walks int, alpha float64, seed uint64) (map[[2]graph.V
 // RunBKHS counts, for every source, the vertices within k hops (excluding
 // the source).
 func (c *Cluster) RunBKHS(sources []graph.VertexID, k int) ([]int64, error) {
-	if err := c.runJob(JobSpec{Program: "bkhs", Sources: sources, K: int32(k)}); err != nil {
-		return nil, err
-	}
-	idx := make(map[graph.VertexID]int, len(sources))
-	for i, s := range sources {
-		idx[s] = i
-	}
-	counts := make([]int64, len(sources))
-	entries, err := c.collectAll()
+	entries, err := c.runAndCollect(JobSpec{Program: "bkhs", Sources: sources, K: int32(k)})
 	if err != nil {
 		return nil, err
 	}
+	counts := make([]int64, len(sources))
 	for _, e := range entries {
-		counts[idx[e.Src]]++
+		counts[e.Row] += int64(e.Val)
 	}
 	return counts, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vcmt/internal/ckpt"
-	"vcmt/internal/graph"
 	"vcmt/internal/obs"
 	"vcmt/internal/wire"
 )
@@ -56,12 +55,12 @@ type CkptArgs struct {
 	Trace uint64
 }
 
-// Checkpoint snapshots the worker's superstep state — the sorted current
-// inbox (the messages the next compute will consume), the conservation
-// counters, and the program state including RNG streams — into a
-// checksummed file. It replies with the bytes written. The master calls it
-// at the barrier after Advance, so pending and outbox are empty by
-// construction.
+// Checkpoint snapshots the worker's superstep state — the current inbox
+// (the messages the next compute will consume, in delivery order), the
+// conservation counters, and the hosted program's state with its RNG
+// stream — into a checksummed file. It replies with the bytes written. The
+// master calls it at the barrier after Advance, so the pending lists and the
+// outboxes are empty by construction.
 func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	if w.dead.Load() {
 		return w.down()
@@ -81,13 +80,9 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	// span id would be meaningless (and nondeterministic) on restore.
 	snap.Add(wsecMeta, wire.EncodeControl(nil, wire.ControlCheckpoint, args.Round, 0))
 
-	// The inbox is flattened in group order; groups are rebuilt on restore
-	// by splitting on destination change (Advance groups by destination).
-	var flat []Message
-	for _, msgs := range w.cur {
-		flat = append(flat, msgs...)
-	}
-	snap.Add(wsecInbox, wire.EncodeEnvelopes(nil, flat))
+	// The inbox is already flat, one run per destination; restore rebuilds
+	// the offsets with the same stable sort that laid it out.
+	snap.Add(wsecInbox, wire.EncodeEnvelopes(nil, w.inbox))
 
 	w.statsMu.Lock()
 	ctr := make([]byte, 0, 4+len(w.sentByPeer)*16+8+32)
@@ -166,30 +161,15 @@ func (w *Worker) Restore(args RestoreArgs, _ *struct{}) error {
 	}
 	w.round = round
 
-	w.mu.Lock()
-	w.pending = make(map[graph.VertexID][]Message)
-	w.mu.Unlock()
-	for p := range w.outbox {
-		w.outbox[p] = w.outbox[p][:0]
-	}
-	w.sent = 0
-
+	w.reset()
 	flat, err := wire.DecodeEnvelopes(snap.Get(wsecInbox), nil)
+	if err == nil {
+		err = w.checkOwned(flat)
+	}
 	if err != nil {
 		return fmt.Errorf("rpcrt: worker %d restore inbox: %w", w.id, err)
 	}
-	w.cur = w.cur[:0]
-	var group []Message
-	for _, m := range flat {
-		if len(group) > 0 && group[len(group)-1].Dst != m.Dst {
-			w.cur = append(w.cur, group)
-			group = nil
-		}
-		group = append(group, m)
-	}
-	if len(group) > 0 {
-		w.cur = append(w.cur, group)
-	}
+	w.arrange([][]Message{flat})
 
 	ctr := snap.Get(wsecCounters)
 	if want := 4 + w.nPeer*16 + 8 + 32; len(ctr) != want {

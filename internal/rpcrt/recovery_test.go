@@ -1,7 +1,9 @@
 package rpcrt
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +124,65 @@ func TestBPPRCrashRecoveryBitIdentical(t *testing.T) {
 	for key, p := range base {
 		if got[key] != p {
 			t.Fatalf("PPR(%d,%d): fault-free %v recovered %v", key[0], key[1], p, got[key])
+		}
+	}
+}
+
+// TestEveryCrashPointMatchesFaultFree is the exhaustive crash axis: on a
+// 200-vertex graph with 2 workers and a checkpoint every 2 supersteps, crash
+// at every (superstep, worker) pair of every task and require the recovered
+// job to equal the fault-free one in results, supersteps and messages. A
+// restarted worker replays the engine's own program from the engine's own
+// snapshot (plus the host's RNG state), so this is cheap enough to be
+// exhaustive.
+func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
+	g := graph.WithUniformWeights(graph.GenerateChungLu(200, 800, 2.5, 21), 1, 4, 22)
+	sources := []graph.VertexID{3, 77, 150}
+	jobs := []struct {
+		name string
+		run  func(c *Cluster) (any, error)
+	}{
+		{"mssp", func(c *Cluster) (any, error) { return c.RunMSSP(sources) }},
+		{"bkhs", func(c *Cluster) (any, error) { return c.RunBKHS(sources, 3) }},
+		{"bppr", func(c *Cluster) (any, error) { return c.RunBPPR(4, 0.3, 5) }},
+	}
+	const k = 2
+	for _, job := range jobs {
+		run := func(plan string) (res any, rounds int, msgs int64, recoveries int) {
+			t.Helper()
+			c, err := StartCluster(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetCheckpoint(t.TempDir(), 2)
+			if plan != "" {
+				c.SetFaultPlan(mustPlan(t, plan))
+			}
+			if res, err = job.run(c); err != nil {
+				t.Fatalf("%s %s: %v", job.name, plan, err)
+			}
+			return res, c.Rounds(), c.MessagesSent(), c.Recoveries()
+		}
+		want, rounds, msgs, _ := run("")
+		t.Logf("%s: %d supersteps", job.name, rounds)
+		if rounds < 4 {
+			t.Fatalf("%s: only %d supersteps, the axis needs a multi-round job", job.name, rounds)
+		}
+		for step := 2; step <= rounds; step++ {
+			for worker := 0; worker < k; worker++ {
+				plan := fmt.Sprintf("crash:worker=%d,step=%d", worker, step)
+				got, r, m, recoveries := run(plan)
+				if recoveries != 1 {
+					t.Fatalf("%s %s: %d recoveries, want 1", job.name, plan, recoveries)
+				}
+				if r != rounds || m != msgs {
+					t.Fatalf("%s %s: %d supersteps / %d messages, fault-free %d / %d", job.name, plan, r, m, rounds, msgs)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s: recovered results differ from the fault-free run", job.name, plan)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package rpcrt
 import (
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -163,20 +164,30 @@ func TestSingleWorkerCluster(t *testing.T) {
 	}
 }
 
+// TestOwnerPartitionsEverything: the workers' owned sets are exactly the
+// machines of graph.HashPartition — every vertex on one worker, in vertex
+// order, with rank as the inverse — so worker i computes what engine
+// machine i computes.
 func TestOwnerPartitionsEverything(t *testing.T) {
+	const n = 10000
+	g := graph.GenerateRing(n)
 	for _, k := range []int{1, 2, 7, 16} {
-		counts := make([]int, k)
-		for v := 0; v < 10000; v++ {
-			o := owner(graph.VertexID(v), k)
-			if o < 0 || o >= k {
-				t.Fatalf("owner out of range: %d", o)
+		part := graph.HashPartition(n, k)
+		total := 0
+		for id := 0; id < k; id++ {
+			w := newWorker(id, part, g)
+			if len(w.owned) != part.Count(id) || len(w.owned) == 0 {
+				t.Fatalf("k=%d: worker %d owns %d vertices, partition says %d", k, id, len(w.owned), part.Count(id))
 			}
-			counts[o]++
+			for i, v := range w.owned {
+				if part.Owner(v) != id || w.rank[v] != int32(i) || (i > 0 && w.owned[i-1] >= v) {
+					t.Fatalf("k=%d: worker %d owned[%d]=%d: owner %d, rank %d", k, id, i, v, part.Owner(v), w.rank[v])
+				}
+			}
+			total += len(w.owned)
 		}
-		for m, c := range counts {
-			if c == 0 {
-				t.Fatalf("k=%d: machine %d owns nothing", k, m)
-			}
+		if total != n {
+			t.Fatalf("k=%d: workers own %d vertices of %d", k, total, n)
 		}
 	}
 }
@@ -356,40 +367,46 @@ func TestBPPROverRPCMassConservation(t *testing.T) {
 	}
 }
 
-// TestAdvanceSortsInbox delivers a shuffled batch directly and checks that
-// Advance orders the inbox by destination and each vertex's messages by
-// (Src, Val) — the property that makes rpcrt rounds replayable even though
-// peer deliveries interleave nondeterministically.
+// oneWorker returns worker id of k over a ring of n vertices.
+func oneWorker(id, k, n int) *Worker {
+	return newWorker(id, graph.HashPartition(n, k), graph.GenerateRing(n))
+}
+
+// TestAdvanceSortsInbox delivers frames from three senders out of sender
+// order and checks that Advance hands every vertex its messages in the
+// engine's delivery order — sender-major, emission-minor, whatever Src and
+// Val say — so a late frame from a low-numbered sender still sorts first.
 func TestAdvanceSortsInbox(t *testing.T) {
-	w := newWorker(0, 1, graph.GenerateRing(8))
-	batch := []Message{
-		{Dst: 5, Src: 3, Val: 2},
-		{Dst: 1, Src: 0, Val: 1},
-		{Dst: 5, Src: 3, Val: 1},
-		{Dst: 3, Src: 2, Val: 9},
-		{Dst: 5, Src: 1, Val: 7},
-		{Dst: 1, Src: 4, Val: 0},
+	w := oneWorker(1, 3, 12)
+	a, b := w.owned[0], w.owned[1]
+	deliver := func(from int, batch ...Message) {
+		t.Helper()
+		if err := w.Deliver(DeliverArgs{Frame: wire.EncodeDeliver(nil, from, 2, 0, batch)}, &struct{}{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := w.Deliver(DeliverArgs{Frame: wire.EncodeDeliver(nil, 0, 2, 0, batch)}, &struct{}{}); err != nil {
+	deliver(2, Message{Dst: b, Src: 1, Val: 1}, Message{Dst: a, Src: 9, Val: 5})
+	w.sc.send(Message{Dst: b, Src: 7, Val: 3}) // the worker's own sends sort as sender 1
+	w.sc.send(Message{Dst: b, Src: 7, Val: 2})
+	if err := w.exchange(); err != nil {
 		t.Fatal(err)
 	}
+	deliver(2, Message{Dst: b, Src: 0, Val: 0})
+	deliver(0, Message{Dst: a, Src: 8, Val: 9}, Message{Dst: b, Src: 8, Val: 9}) // the late low sender
 	if err := w.Advance(struct{}{}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	wantDst := []graph.VertexID{1, 3, 5}
-	if len(w.cur) != len(wantDst) {
-		t.Fatalf("inbox groups=%d want %d", len(w.cur), len(wantDst))
+	want := map[graph.VertexID][]Message{
+		a: {{Dst: a, Src: 8, Val: 9}, {Dst: a, Src: 9, Val: 5}},
+		b: {{Dst: b, Src: 8, Val: 9}, {Dst: b, Src: 7, Val: 3}, {Dst: b, Src: 7, Val: 2}, {Dst: b, Src: 1, Val: 1}, {Dst: b, Src: 0, Val: 0}},
 	}
-	for i, msgs := range w.cur {
-		if msgs[0].Dst != wantDst[i] {
-			t.Fatalf("group %d dst=%d want %d", i, msgs[0].Dst, wantDst[i])
+	for i, v := range w.owned {
+		if got := w.inbox[w.offs[i]:w.offs[i+1]]; !slices.Equal(got, want[v]) {
+			t.Fatalf("vertex %d: inbox %v, want %v", v, got, want[v])
 		}
-		for j := 1; j < len(msgs); j++ {
-			a, b := msgs[j-1], msgs[j]
-			if a.Src > b.Src || (a.Src == b.Src && a.Val > b.Val) {
-				t.Fatalf("group %d not sorted: %+v before %+v", i, a, b)
-			}
-		}
+	}
+	if err := w.Advance(struct{}{}, &struct{}{}); err != nil || len(w.inbox) != 0 {
+		t.Fatalf("second Advance left %d messages (err %v), want an empty inbox", len(w.inbox), err)
 	}
 }
 
@@ -397,11 +414,11 @@ func TestAdvanceSortsInbox(t *testing.T) {
 // that the receiver counts exactly the frame's encoded size — the wire
 // codec's size functions, the encoder, and the counters must all agree.
 func TestDeliverExactByteAccounting(t *testing.T) {
-	w := newWorker(1, 2, graph.GenerateRing(8))
-	batch := []Message{
-		{Dst: 3, Src: 0, Val: 1.5},
-		{Dst: 5, Src: 300, Val: -2},
-		{Dst: 70000, Src: 5, Val: 0},
+	w := oneWorker(1, 2, 40000)
+	batch := []Message{ // destinations of 1, 2 and 3 varint bytes
+		{Dst: w.owned[0], Src: 0, Val: 1.5},
+		{Dst: w.owned[100], Src: 300, Val: -2},
+		{Dst: w.owned[len(w.owned)-1], Src: 70000, Val: 0},
 	}
 	frame := wire.EncodeDeliver(nil, 0, 4, 0, batch)
 	if got, want := len(frame), wire.DeliverSize(0, 4, 0, batch); got != want {
@@ -419,11 +436,13 @@ func TestDeliverExactByteAccounting(t *testing.T) {
 }
 
 // TestDeliverRejectsCorruptFrame truncates and tampers with a valid frame
-// and requires Deliver to reject it with wire.ErrCorrupt, leaving the
-// inbox and every counter untouched.
+// and requires Deliver to reject it with wire.ErrCorrupt — and a well-formed
+// frame from an unknown sender, or for a vertex owned elsewhere or out of
+// range, with a plain error — leaving the inbox and every counter untouched.
 func TestDeliverRejectsCorruptFrame(t *testing.T) {
-	w := newWorker(1, 2, graph.GenerateRing(8))
-	frame := wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: 3, Src: 1, Val: 9}})
+	w := oneWorker(1, 2, 8)
+	other := oneWorker(0, 2, 8).owned[0]
+	frame := wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: w.owned[0], Src: 1, Val: 9}})
 	bad := [][]byte{
 		frame[:len(frame)-1],              // truncated payload
 		frame[:4],                         // truncated header
@@ -436,78 +455,17 @@ func TestDeliverRejectsCorruptFrame(t *testing.T) {
 			t.Fatalf("case %d: got %v, want wire.ErrCorrupt", i, err)
 		}
 	}
-	if w.recvBytes != 0 || w.recvFrames != 0 || len(w.pending) != 0 {
-		t.Fatalf("corrupt frames mutated state: bytes=%d frames=%d pending=%d",
-			w.recvBytes, w.recvFrames, len(w.pending))
-	}
-}
-
-// TestParallelComputeRoundMatchesSequential runs the same MSSP job with
-// sequential and sharded compute rounds and requires identical distance
-// tables, round counts and per-worker conservation counters — the
-// determinism contract on the RPC runtime.
-func TestParallelComputeRoundMatchesSequential(t *testing.T) {
-	g := graph.WithUniformWeights(graph.GenerateChungLu(200, 800, 2.5, 17), 1, 4, 21)
-	sources := []graph.VertexID{0, 9, 77, 150}
-
-	run := func(procs int) ([][]float64, int, int64, []WorkerStats) {
-		c := startTestCluster(t, g, 4)
-		c.SetComputeParallelism(procs)
-		dist, err := c.RunMSSP(sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := c.WorkerStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dist, c.Rounds(), c.MessagesSent(), st
-	}
-
-	seqDist, seqRounds, seqMsgs, seqStats := run(1)
-	parDist, parRounds, parMsgs, parStats := run(4)
-
-	if seqRounds != parRounds {
-		t.Fatalf("rounds: sequential %d parallel %d", seqRounds, parRounds)
-	}
-	if seqMsgs != parMsgs {
-		t.Fatalf("messages: sequential %d parallel %d", seqMsgs, parMsgs)
-	}
-	for i := range sources {
-		for v := 0; v < g.NumVertices(); v++ {
-			sv, pv := seqDist[i][v], parDist[i][v]
-			if sv != pv && !(math.IsInf(sv, 1) && math.IsInf(pv, 1)) {
-				t.Fatalf("src %d v %d: sequential %v parallel %v", sources[i], v, sv, pv)
-			}
+	for i, f := range [][]byte{
+		wire.EncodeDeliver(nil, 2, 2, 0, []Message{{Dst: w.owned[0]}}),
+		wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: w.owned[0]}, {Dst: other}}),
+		wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: 8}}),
+	} {
+		if err := w.Deliver(DeliverArgs{Frame: f}, &struct{}{}); err == nil || errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("misrouted frame %d: got %v, want a non-corruption error", i, err)
 		}
 	}
-	for i := range seqStats {
-		s, p := seqStats[i], parStats[i]
-		if s.Sent != p.Sent || s.Recv != p.Recv {
-			t.Fatalf("worker %d counters diverge: seq %+v par %+v", i, s, p)
-		}
-		for k := range s.SentByPeer {
-			if s.SentByPeer[k] != p.SentByPeer[k] || s.RecvByPeer[k] != p.RecvByPeer[k] {
-				t.Fatalf("worker %d per-peer counters diverge at %d", i, k)
-			}
-		}
-	}
-}
-
-// TestParallelBKHSMatchesOracle exercises the sharded compute path on the
-// second parallel-safe program.
-func TestParallelBKHSMatchesOracle(t *testing.T) {
-	g := graph.GenerateChungLu(150, 600, 2.4, 23)
-	c := startTestCluster(t, g, 3)
-	c.SetComputeParallelism(8)
-	sources := []graph.VertexID{2, 50, 120}
-	counts, err := c.RunBKHS(sources, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sources {
-		if want := int64(len(ref.KHop(g, s, 2))); counts[i] != want {
-			t.Fatalf("src %d: got %d want %d", s, counts[i], want)
-		}
+	if w.recvBytes != 0 || w.recvFrames != 0 || len(w.pending[0])+len(w.pending[1]) != 0 {
+		t.Fatalf("rejected frames mutated state: bytes=%d frames=%d pending=%v",
+			w.recvBytes, w.recvFrames, w.pending)
 	}
 }

@@ -7,14 +7,19 @@
 // simulator measures and prices paper-scale runs, while rpcrt demonstrates
 // the same programming contract end-to-end with real sockets, real
 // serialization and real barriers.
+//
+// A worker is one more vcapi executor (host.go): it runs the internal/tasks
+// vertex programs the engine runs, as machine = worker id of
+// graph.HashPartition(n, k), and hands every vertex its messages in the
+// engine's delivery order, so a cluster job is bit-identical to an engine
+// run of the same job.
 package rpcrt
 
 import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,31 +49,30 @@ type JobSpec struct {
 	// Walks is the per-vertex walk count for bppr.
 	Walks int32
 	// Alpha is the walk stop probability for bppr (default 0.15).
-	Alpha float32
-	// Seed drives worker-local randomness.
+	Alpha float64
+	// Seed is the job seed; workers derive the engine's per-machine RNG
+	// streams from it.
 	Seed uint64
 }
 
-// ResultEntry is one unit of program output returned by Collect.
+// ResultEntry is one unit of program output returned by Collect: Val at
+// (Row, V). Row indexes JobSpec.Sources for mssp (Val = V's distance) and
+// bkhs (Val = the worker's reach count, V unused); for bppr it is the source
+// vertex (Val = its walks that stopped at V).
 type ResultEntry struct {
-	Src graph.VertexID
+	Row uint32
 	V   graph.VertexID
-	Val float32
+	Val float64
 }
 
-// workerProgram is the vertex program contract on the worker side. seed
-// and compute receive a sendCtx — a buffered send channel that lets
-// ComputeRound shard the inbox across goroutines; parallelOK reports
-// whether compute touches only per-destination-vertex state (no shared
-// scratch or RNG), i.e. whether shards may run concurrently. saveState and
-// loadState are the checkpoint contract: deterministic bytes capturing all
-// cross-round program state (including RNG streams), so a restored worker
-// replays bit-for-bit.
-type workerProgram interface {
-	seed(sc *sendCtx)
-	compute(sc *sendCtx, v graph.VertexID, msgs []Message)
-	collect(w *Worker) []ResultEntry
-	parallelOK() bool
+// hosted is the worker's type-erased view of the program it hosts (see
+// host). saveState and loadState are the checkpoint contract: deterministic
+// bytes capturing all cross-round program state (including the RNG stream),
+// so a restored worker replays bit-for-bit.
+type hosted interface {
+	seed()
+	compute(v graph.VertexID, msgs []Message)
+	collect() []ResultEntry
 	saveState() ([]byte, error)
 	loadState(data []byte) error
 }
@@ -108,14 +112,23 @@ type Worker struct {
 	id    int
 	nPeer int
 	g     *graph.Graph
+	part  *graph.Partition
 	owned []graph.VertexID
+	// rank[v] is v's index in owned, -1 for a vertex another worker owns.
+	rank []int32
 
+	// pending[p] holds the next superstep's messages from worker p in
+	// arrival order, which is p's emission order: p pushes its frames one
+	// at a time. Advance merges the lists into inbox, where owned[i]'s
+	// messages are inbox[offs[i]:offs[i+1]]; cur is the merge's cursor
+	// scratch.
 	mu      sync.Mutex
-	cur     [][]Message // per local vertex index in inboxIdx
-	pending map[graph.VertexID][]Message
-	outbox  [][]Message // per peer
-	prog    workerProgram
-	sent    int64
+	pending [][]Message
+	inbox   []Message
+	offs    []int32
+	cur     []int32
+	sc      *sendCtx
+	prog    hosted
 
 	statsMu    sync.Mutex
 	sentByPeer []int64
@@ -137,10 +150,6 @@ type Worker struct {
 	// Handler goroutine only, like roundBytes.
 	tracer  *obs.Tracer
 	curSpan obs.SpanID
-
-	// procs bounds ComputeRound's shard count (default GOMAXPROCS); the
-	// master sets it via Cluster.SetComputeParallelism.
-	procs int
 
 	// round is the superstep currently executing (1 = seed); the master
 	// passes it to ComputeRound so fault-plan steps line up with the
@@ -176,34 +185,22 @@ func (w *Worker) die() {
 	}
 }
 
-// sendCtx buffers the sends of one compute shard: per-peer outboxes, local
-// deliveries and counters, merged into the worker after the shard finishes.
-// Shards cover contiguous ranges of the sorted inbox and are merged in
-// shard order, so the buffered send streams concatenate to exactly the
-// sequential engine's order — parallel rounds stay bit-deterministic.
+// sendCtx buffers one superstep's sends — per-peer outboxes, local
+// deliveries and counters — so a send takes no lock; exchange folds them
+// into the worker when the superstep's compute ends.
 type sendCtx struct {
 	w          *Worker
-	g          *graph.Graph
-	owned      []graph.VertexID
 	sent       int64
 	sentByPeer []int64
 	local      []Message
 	outbox     [][]Message
 }
 
-func (w *Worker) newSendCtx() *sendCtx {
-	return &sendCtx{
-		w: w, g: w.g, owned: w.owned,
-		sentByPeer: make([]int64, w.nPeer),
-		outbox:     make([][]Message, w.nPeer),
-	}
-}
-
-// send routes a message into the shard's buffers: local destinations to the
-// local batch, remote ones to the per-peer outbox.
+// send routes a message into the buffers: local destinations to the local
+// batch, remote ones to the per-peer outbox.
 func (sc *sendCtx) send(m Message) {
 	sc.sent++
-	o := owner(m.Dst, sc.w.nPeer)
+	o := sc.w.part.Owner(m.Dst)
 	sc.sentByPeer[o]++
 	if o == sc.w.id {
 		sc.local = append(sc.local, m)
@@ -212,53 +209,103 @@ func (sc *sendCtx) send(m Message) {
 	sc.outbox[o] = append(sc.outbox[o], m)
 }
 
-// merge folds a finished shard's buffers into the worker. Called in shard
-// order, single-goroutine.
-func (w *Worker) merge(sc *sendCtx) {
-	w.sent += sc.sent
+// exchange ends a superstep's compute: the send counters and the local
+// deliveries fold into the worker, the per-peer outboxes go out as Deliver
+// frames.
+func (w *Worker) exchange() error {
+	sc := w.sc
 	w.statsMu.Lock()
 	for p, n := range sc.sentByPeer {
 		w.sentByPeer[p] += n
+		sc.sentByPeer[p] = 0
 	}
 	w.recvByPeer[w.id] += int64(len(sc.local))
 	w.statsMu.Unlock()
-	if len(sc.local) > 0 {
-		w.mu.Lock()
-		for _, m := range sc.local {
-			w.pending[m.Dst] = append(w.pending[m.Dst], m)
-		}
-		w.mu.Unlock()
-	}
-	for p := range sc.outbox {
-		if len(sc.outbox[p]) > 0 {
-			w.outbox[p] = append(w.outbox[p], sc.outbox[p]...)
-		}
-	}
+	w.mu.Lock()
+	w.pending[w.id] = append(w.pending[w.id], sc.local...)
+	w.mu.Unlock()
+	sc.local = sc.local[:0]
+	return w.flushOutboxes()
 }
 
-func owner(v graph.VertexID, k int) int {
-	h := uint64(v) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return int(h % uint64(k))
-}
-
-// newWorker builds the service for worker id of k.
-func newWorker(id, k int, g *graph.Graph) *Worker {
+// newWorker builds the service for machine id of part.
+func newWorker(id int, part *graph.Partition, g *graph.Graph) *Worker {
+	k := part.NumMachines()
 	w := &Worker{
-		id: id, nPeer: k, g: g,
-		pending:    make(map[graph.VertexID][]Message),
-		outbox:     make([][]Message, k),
+		id: id, nPeer: k, g: g, part: part,
+		rank:       make([]int32, g.NumVertices()),
+		pending:    make([][]Message, k),
 		sentByPeer: make([]int64, k),
 		recvByPeer: make([]int64, k),
-		procs:      runtime.GOMAXPROCS(0),
 		rpcTimeout: defaultRPCTimeout,
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if owner(graph.VertexID(v), k) == id {
+	w.sc = &sendCtx{w: w, sentByPeer: make([]int64, k), outbox: make([][]Message, k)}
+	for v := range w.rank {
+		w.rank[v] = -1
+		if part.Owner(graph.VertexID(v)) == id {
+			w.rank[v] = int32(len(w.owned))
 			w.owned = append(w.owned, graph.VertexID(v))
 		}
 	}
+	w.offs = make([]int32, len(w.owned)+1)
+	w.cur = make([]int32, len(w.owned))
 	return w
+}
+
+// reset drops every buffered message: the pending lists, the inbox and the
+// send buffers (a job start, or a rollback that abandons a superstep).
+func (w *Worker) reset() {
+	w.mu.Lock()
+	for p := range w.pending {
+		w.pending[p] = w.pending[p][:0]
+	}
+	w.mu.Unlock()
+	w.arrange(nil)
+	sc := w.sc
+	sc.sent, sc.local = 0, sc.local[:0]
+	for p := range sc.outbox {
+		sc.outbox[p], sc.sentByPeer[p] = sc.outbox[p][:0], 0
+	}
+}
+
+// checkOwned rejects a batch that addresses a vertex this worker does not
+// own: such a message has no inbox segment to land in.
+func (w *Worker) checkOwned(batch []Message) error {
+	for _, m := range batch {
+		if int(m.Dst) >= len(w.rank) || w.rank[m.Dst] < 0 {
+			return fmt.Errorf("message for vertex %d, which worker %d does not own", m.Dst, w.id)
+		}
+	}
+	return nil
+}
+
+// arrange lays the messages of lists out as the current inbox with a stable
+// counting sort over the destination's rank: a vertex's messages keep list
+// order, then position within the list. Over the per-sender pending lists
+// that is (sender, emission) order — the order in which the engine delivers
+// to a vertex, which is what makes a cluster run bit-identical to an engine
+// run. Every destination must be owned (see checkOwned).
+func (w *Worker) arrange(lists [][]Message) {
+	total := 0
+	clear(w.cur)
+	for _, list := range lists {
+		total += len(list)
+		for _, m := range list {
+			w.cur[w.rank[m.Dst]]++
+		}
+	}
+	for i, n := range w.cur {
+		w.offs[i+1] = w.offs[i] + n
+	}
+	copy(w.cur, w.offs)
+	w.inbox = slices.Grow(w.inbox[:0], total)[:total]
+	for _, list := range lists {
+		for _, m := range list {
+			r := w.rank[m.Dst]
+			w.inbox[w.cur[r]] = m
+			w.cur[r]++
+		}
+	}
 }
 
 // StartJobArgs configures a job on a worker.
@@ -273,11 +320,7 @@ func (w *Worker) StartJob(args StartJobArgs, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()
 	}
-	w.mu.Lock()
-	w.pending = make(map[graph.VertexID][]Message)
-	w.mu.Unlock()
-	w.cur = nil
-	w.sent = 0
+	w.reset()
 	w.statsMu.Lock()
 	w.sentByPeer = make([]int64, w.nPeer)
 	w.recvByPeer = make([]int64, w.nPeer)
@@ -288,17 +331,18 @@ func (w *Worker) StartJob(args StartJobArgs, _ *struct{}) error {
 	w.recvFrames = 0
 	w.statsMu.Unlock()
 	w.roundBytes = 0
+	var err error
 	switch args.Spec.Program {
 	case "mssp":
-		w.prog = newMSSPProgram(w, args.Spec)
+		w.prog, err = hostMSSP(w, args.Spec)
 	case "bkhs":
-		w.prog = newBKHSProgram(w, args.Spec)
+		w.prog, err = hostBKHS(w, args.Spec)
 	case "bppr":
-		w.prog = newBPPRProgram(w, args.Spec)
+		w.prog = hostBPPR(w, args.Spec)
 	default:
-		return fmt.Errorf("rpcrt: unknown program %q", args.Spec.Program)
+		err = fmt.Errorf("rpcrt: unknown program %q", args.Spec.Program)
 	}
-	return nil
+	return err
 }
 
 // RoundReply is a worker's reply to Seed and ComputeRound: the messages it
@@ -327,50 +371,42 @@ func (w *Worker) Seed(args SeedArgs, reply *RoundReply) error {
 		return fmt.Errorf("rpcrt: no job started on worker %d", w.id)
 	}
 	w.round = 1
-	w.sent = 0
+	w.sc.sent = 0
 	w.roundBytes = 0
 	w.curSpan = w.tracer.Begin(obs.SpanID(args.Trace), "seed", "worker",
 		workerProc(w.id), workerComputeTrack)
-	sc := w.newSendCtx()
-	w.prog.seed(sc)
-	w.merge(sc)
-	if err := w.flushOutboxes(); err != nil {
+	w.prog.seed()
+	return w.endRound(w.exchange(), reply)
+}
+
+// endRound closes the superstep's span after the exchange and fills in the
+// reply.
+func (w *Worker) endRound(err error, reply *RoundReply) error {
+	if err != nil {
 		w.tracer.End(w.curSpan, obs.L("error", err.Error()))
-		w.curSpan = 0
-		return err
+	} else {
+		w.tracer.End(w.curSpan, obs.L("msgs", fmt.Sprint(w.sc.sent)))
+		*reply = RoundReply{Msgs: w.sc.sent, WireBytes: w.roundBytes}
 	}
-	w.tracer.End(w.curSpan, obs.L("msgs", fmt.Sprint(w.sent)))
 	w.curSpan = 0
-	*reply = RoundReply{Msgs: w.sent, WireBytes: w.roundBytes}
-	return nil
+	return err
 }
 
 // Advance moves pending messages into the current inbox (the barrier's
 // superstep boundary). Must only be called when no peer is mid-exchange.
-// The inbox is sorted by destination vertex, and each vertex's messages by
-// (Src, Val): the pending map's iteration order and the peers' delivery
-// interleaving are both nondeterministic, so without the sort, replays of
-// randomized programs would diverge run-to-run and rounds would not be
-// diffable against the deterministic engine.
+// The peers' deliveries interleave nondeterministically, but only across
+// senders: merging the per-sender lists in sender order (see arrange) makes
+// the inbox a pure function of what was sent.
 func (w *Worker) Advance(_ struct{}, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()
 	}
 	w.mu.Lock()
-	pending := w.pending
-	w.pending = make(map[graph.VertexID][]Message)
-	w.mu.Unlock()
-	w.cur = w.cur[:0]
-	for _, msgs := range pending {
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].Src != msgs[b].Src {
-				return msgs[a].Src < msgs[b].Src
-			}
-			return msgs[a].Val < msgs[b].Val
-		})
-		w.cur = append(w.cur, msgs)
+	defer w.mu.Unlock()
+	w.arrange(w.pending)
+	for p := range w.pending {
+		w.pending[p] = w.pending[p][:0]
 	}
-	sort.Slice(w.cur, func(a, b int) bool { return w.cur[a][0].Dst < w.cur[b][0].Dst })
 	return nil
 }
 
@@ -393,16 +429,12 @@ const workerComputeTrack = 0
 
 func workerRecvTrack(from int) int { return 1 + from }
 
-// ComputeRound runs the vertex program over every vertex with messages and
-// exchanges the generated messages with peers. It replies with the
-// superstep's message and wire-byte counts.
-//
-// When the program's compute touches only per-vertex state (parallelOK),
-// the sorted inbox is split into contiguous shards computed concurrently,
-// each buffering its sends in a private sendCtx; merging the shards in
-// shard order reproduces the sequential send stream exactly, so parallel
-// rounds keep the same conservation invariants and bit-deterministic
-// replies.
+// ComputeRound runs the vertex program over every vertex with messages, in
+// vertex order like an engine machine, and exchanges the generated messages
+// with peers. It replies with the superstep's message and wire-byte counts.
+// One goroutine computes: the hosted programs keep per-machine scratch, and
+// sharding the inbox measured no gain (DESIGN.md §7) — add workers, not
+// shards.
 //
 // Fault injection happens here: a planned crash kills the worker before any
 // compute, a delay sleeps before computing, and a slowdown stretches the
@@ -420,65 +452,23 @@ func (w *Worker) ComputeRound(args ComputeRoundArgs, reply *RoundReply) error {
 		workerProc(w.id), workerComputeTrack, obs.L("round", fmt.Sprint(args.Round)))
 	if w.fplan.Crash(w.id, args.Round) {
 		w.die()
-		err := fmt.Errorf("rpcrt: worker %d: injected crash at superstep %d", w.id, args.Round)
-		w.tracer.End(w.curSpan, obs.L("error", err.Error()))
-		w.curSpan = 0
-		return err
+		return w.endRound(fmt.Errorf("rpcrt: worker %d: injected crash at superstep %d", w.id, args.Round), reply)
 	}
 	if d := w.fplan.Delay(w.id, args.Round); d > 0 {
 		time.Sleep(d)
 	}
 	start := time.Now()
-	w.sent = 0
-	shards := w.procs
-	if shards > len(w.cur) {
-		shards = len(w.cur)
-	}
-	if shards > 1 && w.prog.parallelOK() {
-		scs := make([]*sendCtx, shards)
-		var wg sync.WaitGroup
-		wg.Add(shards)
-		for sIdx := 0; sIdx < shards; sIdx++ {
-			sc := w.newSendCtx()
-			scs[sIdx] = sc
-			lo := len(w.cur) * sIdx / shards
-			hi := len(w.cur) * (sIdx + 1) / shards
-			go func(sc *sendCtx, lo, hi int) {
-				defer wg.Done()
-				for _, msgs := range w.cur[lo:hi] {
-					if len(msgs) == 0 {
-						continue
-					}
-					w.prog.compute(sc, msgs[0].Dst, msgs)
-				}
-			}(sc, lo, hi)
+	w.sc.sent = 0
+	for i, v := range w.owned {
+		if lo, hi := w.offs[i], w.offs[i+1]; lo < hi {
+			w.prog.compute(v, w.inbox[lo:hi])
 		}
-		wg.Wait()
-		for _, sc := range scs {
-			w.merge(sc)
-		}
-	} else {
-		sc := w.newSendCtx()
-		for _, msgs := range w.cur {
-			if len(msgs) == 0 {
-				continue
-			}
-			w.prog.compute(sc, msgs[0].Dst, msgs)
-		}
-		w.merge(sc)
 	}
-	if err := w.flushOutboxes(); err != nil {
-		w.tracer.End(w.curSpan, obs.L("error", err.Error()))
-		w.curSpan = 0
-		return err
-	}
-	if f := w.fplan.SlowFactor(w.id, args.Round); f > 1 {
+	err := w.exchange()
+	if f := w.fplan.SlowFactor(w.id, args.Round); err == nil && f > 1 {
 		time.Sleep(time.Duration(float64(time.Since(start)) * (f - 1)))
 	}
-	w.tracer.End(w.curSpan, obs.L("msgs", fmt.Sprint(w.sent)))
-	w.curSpan = 0
-	*reply = RoundReply{Msgs: w.sent, WireBytes: w.roundBytes}
-	return nil
+	return w.endRound(err, reply)
 }
 
 // deliverAttempts bounds the per-peer delivery retries; backoff doubles
@@ -501,7 +491,7 @@ const (
 // returning: by the time deliverWithRetry comes back, net/rpc no longer
 // references the frame.
 func (w *Worker) flushOutboxes() error {
-	for p, box := range w.outbox {
+	for p, box := range w.sc.outbox {
 		if len(box) == 0 {
 			continue
 		}
@@ -525,7 +515,7 @@ func (w *Worker) flushOutboxes() error {
 				return fmt.Errorf("rpcrt: worker %d -> %d deliver: %w", w.id, p, err)
 			}
 		}
-		w.outbox[p] = w.outbox[p][:0]
+		w.sc.outbox[p] = box[:0]
 	}
 	return nil
 }
@@ -568,10 +558,11 @@ type DeliverArgs struct {
 	Frame []byte
 }
 
-// Deliver decodes a delivery frame from a peer into the pending inbox. The
-// frame is decoded in full before any message is applied: a corrupt frame
-// is rejected wholesale with an error wrapping wire.ErrCorrupt and leaves
-// the inbox and counters untouched.
+// Deliver decodes a delivery frame from a peer onto that peer's pending
+// list. The frame is decoded in full before any message is applied: a
+// corrupt frame is rejected wholesale with an error wrapping wire.ErrCorrupt
+// — and one from an unknown sender or for a vertex owned elsewhere with a
+// plain error — and leaves the inbox and counters untouched.
 func (w *Worker) Deliver(args DeliverArgs, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()
@@ -580,13 +571,19 @@ func (w *Worker) Deliver(args DeliverArgs, _ *struct{}) error {
 	h, batch, err := wire.DecodeDeliver(args.Frame, (*sl)[:0])
 	*sl = batch[:0] // keep the (possibly grown) backing array for the pool
 	defer wire.PutEnvelopes(sl)
+	if err == nil && (h.From < 0 || h.From >= w.nPeer) {
+		err = fmt.Errorf("frame from unknown worker %d", h.From)
+	}
+	if err == nil {
+		err = w.checkOwned(batch)
+	}
 	if err != nil {
 		return fmt.Errorf("rpcrt: worker %d deliver: %w", w.id, err)
 	}
 	// The frame's trace context is the sender's compute span, which stays
 	// open until the sender's flush RPC (this call) returns — so the recv
 	// span nests inside it on the wall clock.
-	if w.tracer != nil && h.From >= 0 && h.From < w.nPeer {
+	if w.tracer != nil {
 		span := w.tracer.Begin(obs.SpanID(h.Trace), "recv", "wire",
 			workerProc(w.id), workerRecvTrack(h.From),
 			obs.L("from", fmt.Sprint(h.From)),
@@ -595,16 +592,12 @@ func (w *Worker) Deliver(args DeliverArgs, _ *struct{}) error {
 		defer w.tracer.End(span)
 	}
 	w.mu.Lock()
-	for _, m := range batch {
-		w.pending[m.Dst] = append(w.pending[m.Dst], m)
-	}
+	w.pending[h.From] = append(w.pending[h.From], batch...)
 	w.mu.Unlock()
 	w.statsMu.Lock()
 	w.recvBytes += int64(len(args.Frame))
 	w.recvFrames++
-	if h.From >= 0 && h.From < len(w.recvByPeer) {
-		w.recvByPeer[h.From] += int64(h.Count)
-	}
+	w.recvByPeer[h.From] += int64(h.Count)
 	w.statsMu.Unlock()
 	return nil
 }
@@ -650,7 +643,7 @@ func (w *Worker) Collect(_ struct{}, reply *[]ResultEntry) error {
 	if w.prog == nil {
 		return fmt.Errorf("rpcrt: no job on worker %d", w.id)
 	}
-	*reply = w.prog.collect(w)
+	*reply = w.prog.collect()
 	return nil
 }
 

@@ -88,8 +88,8 @@ func (sp *JobSpec) validate() error {
 	if sp.K == 0 {
 		sp.K = 2
 	}
-	if sp.K < 1 {
-		return fmt.Errorf("k must be >= 1, got %d", sp.K)
+	if sp.K < 1 || sp.K > tasks.MaxBKHSHops {
+		return fmt.Errorf("k must be in 1..%d, got %d", tasks.MaxBKHSHops, sp.K)
 	}
 	if sp.Scale < 0 {
 		return fmt.Errorf("scale must be >= 0, got %g", sp.Scale)
@@ -184,7 +184,7 @@ func (s *Server) buildJob(sp JobSpec, snap *Snapshot) (tasks.Job, sim.JobConfig,
 		System:               s.system,
 		StatScale:            statScale,
 		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(s.cluster.Machines),
+		GraphBytesPerMachine: d.PaperBytesPerMachine(s.cluster.Machines),
 	}
 	async := s.system.Async == sim.FullAsync
 	var job tasks.Job
@@ -197,12 +197,12 @@ func (s *Server) buildJob(sp JobSpec, snap *Snapshot) (tasks.Job, sim.JobConfig,
 		})
 	case "MSSP":
 		job, err = tasks.NewMSSP(g, part, tasks.MSSPConfig{
-			Sources: firstSources(g.NumVertices(), sp.Workload), Mirror: s.system.Mirror,
+			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), Mirror: s.system.Mirror,
 			Async: async, Seed: sp.Seed, Workers: sp.Workers,
 		})
 	case "BKHS":
 		job = tasks.NewBKHS(g, part, tasks.BKHSConfig{
-			Sources: firstSources(g.NumVertices(), sp.Workload), K: sp.K,
+			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), K: sp.K,
 			Mirror: s.system.Mirror, Async: async, Seed: sp.Seed, Workers: sp.Workers,
 		})
 	default:
@@ -287,29 +287,11 @@ func (s *Server) executeJob(j *Job, snap *Snapshot) (*obs.RunReport, []byte, *ob
 
 // effectiveWorkload is the job's TotalWorkload without constructing it:
 // source-count tasks clamp the workload to the vertex count, exactly as
-// vcrun's firstSources does.
+// tasks.FirstSources does.
 func effectiveWorkload(sp JobSpec, snap *Snapshot) int {
 	w := sp.Workload
 	if sp.Task != "BPPR" && w > snap.Graph.NumVertices() {
 		w = snap.Graph.NumVertices()
 	}
 	return w
-}
-
-// firstSources mirrors vcrun's deterministic source selection: the same
-// multiplicative-hash sweep, so MSSP/BKHS jobs see identical source sets.
-func firstSources(n, count int) []graph.VertexID {
-	if count > n {
-		count = n
-	}
-	seen := make(map[graph.VertexID]bool, count)
-	out := make([]graph.VertexID, 0, count)
-	for i := 0; len(out) < count; i++ {
-		v := graph.VertexID(uint64(i) * 2654435761 % uint64(n))
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -236,7 +236,7 @@ func (s *Server) trainModel(sp JobSpec, snap *Snapshot, statScale float64) (*cor
 		System:               s.system,
 		StatScale:            statScale,
 		NodeScale:            snap.Spec.ScaleNodes(),
-		GraphBytesPerMachine: (float64(snap.Spec.PaperNodes)*16 + float64(snap.Spec.PaperEdges)*8) / float64(s.cluster.Machines),
+		GraphBytesPerMachine: snap.Spec.PaperBytesPerMachine(s.cluster.Machines),
 	}
 	async := s.system.Async == sim.FullAsync
 	allSources := func() []graph.VertexID {

@@ -76,7 +76,7 @@ func oneShotReport(t *testing.T, sp JobSpec, cluster sim.ClusterProfile, system 
 		System:               system,
 		StatScale:            statScale,
 		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(cluster.Machines),
+		GraphBytesPerMachine: d.PaperBytesPerMachine(cluster.Machines),
 	}
 	async := system.Async == sim.FullAsync
 	var job tasks.Job
@@ -87,7 +87,7 @@ func oneShotReport(t *testing.T, sp JobSpec, cluster sim.ClusterProfile, system 
 		})
 	case "MSSP":
 		job, err = tasks.NewMSSP(g, part, tasks.MSSPConfig{
-			Sources: firstSources(g.NumVertices(), sp.Workload), Mirror: system.Mirror,
+			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), Mirror: system.Mirror,
 			Async: async, Seed: sp.Seed,
 		})
 		if err != nil {
@@ -95,7 +95,7 @@ func oneShotReport(t *testing.T, sp JobSpec, cluster sim.ClusterProfile, system 
 		}
 	case "BKHS":
 		job = tasks.NewBKHS(g, part, tasks.BKHSConfig{
-			Sources: firstSources(g.NumVertices(), sp.Workload), K: sp.K,
+			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), K: sp.K,
 			Mirror: system.Mirror, Async: async, Seed: sp.Seed,
 		})
 	default:
@@ -399,6 +399,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Task: "BPPR", Dataset: "Web-St", Workload: 0},
 		{Task: "BPPR", Dataset: "Web-St", Workload: 8, Batches: -1},
 		{Task: "BKHS", Dataset: "Web-St", Workload: 8, K: -2},
+		{Task: "BKHS", Dataset: "Web-St", Workload: 8, K: 300}, // hop counts live in a byte
 		{Task: "BPPR", Dataset: "Web-St", Workload: 8, Scale: -1},
 	}
 	for i, sp := range bad {

@@ -1,12 +1,11 @@
 package tasks
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
-	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
@@ -106,19 +105,61 @@ func (j *BKHSJob) Reached(i int) int64 {
 // SourcesDone returns how many sources have completed.
 func (j *BKHSJob) SourcesDone() int { return j.done }
 
-// RunBatch implements Job: processes the next `workload` sources.
-func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
-	k := j.part.NumMachines()
-	if workload <= 0 || j.done >= len(j.cfg.Sources) {
-		return make([]int64, k), nil
-	}
-	hi := j.done + workload
-	if hi > len(j.cfg.Sources) {
-		hi = len(j.cfg.Sources)
-	}
-	batch := j.cfg.Sources[j.done:hi]
+// exec is the execution half of the config.
+func (c BKHSConfig) exec() execConfig {
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
+}
 
+// hopCodec implements engine.Codec for HopMsg (see appendPair).
+type hopCodec struct{}
+
+func (hopCodec) Encode(buf []byte, m HopMsg) []byte { return appendPair(buf, m.Src, uint32(m.Hop)) }
+func (hopCodec) Decode(d []byte) (HopMsg, int) {
+	s, p := readPair(d)
+	return HopMsg{s, int32(p)}, 8
+}
+
+// hopKind describes HopMsg; its fold keeps the smaller hop count.
+var hopKind = msgKind[HopMsg]{
+	codec: hopCodec{},
+	combine: func(a, b HopMsg) HopMsg {
+		if b.Hop < a.Hop {
+			return b
+		}
+		return a
+	},
+	key: func(m HopMsg) uint64 { return uint64(m.Src) },
+}
+
+// RunBatch implements Job: processes the next `workload` sources. It fails
+// when the configured radius exceeds MaxBKHSHops.
+func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
+	if workload <= 0 || j.done >= len(j.cfg.Sources) {
+		return make([]int64, j.part.NumMachines()), nil
+	}
+	prog, err := j.nextBatch(workload)
+	if err != nil {
+		return nil, err
+	}
+	if err := runBatch(&j.eng, j.g, j.part, prog, run, j.cfg.exec(), batchIdx, hopKind); err != nil {
+		unmarkSources(j.srcIdx, prog.sources)
+		return nil, fmt.Errorf("tasks: BKHS batch %d: %w", batchIdx, err)
+	}
+	return prog.Finish(), nil
+}
+
+// NextBatch returns the vertex program of the job's next `workload`
+// sources, or an error when the configured radius exceeds MaxBKHSHops.
+func (j *BKHSJob) NextBatch(workload int) (Batch[HopMsg], error) { return j.nextBatch(workload) }
+
+func (j *BKHSJob) nextBatch(workload int) (*bkhsProg, error) {
+	if j.cfg.K > MaxBKHSHops {
+		return nil, fmt.Errorf("tasks: BKHS radius k=%d exceeds the supported maximum %d", j.cfg.K, MaxBKHSHops)
+	}
+	k := j.part.NumMachines()
 	n := j.g.NumVertices()
+	batch := nextSources(j.cfg.Sources, j.done, workload)
 	prog := &bkhsProg{
 		job:     j,
 		sources: batch,
@@ -143,55 +184,32 @@ func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 			copy(row[f:], row[:f])
 		}
 	}
-	seed := j.cfg.Seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15
-	var err error
-	if j.cfg.Async {
-		a := gas.NewAsync[HopMsg](j.g, j.part, prog, run, gas.Options[HopMsg]{
-			Seed:               seed,
-			StopWhenOverloaded: j.cfg.StopWhenOverloaded,
-		})
-		err = a.Run()
-	} else {
-		opts := engine.Options[HopMsg]{
-			MaxRounds:          j.cfg.MaxRounds,
-			Seed:               seed,
-			Workers:            j.cfg.Workers,
-			StopWhenOverloaded: j.cfg.StopWhenOverloaded,
-			Checkpoint:         checkpointOptions[HopMsg](HopMsgCodec{}, j.cfg.CheckpointDir, j.cfg.CheckpointInterval, batchIdx),
-			Fault:              j.cfg.Fault,
-			OOC:                oocOptions[HopMsg](HopMsgCodec{}, j.cfg.OOC, batchIdx, j.cfg.Mirror),
-		}
-		if j.cfg.Combine {
-			opts.Combiner = func(a, b HopMsg) HopMsg {
-				if b.Hop < a.Hop {
-					return b
-				}
-				return a
-			}
-			opts.CombinerKey = func(m HopMsg) uint64 { return uint64(m.Src) }
-		}
-		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
-	}
-	for _, s := range batch {
-		j.srcIdx[s] = -1
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tasks: BKHS batch %d: %w", batchIdx, err)
-	}
-	for i := range batch {
+	return prog, nil
+}
+
+// Finish implements Batch: the machines' first-reach tallies add up to the
+// job's per-source counts.
+func (p *bkhsProg) Finish() []int64 {
+	j := p.job
+	unmarkSources(j.srcIdx, p.sources)
+	for i := range p.sources {
 		var c int64
-		for m := 0; m < k; m++ {
-			c += prog.counts[m][i]
+		for m := range p.counts {
+			c += p.counts[m][i]
 		}
 		j.reached[j.done+i] = c
 	}
-	j.done = hi
-	return prog.entries, nil
+	j.done += len(p.sources)
+	return p.entries
 }
 
-// unreachedHop marks a vertex not yet reached for a source; hop radii in
-// the paper's BKHS applications are tiny (ego networks), so uint8 suffices.
-const unreachedHop = ^uint8(0)
+// unreachedHop marks a vertex not yet reached for a source. Hop counts live
+// in a byte per (source, vertex) — the paper's BKHS applications search ego
+// networks of radius 2 — so MaxBKHSHops is the largest radius a job accepts.
+const (
+	unreachedHop = ^uint8(0)
+	MaxBKHSHops  = int(unreachedHop) - 1
+)
 
 // bkhsProg is the per-batch vertex program: a k-bounded multi-source BFS
 // that relaxes minimum hop counts, so it is correct under both synchronous
@@ -263,70 +281,15 @@ func (p *bkhsProg) StateEntries(machine int) int64 { return p.entries[machine] }
 // SaveState implements vcapi.StateSnapshotter: hop tables, per-machine
 // first-reach counts, and entry counts.
 func (p *bkhsProg) SaveState() ([]byte, error) {
-	n := len(p.hops[0])
-	buf := make([]byte, 0, 8+len(p.hops)*n+len(p.counts)*len(p.hops)*8+len(p.entries)*8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.hops)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, row := range p.hops {
-		buf = append(buf, row...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.counts)))
-	for _, row := range p.counts {
-		for _, c := range row {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-		}
-	}
-	for _, e := range p.entries {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e))
-	}
-	return buf, nil
+	buf := appendRows(nil, p.hops, len(p.hops), len(p.hops[0]))
+	return appendRows(buf, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries)), nil
 }
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *bkhsProg) LoadState(data []byte) error {
-	nSrc := int(binary.LittleEndian.Uint32(data))
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if nSrc != len(p.hops) || n != len(p.hops[0]) {
-		return fmt.Errorf("tasks: BKHS snapshot shape %dx%d, program has %dx%d", nSrc, n, len(p.hops), len(p.hops[0]))
+	data, err := readRows(data, p.hops, len(p.hops), len(p.hops[0]))
+	if err == nil {
+		_, err = readRows(data, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries))
 	}
-	data = data[8:]
-	for _, row := range p.hops {
-		copy(row, data[:n])
-		data = data[n:]
-	}
-	k := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if k != len(p.counts) {
-		return fmt.Errorf("tasks: BKHS snapshot has %d machines, program has %d", k, len(p.counts))
-	}
-	for _, row := range p.counts {
-		for i := range row {
-			row[i] = int64(binary.LittleEndian.Uint64(data))
-			data = data[8:]
-		}
-	}
-	for m := range p.entries {
-		p.entries[m] = int64(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-	}
-	return nil
-}
-
-// HopMsgCodec serializes HopMsg for out-of-core spilling.
-type HopMsgCodec struct{}
-
-// Encode implements engine.Codec.
-func (HopMsgCodec) Encode(buf []byte, m HopMsg) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], m.Src)
-	binary.LittleEndian.PutUint32(b[4:], uint32(m.Hop))
-	return append(buf, b[:]...)
-}
-
-// Decode implements engine.Codec.
-func (HopMsgCodec) Decode(data []byte) (HopMsg, int) {
-	return HopMsg{
-		Src: binary.LittleEndian.Uint32(data[:4]),
-		Hop: int32(binary.LittleEndian.Uint32(data[4:8])),
-	}, 8
+	return err
 }

@@ -3,12 +3,12 @@ package tasks
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
-	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
@@ -84,15 +84,6 @@ type BPPRConfig struct {
 	Combine bool
 }
 
-func (c *BPPRConfig) defaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 0.15
-	}
-	if c.PruneThreshold == 0 {
-		c.PruneThreshold = 0.25
-	}
-}
-
 // BPPRJob runs Batch Personalized PageRank: PPR(s) for every vertex s,
 // estimated from W α-decay random walks per vertex (§2.3). Walk endpoints
 // are the intermediate results that accumulate across batches (the
@@ -125,7 +116,12 @@ func NewBPPR(g *graph.Graph, part *graph.Partition, cfg BPPRConfig) *BPPRJob {
 	if len(cfg.Sources) > 0 && cfg.WalksPerNode == 0 {
 		cfg.WalksPerNode = 1024
 	}
-	cfg.defaults()
+	if cfg.Alpha == 0 {
+		cfg.Alpha = 0.15
+	}
+	if cfg.PruneThreshold == 0 {
+		cfg.PruneThreshold = 0.25
+	}
 	j := &BPPRJob{
 		g: g, part: part, cfg: cfg,
 		endpoints: make([]map[uint64]float64, part.NumMachines()),
@@ -200,6 +196,14 @@ func (j *BPPRJob) EndpointMass(src graph.VertexID) float64 {
 	return t
 }
 
+// EachEndpoint calls yield for every (src, v) pair of machine's endpoint
+// table with the number of src's walks that stopped at v.
+func (j *BPPRJob) EachEndpoint(machine int, yield func(src, v graph.VertexID, walks float64)) {
+	for k, c := range j.endpoints[machine] {
+		yield(graph.VertexID(k>>32), graph.VertexID(uint32(k)), c)
+	}
+}
+
 func (j *BPPRJob) addEndpoint(machine int, src, v graph.VertexID, mass float64) {
 	j.endpoints[machine][pairKey(src, v)] += mass
 }
@@ -215,15 +219,9 @@ func (j *BPPRJob) saveEndpoints() ([]byte, error) {
 	}
 	buf := make([]byte, 0, 4+size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(j.endpoints)))
-	keys := make([]uint64, 0)
 	for _, m := range j.endpoints {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m)))
-		keys = keys[:0]
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(m)) {
 			buf = binary.LittleEndian.AppendUint64(buf, k)
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m[k]))
 		}
@@ -253,14 +251,46 @@ func (j *BPPRJob) loadEndpoints(data []byte) error {
 	return nil
 }
 
-// MCProgram returns the Pregel-based Monte-Carlo vertex program for one
-// batch of `workload` walks per vertex, for use with custom executors or
-// instrumentation (e.g. the BPPA condition checker); endpoints accumulate
-// into the job. The caller is responsible for updating WalksLaunched
-// bookkeeping when estimates are read.
-func (j *BPPRJob) MCProgram(workload int) vcapi.Program[WalkMsg] {
-	return newBpprMC(j, workload, nil)
+// exec is the execution half of the config.
+func (c BPPRConfig) exec() execConfig {
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
+
+// walkCodec and massCodec implement engine.Codec for the two BPPR message
+// types (see appendPair).
+type (
+	walkCodec struct{}
+	massCodec struct{}
+)
+
+func (walkCodec) Encode(buf []byte, m WalkMsg) []byte { return appendPair(buf, m.Src, uint32(m.Count)) }
+func (walkCodec) Decode(d []byte) (WalkMsg, int) {
+	s, p := readPair(d)
+	return WalkMsg{s, int32(p)}, 8
+}
+func (massCodec) Encode(buf []byte, m MassMsg) []byte {
+	return appendPair(buf, m.Src, math.Float32bits(m.Mass))
+}
+func (massCodec) Decode(d []byte) (MassMsg, int) {
+	s, p := readPair(d)
+	return MassMsg{s, math.Float32frombits(p)}, 8
+}
+
+// walkKind describes WalkMsg: a message weighs the walks it carries, and
+// its fold adds integer counts. massKind has no fold — MassMsg is floating
+// point, where regrouping an addition is not bit-exact.
+var (
+	walkKind = msgKind[WalkMsg]{
+		codec:  walkCodec{},
+		weight: func(m WalkMsg) int64 { return int64(m.Count) },
+		combine: func(a, b WalkMsg) WalkMsg {
+			return WalkMsg{Src: a.Src, Count: a.Count + b.Count}
+		},
+		key: func(m WalkMsg) uint64 { return uint64(m.Src) },
+	}
+	massKind = msgKind[MassMsg]{codec: massCodec{}}
+)
 
 // RunBatch implements Job. In the default mode, `workload` walks start at
 // every vertex; in source-subset mode, the next `workload` sources each
@@ -269,94 +299,91 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	if workload <= 0 {
 		return make([]int64, j.part.NumMachines()), nil
 	}
-	for m := range j.baseline {
-		j.baseline[m] = int64(len(j.endpoints[m]))
-	}
-	var batchSources map[graph.VertexID]bool
-	if len(j.cfg.Sources) > 0 {
-		hi := j.sourcesDone + workload
-		if hi > len(j.cfg.Sources) {
-			hi = len(j.cfg.Sources)
-		}
-		batchSources = make(map[graph.VertexID]bool, hi-j.sourcesDone)
-		for _, s := range j.cfg.Sources[j.sourcesDone:hi] {
-			batchSources[s] = true
-		}
-		j.sourcesDone = hi
-	}
-	opts := engine.Options[WalkMsg]{
-		Weight:             func(m WalkMsg) int64 { return int64(m.Count) },
-		MaxRounds:          j.cfg.MaxRounds,
-		Seed:               j.cfg.Seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15,
-		Workers:            j.cfg.Workers,
-		StopWhenOverloaded: j.cfg.StopWhenOverloaded,
-		Checkpoint:         checkpointOptions[WalkMsg](WalkMsgCodec{}, j.cfg.CheckpointDir, j.cfg.CheckpointInterval, batchIdx),
-		Fault:              j.cfg.Fault,
-		OOC:                oocOptions[WalkMsg](WalkMsgCodec{}, j.cfg.OOC, batchIdx, j.cfg.Mirror),
-	}
-	if j.cfg.Combine {
-		opts.Combiner = func(a, b WalkMsg) WalkMsg {
-			return WalkMsg{Src: a.Src, Count: a.Count + b.Count}
-		}
-		opts.CombinerKey = func(m WalkMsg) uint64 { return uint64(m.Src) }
-	}
+	b := j.nextBatch(workload)
 	var err error
-	perNode := workload
-	if batchSources != nil {
-		perNode = j.cfg.WalksPerNode
-	}
-	switch {
-	case j.cfg.Async:
-		prog := newBpprMC(j, perNode, batchSources)
-		a := gas.NewAsync[WalkMsg](j.g, j.part, prog, run, gas.Options[WalkMsg]{
-			Weight:             opts.Weight,
-			Seed:               opts.Seed,
-			StopWhenOverloaded: opts.StopWhenOverloaded,
-		})
-		err = a.Run()
-	case j.cfg.Mirror:
-		prog := newBpprPush(j, perNode, batchSources)
-		err = runBatch(&j.pushEng, j.g, j.part, prog, run, engine.Options[MassMsg]{
-			MaxRounds:          opts.MaxRounds,
-			Seed:               opts.Seed,
-			Workers:            j.cfg.Workers,
-			StopWhenOverloaded: opts.StopWhenOverloaded,
-			Checkpoint:         checkpointOptions[MassMsg](MassMsgCodec{}, j.cfg.CheckpointDir, j.cfg.CheckpointInterval, batchIdx),
-			Fault:              j.cfg.Fault,
-			OOC:                oocOptions[MassMsg](MassMsgCodec{}, j.cfg.OOC, batchIdx, j.cfg.Mirror),
-		})
-	default:
-		prog := newBpprMC(j, perNode, batchSources)
-		err = runBatch(&j.mcEng, j.g, j.part, prog, run, opts)
+	if j.cfg.Mirror {
+		err = runBatch(&j.pushEng, j.g, j.part, newBpprPush(b), run, j.cfg.exec(), batchIdx, massKind)
+	} else {
+		err = runBatch(&j.mcEng, j.g, j.part, newBpprMC(b), run, j.cfg.exec(), batchIdx, walkKind)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tasks: BPPR batch %d: %w", batchIdx, err)
 	}
-	if batchSources != nil {
+	return b.Finish(), nil
+}
+
+// NextBatch returns the Pregel-based Monte-Carlo vertex program of the
+// job's next batch (the fractional-push variant of Mirror configurations
+// runs through RunBatch only).
+func (j *BPPRJob) NextBatch(workload int) Batch[WalkMsg] { return newBpprMC(j.nextBatch(workload)) }
+
+// bpprBatch is what both BPPR programs are built on: the walks each origin
+// starts, the batch's origins, and the job bookkeeping around the run.
+type bpprBatch struct {
+	job     *BPPRJob
+	w       int
+	sources map[graph.VertexID]bool // nil: every vertex is an origin
+	cut     int                     // sources this batch takes off cfg.Sources
+}
+
+func (j *BPPRJob) nextBatch(workload int) *bpprBatch {
+	for m := range j.baseline {
+		j.baseline[m] = int64(len(j.endpoints[m]))
+	}
+	b := &bpprBatch{job: j, w: workload}
+	if len(j.cfg.Sources) > 0 {
+		batch := nextSources(j.cfg.Sources, j.sourcesDone, workload)
+		b.w, b.cut = j.cfg.WalksPerNode, len(batch)
+		b.sources = make(map[graph.VertexID]bool, len(batch))
+		for _, s := range batch {
+			b.sources[s] = true
+		}
+	}
+	return b
+}
+
+// Finish implements Batch: the endpoints already accumulated into the job,
+// so only the launch bookkeeping is left.
+func (b *bpprBatch) Finish() []int64 {
+	j := b.job
+	if b.sources != nil {
+		j.sourcesDone += b.cut
 		j.launched = j.cfg.WalksPerNode
 	} else {
-		j.launched += workload
+		j.launched += b.w
 	}
-	resid := make([]int64, j.part.NumMachines())
+	resid := make([]int64, len(j.endpoints))
 	for m := range resid {
-		resid[m] = int64(len(j.endpoints[m])) - j.baseline[m]
+		resid[m] = b.StateEntries(m)
 	}
-	return resid, nil
+	return resid
 }
+
+// StateEntries implements vcapi.StateReporter: endpoint entries created by
+// the current batch.
+func (b *bpprBatch) StateEntries(machine int) int64 {
+	return int64(len(b.job.endpoints[machine])) - b.job.baseline[machine]
+}
+
+// SaveState implements vcapi.StateSnapshotter: the batch-accumulated
+// endpoint tables. Both programs' scratch (multinomial buckets, per-source
+// accumulators) is drained within every Compute call and needs no snapshot.
+func (b *bpprBatch) SaveState() ([]byte, error) { return b.job.saveEndpoints() }
+
+// LoadState implements vcapi.StateSnapshotter.
+func (b *bpprBatch) LoadState(data []byte) error { return b.job.loadEndpoints(data) }
 
 // bpprMC is the Pregel-based Monte-Carlo program: each message moves a
 // counted bundle of walks one step (§3, Pregel (BPPR)).
 type bpprMC struct {
-	job     *BPPRJob
-	w       int
-	sources map[graph.VertexID]bool // nil: every vertex is a source
+	*bpprBatch
 	// scratch[m] is machine m's multinomial bucket buffer: machines
 	// compute concurrently, so each needs its own.
 	scratch [][]int64
 }
 
-func newBpprMC(j *BPPRJob, w int, sources map[graph.VertexID]bool) *bpprMC {
-	return &bpprMC{job: j, w: w, sources: sources, scratch: make([][]int64, j.part.NumMachines())}
+func newBpprMC(b *bpprBatch) *bpprMC {
+	return &bpprMC{bpprBatch: b, scratch: make([][]int64, b.job.part.NumMachines())}
 }
 
 func (p *bpprMC) Seed(ctx vcapi.Context[WalkMsg]) {
@@ -411,27 +438,11 @@ func (p *bpprMC) step(ctx vcapi.Context[WalkMsg], v, src graph.VertexID, count i
 	}
 }
 
-// StateEntries implements engine.StateReporter: endpoint entries created by
-// the current batch.
-func (p *bpprMC) StateEntries(machine int) int64 {
-	return int64(len(p.job.endpoints[machine])) - p.job.baseline[machine]
-}
-
-// SaveState implements vcapi.StateSnapshotter: the batch-accumulated
-// endpoint tables. The multinomial scratch buffers are pure per-Compute
-// scratch and need no snapshot.
-func (p *bpprMC) SaveState() ([]byte, error) { return p.job.saveEndpoints() }
-
-// LoadState implements vcapi.StateSnapshotter.
-func (p *bpprMC) LoadState(data []byte) error { return p.job.loadEndpoints(data) }
-
 // bpprPush is the mirror-mechanism-based program (§3, Pregel-Mirror
 // (BPPR)): walk mass is fractionalized over neighbors and disseminated via
 // the broadcast interface, so one common message serves all neighbors.
 type bpprPush struct {
-	job     *BPPRJob
-	w       int
-	sources map[graph.VertexID]bool // nil: every vertex is a source
+	*bpprBatch
 	// Per-machine, per-source aggregation scratch indexed by source vertex
 	// id; accKeys preserves insertion order so execution stays
 	// deterministic. Per machine because machines compute concurrently.
@@ -439,9 +450,9 @@ type bpprPush struct {
 	accKeys [][]graph.VertexID
 }
 
-func newBpprPush(j *BPPRJob, w int, sources map[graph.VertexID]bool) *bpprPush {
-	k := j.part.NumMachines()
-	return &bpprPush{job: j, w: w, sources: sources, acc: make([][]float64, k), accKeys: make([][]graph.VertexID, k)}
+func newBpprPush(b *bpprBatch) *bpprPush {
+	k := b.job.part.NumMachines()
+	return &bpprPush{bpprBatch: b, acc: make([][]float64, k), accKeys: make([][]graph.VertexID, k)}
 }
 
 func (p *bpprPush) Seed(ctx vcapi.Context[MassMsg]) {
@@ -491,56 +502,4 @@ func (p *bpprPush) push(ctx vcapi.Context[MassMsg], v, src graph.VertexID, mass 
 	if rest > 0 {
 		ctx.Broadcast(v, MassMsg{Src: src, Mass: float32(rest / float64(len(ns)))})
 	}
-}
-
-// StateEntries implements engine.StateReporter.
-func (p *bpprPush) StateEntries(machine int) int64 {
-	return int64(len(p.job.endpoints[machine])) - p.job.baseline[machine]
-}
-
-// SaveState implements vcapi.StateSnapshotter: the batch-accumulated
-// endpoint tables. The acc/accKeys scratch is drained within every Compute
-// call and needs no snapshot.
-func (p *bpprPush) SaveState() ([]byte, error) { return p.job.saveEndpoints() }
-
-// LoadState implements vcapi.StateSnapshotter.
-func (p *bpprPush) LoadState(data []byte) error { return p.job.loadEndpoints(data) }
-
-// WalkMsgCodec serializes WalkMsg for out-of-core spilling.
-type WalkMsgCodec struct{}
-
-// Encode implements engine.Codec.
-func (WalkMsgCodec) Encode(buf []byte, m WalkMsg) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], m.Src)
-	binary.LittleEndian.PutUint32(b[4:], uint32(m.Count))
-	return append(buf, b[:]...)
-}
-
-// Decode implements engine.Codec.
-func (WalkMsgCodec) Decode(data []byte) (WalkMsg, int) {
-	return WalkMsg{
-		Src:   binary.LittleEndian.Uint32(data[:4]),
-		Count: int32(binary.LittleEndian.Uint32(data[4:8])),
-	}, 8
-}
-
-// MassMsgCodec serializes MassMsg for checkpointing the mirror variant's
-// pending outboxes.
-type MassMsgCodec struct{}
-
-// Encode implements engine.Codec.
-func (MassMsgCodec) Encode(buf []byte, m MassMsg) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], m.Src)
-	binary.LittleEndian.PutUint32(b[4:], math.Float32bits(m.Mass))
-	return append(buf, b[:]...)
-}
-
-// Decode implements engine.Codec.
-func (MassMsgCodec) Decode(data []byte) (MassMsg, int) {
-	return MassMsg{
-		Src:  binary.LittleEndian.Uint32(data[:4]),
-		Mass: math.Float32frombits(binary.LittleEndian.Uint32(data[4:8])),
-	}, 8
 }

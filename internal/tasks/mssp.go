@@ -1,14 +1,12 @@
 package tasks
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
-	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
@@ -118,19 +116,56 @@ func (j *MSSPJob) Distance(i int, v graph.VertexID) float64 {
 // SourcesDone returns how many sources have completed.
 func (j *MSSPJob) SourcesDone() int { return j.done }
 
+// exec is the execution half of the config.
+func (c MSSPConfig) exec() execConfig {
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
+}
+
+// distCodec implements engine.Codec for DistMsg (see appendPair).
+type distCodec struct{}
+
+func (distCodec) Encode(buf []byte, m DistMsg) []byte {
+	return appendPair(buf, m.Src, math.Float32bits(m.Dist))
+}
+func (distCodec) Decode(d []byte) (DistMsg, int) {
+	s, p := readPair(d)
+	return DistMsg{s, math.Float32frombits(p)}, 8
+}
+
+// distKind describes DistMsg; its fold is a selection (first on ties), so
+// it is exact however a backend groups it.
+var distKind = msgKind[DistMsg]{
+	codec: distCodec{},
+	combine: func(a, b DistMsg) DistMsg {
+		if b.Dist < a.Dist {
+			return b
+		}
+		return a
+	},
+	key: func(m DistMsg) uint64 { return uint64(m.Src) },
+}
+
 // RunBatch implements Job: processes the next `workload` sources.
 func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
-	k := j.part.NumMachines()
 	if workload <= 0 || j.done >= len(j.cfg.Sources) {
-		return make([]int64, k), nil
+		return make([]int64, j.part.NumMachines()), nil
 	}
-	hi := j.done + workload
-	if hi > len(j.cfg.Sources) {
-		hi = len(j.cfg.Sources)
+	prog := j.nextBatch(workload)
+	if err := runBatch(&j.eng, j.g, j.part, prog, run, j.cfg.exec(), batchIdx, distKind); err != nil {
+		unmarkSources(j.srcIdx, prog.sources)
+		return nil, fmt.Errorf("tasks: MSSP batch %d: %w", batchIdx, err)
 	}
-	batch := j.cfg.Sources[j.done:hi]
+	return prog.Finish(), nil
+}
 
-	n := j.g.NumVertices()
+// NextBatch returns the vertex program of the job's next `workload`
+// sources.
+func (j *MSSPJob) NextBatch(workload int) Batch[DistMsg] { return j.nextBatch(workload) }
+
+func (j *MSSPJob) nextBatch(workload int) *msspProg {
+	k := j.part.NumMachines()
+	batch := nextSources(j.cfg.Sources, j.done, workload)
 	prog := &msspProg{
 		job:          j,
 		sources:      batch,
@@ -146,53 +181,23 @@ func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	}
 	for i, s := range batch {
 		j.srcIdx[s] = int32(i)
-		prog.dist[i] = make([]float32, n)
+		prog.dist[i] = make([]float32, j.g.NumVertices())
 		for v := range prog.dist[i] {
 			prog.dist[i][v] = float32(math.Inf(1))
 		}
 	}
-	seed := j.cfg.Seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15
-	var err error
-	if j.cfg.Async {
-		a := gas.NewAsync[DistMsg](j.g, j.part, prog, run, gas.Options[DistMsg]{
-			Seed:               seed,
-			StopWhenOverloaded: j.cfg.StopWhenOverloaded,
-		})
-		err = a.Run()
-	} else {
-		opts := engine.Options[DistMsg]{
-			MaxRounds:          j.cfg.MaxRounds,
-			Seed:               seed,
-			Workers:            j.cfg.Workers,
-			StopWhenOverloaded: j.cfg.StopWhenOverloaded,
-			Checkpoint:         checkpointOptions[DistMsg](DistMsgCodec{}, j.cfg.CheckpointDir, j.cfg.CheckpointInterval, batchIdx),
-			Fault:              j.cfg.Fault,
-			OOC:                oocOptions[DistMsg](DistMsgCodec{}, j.cfg.OOC, batchIdx, j.cfg.Mirror),
-		}
-		if j.cfg.Combine {
-			// Selection combiner: keeps one whole operand (first on ties),
-			// so the fold is exact however a backend groups it.
-			opts.Combiner = func(a, b DistMsg) DistMsg {
-				if b.Dist < a.Dist {
-					return b
-				}
-				return a
-			}
-			opts.CombinerKey = func(m DistMsg) uint64 { return uint64(m.Src) }
-		}
-		err = runBatch(&j.eng, j.g, j.part, prog, run, opts)
+	return prog
+}
+
+// Finish implements Batch: the batch's distance tables become the job's.
+func (p *msspProg) Finish() []int64 {
+	j := p.job
+	unmarkSources(j.srcIdx, p.sources)
+	for i := range p.sources {
+		j.dist[j.done+i] = p.dist[i]
 	}
-	for _, s := range batch {
-		j.srcIdx[s] = -1
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tasks: MSSP batch %d: %w", batchIdx, err)
-	}
-	for i := range batch {
-		j.dist[j.done+i] = prog.dist[i]
-	}
-	j.done = hi
-	return prog.entries, nil
+	j.done += len(p.sources)
+	return p.entries
 }
 
 // msspProg is the per-batch vertex program: each vertex keeps the best
@@ -279,63 +284,15 @@ func (p *msspProg) StateEntries(machine int) int64 { return p.entries[machine] }
 // improved lists) is reset at every Compute call and needs no snapshot:
 // epochs only grow, so stale marks never collide after a restore.
 func (p *msspProg) SaveState() ([]byte, error) {
-	n := len(p.dist[0])
-	buf := make([]byte, 0, 8+len(p.dist)*n*4+len(p.entries)*8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.dist)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, row := range p.dist {
-		for _, d := range row {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(d))
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.entries)))
-	for _, e := range p.entries {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e))
-	}
-	return buf, nil
+	buf := appendRows(nil, p.dist, len(p.dist), len(p.dist[0]))
+	return appendRows(buf, [][]int64{p.entries}, len(p.entries)), nil
 }
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *msspProg) LoadState(data []byte) error {
-	nSrc := int(binary.LittleEndian.Uint32(data))
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if nSrc != len(p.dist) || n != len(p.dist[0]) {
-		return fmt.Errorf("tasks: MSSP snapshot shape %dx%d, program has %dx%d", nSrc, n, len(p.dist), len(p.dist[0]))
+	data, err := readRows(data, p.dist, len(p.dist), len(p.dist[0]))
+	if err == nil {
+		_, err = readRows(data, [][]int64{p.entries}, len(p.entries))
 	}
-	data = data[8:]
-	for _, row := range p.dist {
-		for v := range row {
-			row[v] = math.Float32frombits(binary.LittleEndian.Uint32(data))
-			data = data[4:]
-		}
-	}
-	k := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if k != len(p.entries) {
-		return fmt.Errorf("tasks: MSSP snapshot has %d machines, program has %d", k, len(p.entries))
-	}
-	for m := range p.entries {
-		p.entries[m] = int64(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-	}
-	return nil
-}
-
-// DistMsgCodec serializes DistMsg for out-of-core spilling.
-type DistMsgCodec struct{}
-
-// Encode implements engine.Codec.
-func (DistMsgCodec) Encode(buf []byte, m DistMsg) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], m.Src)
-	binary.LittleEndian.PutUint32(b[4:], math.Float32bits(m.Dist))
-	return append(buf, b[:]...)
-}
-
-// Decode implements engine.Codec.
-func (DistMsgCodec) Decode(data []byte) (DistMsg, int) {
-	return DistMsg{
-		Src:  binary.LittleEndian.Uint32(data[:4]),
-		Dist: math.Float32frombits(binary.LittleEndian.Uint32(data[4:8])),
-	}, 8
+	return err
 }

@@ -11,10 +11,14 @@
 package tasks
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"vcmt/internal/engine"
+	"vcmt/internal/fault"
+	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
 	"vcmt/internal/sim"
@@ -37,17 +41,132 @@ type Job interface {
 	MemModel() sim.TaskMemModel
 }
 
-// runBatch runs prog for one batch on the job's engine: the first batch
-// constructs it, every later one re-arms it with Reset, so a job pays the
-// partition-derived tables, the outbox chunks, the inbox and the combine
-// tables once however many batches it is cut into.
-func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partition, prog vcapi.Program[M], run *sim.Run, opts engine.Options[M]) error {
+// Batch is a job's next batch as a vertex program, for any vcapi executor:
+// the engine and the gas executor through runBatch, an rpcrt worker through
+// its host. There is one program per task; executors differ only in how
+// they move its messages.
+type Batch[M any] interface {
+	vcapi.Program[M]
+	vcapi.StateReporter
+	vcapi.StateSnapshotter
+	// Finish folds the drained batch's results into the job and returns the
+	// residual entries per machine that the batch leaves behind.
+	Finish() []int64
+}
+
+// BatchSeed is the executor seed of a job's batchIdx-th batch.
+func BatchSeed(seed uint64, batchIdx int) uint64 {
+	return seed ^ uint64(batchIdx+1)*0x9e3779b97f4a7c15
+}
+
+// execConfig is the part of a task config that says how batches execute
+// rather than what they compute; the three configs spell it with the same
+// field names (see MSSPConfig for their documentation).
+type execConfig struct {
+	Mirror, Async, Combine bool
+	Seed                   uint64
+	MaxRounds, Workers     int
+	StopWhenOverloaded     bool
+	CheckpointDir          string
+	CheckpointInterval     int
+	Fault                  *fault.Plan
+	OOC                    *OOCConfig
+}
+
+// msgKind is what an executor must know about a message type: its codec
+// for checkpoints and partition files, its logical multiplicity (nil = 1),
+// and the exact keyed fold that a config's Combine switches on (nil for a
+// type that has none).
+type msgKind[M any] struct {
+	codec   engine.Codec[M]
+	weight  vcapi.WeightFunc[M]
+	combine engine.Combiner[M]
+	key     func(M) uint64
+}
+
+// runBatch runs prog as the job's batchIdx-th batch: on the asynchronous
+// gas executor when the config asks for it, otherwise on the job's engine.
+// The first synchronous batch constructs the engine, every later one
+// re-arms it with Reset, so a job pays the partition-derived tables, the
+// outbox chunks, the inbox and the combine tables once however many batches
+// it is cut into.
+func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partition, prog vcapi.Program[M], run *sim.Run, c execConfig, batchIdx int, kind msgKind[M]) error {
+	seed := BatchSeed(c.Seed, batchIdx)
+	if c.Async {
+		return gas.NewAsync(g, part, prog, run, gas.Options[M]{
+			Weight: kind.weight, Seed: seed, StopWhenOverloaded: c.StopWhenOverloaded,
+		}).Run()
+	}
+	opts := engine.Options[M]{
+		Weight:             kind.weight,
+		MaxRounds:          c.MaxRounds,
+		Seed:               seed,
+		Workers:            c.Workers,
+		StopWhenOverloaded: c.StopWhenOverloaded,
+		Fault:              c.Fault,
+	}
+	// Checkpoints and partition files go to a per-batch subdirectory: engine
+	// rounds restart at 1 every batch, so in a shared directory an older
+	// batch's high-numbered checkpoint would shadow the current one. (An
+	// empty OOC Dir lets each batch's runner own a temporary directory.)
+	sub := fmt.Sprintf("batch%03d", batchIdx)
+	if c.CheckpointDir != "" {
+		opts.Checkpoint = &engine.CheckpointOptions[M]{
+			Codec: kind.codec, Dir: filepath.Join(c.CheckpointDir, sub), Interval: c.CheckpointInterval,
+		}
+	}
+	if oc := c.OOC; oc != nil && !c.Mirror { // the engine rejects OOC with mirroring
+		opts.OOC = &engine.OOCOptions[M]{
+			Codec: kind.codec, MemoryBudgetBytes: oc.MemoryBudgetBytes, Partitions: oc.Partitions, Stats: oc.Stats,
+		}
+		if oc.Dir != "" {
+			opts.OOC.Dir = filepath.Join(oc.Dir, sub)
+		}
+	}
+	if c.Combine {
+		opts.Combiner, opts.CombinerKey = kind.combine, kind.key
+	}
 	if *eng == nil {
 		*eng = engine.New(g, part, prog, run, opts)
 	} else {
 		(*eng).Reset(prog, run, opts)
 	}
 	return (*eng).Run()
+}
+
+// appendPair and readPair are the engine.Codec of every message type here —
+// a source vertex and one 32-bit payload, 8 little-endian bytes in
+// checkpoints and partition files; the per-type codecs only name the
+// payload. (Concrete types, not closures: the out-of-core backend calls
+// them per message, and an extra indirect call there measured 5 %.)
+func appendPair(buf []byte, src graph.VertexID, payload uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(buf, src), payload)
+}
+
+func readPair(data []byte) (src graph.VertexID, payload uint32) {
+	return binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:8])
+}
+
+// nextSources cuts the next batch of up to workload sources off a job that
+// has finished done of them.
+func nextSources(sources []graph.VertexID, done, workload int) []graph.VertexID {
+	return sources[done:min(done+workload, len(sources))]
+}
+
+// FirstSources is the fixed source selection of vcrun and the service: the
+// first count distinct vertices of a multiplicative-hash sweep over n.
+func FirstSources(n, count int) []graph.VertexID {
+	count = min(count, n)
+	seen := make(map[graph.VertexID]bool, count)
+	out := make([]graph.VertexID, 0, count)
+	for i := 0; len(out) < count; i++ {
+		v := graph.VertexID(uint64(i) * 2654435761 % uint64(n))
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // newSourceIndex returns a job-lifetime dense map from vertex to the
@@ -62,23 +181,47 @@ func newSourceIndex(n int) []int32 {
 	return idx
 }
 
-// pairKey packs a (source, vertex) pair into a map key.
-func pairKey(src, v uint32) uint64 { return uint64(src)<<32 | uint64(v) }
-
-// checkpointOptions builds the engine checkpoint configuration shared by
-// all tasks: nil when dir is empty, otherwise a per-batch subdirectory
-// (engine rounds restart at 1 every batch, so sharing one directory would
-// let an older batch's high-numbered checkpoint shadow the current one).
-func checkpointOptions[M any](codec engine.Codec[M], dir string, interval, batchIdx int) *engine.CheckpointOptions[M] {
-	if dir == "" {
-		return nil
-	}
-	return &engine.CheckpointOptions[M]{
-		Codec:    codec,
-		Dir:      filepath.Join(dir, fmt.Sprintf("batch%03d", batchIdx)),
-		Interval: interval,
+// unmarkSources clears a finished batch's marks from the source index.
+func unmarkSources(idx []int32, batch []graph.VertexID) {
+	for _, s := range batch {
+		idx[s] = -1
 	}
 }
+
+// appendRows appends one part of a program snapshot: the part's dimensions
+// as uint32 words, then rows, all little-endian.
+func appendRows[T any](buf []byte, rows [][]T, dims ...int) []byte {
+	buf = slices.Grow(buf, 4*len(dims)+len(rows)*binary.Size(rows[0]))
+	for _, d := range dims {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
+	for _, row := range rows {
+		buf, _ = binary.Append(buf, binary.LittleEndian, row) // fails only for a T of no fixed size
+	}
+	return buf
+}
+
+// readRows fills rows from an appendRows image written with the same
+// dimensions and returns the bytes after it.
+func readRows[T any](data []byte, rows [][]T, dims ...int) ([]byte, error) {
+	for _, d := range dims {
+		if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != d {
+			return nil, fmt.Errorf("tasks: snapshot does not have the program's dimensions %v", dims)
+		}
+		data = data[4:]
+	}
+	for _, row := range rows {
+		n, err := binary.Decode(data, binary.LittleEndian, row)
+		if err != nil {
+			return nil, fmt.Errorf("tasks: snapshot: %w", err)
+		}
+		data = data[n:]
+	}
+	return data, nil
+}
+
+// pairKey packs a (source, vertex) pair into a map key.
+func pairKey(src, v uint32) uint64 { return uint64(src)<<32 | uint64(v) }
 
 // OOCConfig enables the partitioned out-of-core execution backend
 // (engine.OOCOptions) on a task's synchronous batches: messages are routed
@@ -99,26 +242,4 @@ type OOCConfig struct {
 	// Stats, when non-nil, accumulates measured wall-clock IO across all
 	// batches for disk-bandwidth calibration (core.DiskTuneCalibrated).
 	Stats *ooc.IOStats
-}
-
-// oocOptions builds the engine out-of-core configuration shared by all
-// tasks: nil when cfg is nil or the batch runs a mirror (broadcast) system
-// — the engine rejects OOC+mirroring — otherwise a per-batch subdirectory
-// (mirroring checkpointOptions; an empty Dir lets each batch's runner own a
-// temporary directory).
-func oocOptions[M any](codec engine.Codec[M], cfg *OOCConfig, batchIdx int, mirror bool) *engine.OOCOptions[M] {
-	if cfg == nil || mirror {
-		return nil
-	}
-	dir := cfg.Dir
-	if dir != "" {
-		dir = filepath.Join(dir, fmt.Sprintf("batch%03d", batchIdx))
-	}
-	return &engine.OOCOptions[M]{
-		Codec:             codec,
-		Dir:               dir,
-		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
-		Partitions:        cfg.Partitions,
-		Stats:             cfg.Stats,
-	}
 }

@@ -386,6 +386,26 @@ func TestBKHSTerminatesInKPlusOneRounds(t *testing.T) {
 	}
 }
 
+// TestBKHSRadiusBound: hop counts live in a byte with 255 = unreached, so
+// the largest radius is 254 — exact on a ring, where k hops reach 2k
+// vertices — and a larger one is an error, not a silent clamp (K: 300 used
+// to report 508 here, not 600).
+func TestBKHSRadiusBound(t *testing.T) {
+	g := graph.GenerateRing(1000)
+	part := graph.HashPartition(1000, 2)
+	job := NewBKHS(g, part, BKHSConfig{Sources: []graph.VertexID{0}, K: MaxBKHSHops})
+	if _, err := job.RunBatch(nil, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Reached(0); got != int64(2*MaxBKHSHops) {
+		t.Fatalf("k=%d on a ring reached %d vertices, want %d", MaxBKHSHops, got, 2*MaxBKHSHops)
+	}
+	job = NewBKHS(g, part, BKHSConfig{Sources: []graph.VertexID{0}, K: 300})
+	if _, err := job.RunBatch(nil, 1, 0); err == nil {
+		t.Fatalf("k=300 accepted; it reached %d vertices", job.Reached(0))
+	}
+}
+
 func TestBKHSReachedUnprocessedIsMinusOne(t *testing.T) {
 	g := graph.GenerateRing(10)
 	part := graph.HashPartition(10, 2)
@@ -426,21 +446,21 @@ func TestPageRankRunsConfiguredIterations(t *testing.T) {
 
 func TestCodecsRoundTrip(t *testing.T) {
 	walk := func(src uint32, count int32) bool {
-		m, n := WalkMsgCodec{}.Decode(WalkMsgCodec{}.Encode(nil, WalkMsg{Src: src, Count: count}))
+		m, n := walkKind.codec.Decode(walkKind.codec.Encode(nil, WalkMsg{Src: src, Count: count}))
 		return n == 8 && m.Src == src && m.Count == count
 	}
 	if err := quick.Check(walk, nil); err != nil {
 		t.Fatal(err)
 	}
 	dist := func(src uint32, d float32) bool {
-		m, n := DistMsgCodec{}.Decode(DistMsgCodec{}.Encode(nil, DistMsg{Src: src, Dist: d}))
+		m, n := distKind.codec.Decode(distKind.codec.Encode(nil, DistMsg{Src: src, Dist: d}))
 		return n == 8 && m.Src == src && (m.Dist == d || (math.IsNaN(float64(m.Dist)) && math.IsNaN(float64(d))))
 	}
 	if err := quick.Check(dist, nil); err != nil {
 		t.Fatal(err)
 	}
 	hop := func(src uint32, h int32) bool {
-		m, n := HopMsgCodec{}.Decode(HopMsgCodec{}.Encode(nil, HopMsg{Src: src, Hop: h}))
+		m, n := hopKind.codec.Decode(hopKind.codec.Encode(nil, HopMsg{Src: src, Hop: h}))
 		return n == 8 && m.Src == src && m.Hop == h
 	}
 	if err := quick.Check(hop, nil); err != nil {

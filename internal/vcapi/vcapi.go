@@ -1,8 +1,9 @@
 // Package vcapi defines the vertex-centric programming contract shared by
 // every executor in this repository: the synchronous BSP engine
-// (internal/engine, the Pregel/Giraph/Pregel+/GraphD family) and the
+// (internal/engine, the Pregel/Giraph/Pregel+/GraphD family), the
 // GAS-style executors (internal/gas, the GraphLab family, including the
-// asynchronous engine). A vertex program written once against these
+// asynchronous engine) and the workers of the real RPC cluster
+// (internal/rpcrt). A vertex program written once against these
 // interfaces runs unchanged on any executor, which is exactly how the
 // paper ports its benchmark tasks across the seven systems (§3).
 package vcapi
@@ -34,6 +35,13 @@ type Context[M any] interface {
 	// Broadcast delivers m to every neighbor of src (the broadcast
 	// interface of the mirror-mechanism-based family of §3).
 	Broadcast(src graph.VertexID, m M)
+}
+
+// MachineSeed derives a machine's RNG stream from an executor's run seed.
+// Every executor seeds Context.RNG with it, so a program draws the same
+// numbers on the same machine whichever executor hosts it.
+func MachineSeed(seed uint64, machine int) uint64 {
+	return seed ^ uint64(machine+1)*0x9e3779b97f4a7c15
 }
 
 // Program is a vertex-centric program.
