@@ -31,7 +31,6 @@ func main() {
 		stats    = flag.Bool("stats", false, "print graph statistics")
 		out      = flag.String("out", "", "output file")
 		edgelist = flag.Bool("edgelist", false, "write a text edge list instead of binary")
-		legacyV2 = flag.Bool("legacy-v2", false, "write the legacy v2 binary format (reflection-decoded) instead of the v3 bulk-load format")
 	)
 	flag.Parse()
 
@@ -99,12 +98,9 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		switch {
-		case *edgelist:
+		if *edgelist {
 			err = graph.WriteEdgeList(f, g)
-		case *legacyV2:
-			err = graph.WriteBinaryV2(f, g)
-		default:
+		} else {
 			err = graph.WriteBinary(f, g)
 		}
 		if err != nil {

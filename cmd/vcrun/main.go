@@ -111,8 +111,8 @@ func main() {
 		log.Fatalf("-k %d exceeds the largest BKHS radius, %d", *khops, tasks.MaxBKHSHops)
 	}
 	if *graphFile != "" {
-		// Accepts v3 (bulk/mmap zero-copy load) and legacy v2 dumps alike.
-		// The checksummed loader rejects corrupt dumps; PrimeDataset rejects
+		// A bulk/mmap zero-copy load of a graphgen dump. The checksummed
+		// loader rejects corrupt and retired-format dumps; PrimeDataset rejects
 		// dumps of the wrong dataset. A primed cache makes d.Load() below
 		// return the file's graph instead of regenerating.
 		loaded, err := graph.LoadBinaryFile(*graphFile)

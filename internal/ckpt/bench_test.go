@@ -1,19 +1,15 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 )
 
 // benchSnapshot builds a synthetic worker snapshot shaped like the
-// runtimes' real ones: a small meta section, a message inbox, and a vertex
-// state table, totalling roughly stateBytes of payload.
+// runtimes' real ones: a message inbox and a vertex state table, totalling
+// roughly stateBytes of payload.
 func benchSnapshot(step, stateBytes int) *Snapshot {
 	s := &Snapshot{Step: step}
-	meta := binary.LittleEndian.AppendUint64(nil, uint64(step))
-	s.Add("meta", meta)
-
 	inbox := make([]byte, stateBytes/4)
 	for i := range inbox {
 		inbox[i] = byte(i * 31)
@@ -33,7 +29,7 @@ func benchSnapshot(step, stateBytes int) *Snapshot {
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
 		b.Run(fmt.Sprintf("size=%dKB", size>>10), func(b *testing.B) {
-			m := &Manager{Dir: b.TempDir(), Keep: 1}
+			m := &Manager{Dir: b.TempDir()}
 			snap := benchSnapshot(1, size)
 			b.SetBytes(int64(size))
 			b.ResetTimer()
@@ -52,7 +48,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 func BenchmarkCheckpointRecover(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
 		b.Run(fmt.Sprintf("size=%dKB", size>>10), func(b *testing.B) {
-			m := &Manager{Dir: b.TempDir(), Keep: 1}
+			m := &Manager{Dir: b.TempDir()}
 			if _, err := m.Save(benchSnapshot(7, size)); err != nil {
 				b.Fatal(err)
 			}

@@ -1,13 +1,14 @@
 // Package ckpt implements superstep checkpointing for both runtimes: the
 // simulated engine (internal/engine) and the net/rpc runtime
 // (internal/rpcrt). A checkpoint is a versioned, checksummed snapshot of
-// everything a runtime needs to resume from a superstep barrier — vertex
-// state, pending inboxes/outboxes, aggregator values, per-machine RNG
-// state, spill-file contents — organized as named sections so each runtime
-// can define its own layout without changing the container format.
+// everything a runtime needs to resume from a superstep barrier: the
+// superstep itself, recorded once in the container header (Snapshot.Step),
+// and the runtime's named sections — the engine's buffered outboxes, RNG
+// streams and program state, a worker's inbox, counters and program state —
+// so each runtime defines its own layout without changing the container.
 //
-// Files are written atomically (temp file + rename) and named by superstep
-// so the latest checkpoint is discoverable after a crash. The CRC-64
+// Files are written atomically (temp file + rename) and named by superstep;
+// each participant keeps exactly the file it wrote last. The CRC-64
 // trailer guards against torn or corrupted files: a snapshot that fails
 // the checksum is never loaded silently (Decode returns an error), which
 // the fuzz tests in this package enforce.
@@ -157,17 +158,14 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// Manager writes, discovers, and prunes the checkpoints of one
-// participant (one engine run, or one rpcrt worker) inside a directory.
-// Multiple participants share a directory by using distinct prefixes.
+// Manager writes and discovers the checkpoints of one participant (one
+// engine run, or one rpcrt worker) inside a directory. Multiple
+// participants share a directory by using distinct prefixes.
 type Manager struct {
 	// Dir is the checkpoint directory; created on first Save.
 	Dir string
 	// Prefix distinguishes this participant's files ("ckpt-" if empty).
 	Prefix string
-	// Keep bounds how many checkpoints survive pruning (1 if <= 0): after
-	// each Save, only the Keep highest-step files remain.
-	Keep int
 }
 
 func (m *Manager) prefix() string {
@@ -182,8 +180,11 @@ func (m *Manager) path(step int) string {
 }
 
 // Save encodes the snapshot, writes it atomically (temp file in the same
-// directory, fsync-free rename), prunes superseded checkpoints, and
-// returns the number of bytes written.
+// directory, fsync-free rename), removes every other checkpoint of this
+// participant whatever its step, and returns the number of bytes written.
+// Runs restart at step 1, so a higher-step file in a reused directory
+// belongs to an earlier run and must never outlive — or be restored in
+// place of — the file just written.
 func (m *Manager) Save(s *Snapshot) (int64, error) {
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return 0, err
@@ -206,8 +207,17 @@ func (m *Manager) Save(s *Snapshot) (int64, error) {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	if err := m.Prune(); err != nil {
+	steps, err := m.steps()
+	if err != nil {
 		return 0, err
+	}
+	for _, step := range steps {
+		if step == s.Step {
+			continue
+		}
+		if err := os.Remove(m.path(step)); err != nil {
+			return 0, err
+		}
 	}
 	return int64(len(data)), nil
 }
@@ -238,9 +248,9 @@ func (m *Manager) steps() ([]int, error) {
 	return steps, nil
 }
 
-// Latest loads the highest-step checkpoint, or returns (nil, "", nil) when
-// none exists. A damaged latest checkpoint is an error, not a silent
-// fallback.
+// Latest loads the highest-step checkpoint — after a Save, the one it
+// wrote — or returns (nil, "", nil) when none exists. A damaged latest
+// checkpoint is an error, not a silent fallback.
 func (m *Manager) Latest() (*Snapshot, string, error) {
 	steps, err := m.steps()
 	if err != nil || len(steps) == 0 {
@@ -252,28 +262,4 @@ func (m *Manager) Latest() (*Snapshot, string, error) {
 		return nil, "", err
 	}
 	return s, path, nil
-}
-
-// LoadStep loads the checkpoint cut at the given superstep.
-func (m *Manager) LoadStep(step int) (*Snapshot, error) {
-	return Load(m.path(step))
-}
-
-// Prune deletes all but the Keep highest-step checkpoints.
-func (m *Manager) Prune() error {
-	keep := m.Keep
-	if keep <= 0 {
-		keep = 1
-	}
-	steps, err := m.steps()
-	if err != nil {
-		return err
-	}
-	for len(steps) > keep {
-		if err := os.Remove(m.path(steps[0])); err != nil {
-			return err
-		}
-		steps = steps[1:]
-	}
-	return nil
 }

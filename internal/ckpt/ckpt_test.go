@@ -60,12 +60,20 @@ func TestDecodeTruncation(t *testing.T) {
 	}
 }
 
+// TestManagerSaveLatestPrune: a higher-step file from an earlier run does
+// not survive Save — every Save leaves exactly the file it wrote, so Latest
+// returns this run's snapshot, never the stale one.
 func TestManagerSaveLatestPrune(t *testing.T) {
 	dir := t.TempDir()
-	m := &Manager{Dir: dir, Prefix: "w0-", Keep: 2}
+	m := &Manager{Dir: dir, Prefix: "w0-"}
+	stale := &Snapshot{Step: 40}
+	stale.Add("prog", []byte("an earlier run"))
+	if _, err := m.Save(stale); err != nil {
+		t.Fatal(err)
+	}
 	for step := 1; step <= 5; step++ {
 		s := &Snapshot{Step: step}
-		s.Add("meta", []byte{byte(step)})
+		s.Add("prog", []byte{byte(step)})
 		n, err := m.Save(s)
 		if err != nil {
 			t.Fatalf("Save step %d: %v", step, err)
@@ -73,26 +81,23 @@ func TestManagerSaveLatestPrune(t *testing.T) {
 		if n <= 0 {
 			t.Fatalf("Save step %d reported %d bytes", step, n)
 		}
+		steps, err := m.steps()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(steps) != 1 || steps[0] != step {
+			t.Fatalf("after Save step %d the directory holds steps %v, want [%d]", step, steps, step)
+		}
 	}
 	got, path, err := m.Latest()
 	if err != nil {
 		t.Fatalf("Latest: %v", err)
 	}
-	if got == nil || got.Step != 5 {
+	if got == nil || got.Step != 5 || !bytes.Equal(got.Get("prog"), []byte{5}) {
 		t.Fatalf("Latest = %+v, want step 5", got)
 	}
 	if filepath.Dir(path) != dir {
 		t.Fatalf("Latest path %q not in %q", path, dir)
-	}
-	steps, err := m.steps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 2 || steps[0] != 4 || steps[1] != 5 {
-		t.Fatalf("after prune steps = %v, want [4 5]", steps)
-	}
-	if s, err := m.LoadStep(4); err != nil || s.Step != 4 {
-		t.Fatalf("LoadStep(4) = %v, %v", s, err)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // checkpoint must be indistinguishable from the fault-free run — same
 // per-round message counts (replays are silent), bit-identical results,
 // and an identical priced verdict once the recovery-specific counters are
-// stripped. Checked at worker-pool sizes 1 and 8.
+// stripped. Checked at worker-pool sizes 1 and 8. The crashed runs
+// checkpoint into the fault-free run's directory, so each starts among a
+// finished run's later snapshots and must recover from its own.
 
 // faultWorkers are the engine pool sizes the recovery contract is checked
 // at (the acceptance grid).
@@ -86,10 +88,11 @@ func TestMSSPCrashRecoveryDifferential(t *testing.T) {
 	sources := []graph.VertexID{0, 35, 211}
 
 	for _, workers := range faultWorkers {
+		dir := t.TempDir()
 		run := func(plan *fault.Plan) (*tasks.MSSPJob, *roundRecorder, sim.JobResult) {
 			job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
 				Sources: sources, Seed: seed, Workers: workers,
-				CheckpointDir: t.TempDir(), CheckpointInterval: 2, Fault: plan,
+				CheckpointDir: dir, CheckpointInterval: 2, Fault: plan,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -138,10 +141,11 @@ func TestBKHSCrashRecoveryDifferential(t *testing.T) {
 	sources := []graph.VertexID{1, 78, 250}
 
 	for _, workers := range faultWorkers {
+		dir := t.TempDir()
 		run := func(plan *fault.Plan) (*tasks.BKHSJob, *roundRecorder, sim.JobResult) {
 			job := tasks.NewBKHS(g, part, tasks.BKHSConfig{
 				Sources: sources, K: k, Seed: seed, Workers: workers,
-				CheckpointDir: t.TempDir(), CheckpointInterval: 2, Fault: plan,
+				CheckpointDir: dir, CheckpointInterval: 2, Fault: plan,
 			})
 			rec := &roundRecorder{}
 			r := newRun(rec)
@@ -185,10 +189,11 @@ func TestBPPRCrashRecoveryDifferential(t *testing.T) {
 	part := graph.HashPartition(n, nMachines)
 
 	for _, workers := range faultWorkers {
+		dir := t.TempDir()
 		run := func(plan *fault.Plan) (*tasks.BPPRJob, *roundRecorder, sim.JobResult) {
 			job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
 				Alpha: alpha, WalksPerNode: walks, Seed: seed, Workers: workers,
-				CheckpointDir: t.TempDir(), CheckpointInterval: 2, Fault: plan,
+				CheckpointDir: dir, CheckpointInterval: 2, Fault: plan,
 			})
 			rec := &roundRecorder{}
 			r := newRun(rec)
@@ -235,6 +240,7 @@ func TestRecoveredReportMatchesFaultFree(t *testing.T) {
 	sources := []graph.VertexID{0, 35, 211}
 	meta := obs.RunMeta{Task: "MSSP", System: "Pregel+", Cluster: "Galaxy-8",
 		Machines: nMachines, Workload: len(sources), Batches: 1, Seed: seed}
+	dir := t.TempDir() // shared by both runs, like the fault axis above
 
 	runReport := func(plan *fault.Plan) *obs.RunReport {
 		col := obs.NewCollector(obs.CollectorOptions{Registry: obs.NewRegistry()})
@@ -245,7 +251,7 @@ func TestRecoveredReportMatchesFaultFree(t *testing.T) {
 		})
 		job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
 			Sources: sources, Seed: seed, Workers: 2,
-			CheckpointDir: t.TempDir(), CheckpointInterval: 2, Fault: plan,
+			CheckpointDir: dir, CheckpointInterval: 2, Fault: plan,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,18 +10,17 @@ import (
 	"vcmt/internal/tasks"
 )
 
-// writeDump writes one encoding of g to a temp file and loads it back
-// through the production disk loader (which takes the mmap path for v3 on
-// unix), so the comparison below covers the exact bytes-to-engine pipeline
-// vcrun -graph-file uses.
-func writeDump(t *testing.T, dir, name string, g *graph.Graph, write func(f *os.File, g *graph.Graph) error) *graph.Graph {
+// writeDump writes g's binary dump to a temp file and loads it back through
+// the production disk loader (the mmap path on unix), so the comparison
+// below covers the exact bytes-to-engine pipeline vcrun -graph-file uses.
+func writeDump(t *testing.T, dir string, g *graph.Graph) *graph.Graph {
 	t.Helper()
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, "g.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := write(f, g); err != nil {
+	if err := graph.WriteBinary(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -34,25 +33,16 @@ func writeDump(t *testing.T, dir, name string, g *graph.Graph, write func(f *os.
 	return loaded
 }
 
-// TestBinaryFormatReportIdentity is the migration contract for the v3
-// bulk-load format: a legacy v2 dump and its v3 rewrite must drive the
-// engine to byte-identical run reports — same rounds, messages, partition
-// assignment, per-machine aggregates and cost-model output — across the
-// worker grid. Vertex order is positional in CSR, so any loader that broke
-// the dump's recorded order would shift HashPartition ownership and
-// diverge here.
+// TestBinaryFormatReportIdentity is the partition-stability contract of
+// the binary format: the in-memory graph and its dump reloaded from disk
+// must drive the engine to byte-identical run reports — same rounds,
+// messages, partition assignment, per-machine aggregates and cost-model
+// output — across the worker grid. Vertex order is positional in CSR, so
+// any loader that broke the dump's recorded order would shift
+// HashPartition ownership and diverge here.
 func TestBinaryFormatReportIdentity(t *testing.T) {
 	g := graph.GenerateChungLu(nVertices, nEdges, 2.5, seeds[0])
-	dir := t.TempDir()
-
-	fromV2 := writeDump(t, dir, "g.v2.bin", g, func(f *os.File, g *graph.Graph) error {
-		return graph.WriteBinaryV2(f, g)
-	})
-	// The rewrite path a migration would take: load the v2 dump, write it
-	// back as v3, load that.
-	fromV3 := writeDump(t, dir, "g.v3.bin", fromV2, func(f *os.File, g *graph.Graph) error {
-		return graph.WriteBinary(f, g)
-	})
+	loaded := writeDump(t, t.TempDir(), g)
 
 	part := graph.HashPartition(nVertices, nMachines)
 	sources := []graph.VertexID{5, 77, 222}
@@ -70,6 +60,6 @@ func TestBinaryFormatReportIdentity(t *testing.T) {
 			})
 			return reportJSON(t, "MSSP", rep)
 		}
-		requireSameReport(t, "v2-dump-vs-v3-rewrite", report(fromV2), report(fromV3))
+		requireSameReport(t, "in-memory-vs-reloaded-dump", report(g), report(loaded))
 	}
 }

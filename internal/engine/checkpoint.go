@@ -3,18 +3,15 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 
 	"vcmt/internal/ckpt"
-	"vcmt/internal/graph"
 )
 
 // CheckpointOptions enables periodic superstep checkpointing. At each
 // barrier whose round number is 1 or a multiple of Interval, the engine
 // snapshots everything the next superstep depends on — buffered outboxes,
-// forced activations, per-machine RNG streams, aggregator values and
-// program state — into a checksummed ckpt file.
+// per-machine RNG streams and program state — into a checksummed ckpt file
+// whose header records the round.
 // Combined with an injected fault.Plan, a crashed superstep rolls back to
 // the latest checkpoint and replays forward; the determinism contract
 // (machine-ordered merges, per-machine RNG lanes) makes the replayed run
@@ -30,18 +27,13 @@ type CheckpointOptions[M any] struct {
 	Interval int
 }
 
-// Section names inside an engine snapshot.
+// Section names inside an engine snapshot, in file order. The round is the
+// snapshot's Step.
 const (
-	secMeta   = "meta"
 	secOutbox = "outbox"
-	secForced = "forced"
 	secRNG    = "rng"
-	secAggs   = "aggs"
 	secProg   = "prog"
 )
-
-// metaLen is the size of the meta section: the round plus two reserved words.
-const metaLen = 3 * 8
 
 // Recoveries returns how many injected crashes this engine recovered from.
 func (e *Engine[M]) Recoveries() int { return e.recoveries }
@@ -65,7 +57,7 @@ func (e *Engine[M]) initCheckpoints() error {
 	if _, ok := e.prog.(StateSnapshotter); !ok {
 		return fmt.Errorf("engine: checkpointing requires the program to implement vcapi.StateSnapshotter")
 	}
-	e.ckptMgr = &ckpt.Manager{Dir: co.Dir, Keep: 1}
+	e.ckptMgr = &ckpt.Manager{Dir: co.Dir}
 	e.lastCkptRounds = -1
 	return nil
 }
@@ -147,19 +139,12 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 }
 
 // buildSnapshot captures the barrier state. Everything the next superstep
-// reads is included; per-round scratch (inbox, counters, forcedNow,
-// aggregator lanes) is empty/reset at a barrier and is not.
+// reads is included; per-round scratch (inbox, counters) is empty at a
+// barrier and is not.
 func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 	co := e.opts.Checkpoint
 	k := e.part.NumMachines()
 	snap := &ckpt.Snapshot{Step: e.rounds}
-
-	// The round, then two reserved zero words: the section keeps its 24-byte
-	// layout so checkpoint sizes, and the reports that price them, do not
-	// change.
-	meta := make([]byte, metaLen)
-	binary.LittleEndian.PutUint64(meta, uint64(e.rounds))
-	snap.Add(secMeta, meta)
 
 	// Outbox rows are serialized as the engine holds them, row by row, so
 	// restore repopulates the identical routing layout.
@@ -180,36 +165,12 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 	}
 	snap.Add(secOutbox, out)
 
-	var forced []byte
-	forced = binary.LittleEndian.AppendUint32(forced, uint32(k))
-	for m := 0; m < k; m++ {
-		forced = binary.LittleEndian.AppendUint32(forced, uint32(len(e.forcedNextBy[m])))
-		for _, v := range e.forcedNextBy[m] {
-			forced = binary.LittleEndian.AppendUint32(forced, uint32(v))
-		}
-	}
-	snap.Add(secForced, forced)
-
 	var rng []byte
 	rng = binary.LittleEndian.AppendUint32(rng, uint32(k))
 	for m := 0; m < k; m++ {
 		rng = binary.LittleEndian.AppendUint64(rng, e.rngs[m].State())
 	}
 	snap.Add(secRNG, rng)
-
-	names := make([]string, 0, len(e.aggs))
-	for name := range e.aggs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var aggs []byte
-	aggs = binary.LittleEndian.AppendUint32(aggs, uint32(len(names)))
-	for _, name := range names {
-		aggs = binary.LittleEndian.AppendUint16(aggs, uint16(len(name)))
-		aggs = append(aggs, name...)
-		aggs = binary.LittleEndian.AppendUint64(aggs, math.Float64bits(e.aggs[name].visible))
-	}
-	snap.Add(secAggs, aggs)
 
 	prog, err := e.prog.(StateSnapshotter).SaveState()
 	if err != nil {
@@ -224,12 +185,7 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 	co := e.opts.Checkpoint
 	k := e.part.NumMachines()
-
-	meta := snap.Get(secMeta)
-	if len(meta) < metaLen {
-		return fmt.Errorf("snapshot meta section truncated")
-	}
-	e.rounds = int(binary.LittleEndian.Uint64(meta))
+	e.rounds = snap.Step
 
 	out := snap.Get(secOutbox)
 	if got := int(binary.LittleEndian.Uint32(out)); got != len(e.outRows) {
@@ -256,54 +212,12 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 		}
 		e.owed[r/e.k] += int64(n)
 	}
-	// Stale send-combine bookkeeping from the abandoned timeline is
-	// discarded at the next delivery (route bumps the table generations
-	// before any post-restore Compute call can emit), so nothing to
-	// restore here.
-
-	for i := range e.forcedFlag {
-		e.forcedFlag[i] = false
-		e.forcedNow[i] = false
-	}
-	forced := snap.Get(secForced)
-	forced = forced[4:] // machine count validated via the outbox section
-	for m := 0; m < k; m++ {
-		n := int(binary.LittleEndian.Uint32(forced))
-		forced = forced[4:]
-		e.forcedNextBy[m] = e.forcedNextBy[m][:0]
-		for i := 0; i < n; i++ {
-			v := graph.VertexID(binary.LittleEndian.Uint32(forced))
-			forced = forced[4:]
-			e.forcedNextBy[m] = append(e.forcedNextBy[m], v)
-			e.forcedFlag[v] = true
-		}
-	}
 
 	rng := snap.Get(secRNG)
-	rng = rng[4:]
+	rng = rng[4:] // machine count validated via the outbox section
 	for m := 0; m < k; m++ {
 		e.rngs[m].SetState(binary.LittleEndian.Uint64(rng))
 		rng = rng[8:]
-	}
-
-	aggs := snap.Get(secAggs)
-	nAggs := int(binary.LittleEndian.Uint32(aggs))
-	aggs = aggs[4:]
-	for i := 0; i < nAggs; i++ {
-		nameLen := int(binary.LittleEndian.Uint16(aggs))
-		aggs = aggs[2:]
-		name := string(aggs[:nameLen])
-		aggs = aggs[nameLen:]
-		visible := math.Float64frombits(binary.LittleEndian.Uint64(aggs))
-		aggs = aggs[8:]
-		agg, ok := e.aggs[name]
-		if !ok {
-			return fmt.Errorf("snapshot names unknown aggregator %q", name)
-		}
-		agg.visible = visible
-		for l := range agg.lanes {
-			agg.lanes[l] = aggLane{}
-		}
 	}
 
 	if err := e.prog.(StateSnapshotter).LoadState(snap.Get(secProg)); err != nil {

@@ -75,14 +75,17 @@ func runSnapBFS(t *testing.T, dir string, plan *fault.Plan) (*bfsProg, sim.JobRe
 }
 
 func TestCrashRecoveryMatchesUnfaulted(t *testing.T) {
-	base, baseRes, baseE := runSnapBFS(t, t.TempDir(), nil)
+	// Both runs share one directory: the unfaulted run leaves its round-14
+	// snapshot behind, and the crashed run must still restore its own.
+	dir := t.TempDir()
+	base, baseRes, baseE := runSnapBFS(t, dir, nil)
 	// Step 6 sits one superstep past the interval-2 checkpoint at round 4,
 	// so the recovery genuinely replays a lost round.
 	plan, err := fault.Parse("crash:worker=0,step=6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, faultedRes, faultedE := runSnapBFS(t, t.TempDir(), plan)
+	faulted, faultedRes, faultedE := runSnapBFS(t, dir, plan)
 
 	for v := range base.dist {
 		if base.dist[v] != faulted.dist[v] {
@@ -120,8 +123,16 @@ func TestCrashRecoveryMatchesUnfaulted(t *testing.T) {
 	}
 }
 
+// TestCheckpointPruneKeepsLatestOnly runs in a directory that already holds
+// a higher-step snapshot from an earlier run: every checkpoint the run cuts
+// replaces it, and the run's own last one is the only file left.
 func TestCheckpointPruneKeepsLatestOnly(t *testing.T) {
 	dir := t.TempDir()
+	stale := &ckpt.Snapshot{Step: 99}
+	stale.Add(secProg, []byte("an earlier run"))
+	if _, err := (&ckpt.Manager{Dir: dir}).Save(stale); err != nil {
+		t.Fatal(err)
+	}
 	_, res, _ := runSnapBFS(t, dir, nil)
 	if res.CheckpointsWritten < 2 {
 		t.Fatalf("expected multiple checkpoints, got %d", res.CheckpointsWritten)
@@ -130,8 +141,8 @@ func TestCheckpointPruneKeepsLatestOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 1 {
-		t.Fatalf("prune left %d files, want 1", len(ents))
+	if len(ents) != 1 || ents[0].Name() != "ckpt-000000014.vck" {
+		t.Fatalf("prune left %v, want only the run's round-14 snapshot", ents)
 	}
 }
 
@@ -197,18 +208,18 @@ func TestCheckpointFilesUnderDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned holds the snapshot format to the bytes it had
-// before the spill section was deleted (recorded at commit 6aa8e73): the meta
-// section keeps its 24 bytes, the last snapshot of the fixture run is
+// TestCheckpointBytesPinned holds the snapshot format to its recorded bytes:
+// exactly the outbox, rng and prog sections, in that order, with the round
+// in the container header; the last snapshot of the fixture run is
 // byte-identical, and so is the checkpoint volume the run reports — which
 // is what sim prices and every report prints as checkpoint_bytes.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const (
 		wantFile     = "ckpt-000000014.vck"
-		wantSize     = 423
-		wantCRC      = 0x4b31632e
+		wantSize     = 335
+		wantCRC      = 0xc4abfb78
 		wantWritten  = 8
-		wantRunBytes = 3696
+		wantRunBytes = 2992
 	)
 	dir := t.TempDir()
 	_, res, _ := runSnapBFS(t, dir, nil)
@@ -227,7 +238,11 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(snap.Get(secMeta)); got != 24 {
-		t.Fatalf("meta section is %d bytes, want 24", got)
+	var names []string
+	for _, sec := range snap.Sections {
+		names = append(names, sec.Name)
+	}
+	if got := strings.Join(names, ","); got != "outbox,rng,prog" || snap.Step != 14 {
+		t.Fatalf("snapshot step %d with sections %s; want step 14 with outbox,rng,prog", snap.Step, got)
 	}
 }

@@ -76,3 +76,66 @@ func TestBarrierConservationPanics(t *testing.T) {
 	}()
 	e.route()
 }
+
+// combSumProg sends several messages to one vertex and records how many
+// arrive after combining.
+type combSumProg struct {
+	got   []hopMsg
+	round int
+}
+
+func (p *combSumProg) Seed(ctx vcapi.Context[hopMsg]) {
+	c := ctx.(*Context[hopMsg])
+	for _, v := range c.OwnedVertices() {
+		if v != 7 {
+			c.Send(7, hopMsg{Hop: int32(v)})
+		}
+	}
+}
+
+func (p *combSumProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
+	p.got = append(p.got, msgs...)
+}
+
+func TestCombinerReducesInbox(t *testing.T) {
+	g := graph.GenerateRing(10)
+	part := graph.HashPartition(10, 4)
+	prog := &combSumProg{}
+	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
+		Combiner: func(a, b hopMsg) hopMsg { return hopMsg{Hop: a.Hop + b.Hop} },
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.got) != 1 {
+		t.Fatalf("combined inbox should hold 1 message, got %d", len(prog.got))
+	}
+	// Sum of 0..9 except 7 = 45 - 7 = 38.
+	if prog.got[0].Hop != 38 {
+		t.Fatalf("combined sum %d want 38", prog.got[0].Hop)
+	}
+}
+
+func TestCombinerPreservesBFS(t *testing.T) {
+	// A min-combiner must not change BFS results.
+	g := graph.GenerateChungLu(300, 1200, 2.5, 9)
+	ref := runBFS(t, g, 4)
+	part := graph.HashPartition(300, 4)
+	prog := newBFS(300, 0)
+	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
+		Combiner: func(a, b hopMsg) hopMsg {
+			if a.Hop < b.Hop {
+				return a
+			}
+			return b
+		},
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for v := range ref.dist {
+		if prog.dist[v] != ref.dist[v] {
+			t.Fatalf("combiner changed BFS at %d", v)
+		}
+	}
+}

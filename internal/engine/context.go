@@ -133,17 +133,3 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 		r.n++
 	}
 }
-
-// ActivateNextRound marks v active in the next superstep even without
-// incoming messages: the inverse of Pregel's vote-to-halt, for programs
-// that iterate on local state (e.g. pointer jumping). v must be owned by
-// the executing machine — a machine activates its own vertices, never a
-// peer's — which keeps the flag arrays race-free under parallel execution.
-// Every program in this repository follows that contract.
-func (c *Context[M]) ActivateNextRound(v graph.VertexID) {
-	e := c.e
-	if !e.forcedFlag[v] {
-		e.forcedFlag[v] = true
-		e.forcedNextBy[c.machine] = append(e.forcedNextBy[c.machine], v)
-	}
-}

@@ -11,10 +11,13 @@
 // model. Supersteps execute the K logical machines on a worker pool
 // (Options.Workers; 1 runs every phase on the calling goroutine), and
 // every run is fully deterministic regardless of worker count: each machine
-// owns its SplitMix64 RNG stream, outbox rows, counters and aggregator
-// lane, and cross-machine merges always walk machines in index order, so
-// results, message ordering and round statistics are reproducible
-// bit-for-bit.
+// owns its SplitMix64 RNG stream, outbox rows and counters, and
+// cross-machine merges always walk machines in index order, so results,
+// message ordering and round statistics are reproducible bit-for-bit.
+//
+// One superstep loop (Run) serves both backends — the in-memory outbox
+// matrix and the out-of-core partition files (see OOCOptions) — and one
+// halting rule ends it: no message in flight.
 //
 // The steady-state superstep core is allocation-free and map-free:
 // messages route through a K×K matrix of outbox rows (row [src][dst]
@@ -191,33 +194,11 @@ type Engine[M any] struct {
 	active  []int64
 	rounds  int
 	stopped bool
-	aggs    map[string]*aggregator
 
-	// ooc is the live out-of-core backend (nil for in-memory runs). The
-	// byte fields hold the current round's deterministic encoded IO,
-	// populated just before observeRound and reported once; the *Total
-	// fields accumulate over the run and survive it (see OOCReadBytes).
+	// ooc is the live out-of-core backend (nil for in-memory runs);
+	// oocPartitions survives the run (see OOCPartitions).
 	ooc           *oocState[M]
-	oocReadBytes  int64
-	oocWriteBytes int64
-	oocWindowPeak int64
-	oocReadTotal  int64
-	oocWriteTotal int64
-	oocPeakMax    int64
 	oocPartitions int
-
-	// forcedNextBy[m] lists vertices machine m activated for the next
-	// superstep regardless of incoming messages (Pregel's active-vertex
-	// semantics for programs that iterate without messages). forcedFlag
-	// dedupes requests for the NEXT superstep; forcedNow marks the
-	// vertices forced in the CURRENT one (kept separate so a vertex can
-	// re-arm itself while executing). Both flag arrays are safe under
-	// parallel execution because activation is owner-machine-only (see
-	// Context.ActivateNextRound). forcedAll is the reused merge scratch.
-	forcedNextBy [][]graph.VertexID
-	forcedFlag   []bool
-	forcedNow    []bool
-	forcedAll    []graph.VertexID
 
 	// Checkpoint/recovery state. lastCkptRounds/Bytes identify the latest
 	// checkpoint; ckptSimSeconds is the simulated clock right after it was
@@ -271,9 +252,6 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		sent:           make([]machineCounters, k),
 		recv:           make([]machineCounters, k),
 		active:         make([]int64, k),
-		forcedNextBy:   make([][]graph.VertexID, k),
-		forcedFlag:     make([]bool, n),
-		forcedNow:      make([]bool, n),
 		ctxs:           make([]*Context[M], k),
 	}
 	for v := 0; v < n; v++ {
@@ -299,11 +277,10 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 // Reset re-arms the engine to run prog from superstep 1 under opts, exactly
 // as a fresh New(g, part, prog, run, opts) would, while keeping what a
 // finished run leaves that depends only on the graph and the partition or
-// is pure capacity: the routing tables, the chunk population, the inbox,
-// the fold tables and the forced-activation flags. RNG streams,
-// counters, aggregators (register them again) and checkpoint and
-// out-of-core state start over. One engine per job, Reset per batch: a job
-// of many small batches then pays construction once.
+// is pure capacity: the routing tables, the chunk population, the inbox and
+// the fold tables. RNG streams, counters and checkpoint and out-of-core
+// state start over. One engine per job, Reset per batch: a job of many
+// small batches then pays construction once.
 func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 10000
@@ -322,17 +299,11 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	}
 	for m := 0; m < k; m++ {
 		e.rngs[m].SetState(vcapi.MachineSeed(opts.Seed, m))
-		for _, v := range e.forcedNextBy[m] {
-			e.forcedFlag[v] = false
-		}
-		e.forcedNextBy[m] = e.forcedNextBy[m][:0]
 		e.sent[m], e.recv[m] = machineCounters{}, machineCounters{}
 		e.active[m], e.owed[m] = 0, 0
 	}
-	e.rounds, e.stopped, e.aggs = 0, false, nil
-	e.ooc = nil
-	e.oocReadBytes, e.oocWriteBytes, e.oocWindowPeak = 0, 0, 0
-	e.oocReadTotal, e.oocWriteTotal, e.oocPeakMax, e.oocPartitions = 0, 0, 0, 0
+	e.rounds, e.stopped = 0, false
+	e.ooc, e.oocPartitions = nil, 0
 	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
 	e.replayTo, e.recoveries = 0, 0
 }
@@ -393,53 +364,41 @@ func (e *Engine[M]) ensureMirrorSpan() {
 	})
 }
 
-// pending reports whether any superstep work remains: buffered outbox
-// envelopes or forced activations.
+// pending reports whether any message is in flight: buffered in an outbox
+// row, or routed to a partition file out of core. It is the engine's only
+// halting rule.
 func (e *Engine[M]) pending() bool {
+	if e.ooc != nil {
+		return e.ooc.runner.Pending()
+	}
 	for r := range e.outRows {
 		if e.outRows[r].n > 0 {
-			return true
-		}
-	}
-	for m := range e.forcedNextBy {
-		if len(e.forcedNextBy[m]) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// takeForced drains the per-machine forced-activation lists, merged in
-// machine order into a reused scratch slice (valid until the next call).
-func (e *Engine[M]) takeForced() []graph.VertexID {
-	forced := e.forcedAll[:0]
-	for m := range e.forcedNextBy {
-		forced = append(forced, e.forcedNextBy[m]...)
-		e.forcedNextBy[m] = e.forcedNextBy[m][:0]
-	}
-	e.forcedAll = forced
-	return forced
-}
-
 // Run executes supersteps until no messages remain in flight, the round
 // bound is hit, or (with StopWhenOverloaded) the cost model declares the
 // run overloaded. It returns ErrMaxRounds only for the round bound; an
 // overload stop returns nil, with the overload visible on the sim.Run.
+// Both backends run this loop; they differ only in step and pending.
 func (e *Engine[M]) Run() error {
-	if e.opts.OOC != nil {
-		if err := e.initOOC(); err != nil {
-			return err
-		}
-		return e.runOOC()
+	if err := e.initOOC(); err != nil {
+		return err
 	}
+	defer e.closeOOC()
 	if err := e.initCheckpoints(); err != nil {
 		return err
 	}
 	defer e.stopPool()
 	// Superstep 1: seeding. "In the first round, each of the W walks stops
-	// with α probability and ... a message is sent" (§3).
+	// with α probability and ... a message is sent" (§3). Out of core it
+	// runs against the resident graph — a Seed call per machine cannot
+	// interleave with window loads — so the bounded window starts at the
+	// first delivery superstep, exactly where message volume lives.
 	e.runPhase(phaseSeed, e.k)
-	e.rollAggregators()
 	e.observeRound()
 	if err := e.maybeCheckpoint(); err != nil {
 		return err
@@ -462,22 +421,26 @@ func (e *Engine[M]) Run() error {
 			}
 			continue
 		}
-		forced := e.takeForced()
-		for _, v := range forced {
-			e.forcedNow[v] = true
-			e.forcedFlag[v] = false
+		if err := e.step(); err != nil {
+			return err
 		}
-		e.deliver()
-		e.runPhase(phaseCompute, e.k)
-		for _, v := range forced {
-			e.forcedNow[v] = false
-		}
-		e.rollAggregators()
 		e.observeRound()
 		if err := e.maybeCheckpoint(); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// step executes one delivery superstep: route the buffered messages into
+// the inbox and run every machine's Compute calls, or, out of core, seal
+// the partition files and stream the partitions through the window.
+func (e *Engine[M]) step() error {
+	if e.ooc != nil {
+		return e.stepOOC()
+	}
+	e.deliver()
+	e.runPhase(phaseCompute, e.k)
 	return nil
 }
 
@@ -493,7 +456,7 @@ func (e *Engine[M]) computeMachine(m int) {
 	weigh := e.opts.Weight
 	for i, v := range e.vertsByMachine[m] {
 		lo, hi := offs[i], offs[i+1]
-		if lo == hi && !e.forcedNow[v] {
+		if lo == hi {
 			continue
 		}
 		ctx.vertex = v
@@ -682,8 +645,13 @@ func (e *Engine[M]) segment(v graph.VertexID) []M {
 // silent replay (rounds <= replayTo after a recovery) the counters still
 // roll — the replayed supersteps recompute them identically — but nothing
 // is re-reported: the pre-crash run already priced those rounds, so the
-// final accounting and report contain each superstep exactly once.
+// final accounting and report contain each superstep exactly once. Out of
+// core, the round's deterministic encoded partition-file IO rides along.
 func (e *Engine[M]) observeRound() {
+	var rs sim.RoundStats
+	if e.ooc != nil {
+		rs.OOCReadBytes, rs.OOCWriteBytes, rs.OOCWindowPeakBytes = e.ooc.runner.TakeRoundIO()
+	}
 	e.rounds++
 	if e.rounds <= e.replayTo {
 		e.rollCounters()
@@ -709,12 +677,8 @@ func (e *Engine[M]) observeRound() {
 				per[m].StateEntries = reporter.StateEntries(m)
 			}
 		}
-		e.run.ObserveRound(sim.RoundStats{
-			PerMachine:         per,
-			OOCReadBytes:       e.oocReadBytes,
-			OOCWriteBytes:      e.oocWriteBytes,
-			OOCWindowPeakBytes: e.oocWindowPeak,
-		})
+		rs.PerMachine = per
+		e.run.ObserveRound(rs)
 	}
 	e.rollCounters()
 }

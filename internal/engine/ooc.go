@@ -60,15 +60,6 @@ type oocState[M any] struct {
 	msgs []M
 }
 
-// OOCRunner exposes the partitioned runner for tests and callers that want
-// partition geometry (nil unless the engine is running out-of-core).
-func (e *Engine[M]) OOCRunner() *ooc.PartitionedRunner {
-	if e.ooc == nil {
-		return nil
-	}
-	return e.ooc.runner
-}
-
 // curGraph returns the graph visible to vertex programs: the full in-memory
 // graph, or the current partition's streamed edge window in ooc mode.
 func (e *Engine[M]) curGraph() *graph.Graph {
@@ -89,9 +80,13 @@ func (e *Engine[M]) routeOOC(dst graph.VertexID, m M) {
 	}
 }
 
-// initOOC validates the out-of-core configuration.
+// initOOC validates the out-of-core configuration and opens the partitioned
+// runner over the engine's machine-major vertex order (a no-op in memory).
 func (e *Engine[M]) initOOC() error {
 	oo := e.opts.OOC
+	if oo == nil {
+		return nil
+	}
 	if oo.Codec == nil {
 		return fmt.Errorf("engine: out-of-core execution requires a Codec")
 	}
@@ -104,15 +99,6 @@ func (e *Engine[M]) initOOC() error {
 	if e.mirrored() {
 		return fmt.Errorf("engine: OOC is incompatible with mirroring (mirror spans assume a resident graph)")
 	}
-	return nil
-}
-
-// runOOC executes the computation out-of-core. The seeding superstep runs
-// against the resident graph — one Seed call per machine cannot interleave
-// with window loads — so the bounded-window discipline starts at the first
-// delivery superstep, exactly where message volume lives.
-func (e *Engine[M]) runOOC() error {
-	oo := e.opts.OOC
 	order := make([]graph.VertexID, 0, e.g.NumVertices())
 	for m := range e.vertsByMachine {
 		order = append(order, e.vertsByMachine[m]...)
@@ -128,91 +114,36 @@ func (e *Engine[M]) runOOC() error {
 	}
 	e.ooc = &oocState[M]{runner: runner, codec: oo.Codec}
 	e.oocPartitions = runner.Partitions()
-	defer func() {
-		runner.Close()
-		e.ooc = nil
-	}()
-
-	k := e.part.NumMachines()
-	for m := 0; m < k; m++ {
-		e.prog.Seed(e.ctxs[m])
-		e.active[m] += int64(len(e.vertsByMachine[m]))
-	}
-	e.rollAggregators()
-	e.observeOOCRound()
-
-	for e.oocPending() {
-		if e.rounds >= e.opts.MaxRounds {
-			return fmt.Errorf("%w (%d)", ErrMaxRounds, e.opts.MaxRounds)
-		}
-		if e.opts.StopWhenOverloaded && e.run != nil && e.run.Overloaded() {
-			e.stopped = true
-			return nil
-		}
-		forced := e.takeForced()
-		for _, v := range forced {
-			e.forcedNow[v] = true
-			e.forcedFlag[v] = false
-		}
-		// Barrier: seal the routed append files into readable inboxes.
-		if err := runner.Barrier(); err != nil {
-			return fmt.Errorf("engine: ooc barrier: %w", err)
-		}
-		for p := 0; p < runner.Partitions(); p++ {
-			if err := e.computePartition(p); err != nil {
-				return err
-			}
-		}
-		for _, v := range forced {
-			e.forcedNow[v] = false
-		}
-		e.rollAggregators()
-		e.observeOOCRound()
-	}
 	return nil
 }
 
-// oocPending reports whether routed messages or forced activations remain.
-func (e *Engine[M]) oocPending() bool {
-	if e.ooc.runner.Pending() {
-		return true
+// closeOOC releases the partition files when a run ends.
+func (e *Engine[M]) closeOOC() {
+	if e.ooc != nil {
+		e.ooc.runner.Close()
+		e.ooc = nil
 	}
-	for m := range e.forcedNextBy {
-		if len(e.forcedNextBy[m]) > 0 {
-			return true
-		}
-	}
-	return false
 }
-
-// observeOOCRound drains the runner's deterministic encoded-byte IO
-// counters into the engine's per-round fields and reports the round.
-func (e *Engine[M]) observeOOCRound() {
-	r, w, p := e.ooc.runner.TakeRoundIO()
-	e.oocReadBytes, e.oocWriteBytes, e.oocWindowPeak = r, w, p
-	e.oocReadTotal += r
-	e.oocWriteTotal += w
-	if p > e.oocPeakMax {
-		e.oocPeakMax = p
-	}
-	e.observeRound()
-	e.oocReadBytes, e.oocWriteBytes, e.oocWindowPeak = 0, 0, 0
-}
-
-// OOCReadBytes returns the total deterministic encoded bytes read from
-// partition files over the run (0 for in-memory runs).
-func (e *Engine[M]) OOCReadBytes() int64 { return e.oocReadTotal }
-
-// OOCWriteBytes returns the total deterministic encoded bytes written to
-// partition files over the run.
-func (e *Engine[M]) OOCWriteBytes() int64 { return e.oocWriteTotal }
-
-// OOCWindowPeakBytes returns the peak resident window (edge window + inbox)
-// observed over the run.
-func (e *Engine[M]) OOCWindowPeakBytes() int64 { return e.oocPeakMax }
 
 // OOCPartitions returns the partition count the run used (0 in-memory).
+// The run's partition-file IO is on its sim.Run, summed from the rounds.
 func (e *Engine[M]) OOCPartitions() int { return e.oocPartitions }
+
+// stepOOC is the out-of-core superstep: the barrier seals the routed append
+// files into readable inboxes, then every partition streams through the
+// window in execution order.
+func (e *Engine[M]) stepOOC() error {
+	r := e.ooc.runner
+	if err := r.Barrier(); err != nil {
+		return fmt.Errorf("engine: ooc barrier: %w", err)
+	}
+	for p := 0; p < r.Partitions(); p++ {
+		if err := e.computePartition(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // computePartition streams partition p through the memory window: load the
 // edge window, read the inbox, counting-sort it into per-vertex segments in
@@ -274,7 +205,7 @@ func (e *Engine[M]) computePartition(p int) error {
 		v := order[i]
 		li := i - start
 		lo, hi := st.offs[li], st.offs[li+1]
-		if lo == hi && !e.forcedNow[v] {
+		if lo == hi {
 			continue
 		}
 		seg := st.msgs[lo:hi]

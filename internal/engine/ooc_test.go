@@ -7,7 +7,6 @@ import (
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
 	"vcmt/internal/sim"
-	"vcmt/internal/vcapi"
 )
 
 // oocRun executes prog-factory runs of BFS in-memory and out-of-core over the
@@ -23,18 +22,19 @@ func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions[hopMsg]) (*bfsPr
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	res := run.Result()
 	if oo != nil {
-		if e.OOCWriteBytes() <= 0 || e.OOCReadBytes() <= 0 {
-			t.Fatalf("ooc run reported no IO: read=%d write=%d", e.OOCReadBytes(), e.OOCWriteBytes())
+		if res.OOCWriteBytes <= 0 || res.OOCReadBytes <= 0 {
+			t.Fatalf("ooc run reported no IO: read=%d write=%d", res.OOCReadBytes, res.OOCWriteBytes)
 		}
-		if e.OOCWindowPeakBytes() <= 0 {
+		if res.OOCWindowPeakBytes <= 0 {
 			t.Fatal("ooc run reported no window peak")
 		}
 		if e.OOCPartitions() < 1 {
 			t.Fatalf("ooc partitions = %d", e.OOCPartitions())
 		}
 	}
-	return prog, run.Result(), trace
+	return prog, res, trace
 }
 
 // stripOOC zeroes the ooc-only counters so in-memory and out-of-core results
@@ -112,47 +112,6 @@ func TestOOCWithCombinerAndWeights(t *testing.T) {
 	res.OOCReadBytes, res.OOCWriteBytes, res.OOCWindowPeakBytes = 0, 0, 0
 	if !reflect.DeepEqual(ref, res) {
 		t.Fatalf("combined/weighted ooc run differs:\n in-mem %+v\n ooc    %+v", ref, res)
-	}
-}
-
-// jumpProg exercises ActivateNextRound under ooc: every vertex re-arms
-// itself for a fixed number of rounds without sending messages.
-type jumpProg struct {
-	rounds []int
-	limit  int
-}
-
-func (p *jumpProg) Seed(ctx vcapi.Context[hopMsg]) {
-	c := ctx.(*Context[hopMsg])
-	for _, v := range c.OwnedVertices() {
-		c.Aggregate("seen", 1)
-		c.ActivateNextRound(v)
-	}
-}
-
-func (p *jumpProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
-	c := ctx.(*Context[hopMsg])
-	p.rounds[v]++
-	c.Aggregate("seen", 1)
-	if p.rounds[v] < p.limit {
-		c.ActivateNextRound(v)
-	}
-}
-
-func TestOOCForcedActivation(t *testing.T) {
-	g := graph.GenerateRing(30)
-	part := graph.HashPartition(30, 3)
-	prog := &jumpProg{rounds: make([]int, 30), limit: 4}
-	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
-		OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 2},
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v, r := range prog.rounds {
-		if r != prog.limit {
-			t.Fatalf("vertex %d computed %d rounds, want %d", v, r, prog.limit)
-		}
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 // work (Seed/Compute plus the per-destination counting sorts and combiner
 // folds) on a persistent worker pool while preserving the sequential
 // engine's determinism contract: all mutable state is partitioned by
-// logical machine (outbox rows, counters, RNG streams, aggregator lanes,
-// forced-activation lists, inbox regions), and every cross-machine merge
-// walks the partitions in machine order. The parallel and sequential paths
+// logical machine (outbox rows, counters, RNG streams, inbox regions), and
+// every cross-machine merge walks the partitions in machine order. The parallel and sequential paths
 // therefore produce bit-identical message streams, round statistics and
 // results.
 //

@@ -64,9 +64,6 @@ type rngStreamProg struct {
 func (p *rngStreamProg) Seed(ctx vcapi.Context[hopMsg]) {
 	c := ctx.(*Context[hopMsg])
 	p.draws[c.Machine()] = c.RNG().Uint64()
-	for _, v := range c.OwnedVertices() {
-		c.ActivateNextRound(v)
-	}
 }
 
 func (p *rngStreamProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {}
@@ -88,35 +85,6 @@ func TestRNGStreamsIndependentOfWorkers(t *testing.T) {
 		for m := range base {
 			if got[m] != base[m] {
 				t.Fatalf("workers=%d: machine %d drew %d want %d", w, m, got[m], base[m])
-			}
-		}
-	}
-}
-
-func TestAggregatorIdenticalAcrossWorkers(t *testing.T) {
-	g := graph.GenerateRing(10)
-	part := graph.HashPartition(10, 2)
-	value := func(workers int) ([]float64, float64) {
-		prog := &aggProg{}
-		e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{Workers: workers})
-		e.RegisterAggregator("count", AggSum)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return prog.observed, e.AggregatorValue("count")
-	}
-	baseObs, baseFinal := value(1)
-	for _, w := range []int{2, 4} {
-		obs, final := value(w)
-		if final != baseFinal {
-			t.Fatalf("workers=%d: final aggregator %v want %v", w, final, baseFinal)
-		}
-		if len(obs) != len(baseObs) {
-			t.Fatalf("workers=%d: %d observations want %d", w, len(obs), len(baseObs))
-		}
-		for i := range obs {
-			if obs[i] != baseObs[i] {
-				t.Fatalf("workers=%d: round %d observed %v want %v", w, i, obs[i], baseObs[i])
 			}
 		}
 	}

@@ -11,11 +11,9 @@ import (
 	"vcmt/internal/vcapi"
 )
 
-// traceProg floods hop-limited messages along RNG-chosen edges, keeps every
-// vertex of machine 0 active through forced activation, feeds an
-// aggregator, and digests every Compute call it sees — so two runs with
-// equal digests had equal inboxes, RNG streams, activations and aggregator
-// values in every round.
+// traceProg floods hop-limited messages along RNG-chosen edges and digests
+// every Compute call it sees, per machine — so two runs with equal digests
+// had equal inboxes, RNG streams and rounds on every machine.
 type traceProg struct {
 	hops   int32
 	digest [8]uint64 // one lane per machine; machines compute concurrently
@@ -24,28 +22,22 @@ type traceProg struct {
 func (p *traceProg) Seed(ctx vcapi.Context[hopMsg]) {
 	for _, v := range ctx.OwnedVertices() {
 		ctx.Send(v, hopMsg{Hop: 1})
-		if ctx.Machine() == 0 {
-			ctx.(*Context[hopMsg]).ActivateNextRound(v)
-		}
 	}
 }
 
 func (p *traceProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
-	c := ctx.(*Context[hopMsg])
 	h := fnv.New64a()
-	fmt.Fprint(h, p.digest[c.Machine()], c.Round(), v, msgs, c.AggregatorGet("n"))
-	p.digest[c.Machine()] = h.Sum64()
-	c.Aggregate("n", float64(len(msgs)))
-	ns := c.Graph().Neighbors(v)
+	fmt.Fprint(h, p.digest[ctx.Machine()], ctx.Round(), v, msgs)
+	ns := ctx.Graph().Neighbors(v)
 	for _, m := range msgs {
 		if m.Hop < p.hops {
-			c.Send(ns[c.RNG().Intn(len(ns))], hopMsg{Hop: m.Hop + 1})
-			c.Send(ns[c.RNG().Intn(len(ns))], hopMsg{Hop: m.Hop + 1})
+			a, b := ctx.RNG().Intn(len(ns)), ctx.RNG().Intn(len(ns))
+			fmt.Fprint(h, a, b)
+			ctx.Send(ns[a], hopMsg{Hop: m.Hop + 1})
+			ctx.Send(ns[b], hopMsg{Hop: m.Hop + 1})
 		}
 	}
-	if c.Machine() == 0 && c.Round() < 4 {
-		c.ActivateNextRound(v)
-	}
+	p.digest[ctx.Machine()] = h.Sum64()
 }
 
 // TestResetAcrossModes re-arms one engine through every execution mode in
@@ -110,7 +102,6 @@ func TestResetAcrossModes(t *testing.T) {
 				if !fresh {
 					reused = e
 				}
-				e.RegisterAggregator("n", AggSum)
 				err := e.Run()
 				return outcome{prog.digest, e.Rounds(), run.Result(), err}
 			}

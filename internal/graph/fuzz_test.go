@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"testing"
 )
 
@@ -40,28 +42,38 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
+// legacyDump returns g as a dump of a retired format version: the v3 bytes
+// under another version word, re-checksummed — exactly what the v2 writer
+// produced. Loaders must reject it.
+func legacyDump(g *Graph, version uint64) []byte {
+	var b bytes.Buffer
+	if err := WriteBinary(&b, g); err != nil {
+		panic(err)
+	}
+	data := b.Bytes()
+	binary.LittleEndian.PutUint64(data[8:], version)
+	body := len(data) - binaryTrailerBytes
+	binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], binaryCRCTable))
+	return data
+}
+
 // fuzzBinarySeeds is the shared seed corpus for the binary loader: valid
-// v3 and v2 files (weighted and not), a flipped checksum trailer, a wrong
-// version word, truncations, trailing garbage, and an empty input. It
+// files (weighted and not), retired v2 files, a flipped checksum trailer, a
+// wrong version word, truncations, trailing garbage, and an empty input. It
 // drives both FuzzReadBinary and the corpus round-trip test.
 func fuzzBinarySeeds() [][]byte {
-	var v3plain, v3weighted, v2plain, v2weighted bytes.Buffer
+	var v3plain, v3weighted bytes.Buffer
 	ring := GenerateRing(8)
 	wring := WithUniformWeights(GenerateRing(8), 1, 3, 4)
 	for _, enc := range []struct {
 		buf *bytes.Buffer
 		g   *Graph
-		w   func(b *bytes.Buffer, g *Graph) error
-	}{
-		{&v3plain, ring, func(b *bytes.Buffer, g *Graph) error { return WriteBinary(b, g) }},
-		{&v3weighted, wring, func(b *bytes.Buffer, g *Graph) error { return WriteBinary(b, g) }},
-		{&v2plain, ring, func(b *bytes.Buffer, g *Graph) error { return WriteBinaryV2(b, g) }},
-		{&v2weighted, wring, func(b *bytes.Buffer, g *Graph) error { return WriteBinaryV2(b, g) }},
-	} {
-		if err := enc.w(enc.buf, enc.g); err != nil {
+	}{{&v3plain, ring}, {&v3weighted, wring}} {
+		if err := WriteBinary(enc.buf, enc.g); err != nil {
 			panic(err)
 		}
 	}
+	v2plain, v2weighted := legacyDump(ring, 2), legacyDump(wring, 2)
 	// Flipped trailer byte: everything parses until the checksum comparison.
 	flipped := append([]byte(nil), v3plain.Bytes()...)
 	flipped[len(flipped)-1] ^= 0x01
@@ -72,14 +84,14 @@ func fuzzBinarySeeds() [][]byte {
 	return [][]byte{
 		v3plain.Bytes(),
 		v3weighted.Bytes(),
-		v2plain.Bytes(),
-		v2weighted.Bytes(),
+		v2plain,
+		v2weighted,
 		{},
 		make([]byte, 40),
 		flipped,
 		wrongVer,
 		v3plain.Bytes()[:v3plain.Len()/2],
-		v2plain.Bytes()[:v2plain.Len()/2],
+		v2plain[:len(v2plain)/2],
 		append(append([]byte(nil), v3weighted.Bytes()...), 0xEE),
 	}
 }
@@ -95,8 +107,8 @@ func FuzzReadBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Headers claiming sizes beyond the loader limit are rejected by
 		// ReadBinary itself; still skip multi-hundred-MB (but legal)
-		// claims to keep fuzzing fast. Header layout (v2 and v3): magic,
-		// version, n, arcs, flags.
+		// claims to keep fuzzing fast. Header layout: magic, version, n,
+		// arcs, flags.
 		if len(data) >= 32 {
 			var n, m uint64
 			for i := 0; i < 8; i++ {

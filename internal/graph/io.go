@@ -126,26 +126,23 @@ func ReadEdgeList(r io.Reader, n int) (*Graph, error) {
 //	weights  [arcs]float32 (only when flagged)
 //	crc      uint64  CRC-64 (ECMA) over everything before it
 //
-// All fields are little-endian. Version 3 keeps version 2's section layout
-// and checksum trailer but strengthens the contract: the body IS the CSR
-// arrays, laid out exactly as Graph holds them in memory (the header is 40
-// bytes, so every section lands on its natural alignment), and the loader
-// is entitled to bulk-read or mmap the body straight into the final
-// offsets/adj/weights arrays behind NewCSRView, with no per-element decode
-// on the hot path. Because vertex ids are positional in CSR, the load
-// order is byte-stable by construction — partition assignment over a
-// reloaded dump is identical to the graph that wrote it, which the engine's
-// owner/rank routing tables and the difftest goldens depend on.
+// All fields are little-endian. The body IS the CSR arrays, laid out
+// exactly as Graph holds them in memory (the header is 40 bytes, so every
+// section lands on its natural alignment), and the loader is entitled to
+// bulk-read or mmap the body straight into the final offsets/adj/weights
+// arrays behind NewCSRView, with no per-element decode on the hot path.
+// Because vertex ids are positional in CSR, the load order is byte-stable
+// by construction — partition assignment over a reloaded dump is identical
+// to the graph that wrote it, which the engine's owner/rank routing tables
+// and the difftest goldens depend on.
 //
-// Version 2 files (same layout, version word 2) are still read, through the
-// historical binary.Read reflection decoder; BENCH_graph.json records the
-// bulk-vs-reflection contrast. Version 1 files had neither a version field
-// nor a checksum and are not read back — the format had no consumers before
-// the -graph-file loaders landed.
+// Only version 3 is read. Version 2 (the same layout, decoded element by
+// element through reflection) and version 1 (no version field, no
+// checksum) are rejected as ErrCorrupt like any other unsupported version;
+// rewrite an old dump with graphgen.
 const (
-	binaryMagic     = 0x56434d54 // "VCMT"
-	binaryVersion   = 3
-	binaryVersionV2 = 2
+	binaryMagic   = 0x56434d54 // "VCMT"
+	binaryVersion = 3
 
 	binaryHeaderBytes  = 5 * 8
 	binaryTrailerBytes = 8
@@ -162,7 +159,6 @@ var ErrCorrupt = errors.New("graph: corrupt graph file")
 
 // binaryHeader is the decoded and validated fixed header of a dump.
 type binaryHeader struct {
-	version  uint64
 	n        int
 	arcs     int64
 	weighted bool
@@ -188,16 +184,14 @@ func parseBinaryHeader(hdr []byte) (binaryHeader, error) {
 	if w[0] != binaryMagic {
 		return binaryHeader{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, w[0])
 	}
-	if w[1] != binaryVersion && w[1] != binaryVersionV2 {
-		return binaryHeader{}, fmt.Errorf("%w: unsupported version %d (want %d or %d)",
-			ErrCorrupt, w[1], binaryVersionV2, binaryVersion)
+	if w[1] != binaryVersion {
+		return binaryHeader{}, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, w[1], binaryVersion)
 	}
 	if w[2] > maxLoadVertices || w[3] > 64*maxLoadVertices {
 		return binaryHeader{}, fmt.Errorf("%w: header claims %d vertices / %d arcs, beyond the loader limit",
 			ErrCorrupt, w[2], w[3])
 	}
 	return binaryHeader{
-		version:  w[1],
 		n:        int(w[2]),
 		arcs:     int64(w[3]),
 		weighted: w[4]&1 != 0,
@@ -208,18 +202,6 @@ func parseBinaryHeader(hdr []byte) (binaryHeader, error) {
 // arrays as raw little-endian sections under a checksummed header, laid out
 // for direct (bulk-read or mmap) loading.
 func WriteBinary(w io.Writer, g *Graph) error {
-	return writeBinary(w, g, binaryVersion)
-}
-
-// WriteBinaryV2 writes the legacy version 2 encoding. The section bytes are
-// identical to version 3 — only the version word differs — but readers
-// decode v2 through the historical reflection path. Kept for compatibility
-// tests and the load benchmark's bulk-vs-reflection contrast.
-func WriteBinaryV2(w io.Writer, g *Graph) error {
-	return writeBinary(w, g, binaryVersionV2)
-}
-
-func writeBinary(w io.Writer, g *Graph, version uint64) error {
 	crc := crc64.New(binaryCRCTable)
 	mw := io.MultiWriter(w, crc)
 	flags := uint64(0)
@@ -227,7 +209,7 @@ func writeBinary(w io.Writer, g *Graph, version uint64) error {
 		flags = 1
 	}
 	var hdr [binaryHeaderBytes]byte
-	for i, v := range []uint64{binaryMagic, version, uint64(g.n), uint64(len(g.adj)), flags} {
+	for i, v := range []uint64{binaryMagic, binaryVersion, uint64(g.n), uint64(len(g.adj)), flags} {
 		binary.LittleEndian.PutUint64(hdr[8*i:], v)
 	}
 	if _, err := mw.Write(hdr[:]); err != nil {
@@ -250,15 +232,15 @@ func writeBinary(w io.Writer, g *Graph, version uint64) error {
 	return err
 }
 
-// ReadBinary reads a graph written by WriteBinary (v3) or WriteBinaryV2.
-// The graph must be the entire remainder of the stream; damaged bytes yield
+// ReadBinary reads a graph written by WriteBinary. The graph must be the
+// entire remainder of the stream; damaged bytes yield
 // an error wrapping ErrCorrupt and structural invariants (monotone offsets,
 // in-range neighbors) are verified, so a corrupt file is never silently
 // mis-loaded.
 //
 // When the stream can report its size (io.Seeker, e.g. a file or a
 // bytes.Reader), the header's claimed sizes are checked against the real
-// remainder before anything is allocated, and the v3 body is bulk-read
+// remainder before anything is allocated, and the body is bulk-read
 // straight into the final 64-bit-aligned arrays. Streams of unknown size
 // are accumulated incrementally, so allocation is bounded by the bytes the
 // input actually contains — a forged header on a 100-byte file can never
@@ -356,10 +338,9 @@ func readBody(r io.Reader, n int64, sized bool) ([]byte, error) {
 
 // decodeBinaryBody turns a complete, checksum-verified body into a Graph.
 // body must be 64-bit aligned (alignedBytes, or an mmap offset that is a
-// multiple of 8). On little-endian hosts the v3 sections are aliased in
-// place — the arrays ARE the file bytes — while v2 keeps the historical
-// binary.Read reflection decode and big-endian hosts fall back to an
-// explicit element loop. Every path ends in the same structural validation
+// multiple of 8). On little-endian hosts the sections are aliased in place
+// — the arrays ARE the file bytes — while big-endian hosts fall back to an
+// explicit element loop. Both paths end in the same structural validation
 // and NewCSRView.
 func decodeBinaryBody(h binaryHeader, body []byte) (*Graph, error) {
 	offBytes := int64(h.n+1) * 8
@@ -369,30 +350,13 @@ func decodeBinaryBody(h binaryHeader, body []byte) (*Graph, error) {
 		adj     []VertexID
 		weights []float32
 	)
-	switch {
-	case h.version >= binaryVersion && hostLittleEndian:
+	if hostLittleEndian {
 		offsets = castInt64s(body[:offBytes])
 		adj = castVertexIDs(body[offBytes : offBytes+adjBytes])
 		if h.weighted {
 			weights = castFloat32s(body[offBytes+adjBytes:])
 		}
-	case h.version == binaryVersionV2:
-		br := bytes.NewReader(body)
-		offsets = make([]int64, h.n+1)
-		if err := binary.Read(br, binary.LittleEndian, &offsets); err != nil {
-			return nil, fmt.Errorf("%w: truncated offsets: %v", ErrCorrupt, err)
-		}
-		adj = make([]VertexID, h.arcs)
-		if err := binary.Read(br, binary.LittleEndian, &adj); err != nil {
-			return nil, fmt.Errorf("%w: truncated adjacency: %v", ErrCorrupt, err)
-		}
-		if h.weighted {
-			weights = make([]float32, h.arcs)
-			if err := binary.Read(br, binary.LittleEndian, &weights); err != nil {
-				return nil, fmt.Errorf("%w: truncated weights: %v", ErrCorrupt, err)
-			}
-		}
-	default: // v3 on a big-endian host: correct, element-wise decode
+	} else {
 		offsets = decodeInt64s(body[:offBytes])
 		adj = decodeVertexIDs(body[offBytes : offBytes+adjBytes])
 		if h.weighted {
@@ -450,9 +414,10 @@ func parseBinaryImage(data []byte) (*Graph, error) {
 
 // LoadBinaryFile reads a graphgen binary file from disk — the shared
 // loader behind vcrun -graph-file, vcbench -graph-dir and the vcserve
-// snapshot store. Version 3 dumps are mmapped when the platform supports
-// it (the CSR arrays alias the page cache directly); otherwise — v2 files,
-// non-unix builds, or any mmap hiccup — the stream loader takes over.
+// snapshot store. Dumps are mmapped when the platform supports it (the CSR
+// arrays alias the page cache directly); otherwise — non-unix builds, a
+// header the mapping path will not take, or any mmap hiccup — the stream
+// loader takes over and reports the canonical outcome.
 func LoadBinaryFile(path string) (*Graph, error) {
 	if g, handled, err := mmapBinaryFile(path); handled {
 		if err != nil {

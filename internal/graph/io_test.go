@@ -9,23 +9,22 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// encodeVersion returns the named encoding of g: 3 is the current
-// bulk-load format, 2 the legacy reflection-decoded one. The section bytes
-// are identical, so every corruption coordinate below is valid for both.
+// encodeVersion returns the named encoding of g: 3 is the format, 2 the
+// retired one (see legacyDump), which every loader must reject. The
+// section bytes are identical, so every corruption coordinate below is
+// valid for both.
 func encodeVersion(t *testing.T, g *Graph, version uint64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	var err error
-	if version == binaryVersionV2 {
-		err = WriteBinaryV2(&buf, g)
-	} else {
-		err = WriteBinary(&buf, g)
+	if version != binaryVersion {
+		return legacyDump(g, version)
 	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -47,20 +46,25 @@ func readers(data []byte) map[string]func() io.Reader {
 
 // TestBinaryCorruptionMatrix damages a valid file in every region —
 // header, offsets, adjacency, weights, checksum trailer — plus truncation
-// at every interesting boundary, for both the v3 bulk format and the v2
-// legacy format, through both the sized and unknown-size loader paths.
-// Every mutant must be rejected with ErrCorrupt: a corrupt file must never
-// load silently, partially, or with a panic.
+// at every interesting boundary, through both the sized and unknown-size
+// loader paths. Every mutant must be rejected with ErrCorrupt: a corrupt
+// file must never load silently, partially, or with a panic. The v2 rows
+// run the same mutants over a retired v2 dump, which is rejected intact
+// ("unsupported version 2") and so must stay rejected however it is
+// damaged.
 func TestBinaryCorruptionMatrix(t *testing.T) {
 	g := WithUniformWeights(GenerateChungLu(50, 200, 2.3, 9), 1, 3, 8)
-	for _, version := range []uint64{binaryVersionV2, binaryVersion} {
+	for _, version := range []uint64{2, binaryVersion} {
 		valid := encodeVersion(t, g, version)
 		vname := map[uint64]string{2: "v2", 3: "v3"}[version]
-		if _, err := ReadBinary(bytes.NewReader(valid)); err != nil {
-			t.Fatalf("%s: valid file rejected: %v", vname, err)
-		}
-		if _, err := ReadBinary(streamOnly{bytes.NewReader(valid)}); err != nil {
-			t.Fatalf("%s: valid file rejected on the stream path: %v", vname, err)
+		for mode, mk := range readers(valid) {
+			_, err := ReadBinary(mk())
+			switch {
+			case version == binaryVersion && err != nil:
+				t.Fatalf("%s: valid file rejected on the %s path: %v", vname, mode, err)
+			case version != binaryVersion && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 2")):
+				t.Fatalf("%s: retired format on the %s path: got %v, want ErrCorrupt unsupported version 2", vname, mode, err)
+			}
 		}
 
 		// Region boundaries of the weighted encoding (identical across versions).
@@ -143,32 +147,30 @@ func forgedHugeHeader(version uint64) []byte {
 // TestForgedHeaderAllocationBounded is the regression test for the
 // header-driven OOM: rejecting a 100-byte file whose header claims ~80 GiB
 // of sections must not allocate more than a spare megabyte, on either
-// loader path and for either format version.
+// loader path.
 func TestForgedHeaderAllocationBounded(t *testing.T) {
-	for _, version := range []uint64{binaryVersionV2, binaryVersion} {
-		data := forgedHugeHeader(version)
-		for mode, mk := range readers(data) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := ReadBinary(mk())
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("v%d/%s: got %v, want ErrCorrupt", version, mode, err)
-			}
-			if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
-				t.Fatalf("v%d/%s: rejecting a forged 100-byte file allocated %d bytes", version, mode, delta)
-			}
+	data := forgedHugeHeader(binaryVersion)
+	for mode, mk := range readers(data) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(mk())
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", mode, err)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+			t.Fatalf("%s: rejecting a forged 100-byte file allocated %d bytes", mode, delta)
 		}
 	}
 }
 
 // TestBinaryForgedStructure re-checksums files whose bytes are internally
 // consistent but structurally invalid: the CRC passes, so only the CSR
-// validation stands between them and a silent mis-load. Both format
-// versions run the same validation.
+// validation stands between them and a silent mis-load. The v2 forgeries
+// are stopped earlier, at the retired version word.
 func TestBinaryForgedStructure(t *testing.T) {
 	g := GenerateRing(10)
-	for _, version := range []uint64{binaryVersionV2, binaryVersion} {
+	for _, version := range []uint64{2, binaryVersion} {
 		forge := func(name string, mutate func([]byte)) {
 			t.Run(name, func(t *testing.T) {
 				data := encodeVersion(t, g, version)
@@ -250,9 +252,8 @@ func TestBinaryV3RoundTripDatasets(t *testing.T) {
 }
 
 // TestBinaryRoundTripProperty is the randomized round-trip property: for
-// arbitrary generated graphs (weighted and not), a v3 dump reloads
-// byte-identically on both loader paths, and a v2 dump rewritten as v3
-// loads byte-identically to the original — the migration contract.
+// arbitrary generated graphs (weighted and not), a dump reloads
+// byte-identically on both loader paths.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, weighted bool) bool {
 		g := GenerateUniform(40+int(seed%100), 150+int64(seed%400), seed)
@@ -270,20 +271,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			return false
 		}
 		assertGraphsByteIdentical(t, g, streamed)
-
-		// v2 → load → v3 rewrite → load must preserve every byte.
-		v2 := encodeVersion(t, g, binaryVersionV2)
-		fromV2, err := ReadBinary(bytes.NewReader(v2))
-		if err != nil {
-			return false
-		}
-		assertGraphsByteIdentical(t, g, fromV2)
-		rewritten := encodeVersion(t, fromV2, binaryVersion)
-		fromV3, err := ReadBinary(bytes.NewReader(rewritten))
-		if err != nil {
-			return false
-		}
-		assertGraphsByteIdentical(t, fromV2, fromV3)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -330,34 +317,32 @@ func TestBinaryFuzzCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadBinaryFile exercises the disk loader both ways, for both format
-// versions (v3 additionally goes through the mmap fast path on unix).
+// TestLoadBinaryFile exercises the disk loader (the mmap fast path on
+// unix): a dump loads byte-identically, and a corrupt dump and a retired
+// v2 dump are rejected with ErrCorrupt through the path wrapping.
 func TestLoadBinaryFile(t *testing.T) {
 	g := GenerateChungLu(80, 400, 2.4, 3)
 	dir := t.TempDir()
-	for _, version := range []uint64{binaryVersionV2, binaryVersion} {
-		path := filepath.Join(dir, "g.bin")
-		if err := os.WriteFile(path, encodeVersion(t, g, version), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		g2, err := LoadBinaryFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertGraphsByteIdentical(t, g, g2)
+	path := filepath.Join(dir, "g.bin")
+	data := encodeVersion(t, g, binaryVersion)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := LoadBinaryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsByteIdentical(t, g, g2)
 
-		// Corrupt on disk: the typed error must survive the path wrapping.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x01
-		bad := filepath.Join(dir, "bad.bin")
-		if err := os.WriteFile(bad, data, 0o644); err != nil {
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)/2] ^= 0x01
+	for name, content := range map[string][]byte{"corrupt": corrupt, "v2": encodeVersion(t, g, 2)} {
+		bad := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(bad, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadBinaryFile(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("corrupt v%d file on disk: got %v, want ErrCorrupt", version, err)
+			t.Fatalf("%s file on disk: got %v, want ErrCorrupt", name, err)
 		}
 	}
 	if _, err := LoadBinaryFile(filepath.Join(dir, "absent.bin")); err == nil {
@@ -366,8 +351,9 @@ func TestLoadBinaryFile(t *testing.T) {
 }
 
 // TestMmapBinaryFile pins the mmap fast path directly: a v3 file loads
-// byte-identically through it, a v2 file defers to the stream loader, and
-// a corrupt v3 file is rejected with ErrCorrupt (and unmapped).
+// byte-identically through it, a v2 file defers to the stream loader (which
+// rejects it), and a corrupt v3 file is rejected with ErrCorrupt (and
+// unmapped).
 func TestMmapBinaryFile(t *testing.T) {
 	g := WithUniformWeights(GenerateChungLu(60, 300, 2.4, 5), 1, 2, 6)
 	dir := t.TempDir()
@@ -385,7 +371,7 @@ func TestMmapBinaryFile(t *testing.T) {
 	assertGraphsByteIdentical(t, g, got)
 
 	v2 := filepath.Join(dir, "v2.bin")
-	if err := os.WriteFile(v2, encodeVersion(t, g, binaryVersionV2), 0o644); err != nil {
+	if err := os.WriteFile(v2, encodeVersion(t, g, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, handled, _ := mmapBinaryFile(v2); handled {

@@ -8,51 +8,35 @@ import (
 	"testing"
 )
 
-// The load benchmarks feed the BENCH_graph.json regression gate
-// (make bench-graph): BenchmarkLoadBinaryV2 measures the legacy
-// reflection decode, BenchmarkLoadBinaryV3 the bulk zero-copy path over
-// the same graph, so the committed baseline records the bulk-vs-reflection
-// win and the gate catches both load-time and allocs/op regressions.
-// BenchmarkLoadBinaryFileV3 (disk + mmap) stays out of the gate: it
-// measures the host's filesystem, not the decoder.
+// BenchmarkLoadBinaryV3 feeds the BENCH_graph.json regression gate (make
+// bench-graph): the bulk zero-copy load of a mid-size weighted replica, so
+// the gate catches both load-time and allocs/op regressions. The retired
+// v2 reflection decode it replaced took 24 684 706 ns/op on the same graph
+// (cmd/benchjson keeps that number). BenchmarkLoadBinaryFileV3 (disk +
+// mmap) stays out of the gate: it measures the host's filesystem, not the
+// decoder.
 
 var (
 	loadBenchOnce sync.Once
-	loadBenchV2   []byte
 	loadBenchV3   []byte
 )
 
 // loadBenchData encodes one weighted mid-size replica (comparable to the
-// LiveJournal replica's arc count) in both format versions.
-func loadBenchData(b *testing.B) (v2, v3 []byte) {
+// LiveJournal replica's arc count).
+func loadBenchData(b *testing.B) []byte {
 	loadBenchOnce.Do(func() {
 		g := WithUniformWeights(GenerateChungLu(50_000, 400_000, 2.3, 77), 1, 4, 9)
-		var b2, b3 bytes.Buffer
-		if err := WriteBinaryV2(&b2, g); err != nil {
-			panic(err)
-		}
+		var b3 bytes.Buffer
 		if err := WriteBinary(&b3, g); err != nil {
 			panic(err)
 		}
-		loadBenchV2, loadBenchV3 = b2.Bytes(), b3.Bytes()
+		loadBenchV3 = b3.Bytes()
 	})
-	return loadBenchV2, loadBenchV3
-}
-
-func BenchmarkLoadBinaryV2(b *testing.B) {
-	data, _ := loadBenchData(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return loadBenchV3
 }
 
 func BenchmarkLoadBinaryV3(b *testing.B) {
-	_, data := loadBenchData(b)
+	data := loadBenchData(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,7 +51,7 @@ func BenchmarkLoadBinaryV3(b *testing.B) {
 // path on unix — against a real (page-cached) file. Artifact only, not
 // gated: wall clock here belongs to the host filesystem.
 func BenchmarkLoadBinaryFileV3(b *testing.B) {
-	_, data := loadBenchData(b)
+	data := loadBenchData(b)
 	path := filepath.Join(b.TempDir(), "bench.bin")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		b.Fatal(err)

@@ -7,13 +7,14 @@ import (
 	"syscall"
 )
 
-// mmapBinaryFile maps a v3 dump read-only and aliases the CSR arrays
-// straight into the mapping — load cost becomes a header check, one CRC
-// sweep and the structural validation scan, with the section bytes served
-// from the page cache on demand. handled=false asks the caller to fall
-// back to the streaming loader (v2 file, short or unopenable file, a
-// big-endian host, or mmap refusing the file); handled=true means the
-// outcome — graph or corruption error — is final.
+// mmapBinaryFile maps a dump read-only and aliases the CSR arrays straight
+// into the mapping — load cost becomes a header check, one CRC sweep and
+// the structural validation scan, with the section bytes served from the
+// page cache on demand. handled=false asks the caller to fall back to the
+// streaming loader (a header it rejects, a short or unopenable file, a
+// big-endian host, or mmap refusing the file), which then reports the
+// canonical error; handled=true means the outcome — graph or corruption
+// error — is final.
 //
 // On success the mapping is deliberately never unmapped: loaded graphs are
 // immutable, process-lifetime objects shared by every job, exactly like the
@@ -39,8 +40,7 @@ func mmapBinaryFile(path string) (*Graph, bool, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, false, nil
 	}
-	h, err := parseBinaryHeader(hdr[:])
-	if err != nil || h.version != binaryVersion {
+	if _, err := parseBinaryHeader(hdr[:]); err != nil {
 		return nil, false, nil
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)

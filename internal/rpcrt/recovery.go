@@ -32,9 +32,9 @@ func callTimeout(cl *rpc.Client, method string, args, reply any, d time.Duration
 	}
 }
 
-// Section names inside a worker snapshot.
+// Section names inside a worker snapshot, in file order. The barrier
+// superstep is the snapshot's Step.
 const (
-	wsecMeta     = "meta"
 	wsecInbox    = "inbox"
 	wsecCounters = "counters"
 	wsecProg     = "prog"
@@ -43,7 +43,7 @@ const (
 // ckptManager builds the worker's checkpoint manager: all workers share one
 // directory, isolated by per-worker file prefixes.
 func ckptManager(dir string, id int) *ckpt.Manager {
-	return &ckpt.Manager{Dir: dir, Prefix: fmt.Sprintf("w%d-", id), Keep: 1}
+	return &ckpt.Manager{Dir: dir, Prefix: fmt.Sprintf("w%d-", id)}
 }
 
 // CkptArgs asks a worker to checkpoint its barrier state into Dir. Trace
@@ -58,9 +58,10 @@ type CkptArgs struct {
 // Checkpoint snapshots the worker's superstep state — the current inbox
 // (the messages the next compute will consume, in delivery order), the
 // conservation counters, and the hosted program's state with its RNG
-// stream — into a checksummed file. It replies with the bytes written. The
-// master calls it at the barrier after Advance, so the pending lists and the
-// outboxes are empty by construction.
+// stream — into a checksummed file whose header records the barrier round.
+// It replies with the bytes written. The master calls it at the barrier
+// after Advance, so the pending lists and the outboxes are empty by
+// construction.
 func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	if w.dead.Load() {
 		return w.down()
@@ -72,16 +73,11 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 		workerProc(w.id), workerComputeTrack, obs.L("round", fmt.Sprint(args.Round)))
 	snap := &ckpt.Snapshot{Step: args.Round}
 
-	// Checkpoint sections reuse the runtime's wire codec: meta is a
-	// Control frame (kind = checkpoint, round = barrier superstep) and the
-	// inbox is an Envelopes frame, so snapshots share the delivery path's
-	// framing, versioning and corruption detection. The trace context is
-	// zero on purpose: snapshots outlive the run that wrote them, so a
-	// span id would be meaningless (and nondeterministic) on restore.
-	snap.Add(wsecMeta, wire.EncodeControl(nil, wire.ControlCheckpoint, args.Round, 0))
-
-	// The inbox is already flat, one run per destination; restore rebuilds
-	// the offsets with the same stable sort that laid it out.
+	// The inbox reuses the runtime's wire codec as an Envelopes frame, so
+	// snapshots share the delivery path's framing, versioning and
+	// corruption detection. It is already flat, one run per destination;
+	// restore rebuilds the offsets with the same stable sort that laid it
+	// out.
 	snap.Add(wsecInbox, wire.EncodeEnvelopes(nil, w.inbox))
 
 	w.statsMu.Lock()
@@ -151,15 +147,7 @@ func (w *Worker) Restore(args RestoreArgs, _ *struct{}) error {
 	if snap == nil {
 		return fmt.Errorf("rpcrt: worker %d restore: no checkpoint in %s", w.id, args.Dir)
 	}
-
-	kind, round, _, err := wire.DecodeControl(snap.Get(wsecMeta))
-	if err != nil {
-		return fmt.Errorf("rpcrt: worker %d restore meta: %w", w.id, err)
-	}
-	if kind != wire.ControlCheckpoint {
-		return fmt.Errorf("rpcrt: worker %d restore: meta control kind %d", w.id, kind)
-	}
-	w.round = round
+	w.round = snap.Step
 
 	w.reset()
 	flat, err := wire.DecodeEnvelopes(snap.Get(wsecInbox), nil)

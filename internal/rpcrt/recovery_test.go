@@ -3,11 +3,13 @@ package rpcrt
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
@@ -22,12 +24,13 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 	return p
 }
 
-// runMSSPWithFaults runs one MSSP job with checkpointing and an optional
-// fault plan, returning distances, rounds, messages, and worker stats.
-func runMSSPWithFaults(t *testing.T, g *graph.Graph, k int, sources []graph.VertexID, planSpec string) ([][]float64, int, int64, []WorkerStats, *Cluster) {
+// runMSSPWithFaults runs one MSSP job checkpointing into dir, with an
+// optional fault plan, returning distances, rounds, messages, and worker
+// stats.
+func runMSSPWithFaults(t *testing.T, g *graph.Graph, k int, sources []graph.VertexID, dir, planSpec string) ([][]float64, int, int64, []WorkerStats, *Cluster) {
 	t.Helper()
 	c := startTestCluster(t, g, k)
-	c.SetCheckpoint(t.TempDir(), 2)
+	c.SetCheckpoint(dir, 2)
 	if planSpec != "" {
 		c.SetFaultPlan(mustPlan(t, planSpec))
 	}
@@ -45,17 +48,20 @@ func runMSSPWithFaults(t *testing.T, g *graph.Graph, k int, sources []graph.Vert
 // TestMSSPCrashRecoveryMatchesFaultFree is the deterministic-recovery
 // contract on the RPC runtime: a run that crashes a worker mid-job and
 // recovers from the checkpoint must equal the fault-free run in results,
-// round count, message totals and every per-worker conservation counter.
+// round count, message totals and every per-worker conservation counter —
+// even in the fault-free run's checkpoint directory, whose later snapshots
+// must not be restored in place of the crashed run's own.
 func TestMSSPCrashRecoveryMatchesFaultFree(t *testing.T) {
 	g := graph.GenerateChungLu(150, 600, 2.5, 3)
 	sources := []graph.VertexID{0, 7, 42}
 	for _, k := range []int{1, 4, 8} {
-		baseDist, baseRounds, baseMsgs, baseStats, _ := runMSSPWithFaults(t, g, k, sources, "")
+		dir := t.TempDir()
+		baseDist, baseRounds, baseMsgs, baseStats, _ := runMSSPWithFaults(t, g, k, sources, dir, "")
 		crash := "crash:worker=0,step=4"
 		if k > 1 {
 			crash = "crash:worker=1,step=4"
 		}
-		dist, rounds, msgs, stats, c := runMSSPWithFaults(t, g, k, sources, crash)
+		dist, rounds, msgs, stats, c := runMSSPWithFaults(t, g, k, sources, dir, crash)
 		if c.Recoveries() != 1 {
 			t.Fatalf("k=%d: recoveries=%d want 1", k, c.Recoveries())
 		}
@@ -95,14 +101,16 @@ func TestMSSPCrashRecoveryMatchesFaultFree(t *testing.T) {
 
 // TestBPPRCrashRecoveryBitIdentical checks the hard case: a randomized
 // program. The checkpoint carries the worker RNG stream positions, so the
-// recovered run must reproduce the fault-free walk endpoints exactly.
+// recovered run must reproduce the fault-free walk endpoints, supersteps
+// and message count exactly — in the fault-free run's checkpoint directory.
 func TestBPPRCrashRecoveryBitIdentical(t *testing.T) {
 	g := graph.GenerateChungLu(60, 240, 2.4, 9)
 	const walks, alpha, seed = 200, 0.15, 3
+	dir := t.TempDir()
 
 	run := func(planSpec string) (map[[2]graph.VertexID]float64, *Cluster) {
 		c := startTestCluster(t, g, 3)
-		c.SetCheckpoint(t.TempDir(), 1)
+		c.SetCheckpoint(dir, 1)
 		if planSpec != "" {
 			c.SetFaultPlan(mustPlan(t, planSpec))
 		}
@@ -113,10 +121,13 @@ func TestBPPRCrashRecoveryBitIdentical(t *testing.T) {
 		return ppr, c
 	}
 
-	base, _ := run("")
+	base, bc := run("")
 	got, c := run("crash:worker=2,step=3")
 	if c.Recoveries() != 1 {
 		t.Fatalf("recoveries=%d want 1", c.Recoveries())
+	}
+	if c.Rounds() != bc.Rounds() || c.MessagesSent() != bc.MessagesSent() {
+		t.Fatalf("supersteps/messages %d/%d, fault-free %d/%d", c.Rounds(), c.MessagesSent(), bc.Rounds(), bc.MessagesSent())
 	}
 	if len(base) != len(got) {
 		t.Fatalf("endpoint sets differ: %d vs %d entries", len(base), len(got))
@@ -134,7 +145,10 @@ func TestBPPRCrashRecoveryBitIdentical(t *testing.T) {
 // job to equal the fault-free one in results, supersteps and messages. A
 // restarted worker replays the engine's own program from the engine's own
 // snapshot (plus the host's RNG state), so this is cheap enough to be
-// exhaustive.
+// exhaustive. Every job of a task checkpoints into one directory, so each
+// crashed job starts among the previous job's snapshots; the fault-free
+// job must leave exactly one snapshot per worker, holding the inbox,
+// counters and prog sections.
 func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 	g := graph.WithUniformWeights(graph.GenerateChungLu(200, 800, 2.5, 21), 1, 4, 22)
 	sources := []graph.VertexID{3, 77, 150}
@@ -148,6 +162,7 @@ func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 	}
 	const k = 2
 	for _, job := range jobs {
+		dir := t.TempDir()
 		run := func(plan string) (res any, rounds int, msgs int64, recoveries int) {
 			t.Helper()
 			c, err := StartCluster(g, k)
@@ -155,7 +170,7 @@ func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			c.SetCheckpoint(t.TempDir(), 2)
+			c.SetCheckpoint(dir, 2)
 			if plan != "" {
 				c.SetFaultPlan(mustPlan(t, plan))
 			}
@@ -169,6 +184,7 @@ func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 		if rounds < 4 {
 			t.Fatalf("%s: only %d supersteps, the axis needs a multi-round job", job.name, rounds)
 		}
+		requireWorkerSnapshots(t, dir, k)
 		for step := 2; step <= rounds; step++ {
 			for worker := 0; worker < k; worker++ {
 				plan := fmt.Sprintf("crash:worker=%d,step=%d", worker, step)
@@ -183,6 +199,33 @@ func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 					t.Fatalf("%s %s: recovered results differ from the fault-free run", job.name, plan)
 				}
 			}
+		}
+	}
+}
+
+// requireWorkerSnapshots checks a finished job's checkpoint directory:
+// exactly one snapshot per worker, whose sections are exactly inbox,
+// counters and prog — the barrier round lives in the snapshot's Step.
+func requireWorkerSnapshots(t *testing.T, dir string, k int) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+ckpt.FileSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != k {
+		t.Fatalf("%d snapshots in %s, want one per worker (%d)", len(paths), dir, k)
+	}
+	for _, p := range paths {
+		snap, err := ckpt.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, sec := range snap.Sections {
+			names = append(names, sec.Name)
+		}
+		if got := strings.Join(names, ","); got != "inbox,counters,prog" || snap.Step < 1 {
+			t.Fatalf("%s: step %d with sections %s, want inbox,counters,prog", filepath.Base(p), snap.Step, got)
 		}
 	}
 }
@@ -352,12 +395,14 @@ func TestCloseAfterCrashedWorker(t *testing.T) {
 	}
 }
 
-// TestTwoCrashesSameJob: two distinct crashes in one job, both recovered.
+// TestTwoCrashesSameJob: two distinct crashes in one job, both recovered,
+// in the fault-free run's checkpoint directory.
 func TestTwoCrashesSameJob(t *testing.T) {
 	g := graph.GenerateChungLu(150, 600, 2.5, 3)
 	sources := []graph.VertexID{0, 7, 42}
-	baseDist, baseRounds, baseMsgs, _, _ := runMSSPWithFaults(t, g, 4, sources, "")
-	dist, rounds, msgs, _, c := runMSSPWithFaults(t, g, 4, sources, "crash:worker=1,step=3;crash:worker=2,step=5")
+	dir := t.TempDir()
+	baseDist, baseRounds, baseMsgs, _, _ := runMSSPWithFaults(t, g, 4, sources, dir, "")
+	dist, rounds, msgs, _, c := runMSSPWithFaults(t, g, 4, sources, dir, "crash:worker=1,step=3;crash:worker=2,step=5")
 	if c.Recoveries() != 2 {
 		t.Fatalf("recoveries=%d want 2", c.Recoveries())
 	}

@@ -74,9 +74,9 @@ func (s *Store) AddGenerated(name string) error {
 	return nil
 }
 
-// AddFile loads a graphgen binary file (v3 or legacy v2) as the snapshot
-// for the named dataset. v3 dumps arrive through the zero-copy bulk/mmap
-// path, which suits snapshots well: they are immutable for the process
+// AddFile loads a graphgen binary file as the snapshot for the named
+// dataset. Dumps arrive through the zero-copy bulk/mmap path, which suits
+// snapshots well: they are immutable for the process
 // lifetime, exactly what a shared read-only mapping provides. The file
 // must be a faithful dump of the dataset's replica (PrimeDataset enforces
 // the vertex count; the binary format's CRC trailer guards the bytes),

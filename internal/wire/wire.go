@@ -1,7 +1,7 @@
 // Package wire implements the runtime's versioned little-endian binary
 // protocol for hot-path payloads: message envelopes, coalesced delivery
-// batches, and the small round-control / checkpoint frames that bracket
-// them. It replaces gob on internal/rpcrt's delivery path, where gob's
+// batches, and the bare envelope lists a worker checkpoints its inbox as.
+// It replaces gob on internal/rpcrt's delivery path, where gob's
 // reflection-driven encoding and per-connection type framing made both
 // throughput and byte accounting unstable (the encoded size of the first
 // value on a connection differs from every later one).
@@ -11,14 +11,13 @@
 //	offset  size  field
 //	0       2     magic "VW"
 //	2       1     protocol version (currently 2)
-//	3       1     frame type (FrameDeliver, FrameControl, FrameEnvelopes)
+//	3       1     frame type (FrameDeliver, FrameEnvelopes)
 //	4       4     payload length in bytes (uint32)
 //	8       n     payload
 //
 // Payloads:
 //
 //	Deliver    uvarint(from) uvarint(round) uvarint(trace) uvarint(count) count×envelope
-//	Control    uvarint(kind) uvarint(round) uvarint(trace)
 //	Envelopes  uvarint(count) count×envelope
 //
 // The trace field (version 2) carries an optional TraceContext — the span
@@ -51,36 +50,24 @@ import (
 )
 
 // Version is the protocol version stamped into every frame header.
-// Version 2 added the trace-context field to Deliver and Control payloads;
-// version-1 frames are rejected with ErrVersion (the codec is canonical:
-// accepting two encodings of the same values would break the re-encode
-// identity the fuzzer enforces).
+// Version 2 added the trace-context field to Deliver payloads; version-1
+// frames are rejected with ErrVersion (the codec is canonical: accepting
+// two encodings of the same values would break the re-encode identity the
+// fuzzer enforces).
 const Version = 2
 
 // TraceContext is the optional trace-correlation value carried by Deliver
-// and Control frames: the sender's span id. Zero means "no context".
+// frames: the sender's span id. Zero means "no context".
 type TraceContext uint64
 
-// Frame types.
+// Frame types. 0x02 is retired: decoders reject it like any unknown type.
 const (
 	// FrameDeliver carries one coalesced batch of envelopes from one
 	// worker to one peer, tagged with the sender and the round.
 	FrameDeliver byte = 0x01
-	// FrameControl carries a small (kind, round) control tuple; used for
-	// checkpoint metadata and reserved for future low-rate control calls.
-	FrameControl byte = 0x02
 	// FrameEnvelopes carries a bare envelope list with no routing header;
 	// used for checkpointed inboxes.
 	FrameEnvelopes byte = 0x03
-)
-
-// Control frame kinds.
-const (
-	// ControlRound marks a superstep-advance control tuple.
-	ControlRound = 1
-	// ControlCheckpoint marks checkpoint metadata (round = checkpointed
-	// superstep).
-	ControlCheckpoint = 2
 )
 
 const (
@@ -199,15 +186,6 @@ func EncodeDeliver(buf []byte, from, round int, tc TraceContext, batch []Envelop
 	for _, e := range batch {
 		buf = appendEnvelope(buf, e)
 	}
-	return endFrame(buf, start)
-}
-
-// EncodeControl appends a Control frame carrying (kind, round, trace).
-func EncodeControl(buf []byte, kind, round int, tc TraceContext) []byte {
-	buf, start := beginFrame(buf, FrameControl)
-	buf = binary.AppendUvarint(buf, uint64(kind))
-	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(tc))
 	return endFrame(buf, start)
 }
 
@@ -346,31 +324,6 @@ func DecodeDeliver(frame []byte, dst []Envelope) (DeliverHeader, []Envelope, err
 	}
 	h = DeliverHeader{From: int(from), Round: int(round), Trace: TraceContext(trace), Count: n}
 	return h, out, nil
-}
-
-// DecodeControl decodes a Control frame into (kind, round, trace).
-func DecodeControl(frame []byte) (kind, round int, tc TraceContext, err error) {
-	b, err := parseFrame(frame, FrameControl)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var k, r, t uint64
-	if k, b, err = uvarint(b, "kind"); err != nil {
-		return 0, 0, 0, err
-	}
-	if r, b, err = uvarint(b, "round"); err != nil {
-		return 0, 0, 0, err
-	}
-	if t, b, err = uvarint(b, "trace"); err != nil {
-		return 0, 0, 0, err
-	}
-	if k > math.MaxInt32 || r > math.MaxInt32 {
-		return 0, 0, 0, corrupt("control field overflow")
-	}
-	if len(b) != 0 {
-		return 0, 0, 0, corrupt("%d trailing bytes", len(b))
-	}
-	return int(k), int(r), TraceContext(t), nil
 }
 
 // DecodeEnvelopes decodes an Envelopes frame, appending to dst. On error

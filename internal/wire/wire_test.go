@@ -88,23 +88,6 @@ func TestEnvelopesRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestControlRoundTrip(t *testing.T) {
-	for _, kind := range []int{ControlRound, ControlCheckpoint, 77} {
-		for _, round := range []int{0, 1, 255, 1 << 20} {
-			for _, tc := range []TraceContext{0, 1, 1 << 40, math.MaxUint64} {
-				frame := EncodeControl(nil, kind, round, tc)
-				k, r, gotTC, err := DecodeControl(frame)
-				if err != nil {
-					t.Fatalf("kind=%d round=%d trace=%d: %v", kind, round, tc, err)
-				}
-				if k != kind || r != round || gotTC != tc {
-					t.Fatalf("got (%d,%d,%d) want (%d,%d,%d)", k, r, gotTC, kind, round, tc)
-				}
-			}
-		}
-	}
-}
-
 func TestDecodeAppendsToDst(t *testing.T) {
 	a := []Envelope{{Dst: 1, Src: 2, Val: 3}}
 	frame := EncodeDeliver(nil, 0, 1, 0, []Envelope{{Dst: 9, Src: 8, Val: 7}})
@@ -125,7 +108,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		"truncated header":  frame[:5],
 		"truncated payload": frame[:len(frame)-2],
 		"bad magic":         append([]byte{'x', 'y'}, frame[2:]...),
-		"wrong frame type":  EncodeControl(nil, 1, 2, 0), // Deliver decoder on a Control frame
+		"wrong frame type":  EncodeEnvelopes(nil, batch), // Deliver decoder on an Envelopes frame
 		"trailing bytes":    append(append([]byte(nil), frame...), 0xff),
 	}
 	// Oversized declared count: a frame claiming 2^20 envelopes with a
@@ -147,9 +130,9 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownVersion(t *testing.T) {
-	frame := EncodeControl(nil, 1, 2, 0)
+	frame := EncodeDeliver(nil, 1, 2, 0, nil)
 	frame[2] = 9
-	_, _, _, err := DecodeControl(frame)
+	_, _, err := DecodeDeliver(frame, nil)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
@@ -168,11 +151,6 @@ func TestDecodeRejectsVersion1Frames(t *testing.T) {
 	frame[2] = 1
 	if _, _, err := DecodeDeliver(frame, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v1 deliver frame: got %v, want ErrVersion", err)
-	}
-	ctl := EncodeControl(nil, ControlCheckpoint, 9, 0)
-	ctl[2] = 1
-	if _, _, _, err := DecodeControl(ctl); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 control frame: got %v, want ErrVersion", err)
 	}
 }
 
@@ -208,7 +186,7 @@ func TestBufPoolRoundTrip(t *testing.T) {
 	if len(*b) != 0 {
 		t.Fatalf("pooled buffer has length %d", len(*b))
 	}
-	*b = EncodeControl(*b, 1, 5, 0)
+	*b = EncodeDeliver(*b, 1, 5, 0, nil)
 	PutBuf(b)
 	s := GetEnvelopes()
 	if len(*s) != 0 {
