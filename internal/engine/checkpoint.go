@@ -74,7 +74,7 @@ func (e *Engine[M]) maybeCheckpoint() error {
 	if e.rounds != 1 && e.rounds%co.Interval != 0 {
 		return nil
 	}
-	snap, err := e.buildSnapshot()
+	snap, err := e.Snapshot()
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint at round %d: %w", e.rounds, err)
 	}
@@ -125,7 +125,7 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 	if e.run != nil {
 		lostSeconds = e.run.Seconds() - e.ckptSimSeconds
 	}
-	if err := e.restoreSnapshot(snap); err != nil {
+	if err := e.Restore(snap); err != nil {
 		return fmt.Errorf("engine: recovery: %w", err)
 	}
 	if e.run != nil {
@@ -138,12 +138,15 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 	return nil
 }
 
-// buildSnapshot captures the barrier state. Everything the next superstep
-// reads is included; per-round scratch (inbox, counters) is empty at a
-// barrier and is not.
-func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
-	co := e.opts.Checkpoint
-	k := e.part.NumMachines()
+// Snapshot captures the barrier state, payloads encoded by the checkpoint
+// Codec, in the outbox, rng and prog sections of a checkpoint whose Step is
+// the round.
+// Everything the next superstep reads is included; per-round scratch
+// (inbox, counters) is empty at a barrier and is not. A machine engine's
+// rows hold its own sends and the messages landed on it, so its snapshot is
+// the full engine's restricted to its machine.
+func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
+	k, codec := e.k, e.opts.Checkpoint.Codec
 	snap := &ckpt.Snapshot{Step: e.rounds}
 
 	// Outbox rows are serialized as the engine holds them, row by row, so
@@ -157,7 +160,7 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 		for ci := range row.chunks {
 			for _, env := range row.filled(ci) {
 				out = binary.LittleEndian.AppendUint32(out, env.dst)
-				payload = co.Codec.Encode(payload[:0], env.payload)
+				payload = codec.Encode(payload[:0], env.payload)
 				out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
 				out = append(out, payload...)
 			}
@@ -180,11 +183,10 @@ func (e *Engine[M]) buildSnapshot() (*ckpt.Snapshot, error) {
 	return snap, nil
 }
 
-// restoreSnapshot rolls every piece of volatile superstep state back to
-// the checkpointed barrier.
-func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
-	co := e.opts.Checkpoint
-	k := e.part.NumMachines()
+// Restore rolls every piece of volatile superstep state back to the barrier
+// a Snapshot with the same checkpoint Codec captured.
+func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
+	k, codec := e.k, e.opts.Checkpoint.Codec
 	e.rounds = snap.Step
 
 	out := snap.Get(secOutbox)
@@ -203,7 +205,7 @@ func (e *Engine[M]) restoreSnapshot(snap *ckpt.Snapshot) error {
 		for i := 0; i < n; i++ {
 			dst := binary.LittleEndian.Uint32(out)
 			plen := int(binary.LittleEndian.Uint32(out[4:]))
-			payload, used := co.Codec.Decode(out[8 : 8+plen])
+			payload, used := codec.Decode(out[8 : 8+plen])
 			if used != plen {
 				return fmt.Errorf("snapshot outbox payload decoded %d of %d bytes", used, plen)
 			}

@@ -166,16 +166,17 @@ type Engine[M any] struct {
 	// region per destination machine (regionStart[d]..regionStart[d+1]).
 	// Within machine d's region, local vertex i's segment is
 	// moffs[d][i]..moffs[d][i+1] (relative to the region start). mcount is
-	// the per-machine histogram/cursor scratch. All of it persists across
-	// rounds.
+	// the per-machine histogram/cursor scratch; mcount and moffs exist for
+	// local machines only. All of it persists across rounds.
 	inbox       []M
 	regionStart []int32
 	mcount      [][]int32
 	moffs       [][]int32
 	// machLoad and machOrder implement load-ordered (LPT) scheduling:
 	// delivery and compute tasks are handed to the pool largest-first so a
-	// skewed machine starts first and stragglers shrink. Ordering never
-	// affects results — all cross-machine state is partitioned.
+	// skewed machine starts first and stragglers shrink. machOrder is a
+	// permutation of local. Ordering never affects results — all
+	// cross-machine state is partitioned.
 	machLoad  []int64
 	machOrder []int32
 
@@ -211,6 +212,10 @@ type Engine[M any] struct {
 	ckptSimSeconds float64
 	replayTo       int
 	recoveries     int
+	// local lists, ascending, the machines this engine executes: all k, or
+	// one for a machine engine (see NewMachine); seeding, delivery, the fold
+	// and compute iterate it. Last, so the hot fields keep their offsets.
+	local []int32
 }
 
 type envelope[M any] struct {
@@ -232,11 +237,20 @@ type machineCounters struct {
 // fresh engine and a re-armed one start a run from the same state by the
 // same code.
 func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim.Run, opts Options[M]) *Engine[M] {
+	local := make([]int32, part.NumMachines())
+	for m := range local {
+		local[m] = int32(m)
+	}
+	return newEngine(g, part, local, prog, run, opts)
+}
+
+func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog Program[M], run *sim.Run, opts Options[M]) *Engine[M] {
 	k := part.NumMachines()
 	n := g.NumVertices()
 	e := &Engine[M]{
 		g: g, part: part,
 		k:              k,
+		local:          local,
 		vertsByMachine: make([][]graph.VertexID, k),
 		owners:         make([]int32, n),
 		rank:           make([]int32, n),
@@ -247,7 +261,7 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		mcount:         make([][]int32, k),
 		moffs:          make([][]int32, k),
 		machLoad:       make([]int64, k),
-		machOrder:      make([]int32, k),
+		machOrder:      make([]int32, len(local)),
 		rngs:           make([]*randx.RNG, k),
 		sent:           make([]machineCounters, k),
 		recv:           make([]machineCounters, k),
@@ -261,11 +275,13 @@ func New[M any](g *graph.Graph, part *graph.Partition, prog Program[M], run *sim
 		e.vertsByMachine[m] = append(e.vertsByMachine[m], graph.VertexID(v))
 	}
 	for m := 0; m < k; m++ {
+		e.rngs[m] = randx.New(0)
+		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m], rows: e.outRows[m*k : (m+1)*k]}
+	}
+	for _, m := range local {
 		nl := len(e.vertsByMachine[m])
 		e.mcount[m] = make([]int32, nl)
 		e.moffs[m] = make([]int32, nl+1)
-		e.rngs[m] = randx.New(0)
-		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m], rows: e.outRows[m*k : (m+1)*k]}
 	}
 	for r := range e.outRows {
 		e.outRows[r].free = &e.free[r/k]
@@ -287,7 +303,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	}
 	k := e.k
 	e.prog, e.run, e.opts = prog, run, opts
-	e.workers = min(effectiveWorkers(opts), k)
+	e.workers = min(effectiveWorkers(opts), len(e.local))
 
 	// Whatever an abandoned run left buffered goes back to the free lists.
 	for r := range e.outRows {
@@ -393,13 +409,9 @@ func (e *Engine[M]) Run() error {
 		return err
 	}
 	defer e.stopPool()
-	// Superstep 1: seeding. "In the first round, each of the W walks stops
-	// with α probability and ... a message is sent" (§3). Out of core it
-	// runs against the resident graph — a Seed call per machine cannot
-	// interleave with window loads — so the bounded window starts at the
-	// first delivery superstep, exactly where message volume lives.
-	e.runPhase(phaseSeed, e.k)
-	e.observeRound()
+	if err := e.Step(); err != nil {
+		return err
+	}
 	if err := e.maybeCheckpoint(); err != nil {
 		return err
 	}
@@ -421,10 +433,9 @@ func (e *Engine[M]) Run() error {
 			}
 			continue
 		}
-		if err := e.step(); err != nil {
+		if err := e.Step(); err != nil {
 			return err
 		}
-		e.observeRound()
 		if err := e.maybeCheckpoint(); err != nil {
 			return err
 		}
@@ -432,15 +443,29 @@ func (e *Engine[M]) Run() error {
 	return nil
 }
 
-// step executes one delivery superstep: route the buffered messages into
-// the inbox and run every machine's Compute calls, or, out of core, seal
-// the partition files and stream the partitions through the window.
-func (e *Engine[M]) step() error {
-	if e.ooc != nil {
-		return e.stepOOC()
+// Step executes the next superstep and closes it at the barrier. The first
+// seeds: "In the first round, each of the W walks stops with α probability
+// and ... a message is sent" (§3). Out of core seeding runs against the
+// resident graph — a Seed call per machine cannot interleave with window
+// loads — so the bounded window starts at the first delivery superstep,
+// exactly where message volume lives. Every later one routes the buffered
+// messages into the inbox and runs the local machines' Compute calls, or,
+// out of core, seals the partition files and streams the partitions through
+// the window. Run's loop is Step plus the halting rule, checkpoints and
+// recovery; a machine engine's driver calls it directly (see NewMachine).
+func (e *Engine[M]) Step() error {
+	switch {
+	case e.rounds == 0:
+		e.runPhase(phaseSeed, len(e.local))
+	case e.ooc != nil:
+		if err := e.stepOOC(); err != nil {
+			return err
+		}
+	default:
+		e.deliver()
+		e.runPhase(phaseCompute, len(e.machOrder))
 	}
-	e.deliver()
-	e.runPhase(phaseCompute, e.k)
+	e.observeRound()
 	return nil
 }
 
@@ -498,9 +523,9 @@ func (e *Engine[M]) deliver() {
 	e.route()
 	if e.opts.Combiner != nil {
 		if e.workers > 1 && len(e.inbox) >= parallelDeliverMin {
-			e.runPhase(phaseCombine, e.k)
+			e.runPhase(phaseCombine, len(e.machOrder))
 		} else {
-			for i := 0; i < e.k; i++ {
+			for i := range e.machOrder {
 				e.runTask(phaseCombine, i)
 			}
 		}
@@ -535,9 +560,9 @@ func (e *Engine[M]) route() {
 	e.inbox = e.inbox[:total]
 	e.orderByLoad()
 	if e.workers > 1 && total >= parallelDeliverMin {
-		e.runPhase(phaseDeliver, k)
+		e.runPhase(phaseDeliver, len(e.machOrder))
 	} else {
-		for i := 0; i < k; i++ {
+		for i := range e.machOrder {
 			e.runTask(phaseDeliver, i)
 		}
 	}
@@ -563,16 +588,14 @@ func (e *Engine[M]) checkOwed() {
 	}
 }
 
-// orderByLoad fills machOrder with machine indices sorted by machLoad
+// orderByLoad fills machOrder with the local machines sorted by machLoad
 // descending (stable on index), the LPT heuristic: the pool starts the
 // heaviest destination first so the round's critical path shrinks on
 // skewed partitions. Insertion sort — k is small and the slice is nearly
 // sorted between rounds — and no closures, so no allocation.
 func (e *Engine[M]) orderByLoad() {
 	ord := e.machOrder
-	for i := range ord {
-		ord[i] = int32(i)
-	}
+	copy(ord, e.local)
 	for i := 1; i < len(ord); i++ {
 		for j := i; j > 0 && e.machLoad[ord[j]] > e.machLoad[ord[j-1]]; j-- {
 			ord[j], ord[j-1] = ord[j-1], ord[j]

@@ -68,8 +68,9 @@ type phasePool struct {
 func (e *Engine[M]) runTask(kind phaseKind, i int) {
 	switch kind {
 	case phaseSeed:
-		e.prog.Seed(e.ctxs[i])
-		e.active[i] += int64(len(e.vertsByMachine[i]))
+		m := e.local[i]
+		e.prog.Seed(e.ctxs[m])
+		e.active[m] += int64(len(e.vertsByMachine[m]))
 	case phaseDeliver:
 		e.deliverMachine(int(e.machOrder[i]))
 	case phaseCombine:

@@ -1,40 +1,59 @@
 package rpcrt
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
+	"vcmt/internal/ckpt"
+	"vcmt/internal/engine"
 	"vcmt/internal/graph"
-	"vcmt/internal/randx"
 	"vcmt/internal/tasks"
 	"vcmt/internal/vcapi"
 )
 
-// host makes a worker a vcapi executor for one internal/tasks batch
-// program — the very program the engine runs. It is the vcapi.Context the
-// program sees (machine = worker id, RNG = the engine's stream for that
-// machine, Send = the worker's send buffer) plus the exact conversion
-// between the program's message type and the wire envelope.
-type host[M any] struct {
-	w      *Worker
-	prog   tasks.Batch[M]
-	rng    *randx.RNG
-	vertex graph.VertexID
-	msgs   []M // Compute's argument, converted from the vertex's inbox segment
-
-	pack   func(dst graph.VertexID, m M) Message
-	unpack func(Message) M
-	// results reads the worker's share of the output off the job, once
-	// prog.Finish has folded the batch into it.
-	results  func() []ResultEntry
-	finished bool
+// hosted is the worker's type-erased handle on the job it runs (see host).
+type hosted interface {
+	step() error
+	buffered(d int) int64
+	drain(d int, out []Message) []Message
+	land(from int, batch []Message)
+	collect() []ResultEntry
+	snapshot() (*ckpt.Snapshot, error)
+	restore(snap *ckpt.Snapshot) error
 }
 
-// newHost hosts the single batch of a cluster job; the RNG stream is the
-// one engine machine w.id draws from in batch 0 of a job seeded spec.Seed.
-func newHost[M any](w *Worker, spec JobSpec, prog tasks.Batch[M]) *host[M] {
-	return &host[M]{w: w, prog: prog, rng: randx.New(vcapi.MachineSeed(tasks.BatchSeed(spec.Seed, 0), w.id))}
+// host is a worker's machine engine for one message type M, running the
+// current job's internal/tasks batch program — the very program the engine
+// runs — plus the exact conversion between M and the wire envelope.
+type host[M any] struct {
+	id     int
+	eng    *engine.Engine[M]
+	pack   func(dst graph.VertexID, m M) Message
+	unpack func(Message) M
+	// finish folds the drained batch into the job and reads the worker's
+	// share of the output off it; collect calls it once and keeps results.
+	finish  func() []ResultEntry
+	results []ResultEntry
+}
+
+// install re-arms the worker's machine engine for M to run prog as the
+// single batch of a job seeded seed — on the RNG streams an engine run of
+// that job draws from — building the engine on the worker's first job of
+// that message type. codec is M's checkpoint codec, which Snapshot and
+// Restore read from the engine's options.
+func install[M any](w *Worker, prog vcapi.Program[M], seed uint64, codec engine.Codec[M],
+	pack func(graph.VertexID, M) Message, unpack func(Message) M, finish func() []ResultEntry) *host[M] {
+	opts := engine.Options[M]{Seed: tasks.BatchSeed(seed, 0), Checkpoint: &engine.CheckpointOptions[M]{Codec: codec}}
+	for _, h := range w.hosts {
+		if h, ok := h.(*host[M]); ok {
+			h.eng.Reset(prog, nil, opts)
+			h.finish, h.results = finish, nil
+			return h
+		}
+	}
+	h := &host[M]{id: w.id, eng: engine.NewMachine(w.g, w.part, w.id, prog, opts),
+		pack: pack, unpack: unpack, finish: finish}
+	w.hosts = append(w.hosts, h)
+	return h
 }
 
 // hostMSSP hosts the multi-source shortest-path program: the distance rides
@@ -44,19 +63,22 @@ func hostMSSP(w *Worker, spec JobSpec) (hosted, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := newHost(w, spec, job.NextBatch(len(spec.Sources)))
-	h.pack = func(dst graph.VertexID, m tasks.DistMsg) Message { return Message{Dst: dst, Src: m.Src, Val: m.Dist} }
-	h.unpack = func(m Message) tasks.DistMsg { return tasks.DistMsg{Src: m.Src, Dist: m.Val} }
-	h.results = func() (out []ResultEntry) {
-		for i := range spec.Sources {
-			for _, v := range w.owned {
-				if d := job.Distance(i, v); !math.IsInf(d, 1) {
-					out = append(out, ResultEntry{Row: uint32(i), V: v, Val: d})
+	prog := job.NextBatch(len(spec.Sources))
+	var h *host[tasks.DistMsg]
+	h = install(w, prog, spec.Seed, tasks.DistCodec{},
+		func(dst graph.VertexID, m tasks.DistMsg) Message { return Message{Dst: dst, Src: m.Src, Val: m.Dist} },
+		func(m Message) tasks.DistMsg { return tasks.DistMsg{Src: m.Src, Dist: m.Val} },
+		func() (out []ResultEntry) {
+			prog.Finish()
+			for i := range spec.Sources {
+				for _, v := range h.eng.Owned(w.id) {
+					if d := job.Distance(i, v); !math.IsInf(d, 1) {
+						out = append(out, ResultEntry{Row: uint32(i), V: v, Val: d})
+					}
 				}
 			}
-		}
-		return out
-	}
+			return out
+		})
 	return h, nil
 }
 
@@ -68,18 +90,18 @@ func hostBKHS(w *Worker, spec JobSpec) (hosted, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := newHost(w, spec, prog)
-	h.pack = func(dst graph.VertexID, m tasks.HopMsg) Message {
-		return Message{Dst: dst, Src: m.Src, Val: float32(m.Hop)}
-	}
-	h.unpack = func(m Message) tasks.HopMsg { return tasks.HopMsg{Src: m.Src, Hop: int32(m.Val)} }
-	h.results = func() (out []ResultEntry) {
-		for i := range spec.Sources {
-			out = append(out, ResultEntry{Row: uint32(i), Val: float64(job.Reached(i))})
-		}
-		return out
-	}
-	return h, nil
+	return install(w, prog, spec.Seed, tasks.HopCodec{},
+		func(dst graph.VertexID, m tasks.HopMsg) Message {
+			return Message{Dst: dst, Src: m.Src, Val: float32(m.Hop)}
+		},
+		func(m Message) tasks.HopMsg { return tasks.HopMsg{Src: m.Src, Hop: int32(m.Val)} },
+		func() (out []ResultEntry) {
+			prog.Finish()
+			for i := range spec.Sources {
+				out = append(out, ResultEntry{Row: uint32(i), Val: float64(job.Reached(i))})
+			}
+			return out
+		}), nil
 }
 
 // hostBPPR hosts the Monte-Carlo random-walk program: a bundle holds at
@@ -87,66 +109,49 @@ func hostBKHS(w *Worker, spec JobSpec) (hosted, error) {
 // exactly.
 func hostBPPR(w *Worker, spec JobSpec) hosted {
 	job := tasks.NewBPPR(w.g, w.part, tasks.BPPRConfig{Alpha: spec.Alpha, WalksPerNode: int(spec.Walks)})
-	h := newHost(w, spec, job.NextBatch(int(spec.Walks)))
-	h.pack = func(dst graph.VertexID, m tasks.WalkMsg) Message {
-		return Message{Dst: dst, Src: m.Src, Val: float32(m.Count)}
-	}
-	h.unpack = func(m Message) tasks.WalkMsg { return tasks.WalkMsg{Src: m.Src, Count: int32(m.Val)} }
-	h.results = func() (out []ResultEntry) {
-		job.EachEndpoint(w.id, func(src, v graph.VertexID, walks float64) {
-			out = append(out, ResultEntry{Row: src, V: v, Val: walks})
+	prog := job.NextBatch(int(spec.Walks))
+	return install(w, prog, spec.Seed, tasks.WalkCodec{},
+		func(dst graph.VertexID, m tasks.WalkMsg) Message {
+			return Message{Dst: dst, Src: m.Src, Val: float32(m.Count)}
+		},
+		func(m Message) tasks.WalkMsg { return tasks.WalkMsg{Src: m.Src, Count: int32(m.Val)} },
+		func() (out []ResultEntry) {
+			prog.Finish()
+			job.EachEndpoint(w.id, func(src, v graph.VertexID, walks float64) {
+				out = append(out, ResultEntry{Row: src, V: v, Val: walks})
+			})
+			return out
 		})
-		return out
-	}
-	return h
 }
 
-func (h *host[M]) seed() { h.prog.Seed(h) }
+func (h *host[M]) step() error { return h.eng.Step() }
 
-func (h *host[M]) compute(v graph.VertexID, msgs []Message) {
-	h.vertex = v
-	h.msgs = h.msgs[:0]
-	for _, m := range msgs {
-		h.msgs = append(h.msgs, h.unpack(m))
+// buffered is what the last step sent machine d.
+func (h *host[M]) buffered(d int) int64 { return int64(h.eng.Buffered(h.id, d)) }
+
+// drain appends the messages the last step sent remote machine d to out,
+// in emission order, and takes them off the engine.
+func (h *host[M]) drain(d int, out []Message) []Message {
+	h.eng.Drain(d, func(dst graph.VertexID, m M) { out = append(out, h.pack(dst, m)) })
+	return out
+}
+
+// land buffers a decoded frame from worker from, every destination owned.
+func (h *host[M]) land(from int, batch []Message) {
+	for _, m := range batch {
+		h.eng.Land(from, m.Dst, h.unpack(m))
 	}
-	h.prog.Compute(h, v, h.msgs)
 }
 
 func (h *host[M]) collect() []ResultEntry {
-	if !h.finished {
-		h.finished = true
-		h.prog.Finish()
+	if h.finish != nil {
+		h.results, h.finish = h.finish(), nil
 	}
-	return h.results()
+	return h.results
 }
 
-// saveState is the worker snapshot's prog section: the host's RNG state,
-// then the program's own vcapi.StateSnapshotter bytes.
-func (h *host[M]) saveState() ([]byte, error) {
-	state, err := h.prog.SaveState()
-	return append(binary.LittleEndian.AppendUint64(nil, h.rng.State()), state...), err
-}
+// snapshot is the engine's barrier snapshot: its outbox, rng and prog
+// sections.
+func (h *host[M]) snapshot() (*ckpt.Snapshot, error) { return h.eng.Snapshot() }
 
-func (h *host[M]) loadState(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("rpcrt: program snapshot is %d bytes, shorter than its RNG state", len(data))
-	}
-	h.rng.SetState(binary.LittleEndian.Uint64(data))
-	return h.prog.LoadState(data[8:])
-}
-
-// The vcapi.Context a hosted program runs against.
-
-func (h *host[M]) Graph() *graph.Graph             { return h.w.g }
-func (h *host[M]) Machine() int                    { return h.w.id }
-func (h *host[M]) Vertex() graph.VertexID          { return h.vertex }
-func (h *host[M]) Round() int                      { return h.w.round }
-func (h *host[M]) OwnedVertices() []graph.VertexID { return h.w.owned }
-func (h *host[M]) RNG() *randx.RNG                 { return h.rng }
-func (h *host[M]) Send(dst graph.VertexID, m M)    { h.w.sc.send(h.pack(dst, m)) }
-
-func (h *host[M]) Broadcast(src graph.VertexID, m M) {
-	for _, u := range h.w.g.Neighbors(src) {
-		h.Send(u, m)
-	}
-}
+func (h *host[M]) restore(snap *ckpt.Snapshot) error { return h.eng.Restore(snap) }

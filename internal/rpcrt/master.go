@@ -80,7 +80,7 @@ func StartCluster(g *graph.Graph, k int) (*Cluster, error) {
 		c.clients = append(c.clients, cl)
 	}
 	// Worker-to-worker connections (including a self connection, which
-	// keeps the exchange code uniform).
+	// keeps the delivery code uniform).
 	for i := 0; i < k; i++ {
 		c.workers[i].peers = make([]*rpc.Client, k)
 		for j := 0; j < k; j++ {
@@ -129,7 +129,8 @@ func serveWorker(w *Worker) error {
 	return nil
 }
 
-// Close tears down every connection and listener. It is idempotent —
+// Close tears down every connection and listener and stops every worker,
+// refusing the landings still waiting on one. It is idempotent —
 // repeated calls return nil — and collects real shutdown errors; errors
 // that only say "already closed" (a crashed worker's listener, a client
 // whose transport died with the peer) are not failures and are filtered.
@@ -161,9 +162,7 @@ func (c *Cluster) Close() error {
 				closeErr(fmt.Sprintf("worker %d peer %d", w.id, j), p.Close())
 			}
 		}
-		if w.listener != nil {
-			closeErr(fmt.Sprintf("worker %d listener", w.id), w.listener.Close())
-		}
+		closeErr(fmt.Sprintf("worker %d listener", w.id), w.die())
 	}
 	return errors.Join(errs...)
 }
@@ -194,7 +193,7 @@ func (c *Cluster) SetCheckpoint(dir string, interval int) {
 }
 
 // SetFaultPlan injects a deterministic fault plan into subsequent jobs
-// (crashes surface in ComputeRound, drops/delays/slowdowns inside the
+// (crashes surface in Worker.Step, drops/delays/slowdowns inside the
 // workers). Nil removes it.
 func (c *Cluster) SetFaultPlan(p *fault.Plan) {
 	c.fplan = p
@@ -275,13 +274,7 @@ func (c *Cluster) SetRegistry(reg *obs.Registry) { c.reg = reg }
 // WorkerStats gathers every worker's counters for the current job via the
 // Stats RPC, ordered by worker id.
 func (c *Cluster) WorkerStats() ([]WorkerStats, error) {
-	out := make([]WorkerStats, c.k)
-	for i, cl := range c.clients {
-		if err := callTimeout(cl, "Worker.Stats", struct{}{}, &out[i], c.rpcTimeout); err != nil {
-			return nil, fmt.Errorf("rpcrt: stats from worker %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return fanOut[WorkerStats](c, "Worker.Stats", 0, noArgs)
 }
 
 // recordJobMetrics feeds the finished job's per-worker counters into the
@@ -319,47 +312,25 @@ func (c *Cluster) MessagesSent() int64 { return c.msgs }
 // last job pushed between workers, as summed from the per-round replies.
 func (c *Cluster) WireBytesSent() int64 { return c.wbytes }
 
-// broadcast invokes the same method on every worker concurrently and
-// gathers the int64 replies.
-func (c *Cluster) broadcast(method string, arg interface{}) (int64, error) {
+// fanOut calls method on every worker concurrently, each with the argument
+// args returns, and returns the replies in worker order — or the first
+// failure in worker order, naming the method and the worker. Under a
+// non-zero parent every call gets its own master-side RPC span, whose id
+// args receives so it can ride to the worker as the trace context the
+// worker's span parents under.
+func fanOut[R any](c *Cluster, method string, parent obs.SpanID, args func(rpcSpan obs.SpanID) any) ([]R, error) {
 	var wg sync.WaitGroup
-	replies := make([]int64, c.k)
+	replies := make([]R, c.k)
 	errs := make([]error, c.k)
 	for i, cl := range c.clients {
 		wg.Add(1)
 		go func(i int, cl *rpc.Client) {
 			defer wg.Done()
-			errs[i] = callTimeout(cl, method, arg, &replies[i], c.rpcTimeout)
-		}(i, cl)
-	}
-	wg.Wait()
-	var total int64
-	for i := range replies {
-		if errs[i] != nil {
-			return 0, fmt.Errorf("rpcrt: %s on worker %d: %w", method, i, errs[i])
-		}
-		total += replies[i]
-	}
-	return total, nil
-}
-
-// broadcastRound invokes a superstep method (Seed, ComputeRound) on every
-// worker concurrently and sums the RoundReply message and wire-byte
-// counts. Each call gets its own master-side RPC span under parent, and
-// makeArg receives that span's id so it can ride to the worker as the
-// wire trace context — the worker's compute span then parents under the
-// RPC span that carried it.
-func (c *Cluster) broadcastRound(method string, parent obs.SpanID, makeArg func(rpcSpan obs.SpanID) any) (RoundReply, error) {
-	var wg sync.WaitGroup
-	replies := make([]RoundReply, c.k)
-	errs := make([]error, c.k)
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *rpc.Client) {
-			defer wg.Done()
-			span := c.tracer.Begin(parent, method, "rpc", 0, 1+i,
-				obs.L("worker", strconv.Itoa(i)))
-			errs[i] = callTimeout(cl, method, makeArg(span), &replies[i], c.rpcTimeout)
+			var span obs.SpanID
+			if parent != 0 {
+				span = c.tracer.Begin(parent, method, "rpc", 0, 1+i, obs.L("worker", strconv.Itoa(i)))
+			}
+			errs[i] = callTimeout(cl, method, args(span), &replies[i], c.rpcTimeout)
 			if errs[i] != nil {
 				c.tracer.End(span, obs.L("error", errs[i].Error()))
 			} else {
@@ -368,65 +339,29 @@ func (c *Cluster) broadcastRound(method string, parent obs.SpanID, makeArg func(
 		}(i, cl)
 	}
 	wg.Wait()
-	var total RoundReply
-	for i := range replies {
-		if errs[i] != nil {
-			return RoundReply{}, fmt.Errorf("rpcrt: %s on worker %d: %w", method, i, errs[i])
-		}
-		total.Msgs += replies[i].Msgs
-		total.WireBytes += replies[i].WireBytes
-	}
-	return total, nil
-}
-
-func (c *Cluster) advanceAll() error {
-	var wg sync.WaitGroup
-	errs := make([]error, c.k)
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *rpc.Client) {
-			defer wg.Done()
-			errs[i] = callTimeout(cl, "Worker.Advance", struct{}{}, &struct{}{}, c.rpcTimeout)
-		}(i, cl)
-	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("rpcrt: advance on worker %d: %w", i, err)
+			return nil, fmt.Errorf("rpcrt: %s on worker %d: %w", method, i, err)
 		}
 	}
-	return nil
+	return replies, nil
 }
+
+// noArgs is the argument of the RPCs that take none.
+func noArgs(obs.SpanID) any { return struct{}{} }
 
 // startJobAll resets every worker and installs the program (no traffic).
 func (c *Cluster) startJobAll(spec JobSpec) error {
-	var wg sync.WaitGroup
-	errs := make([]error, c.k)
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *rpc.Client) {
-			defer wg.Done()
-			errs[i] = callTimeout(cl, "Worker.StartJob", StartJobArgs{Spec: spec}, &struct{}{}, c.rpcTimeout)
-		}(i, cl)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
+	_, err := fanOut[struct{}](c, "Worker.StartJob", 0, func(obs.SpanID) any { return StartJobArgs{Spec: spec} })
+	return err
 }
 
 // ckptMeta is the master's record of the last checkpoint cut: the barrier
-// round, the message and wire-byte totals through that round, and the
-// in-flight count in the checkpointed inboxes (what the next compute will
-// report consuming).
+// round and the message and wire-byte totals through that round.
 type ckptMeta struct {
 	round  int
 	msgs   int64
 	wbytes int64
-	total  int64
 }
 
 // checkpointAll has every worker snapshot its barrier state; returns the
@@ -435,23 +370,28 @@ type ckptMeta struct {
 func (c *Cluster) checkpointAll(round int) (int64, error) {
 	span := c.tracer.Begin(c.jobSpan, "checkpoint", "ckpt", 0, 0,
 		obs.L("round", strconv.Itoa(round)))
-	bytes, err := c.broadcast("Worker.Checkpoint",
-		CkptArgs{Dir: c.ckptDir, Round: round, Trace: uint64(span)})
+	replies, err := fanOut[int64](c, "Worker.Checkpoint", 0, func(obs.SpanID) any {
+		return CkptArgs{Dir: c.ckptDir, Round: round, Trace: uint64(span)}
+	})
 	if err != nil {
 		c.tracer.End(span, obs.L("error", err.Error()))
-		return bytes, err
+		return 0, err
+	}
+	var bytes int64
+	for _, b := range replies {
+		bytes += b
 	}
 	c.tracer.End(span, obs.L("bytes", strconv.FormatInt(bytes, 10)))
 	return bytes, nil
 }
 
-// runJob drives the BSP loop: seed, then compute/exchange/advance rounds
-// until no messages were sent. With checkpointing enabled the master cuts a
-// cluster-wide snapshot at the barrier after Advance; when a compute round
+// runJob drives the BSP loop: one Step per worker per superstep, the first
+// seeding, until a superstep sends no message. With checkpointing enabled
+// the master cuts a cluster-wide snapshot at the barrier; when a superstep
 // fails it restarts dead workers, rolls every worker back to the latest
-// checkpoint, and silently replays forward — the determinism contract
-// (sender-ordered inboxes, checkpointed RNG streams) makes the recovered run
-// bit-for-bit identical to an unfaulted one.
+// checkpoint, and silently replays forward — the determinism contract (the
+// engine's delivery order, checkpointed RNG streams) makes the recovered
+// run bit-for-bit identical to an unfaulted one.
 func (c *Cluster) runJob(spec JobSpec) error {
 	c.jobSpan = c.tracer.Begin(0, "job", "rpcrt", 0, 0, obs.L("program", spec.Program))
 	err := c.runJobSteps(spec)
@@ -493,52 +433,16 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 		roundMsgs.Observe(float64(r.Msgs))
 		roundBytes.Observe(float64(r.WireBytes))
 	}
-	// Seed superstep.
-	c.flight.BeginRound(1)
-	roundSpan := c.tracer.Begin(c.jobSpan, "superstep", "rpcrt", 0, 0, obs.L("round", "1"))
-	timer := obs.StartTimer(roundWall)
-	rr, err := c.broadcastRound("Worker.Seed", roundSpan, func(rpcSpan obs.SpanID) any {
-		return SeedArgs{Trace: uint64(rpcSpan)}
-	})
-	if err != nil {
-		c.tracer.End(roundSpan, obs.L("error", err.Error()))
-		return err
-	}
-	c.tracer.End(roundSpan)
-	observeRound(timer, rr)
-	c.rounds = 1
-	c.msgs = rr.Msgs
-	c.wbytes = rr.WireBytes
-	total := rr.Msgs
 	last := ckptMeta{round: -1}
-	replayTo := 0        // rounds <= replayTo are replays: skip telemetry
-	skipAdvance := false // just restored: the inbox is already loaded
-	for total > 0 {
-		if !skipAdvance {
-			if err := c.advanceAll(); err != nil {
-				return err
-			}
-			if c.ckptDir != "" && c.rounds != last.round &&
-				(c.rounds == 1 || c.rounds%c.ckptInterval == 0) {
-				bytes, err := c.checkpointAll(c.rounds)
-				if err != nil {
-					return fmt.Errorf("rpcrt: checkpoint at round %d: %w", c.rounds, err)
-				}
-				last = ckptMeta{round: c.rounds, msgs: c.msgs, wbytes: c.wbytes, total: total}
-				if c.reg != nil {
-					c.reg.Counter("rpcrt_ckpt_writes_total").Add(int64(c.k))
-					c.reg.Counter("rpcrt_ckpt_bytes_total").Add(bytes)
-				}
-			}
-		}
-		skipAdvance = false
+	replayTo := 0 // rounds <= replayTo are replays: skip telemetry
+	for {
 		round := c.rounds + 1
 		c.flight.BeginRound(round)
-		roundSpan = c.tracer.Begin(c.jobSpan, "superstep", "rpcrt", 0, 0,
+		roundSpan := c.tracer.Begin(c.jobSpan, "superstep", "rpcrt", 0, 0,
 			obs.L("round", strconv.Itoa(round)))
-		timer = obs.StartTimer(roundWall)
-		next, err := c.broadcastRound("Worker.ComputeRound", roundSpan, func(rpcSpan obs.SpanID) any {
-			return ComputeRoundArgs{Round: round, Trace: uint64(rpcSpan)}
+		timer := obs.StartTimer(roundWall)
+		replies, err := fanOut[RoundReply](c, "Worker.Step", roundSpan, func(rpcSpan obs.SpanID) any {
+			return StepArgs{Round: round, Trace: uint64(rpcSpan)}
 		})
 		if err != nil {
 			c.tracer.End(roundSpan, obs.L("error", err.Error()))
@@ -553,26 +457,39 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 			if rerr := c.recoverJob(spec, last); rerr != nil {
 				return fmt.Errorf("rpcrt: recovery after %v failed: %w", err, rerr)
 			}
-			if c.rounds > replayTo {
-				replayTo = c.rounds
-			}
-			c.rounds = last.round
-			c.msgs = last.msgs
-			c.wbytes = last.wbytes
-			total = last.total
-			skipAdvance = true
+			replayTo = max(replayTo, c.rounds)
+			c.rounds, c.msgs, c.wbytes = last.round, last.msgs, last.wbytes
 			continue
 		}
 		c.tracer.End(roundSpan)
+		var next RoundReply
+		for _, r := range replies {
+			next.Msgs += r.Msgs
+			next.WireBytes += r.WireBytes
+		}
 		c.rounds++
 		c.msgs += next.Msgs
 		c.wbytes += next.WireBytes
-		total = next.Msgs
 		if c.rounds > replayTo {
 			observeRound(timer, next)
 		}
+		if next.Msgs == 0 {
+			break
+		}
 		if c.rounds > 100000 {
 			return fmt.Errorf("rpcrt: job did not converge")
+		}
+		if c.ckptDir != "" && c.rounds != last.round &&
+			(c.rounds == 1 || c.rounds%c.ckptInterval == 0) {
+			bytes, err := c.checkpointAll(c.rounds)
+			if err != nil {
+				return fmt.Errorf("rpcrt: checkpoint at round %d: %w", c.rounds, err)
+			}
+			last = ckptMeta{round: c.rounds, msgs: c.msgs, wbytes: c.wbytes}
+			if c.reg != nil {
+				c.reg.Counter("rpcrt_ckpt_writes_total").Add(int64(c.k))
+				c.reg.Counter("rpcrt_ckpt_bytes_total").Add(bytes)
+			}
 		}
 	}
 	return c.recordJobMetrics()
@@ -620,22 +537,10 @@ func (c *Cluster) recoverJob(spec JobSpec, last ckptMeta) (err error) {
 	if err = c.startJobAll(spec); err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, c.k)
-	restoreArgs := RestoreArgs{Dir: c.ckptDir, Trace: uint64(span)}
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *rpc.Client) {
-			defer wg.Done()
-			errs[i] = callTimeout(cl, "Worker.Restore", restoreArgs, &struct{}{}, c.rpcTimeout)
-		}(i, cl)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			err = fmt.Errorf("restore on worker %d: %w", i, errs[i])
-			return err
-		}
+	if _, err = fanOut[struct{}](c, "Worker.Restore", 0, func(obs.SpanID) any {
+		return RestoreArgs{Dir: c.ckptDir, Trace: uint64(span)}
+	}); err != nil {
+		return err
 	}
 	lost := c.rounds - last.round
 	c.recoveries++
@@ -700,15 +605,12 @@ func (c *Cluster) runAndCollect(spec JobSpec) ([]ResultEntry, error) {
 	if err := c.runJob(spec); err != nil {
 		return nil, err
 	}
+	parts, err := fanOut[[]ResultEntry](c, "Worker.Collect", 0, noArgs)
 	var out []ResultEntry
-	for i, cl := range c.clients {
-		var part []ResultEntry
-		if err := callTimeout(cl, "Worker.Collect", struct{}{}, &part, c.rpcTimeout); err != nil {
-			return nil, fmt.Errorf("rpcrt: collect from worker %d: %w", i, err)
-		}
+	for _, part := range parts {
 		out = append(out, part...)
 	}
-	return out, nil
+	return out, err
 }
 
 // RunMSSP computes shortest-path distances from every source over the RPC

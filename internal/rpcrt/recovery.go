@@ -8,7 +8,6 @@ import (
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/obs"
-	"vcmt/internal/wire"
 )
 
 // defaultRPCTimeout bounds every master->worker and worker->worker call:
@@ -32,13 +31,25 @@ func callTimeout(cl *rpc.Client, method string, args, reply any, d time.Duration
 	}
 }
 
-// Section names inside a worker snapshot, in file order. The barrier
-// superstep is the snapshot's Step.
-const (
-	wsecInbox    = "inbox"
-	wsecCounters = "counters"
-	wsecProg     = "prog"
-)
+// wsecCounters is the section a worker snapshot adds after its engine's
+// outbox, rng and prog sections. The barrier superstep is the snapshot's
+// Step.
+const wsecCounters = "counters"
+
+// counters lists, in the counters section's order after the peer count,
+// every counter a recovered run resumes from: per-peer sends and receipts,
+// retries, and the wire byte and frame counts, so silent replay
+// re-accumulates exact wire bytes too. The caller holds statsMu.
+func (w *Worker) counters() []*int64 {
+	var cs []*int64
+	for p := range w.sentByPeer {
+		cs = append(cs, &w.sentByPeer[p])
+	}
+	for p := range w.recvByPeer {
+		cs = append(cs, &w.recvByPeer[p])
+	}
+	return append(cs, &w.retries, &w.sentBytes, &w.recvBytes, &w.sentFrames, &w.recvFrames)
+}
 
 // ckptManager builds the worker's checkpoint manager: all workers share one
 // directory, isolated by per-worker file prefixes.
@@ -55,13 +66,12 @@ type CkptArgs struct {
 	Trace uint64
 }
 
-// Checkpoint snapshots the worker's superstep state — the current inbox
-// (the messages the next compute will consume, in delivery order), the
-// conservation counters, and the hosted program's state with its RNG
-// stream — into a checksummed file whose header records the barrier round.
-// It replies with the bytes written. The master calls it at the barrier
-// after Advance, so the pending lists and the outboxes are empty by
-// construction.
+// Checkpoint snapshots the worker's barrier state — its machine engine's
+// snapshot (the rows the next superstep delivers, the RNG streams, the
+// program state) plus the conservation counters — into a checksummed file
+// whose header records the barrier round. It replies with the bytes
+// written. The master calls it at the barrier, when every peer's frames of
+// the superstep have landed.
 func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	if w.dead.Load() {
 		return w.down()
@@ -71,41 +81,21 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	}
 	span := w.tracer.Begin(obs.SpanID(args.Trace), "checkpoint", "ckpt",
 		workerProc(w.id), workerComputeTrack, obs.L("round", fmt.Sprint(args.Round)))
-	snap := &ckpt.Snapshot{Step: args.Round}
-
-	// The inbox reuses the runtime's wire codec as an Envelopes frame, so
-	// snapshots share the delivery path's framing, versioning and
-	// corruption detection. It is already flat, one run per destination;
-	// restore rebuilds the offsets with the same stable sort that laid it
-	// out.
-	snap.Add(wsecInbox, wire.EncodeEnvelopes(nil, w.inbox))
+	w.mu.Lock()
+	snap, err := w.prog.snapshot()
+	w.mu.Unlock()
+	if err != nil {
+		w.tracer.End(span, obs.L("error", err.Error()))
+		return fmt.Errorf("rpcrt: worker %d snapshot: %w", w.id, err)
+	}
 
 	w.statsMu.Lock()
-	ctr := make([]byte, 0, 4+len(w.sentByPeer)*16+8+32)
-	ctr = binary.LittleEndian.AppendUint32(ctr, uint32(w.nPeer))
-	for _, n := range w.sentByPeer {
-		ctr = binary.LittleEndian.AppendUint64(ctr, uint64(n))
+	ctr := binary.LittleEndian.AppendUint32(nil, uint32(w.nPeer))
+	for _, c := range w.counters() {
+		ctr = binary.LittleEndian.AppendUint64(ctr, uint64(*c))
 	}
-	for _, n := range w.recvByPeer {
-		ctr = binary.LittleEndian.AppendUint64(ctr, uint64(n))
-	}
-	ctr = binary.LittleEndian.AppendUint64(ctr, uint64(w.retries))
-	// Byte/frame counters are checkpointed alongside the message counters
-	// so a recovered run re-accumulates them during silent replay exactly
-	// as a fault-free run would — the recovery determinism contract covers
-	// exact wire bytes too.
-	ctr = binary.LittleEndian.AppendUint64(ctr, uint64(w.sentBytes))
-	ctr = binary.LittleEndian.AppendUint64(ctr, uint64(w.recvBytes))
-	ctr = binary.LittleEndian.AppendUint64(ctr, uint64(w.sentFrames))
-	ctr = binary.LittleEndian.AppendUint64(ctr, uint64(w.recvFrames))
 	w.statsMu.Unlock()
 	snap.Add(wsecCounters, ctr)
-
-	prog, err := w.prog.saveState()
-	if err != nil {
-		return fmt.Errorf("rpcrt: worker %d saveState: %w", w.id, err)
-	}
-	snap.Add(wsecProg, prog)
 
 	bytes, err := ckptManager(args.Dir, w.id).Save(snap)
 	if err != nil {
@@ -125,11 +115,12 @@ type RestoreArgs struct {
 	Trace uint64
 }
 
-// Restore rolls the worker back to its latest checkpoint: pending and
-// outboxes are discarded (they belong to the crashed superstep), the
-// current inbox, counters and program state are reloaded. The master
-// re-broadcasts StartJob first, so restarted and surviving workers restore
-// through the same code path.
+// Restore rolls the worker back to its latest checkpoint: the engine's
+// barrier state and the counters are reloaded, and whatever the crashed
+// superstep left on the engine is discarded with the rows it overwrites,
+// and landings still waiting on that superstep are refused.
+// The master re-runs StartJob everywhere first, so restarted and surviving
+// workers restore through the same code path.
 func (w *Worker) Restore(args RestoreArgs, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()
@@ -147,45 +138,26 @@ func (w *Worker) Restore(args RestoreArgs, _ *struct{}) error {
 	if snap == nil {
 		return fmt.Errorf("rpcrt: worker %d restore: no checkpoint in %s", w.id, args.Dir)
 	}
-	w.round = snap.Step
-
-	w.reset()
-	flat, err := wire.DecodeEnvelopes(snap.Get(wsecInbox), nil)
-	if err == nil {
-		err = w.checkOwned(flat)
-	}
-	if err != nil {
-		return fmt.Errorf("rpcrt: worker %d restore inbox: %w", w.id, err)
-	}
-	w.arrange([][]Message{flat})
-
 	ctr := snap.Get(wsecCounters)
-	if want := 4 + w.nPeer*16 + 8 + 32; len(ctr) != want {
-		return fmt.Errorf("rpcrt: worker %d restore: counters section is %d bytes, want %d", w.id, len(ctr), want)
-	}
-	if got := int(binary.LittleEndian.Uint32(ctr)); got != w.nPeer {
-		return fmt.Errorf("rpcrt: worker %d restore: snapshot has %d peers, cluster has %d", w.id, got, w.nPeer)
-	}
-	ctr = ctr[4:]
 	w.statsMu.Lock()
-	for p := range w.sentByPeer {
-		w.sentByPeer[p] = int64(binary.LittleEndian.Uint64(ctr))
-		ctr = ctr[8:]
+	cs := w.counters()
+	if len(ctr) != 4+8*len(cs) || int(binary.LittleEndian.Uint32(ctr)) != w.nPeer {
+		w.statsMu.Unlock()
+		return fmt.Errorf("rpcrt: worker %d restore: a %d-byte counters section does not fit %d peers", w.id, len(ctr), w.nPeer)
 	}
-	for p := range w.recvByPeer {
-		w.recvByPeer[p] = int64(binary.LittleEndian.Uint64(ctr))
-		ctr = ctr[8:]
+	for i, c := range cs {
+		*c = int64(binary.LittleEndian.Uint64(ctr[4+8*i:]))
 	}
-	w.retries = int64(binary.LittleEndian.Uint64(ctr))
-	w.sentBytes = int64(binary.LittleEndian.Uint64(ctr[8:]))
-	w.recvBytes = int64(binary.LittleEndian.Uint64(ctr[16:]))
-	w.sentFrames = int64(binary.LittleEndian.Uint64(ctr[24:]))
-	w.recvFrames = int64(binary.LittleEndian.Uint64(ctr[32:]))
 	w.statsMu.Unlock()
 
-	if err := w.prog.loadState(snap.Get(wsecProg)); err != nil {
-		return fmt.Errorf("rpcrt: worker %d loadState: %w", w.id, err)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.gen++
+	w.cond.Broadcast()
+	if err := w.prog.restore(snap); err != nil {
+		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, err)
 	}
+	w.stepped = snap.Step
 	return nil
 }
 

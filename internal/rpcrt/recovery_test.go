@@ -143,12 +143,12 @@ func TestBPPRCrashRecoveryBitIdentical(t *testing.T) {
 // 200-vertex graph with 2 workers and a checkpoint every 2 supersteps, crash
 // at every (superstep, worker) pair of every task and require the recovered
 // job to equal the fault-free one in results, supersteps and messages. A
-// restarted worker replays the engine's own program from the engine's own
-// snapshot (plus the host's RNG state), so this is cheap enough to be
-// exhaustive. Every job of a task checkpoints into one directory, so each
-// crashed job starts among the previous job's snapshots; the fault-free
-// job must leave exactly one snapshot per worker, holding the inbox,
-// counters and prog sections.
+// restarted worker replays the engine's own program from its engine's own
+// snapshot, so this is cheap enough to be exhaustive. Every job of a task
+// checkpoints into one directory, so each crashed job starts among the
+// previous job's snapshots; the fault-free job must leave exactly one
+// snapshot per worker, holding its engine's outbox, rng and prog sections
+// and the counters.
 func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 	g := graph.WithUniformWeights(graph.GenerateChungLu(200, 800, 2.5, 21), 1, 4, 22)
 	sources := []graph.VertexID{3, 77, 150}
@@ -204,8 +204,9 @@ func TestEveryCrashPointMatchesFaultFree(t *testing.T) {
 }
 
 // requireWorkerSnapshots checks a finished job's checkpoint directory:
-// exactly one snapshot per worker, whose sections are exactly inbox,
-// counters and prog — the barrier round lives in the snapshot's Step.
+// exactly one snapshot per worker, whose sections are exactly the engine's
+// outbox, rng and prog plus counters — the barrier round lives in the
+// snapshot's Step.
 func requireWorkerSnapshots(t *testing.T, dir string, k int) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*"+ckpt.FileSuffix))
@@ -224,8 +225,8 @@ func requireWorkerSnapshots(t *testing.T, dir string, k int) {
 		for _, sec := range snap.Sections {
 			names = append(names, sec.Name)
 		}
-		if got := strings.Join(names, ","); got != "inbox,counters,prog" || snap.Step < 1 {
-			t.Fatalf("%s: step %d with sections %s, want inbox,counters,prog", filepath.Base(p), snap.Step, got)
+		if got := strings.Join(names, ","); got != "outbox,rng,prog,counters" || snap.Step < 1 {
+			t.Fatalf("%s: step %d with sections %s, want outbox,rng,prog,counters", filepath.Base(p), snap.Step, got)
 		}
 	}
 }

@@ -2,14 +2,20 @@ package rpcrt
 
 import (
 	"errors"
+	"fmt"
 	"math"
-	"slices"
+	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
 	"vcmt/internal/ref"
+	"vcmt/internal/tasks"
+	"vcmt/internal/vcapi"
 	"vcmt/internal/wire"
 )
 
@@ -164,10 +170,9 @@ func TestSingleWorkerCluster(t *testing.T) {
 	}
 }
 
-// TestOwnerPartitionsEverything: the workers' owned sets are exactly the
+// TestOwnerPartitionsEverything: the workers' engines own exactly the
 // machines of graph.HashPartition — every vertex on one worker, in vertex
-// order, with rank as the inverse — so worker i computes what engine
-// machine i computes.
+// order — so worker i computes what engine machine i computes.
 func TestOwnerPartitionsEverything(t *testing.T) {
 	const n = 10000
 	g := graph.GenerateRing(n)
@@ -176,15 +181,19 @@ func TestOwnerPartitionsEverything(t *testing.T) {
 		total := 0
 		for id := 0; id < k; id++ {
 			w := newWorker(id, part, g)
-			if len(w.owned) != part.Count(id) || len(w.owned) == 0 {
-				t.Fatalf("k=%d: worker %d owns %d vertices, partition says %d", k, id, len(w.owned), part.Count(id))
+			if err := w.StartJob(StartJobArgs{Spec: JobSpec{Program: "mssp", Sources: []graph.VertexID{0}}}, &struct{}{}); err != nil {
+				t.Fatal(err)
 			}
-			for i, v := range w.owned {
-				if part.Owner(v) != id || w.rank[v] != int32(i) || (i > 0 && w.owned[i-1] >= v) {
-					t.Fatalf("k=%d: worker %d owned[%d]=%d: owner %d, rank %d", k, id, i, v, part.Owner(v), w.rank[v])
+			owned := w.prog.(*host[tasks.DistMsg]).eng.Owned(id)
+			if len(owned) != part.Count(id) || len(owned) == 0 {
+				t.Fatalf("k=%d: worker %d owns %d vertices, partition says %d", k, id, len(owned), part.Count(id))
+			}
+			for i, v := range owned {
+				if part.Owner(v) != id || (i > 0 && owned[i-1] >= v) {
+					t.Fatalf("k=%d: worker %d owned[%d]=%d: owner %d", k, id, i, v, part.Owner(v))
 				}
 			}
-			total += len(w.owned)
+			total += len(owned)
 		}
 		if total != n {
 			t.Fatalf("k=%d: workers own %d vertices of %d", k, total, n)
@@ -367,46 +376,76 @@ func TestBPPROverRPCMassConservation(t *testing.T) {
 	}
 }
 
-// oneWorker returns worker id of k over a ring of n vertices.
-func oneWorker(id, k, n int) *Worker {
-	return newWorker(id, graph.HashPartition(n, k), graph.GenerateRing(n))
+// recorder is a program on bare envelopes: it seeds by sending seeds and
+// records every inbox its Compute calls see.
+type recorder struct {
+	seeds []Message
+	got   map[graph.VertexID][]Message
 }
 
-// TestAdvanceSortsInbox delivers frames from three senders out of sender
-// order and checks that Advance hands every vertex its messages in the
-// engine's delivery order — sender-major, emission-minor, whatever Src and
-// Val say — so a late frame from a low-numbered sender still sorts first.
+func (r *recorder) Seed(ctx vcapi.Context[Message]) {
+	for _, m := range r.seeds {
+		ctx.Send(m.Dst, m)
+	}
+}
+
+func (r *recorder) Compute(_ vcapi.Context[Message], v graph.VertexID, msgs []Message) {
+	r.got[v] = append(r.got[v], msgs...)
+}
+
+// oneWorker returns worker id of k over a ring of n vertices, hosting prog
+// on envelopes as they are, with no peers: prog may send only to the
+// worker's own vertices.
+func oneWorker(id, k, n int, prog *recorder) *Worker {
+	w := newWorker(id, graph.HashPartition(n, k), graph.GenerateRing(n))
+	w.prog = install[Message](w, prog, 0, nil,
+		func(dst graph.VertexID, m Message) Message { m.Dst = dst; return m },
+		func(m Message) Message { return m }, nil)
+	return w
+}
+
+// ownedOf returns the vertices w's engine owns.
+func ownedOf(w *Worker) []graph.VertexID { return w.prog.(*host[Message]).eng.Owned(w.id) }
+
+func step(t *testing.T, w *Worker, round int) RoundReply {
+	t.Helper()
+	var reply RoundReply
+	if err := w.Step(StepArgs{Round: round}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
+// TestAdvanceSortsInbox delivers frames from two peers out of sender order
+// next to the worker's own sends and checks that the next Step hands every
+// vertex its messages in the engine's delivery order — sender-major,
+// emission-minor, whatever Src and Val say — so a late frame from a
+// low-numbered sender still sorts first.
 func TestAdvanceSortsInbox(t *testing.T) {
-	w := oneWorker(1, 3, 12)
-	a, b := w.owned[0], w.owned[1]
+	rec := &recorder{got: make(map[graph.VertexID][]Message)}
+	w := oneWorker(1, 3, 12, rec)
+	a, b := ownedOf(w)[0], ownedOf(w)[1]
+	rec.seeds = []Message{{Dst: b, Src: 7, Val: 3}, {Dst: b, Src: 7, Val: 2}} // the worker's own sends sort as sender 1
+	step(t, w, 1)
 	deliver := func(from int, batch ...Message) {
 		t.Helper()
-		if err := w.Deliver(DeliverArgs{Frame: wire.EncodeDeliver(nil, from, 2, 0, batch)}, &struct{}{}); err != nil {
+		if err := w.Deliver(DeliverArgs{Frame: wire.EncodeDeliver(nil, from, 1, 0, batch)}, &struct{}{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deliver(2, Message{Dst: b, Src: 1, Val: 1}, Message{Dst: a, Src: 9, Val: 5})
-	w.sc.send(Message{Dst: b, Src: 7, Val: 3}) // the worker's own sends sort as sender 1
-	w.sc.send(Message{Dst: b, Src: 7, Val: 2})
-	if err := w.exchange(); err != nil {
-		t.Fatal(err)
-	}
 	deliver(2, Message{Dst: b, Src: 0, Val: 0})
 	deliver(0, Message{Dst: a, Src: 8, Val: 9}, Message{Dst: b, Src: 8, Val: 9}) // the late low sender
-	if err := w.Advance(struct{}{}, &struct{}{}); err != nil {
-		t.Fatal(err)
-	}
+	step(t, w, 2)
 	want := map[graph.VertexID][]Message{
 		a: {{Dst: a, Src: 8, Val: 9}, {Dst: a, Src: 9, Val: 5}},
 		b: {{Dst: b, Src: 8, Val: 9}, {Dst: b, Src: 7, Val: 3}, {Dst: b, Src: 7, Val: 2}, {Dst: b, Src: 1, Val: 1}, {Dst: b, Src: 0, Val: 0}},
 	}
-	for i, v := range w.owned {
-		if got := w.inbox[w.offs[i]:w.offs[i+1]]; !slices.Equal(got, want[v]) {
-			t.Fatalf("vertex %d: inbox %v, want %v", v, got, want[v])
-		}
+	if !reflect.DeepEqual(rec.got, want) {
+		t.Fatalf("inboxes %v, want %v", rec.got, want)
 	}
-	if err := w.Advance(struct{}{}, &struct{}{}); err != nil || len(w.inbox) != 0 {
-		t.Fatalf("second Advance left %d messages (err %v), want an empty inbox", len(w.inbox), err)
+	if r := step(t, w, 3); r.Msgs != 0 || len(rec.got[a])+len(rec.got[b]) != 7 {
+		t.Fatalf("a third superstep sent %d messages and saw inboxes %v, want nothing", r.Msgs, rec.got)
 	}
 }
 
@@ -414,14 +453,16 @@ func TestAdvanceSortsInbox(t *testing.T) {
 // that the receiver counts exactly the frame's encoded size — the wire
 // codec's size functions, the encoder, and the counters must all agree.
 func TestDeliverExactByteAccounting(t *testing.T) {
-	w := oneWorker(1, 2, 40000)
+	w := oneWorker(1, 2, 40000, &recorder{})
+	step(t, w, 1)
+	owned := ownedOf(w)
 	batch := []Message{ // destinations of 1, 2 and 3 varint bytes
-		{Dst: w.owned[0], Src: 0, Val: 1.5},
-		{Dst: w.owned[100], Src: 300, Val: -2},
-		{Dst: w.owned[len(w.owned)-1], Src: 70000, Val: 0},
+		{Dst: owned[0], Src: 0, Val: 1.5},
+		{Dst: owned[100], Src: 300, Val: -2},
+		{Dst: owned[len(owned)-1], Src: 70000, Val: 0},
 	}
-	frame := wire.EncodeDeliver(nil, 0, 4, 0, batch)
-	if got, want := len(frame), wire.DeliverSize(0, 4, 0, batch); got != want {
+	frame := wire.EncodeDeliver(nil, 0, 1, 0, batch)
+	if got, want := len(frame), wire.DeliverSize(0, 1, 0, batch); got != want {
 		t.Fatalf("encoded frame is %d bytes, DeliverSize says %d", got, want)
 	}
 	if err := w.Deliver(DeliverArgs{Frame: frame}, &struct{}{}); err != nil {
@@ -437,12 +478,14 @@ func TestDeliverExactByteAccounting(t *testing.T) {
 
 // TestDeliverRejectsCorruptFrame truncates and tampers with a valid frame
 // and requires Deliver to reject it with wire.ErrCorrupt — and a well-formed
-// frame from an unknown sender, or for a vertex owned elsewhere or out of
-// range, with a plain error — leaving the inbox and every counter untouched.
+// frame from the worker itself or an unknown sender, or for a vertex owned
+// elsewhere or out of range, with a plain error — leaving the engine's rows
+// and every counter untouched.
 func TestDeliverRejectsCorruptFrame(t *testing.T) {
-	w := oneWorker(1, 2, 8)
-	other := oneWorker(0, 2, 8).owned[0]
-	frame := wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: w.owned[0], Src: 1, Val: 9}})
+	w := oneWorker(1, 2, 8, &recorder{})
+	step(t, w, 1)
+	mine, other := ownedOf(w)[0], ownedOf(oneWorker(0, 2, 8, &recorder{}))[0]
+	frame := wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: mine, Src: 1, Val: 9}})
 	bad := [][]byte{
 		frame[:len(frame)-1],              // truncated payload
 		frame[:4],                         // truncated header
@@ -456,16 +499,63 @@ func TestDeliverRejectsCorruptFrame(t *testing.T) {
 		}
 	}
 	for i, f := range [][]byte{
-		wire.EncodeDeliver(nil, 2, 2, 0, []Message{{Dst: w.owned[0]}}),
-		wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: w.owned[0]}, {Dst: other}}),
-		wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: 8}}),
+		wire.EncodeDeliver(nil, 2, 1, 0, []Message{{Dst: mine}}),
+		wire.EncodeDeliver(nil, 1, 1, 0, []Message{{Dst: mine}}),
+		wire.EncodeDeliver(nil, 0, 1, 0, []Message{{Dst: mine}, {Dst: other}}),
+		wire.EncodeDeliver(nil, 0, 1, 0, []Message{{Dst: 8}}),
 	} {
 		if err := w.Deliver(DeliverArgs{Frame: f}, &struct{}{}); err == nil || errors.Is(err, wire.ErrCorrupt) {
 			t.Fatalf("misrouted frame %d: got %v, want a non-corruption error", i, err)
 		}
 	}
-	if w.recvBytes != 0 || w.recvFrames != 0 || len(w.pending[0])+len(w.pending[1]) != 0 {
-		t.Fatalf("rejected frames mutated state: bytes=%d frames=%d pending=%v",
-			w.recvBytes, w.recvFrames, w.pending)
+	eng := w.prog.(*host[Message]).eng
+	rows := eng.Buffered(0, 1) + eng.Buffered(1, 1)
+	if w.recvBytes != 0 || w.recvFrames != 0 || w.recvByPeer[0] != 0 || rows != 0 {
+		t.Fatalf("rejected frames mutated state: bytes=%d frames=%d recv=%v rows=%d",
+			w.recvBytes, w.recvFrames, w.recvByPeer, rows)
 	}
+}
+
+// TestStaleDeliverNeverLands parks a frame for superstep 2 of one job, starts
+// the next job and steps it to superstep 2: the frame belongs to the
+// abandoned job, so Deliver must refuse it rather than land it on the new
+// job's engine.
+func TestStaleDeliverNeverLands(t *testing.T) {
+	w := oneWorker(1, 2, 8, &recorder{})
+	step(t, w, 1)
+	frame := wire.EncodeDeliver(nil, 0, 2, 0, []Message{{Dst: ownedOf(w)[0], Src: 1, Val: 9}})
+	done := make(chan error, 1)
+	go func() { done <- w.Deliver(DeliverArgs{Frame: frame}, &struct{}{}) }()
+	waitParked(t, w)
+	if err := w.StartJob(StartJobArgs{Spec: JobSpec{Program: "mssp"}}, &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	step(t, w, 1)
+	step(t, w, 2)
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stale frame is still waiting after the new job's superstep 2")
+	}
+	rows := w.prog.(*host[tasks.DistMsg]).eng.Buffered(0, 1)
+	if err == nil || rows != 0 || w.recvFrames != 0 || w.recvByPeer[0] != 0 {
+		t.Fatalf("stale frame: err=%v rows=%d frames=%d recv=%v, want an error and nothing landed",
+			err, rows, w.recvFrames, w.recvByPeer)
+	}
+}
+
+// waitParked returns once a Deliver call waits on w's barrier.
+func waitParked(t *testing.T, w *Worker) {
+	t.Helper()
+	call := fmt.Sprintf("(*Worker).Deliver(%p,", w)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, call) {
+				return
+			}
+		}
+	}
+	t.Fatal("no Deliver call waits on the worker's barrier")
 }

@@ -76,7 +76,7 @@ func TestJobTraceAndFlightRecorder(t *testing.T) {
 		byID[s.ID] = s
 		names[s.Name]++
 	}
-	for _, want := range []string{"job", "superstep", "Worker.Seed", "Worker.ComputeRound", "compute", "recv", "checkpoint", "restore", "recovery"} {
+	for _, want := range []string{"job", "superstep", "Worker.Step", "seed", "compute", "recv", "checkpoint", "restore", "recovery"} {
 		if names[want] == 0 {
 			t.Fatalf("no %q span in rpcrt trace; got %v", want, names)
 		}
@@ -88,7 +88,7 @@ func TestJobTraceAndFlightRecorder(t *testing.T) {
 		switch s.Name {
 		case "compute", "seed":
 			p, ok := byID[s.Parent]
-			if !ok || (p.Name != "Worker.ComputeRound" && p.Name != "Worker.Seed") {
+			if !ok || p.Name != "Worker.Step" {
 				t.Fatalf("worker span %q parented under %+v, want an RPC span", s.Name, p)
 			}
 		case "recv":

@@ -111,18 +111,18 @@ func (c BKHSConfig) exec() execConfig {
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 
-// hopCodec implements engine.Codec for HopMsg (see appendPair).
-type hopCodec struct{}
+// HopCodec implements engine.Codec for HopMsg (see appendPair).
+type HopCodec struct{}
 
-func (hopCodec) Encode(buf []byte, m HopMsg) []byte { return appendPair(buf, m.Src, uint32(m.Hop)) }
-func (hopCodec) Decode(d []byte) (HopMsg, int) {
+func (HopCodec) Encode(buf []byte, m HopMsg) []byte { return appendPair(buf, m.Src, uint32(m.Hop)) }
+func (HopCodec) Decode(d []byte) (HopMsg, int) {
 	s, p := readPair(d)
 	return HopMsg{s, int32(p)}, 8
 }
 
 // hopKind describes HopMsg; its fold keeps the smaller hop count.
 var hopKind = msgKind[HopMsg]{
-	codec: hopCodec{},
+	codec: HopCodec{},
 	combine: func(a, b HopMsg) HopMsg {
 		if b.Hop < a.Hop {
 			return b

@@ -257,15 +257,15 @@ func (c BPPRConfig) exec() execConfig {
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 
-// walkCodec and massCodec implement engine.Codec for the two BPPR message
+// WalkCodec and massCodec implement engine.Codec for the two BPPR message
 // types (see appendPair).
 type (
-	walkCodec struct{}
+	WalkCodec struct{}
 	massCodec struct{}
 )
 
-func (walkCodec) Encode(buf []byte, m WalkMsg) []byte { return appendPair(buf, m.Src, uint32(m.Count)) }
-func (walkCodec) Decode(d []byte) (WalkMsg, int) {
+func (WalkCodec) Encode(buf []byte, m WalkMsg) []byte { return appendPair(buf, m.Src, uint32(m.Count)) }
+func (WalkCodec) Decode(d []byte) (WalkMsg, int) {
 	s, p := readPair(d)
 	return WalkMsg{s, int32(p)}, 8
 }
@@ -282,7 +282,7 @@ func (massCodec) Decode(d []byte) (MassMsg, int) {
 // point, where regrouping an addition is not bit-exact.
 var (
 	walkKind = msgKind[WalkMsg]{
-		codec:  walkCodec{},
+		codec:  WalkCodec{},
 		weight: func(m WalkMsg) int64 { return int64(m.Count) },
 		combine: func(a, b WalkMsg) WalkMsg {
 			return WalkMsg{Src: a.Src, Count: a.Count + b.Count}

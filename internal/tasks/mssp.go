@@ -122,13 +122,13 @@ func (c MSSPConfig) exec() execConfig {
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 
-// distCodec implements engine.Codec for DistMsg (see appendPair).
-type distCodec struct{}
+// DistCodec implements engine.Codec for DistMsg (see appendPair).
+type DistCodec struct{}
 
-func (distCodec) Encode(buf []byte, m DistMsg) []byte {
+func (DistCodec) Encode(buf []byte, m DistMsg) []byte {
 	return appendPair(buf, m.Src, math.Float32bits(m.Dist))
 }
-func (distCodec) Decode(d []byte) (DistMsg, int) {
+func (DistCodec) Decode(d []byte) (DistMsg, int) {
 	s, p := readPair(d)
 	return DistMsg{s, math.Float32frombits(p)}, 8
 }
@@ -136,7 +136,7 @@ func (distCodec) Decode(d []byte) (DistMsg, int) {
 // distKind describes DistMsg; its fold is a selection (first on ties), so
 // it is exact however a backend groups it.
 var distKind = msgKind[DistMsg]{
-	codec: distCodec{},
+	codec: DistCodec{},
 	combine: func(a, b DistMsg) DistMsg {
 		if b.Dist < a.Dist {
 			return b

@@ -1,7 +1,6 @@
 // Package wire implements the runtime's versioned little-endian binary
-// protocol for hot-path payloads: message envelopes, coalesced delivery
-// batches, and the bare envelope lists a worker checkpoints its inbox as.
-// It replaces gob on internal/rpcrt's delivery path, where gob's
+// protocol for hot-path payloads: message envelopes in coalesced delivery
+// batches. It replaces gob on internal/rpcrt's delivery path, where gob's
 // reflection-driven encoding and per-connection type framing made both
 // throughput and byte accounting unstable (the encoded size of the first
 // value on a connection differs from every later one).
@@ -11,20 +10,18 @@
 //	offset  size  field
 //	0       2     magic "VW"
 //	2       1     protocol version (currently 2)
-//	3       1     frame type (FrameDeliver, FrameEnvelopes)
+//	3       1     frame type (FrameDeliver)
 //	4       4     payload length in bytes (uint32)
 //	8       n     payload
 //
-// Payloads:
+// Payload:
 //
 //	Deliver    uvarint(from) uvarint(round) uvarint(trace) uvarint(count) count×envelope
-//	Envelopes  uvarint(count) count×envelope
 //
 // The trace field (version 2) carries an optional TraceContext — the span
 // id of the RPC that produced the frame — so receiver-side spans can
 // parent under the sender's span cluster-wide. Zero means "no context"
-// and costs a single byte; Envelopes frames (checkpoint payloads) carry
-// no context because snapshots outlive any one trace.
+// and costs a single byte.
 //
 // An envelope is uvarint(dst) uvarint(src) float32bits(val) — vertex IDs
 // are varint-compressed (most graphs have far fewer than 2^28 vertices,
@@ -60,15 +57,11 @@ const Version = 2
 // frames: the sender's span id. Zero means "no context".
 type TraceContext uint64
 
-// Frame types. 0x02 is retired: decoders reject it like any unknown type.
-const (
-	// FrameDeliver carries one coalesced batch of envelopes from one
-	// worker to one peer, tagged with the sender and the round.
-	FrameDeliver byte = 0x01
-	// FrameEnvelopes carries a bare envelope list with no routing header;
-	// used for checkpointed inboxes.
-	FrameEnvelopes byte = 0x03
-)
+// FrameDeliver, the one frame type, carries one coalesced batch of
+// envelopes from one worker to one peer, tagged with the sender and the
+// round. Types 0x02 and 0x03 are retired: the decoder rejects them like any
+// unknown type.
+const FrameDeliver byte = 0x01
 
 const (
 	magic0    = 'V'
@@ -182,16 +175,6 @@ func EncodeDeliver(buf []byte, from, round int, tc TraceContext, batch []Envelop
 	buf = binary.AppendUvarint(buf, uint64(from))
 	buf = binary.AppendUvarint(buf, uint64(round))
 	buf = binary.AppendUvarint(buf, uint64(tc))
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	for _, e := range batch {
-		buf = appendEnvelope(buf, e)
-	}
-	return endFrame(buf, start)
-}
-
-// EncodeEnvelopes appends a bare Envelopes frame (checkpoint inboxes).
-func EncodeEnvelopes(buf []byte, batch []Envelope) []byte {
-	buf, start := beginFrame(buf, FrameEnvelopes)
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, e := range batch {
 		buf = appendEnvelope(buf, e)
@@ -324,32 +307,6 @@ func DecodeDeliver(frame []byte, dst []Envelope) (DeliverHeader, []Envelope, err
 	}
 	h = DeliverHeader{From: int(from), Round: int(round), Trace: TraceContext(trace), Count: n}
 	return h, out, nil
-}
-
-// DecodeEnvelopes decodes an Envelopes frame, appending to dst. On error
-// dst is returned unchanged.
-func DecodeEnvelopes(frame []byte, dst []Envelope) ([]Envelope, error) {
-	b, err := parseFrame(frame, FrameEnvelopes)
-	if err != nil {
-		return dst, err
-	}
-	var count uint64
-	if count, b, err = uvarint(b, "count"); err != nil {
-		return dst, err
-	}
-	n, err := checkCount(count, len(b))
-	if err != nil {
-		return dst, err
-	}
-	mark := len(dst)
-	out, b, err := decodeEnvelopes(b, n, dst)
-	if err != nil {
-		return dst[:mark], err
-	}
-	if len(b) != 0 {
-		return dst[:mark], corrupt("%d trailing bytes", len(b))
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

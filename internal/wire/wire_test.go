@@ -68,26 +68,6 @@ func TestDeliverRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestEnvelopesRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		batch := randEnvelopes(rng, rng.Intn(500))
-		frame := EncodeEnvelopes(nil, batch)
-		got, err := DecodeEnvelopes(frame, nil)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(got) != len(batch) {
-			t.Fatalf("trial %d: %d envelopes, want %d", trial, len(got), len(batch))
-		}
-		for i := range batch {
-			if !envEqual(got[i], batch[i]) {
-				t.Fatalf("trial %d: envelope %d mismatch", trial, i)
-			}
-		}
-	}
-}
-
 func TestDecodeAppendsToDst(t *testing.T) {
 	a := []Envelope{{Dst: 1, Src: 2, Val: 3}}
 	frame := EncodeDeliver(nil, 0, 1, 0, []Envelope{{Dst: 9, Src: 8, Val: 7}})
@@ -104,12 +84,12 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	batch := []Envelope{{Dst: 5, Src: 2, Val: 1.5}, {Dst: 300, Src: 70000, Val: -4}}
 	frame := EncodeDeliver(nil, 3, 7, 42, batch)
 	cases := map[string][]byte{
-		"empty":             nil,
-		"truncated header":  frame[:5],
-		"truncated payload": frame[:len(frame)-2],
-		"bad magic":         append([]byte{'x', 'y'}, frame[2:]...),
-		"wrong frame type":  EncodeEnvelopes(nil, batch), // Deliver decoder on an Envelopes frame
-		"trailing bytes":    append(append([]byte(nil), frame...), 0xff),
+		"empty":              nil,
+		"truncated header":   frame[:5],
+		"truncated payload":  frame[:len(frame)-2],
+		"bad magic":          append([]byte{'x', 'y'}, frame[2:]...),
+		"retired frame type": append([]byte{'V', 'W', Version, 0x03}, frame[4:]...), // once the checkpoint inbox frame
+		"trailing bytes":     append(append([]byte(nil), frame...), 0xff),
 	}
 	// Oversized declared count: a frame claiming 2^20 envelopes with a
 	// near-empty payload must be rejected before any allocation.
