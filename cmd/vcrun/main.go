@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -40,51 +41,68 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vcrun: ")
-	var (
-		taskName    = flag.String("task", "BPPR", "BPPR, MSSP or BKHS")
-		datasetName = flag.String("dataset", "DBLP", "dataset replica (Table 1 name)")
-		systemName  = flag.String("system", "Pregel+", "VC-system profile")
-		clusterName = flag.String("cluster", "Galaxy-8", "cluster profile")
-		machines    = flag.Int("machines", 0, "override the cluster's machine count")
-		graphFile   = flag.String("graph-file", "", "load the dataset replica from this graphgen binary instead of generating it")
-		workload    = flag.Int("workload", 64, "replica workload (walks per vertex / sources)")
-		batches     = flag.Int("batches", 1, "number of equal batches (1 = Full-Parallelism)")
-		khops       = flag.Int("k", 2, "hop radius for BKHS")
-		scale       = flag.Float64("scale", 0, "stat extrapolation factor (0 = dataset node scale)")
-		seed        = flag.Uint64("seed", 7, "random seed")
-		workers     = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
-		tracePath   = flag.String("trace", "", "write a per-round CSV trace to this file")
-		machTrace   = flag.String("machine-trace", "", "write a per-round, per-machine CSV trace to this file")
-		reportPath  = flag.String("report", "", "write a JSON run report to this file")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto)")
-		eventsPath  = flag.String("events", "", "write a JSONL event log to this file")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json and pprof on this address (e.g. :6060)")
-		ckptDir     = flag.String("checkpoint-dir", "", "enable superstep checkpointing into this directory")
-		ckptIval    = flag.Int("checkpoint-interval", 0, "checkpoint every N supersteps (0 = engine default)")
-		faultSpec   = flag.String("fault-plan", "", `deterministic fault plan, e.g. "crash:worker=1,step=5" (see internal/fault; crashes need -checkpoint-dir)`)
-		oocOn       = flag.Bool("ooc", false, "run supersteps out-of-core: stream partitioned edges and messages through a bounded memory window (results are bit-identical to in-memory)")
-		oocBudget   = flag.Int64("ooc-budget", 64<<20, "out-of-core resident-window budget in bytes (derives the partition count)")
-		oocParts    = flag.Int("ooc-partitions", 0, "fix the out-of-core partition count (0 = derive from -ooc-budget)")
-		oocDir      = flag.String("ooc-dir", "", "out-of-core partition-file directory (empty = private temp dir per batch)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	var fplan *fault.Plan
+// create opens path for writing, or returns nil for an empty path.
+func create(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	return os.Create(path)
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vcrun", flag.ContinueOnError)
+	var (
+		taskName    = fs.String("task", "BPPR", "BPPR, MSSP or BKHS")
+		datasetName = fs.String("dataset", "DBLP", "dataset replica (Table 1 name)")
+		systemName  = fs.String("system", "Pregel+", "VC-system profile")
+		clusterName = fs.String("cluster", "Galaxy-8", "cluster profile")
+		machines    = fs.Int("machines", 0, "override the cluster's machine count")
+		graphFile   = fs.String("graph-file", "", "load the dataset replica from this graphgen binary instead of generating it")
+		workload    = fs.Int("workload", 64, "replica workload (walks per vertex / sources)")
+		batches     = fs.Int("batches", 1, "number of equal batches (1 = Full-Parallelism)")
+		khops       = fs.Int("k", 2, "hop radius for BKHS")
+		scale       = fs.Float64("scale", 0, "stat extrapolation factor (0 = dataset node scale)")
+		seed        = fs.Uint64("seed", 7, "random seed")
+		workers     = fs.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
+		tracePath   = fs.String("trace", "", "write a per-round CSV trace to this file")
+		machTrace   = fs.String("machine-trace", "", "write a per-round, per-machine CSV trace to this file")
+		reportPath  = fs.String("report", "", "write a JSON run report to this file")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto)")
+		eventsPath  = fs.String("events", "", "write a JSONL event log to this file")
+		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /metrics.json and pprof on this address (e.g. :6060)")
+		ckptDir     = fs.String("checkpoint-dir", "", "enable superstep checkpointing into this directory")
+		ckptIval    = fs.Int("checkpoint-interval", 0, "checkpoint every N supersteps (0 = engine default)")
+		faultSpec   = fs.String("fault-plan", "", `deterministic fault plan, e.g. "crash:worker=1,step=5" (see internal/fault; crashes need -checkpoint-dir)`)
+		oocOn       = fs.Bool("ooc", false, "run supersteps out-of-core: stream partitioned edges and messages through a bounded memory window (results are bit-identical to in-memory)")
+		oocBudget   = fs.Int64("ooc-budget", 64<<20, "out-of-core resident-window budget in bytes (derives the partition count)")
+		oocParts    = fs.Int("ooc-partitions", 0, "fix the out-of-core partition count (0 = derive from -ooc-budget)")
+		oocDir      = fs.String("ooc-dir", "", "out-of-core partition-file directory (empty = private temp dir per batch)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := tasks.Validate(*taskName, *workload, *batches, *khops); err != nil {
+		return err
+	}
+	spec := tasks.Spec{
+		Task: *taskName, Workload: *workload, K: *khops, Seed: *seed, Workers: *workers,
+		CheckpointDir: *ckptDir, CheckpointInterval: *ckptIval,
+	}
 	if *faultSpec != "" {
 		var err error
-		fplan, err = fault.Parse(*faultSpec)
-		if err != nil {
-			log.Fatal(err)
+		if spec.Fault, err = fault.Parse(*faultSpec); err != nil {
+			return err
 		}
 	}
-
-	var (
-		oocCfg   *tasks.OOCConfig
-		oocStats *ooc.IOStats
-	)
+	var oocStats *ooc.IOStats
 	if *oocOn {
 		oocStats = &ooc.IOStats{}
-		oocCfg = &tasks.OOCConfig{
+		spec.OOC = &tasks.OOCConfig{
 			Dir:               *oocDir,
 			MemoryBudgetBytes: *oocBudget,
 			Partitions:        *oocParts,
@@ -94,22 +112,39 @@ func main() {
 
 	d, err := graph.Dataset(*datasetName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	system, err := sim.SystemByName(*systemName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cluster, err := sim.ClusterByName(*clusterName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *machines > 0 {
 		cluster = cluster.WithMachines(*machines)
 	}
-	if *taskName == "BKHS" && *khops > tasks.MaxBKHSHops {
-		log.Fatalf("-k %d exceeds the largest BKHS radius, %d", *khops, tasks.MaxBKHSHops)
+	if *oocOn && system.Async == sim.FullAsync {
+		return fmt.Errorf("-ooc requires a synchronous system profile; %s runs the asynchronous GAS executor", system.Name)
 	}
+	if *oocOn && system.Mirror {
+		return fmt.Errorf("-ooc is incompatible with the mirror profile %s (mirror spans assume a resident graph)", system.Name)
+	}
+
+	// Open every output before the run so a bad path fails fast instead of
+	// after minutes of simulation.
+	var files [5]*os.File
+	for i, path := range []string{*eventsPath, *reportPath, *traceOut, *tracePath, *machTrace} {
+		if files[i], err = create(path); err != nil {
+			return err
+		}
+		if files[i] != nil {
+			defer files[i].Close()
+		}
+	}
+	eventsF, reportF, spansF, traceF, machF := files[0], files[1], files[2], files[3], files[4]
+
 	if *graphFile != "" {
 		// A bulk/mmap zero-copy load of a graphgen dump. The checksummed
 		// loader rejects corrupt and retired-format dumps; PrimeDataset rejects
@@ -117,145 +152,52 @@ func main() {
 		// return the file's graph instead of regenerating.
 		loaded, err := graph.LoadBinaryFile(*graphFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := graph.PrimeDataset(d.Name, loaded); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	g := d.Load()
 	part := graph.HashPartition(g.NumVertices(), cluster.Machines)
+	job, err := tasks.Build(g, part, system, spec)
+	if err != nil {
+		return err
+	}
+	cfg := tasks.CostConfig(d, cluster, system, *scale)
 
-	statScale := *scale
-	if statScale == 0 {
-		statScale = d.ScaleNodes()
+	// Telemetry: the collector is the run's one per-round hook; the report,
+	// event log, span trace and both CSV traces are written from it.
+	var copts obs.CollectorOptions
+	if eventsF != nil {
+		copts.Events = eventsF
 	}
-	cfg := sim.JobConfig{
-		Cluster:              cluster,
-		System:               system,
-		StatScale:            statScale,
-		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: d.PaperBytesPerMachine(cluster.Machines),
+	var tracer *obs.Tracer
+	if spansF != nil {
+		tracer = obs.NewTracer()
+		copts.Tracer = tracer
 	}
-
-	async := system.Async == sim.FullAsync
-	if oocCfg != nil && async {
-		log.Fatalf("-ooc requires a synchronous system profile; %s runs the asynchronous GAS executor", system.Name)
-	}
-	if oocCfg != nil && system.Mirror {
-		log.Fatalf("-ooc is incompatible with the mirror profile %s (mirror spans assume a resident graph)", system.Name)
-	}
-	var job tasks.Job
-	switch *taskName {
-	case "BPPR":
-		job = tasks.NewBPPR(g, part, tasks.BPPRConfig{
-			WalksPerNode: *workload, Mirror: system.Mirror, Async: async, Seed: *seed,
-			Workers:       *workers,
-			CheckpointDir: *ckptDir, CheckpointInterval: *ckptIval, Fault: fplan,
-			OOC: oocCfg,
-		})
-	case "MSSP":
-		sources := tasks.FirstSources(g.NumVertices(), *workload)
-		job, err = tasks.NewMSSP(g, part, tasks.MSSPConfig{
-			Sources: sources, Mirror: system.Mirror, Async: async, Seed: *seed,
-			Workers:       *workers,
-			CheckpointDir: *ckptDir, CheckpointInterval: *ckptIval, Fault: fplan,
-			OOC: oocCfg,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	case "BKHS":
-		sources := tasks.FirstSources(g.NumVertices(), *workload)
-		job = tasks.NewBKHS(g, part, tasks.BKHSConfig{
-			Sources: sources, K: *khops, Mirror: system.Mirror, Async: async, Seed: *seed,
-			Workers:       *workers,
-			CheckpointDir: *ckptDir, CheckpointInterval: *ckptIval, Fault: fplan,
-			OOC: oocCfg,
-		})
-	default:
-		log.Fatalf("unknown task %q", *taskName)
-	}
-
-	var trace *sim.Trace
-	cfgTask := cfg
-	cfgTask.Task = job.MemModel()
-
-	// Telemetry: collector (registry + optional event log) and debug server.
-	var (
-		collector *obs.Collector
-		eventsF   *os.File
-		reportF   *os.File
-		traceF    *os.File
-		registry  *obs.Registry
-		tracer    *obs.Tracer
-	)
-	if *reportPath != "" || *eventsPath != "" || *debugAddr != "" || *traceOut != "" {
-		registry = obs.NewRegistry()
-		copts := obs.CollectorOptions{Registry: registry}
-		if *eventsPath != "" {
-			eventsF, err = os.Create(*eventsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer eventsF.Close()
-			copts.Events = eventsF
-		}
-		// Open the report and trace files before the run so a bad path
-		// fails fast instead of after minutes of simulation.
-		if *reportPath != "" {
-			reportF, err = os.Create(*reportPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer reportF.Close()
-		}
-		if *traceOut != "" {
-			traceF, err = os.Create(*traceOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer traceF.Close()
-			tracer = obs.NewTracer()
-			copts.Tracer = tracer
-		}
-		collector = obs.NewCollector(copts)
-		cfgTask.Observer = collector
-	}
+	collector := obs.NewCollector(copts)
+	cfg.Observer = collector
 	if *debugAddr != "" {
 		srv, err := obs.StartDebugServerWith(*debugAddr, obs.DebugOptions{
-			Registry: registry, Tracer: tracer,
+			Registry: collector.Registry(), Tracer: tracer,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		log.Printf("debug server on http://%s (/metrics, /metrics.json, /debug/pprof)", srv.Addr())
 	}
 
-	run := sim.NewRun(cfgTask)
-	if *tracePath != "" || *machTrace != "" {
-		trace = &sim.Trace{PerMachine: *machTrace != ""}
-		run.SetTrace(trace)
+	res, err := batch.Run(job, cfg, batch.Equal(job.TotalWorkload(), *batches), nil)
+	if err != nil {
+		return err
 	}
-	sched := batch.Equal(job.TotalWorkload(), *batches)
-	for i, bw := range sched {
-		if run.Overloaded() || bw <= 0 {
-			continue
-		}
-		run.BeginBatch()
-		residual, err := job.RunBatch(run, bw, i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		run.AddResidual(residual)
-	}
-	res := run.Result()
 
-	w := os.Stdout
 	fmt.Fprintf(w, "job:       %s on %s (%d vertices, %d arcs), %s, %s\n",
 		*taskName, d.Name, g.NumVertices(), g.NumEdges(), system.Name, cluster.Name)
-	fmt.Fprintf(w, "workload:  %d in %d batch(es), stat scale %.0fx\n", job.TotalWorkload(), *batches, statScale)
+	fmt.Fprintf(w, "workload:  %d in %d batch(es), stat scale %.0fx\n", job.TotalWorkload(), *batches, cfg.StatScale)
 	status := fmt.Sprintf("%.1f s", res.Seconds)
 	if res.Overflow {
 		status = "OVERFLOW (memory beyond physical + swap headroom)"
@@ -295,60 +237,58 @@ func main() {
 		}
 		fmt.Fprintf(w, "credits:   %s$%.2f\n", mark, res.Credits)
 	}
-	if trace != nil && *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if traceF != nil {
+		n, err := collector.WriteRoundCSV(traceF, cfg.StatScale)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := trace.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "trace:     %s (%d rounds)\n", *tracePath, len(trace.Rows))
+		fmt.Fprintf(w, "trace:     %s (%d rounds)\n", *tracePath, n)
 	}
-	if trace != nil && *machTrace != "" {
-		f, err := os.Create(*machTrace)
+	if machF != nil {
+		n, err := collector.WriteMachineCSV(machF)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := trace.WriteMachineCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "mtrace:    %s (%d machine-rounds)\n", *machTrace, len(trace.MachineRows))
+		fmt.Fprintf(w, "mtrace:    %s (%d machine-rounds)\n", *machTrace, n)
 	}
-	if collector != nil {
-		rep := collector.Report(obs.RunMeta{
-			Task:      *taskName,
-			Dataset:   d.Name,
-			System:    system.Name,
-			Cluster:   cluster.Name,
-			Machines:  cluster.Machines,
-			Workload:  job.TotalWorkload(),
-			Batches:   *batches,
-			Seed:      *seed,
-			StatScale: statScale,
-		}, res)
-		if reportF != nil {
-			if err := rep.WriteJSON(reportF); err != nil {
-				log.Fatal(err)
+	rep := collector.Report(obs.RunMeta{
+		Task:      *taskName,
+		Dataset:   d.Name,
+		System:    system.Name,
+		Cluster:   cluster.Name,
+		Machines:  cluster.Machines,
+		Workload:  job.TotalWorkload(),
+		Batches:   *batches,
+		Seed:      *seed,
+		StatScale: cfg.StatScale,
+	}, res)
+	if reportF != nil {
+		if err := rep.WriteJSON(reportF); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "report:    %s (%d supersteps, %d machines)\n",
+			*reportPath, len(rep.Supersteps), len(rep.Machines))
+	}
+	if err := collector.EventErr(); err != nil {
+		return fmt.Errorf("event log: %w", err)
+	}
+	if eventsF != nil {
+		fmt.Fprintf(w, "events:    %s\n", *eventsPath)
+	}
+	// Report ran Finish above, so every span (including the run root) is
+	// closed by the time the trace is exported.
+	if spansF != nil {
+		if err := tracer.WriteChromeTrace(spansF); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "spans:     %s (%d spans; open in Perfetto)\n", *traceOut, len(tracer.Spans()))
+	}
+	for _, f := range files {
+		if f != nil {
+			if err := f.Close(); err != nil {
+				return err
 			}
-			fmt.Fprintf(w, "report:    %s (%d supersteps, %d machines)\n",
-				*reportPath, len(rep.Supersteps), len(rep.Machines))
-		}
-		if err := collector.EventErr(); err != nil {
-			log.Fatalf("event log: %v", err)
-		}
-		if *eventsPath != "" {
-			fmt.Fprintf(w, "events:    %s\n", *eventsPath)
-		}
-		// Report ran Finish above, so every span (including the run root)
-		// is closed by the time the trace is exported.
-		if traceF != nil {
-			if err := tracer.WriteChromeTrace(traceF); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(w, "spans:     %s (%d spans; open in Perfetto)\n", *traceOut, len(tracer.Spans()))
 		}
 	}
+	return nil
 }

@@ -55,7 +55,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vctune", flag.ContinueOnError)
 	var (
-		taskName    = fs.String("task", "BPPR", "BPPR or MSSP")
+		taskName    = fs.String("task", "BPPR", "BPPR, MSSP or BKHS")
 		datasetName = fs.String("dataset", "DBLP", "dataset replica (Table 1 name)")
 		machines    = fs.Int("machines", 4, "machine count (Galaxy profile)")
 		workload    = fs.Int("workload", 96, "total replica workload to schedule")
@@ -77,36 +77,10 @@ func run(args []string, out io.Writer) error {
 	}
 	g := d.Load()
 	part := graph.HashPartition(g.NumVertices(), *machines)
-	cfg := sim.JobConfig{
-		Cluster:              sim.Galaxy8.WithMachines(*machines),
-		System:               sim.PregelPlus,
-		StatScale:            *scale,
-		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: d.PaperBytesPerMachine(*machines),
-	}
-	var mkErr error
-	mk := func() tasks.Job {
-		switch *taskName {
-		case "BPPR":
-			return tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 1 << 20, Seed: *seed})
-		case "MSSP":
-			sources := make([]graph.VertexID, g.NumVertices())
-			for i := range sources {
-				sources[i] = graph.VertexID(i)
-			}
-			job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{Sources: sources, Seed: *seed})
-			if err != nil {
-				mkErr = err
-				return nil
-			}
-			return job
-		default:
-			mkErr = fmt.Errorf("unknown task %q", *taskName)
-			return nil
-		}
-	}
-	if job := mk(); job == nil {
-		return mkErr
+	cfg := tasks.CostConfig(d, sim.Galaxy8.WithMachines(*machines), sim.PregelPlus, *scale)
+	mk, err := core.TrainingJobs(g, part, sim.PregelPlus, *taskName, 0, *seed)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "training %s on %s, %d machines (workloads 2^1..2^%d)...\n",
@@ -179,7 +153,7 @@ func run(args []string, out io.Writer) error {
 				p.Batch, p.Workload, p.PredictedBytes/(1<<30), p.MeasuredBytes/(1<<30), 100*p.RelError)
 		}
 	} else {
-		opt, err := batch.Run(mk(), evalCfg, sched)
+		opt, err := batch.Run(mk(), evalCfg, sched, nil)
 		if err != nil {
 			return err
 		}
@@ -187,7 +161,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *evaluate {
-		full, err := batch.Run(mk(), cfg, batch.Single(*workload))
+		full, err := batch.Run(mk(), cfg, batch.Single(*workload), nil)
 		if err != nil {
 			return err
 		}
@@ -212,7 +186,7 @@ func run(args []string, out io.Writer) error {
 			Workload:  *workload,
 			Batches:   batches,
 			Seed:      *seed,
-			StatScale: *scale,
+			StatScale: cfg.StatScale,
 		}, result)
 		f, err := os.Create(*reportPath)
 		if err != nil {

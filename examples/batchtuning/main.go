@@ -66,11 +66,11 @@ func main() {
 		if err != nil && !errors.Is(err, core.ErrDegraded) {
 			log.Fatal(err)
 		}
-		opt, err := batch.Run(mk(), cfg, sched)
+		opt, err := batch.Run(mk(), cfg, sched, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := batch.Run(mk(), cfg, batch.Single(total))
+		full, err := batch.Run(mk(), cfg, batch.Single(total), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,29 +35,16 @@ func main() {
 		sim.PregelPlus, sim.Giraph, sim.GraphD, sim.GraphLab,
 	}
 	const workload = 160 // replica walks per node / sources
-	mkJob := func() tasks.Job {
-		switch *taskName {
-		case "BPPR":
-			return tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: workload, Seed: 5})
-		case "MSSP":
-			sources := make([]graph.VertexID, 64)
-			for i := range sources {
-				sources[i] = graph.VertexID(i * 31 % g.NumVertices())
-			}
-			job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{Sources: sources, Seed: 5})
-			if err != nil {
-				log.Fatal(err)
-			}
-			return job
-		case "BKHS":
-			sources := make([]graph.VertexID, 64)
-			for i := range sources {
-				sources[i] = graph.VertexID(i * 17 % g.NumVertices())
-			}
-			return tasks.NewBKHS(g, part, tasks.BKHSConfig{Sources: sources, K: 2, Seed: 5})
-		default:
-			log.Fatalf("unknown task %q", *taskName)
-			return nil
+	spec := tasks.Spec{Task: *taskName, Workload: workload, Seed: 5}
+	if *taskName != "BPPR" {
+		// 64 sources, a stride sweep over the vertex ids.
+		stride := 31
+		if *taskName == "BKHS" {
+			stride = 17
+		}
+		spec.Sources = make([]graph.VertexID, 64)
+		for i := range spec.Sources {
+			spec.Sources[i] = graph.VertexID(i * stride % g.NumVertices())
 		}
 	}
 
@@ -70,14 +57,17 @@ func main() {
 	for _, sys := range systems {
 		fmt.Printf("%-12s", sys.Name)
 		for _, k := range []int{1, 2, 4, 8, 16} {
-			job := mkJob()
+			job, err := tasks.Build(g, part, sys, spec)
+			if err != nil {
+				log.Fatal(err)
+			}
 			cfg := sim.JobConfig{
 				Cluster:   sim.Galaxy8,
 				System:    sys,
 				StatScale: d.ScaleNodes() * 64,
 				NodeScale: d.ScaleNodes(),
 			}
-			res, err := batch.Run(job, cfg, batch.Equal(job.TotalWorkload(), k))
+			res, err := batch.Run(job, cfg, batch.Equal(job.TotalWorkload(), k), nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -40,7 +40,7 @@ func main() {
 			// the memory tradeoff is visible against 16 GB machines.
 			StatScale: 512,
 		}
-		res, err := batch.Run(job, cfg, batch.Equal(walksPerNode, k))
+		res, err := batch.Run(job, cfg, batch.Equal(walksPerNode, k), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 	// The computed estimates are real: inspect a personalized PageRank.
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 2000, Seed: 7})
 	if _, err := batch.Run(job, sim.JobConfig{Cluster: sim.Galaxy8, System: sim.PregelPlus},
-		batch.Single(2000)); err != nil {
+		batch.Single(2000), nil); err != nil {
 		log.Fatal(err)
 	}
 	src := graph.VertexID(0)

@@ -14,7 +14,6 @@
 package batch
 
 import (
-	"fmt"
 	"math"
 
 	"vcmt/internal/sim"
@@ -78,30 +77,6 @@ func TwoUnequal(total, delta int) Schedule {
 // Single is the 1-batch Full-Parallelism schedule.
 func Single(total int) Schedule { return Schedule{total} }
 
-// Run executes the job batch-by-batch under the given cost configuration,
-// accumulating residual memory between batches. Execution stops early once
-// the run is overloaded (past the 6000 s cutoff), as the paper's
-// experiments do.
-func Run(job tasks.Job, cfg sim.JobConfig, sched Schedule) (sim.JobResult, error) {
-	cfg.Task = job.MemModel()
-	run := sim.NewRun(cfg)
-	for i, w := range sched {
-		if run.Overloaded() {
-			break
-		}
-		if w <= 0 {
-			continue
-		}
-		run.BeginBatch()
-		resid, err := job.RunBatch(run, w, i)
-		if err != nil {
-			return sim.JobResult{}, fmt.Errorf("batch %d: %w", i, err)
-		}
-		run.AddResidual(resid)
-	}
-	return run.Result(), nil
-}
-
 // BatchObservation carries what the runner measured for one executed
 // batch — the feedback signal of the closed-loop tuner (§5): measured
 // per-machine peak memory versus the model's prediction, and the residual
@@ -130,31 +105,34 @@ type BatchObservation struct {
 	Overloaded bool
 }
 
-// Options extends Run with per-batch hooks.
-type Options struct {
-	// OnBatchDone fires after every executed batch with its measurements.
-	// Returning a non-nil schedule replaces the remaining (unexecuted)
-	// batches — the re-planning hook of the adaptive tuner; returning nil
-	// keeps the current plan.
-	OnBatchDone func(BatchObservation) Schedule
+// Run executes the job batch by batch under the given cost configuration,
+// carrying residual memory from every batch into the next. Execution stops
+// once the run is overloaded (past the 6000 s cutoff), as the paper's
+// experiments do.
+//
+// onBatch, when non-nil, fires after every executed batch with its
+// measurements. A non-nil return replaces the remaining (unexecuted)
+// batches — the re-planning hook of the adaptive tuner; nil keeps the plan.
+//
+// Empty batches are skipped and not counted: the job runs the i-th
+// executed batch as batch index i (which seeds its RNG, tasks.BatchSeed)
+// however many empty batches precede it, so a re-planned schedule numbers
+// its batches the way a fixed one does.
+func Run(job tasks.Job, cfg sim.JobConfig, sched Schedule, onBatch func(BatchObservation) Schedule) (sim.JobResult, error) {
+	run, err := runBatches(job, cfg, sched, onBatch)
+	if err != nil {
+		return sim.JobResult{}, err
+	}
+	return run.Result(), nil
 }
 
-// RunWithOptions executes like Run and fires the per-batch hook after
-// every executed batch, allowing the caller to observe measured memory and
-// re-plan the remaining schedule mid-run. Unlike Run, the batch index
-// passed to the job counts executed batches only (a re-planned schedule
-// has no stable positions), so schedules with empty batches seed their
-// per-batch RNG differently than under Run; tuner-emitted schedules never
-// contain empty batches.
-func RunWithOptions(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts Options) (sim.JobResult, error) {
+// runBatches is Run's loop; it returns the finished run for callers that
+// price more on top of it.
+func runBatches(job tasks.Job, cfg sim.JobConfig, queue Schedule, onBatch func(BatchObservation) Schedule) (*sim.Run, error) {
 	cfg.Task = job.MemModel()
 	run := sim.NewRun(cfg)
-	queue := append(Schedule(nil), sched...)
 	idx, done := 0, 0
-	for len(queue) > 0 {
-		if run.Overloaded() {
-			break
-		}
+	for len(queue) > 0 && !run.Overloaded() {
 		w := queue[0]
 		queue = queue[1:]
 		if w <= 0 {
@@ -163,12 +141,12 @@ func RunWithOptions(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts Optio
 		run.BeginBatch()
 		resid, err := job.RunBatch(run, w, idx)
 		if err != nil {
-			return sim.JobResult{}, fmt.Errorf("batch %d: %w", idx, err)
+			return nil, err // the task's error names the batch
 		}
 		run.AddResidual(resid)
 		done += w
-		if opts.OnBatchDone != nil {
-			o := BatchObservation{
+		if onBatch != nil {
+			next := onBatch(BatchObservation{
 				Index:         idx,
 				Workload:      w,
 				Done:          done,
@@ -177,14 +155,14 @@ func RunWithOptions(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts Optio
 				ResidualBytes: run.MaxResidualBytes(),
 				CumSeconds:    run.Seconds(),
 				Overloaded:    run.Overloaded(),
-			}
-			if next := opts.OnBatchDone(o); next != nil {
-				queue = append(Schedule(nil), next...)
+			})
+			if next != nil {
+				queue = next
 			}
 		}
 		idx++
 	}
-	return run.Result(), nil
+	return run, nil
 }
 
 // WholeGraphOptions configures the whole-graph access mode of §4.9: the
@@ -223,21 +201,9 @@ func RunWholeGraph(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts WholeG
 	for i, w := range sched {
 		perMachine[i] = (w + opts.Machines - 1) / opts.Machines
 	}
-	cfg.Task = job.MemModel()
-	run := sim.NewRun(cfg)
-	for i, w := range perMachine {
-		if run.Overloaded() {
-			break
-		}
-		if w <= 0 {
-			continue
-		}
-		run.BeginBatch()
-		resid, err := job.RunBatch(run, w, i)
-		if err != nil {
-			return WholeGraphResult{}, fmt.Errorf("whole-graph batch %d: %w", i, err)
-		}
-		run.AddResidual(resid)
+	run, err := runBatches(job, cfg, perMachine, nil)
+	if err != nil {
+		return WholeGraphResult{}, err
 	}
 	// Final aggregation: the K machines tree-reduce their partial results
 	// (log2(K) levels of pairwise merges over parallel links), the upper

@@ -101,7 +101,7 @@ func TestRunExecutesAllBatches(t *testing.T) {
 	g := graph.GenerateChungLu(60, 240, 2.5, 3)
 	part := graph.HashPartition(60, 4)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 32, Seed: 1})
-	res, err := Run(job, testCfg(4), Equal(32, 4))
+	res, err := Run(job, testCfg(4), Equal(32, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunSkipsEmptyBatches(t *testing.T) {
 	g := graph.GenerateRing(20)
 	part := graph.HashPartition(20, 2)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 2, Seed: 1})
-	res, err := Run(job, testCfg(2), Equal(2, 8))
+	res, err := Run(job, testCfg(2), Equal(2, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +129,51 @@ func TestRunSkipsEmptyBatches(t *testing.T) {
 	}
 }
 
+// indexJob records the batch index the runner passes to every RunBatch.
+type indexJob struct{ idx []int }
+
+func (j *indexJob) Name() string               { return "index" }
+func (j *indexJob) TotalWorkload() int         { return 8 }
+func (j *indexJob) MemModel() sim.TaskMemModel { return sim.TaskMemModel{} }
+func (j *indexJob) RunBatch(_ *sim.Run, _, batchIdx int) ([]int64, error) {
+	j.idx = append(j.idx, batchIdx)
+	return nil, nil
+}
+
+// TestRunNumbersExecutedBatches pins the runner's one batch-index rule: an
+// empty batch is skipped and not counted, so the batch after it runs as
+// index 1, not as its schedule position 2.
+func TestRunNumbersExecutedBatches(t *testing.T) {
+	job := &indexJob{}
+	var hookIdx []int
+	res, err := Run(job, testCfg(2), Schedule{4, 0, 4}, func(o BatchObservation) Schedule {
+		hookIdx = append(hookIdx, o.Index)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(job.idx) != 2 || job.idx[0] != 0 || job.idx[1] != 1 {
+		t.Fatalf("RunBatch indices %v, want [0 1]", job.idx)
+	}
+	if len(hookIdx) != 2 || hookIdx[1] != 1 {
+		t.Fatalf("hook indices %v, want [0 1]", hookIdx)
+	}
+	if res.Batches != 2 {
+		t.Fatalf("batches=%d, want 2 (the empty batch is not counted)", res.Batches)
+	}
+}
+
 func TestRunCarriesResidual(t *testing.T) {
 	g := graph.GenerateChungLu(60, 240, 2.5, 5)
 	part := graph.HashPartition(60, 4)
 	one := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
-	resOne, err := Run(one, testCfg(4), Single(64))
+	resOne, err := Run(one, testCfg(4), Single(64), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	four := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
-	resFour, err := Run(four, testCfg(4), Equal(64, 4))
+	resFour, err := Run(four, testCfg(4), Equal(64, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +194,7 @@ func TestRunStopsWhenOverloaded(t *testing.T) {
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
 	cfg := testCfg(4)
 	cfg.CutoffSeconds = 1e-9
-	res, err := Run(job, cfg, Equal(64, 8))
+	res, err := Run(job, cfg, Equal(64, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +240,9 @@ func TestRunWithOptionsFiresHookPerBatch(t *testing.T) {
 	part := graph.HashPartition(60, 4)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 32, Seed: 1})
 	var obs []BatchObservation
-	res, err := RunWithOptions(job, testCfg(4), Equal(32, 4), Options{
-		OnBatchDone: func(o BatchObservation) Schedule {
-			obs = append(obs, o)
-			return nil
-		},
+	res, err := Run(job, testCfg(4), Equal(32, 4), func(o BatchObservation) Schedule {
+		obs = append(obs, o)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,15 +279,13 @@ func TestRunWithOptionsReplanReplacesRemaining(t *testing.T) {
 	part := graph.HashPartition(60, 4)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 32, Seed: 1})
 	var executed []int
-	res, err := RunWithOptions(job, testCfg(4), Schedule{16, 16}, Options{
-		OnBatchDone: func(o BatchObservation) Schedule {
-			executed = append(executed, o.Workload)
-			if o.Index == 0 {
-				// Re-plan the remaining 16 units as four batches of 4.
-				return Equal(16, 4)
-			}
-			return nil
-		},
+	res, err := Run(job, testCfg(4), Schedule{16, 16}, func(o BatchObservation) Schedule {
+		executed = append(executed, o.Workload)
+		if o.Index == 0 {
+			// Re-plan the remaining 16 units as four batches of 4.
+			return Equal(16, 4)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,14 +314,12 @@ func TestRunWithOptionsStopsWhenOverloaded(t *testing.T) {
 	cfg := testCfg(4)
 	cfg.CutoffSeconds = 1e-9
 	hooks := 0
-	res, err := RunWithOptions(job, cfg, Equal(64, 8), Options{
-		OnBatchDone: func(o BatchObservation) Schedule {
-			hooks++
-			if !o.Overloaded {
-				t.Fatal("hook after the cutoff must report Overloaded")
-			}
-			return nil
-		},
+	res, err := Run(job, cfg, Equal(64, 8), func(o BatchObservation) Schedule {
+		hooks++
+		if !o.Overloaded {
+			t.Fatal("hook after the cutoff must report Overloaded")
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func Example() {
 
 	for _, k := range []int{1, 4} {
 		job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 32, Seed: 7})
-		res, err := batch.Run(job, cfg, batch.Equal(32, k))
+		res, err := batch.Run(job, cfg, batch.Equal(32, k), nil)
 		if err != nil {
 			panic(err)
 		}

@@ -240,7 +240,7 @@ func (m *Model) RunAdaptive(job tasks.Job, cfg sim.JobConfig, total int, ac Adap
 		return replanned
 	}
 
-	jr, err := batch.RunWithOptions(job, cfg, sched, batch.Options{OnBatchDone: onDone})
+	jr, err := batch.Run(job, cfg, sched, onDone)
 	if err != nil {
 		return res, err
 	}

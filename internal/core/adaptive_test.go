@@ -86,7 +86,7 @@ func TestRunAdaptiveCorrectsMispricedFit(t *testing.T) {
 	if serr != nil {
 		t.Fatalf("perturbed model must still plan: %v", serr)
 	}
-	sres, err := batch.Run(mk(), cfg, static)
+	sres, err := batch.Run(mk(), cfg, static, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

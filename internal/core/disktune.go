@@ -43,7 +43,7 @@ func DiskTune(mk JobFactory, cfg sim.JobConfig, total, maxBatches int) (DiskTune
 	res := DiskTuneResult{Utils: map[int]float64{}}
 	for k := 1; k <= maxBatches; k *= 2 {
 		job := mk()
-		r, err := batch.Run(job, cfg, batch.Equal(total, k))
+		r, err := batch.Run(job, cfg, batch.Equal(total, k), nil)
 		if err != nil {
 			return DiskTuneResult{}, fmt.Errorf("core: disk probe at %d batches: %w", k, err)
 		}

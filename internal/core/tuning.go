@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"vcmt/internal/batch"
+	"vcmt/internal/graph"
 	"vcmt/internal/lma"
 	"vcmt/internal/sim"
 	"vcmt/internal/tasks"
@@ -69,6 +70,26 @@ type TrainConfig struct {
 // JobFactory builds a fresh job instance for one training run; training
 // runs must not share state with each other or with the evaluation run.
 type JobFactory func() tasks.Job
+
+// TrainingJobs returns the factory of the jobs Train measures for task on
+// g under the system profile: a nominal workload far beyond the 2^1..2^h
+// units training consumes, and for MSSP and BKHS every vertex as a source
+// in id order. k is the BKHS radius (0 = 2). A spec Build rejects fails
+// here rather than inside Train.
+func TrainingJobs(g *graph.Graph, part *graph.Partition, system sim.SystemProfile, task string, k int, seed uint64) (JobFactory, error) {
+	sources := make([]graph.VertexID, g.NumVertices())
+	for i := range sources {
+		sources[i] = graph.VertexID(i)
+	}
+	spec := tasks.Spec{Task: task, Workload: 1 << 20, K: k, Sources: sources, Seed: seed}
+	if _, err := tasks.Build(g, part, system, spec); err != nil {
+		return nil, err
+	}
+	return func() tasks.Job {
+		job, _ := tasks.Build(g, part, system, spec)
+		return job
+	}, nil
+}
 
 // Train runs the training phase for the job under the given cost
 // configuration and fits the memory model. cfg should be the same
@@ -131,25 +152,12 @@ func fitCurves(points []TrainingPoint, seed uint64) (mem, resid lma.PowerFit, er
 // its training point: maximum per-machine memory and maximum per-machine
 // residual bytes, at paper scale.
 func MeasureBatch(job tasks.Job, cfg sim.JobConfig, workload int) (TrainingPoint, error) {
-	cfg.Task = job.MemModel()
-	run := sim.NewRun(cfg)
-	run.BeginBatch()
-	resid, err := job.RunBatch(run, workload, 0)
-	if err != nil {
-		return TrainingPoint{}, err
-	}
-	var maxResid int64
-	for _, r := range resid {
-		if r > maxResid {
-			maxResid = r
-		}
-	}
-	res := run.Result()
-	return TrainingPoint{
-		Workload:         float64(workload),
-		MaxMemBytes:      res.PeakMemBytes,
-		MaxResidualBytes: float64(maxResid) * run.Config().StatScale * job.MemModel().ResidualBytesPerEntry,
-	}, nil
+	pt := TrainingPoint{Workload: float64(workload)}
+	_, err := batch.Run(job, cfg, batch.Single(workload), func(o batch.BatchObservation) batch.Schedule {
+		pt.MaxMemBytes, pt.MaxResidualBytes = o.PeakMemBytes, o.ResidualBytes
+		return nil
+	})
+	return pt, err
 }
 
 // ErrInfeasible is returned when even a single workload unit would

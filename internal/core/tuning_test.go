@@ -105,11 +105,11 @@ func TestOptimizedBeatsFullParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := batch.Run(mk(), cfg, sched)
+	opt, err := batch.Run(mk(), cfg, sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := batch.Run(mk(), cfg, batch.Single(total))
+	full, err := batch.Run(mk(), cfg, batch.Single(total), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,29 @@ import (
 	"vcmt/internal/sim"
 )
 
-// oocRun executes prog-factory runs of BFS in-memory and out-of-core over the
-// same graph/partition/seed and returns both results plus the priced runs.
-func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions[hopMsg]) (*bfsProg, sim.JobResult, *sim.Trace) {
+// pricedRound is what the cost model made of one round, apart from the
+// out-of-core counters.
+type pricedRound struct {
+	round, batch int
+	logical      int64
+	res          sim.RoundResult
+}
+
+// roundLog is a sim.Observer keeping every priced round.
+type roundLog []pricedRound
+
+func (l *roundLog) OnBatchStart(int, float64) {}
+func (l *roundLog) OnRound(o sim.RoundObservation) {
+	*l = append(*l, pricedRound{o.Round, o.Batch, o.Stats.TotalSentLogical(), o.Result})
+}
+
+// oocJob runs BFS in memory (oo == nil) or out of core over a k-machine
+// partition and returns the program, the job result and the priced rounds.
+func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions[hopMsg]) (*bfsProg, sim.JobResult, roundLog) {
 	t.Helper()
 	part := graph.HashPartition(g.NumVertices(), k)
-	run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(k), System: sim.PregelPlus})
-	trace := &sim.Trace{}
-	run.SetTrace(trace)
+	var rounds roundLog
+	run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(k), System: sim.PregelPlus, Observer: &rounds})
 	prog := newBFS(g.NumVertices(), 0)
 	e := New[hopMsg](g, part, prog, run, Options[hopMsg]{Seed: 42, OOC: oo})
 	if err := e.Run(); err != nil {
@@ -34,36 +49,26 @@ func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions[hopMsg]) (*bfsPr
 			t.Fatalf("ooc partitions = %d", e.OOCPartitions())
 		}
 	}
-	return prog, res, trace
-}
-
-// stripOOC zeroes the ooc-only counters so in-memory and out-of-core results
-// can be compared for bit-identity everywhere else.
-func stripOOC(res *sim.JobResult, trace *sim.Trace) {
-	res.OOCReadBytes, res.OOCWriteBytes, res.OOCWindowPeakBytes = 0, 0, 0
-	for i := range trace.Rows {
-		trace.Rows[i].OOCReadBytes = 0
-		trace.Rows[i].OOCWriteBytes = 0
-		trace.Rows[i].OOCWindowPeakBytes = 0
-	}
+	return prog, res, rounds
 }
 
 func TestOOCMatchesInMemoryBitForBit(t *testing.T) {
 	g := graph.GenerateChungLu(400, 2400, 2.5, 9)
 	for _, k := range []int{1, 3, 4} {
-		ref, refRes, refTrace := oocJob(t, g, k, nil)
-		prog, res, trace := oocJob(t, g, k, &OOCOptions[hopMsg]{
+		ref, refRes, refRounds := oocJob(t, g, k, nil)
+		prog, res, rounds := oocJob(t, g, k, &OOCOptions[hopMsg]{
 			Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 5,
 		})
 		if !reflect.DeepEqual(ref.dist, prog.dist) {
 			t.Fatalf("k=%d: ooc results diverge from in-memory", k)
 		}
-		stripOOC(&res, trace)
+		// Only the ooc-only counters may differ.
+		res.OOCReadBytes, res.OOCWriteBytes, res.OOCWindowPeakBytes = 0, 0, 0
 		if !reflect.DeepEqual(refRes, res) {
 			t.Fatalf("k=%d: job results differ:\n in-mem %+v\n ooc    %+v", k, refRes, res)
 		}
-		if !reflect.DeepEqual(refTrace.Rows, trace.Rows) {
-			t.Fatalf("k=%d: per-round traces differ", k)
+		if !reflect.DeepEqual(refRounds, rounds) {
+			t.Fatalf("k=%d: priced rounds differ", k)
 		}
 	}
 }

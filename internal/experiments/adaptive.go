@@ -111,7 +111,7 @@ func FigureAdaptive(o Options) ([]AdaptivePoint, error) {
 			return nil, fmt.Errorf("experiments: adaptive case static schedule: %w", serr)
 		}
 		pt.StaticSchedule = static
-		pt.Static, err = batch.Run(mk(), cfg, static)
+		pt.Static, err = batch.Run(mk(), cfg, static, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +139,7 @@ func FigureAdaptive(o Options) ([]AdaptivePoint, error) {
 		if oerr != nil && !errors.Is(oerr, core.ErrDegraded) {
 			return nil, fmt.Errorf("experiments: adaptive case oracle schedule: %w", oerr)
 		}
-		ores, err := batch.Run(mk(), cfg, osched)
+		ores, err := batch.Run(mk(), cfg, osched, nil)
 		if err != nil {
 			return nil, err
 		}

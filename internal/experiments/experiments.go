@@ -192,60 +192,23 @@ func (s setting) jobConfig(d graph.DatasetSpec, replicaW int) sim.JobConfig {
 	if s.statScaleOverride != 0 {
 		statScale = s.statScaleOverride
 	}
-	gb := d.PaperBytesPerMachine(cl.Machines)
+	cfg := tasks.CostConfig(d, cl, s.system, statScale)
 	if s.wholeGraph {
-		gb = d.PaperBytesPerMachine(1)
+		cfg.GraphBytesPerMachine = d.PaperBytesPerMachine(1)
 	}
-	return sim.JobConfig{
-		Cluster:              cl,
-		System:               s.system,
-		StatScale:            statScale,
-		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: gb,
-	}
+	return cfg
 }
 
 // makeJob builds a fresh job for one run of the setting.
 func (s setting) makeJob(g *graph.Graph, part *graph.Partition, replicaW int, seed uint64, o Options) (tasks.Job, error) {
-	async := s.system.Async == sim.FullAsync
-	switch s.task {
-	case BPPR:
-		return tasks.NewBPPR(g, part, tasks.BPPRConfig{
-			WalksPerNode:       replicaW,
-			Mirror:             s.system.Mirror,
-			Async:              async,
-			Seed:               seed,
-			MaxRounds:          5000,
-			Workers:            o.Workers,
-			StopWhenOverloaded: false,
-			OOC:                o.OOC,
-		}), nil
-	case MSSP:
-		return tasks.NewMSSP(g, part, tasks.MSSPConfig{
-			Sources:            pickSources(g.NumVertices(), replicaW, s.seed),
-			Mirror:             s.system.Mirror,
-			Async:              async,
-			Seed:               seed,
-			MaxRounds:          5000,
-			Workers:            o.Workers,
-			StopWhenOverloaded: false,
-			OOC:                o.OOC,
-		})
-	case BKHS:
-		return tasks.NewBKHS(g, part, tasks.BKHSConfig{
-			Sources:            pickSources(g.NumVertices(), replicaW, s.seed),
-			K:                  2,
-			Mirror:             s.system.Mirror,
-			Async:              async,
-			Seed:               seed,
-			MaxRounds:          5000,
-			Workers:            o.Workers,
-			StopWhenOverloaded: false,
-			OOC:                o.OOC,
-		}), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown task %q", s.task)
+	spec := tasks.Spec{
+		Task: string(s.task), Workload: replicaW, K: 2, Seed: seed,
+		MaxRounds: 5000, Workers: o.Workers, OOC: o.OOC,
 	}
+	if s.task != BPPR {
+		spec.Sources = pickSources(g.NumVertices(), replicaW, s.seed)
+	}
+	return tasks.Build(g, part, s.system, spec)
 }
 
 // run executes the setting across its batch sweep.
@@ -293,7 +256,7 @@ func (s setting) run(o Options, labelSuffix string) (Series, error) {
 			row.Result = res.JobResult
 			row.AggregationSeconds = res.AggregationSeconds
 		} else {
-			res, err := batch.Run(job, cfg, sched)
+			res, err := batch.Run(job, cfg, sched, nil)
 			if err != nil {
 				return Series{}, err
 			}

@@ -47,7 +47,7 @@ func ScaleUpVsScaleOut(o Options, paperW int) (ScaleUpResult, error) {
 			NodeScale:            d.ScaleNodes(),
 			GraphBytesPerMachine: gbPerMachine,
 		}
-		return batch.Run(job, cfg, batch.Single(replicaW))
+		return batch.Run(job, cfg, batch.Single(replicaW), nil)
 	}
 
 	clusterRes, err := run(sim.Galaxy8, d.PaperBytesPerMachine(8))
@@ -115,7 +115,7 @@ func AblationMirroring(o Options) (AblationResult, error) {
 			StatScale: d.ScaleNodes(), NodeScale: d.ScaleNodes(),
 			GraphBytesPerMachine: d.PaperBytesPerMachine(8),
 		}
-		return batch.Run(job, cfg, batch.Equal(w, 2))
+		return batch.Run(job, cfg, batch.Equal(w, 2), nil)
 	}
 	b, err := runOne(noMirror)
 	if err != nil {
@@ -202,7 +202,7 @@ func AblationUnequalBatching(o Options) (AblationResult, error) {
 		if err != nil {
 			return sim.JobResult{}, err
 		}
-		return batch.Run(job, cfg, sched)
+		return batch.Run(job, cfg, sched, nil)
 	}
 	equal, err := runSched(batch.Equal(total, 2))
 	if err != nil {

@@ -126,11 +126,11 @@ func figure12Point(o Options, d graph.DatasetSpec, g *graph.Graph, part *graph.P
 		// Even W1=1 overloads under the model: run Full-Parallelism only.
 		sched = batch.Single(replicaW)
 	}
-	opt, err := batch.Run(mk(), cfg, sched)
+	opt, err := batch.Run(mk(), cfg, sched, nil)
 	if err != nil {
 		return Figure12Point{}, err
 	}
-	full, err := batch.Run(mk(), cfg, batch.Single(replicaW))
+	full, err := batch.Run(mk(), cfg, batch.Single(replicaW), nil)
 	if err != nil {
 		return Figure12Point{}, err
 	}

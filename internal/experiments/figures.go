@@ -367,7 +367,7 @@ func Figure9(o Options) (map[string][]Figure9Point, error) {
 			if err != nil {
 				return 0, false, err
 			}
-			res, err := batch.Run(job, cfg, batch.Single(w))
+			res, err := batch.Run(job, cfg, batch.Single(w), nil)
 			if err != nil {
 				return 0, false, err
 			}
@@ -383,7 +383,7 @@ func Figure9(o Options) (map[string][]Figure9Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := batch.Run(job, cfg, sched)
+			res, err := batch.Run(job, cfg, sched, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -493,7 +493,7 @@ func Table4(o Options) ([]Table4Cell, error) {
 					WalksPerNode: rw, Async: async, Seed: o.seed(),
 					StopWhenOverloaded: true, MaxRounds: 5000,
 				})
-				return batch.Run(job, mkCfg(sys, scale), batch.Single(rw))
+				return batch.Run(job, mkCfg(sys, scale), batch.Single(rw), nil)
 			}
 			sres, err := runPair(sim.GraphLab, false)
 			if err != nil {

@@ -89,7 +89,7 @@ func FigureRecovery(o Options) (RecoveryResult, error) {
 		if err != nil {
 			return sim.JobResult{}, err
 		}
-		return batch.Run(job, cfg, batch.Single(replicaW))
+		return batch.Run(job, cfg, batch.Single(replicaW), nil)
 	}
 
 	out := RecoveryResult{CrashSteps: crashSteps}

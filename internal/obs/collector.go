@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"vcmt/internal/sim"
@@ -16,7 +17,9 @@ func usec(s float64) int64 { return int64(math.Round(s * 1e6)) }
 // Collector implements sim.Observer: it listens to a sim.Run's batch and
 // round callbacks and accumulates everything the exporters need — per-phase
 // totals, per-superstep and per-machine time series, skew, spill events —
-// while feeding the metrics registry. Attach with run.SetObserver(c).
+// while feeding the metrics registry. Attach it as sim.JobConfig.Observer;
+// it keeps every round it observes, so the per-round CSVs (WriteRoundCSV,
+// WriteMachineCSV) are written from it after the run.
 //
 // All collected values derive from the cost model's simulated time and the
 // engine's measured counters, so a Collector-produced report is
@@ -151,6 +154,8 @@ func (c *Collector) closeBatch() {
 
 // OnRound implements sim.Observer.
 func (c *Collector) OnRound(o sim.RoundObservation) {
+	// The engine reuses its per-machine slice between supersteps.
+	o.Stats.PerMachine = slices.Clone(o.Stats.PerMachine)
 	logical := float64(o.Stats.TotalSentLogical())
 	c.rounds = append(c.rounds, roundRecord{
 		round: o.Round, batch: o.Batch, obs: o, logicalMsgs: logical,

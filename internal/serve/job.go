@@ -71,25 +71,14 @@ func (sp *JobSpec) validate() error {
 	if sp.Tenant == "" {
 		sp.Tenant = "default"
 	}
-	switch sp.Task {
-	case "BPPR", "MSSP", "BKHS":
-	default:
-		return fmt.Errorf("unknown task %q (want BPPR, MSSP or BKHS)", sp.Task)
-	}
-	if sp.Workload < 1 {
-		return fmt.Errorf("workload must be >= 1, got %d", sp.Workload)
-	}
 	if sp.Batches == 0 {
 		sp.Batches = 1
-	}
-	if sp.Batches < 1 {
-		return fmt.Errorf("batches must be >= 1, got %d", sp.Batches)
 	}
 	if sp.K == 0 {
 		sp.K = 2
 	}
-	if sp.K < 1 || sp.K > tasks.MaxBKHSHops {
-		return fmt.Errorf("k must be in 1..%d, got %d", tasks.MaxBKHSHops, sp.K)
+	if err := tasks.Validate(sp.Task, sp.Workload, sp.Batches, sp.K); err != nil {
+		return err
 	}
 	if sp.Scale < 0 {
 		return fmt.Errorf("scale must be >= 0, got %g", sp.Scale)
@@ -127,9 +116,12 @@ type Job struct {
 	Tracer     *obs.Tracer
 
 	// Execution context captured at submission so a queued job can be
-	// dispatched later without re-resolving anything.
+	// dispatched later without re-resolving anything: the task job built
+	// from the spec and the cost configuration it runs under.
 	snap   *Snapshot
 	mentry *modelEntry
+	task   tasks.Job
+	cfg    sim.JobConfig
 }
 
 // JobView is the JSON representation returned by the job endpoints.
@@ -168,52 +160,6 @@ func (s *Server) viewLocked(j *Job) JobView {
 	return v
 }
 
-// buildJob constructs the task job and its cost configuration exactly as
-// vcrun does, so that the resulting report is byte-identical to the
-// equivalent one-shot invocation.
-func (s *Server) buildJob(sp JobSpec, snap *Snapshot) (tasks.Job, sim.JobConfig, float64, error) {
-	d := snap.Spec
-	g := snap.Graph
-	part := snap.Partition(s.cluster.Machines)
-	statScale := sp.Scale
-	if statScale == 0 {
-		statScale = d.ScaleNodes()
-	}
-	cfg := sim.JobConfig{
-		Cluster:              s.cluster,
-		System:               s.system,
-		StatScale:            statScale,
-		NodeScale:            d.ScaleNodes(),
-		GraphBytesPerMachine: d.PaperBytesPerMachine(s.cluster.Machines),
-	}
-	async := s.system.Async == sim.FullAsync
-	var job tasks.Job
-	var err error
-	switch sp.Task {
-	case "BPPR":
-		job = tasks.NewBPPR(g, part, tasks.BPPRConfig{
-			WalksPerNode: sp.Workload, Mirror: s.system.Mirror, Async: async, Seed: sp.Seed,
-			Workers: sp.Workers,
-		})
-	case "MSSP":
-		job, err = tasks.NewMSSP(g, part, tasks.MSSPConfig{
-			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), Mirror: s.system.Mirror,
-			Async: async, Seed: sp.Seed, Workers: sp.Workers,
-		})
-	case "BKHS":
-		job = tasks.NewBKHS(g, part, tasks.BKHSConfig{
-			Sources: tasks.FirstSources(g.NumVertices(), sp.Workload), K: sp.K,
-			Mirror: s.system.Mirror, Async: async, Seed: sp.Seed, Workers: sp.Workers,
-		})
-	default:
-		err = fmt.Errorf("unknown task %q", sp.Task)
-	}
-	if err != nil {
-		return nil, sim.JobConfig{}, 0, err
-	}
-	return job, cfg, statScale, nil
-}
-
 // jobMeasurement is what a finished run feeds back into the admission
 // model: the first batch's peak and residual are a clean (W, M*, M_r*)
 // training point, and the job peak scores the admission prediction.
@@ -224,40 +170,23 @@ type jobMeasurement struct {
 	jobPeak         float64
 }
 
-// executeJob runs the job's plan batch-by-batch, mirroring vcrun's loop
-// line for line (including the Overloaded/zero-workload skip), and
-// assembles the byte-identical run report.
-func (s *Server) executeJob(j *Job, snap *Snapshot) (*obs.RunReport, []byte, *obs.Tracer, jobMeasurement, error) {
+// executeJob runs the job's plan through the batch runner vcrun uses, with
+// a private registry and collector, and assembles the run report.
+func (s *Server) executeJob(j *Job) (*obs.RunReport, []byte, *obs.Tracer, jobMeasurement, error) {
 	var meas jobMeasurement
-	job, cfg, statScale, err := s.buildJob(j.Spec, snap)
+	tracer := obs.NewTracer()
+	collector := obs.NewCollector(obs.CollectorOptions{Tracer: tracer})
+	cfg := j.cfg
+	cfg.Observer = collector
+	res, err := batch.Run(j.task, cfg, j.Plan, func(o batch.BatchObservation) batch.Schedule {
+		if o.Index == 0 {
+			meas.firstBatchW, meas.firstBatchPeak, meas.firstBatchResid = o.Workload, o.PeakMemBytes, o.ResidualBytes
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, nil, meas, err
 	}
-	cfgTask := cfg
-	cfgTask.Task = job.MemModel()
-	registry := obs.NewRegistry()
-	tracer := obs.NewTracer()
-	collector := obs.NewCollector(obs.CollectorOptions{Registry: registry, Tracer: tracer})
-	cfgTask.Observer = collector
-
-	run := sim.NewRun(cfgTask)
-	for i, bw := range j.Plan {
-		if run.Overloaded() || bw <= 0 {
-			continue
-		}
-		run.BeginBatch()
-		residual, err := job.RunBatch(run, bw, i)
-		if err != nil {
-			return nil, nil, nil, meas, err
-		}
-		run.AddResidual(residual)
-		if i == 0 {
-			meas.firstBatchW = bw
-			meas.firstBatchPeak = run.BatchPeakMemBytes()
-			meas.firstBatchResid = run.MaxResidualBytes()
-		}
-	}
-	res := run.Result()
 	meas.jobPeak = res.PeakMemBytes
 
 	// Meta mirrors vcrun: Batches is the requested equal-batch count (the
@@ -269,29 +198,18 @@ func (s *Server) executeJob(j *Job, snap *Snapshot) (*obs.RunReport, []byte, *ob
 	}
 	rep := collector.Report(obs.RunMeta{
 		Task:      j.Spec.Task,
-		Dataset:   snap.Spec.Name,
+		Dataset:   j.snap.Spec.Name,
 		System:    s.system.Name,
 		Cluster:   s.cluster.Name,
 		Machines:  s.cluster.Machines,
-		Workload:  job.TotalWorkload(),
+		Workload:  j.task.TotalWorkload(),
 		Batches:   metaBatches,
 		Seed:      j.Spec.Seed,
-		StatScale: statScale,
+		StatScale: cfg.StatScale,
 	}, res)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		return nil, nil, nil, meas, err
 	}
 	return rep, buf.Bytes(), tracer, meas, nil
-}
-
-// effectiveWorkload is the job's TotalWorkload without constructing it:
-// source-count tasks clamp the workload to the vertex count, exactly as
-// tasks.FirstSources does.
-func effectiveWorkload(sp JobSpec, snap *Snapshot) int {
-	w := sp.Workload
-	if sp.Task != "BPPR" && w > snap.Graph.NumVertices() {
-		w = snap.Graph.NumVertices()
-	}
-	return w
 }

@@ -17,7 +17,6 @@ import (
 
 	"vcmt/internal/batch"
 	"vcmt/internal/core"
-	"vcmt/internal/graph"
 	"vcmt/internal/obs"
 	"vcmt/internal/sim"
 	"vcmt/internal/tasks"
@@ -196,10 +195,8 @@ func modelKey(sp JobSpec, statScale float64) string {
 }
 
 // modelFor returns the lazily trained admission model for the spec's key,
-// training it on first use. Training mirrors vctune: fresh jobs per
-// measurement with a large nominal workload (the training runs only ever
-// consume 2^1..2^h units), under the exact cost configuration production
-// jobs will run with.
+// training it on first use on vctune's training jobs (core.TrainingJobs)
+// under the exact cost configuration production jobs will run with.
 func (s *Server) modelFor(sp JobSpec, snap *Snapshot, statScale float64) (*modelEntry, error) {
 	key := modelKey(sp, statScale)
 	s.mu.Lock()
@@ -229,51 +226,11 @@ func (s *Server) modelFor(sp JobSpec, snap *Snapshot, statScale float64) (*model
 }
 
 func (s *Server) trainModel(sp JobSpec, snap *Snapshot, statScale float64) (*core.Model, error) {
-	g := snap.Graph
-	part := snap.Partition(s.cluster.Machines)
-	cfg := sim.JobConfig{
-		Cluster:              s.cluster,
-		System:               s.system,
-		StatScale:            statScale,
-		NodeScale:            snap.Spec.ScaleNodes(),
-		GraphBytesPerMachine: snap.Spec.PaperBytesPerMachine(s.cluster.Machines),
+	mk, err := core.TrainingJobs(snap.Graph, snap.Partition(s.cluster.Machines), s.system, sp.Task, sp.K, s.seed)
+	if err != nil {
+		return nil, err
 	}
-	async := s.system.Async == sim.FullAsync
-	allSources := func() []graph.VertexID {
-		src := make([]graph.VertexID, g.NumVertices())
-		for i := range src {
-			src[i] = graph.VertexID(i)
-		}
-		return src
-	}
-	var mkErr error
-	mk := func() tasks.Job {
-		switch sp.Task {
-		case "BPPR":
-			return tasks.NewBPPR(g, part, tasks.BPPRConfig{
-				WalksPerNode: 1 << 20, Mirror: s.system.Mirror, Async: async, Seed: s.seed,
-			})
-		case "MSSP":
-			job, err := tasks.NewMSSP(g, part, tasks.MSSPConfig{
-				Sources: allSources(), Mirror: s.system.Mirror, Async: async, Seed: s.seed,
-			})
-			if err != nil {
-				mkErr = err
-				return nil
-			}
-			return job
-		case "BKHS":
-			return tasks.NewBKHS(g, part, tasks.BKHSConfig{
-				Sources: allSources(), K: sp.K, Mirror: s.system.Mirror, Async: async, Seed: s.seed,
-			})
-		default:
-			mkErr = fmt.Errorf("unknown task %q", sp.Task)
-			return nil
-		}
-	}
-	if job := mk(); job == nil {
-		return nil, mkErr
-	}
+	cfg := tasks.CostConfig(snap.Spec, s.cluster, s.system, statScale)
 	return core.Train(mk, cfg, core.TrainConfig{MaxExponent: s.trainExp, Seed: s.seed})
 }
 
@@ -306,17 +263,20 @@ func (s *Server) Submit(sp JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	statScale := sp.Scale
-	if statScale == 0 {
-		statScale = snap.Spec.ScaleNodes()
+	task, err := tasks.Build(snap.Graph, snap.Partition(s.cluster.Machines), s.system, tasks.Spec{
+		Task: sp.Task, Workload: sp.Workload, K: sp.K, Seed: sp.Seed, Workers: sp.Workers,
+	})
+	if err != nil {
+		return JobView{}, err
 	}
-	entry, err := s.modelFor(sp, snap, statScale)
+	cfg := tasks.CostConfig(snap.Spec, s.cluster, s.system, sp.Scale)
+	entry, err := s.modelFor(sp, snap, cfg.StatScale)
 	if err != nil {
 		return JobView{}, err
 	}
 
 	// Plan and price outside s.mu (model reads take the entry mutex).
-	effW := effectiveWorkload(sp, snap)
+	effW := task.TotalWorkload()
 	plan := batch.Equal(effW, sp.Batches)
 	entry.mu.Lock()
 	predicted := predictPeak(entry.model, plan)
@@ -354,6 +314,8 @@ func (s *Server) Submit(sp JobSpec) (JobView, error) {
 		Predicted: predicted,
 		snap:      snap,
 		mentry:    entry,
+		task:      task,
+		cfg:       cfg,
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
@@ -440,9 +402,10 @@ func (s *Server) runJob(j *Job) {
 		s.hookBeforeRun(j)
 	}
 
-	rep, raw, tracer, meas, err := s.executeJob(j, j.snap)
+	rep, raw, tracer, meas, err := s.executeJob(j)
 
 	s.mu.Lock()
+	j.task = nil // its results are never served; a finished job keeps only the report
 	s.running--
 	s.reserved -= j.Predicted
 	labels := s.jobLabels(j.Spec)

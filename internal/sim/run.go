@@ -20,8 +20,8 @@ type JobConfig struct {
 	GraphBytesPerMachine float64
 	// CutoffSeconds marks the overload threshold (defaults to 6000 s).
 	CutoffSeconds float64
-	// Observer, when non-nil, receives batch and round callbacks (the
-	// telemetry hook); equivalent to calling SetObserver on the Run.
+	// Observer, when non-nil, receives batch and round callbacks: the one
+	// per-round hook of a Run, which telemetry (internal/obs) attaches to.
 	Observer Observer
 }
 
@@ -106,7 +106,6 @@ type Run struct {
 	overflow       bool
 	residualByMach []int64
 	residualTotal  int64
-	trace          *Trace
 	obs            Observer
 }
 
@@ -152,10 +151,6 @@ func (r *Run) AddResidual(perMachine []int64) {
 // (replica scale).
 func (r *Run) ResidualEntries() int64 { return r.residualTotal }
 
-// SetObserver attaches a telemetry observer that receives batch and round
-// callbacks; nil detaches it.
-func (r *Run) SetObserver(o Observer) { r.obs = o }
-
 // BeginBatch marks the start of a batch (used for the Batches count).
 func (r *Run) BeginBatch() {
 	r.batches++
@@ -188,7 +183,6 @@ func (r *Run) ObserveRound(rs RoundStats) RoundResult {
 	res := r.roundCost(rs)
 	r.seconds += res.Seconds
 	r.rounds++
-	r.traceRound(rs, res)
 	logical := float64(rs.TotalSentLogical()) * r.cfg.StatScale
 	r.totalLogical += logical
 	if logical > r.maxRoundMsgs {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -392,57 +391,6 @@ func TestBatchesCounted(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsRounds(t *testing.T) {
-	cfg := basicConfig(Galaxy8, PregelPlus)
-	r := NewRun(cfg)
-	trace := &Trace{}
-	r.SetTrace(trace)
-	r.BeginBatch()
-	per := make([]MachineRound, 8)
-	for i := range per {
-		per[i] = MachineRound{SentLogical: 1000, RecvLogical: 1000, RemoteLogical: 900}
-	}
-	r.ObserveRound(RoundStats{PerMachine: per})
-	r.ObserveRound(RoundStats{PerMachine: per})
-	if len(trace.Rows) != 2 {
-		t.Fatalf("trace rows=%d want 2", len(trace.Rows))
-	}
-	if trace.Rows[0].Round != 1 || trace.Rows[1].Round != 2 {
-		t.Fatal("round numbers wrong")
-	}
-	if trace.Rows[0].Batch != 1 {
-		t.Fatalf("batch=%d want 1", trace.Rows[0].Batch)
-	}
-	if trace.Rows[0].LogicalMsgs != 8000 {
-		t.Fatalf("logical msgs %v want 8000", trace.Rows[0].LogicalMsgs)
-	}
-	if trace.Rows[0].Seconds <= 0 {
-		t.Fatal("trace must record time")
-	}
-}
-
-func TestTraceWriteCSV(t *testing.T) {
-	trace := &Trace{Rows: []TraceRow{
-		{Round: 1, Batch: 1, Seconds: 0.5, LogicalMsgs: 100},
-		{Round: 2, Batch: 1, Seconds: 0.25, LogicalMsgs: 50, DiskUtil: 1.5},
-	}}
-	var sb strings.Builder
-	if err := trace.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "round,batch,seconds") {
-		t.Fatalf("bad header: %s", lines[0])
-	}
-	if !strings.Contains(lines[2], "1.5000") {
-		t.Fatalf("disk util missing: %s", lines[2])
-	}
-}
-
 func TestRoundStatsTotals(t *testing.T) {
 	rs := RoundStats{PerMachine: []MachineRound{
 		{SentLogical: 5, SentPhysical: 3, ActiveVertices: 2},
@@ -544,45 +492,5 @@ func TestObserverReceivesCallbacks(t *testing.T) {
 	}
 	if r.Result().OOCReadBytes != 7 || r.Result().OOCWriteBytes != 2 {
 		t.Fatal("ooc totals missing from JobResult")
-	}
-}
-
-func TestMachineTraceMode(t *testing.T) {
-	cfg := basicConfig(Galaxy8, PregelPlus)
-	r := NewRun(cfg)
-	trace := &Trace{PerMachine: true}
-	r.SetTrace(trace)
-	r.BeginBatch()
-	per := make([]MachineRound, 8)
-	for i := range per {
-		per[i] = MachineRound{
-			SentLogical: int64(1000 * (i + 1)), RecvLogical: 500,
-			RemoteLogical: 400, ActiveVertices: int64(i), StateEntries: int64(10 * i),
-		}
-	}
-	r.ObserveRound(RoundStats{PerMachine: per})
-	if len(trace.MachineRows) != 8 {
-		t.Fatalf("machine rows=%d want 8", len(trace.MachineRows))
-	}
-	row := trace.MachineRows[3]
-	if row.Machine != 3 || row.SentLogical != 4000 || row.StateEntries != 30 {
-		t.Fatalf("per-machine counters wrong: %+v", row)
-	}
-	if row.ComputeSeconds <= 0 || row.MemBytes <= 0 {
-		t.Fatalf("per-machine costs missing: %+v", row)
-	}
-	if trace.Rows[0].SkewRatio <= 1 {
-		t.Fatalf("aggregate row skew=%v want > 1 for imbalanced sends", trace.Rows[0].SkewRatio)
-	}
-	var sb strings.Builder
-	if err := trace.WriteMachineCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("machine CSV lines=%d want header + 8", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "round,batch,machine,sent_logical") {
-		t.Fatalf("bad machine CSV header: %s", lines[0])
 	}
 }

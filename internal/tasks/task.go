@@ -153,8 +153,8 @@ func nextSources(sources []graph.VertexID, done, workload int) []graph.VertexID 
 	return sources[done:min(done+workload, len(sources))]
 }
 
-// FirstSources is the fixed source selection of vcrun and the service: the
-// first count distinct vertices of a multiplicative-hash sweep over n.
+// FirstSources is Build's default MSSP and BKHS source selection: the first
+// count distinct vertices of a multiplicative-hash sweep over n.
 func FirstSources(n, count int) []graph.VertexID {
 	count = min(count, n)
 	seen := make(map[graph.VertexID]bool, count)
