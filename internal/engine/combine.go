@@ -81,16 +81,16 @@ func (e *Engine[M]) foldSegment(t *foldTable, seg []M) int {
 	return w
 }
 
-// combineMachine folds machine d's freshly delivered segments with the
-// configured combiner, compacting in place within d's region and rewriting
-// moffs.
-func (e *Engine[M]) combineMachine(d int) {
-	offs := e.moffs[d]
+// combineMachine folds the freshly delivered segments of machine d's ranks
+// lo..hi-1 with the configured combiner, compacting in place within d's
+// region and rewriting moffs[d][lo:hi+1].
+func (e *Engine[M]) combineMachine(d, lo, hi int) {
+	offs := e.moffs[d][lo : hi+1]
 	reg := e.inbox[e.regionStart[d]:e.regionStart[d+1]]
 	t := &e.foldTabs[d]
-	nloc := len(e.mcount[d])
-	lw := int32(0)
-	prev := int32(0)
+	nloc := hi - lo
+	lw := offs[0]
+	prev := offs[0]
 	for i := 0; i < nloc; i++ {
 		lo, hi := prev, offs[i+1]
 		prev = hi

@@ -196,9 +196,10 @@ type Engine[M any] struct {
 	rounds  int
 	stopped bool
 
-	// ooc is the live out-of-core backend (nil for in-memory runs);
-	// oocPartitions survives the run (see OOCPartitions).
-	ooc           *oocState[M]
+	// ooc is the out-of-core backend, live while ooc.runner is set; its
+	// scratch persists across runs like inbox. oocPartitions survives the
+	// run (see OOCPartitions).
+	ooc           oocState[M]
 	oocPartitions int
 
 	// Checkpoint/recovery state. lastCkptRounds/Bytes identify the latest
@@ -293,10 +294,12 @@ func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog
 // Reset re-arms the engine to run prog from superstep 1 under opts, exactly
 // as a fresh New(g, part, prog, run, opts) would, while keeping what a
 // finished run leaves that depends only on the graph and the partition or
-// is pure capacity: the routing tables, the chunk population, the inbox and
-// the fold tables. RNG streams, counters and checkpoint and out-of-core
-// state start over. One engine per job, Reset per batch: a job of many
-// small batches then pays construction once.
+// is pure capacity: the routing tables, the chunk population, the inbox
+// (which out-of-core runs sort into too), the fold tables and the
+// out-of-core encode scratch. RNG streams, counters and checkpoint state
+// start over, and each run opens its own partition files. One engine per
+// job, Reset per batch: a job of many small batches then pays construction
+// once.
 func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 10000
@@ -319,7 +322,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		e.active[m], e.owed[m] = 0, 0
 	}
 	e.rounds, e.stopped = 0, false
-	e.ooc, e.oocPartitions = nil, 0
+	e.oocPartitions = 0
 	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
 	e.replayTo, e.recoveries = 0, 0
 }
@@ -335,13 +338,6 @@ func (e *Engine[M]) Partition() *graph.Partition { return e.part }
 
 // Workers returns the resolved worker-pool size for this run.
 func (e *Engine[M]) Workers() int { return e.workers }
-
-func (e *Engine[M]) weight(m M) int64 {
-	if e.opts.Weight == nil {
-		return 1
-	}
-	return e.opts.Weight(m)
-}
 
 func (e *Engine[M]) mirrored() bool {
 	if e.run == nil {
@@ -384,7 +380,7 @@ func (e *Engine[M]) ensureMirrorSpan() {
 // row, or routed to a partition file out of core. It is the engine's only
 // halting rule.
 func (e *Engine[M]) pending() bool {
-	if e.ooc != nil {
+	if e.ooc.runner != nil {
 		return e.ooc.runner.Pending()
 	}
 	for r := range e.outRows {
@@ -457,7 +453,7 @@ func (e *Engine[M]) Step() error {
 	switch {
 	case e.rounds == 0:
 		e.runPhase(phaseSeed, len(e.local))
-	case e.ooc != nil:
+	case e.ooc.runner != nil:
 		if err := e.stepOOC(); err != nil {
 			return err
 		}
@@ -469,17 +465,19 @@ func (e *Engine[M]) Step() error {
 	return nil
 }
 
-// computeMachine runs one machine's Compute calls for the current
-// superstep. All state it touches is owned by machine m (context, RNG,
-// outbox rows, counters) or is a read-only inbox segment of an owned
-// vertex, so machines may run concurrently.
-func (e *Engine[M]) computeMachine(m int) {
+// computeMachine runs the Compute calls of machine m's ranks lo..hi-1 (out
+// of core, one partition's share) for the current superstep. All state it
+// touches is owned by machine m (context, RNG, outbox rows, counters) or is
+// a read-only inbox segment of an owned vertex, so machines may run
+// concurrently.
+func (e *Engine[M]) computeMachine(m, lo, hi int) {
 	ctx := e.ctxs[m]
 	rc := &e.recv[m]
-	offs := e.moffs[m]
+	before := rc.physical
+	offs := e.moffs[m][lo : hi+1]
 	base := e.regionStart[m]
 	weigh := e.opts.Weight
-	for i, v := range e.vertsByMachine[m] {
+	for i, v := range e.vertsByMachine[m][lo:hi] {
 		lo, hi := offs[i], offs[i+1]
 		if lo == hi {
 			continue
@@ -497,14 +495,9 @@ func (e *Engine[M]) computeMachine(m int) {
 		e.prog.Compute(ctx, v, msgs)
 		e.active[m]++
 	}
-	e.checkReceived(m, rc.physical)
-}
-
-// checkReceived asserts the other half of barrier conservation: machine m's
-// Compute calls consumed exactly the messages its folded inbox region held.
-func (e *Engine[M]) checkReceived(m int, got int64) {
-	offs := e.moffs[m]
-	if want := int64(offs[len(offs)-1]); got != want {
+	// The other half of barrier conservation: the Compute calls consumed
+	// exactly the messages the folded segments held.
+	if got, want := rc.physical-before, int64(offs[len(offs)-1]-offs[0]); got != want {
 		panic(fmt.Sprintf("engine: conservation violated in round %d: machine %d received %d messages, its inbox held %d",
 			e.rounds+1, m, got, want))
 	}
@@ -672,7 +665,7 @@ func (e *Engine[M]) segment(v graph.VertexID) []M {
 // core, the round's deterministic encoded partition-file IO rides along.
 func (e *Engine[M]) observeRound() {
 	var rs sim.RoundStats
-	if e.ooc != nil {
+	if e.ooc.runner != nil {
 		rs.OOCReadBytes, rs.OOCWriteBytes, rs.OOCWindowPeakBytes = e.ooc.runner.TakeRoundIO()
 	}
 	e.rounds++

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
@@ -47,23 +48,22 @@ type OOCOptions[M any] struct {
 	Stats *ooc.IOStats
 }
 
-// oocState is the live out-of-core backend of one run.
+// oocState is the out-of-core backend: the runner of the current run, and
+// inbox and encode scratch that live as long as the engine (decoded
+// messages land in e.inbox, sorted with e.mcount and e.moffs).
 type oocState[M any] struct {
 	runner *ooc.PartitionedRunner
 	codec  Codec[M]
 	view   *graph.Graph // current partition's edge window, nil outside compute
 	enc    []byte       // encode scratch for Route
 	ib     ooc.Inbox
-	// Per-partition counting-sort scratch (local vertex index space).
-	cnt  []int32
-	offs []int32
-	msgs []M
+	first  []int // machine m's vertices start at order[first[m]]
 }
 
 // curGraph returns the graph visible to vertex programs: the full in-memory
 // graph, or the current partition's streamed edge window in ooc mode.
 func (e *Engine[M]) curGraph() *graph.Graph {
-	if e.ooc != nil && e.ooc.view != nil {
+	if e.ooc.view != nil {
 		return e.ooc.view
 	}
 	return e.g
@@ -73,7 +73,7 @@ func (e *Engine[M]) curGraph() *graph.Graph {
 // its destination partition's file. Appends preserve emission order, so the
 // merged inbox reproduces the in-memory layout.
 func (e *Engine[M]) routeOOC(dst graph.VertexID, m M) {
-	st := e.ooc
+	st := &e.ooc
 	st.enc = st.codec.Encode(st.enc[:0], m)
 	if err := st.runner.Route(dst, st.enc); err != nil {
 		panic(fmt.Sprintf("engine: ooc route: %v", err))
@@ -100,7 +100,9 @@ func (e *Engine[M]) initOOC() error {
 		return fmt.Errorf("engine: OOC is incompatible with mirroring (mirror spans assume a resident graph)")
 	}
 	order := make([]graph.VertexID, 0, e.g.NumVertices())
+	e.ooc.first = e.ooc.first[:0]
 	for m := range e.vertsByMachine {
+		e.ooc.first = append(e.ooc.first, len(order))
 		order = append(order, e.vertsByMachine[m]...)
 	}
 	runner, err := ooc.NewRunner(e.g, order, ooc.Config{
@@ -112,16 +114,16 @@ func (e *Engine[M]) initOOC() error {
 	if err != nil {
 		return fmt.Errorf("engine: ooc: %w", err)
 	}
-	e.ooc = &oocState[M]{runner: runner, codec: oo.Codec}
+	e.ooc.runner, e.ooc.codec = runner, oo.Codec
 	e.oocPartitions = runner.Partitions()
 	return nil
 }
 
 // closeOOC releases the partition files when a run ends.
 func (e *Engine[M]) closeOOC() {
-	if e.ooc != nil {
+	if e.ooc.runner != nil {
 		e.ooc.runner.Close()
-		e.ooc = nil
+		e.ooc.runner = nil
 	}
 }
 
@@ -145,14 +147,21 @@ func (e *Engine[M]) stepOOC() error {
 	return nil
 }
 
+// ranks returns machine d's ranks lo..hi-1 inside partition p, a contiguous
+// run of the machine-major order and so of each machine's ranks.
+func (e *Engine[M]) ranks(d int32, p int) (lo, hi int) {
+	start, end := e.ooc.runner.Span(p)
+	first, n := e.ooc.first[d], len(e.vertsByMachine[d])
+	return min(max(start-first, 0), n), min(max(end-first, 0), n)
+}
+
 // computePartition streams partition p through the memory window: load the
-// edge window, read the inbox, counting-sort it into per-vertex segments in
-// local index space (stable, so each vertex's segment is in global emission
-// order — the in-memory delivery layout), combine, then run Compute over the
-// partition's vertices in execution order with each context bound to the
-// vertex's owner machine.
+// edge window, read the inbox, and counting-sort it into the in-memory
+// delivery layout (e.inbox regions per machine, stable, so each vertex's
+// segment is in global emission order), then fold and compute exactly as in
+// memory, touching only p's ranks of each machine.
 func (e *Engine[M]) computePartition(p int) error {
-	st := e.ooc
+	st := &e.ooc
 	r := st.runner
 	win, _, err := r.Window(p)
 	if err != nil {
@@ -164,66 +173,43 @@ func (e *Engine[M]) computePartition(p int) error {
 		return fmt.Errorf("engine: ooc inbox %d: %w", p, err)
 	}
 
-	start, end := r.Start(p), r.End(p)
-	span := end - start
-	if cap(st.cnt) < span {
-		st.cnt = make([]int32, span)
-		st.offs = make([]int32, span+1)
+	for _, d := range e.local {
+		lo, hi := e.ranks(d, p)
+		clear(e.mcount[d][lo:hi])
 	}
-	st.cnt = st.cnt[:span]
-	st.offs = st.offs[:span+1]
-	for i := range st.cnt {
-		st.cnt[i] = 0
+	for _, v := range st.ib.Dsts { // ReadInbox checked every v is in p
+		e.mcount[e.owners[v]][e.rank[v]]++
 	}
-	total := st.ib.Len()
-	for i := 0; i < total; i++ {
-		st.cnt[r.Pos(st.ib.Dsts[i])-start]++
+	total := int32(0)
+	for _, d := range e.local {
+		lo, hi := e.ranks(d, p)
+		cnt, offs := e.mcount[d], e.moffs[d]
+		e.regionStart[d] = total
+		offs[lo] = 0
+		for i := lo; i < hi; i++ {
+			offs[i+1] = offs[i] + cnt[i]
+		}
+		copy(cnt[lo:hi], offs[lo:hi]) // cnt becomes the placement cursor
+		total += offs[hi]
 	}
-	st.offs[0] = 0
-	for i := 0; i < span; i++ {
-		st.offs[i+1] = st.offs[i] + st.cnt[i]
-	}
-	if cap(st.msgs) < total {
-		st.msgs = make([]M, total)
-	}
-	st.msgs = st.msgs[:total]
-	// Reuse cnt as the placement cursor.
-	copy(st.cnt, st.offs[:span])
-	for i := 0; i < total; i++ {
+	e.regionStart[e.k] = total
+	e.inbox = slices.Grow(e.inbox[:0], int(total))[:total]
+	for i, v := range st.ib.Dsts {
 		payload := st.ib.Payload(i)
 		m, used := st.codec.Decode(payload)
 		if used != len(payload) {
 			return fmt.Errorf("engine: ooc codec decoded %d of %d bytes", used, len(payload))
 		}
-		li := r.Pos(st.ib.Dsts[i]) - start
-		st.msgs[st.cnt[li]] = m
-		st.cnt[li]++
+		d, li := e.owners[v], e.rank[v]
+		e.inbox[e.regionStart[d]+e.mcount[d][li]] = m
+		e.mcount[d][li]++
 	}
-
-	order := r.Order()
-	for i := start; i < end; i++ {
-		v := order[i]
-		li := i - start
-		lo, hi := st.offs[li], st.offs[li+1]
-		if lo == hi {
-			continue
+	for _, d := range e.local {
+		lo, hi := e.ranks(d, p)
+		if e.opts.Combiner != nil {
+			e.combineMachine(int(d), lo, hi)
 		}
-		seg := st.msgs[lo:hi]
-		if e.opts.Combiner != nil && len(seg) > 1 {
-			// OOC runs sequentially, so machine 0's fold table serves
-			// every segment.
-			seg = seg[:e.foldSegment(&e.foldTabs[0], seg)]
-		}
-		m := e.part.Owner(v)
-		ctx := e.ctxs[m]
-		ctx.vertex = v
-		rc := &e.recv[m]
-		for _, msg := range seg {
-			rc.logical += e.weight(msg)
-		}
-		rc.physical += int64(len(seg))
-		e.prog.Compute(ctx, v, seg)
-		e.active[m]++
+		e.computeMachine(int(d), lo, hi)
 	}
 	return nil
 }

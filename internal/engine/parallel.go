@@ -74,9 +74,11 @@ func (e *Engine[M]) runTask(kind phaseKind, i int) {
 	case phaseDeliver:
 		e.deliverMachine(int(e.machOrder[i]))
 	case phaseCombine:
-		e.combineMachine(int(e.machOrder[i]))
+		d := int(e.machOrder[i])
+		e.combineMachine(d, 0, len(e.vertsByMachine[d]))
 	case phaseCompute:
-		e.computeMachine(int(e.machOrder[i]))
+		m := int(e.machOrder[i])
+		e.computeMachine(m, 0, len(e.vertsByMachine[m]))
 	}
 }
 

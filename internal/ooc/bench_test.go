@@ -81,3 +81,23 @@ func BenchmarkPartitionRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunnerSuperstep measures one out-of-core superstep on a warm,
+// reused runner: route 20000 messages, seal them at the barrier, then
+// stream both partitions' edge windows and inboxes back. Buffers come from
+// the runner, so the only allocations are the file system calls' own.
+func BenchmarkRunnerSuperstep(b *testing.B) {
+	g := testGraph(b, 4096, false)
+	r, err := NewRunner(g, identityOrder(4096), Config{Dir: b.TempDir(), Partitions: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	var ib Inbox
+	superstep(b, r, &ib, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		superstep(b, r, &ib, 20000)
+	}
+}

@@ -2,7 +2,9 @@ package ooc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -54,56 +56,30 @@ func FuzzPartitionDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, valid[:headerLen]...), 0xff, 0xff, 0xff, 0xff, 0x7f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		// The runner's read buffer, then the smallest one decoding allows,
+		// which drives every refill and oversized-record path on short
+		// inputs: both must decode the same records or reject.
+		kind, weighted, msgs, edges, err := decodeAll(data, readBufLen)
+		_, _, msgs2, edges2, err2 := decodeAll(data, binary.MaxVarintLen64)
+		if (err == nil) != (err2 == nil) || fmt.Sprint(msgs, edges) != fmt.Sprint(msgs2, edges2) {
+			t.Fatalf("buffer size changed the decode: %v / %v", err, err2)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("NewReader: untyped error %v", err)
+				t.Fatalf("untyped error %v", err)
 			}
 			return
-		}
-		var msgs []msgRec
-		var edges []edgeRec
-		for {
-			if r.Kind() == KindMessages {
-				dst, payload, err := r.NextMessage()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					if !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("NextMessage: untyped error %v", err)
-					}
-					return
-				}
-				msgs = append(msgs, msgRec{dst, append([]byte(nil), payload...)})
-			} else {
-				v, nbrs, wts, err := r.NextEdges()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					if !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("NextEdges: untyped error %v", err)
-					}
-					return
-				}
-				edges = append(edges, edgeRec{
-					v:    v,
-					nbrs: append([]graph.VertexID(nil), nbrs...),
-					wts:  append([]float32(nil), wts...),
-				})
-			}
 		}
 		// Accepted files must be canonical: re-encoding the decoded records
 		// reproduces the input bit-for-bit.
 		var re bytes.Buffer
-		w := NewWriter(&re, r.Kind(), r.Weighted())
+		w := NewWriter(&re, kind, weighted)
 		for _, m := range msgs {
 			w.AppendMessage(m.dst, m.payload)
 		}
 		for _, e := range edges {
 			wts := e.wts
-			if !r.Weighted() {
+			if !weighted {
 				wts = nil
 			} else if wts == nil {
 				wts = []float32{}
@@ -117,4 +93,39 @@ func FuzzPartitionDecode(f *testing.F) {
 			t.Fatalf("accepted file is not canonical:\n in %x\nout %x", data, re.Bytes())
 		}
 	})
+}
+
+// decodeAll decodes a whole partition through the constructor every Reader
+// starts with, using a read buffer of bufLen bytes.
+func decodeAll(data []byte, bufLen int) (kind byte, weighted bool, msgs []msgRec, edges []edgeRec, err error) {
+	r := Reader{buf: make([]byte, bufLen)}
+	if err := r.init(bytes.NewReader(data)); err != nil {
+		return 0, false, nil, nil, err
+	}
+	for {
+		if r.Kind() == KindMessages {
+			dst, payload, err := r.NextMessage()
+			if err != nil {
+				return r.kind, r.weighted, msgs, edges, eofNil(err)
+			}
+			msgs = append(msgs, msgRec{dst, append([]byte(nil), payload...)})
+			continue
+		}
+		v, nbrs, wts, err := r.NextEdges()
+		if err != nil {
+			return r.kind, r.weighted, msgs, edges, eofNil(err)
+		}
+		edges = append(edges, edgeRec{
+			v:    v,
+			nbrs: append([]graph.VertexID(nil), nbrs...),
+			wts:  append([]float32(nil), wts...),
+		})
+	}
+}
+
+func eofNil(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
 }

@@ -22,10 +22,15 @@
 // non-minimal encodings, truncation, trailing bytes, count mismatches and
 // checksum failures with errors wrapping ErrCorrupt, and never panic on
 // hostile input. Allocation during decode is bounded by MaxRecordBytes.
+//
+// A file gets no buffer of its own: a Writer encodes into a writeBufLen
+// buffer and a Reader decodes records in place from a readBufLen one, both
+// kept across files, and a PartitionedRunner owns one Reader (it reads one
+// file at a time) and a free list of Writers. The CRC is folded over whole
+// spans, each flushed chunk and each consumed stretch of the read buffer.
 package ooc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +38,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"vcmt/internal/graph"
 )
@@ -58,6 +64,11 @@ const (
 
 	headerLen  = 5
 	trailerLen = 8
+
+	// readBufLen and writeBufLen size a Reader's decode buffer and a
+	// Writer's encode buffer. Decoding needs at least MaxVarintLen64 bytes.
+	readBufLen  = 4 << 10
+	writeBufLen = 4 << 10
 )
 
 // ErrCorrupt is wrapped by every decode error caused by malformed input.
@@ -83,61 +94,93 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Writer appends records to a partition file. It maintains a running
-// CRC-64/ECMA over every byte written so Finish can emit the trailer without
-// re-reading the file.
+// Writer appends records to a partition file. Records are encoded into a
+// fixed writeBufLen buffer, and each flush folds the whole chunk into a
+// running CRC-64/ECMA, so Finish can emit the trailer without re-reading
+// the file.
 type Writer struct {
-	f        *os.File
-	w        *bufio.Writer
-	crc      uint64
+	dst      io.Writer
+	f        *os.File // dst when file-backed, until Finish closes it
+	path     string
+	buf      []byte // encoded bytes not yet written out
+	crc      uint64 // CRC of the bytes written out
+	written  int64
 	kind     byte
 	weighted bool
 	records  int64
-	bytes    int64 // encoded bytes written so far (trailer excluded until Finish)
-	scratch  []byte
 	err      error
-	path     string
 }
 
 // NewWriter starts a partition stream on an arbitrary io.Writer (used by
 // tests and the canonical re-encode check); Create is the file-backed form.
 func NewWriter(w io.Writer, kind byte, weighted bool) *Writer {
-	pw := &Writer{w: bufio.NewWriterSize(w, 1<<20), kind: kind, weighted: weighted}
-	flags := byte(0)
-	if weighted {
-		flags |= flagWeighted
-	}
-	pw.write([]byte{partMagic0, partMagic1, Version, kind, flags})
+	pw := new(Writer)
+	pw.start(w, kind, weighted)
 	return pw
 }
 
 // Create opens path for writing and emits the partition header.
 func Create(path string, kind byte, weighted bool) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
+	w := new(Writer)
+	if err := w.create(path, kind, weighted); err != nil {
 		return nil, err
 	}
-	w := NewWriter(f, kind, weighted)
-	w.f = f
-	w.path = path
-	return w, w.err
+	return w, nil
+}
+
+// create is Create on an existing Writer, keeping its buffer.
+func (w *Writer) create(path string, kind byte, weighted bool) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w.start(f, kind, weighted)
+	w.f, w.path = f, path
+	return nil
+}
+
+// start points w at dst, keeping its buffer, and encodes the header.
+func (w *Writer) start(dst io.Writer, kind byte, weighted bool) {
+	*w = Writer{dst: dst, buf: w.buf[:0], kind: kind, weighted: weighted}
+	if w.buf == nil {
+		w.buf = make([]byte, 0, writeBufLen)
+	}
+	flags := byte(0)
+	if weighted {
+		flags |= flagWeighted
+	}
+	w.buf = append(w.buf, partMagic0, partMagic1, Version, kind, flags)
+}
+
+// flush folds the buffer into the CRC as one span and writes it out. The
+// first write error sticks.
+func (w *Writer) flush() {
+	w.crc = crc64.Update(w.crc, crcTable, w.buf)
+	if w.err == nil {
+		_, w.err = w.dst.Write(w.buf)
+		w.written += int64(len(w.buf))
+	}
+	w.buf = w.buf[:0]
+}
+
+// room flushes the buffer unless n more bytes fit in it.
+func (w *Writer) room(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+}
+
+func (w *Writer) uvarint(v uint64) {
+	w.room(binary.MaxVarintLen64)
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
+	for len(b) > 0 {
+		w.room(1)
+		n := copy(w.buf[len(w.buf):cap(w.buf)], b)
+		w.buf, b = w.buf[:len(w.buf)+n], b[n:]
 	}
-	w.crc = crc64.Update(w.crc, crcTable, b)
-	if _, err := w.w.Write(b); err != nil {
-		w.err = err
-		return
-	}
-	w.bytes += int64(len(b))
-}
-
-func (w *Writer) writeUvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.write(buf[:binary.PutUvarint(buf[:], v)])
 }
 
 // AppendMessage appends one message record. The payload is copied.
@@ -149,8 +192,8 @@ func (w *Writer) AppendMessage(dst graph.VertexID, payload []byte) error {
 	if rlen > MaxRecordBytes {
 		return fmt.Errorf("ooc: message record of %d bytes exceeds MaxRecordBytes", rlen)
 	}
-	w.writeUvarint(uint64(rlen))
-	w.writeUvarint(uint64(dst))
+	w.uvarint(uint64(rlen))
+	w.uvarint(uint64(dst))
 	w.write(payload)
 	w.records++
 	return w.err
@@ -168,21 +211,23 @@ func (w *Writer) AppendEdges(v graph.VertexID, neighbors []graph.VertexID, weigh
 	if weights != nil && len(weights) != len(neighbors) {
 		return fmt.Errorf("ooc: %d weights for %d neighbors", len(weights), len(neighbors))
 	}
-	w.scratch = w.scratch[:0]
-	var buf [binary.MaxVarintLen64]byte
-	w.scratch = append(w.scratch, buf[:binary.PutUvarint(buf[:], uint64(v))]...)
-	w.scratch = append(w.scratch, buf[:binary.PutUvarint(buf[:], uint64(len(neighbors)))]...)
+	rlen := uvarintLen(uint64(v)) + uvarintLen(uint64(len(neighbors))) + 4*len(weights)
 	for _, u := range neighbors {
-		w.scratch = append(w.scratch, buf[:binary.PutUvarint(buf[:], uint64(u))]...)
+		rlen += uvarintLen(uint64(u))
+	}
+	if rlen > MaxRecordBytes {
+		return fmt.Errorf("ooc: edge record of %d bytes exceeds MaxRecordBytes", rlen)
+	}
+	w.uvarint(uint64(rlen))
+	w.uvarint(uint64(v))
+	w.uvarint(uint64(len(neighbors)))
+	for _, u := range neighbors {
+		w.uvarint(uint64(u))
 	}
 	for _, wt := range weights {
-		w.scratch = binary.LittleEndian.AppendUint32(w.scratch, math.Float32bits(wt))
+		w.room(4)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(wt))
 	}
-	if len(w.scratch) > MaxRecordBytes {
-		return fmt.Errorf("ooc: edge record of %d bytes exceeds MaxRecordBytes", len(w.scratch))
-	}
-	w.writeUvarint(uint64(len(w.scratch)))
-	w.write(w.scratch)
 	w.records++
 	return w.err
 }
@@ -190,102 +235,120 @@ func (w *Writer) AppendEdges(v graph.VertexID, neighbors []graph.VertexID, weigh
 // Records returns the number of records appended so far.
 func (w *Writer) Records() int64 { return w.records }
 
-// Bytes returns the encoded bytes written so far (header + records; the
+// Bytes returns the encoded bytes appended so far (header + records; the
 // end marker, count and trailer are added by Finish).
-func (w *Writer) Bytes() int64 { return w.bytes }
-
-// Path returns the file path for file-backed writers, else "".
-func (w *Writer) Path() string { return w.path }
+func (w *Writer) Bytes() int64 { return w.written + int64(len(w.buf)) }
 
 // Finish writes the end marker, record count and CRC trailer, flushes, and
 // closes the underlying file if any. It returns the total encoded size.
 func (w *Writer) Finish() (int64, error) {
-	w.writeUvarint(0)
-	w.writeUvarint(uint64(w.records))
-	crc := w.crc // trailer is not part of its own checksum
-	var tr [trailerLen]byte
-	binary.LittleEndian.PutUint64(tr[:], crc)
-	if w.err == nil {
-		if _, err := w.w.Write(tr[:]); err != nil {
-			w.err = err
-		} else {
-			w.bytes += trailerLen
-		}
-	}
-	if w.err == nil {
-		w.err = w.w.Flush()
-	}
+	w.uvarint(0)
+	w.uvarint(uint64(w.records))
+	w.flush()
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.crc) // the CRC of all before it
+	w.flush()
 	if w.f != nil {
-		if cerr := w.f.Close(); w.err == nil {
-			w.err = cerr
+		if err := w.f.Close(); w.err == nil {
+			w.err = err
 		}
 		w.f = nil
 	}
-	return w.bytes, w.err
+	return w.written, w.err
 }
 
-// Abort closes and removes the file without writing a trailer.
+// Abort discards the partition: it closes the file if still open and
+// removes it, whether Finish never ran, failed or succeeded.
 func (w *Writer) Abort() {
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
+	}
+	if w.path != "" {
 		os.Remove(w.path)
+		w.path = ""
 	}
 }
 
-// Reader streams records from a partition file, verifying the record count
-// and CRC trailer when the end marker is reached. Decoded slices alias
-// internal buffers that are reused by the next call.
+// Reader streams records from a partition, decoding each in place from its
+// read buffer and verifying the record count and CRC trailer when the end
+// marker is reached. Decoded slices alias internal buffers that are reused
+// by the next call.
 type Reader struct {
+	src      io.Reader
 	f        *os.File
-	r        *bufio.Reader
-	crc      uint64
+	buf      []byte // readBufLen, or the longest record read so far
+	pos, end int    // buf[pos:end] is read but not yet decoded
+	off      int64  // stream offset of buf[0]
+	srcErr   error  // the source's first error; io.EOF at its end
+	crc      uint64 // CRC of the stream before buf[0]
 	kind     byte
 	weighted bool
 	records  int64
-	buf      []byte
+	done     bool
+	body     []byte // the current record body, aliasing buf
 	nbrs     []graph.VertexID
 	wts      []float32
-	done     bool
 }
 
 // Open opens a partition file and parses its header.
 func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	r := new(Reader)
+	if err := r.open(path); err != nil {
 		return nil, err
 	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.f = f
 	return r, nil
 }
 
 // NewReader starts decoding a partition stream from an arbitrary io.Reader.
 func NewReader(rd io.Reader) (*Reader, error) {
-	r := &Reader{r: bufio.NewReaderSize(rd, 1<<20)}
-	var hdr [headerLen]byte
-	if err := r.readFull(hdr[:]); err != nil {
+	r := new(Reader)
+	if err := r.init(rd); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
+
+// open is Open on an existing Reader, keeping its buffers.
+func (r *Reader) open(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	if err := r.init(f); err != nil {
+		f.Close()
+		return err
+	}
+	r.f = f
+	return nil
+}
+
+// init starts decoding src, keeping r's read buffer and decode scratch, and
+// parses the header. Every Reader, file-backed or not, starts here.
+func (r *Reader) init(src io.Reader) error {
+	*r = Reader{src: src, buf: r.buf, nbrs: r.nbrs, wts: r.wts}
+	if r.buf == nil {
+		r.buf = make([]byte, readBufLen)
+	}
+	if !r.fill(headerLen) {
+		return corrupt("truncated header (%v)", r.srcErr)
+	}
+	hdr := r.buf[:headerLen]
+	r.pos = headerLen
 	if hdr[0] != partMagic0 || hdr[1] != partMagic1 {
-		return nil, corrupt("bad magic %q", hdr[:2])
+		return corrupt("bad magic %q", hdr[:2])
 	}
 	if hdr[2] != Version {
-		return nil, fmt.Errorf("ooc: version %d: %w", hdr[2], ErrVersion)
+		return fmt.Errorf("ooc: version %d: %w", hdr[2], ErrVersion)
 	}
 	r.kind = hdr[3]
 	if r.kind != KindEdges && r.kind != KindMessages {
-		return nil, corrupt("unknown partition kind %d", r.kind)
+		return corrupt("unknown partition kind %d", r.kind)
 	}
 	if hdr[4]&^flagWeighted != 0 {
-		return nil, corrupt("unknown flags %#x", hdr[4])
+		return corrupt("unknown flags %#x", hdr[4])
 	}
 	r.weighted = hdr[4]&flagWeighted != 0
-	return r, nil
+	return nil
 }
 
 // Kind returns the partition kind (KindEdges or KindMessages).
@@ -294,8 +357,9 @@ func (r *Reader) Kind() byte { return r.kind }
 // Weighted reports whether edge records carry weights.
 func (r *Reader) Weighted() bool { return r.weighted }
 
-// Records returns the number of records decoded so far.
-func (r *Reader) Records() int64 { return r.records }
+// Bytes returns the encoded bytes consumed so far: at the verified end of
+// the partition (io.EOF), the whole stream.
+func (r *Reader) Bytes() int64 { return r.off + int64(r.pos) }
 
 // Close closes the underlying file, if any.
 func (r *Reader) Close() error {
@@ -307,87 +371,84 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-func (r *Reader) readFull(b []byte) error {
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		return corrupt("truncated (%v)", err)
+// fill makes n <= len(buf) bytes available at buf[pos:] and reports whether
+// the stream held them. A refill first folds the consumed span into the CRC
+// and slides the unconsumed tail to the front of the buffer.
+func (r *Reader) fill(n int) bool {
+	if r.end-r.pos >= n {
+		return true
 	}
-	r.crc = crc64.Update(r.crc, crcTable, b)
-	return nil
+	r.crc = crc64.Update(r.crc, crcTable, r.buf[:r.pos])
+	r.off += int64(r.pos)
+	r.end, r.pos = copy(r.buf, r.buf[r.pos:r.end]), 0
+	for r.end < n && r.srcErr == nil {
+		var k int
+		k, r.srcErr = r.src.Read(r.buf[r.end:])
+		r.end += k
+	}
+	return r.end >= n
 }
 
-func (r *Reader) readUvarint(what string) (uint64, error) {
-	var v uint64
-	var n int
-	for shift := uint(0); ; shift += 7 {
-		if n == binary.MaxVarintLen64 {
-			return 0, corrupt("%s varint too long", what)
-		}
-		b, err := r.r.ReadByte()
-		if err != nil {
-			return 0, corrupt("truncated %s (%v)", what, err)
-		}
-		var one [1]byte
-		one[0] = b
-		r.crc = crc64.Update(r.crc, crcTable, one[:])
-		n++
-		if shift == 63 && b > 1 {
-			return 0, corrupt("%s varint overflows uint64", what)
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if n != uvarintLen(v) {
-		return 0, corrupt("non-minimal %s varint", what)
-	}
-	return v, nil
+// uvarint decodes one canonical varint in place.
+func (r *Reader) uvarint(what string) (uint64, error) {
+	r.fill(binary.MaxVarintLen64) // short only at the end of the stream
+	v, rest, err := bufUvarint(r.buf[r.pos:r.end], what)
+	r.pos = r.end - len(rest)
+	return v, err
 }
 
-// next reads the next record body into r.buf, or returns io.EOF after
+// next points r.body at the next record body, or returns io.EOF after
 // verifying the end marker, count and trailer.
 func (r *Reader) next() error {
 	if r.done {
 		return io.EOF
 	}
-	rlen, err := r.readUvarint("record length")
+	rlen, err := r.uvarint("record length")
 	if err != nil {
 		return err
 	}
 	if rlen == 0 {
-		cnt, err := r.readUvarint("record count")
-		if err != nil {
-			return err
-		}
-		if cnt != uint64(r.records) {
-			return corrupt("record count %d, decoded %d", cnt, r.records)
-		}
-		want := r.crc
-		var tr [trailerLen]byte
-		if _, err := io.ReadFull(r.r, tr[:]); err != nil {
-			return corrupt("truncated trailer (%v)", err)
-		}
-		if got := binary.LittleEndian.Uint64(tr[:]); got != want {
-			return corrupt("checksum mismatch: file %#x, computed %#x", got, want)
-		}
-		if _, err := r.r.ReadByte(); err != io.EOF {
-			return corrupt("trailing bytes after trailer")
-		}
-		r.done = true
-		return io.EOF
+		return r.verifyEnd()
 	}
 	if rlen > MaxRecordBytes {
 		return corrupt("record of %d bytes exceeds MaxRecordBytes", rlen)
 	}
-	if uint64(cap(r.buf)) < rlen {
-		r.buf = make([]byte, rlen)
+	n := int(rlen)
+	if n > len(r.buf) {
+		r.buf = append(r.buf, make([]byte, n-len(r.buf))...)
 	}
-	r.buf = r.buf[:rlen]
-	if err := r.readFull(r.buf); err != nil {
-		return err
+	if !r.fill(n) {
+		return corrupt("truncated record (%v)", r.srcErr)
 	}
+	r.body = r.buf[r.pos : r.pos+n]
+	r.pos += n
 	r.records++
 	return nil
+}
+
+// verifyEnd checks, after the end marker, the record count, the CRC trailer
+// over everything before it, and that nothing follows it.
+func (r *Reader) verifyEnd() error {
+	cnt, err := r.uvarint("record count")
+	if err != nil {
+		return err
+	}
+	if cnt != uint64(r.records) {
+		return corrupt("record count %d, decoded %d", cnt, r.records)
+	}
+	want := crc64.Update(r.crc, crcTable, r.buf[:r.pos])
+	if !r.fill(trailerLen) {
+		return corrupt("truncated trailer (%v)", r.srcErr)
+	}
+	if got := binary.LittleEndian.Uint64(r.buf[r.pos:]); got != want {
+		return corrupt("checksum mismatch: file %#x, computed %#x", got, want)
+	}
+	r.pos += trailerLen
+	if r.fill(1) || r.srcErr != io.EOF {
+		return corrupt("trailing bytes after trailer")
+	}
+	r.done = true
+	return io.EOF
 }
 
 func bufUvarint(b []byte, what string) (uint64, []byte, error) {
@@ -411,7 +472,7 @@ func (r *Reader) NextMessage() (graph.VertexID, []byte, error) {
 	if err := r.next(); err != nil {
 		return 0, nil, err
 	}
-	dst, rest, err := bufUvarint(r.buf, "message destination")
+	dst, rest, err := bufUvarint(r.body, "message destination")
 	if err != nil {
 		return 0, nil, err
 	}
@@ -431,7 +492,7 @@ func (r *Reader) NextEdges() (graph.VertexID, []graph.VertexID, []float32, error
 	if err := r.next(); err != nil {
 		return 0, nil, nil, err
 	}
-	v64, rest, err := bufUvarint(r.buf, "edge vertex")
+	v64, rest, err := bufUvarint(r.body, "edge vertex")
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -453,10 +514,7 @@ func (r *Reader) NextEdges() (graph.VertexID, []graph.VertexID, []float32, error
 		return 0, nil, nil, corrupt("degree %d exceeds record body", deg64)
 	}
 	deg := int(deg64)
-	if cap(r.nbrs) < deg {
-		r.nbrs = make([]graph.VertexID, deg)
-	}
-	r.nbrs = r.nbrs[:deg]
+	r.nbrs = slices.Grow(r.nbrs[:0], deg)[:deg]
 	for i := 0; i < deg; i++ {
 		u, r2, err := bufUvarint(rest, "neighbor")
 		if err != nil {
@@ -473,10 +531,7 @@ func (r *Reader) NextEdges() (graph.VertexID, []graph.VertexID, []float32, error
 		if len(rest) != 4*deg {
 			return 0, nil, nil, corrupt("%d weight bytes for degree %d", len(rest), deg)
 		}
-		if cap(r.wts) < deg {
-			r.wts = make([]float32, deg)
-		}
-		r.wts = r.wts[:deg]
+		r.wts = slices.Grow(r.wts[:0], deg)[:deg]
 		for i := 0; i < deg; i++ {
 			r.wts[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
 		}

@@ -2,7 +2,9 @@ package ooc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -254,5 +256,133 @@ func TestKindMismatch(t *testing.T) {
 	defer r.Close()
 	if _, _, err := r.NextMessage(); err == nil {
 		t.Fatal("NextMessage accepted on edge partition")
+	}
+}
+
+// TestFormatBytesPinned pins the exact bytes Create writes for a small
+// message file and a small weighted edge file: any change to the framing,
+// the varints or the CRC trailer moves a digest.
+func TestFormatBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	msgs := filepath.Join(dir, "m.vp")
+	writeMessages(t, msgs, []msgRec{{1, []byte("alpha")}, {300, nil}, {1 << 31, []byte{0xff, 0x00}}})
+	edges := filepath.Join(dir, "e.vp")
+	ew, err := Create(edges, KindEdges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew.AppendEdges(0, []graph.VertexID{1, 200, 70000}, []float32{0.5, 1, -2})
+	ew.AppendEdges(7, nil, []float32{})
+	if _, err := ew.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		path string
+		size int
+		sha  string
+	}{
+		{msgs, 33, "5456406443e14c8feb3cd8eae14675a4a9eab0d22b4e56f7e2aaa3cf59759cf2"},
+		{edges, 39, "e470a193d991655b5b759ba980a6b94d051afb2553f57648f07ab77d8469223f"},
+	} {
+		data, err := os.ReadFile(pin.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != pin.size || sum != pin.sha {
+			t.Fatalf("%s is %d bytes, sha256 %s; pinned %d, %s", filepath.Base(pin.path), len(data), sum, pin.size, pin.sha)
+		}
+	}
+}
+
+// sizedFile encodes a partition of kind that is exactly size bytes long:
+// filler records, then one last record padded to land on size.
+func sizedFile(t *testing.T, kind byte, size int) []byte {
+	t.Helper()
+	for pad := 0; pad < 100; pad++ {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, kind, false)
+		add := func(v graph.VertexID, n int) {
+			if kind == KindMessages {
+				w.AppendMessage(v*977, bytes.Repeat([]byte{byte(v)}, n))
+				return
+			}
+			nbrs := make([]graph.VertexID, n)
+			for i := range nbrs {
+				nbrs[i] = graph.VertexID(i*31) % 128
+			}
+			w.AppendEdges(v, nbrs, nil)
+		}
+		v := graph.VertexID(0)
+		for ; w.Bytes() < int64(size-100); v++ {
+			add(v, 20+int(v)%30)
+		}
+		add(v, pad)
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() == size {
+			return buf.Bytes()
+		}
+	}
+	t.Fatalf("no kind-%d file of exactly %d bytes", kind, size)
+	return nil
+}
+
+// drainFile opens path through the reader the runner uses and decodes every
+// record, returning the first error other than io.EOF.
+func drainFile(path string) error {
+	r, err := Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for {
+		if r.Kind() == KindMessages {
+			_, _, err = r.NextMessage()
+		} else {
+			_, _, _, err = r.NextEdges()
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// TestCorruptionAcrossRefills flips every bit of an edge file and a message
+// file that are larger than the read buffer, so the CRC spans refills and
+// the trailer straddles the first one: Open plus a full decode must reject
+// every flip with ErrCorrupt.
+func TestCorruptionAcrossRefills(t *testing.T) {
+	for _, kind := range []byte{KindEdges, KindMessages} {
+		// The trailer occupies [readBufLen-4, readBufLen+4).
+		valid := sizedFile(t, kind, readBufLen+4)
+		path := filepath.Join(t.TempDir(), "c.vp")
+		if err := os.WriteFile(path, valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := drainFile(path); err != nil {
+			t.Fatalf("kind %d: valid file rejected: %v", kind, err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := range valid {
+			for bit := 0; bit < 8; bit++ {
+				if _, err := f.WriteAt([]byte{valid[off] ^ 1<<bit}, int64(off)); err != nil {
+					t.Fatal(err)
+				}
+				if err := drainFile(path); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("kind %d: flip of bit %d at %d: err=%v, want ErrCorrupt", kind, bit, off, err)
+				}
+			}
+			if _, err := f.WriteAt(valid[off:off+1], int64(off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close()
 	}
 }

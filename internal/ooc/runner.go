@@ -92,17 +92,21 @@ type PartitionedRunner struct {
 	n        int
 	parts    int
 	order    []graph.VertexID // machine-major execution order (all n vertices)
-	pos      []int32          // vertex -> index in order
 	partOf   []int32          // vertex -> partition
 	starts   []int            // len parts+1; order[starts[p]:starts[p+1]] is partition p
 	weighted bool
 
 	edgePaths []string
-	edgeBytes []int64 // encoded size of each edge partition file
 
 	cur []*Writer // next superstep's inbox files, keyed by partition
 	in  []string  // current superstep's readable inbox files ("" = none)
 	seq int64     // file-name sequence
+
+	// IO buffers, owned here rather than per file: rd's read buffer serves
+	// every file (one is read at a time), and finished writers wait in
+	// spare with theirs until the next create.
+	rd    Reader
+	spare []*Writer
 
 	// Deterministic per-round accounting in encoded bytes; consumed by
 	// TakeRoundIO at each barrier.
@@ -143,17 +147,15 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r := &PartitionedRunner{
 		g: g, dir: dir, ownsDir: ownsDir, n: n,
 		order: order, weighted: g.Weighted(), stats: cfg.Stats,
-		pos: make([]int32, n), partOf: make([]int32, n),
-		deg: make([]int32, n), offs: make([]int64, n+1),
+		partOf: make([]int32, n), deg: make([]int32, n), offs: make([]int64, n+1),
 	}
 	seen := make([]bool, n)
-	for i, v := range order {
+	for _, v := range order {
 		if int(v) >= n || seen[v] {
-			r.cleanupDir()
+			r.Close()
 			return nil, fmt.Errorf("ooc: order is not a permutation (vertex %d)", v)
 		}
 		seen[v] = true
-		r.pos[v] = int32(i)
 	}
 
 	// Estimated encoded edge bytes per vertex: two varints plus ~5 bytes
@@ -168,16 +170,11 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	if r.parts <= 0 {
 		r.parts = 1
 		if cfg.MemoryBudgetBytes > 0 {
-			half := cfg.MemoryBudgetBytes / 2
-			if half < 1 {
-				half = 1
-			}
+			half := max(cfg.MemoryBudgetBytes/2, 1)
 			r.parts = int((estBytes + half - 1) / half)
 		}
 	}
-	if r.parts < 1 {
-		r.parts = 1
-	}
+	r.parts = max(r.parts, 1)
 	if r.parts > n && n > 0 {
 		r.parts = n
 	}
@@ -203,18 +200,11 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r.cur = make([]*Writer, r.parts)
 	r.in = make([]string, r.parts)
 	r.edgePaths = make([]string, r.parts)
-	r.edgeBytes = make([]int64, r.parts)
 	if err := r.writeEdgePartitions(); err != nil {
-		r.cleanupDir()
+		r.Close() // removes the edge files already finished
 		return nil, err
 	}
 	return r, nil
-}
-
-func (r *PartitionedRunner) cleanupDir() {
-	if r.ownsDir {
-		os.RemoveAll(r.dir)
-	}
 }
 
 // writeEdgePartitions writes each partition's edge records sorted by vertex
@@ -226,8 +216,7 @@ func (r *PartitionedRunner) writeEdgePartitions() error {
 	for p := 0; p < r.parts; p++ {
 		verts = append(verts[:0], r.order[r.starts[p]:r.starts[p+1]]...)
 		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-		path := filepath.Join(r.dir, fmt.Sprintf("edges-%04d.vp", p))
-		w, err := Create(path, KindEdges, r.weighted)
+		w, err := r.create(fmt.Sprintf("edges-%04d.vp", p), KindEdges)
 		if err != nil {
 			return err
 		}
@@ -239,10 +228,11 @@ func (r *PartitionedRunner) writeEdgePartitions() error {
 		}
 		nb, err := w.Finish()
 		if err != nil {
+			w.Abort()
 			return err
 		}
-		r.edgePaths[p] = path
-		r.edgeBytes[p] = nb
+		r.spare = append(r.spare, w)
+		r.edgePaths[p] = w.path
 		written += nb
 	}
 	// The one-time edge dump is charged to the first round's write counter.
@@ -257,26 +247,8 @@ func (r *PartitionedRunner) writeEdgePartitions() error {
 // Partitions returns the partition count.
 func (r *PartitionedRunner) Partitions() int { return r.parts }
 
-// Start returns the index into the execution order where partition p begins.
-func (r *PartitionedRunner) Start(p int) int { return r.starts[p] }
-
-// End returns the index just past partition p's last vertex.
-func (r *PartitionedRunner) End(p int) int { return r.starts[p+1] }
-
-// Order returns the full machine-major execution order.
-func (r *PartitionedRunner) Order() []graph.VertexID { return r.order }
-
-// Pos returns v's index in the execution order.
-func (r *PartitionedRunner) Pos(v graph.VertexID) int { return int(r.pos[v]) }
-
-// EdgeBytes returns the total encoded size of the edge partition files.
-func (r *PartitionedRunner) EdgeBytes() int64 {
-	var t int64
-	for _, b := range r.edgeBytes {
-		t += b
-	}
-	return t
-}
+// Span returns partition p's range order[start:end] of the execution order.
+func (r *PartitionedRunner) Span(p int) (start, end int) { return r.starts[p], r.starts[p+1] }
 
 // Route appends one outgoing message to its destination partition's file
 // for the next superstep. Payloads are opaque; appends preserve emission
@@ -285,12 +257,13 @@ func (r *PartitionedRunner) Route(dst graph.VertexID, payload []byte) error {
 	p := r.partOf[dst]
 	w := r.cur[p]
 	if w == nil {
+		r.seq++
 		var err error
-		w, err = r.newInboxWriter(p)
-		if err != nil {
+		if w, err = r.create(fmt.Sprintf("inbox-%06d-p%04d.vp", r.seq, p), KindMessages); err != nil {
 			return err
 		}
 		r.cur[p] = w
+		r.writeBytes += w.Bytes() // the header, charged to the emitting round
 	}
 	before := w.Bytes()
 	if err := w.AppendMessage(dst, payload); err != nil {
@@ -300,17 +273,16 @@ func (r *PartitionedRunner) Route(dst graph.VertexID, payload []byte) error {
 	return nil
 }
 
-// newInboxWriter opens the append file for partition p and charges its
-// header bytes to the emitting round.
-func (r *PartitionedRunner) newInboxWriter(p int32) (*Writer, error) {
-	r.seq++
-	path := filepath.Join(r.dir, fmt.Sprintf("inbox-%06d-p%04d.vp", r.seq, p))
-	w, err := Create(path, KindMessages, false)
-	if err != nil {
-		return nil, err
+// create starts partition file name in the runner's directory, on a spare
+// writer if one is free.
+func (r *PartitionedRunner) create(name string, kind byte) (*Writer, error) {
+	var w *Writer
+	if n := len(r.spare); n > 0 {
+		w, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		w = new(Writer)
 	}
-	r.writeBytes += w.Bytes()
-	return w, nil
+	return w, w.create(filepath.Join(r.dir, name), kind, kind == KindEdges && r.weighted)
 }
 
 // Pending reports whether any routed-but-unread messages exist.
@@ -347,8 +319,9 @@ func (r *PartitionedRunner) Barrier() error {
 			return err
 		}
 		r.writeBytes += nb - pre // end marker, count and trailer
-		r.in[p] = w.Path()
+		r.in[p] = w.path
 		r.cur[p] = nil
+		r.spare = append(r.spare, w)
 		flushed += nb
 	}
 	if r.stats != nil {
@@ -364,14 +337,12 @@ func (r *PartitionedRunner) Barrier() error {
 // to the round's read bytes and the resident window.
 func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
 	start := time.Now()
-	rd, err := Open(r.edgePaths[p])
-	if err != nil {
+	rd := &r.rd
+	if err := rd.open(r.edgePaths[p]); err != nil {
 		return nil, 0, err
 	}
 	defer rd.Close()
-	for i := range r.deg {
-		r.deg[i] = 0
-	}
+	clear(r.deg)
 	r.adj = r.adj[:0]
 	r.wts = r.wts[:0]
 	for {
@@ -387,23 +358,17 @@ func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
 		}
 		r.deg[v] = int32(len(nbrs))
 		r.adj = append(r.adj, nbrs...)
-		if r.weighted {
-			r.wts = append(r.wts, wts...)
-		}
+		r.wts = append(r.wts, wts...) // stays nil when unweighted
 	}
 	r.offs[0] = 0
 	for v := 0; v < r.n; v++ {
 		r.offs[v+1] = r.offs[v] + int64(r.deg[v])
 	}
-	var wts []float32
-	if r.weighted {
-		wts = r.wts
-	}
-	g, err := graph.NewCSRView(r.n, r.offs, r.adj, wts)
+	g, err := graph.NewCSRView(r.n, r.offs, r.adj, r.wts)
 	if err != nil {
 		return nil, 0, err
 	}
-	nb := r.edgeBytes[p]
+	nb := rd.Bytes() // the whole file: the reader stopped at its verified trailer
 	r.readBytes += nb
 	r.curWinBytes = nb
 	if nb > r.windowPeak {
@@ -426,11 +391,10 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 		return nil
 	}
 	start := time.Now()
-	rd, err := Open(path)
-	if err != nil {
+	rd := &r.rd
+	if err := rd.open(path); err != nil {
 		return err
 	}
-	var encoded int64
 	for {
 		dst, payload, err := rd.NextMessage()
 		if err == io.EOF {
@@ -449,10 +413,10 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 		ib.Offs = append(ib.Offs, int32(len(ib.Data)))
 	}
 	rd.Close()
-	if fi, err := os.Stat(path); err == nil {
-		encoded = fi.Size()
+	encoded := rd.Bytes() // the whole file, as in Window
+	if err := os.Remove(path); err != nil {
+		return err
 	}
-	os.Remove(path)
 	r.in[p] = ""
 	ib.Bytes = int64(len(ib.Data)) + int64(len(ib.Dsts))*8
 	r.readBytes += encoded
@@ -479,7 +443,6 @@ func (r *PartitionedRunner) TakeRoundIO() (read, write, peak int64) {
 // Close releases every partition file and, for runner-owned directories,
 // removes the directory.
 func (r *PartitionedRunner) Close() error {
-	var first error
 	for p, w := range r.cur {
 		if w != nil {
 			w.Abort()
@@ -498,9 +461,7 @@ func (r *PartitionedRunner) Close() error {
 		}
 	}
 	if r.ownsDir {
-		if err := os.RemoveAll(r.dir); err != nil && first == nil {
-			first = err
-		}
+		return os.RemoveAll(r.dir)
 	}
-	return first
+	return nil
 }

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"vcmt/internal/graph"
 )
 
-func testGraph(t *testing.T, n int, weighted bool) *graph.Graph {
+func testGraph(t testing.TB, n int, weighted bool) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n, weighted)
 	for v := 0; v < n; v++ {
@@ -58,8 +59,7 @@ func TestRunnerWindowMatchesGraph(t *testing.T) {
 			if win.NumVertices() != g.NumVertices() {
 				t.Fatalf("window has %d vertices, want %d", win.NumVertices(), g.NumVertices())
 			}
-			for i := r.Start(p); i < r.End(p); i++ {
-				v := r.Order()[i]
+			for _, v := range r.order[r.starts[p]:r.starts[p+1]] {
 				covered++
 				want := g.Neighbors(v)
 				got := win.Neighbors(v)
@@ -245,5 +245,97 @@ func TestRunnerCloseRemovesOwnedDir(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("owned dir survived Close: %v", err)
+	}
+}
+
+// TestRunnerCloseRemovesFailedInbox forces the barrier's Finish to fail
+// (its file is closed underneath it): the half-written inbox file must not
+// outlive Close in a caller-supplied directory.
+func TestRunnerCloseRemovesFailedInbox(t *testing.T) {
+	g := testGraph(t, 10, false)
+	dir := t.TempDir()
+	r, err := NewRunner(g, identityOrder(10), Config{Dir: dir, Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Route(1, []byte("z")); err != nil {
+		t.Fatal(err)
+	}
+	r.cur[0].f.Close()
+	if err := r.Barrier(); err == nil {
+		t.Fatal("Barrier succeeded on a closed inbox file")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("%d files survived Close, first %s", len(entries), entries[0].Name())
+	}
+}
+
+// TestNewRunnerRemovesFailedEdgeDump makes the second edge file's Finish
+// fail (its name links to a device that refuses writes): NewRunner must
+// fail and leave nothing of the dump — neither the failed file nor the
+// first partition's finished one — in a caller-supplied directory.
+func TestNewRunnerRemovesFailedEdgeDump(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "edges-0001.vp")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(testGraph(t, 10, false), identityOrder(10), Config{Dir: dir, Partitions: 2}); err == nil {
+		t.Fatal("NewRunner succeeded on an unwritable edge file")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("%d files survived the failed NewRunner, first %s", len(entries), entries[0].Name())
+	}
+}
+
+// superstep routes msgs messages through r, seals them at the barrier and
+// streams every partition's edge window and inbox back into ib.
+func superstep(tb testing.TB, r *PartitionedRunner, ib *Inbox, msgs int) {
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for m := 0; m < msgs; m++ {
+		if err := r.Route(graph.VertexID(m%r.n), payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := r.Barrier(); err != nil {
+		tb.Fatal(err)
+	}
+	for p := 0; p < r.Partitions(); p++ {
+		if _, _, err := r.Window(p); err != nil {
+			tb.Fatal(err)
+		}
+		if err := r.ReadInbox(p, ib); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	r.TakeRoundIO()
+}
+
+// TestRunnerSuperstepAllocsFlat checks that a warm runner's superstep
+// allocates nothing per message or per buffered byte: what it allocates is
+// the file system calls' own, so going from 5000 to 20000 messages (both
+// enough to reach every partition) must add fewer than one allocation per
+// thousand messages. The bound is a slope, not equality, because the race
+// detector's runtime adds a stray allocation now and then.
+func TestRunnerSuperstepAllocsFlat(t *testing.T) {
+	g := testGraph(t, 4096, false)
+	r, err := NewRunner(g, identityOrder(4096), Config{Dir: t.TempDir(), Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var ib Inbox
+	var allocs [2]float64
+	for i, msgs := range []int{5000, 20000} {
+		superstep(t, r, &ib, msgs)
+		allocs[i] = testing.AllocsPerRun(5, func() { superstep(t, r, &ib, msgs) })
+	}
+	if allocs[1]-allocs[0] >= 15 {
+		t.Fatalf("superstep allocates %v at 5000 messages, %v at 20000", allocs[0], allocs[1])
 	}
 }
