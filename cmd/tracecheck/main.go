@@ -9,33 +9,37 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"vcmt/internal/obs"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck trace.json [more.json ...]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run checks every trace file in args, printing each valid file's span
+// count to stdout and each failure to stderr, and returns the exit code:
+// 0 when every file is valid, 1 when one is not, 2 without arguments.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: tracecheck trace.json [more.json ...]")
+		return 2
 	}
-	bad := false
-	for _, path := range os.Args[1:] {
+	code := 0
+	for _, path := range args {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %v\n", err)
-			bad = true
+			fmt.Fprintf(stderr, "tracecheck: %v\n", err)
+			code = 1
 			continue
 		}
 		n, err := obs.ValidateChromeTrace(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
-			bad = true
+			fmt.Fprintf(stderr, "tracecheck: %s: %v\n", path, err)
+			code = 1
 			continue
 		}
-		fmt.Printf("%s: ok (%d spans)\n", path, n)
+		fmt.Fprintf(stdout, "%s: ok (%d spans)\n", path, n)
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return code
 }

@@ -184,42 +184,59 @@ func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
 }
 
 // Restore rolls every piece of volatile superstep state back to the barrier
-// a Snapshot with the same checkpoint Codec captured.
+// a Snapshot with the same checkpoint Codec captured. A section that does
+// not fit the engine — missing, truncated, sized for another machine count
+// or addressed to another machine's vertex — is an error wrapping
+// ckpt.ErrCorrupt, as the program's LoadState reports its own; the
+// engine's state is then undefined until the next Reset.
 func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
 	k, codec := e.k, e.opts.Checkpoint.Codec
-	e.rounds = snap.Step
-
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("snapshot %s: %w", fmt.Sprintf(format, args...), ckpt.ErrCorrupt)
+	}
+	rng := snap.Get(secRNG)
+	if len(rng) != 4+8*k || int(binary.LittleEndian.Uint32(rng)) != k {
+		return corrupt("rng section of %d bytes does not hold %d machines", len(rng), k)
+	}
 	out := snap.Get(secOutbox)
-	if got := int(binary.LittleEndian.Uint32(out)); got != len(e.outRows) {
-		return fmt.Errorf("snapshot has %d outbox rows, engine has %d", got, len(e.outRows))
+	if len(out) < 4 || int(binary.LittleEndian.Uint32(out)) != len(e.outRows) {
+		return corrupt("outbox section does not hold the engine's %d rows", len(e.outRows))
 	}
 	out = out[4:]
-	for m := range e.owed {
-		e.owed[m] = 0
-	}
+	clear(e.owed)
 	for r := range e.outRows {
-		n := int(binary.LittleEndian.Uint32(out))
+		if len(out) < 4 {
+			return corrupt("outbox row %d truncated", r)
+		}
+		n := binary.LittleEndian.Uint32(out)
 		out = out[4:]
 		row := &e.outRows[r]
 		row.release()
-		for i := 0; i < n; i++ {
+		for i := uint32(0); i < n; i++ {
+			if len(out) < 8 {
+				return corrupt("outbox row %d truncated at message %d of %d", r, i, n)
+			}
 			dst := binary.LittleEndian.Uint32(out)
 			plen := int(binary.LittleEndian.Uint32(out[4:]))
+			if int(dst) >= len(e.owners) || int(e.owners[dst]) != r%k {
+				return corrupt("outbox row %d holds a message for vertex %d", r, dst)
+			}
+			if plen > len(out)-8 {
+				return corrupt("outbox payload of %d bytes overruns the section", plen)
+			}
 			payload, used := codec.Decode(out[8 : 8+plen])
 			if used != plen {
-				return fmt.Errorf("snapshot outbox payload decoded %d of %d bytes", used, plen)
+				return corrupt("outbox payload decoded %d of %d bytes", used, plen)
 			}
 			out = out[8+plen:]
 			row.push(envelope[M]{dst: dst, payload: payload})
 		}
-		e.owed[r/e.k] += int64(n)
+		e.owed[r/k] += int64(n)
 	}
+	e.rounds = snap.Step
 
-	rng := snap.Get(secRNG)
-	rng = rng[4:] // machine count validated via the outbox section
 	for m := 0; m < k; m++ {
-		e.rngs[m].SetState(binary.LittleEndian.Uint64(rng))
-		rng = rng[8:]
+		e.rngs[m].SetState(binary.LittleEndian.Uint64(rng[4+8*m:]))
 	}
 
 	if err := e.prog.(StateSnapshotter).LoadState(snap.Get(secProg)); err != nil {

@@ -15,7 +15,6 @@ import (
 //	/metrics.json  — the registry snapshot as JSON
 //	/debug/trace   — completed spans as Chrome trace-event JSON (if a
 //	                 tracer is attached)
-//	/debug/flight  — the flight-recorder ring as JSON (if attached)
 //	/debug/pprof/  — the standard pprof handlers
 //
 // It exists for long or real (rpcrt) runs; short simulated runs finish
@@ -27,11 +26,10 @@ type DebugServer struct {
 }
 
 // DebugOptions selects what a debug server exposes. Registry is required;
-// Tracer and Flight are optional and their endpoints 404 when absent.
+// Tracer is optional and /debug/trace 404s without it.
 type DebugOptions struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Flight   *FlightRecorder
 }
 
 // StartDebugServer binds addr (e.g. ":6060" or "127.0.0.1:0") and serves
@@ -40,8 +38,8 @@ func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	return StartDebugServerWith(addr, DebugOptions{Registry: reg})
 }
 
-// StartDebugServerWith is StartDebugServer plus optional trace and
-// flight-recorder endpoints.
+// StartDebugServerWith is StartDebugServer plus the optional trace
+// endpoint.
 func StartDebugServerWith(addr string, opts DebugOptions) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -64,13 +62,6 @@ func StartDebugServerWith(addr string, opts DebugOptions) (*DebugServer, error) 
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			tr.WriteChromeTrace(w) //nolint:errcheck // best-effort over HTTP
-		})
-	}
-	if opts.Flight != nil {
-		fr := opts.Flight
-		mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fr.Dump(w) //nolint:errcheck // best-effort over HTTP
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

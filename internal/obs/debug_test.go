@@ -15,12 +15,8 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 
 	tr := NewTracer()
 	tr.Add(0, "root", "test", 0, 0, 0, 100)
-	fr := NewFlightRecorder(4)
-	fr.RecordEvent("hello")
 
-	srv, err := StartDebugServerWith("127.0.0.1:0", DebugOptions{
-		Registry: reg, Tracer: tr, Flight: fr,
-	})
+	srv, err := StartDebugServerWith("127.0.0.1:0", DebugOptions{Registry: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +65,6 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 
 	if n, err := ValidateChromeTrace(get("/debug/trace")); err != nil || n != 1 {
 		t.Fatalf("/debug/trace invalid: n=%d err=%v", n, err)
-	}
-	var flight map[string]any
-	if err := json.Unmarshal(get("/debug/flight"), &flight); err != nil {
-		t.Fatalf("/debug/flight is not JSON: %v", err)
-	}
-	if flight["schema"] != "vcmt/flight-recorder/v1" {
-		t.Fatalf("/debug/flight schema = %v", flight["schema"])
 	}
 
 	if len(get("/debug/pprof/")) == 0 {

@@ -10,18 +10,15 @@ import (
 )
 
 // TestDebugServerConcurrentScrapeStress hammers every debug endpoint
-// while a "run" concurrently mutates the registry, tracer, and flight
-// recorder. Its job is to let the race detector see scrape-during-run
+// while a "run" concurrently mutates the registry and tracer. Its job is to let the race detector see scrape-during-run
 // interleavings; run it with -race. It also checks that every scrape
 // returns 200 with a non-empty body (a scrape must never observe a torn
 // snapshot or panic a handler).
 func TestDebugServerConcurrentScrapeStress(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer()
-	fr := NewFlightRecorder(4)
-	tr.SetSink(fr.RecordSpan)
 
-	srv, err := StartDebugServerWith("127.0.0.1:0", DebugOptions{Registry: reg, Tracer: tr, Flight: fr})
+	srv, err := StartDebugServerWith("127.0.0.1:0", DebugOptions{Registry: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +35,7 @@ func TestDebugServerConcurrentScrapeStress(t *testing.T) {
 	var failures atomic.Int32
 
 	// Mutators: the shape of a real run — counters and histograms with
-	// varying label sets, spans begun and ended, flight rounds rotating.
+	// varying label sets, spans begun and ended.
 	for m := 0; m < mutators; m++ {
 		wg.Add(1)
 		go func(m int) {
@@ -50,10 +47,8 @@ func TestDebugServerConcurrentScrapeStress(t *testing.T) {
 				if i%16 == 0 {
 					reg.SetHelp("stress_total", "Stress iterations.")
 				}
-				fr.BeginRound(i)
 				span := tr.Begin(0, "superstep", "stress", m, 0, L("round", fmt.Sprint(i)))
 				child := tr.Begin(span, "compute", "stress", m, 1)
-				fr.RecordEvent("tick", L("worker", fmt.Sprint(m)))
 				tr.End(child)
 				tr.End(span)
 				if i%32 == 0 {
@@ -63,7 +58,7 @@ func TestDebugServerConcurrentScrapeStress(t *testing.T) {
 		}(m)
 	}
 
-	paths := []string{"/metrics", "/metrics.json", "/debug/trace", "/debug/flight"}
+	paths := []string{"/metrics", "/metrics.json", "/debug/trace"}
 	for s := 0; s < scrapers; s++ {
 		wg.Add(1)
 		go func(s int) {

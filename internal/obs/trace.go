@@ -48,7 +48,6 @@ type Tracer struct {
 	open   map[SpanID]Span
 	procs  map[int]string
 	tracks map[[2]int]string
-	sink   func(Span)
 }
 
 // NewTracer returns an empty tracer whose wall-clock epoch is now.
@@ -59,19 +58,6 @@ func NewTracer() *Tracer {
 		procs:  make(map[int]string),
 		tracks: make(map[[2]int]string),
 	}
-}
-
-// SetSink registers a function called with every completed span (after
-// End/EndAt/Add). The sink runs outside the tracer's lock and must not
-// retain the Args slice beyond the call. Nil removes it. The flight
-// recorder attaches here.
-func (t *Tracer) SetSink(fn func(Span)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
 }
 
 // NameProc assigns a display name to a Perfetto process row.
@@ -119,9 +105,9 @@ func (t *Tracer) EndAt(id SpanID, endUS int64, args ...Label) {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	sp, ok := t.open[id]
 	if !ok {
-		t.mu.Unlock()
 		return
 	}
 	delete(t.open, id)
@@ -130,11 +116,6 @@ func (t *Tracer) EndAt(id SpanID, endUS int64, args ...Label) {
 	}
 	sp.Args = append(sp.Args, args...)
 	t.spans = append(t.spans, sp)
-	sink := t.sink
-	t.mu.Unlock()
-	if sink != nil {
-		sink(sp)
-	}
 }
 
 // Begin opens a wall-clock span (rpcrt's time axis).
@@ -163,18 +144,13 @@ func (t *Tracer) Add(parent SpanID, name, cat string, proc, track int, startUS, 
 		durUS = 0
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.nextID++
-	sp := Span{
+	t.spans = append(t.spans, Span{
 		ID: t.nextID, Parent: parent, Name: name, Cat: cat,
 		Proc: proc, Track: track, StartUS: startUS, DurUS: durUS, Args: args,
-	}
-	t.spans = append(t.spans, sp)
-	sink := t.sink
-	t.mu.Unlock()
-	if sink != nil {
-		sink(sp)
-	}
-	return sp.ID
+	})
+	return t.nextID
 }
 
 // Spans returns a copy of the completed spans in completion order.

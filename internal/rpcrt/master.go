@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/rpc"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,7 +23,6 @@ type Cluster struct {
 	part    *graph.Partition // worker i is machine i of graph.HashPartition(n, k)
 	workers []*Worker
 	clients []*rpc.Client
-	addrs   []string
 	rounds  int
 	msgs    int64
 	wbytes  int64
@@ -43,11 +43,6 @@ type Cluster struct {
 	// the span of the job currently driven by runJob.
 	tracer  *obs.Tracer
 	jobSpan obs.SpanID
-	// flight is the crash flight recorder (SetFlightRecorder; nil = off);
-	// flightDir is where crash dumps land, flightSeq numbers them.
-	flight    *obs.FlightRecorder
-	flightDir string
-	flightSeq int
 
 	closeMu sync.Mutex
 	closed  bool
@@ -60,37 +55,17 @@ func StartCluster(g *graph.Graph, k int) (*Cluster, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rpcrt: need at least one worker, got %d", k)
 	}
-	c := &Cluster{k: k, g: g, part: graph.HashPartition(g.NumVertices(), k), rpcTimeout: defaultRPCTimeout, addrs: make([]string, k)}
+	c := &Cluster{k: k, g: g, part: graph.HashPartition(g.NumVertices(), k), rpcTimeout: defaultRPCTimeout,
+		workers: make([]*Worker, k), clients: make([]*rpc.Client, k)}
 	for i := 0; i < k; i++ {
-		w := newWorker(i, c.part, g)
-		if err := serveWorker(w); err != nil {
+		if err := c.startWorker(i); err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.addrs[i] = w.listener.Addr().String()
-		c.workers = append(c.workers, w)
 	}
-	// Master connections.
-	for i := 0; i < k; i++ {
-		cl, err := rpc.Dial("tcp", c.addrs[i])
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("rpcrt: dial worker %d: %w", i, err)
-		}
-		c.clients = append(c.clients, cl)
-	}
-	// Worker-to-worker connections (including a self connection, which
-	// keeps the delivery code uniform).
-	for i := 0; i < k; i++ {
-		c.workers[i].peers = make([]*rpc.Client, k)
-		for j := 0; j < k; j++ {
-			cl, err := rpc.Dial("tcp", c.addrs[j])
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("rpcrt: peer dial %d->%d: %w", i, j, err)
-			}
-			c.workers[i].peers[j] = cl
-		}
+	if err := c.wire(); err != nil {
+		c.Close()
+		return nil, err
 	}
 	// Verify liveness.
 	for i, cl := range c.clients {
@@ -101,6 +76,63 @@ func StartCluster(g *graph.Graph, k int) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// startWorker serves a fresh worker i, with the cluster's fault plan, RPC
+// timeout and tracer, on a new loopback listener. A previous instance is
+// stopped and its peer connections closed; wire connects the new one.
+// StartCluster starts every worker here, and recovery every dead one.
+func (c *Cluster) startWorker(i int) error {
+	if old := c.workers[i]; old != nil {
+		old.die()
+		closeClients(old.peers)
+	}
+	w := newWorker(i, c.part, c.g)
+	w.fplan, w.rpcTimeout, w.tracer = c.fplan, c.rpcTimeout, c.tracer
+	if err := serveWorker(w); err != nil {
+		return err
+	}
+	c.workers[i] = w
+	return nil
+}
+
+// wire connects the whole cluster anew: it closes every existing
+// connection, then dials master -> i for every worker i and i -> j for every
+// j != i. No worker dials itself: flush ships only the rows of remote
+// machines. After a restart the survivors are re-dialled too, so recovery
+// leaves the cluster connected exactly as StartCluster does.
+func (c *Cluster) wire() error {
+	closeClients(c.clients)
+	for _, w := range c.workers {
+		closeClients(w.peers)
+	}
+	for i, w := range c.workers {
+		cl, err := rpc.Dial("tcp", w.listener.Addr().String())
+		if err != nil {
+			return fmt.Errorf("rpcrt: dial worker %d: %w", i, err)
+		}
+		c.clients[i] = cl
+		w.peers = make([]*rpc.Client, c.k)
+		for j, p := range c.workers {
+			if j == i {
+				continue
+			}
+			if w.peers[j], err = rpc.Dial("tcp", p.listener.Addr().String()); err != nil {
+				return fmt.Errorf("rpcrt: peer dial %d->%d: %w", i, j, err)
+			}
+		}
+	}
+	return nil
+}
+
+// closeClients closes every connection in cls. Errors are ignored: the
+// other end may be a dead worker.
+func closeClients(cls []*rpc.Client) {
+	for _, cl := range cls {
+		if cl != nil {
+			cl.Close()
+		}
+	}
 }
 
 // serveWorker registers the worker's RPC service, binds a loopback
@@ -221,9 +253,6 @@ func (c *Cluster) SetTracer(t *obs.Tracer) {
 	if t == nil {
 		return
 	}
-	if c.flight != nil {
-		t.SetSink(c.flight.RecordSpan)
-	}
 	t.NameProc(0, "master")
 	t.NameTrack(0, 0, "supersteps")
 	for i := 0; i < c.k; i++ {
@@ -235,32 +264,6 @@ func (c *Cluster) SetTracer(t *obs.Tracer) {
 				t.NameTrack(workerProc(i), workerRecvTrack(j), fmt.Sprintf("recv from worker %d", j))
 			}
 		}
-	}
-}
-
-// SetFlightRecorder attaches a crash flight recorder: the master rotates
-// its ring each superstep, and when a compute round fails it dumps the
-// ring to dir as flight-crash-<n>.json before attempting recovery (empty
-// dir = keep in memory only, e.g. for the /debug/flight endpoint). If a
-// tracer is attached (either order), completed spans feed the ring.
-func (c *Cluster) SetFlightRecorder(fr *obs.FlightRecorder, dir string) {
-	c.flight = fr
-	c.flightDir = dir
-	if fr != nil && c.tracer != nil {
-		c.tracer.SetSink(fr.RecordSpan)
-	}
-}
-
-// dumpFlight writes the flight-recorder ring to the configured directory,
-// best-effort: a failed dump must not mask the crash being handled.
-func (c *Cluster) dumpFlight() {
-	if c.flight == nil || c.flightDir == "" {
-		return
-	}
-	c.flightSeq++
-	path := fmt.Sprintf("%s/flight-crash-%d.json", c.flightDir, c.flightSeq)
-	if err := c.flight.DumpToFile(path); err != nil {
-		c.flight.RecordEvent("flight dump failed", obs.L("error", err.Error()))
 	}
 }
 
@@ -351,8 +354,12 @@ func fanOut[R any](c *Cluster, method string, parent obs.SpanID, args func(rpcSp
 func noArgs(obs.SpanID) any { return struct{}{} }
 
 // startJobAll resets every worker and installs the program (no traffic).
-func (c *Cluster) startJobAll(spec JobSpec) error {
-	_, err := fanOut[struct{}](c, "Worker.StartJob", 0, func(obs.SpanID) any { return StartJobArgs{Spec: spec} })
+// A non-empty restore directory then rolls every worker back to its latest
+// checkpoint there, under the trace span restoreSpan.
+func (c *Cluster) startJobAll(spec JobSpec, restore string, restoreSpan obs.SpanID) error {
+	_, err := fanOut[struct{}](c, "Worker.StartJob", 0, func(obs.SpanID) any {
+		return StartJobArgs{Spec: spec, Restore: restore, Trace: uint64(restoreSpan)}
+	})
 	return err
 }
 
@@ -412,7 +419,7 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 	c.wbytes = 0
 	c.recoveries = 0
 	c.roundsLost = 0
-	if err := c.startJobAll(spec); err != nil {
+	if err := c.startJobAll(spec, "", 0); err != nil {
 		return err
 	}
 	// Per-round telemetry (rpcrt is real execution, so wall clock is fair
@@ -437,7 +444,6 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 	replayTo := 0 // rounds <= replayTo are replays: skip telemetry
 	for {
 		round := c.rounds + 1
-		c.flight.BeginRound(round)
 		roundSpan := c.tracer.Begin(c.jobSpan, "superstep", "rpcrt", 0, 0,
 			obs.L("round", strconv.Itoa(round)))
 		timer := obs.StartTimer(roundWall)
@@ -446,11 +452,6 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 		})
 		if err != nil {
 			c.tracer.End(roundSpan, obs.L("error", err.Error()))
-			// Dump the flight ring before anything mutates worker state:
-			// the postmortem should show the rounds as the crash saw them.
-			c.flight.RecordEvent("crash detected",
-				obs.L("round", strconv.Itoa(round)), obs.L("error", err.Error()))
-			c.dumpFlight()
 			if c.ckptDir == "" || last.round < 0 {
 				return err
 			}
@@ -500,46 +501,43 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 // should not stall the restart of its peers.
 const pingTimeout = 2 * time.Second
 
-// recoverJob restarts every dead worker, reinstalls the program on all
-// workers, and rolls the cluster back to the latest checkpoint. The whole
-// sequence is one recovery span under the job span, so the crash shows up
-// in the trace as an annotated gap between the failed superstep and the
-// replay — the per-worker restore spans nest inside it.
+// recoverJob rolls the cluster back to the latest checkpoint: a Ping sweep
+// finds the dead workers, startWorker replaces them, wire reconnects the
+// cluster as StartCluster does, and one StartJob fan-out reinstalls the
+// program on every worker and restores it from the checkpoint — restarted
+// and surviving workers go through the same reset + reload path, so no
+// stale per-round state survives. The whole sequence is one recovery span
+// under the job span, so the crash shows up in the trace as an annotated
+// gap between the failed superstep and the replay; it names the restarted
+// workers, and the per-worker restore spans nest inside it.
 func (c *Cluster) recoverJob(spec JobSpec, last ckptMeta) (err error) {
 	span := c.tracer.Begin(c.jobSpan, "recovery", "rpcrt", 0, 0,
 		obs.L("rollback_to", strconv.Itoa(last.round)))
+	var restarted []string
 	defer func() {
+		done := obs.L("rounds_lost", strconv.Itoa(c.rounds-last.round))
 		if err != nil {
-			c.tracer.End(span, obs.L("error", err.Error()))
-			return
+			done = obs.L("error", err.Error())
 		}
-		c.tracer.End(span, obs.L("rounds_lost", strconv.Itoa(c.rounds-last.round)))
-		c.flight.RecordEvent("recovery complete",
-			obs.L("rollback_to", strconv.Itoa(last.round)))
+		c.tracer.End(span, obs.L("restarted", strings.Join(restarted, ",")), done)
 	}()
-	// Liveness sweep: restart what does not answer.
 	for i, cl := range c.clients {
 		var id int
 		if perr := callTimeout(cl, "Worker.Ping", struct{}{}, &id, pingTimeout); perr == nil && id == i {
 			continue
 		}
-		if err = c.restartWorker(i); err != nil {
+		if err = c.startWorker(i); err != nil {
 			return err
 		}
-		c.flight.RecordEvent("worker restarted", obs.L("worker", strconv.Itoa(i)))
+		restarted = append(restarted, strconv.Itoa(i))
 		if c.reg != nil {
 			c.reg.Counter("rpcrt_worker_restarts_total").Inc()
 		}
 	}
-	// Reinstall the program everywhere, then restore from the checkpoint:
-	// restarted and surviving workers go through the same reset + reload
-	// path, so no stale per-round state survives.
-	if err = c.startJobAll(spec); err != nil {
+	if err = c.wire(); err != nil {
 		return err
 	}
-	if _, err = fanOut[struct{}](c, "Worker.Restore", 0, func(obs.SpanID) any {
-		return RestoreArgs{Dir: c.ckptDir, Trace: uint64(span)}
-	}); err != nil {
+	if err = c.startJobAll(spec, c.ckptDir, span); err != nil {
 		return err
 	}
 	lost := c.rounds - last.round
@@ -548,54 +546,6 @@ func (c *Cluster) recoverJob(spec JobSpec, last ckptMeta) (err error) {
 	if c.reg != nil {
 		c.reg.Counter("rpcrt_recoveries_total").Inc()
 		c.reg.Counter("rpcrt_recovery_rounds_lost_total").Add(int64(lost))
-	}
-	return nil
-}
-
-// restartWorker replaces a dead worker with a fresh instance on a new
-// listener: the master re-dials it, the new worker dials every peer, and
-// every surviving peer re-dials the new address.
-func (c *Cluster) restartWorker(i int) error {
-	old := c.workers[i]
-	w := newWorker(i, c.part, c.g)
-	w.fplan = c.fplan
-	w.rpcTimeout = c.rpcTimeout
-	w.tracer = c.tracer
-	if err := serveWorker(w); err != nil {
-		return err
-	}
-	c.addrs[i] = w.listener.Addr().String()
-	// Release the dead instance's client connections.
-	for _, p := range old.peers {
-		if p != nil {
-			p.Close()
-		}
-	}
-	if c.clients[i] != nil {
-		c.clients[i].Close()
-	}
-	cl, err := rpc.Dial("tcp", c.addrs[i])
-	if err != nil {
-		return fmt.Errorf("rpcrt: redial restarted worker %d: %w", i, err)
-	}
-	c.clients[i] = cl
-	w.peers = make([]*rpc.Client, c.k)
-	for j := 0; j < c.k; j++ {
-		p, err := rpc.Dial("tcp", c.addrs[j])
-		if err != nil {
-			return fmt.Errorf("rpcrt: restarted worker %d dial peer %d: %w", i, j, err)
-		}
-		w.peers[j] = p
-	}
-	c.workers[i] = w
-	for j := 0; j < c.k; j++ {
-		if j == i {
-			continue
-		}
-		args := ReconnectArgs{Peer: i, Addr: c.addrs[i]}
-		if err := callTimeout(c.clients[j], "Worker.Reconnect", args, &struct{}{}, c.rpcTimeout); err != nil {
-			return fmt.Errorf("rpcrt: worker %d reconnect to restarted %d: %w", j, i, err)
-		}
 	}
 	return nil
 }

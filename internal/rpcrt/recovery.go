@@ -107,81 +107,36 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	return nil
 }
 
-// RestoreArgs asks a worker to reload its latest checkpoint from Dir.
-// Trace is the master-side recovery span to parent the worker's restore
-// span under (0 = tracing off).
-type RestoreArgs struct {
-	Dir   string
-	Trace uint64
-}
-
-// Restore rolls the worker back to its latest checkpoint: the engine's
-// barrier state and the counters are reloaded, and whatever the crashed
-// superstep left on the engine is discarded with the rows it overwrites,
-// and landings still waiting on that superstep are refused.
-// The master re-runs StartJob everywhere first, so restarted and surviving
-// workers restore through the same code path.
-func (w *Worker) Restore(args RestoreArgs, _ *struct{}) error {
-	if w.dead.Load() {
-		return w.down()
-	}
-	if w.prog == nil {
-		return fmt.Errorf("rpcrt: no job on worker %d", w.id)
-	}
-	span := w.tracer.Begin(obs.SpanID(args.Trace), "restore", "ckpt",
-		workerProc(w.id), workerComputeTrack)
+// restore rolls the job StartJob has just installed back to the worker's
+// latest checkpoint in dir: the engine's barrier state and the counters are
+// reloaded, and the worker resumes at the snapshot's barrier superstep.
+// Recovery restores restarted and surviving workers alike, so whatever the
+// crashed superstep left on a survivor is discarded with the job it
+// belonged to. The caller holds w.mu.
+func (w *Worker) restore(dir string, parent obs.SpanID) error {
+	span := w.tracer.Begin(parent, "restore", "ckpt", workerProc(w.id), workerComputeTrack)
 	defer w.tracer.End(span)
-	snap, _, err := ckptManager(args.Dir, w.id).Latest()
+	snap, _, err := ckptManager(dir, w.id).Latest()
 	if err != nil {
 		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, err)
 	}
 	if snap == nil {
-		return fmt.Errorf("rpcrt: worker %d restore: no checkpoint in %s", w.id, args.Dir)
+		return fmt.Errorf("rpcrt: worker %d restore: no checkpoint in %s", w.id, dir)
 	}
 	ctr := snap.Get(wsecCounters)
 	w.statsMu.Lock()
 	cs := w.counters()
 	if len(ctr) != 4+8*len(cs) || int(binary.LittleEndian.Uint32(ctr)) != w.nPeer {
 		w.statsMu.Unlock()
-		return fmt.Errorf("rpcrt: worker %d restore: a %d-byte counters section does not fit %d peers", w.id, len(ctr), w.nPeer)
+		return fmt.Errorf("rpcrt: worker %d restore: a %d-byte counters section does not fit %d peers: %w", w.id, len(ctr), w.nPeer, ckpt.ErrCorrupt)
 	}
 	for i, c := range cs {
 		*c = int64(binary.LittleEndian.Uint64(ctr[4+8*i:]))
 	}
 	w.statsMu.Unlock()
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.gen++
-	w.cond.Broadcast()
 	if err := w.prog.restore(snap); err != nil {
 		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, err)
 	}
 	w.stepped = snap.Step
-	return nil
-}
-
-// ReconnectArgs tells a worker that peer Peer now listens at Addr.
-type ReconnectArgs struct {
-	Peer int
-	Addr string
-}
-
-// Reconnect re-dials a restarted peer.
-func (w *Worker) Reconnect(args ReconnectArgs, _ *struct{}) error {
-	if w.dead.Load() {
-		return w.down()
-	}
-	if args.Peer < 0 || args.Peer >= len(w.peers) {
-		return fmt.Errorf("rpcrt: reconnect to unknown peer %d", args.Peer)
-	}
-	if old := w.peers[args.Peer]; old != nil {
-		old.Close()
-	}
-	cl, err := rpc.Dial("tcp", args.Addr)
-	if err != nil {
-		return fmt.Errorf("rpcrt: worker %d redial peer %d: %w", w.id, args.Peer, err)
-	}
-	w.peers[args.Peer] = cl
 	return nil
 }

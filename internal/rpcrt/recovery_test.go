@@ -419,3 +419,57 @@ func TestTwoCrashesSameJob(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterWorksAfterRecovery runs jobs on a cluster that has recovered
+// from a crash: recovery restarts the dead worker and re-wires every peer
+// connection, so the MSSP job it recovered and the BKHS and BPPR jobs run
+// after it must equal a fresh cluster's in results, supersteps, messages
+// and every worker's counters.
+func TestClusterWorksAfterRecovery(t *testing.T) {
+	g := graph.WithUniformWeights(graph.GenerateChungLu(150, 600, 2.5, 3), 1, 4, 4)
+	sources := []graph.VertexID{0, 7, 42}
+	type outcome struct {
+		res    any
+		rounds int
+		msgs   int64
+		stats  []WorkerStats
+	}
+	jobs := []func(c *Cluster) (any, error){
+		func(c *Cluster) (any, error) { return c.RunMSSP(sources) },
+		func(c *Cluster) (any, error) { return c.RunBKHS(sources, 3) },
+		func(c *Cluster) (any, error) { return c.RunBPPR(20, 0.2, 5) },
+	}
+	run := func(plan string) (out []outcome, recoveries int) {
+		t.Helper()
+		c := startTestCluster(t, g, 3)
+		c.SetCheckpoint(t.TempDir(), 2)
+		if plan != "" {
+			c.SetFaultPlan(mustPlan(t, plan))
+		}
+		for i, job := range jobs {
+			res, err := job(c)
+			if err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+			stats, err := c.WorkerStats()
+			if err != nil {
+				t.Fatalf("job %d stats: %v", i, err)
+			}
+			out = append(out, outcome{res, c.Rounds(), c.MessagesSent(), stats})
+			recoveries += c.Recoveries()
+		}
+		return out, recoveries
+	}
+	want, _ := run("")
+	got, recoveries := run("crash:worker=1,step=4")
+	if recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", recoveries)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("job %d after recovery: %d supersteps / %d messages / stats %+v, fresh cluster %d / %d / %+v (results equal: %v)",
+				i, got[i].rounds, got[i].msgs, got[i].stats, want[i].rounds, want[i].msgs, want[i].stats,
+				reflect.DeepEqual(got[i].res, want[i].res))
+		}
+	}
+}

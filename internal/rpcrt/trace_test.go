@@ -2,7 +2,6 @@ package rpcrt
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,38 +10,22 @@ import (
 	"vcmt/internal/obs"
 )
 
-// flightDir returns where flight-recorder crash dumps should land:
-// VCMT_FLIGHT_DIR when set (CI points this at its artifact directory so
-// the dump from the fault-injected test run is uploaded), else a temp dir.
-func flightDir(t *testing.T) string {
-	t.Helper()
-	if dir := os.Getenv("VCMT_FLIGHT_DIR"); dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	return t.TempDir()
-}
-
-// TestJobTraceAndFlightRecorder is the rpcrt half of the tracing
-// acceptance test: a fault-injected MSSP run with a tracer and flight
-// recorder attached must (a) export a validator-clean Chrome trace whose
-// worker spans parent under the master's RPC spans via the wire-level
-// trace context, (b) show the crash as a recovery span with restore spans
-// beneath it, and (c) dump the flight recorder to disk when the crash is
-// detected.
-func TestJobTraceAndFlightRecorder(t *testing.T) {
+// TestJobTraceThroughRecovery is the rpcrt half of the tracing acceptance
+// test: a fault-injected MSSP run with a tracer attached must (a) export a
+// validator-clean Chrome trace whose worker spans parent under the master's
+// RPC spans via the wire-level trace context, and (b) record the crash: the
+// failed superstep span carries the error, and a recovery span naming the
+// restarted worker has the restore spans beneath it. With VCMT_TRACE_DIR
+// set (CI points it at its artifact directory), the trace is written there
+// as rpcrt-trace.json.
+func TestJobTraceThroughRecovery(t *testing.T) {
 	g := graph.GenerateChungLu(150, 600, 2.5, 3)
 	c := startTestCluster(t, g, 3)
 	c.SetCheckpoint(t.TempDir(), 2)
 	c.SetFaultPlan(mustPlan(t, "crash:worker=1,step=4"))
 
 	tracer := obs.NewTracer()
-	fr := obs.NewFlightRecorder(0)
-	dir := flightDir(t)
 	c.SetTracer(tracer)
-	c.SetFlightRecorder(fr, dir)
 
 	sources := []graph.VertexID{0, 7, 42}
 	if _, err := c.RunMSSP(sources); err != nil {
@@ -62,8 +45,10 @@ func TestJobTraceAndFlightRecorder(t *testing.T) {
 	} else if n == 0 {
 		t.Fatal("empty rpcrt trace")
 	}
-	if dir := os.Getenv("VCMT_FLIGHT_DIR"); dir != "" {
-		// CI artifact: keep the trace next to the flight dump.
+	if dir := os.Getenv("VCMT_TRACE_DIR"); dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(dir, "rpcrt-trace.json"), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +66,7 @@ func TestJobTraceAndFlightRecorder(t *testing.T) {
 			t.Fatalf("no %q span in rpcrt trace; got %v", want, names)
 		}
 	}
-	// (b) cross-process parenting: every worker-side compute span must
+	// Cross-process parenting: every worker-side compute span must
 	// hang off a master RPC span, every restore span off the recovery
 	// span, via the trace context carried in the wire frames.
 	for _, s := range spans {
@@ -104,37 +89,32 @@ func TestJobTraceAndFlightRecorder(t *testing.T) {
 		}
 	}
 
-	// (c) the crash dump exists and is schema-valid.
-	dumpPath := filepath.Join(dir, "flight-crash-1.json")
-	data, err := os.ReadFile(dumpPath)
-	if err != nil {
-		t.Fatalf("flight dump not written: %v", err)
+	// (b) The postmortem: the failed superstep and the recovery it caused.
+	arg := func(s obs.Span, key string) string {
+		for _, l := range s.Args {
+			if l.Key == key {
+				return l.Value
+			}
+		}
+		return ""
 	}
-	var doc struct {
-		Schema string `json:"schema"`
-		Rounds []struct {
-			Round  int `json:"round"`
-			Events []struct {
-				Name string `json:"name"`
-			} `json:"events"`
-		} `json:"rounds"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("flight dump not JSON: %v", err)
-	}
-	if doc.Schema != "vcmt/flight-recorder/v1" {
-		t.Fatalf("flight dump schema %q", doc.Schema)
-	}
-	found := false
-	for _, r := range doc.Rounds {
-		for _, ev := range r.Events {
-			if ev.Name == "crash detected" {
-				found = true
+	failed, recovered := 0, 0
+	for _, s := range spans {
+		switch {
+		case s.Name == "superstep" && arg(s, "error") != "":
+			failed++
+			if arg(s, "round") != "4" {
+				t.Fatalf("failed superstep span %+v, want round 4", s)
+			}
+		case s.Name == "recovery":
+			recovered++
+			if arg(s, "restarted") != "1" || arg(s, "rollback_to") != "2" || arg(s, "rounds_lost") != "1" {
+				t.Fatalf("recovery span %+v, want worker 1 restarted, rollback to 2, 1 round lost", s)
 			}
 		}
 	}
-	if !found {
-		t.Fatalf("flight dump lacks the crash-detected event: %s", data)
+	if failed != 1 || recovered != 1 {
+		t.Fatalf("%d failed supersteps and %d recoveries in the trace, want 1 and 1", failed, recovered)
 	}
 }
 

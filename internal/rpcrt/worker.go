@@ -111,8 +111,8 @@ type Worker struct {
 	// superstep r land only once this worker's own Step r is done
 	// (stepped >= r) — its delivery has consumed the rows superstep r-1
 	// filled — and never while it runs. cond wakes waiting landings. gen
-	// counts StartJob and Restore calls: a landing that waited across one
-	// belongs to an abandoned superstep and is refused, not landed.
+	// counts StartJob calls: a landing that waited across one belongs to an
+	// abandoned superstep and is refused, not landed.
 	mu      sync.Mutex
 	cond    sync.Cond
 	stepped int
@@ -150,6 +150,8 @@ type Worker struct {
 	// rpcTimeout bounds this worker's peer Deliver calls.
 	rpcTimeout time.Duration
 
+	// peers[j] is the connection to worker j (Cluster.wire); peers[id] is
+	// nil, since a worker ships only rows for remote machines.
 	peers    []*rpc.Client
 	listener net.Listener
 	server   *rpc.Server
@@ -190,15 +192,21 @@ func newWorker(id int, part *graph.Partition, g *graph.Graph) *Worker {
 	return w
 }
 
-// StartJobArgs configures a job on a worker.
+// StartJobArgs configures a job on a worker. A non-empty Restore is the
+// checkpoint directory recovery rolls the job back from; Trace is then the
+// master-side recovery span the worker's restore span parents under
+// (0 = tracing off).
 type StartJobArgs struct {
-	Spec JobSpec
+	Spec    JobSpec
+	Restore string
+	Trace   uint64
 }
 
 // StartJob installs the program on a re-armed engine and clears per-job
 // state, refusing every landing still waiting on the previous job. Seeding
 // is the first Step, so no worker can deliver messages into a peer that has
-// not reset yet.
+// not reset yet. With a Restore directory the new job then resumes from the
+// worker's latest checkpoint there (see restore).
 func (w *Worker) StartJob(args StartJobArgs, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()
@@ -229,7 +237,10 @@ func (w *Worker) StartJob(args StartJobArgs, _ *struct{}) error {
 	default:
 		w.prog, err = nil, fmt.Errorf("rpcrt: unknown program %q", args.Spec.Program)
 	}
-	return err
+	if err != nil || args.Restore == "" {
+		return err
+	}
+	return w.restore(args.Restore, obs.SpanID(args.Trace))
 }
 
 // StepArgs asks a worker to run superstep Round (1 seeds). Trace is the
@@ -418,9 +429,8 @@ type DeliverArgs struct {
 // The frame is decoded in full before any message is applied: a corrupt
 // frame is rejected wholesale with an error wrapping wire.ErrCorrupt — and
 // one from the worker itself or an unknown sender, for a vertex owned
-// elsewhere, or still waiting when a StartJob or Restore abandons its
-// superstep with a plain error — and leaves the engine and the counters
-// untouched.
+// elsewhere, or still waiting when a StartJob abandons its superstep with a
+// plain error — and leaves the engine and the counters untouched.
 func (w *Worker) Deliver(args DeliverArgs, _ *struct{}) error {
 	if w.dead.Load() {
 		return w.down()

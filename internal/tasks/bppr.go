@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
@@ -230,18 +231,25 @@ func (j *BPPRJob) saveEndpoints() ([]byte, error) {
 }
 
 // loadEndpoints restores the endpoint tables from a saveEndpoints snapshot,
-// discarding any entries recorded after the checkpoint was cut.
+// discarding any entries recorded after the checkpoint was cut. An image
+// too short for the job's machines' tables is an error wrapping
+// ckpt.ErrCorrupt.
 func (j *BPPRJob) loadEndpoints(data []byte) error {
-	k := int(binary.LittleEndian.Uint32(data))
-	if k != len(j.endpoints) {
-		return fmt.Errorf("tasks: BPPR snapshot has %d machines, job has %d", k, len(j.endpoints))
+	if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != len(j.endpoints) {
+		return fmt.Errorf("tasks: BPPR snapshot does not hold the job's %d machines: %w", len(j.endpoints), ckpt.ErrCorrupt)
 	}
 	data = data[4:]
 	for m := range j.endpoints {
-		count := int(binary.LittleEndian.Uint64(data))
+		if len(data) < 8 {
+			return fmt.Errorf("tasks: BPPR snapshot truncated at machine %d: %w", m, ckpt.ErrCorrupt)
+		}
+		count := binary.LittleEndian.Uint64(data)
 		data = data[8:]
+		if count > uint64(len(data)/16) {
+			return fmt.Errorf("tasks: BPPR snapshot claims %d endpoints for machine %d in %d bytes: %w", count, m, len(data), ckpt.ErrCorrupt)
+		}
 		tbl := make(map[uint64]float64, count)
-		for i := 0; i < count; i++ {
+		for i := uint64(0); i < count; i++ {
 			key := binary.LittleEndian.Uint64(data)
 			tbl[key] = math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			data = data[16:]

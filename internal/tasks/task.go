@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/gas"
@@ -144,6 +145,9 @@ func appendPair(buf []byte, src graph.VertexID, payload uint32) []byte {
 }
 
 func readPair(data []byte) (src graph.VertexID, payload uint32) {
+	if len(data) < 8 {
+		return 0, 0 // a short record: the codec's byte count of 8 exposes it
+	}
 	return binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:8])
 }
 
@@ -202,18 +206,19 @@ func appendRows[T any](buf []byte, rows [][]T, dims ...int) []byte {
 }
 
 // readRows fills rows from an appendRows image written with the same
-// dimensions and returns the bytes after it.
+// dimensions and returns the bytes after it. An image of other dimensions
+// or too short is an error wrapping ckpt.ErrCorrupt.
 func readRows[T any](data []byte, rows [][]T, dims ...int) ([]byte, error) {
 	for _, d := range dims {
 		if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != d {
-			return nil, fmt.Errorf("tasks: snapshot does not have the program's dimensions %v", dims)
+			return nil, fmt.Errorf("tasks: snapshot does not have the program's dimensions %v: %w", dims, ckpt.ErrCorrupt)
 		}
 		data = data[4:]
 	}
 	for _, row := range rows {
 		n, err := binary.Decode(data, binary.LittleEndian, row)
 		if err != nil {
-			return nil, fmt.Errorf("tasks: snapshot: %w", err)
+			return nil, fmt.Errorf("tasks: snapshot: %w: %w", ckpt.ErrCorrupt, err)
 		}
 		data = data[n:]
 	}
