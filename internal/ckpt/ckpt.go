@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,31 +71,35 @@ func (s *Snapshot) Get(name string) []byte {
 	return nil
 }
 
-// Encode serializes the snapshot: magic, version, step, section count,
-// sections (length-prefixed name and data), and a trailing CRC-64 (ECMA)
-// over everything before it. The encoding is deterministic: identical
-// snapshots produce identical bytes.
-func Encode(s *Snapshot) []byte {
-	n := len(magic) + 4 + 8 + 4
-	for _, sec := range s.Sections {
-		n += 2 + len(sec.Name) + 8 + len(sec.Data)
-	}
-	buf := make([]byte, 0, n+8)
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Step))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Sections)))
+// WriteTo writes the snapshot's encoding to w and returns the bytes
+// written: magic, version, step, section count, sections (length-prefixed
+// name and data), and a trailing CRC-64 (ECMA) over everything before it.
+// Section data goes out as it is, never copied into a file image; the
+// checksum is folded over the pieces. Identical snapshots produce
+// identical bytes.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	hdr := binary.LittleEndian.AppendUint32([]byte(magic), version)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.Step))
+	pieces := [][]byte{binary.LittleEndian.AppendUint32(hdr, uint32(len(s.Sections)))}
 	for _, sec := range s.Sections {
 		if len(sec.Name) > 1<<16-1 {
 			panic("ckpt: section name too long")
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sec.Name)))
-		buf = append(buf, sec.Name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sec.Data)))
-		buf = append(buf, sec.Data...)
+		h := append(binary.LittleEndian.AppendUint16(nil, uint16(len(sec.Name))), sec.Name...)
+		pieces = append(pieces, binary.LittleEndian.AppendUint64(h, uint64(len(sec.Data))), sec.Data)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
-	return buf
+	var crc uint64
+	for _, p := range pieces {
+		crc = crc64.Update(crc, crcTable, p)
+	}
+	var n int64
+	for _, p := range append(pieces, binary.LittleEndian.AppendUint64(nil, crc)) {
+		k, err := w.Write(p)
+		if n += int64(k); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // Decode parses and verifies a snapshot. Damaged bytes — wrong magic,
@@ -179,8 +184,8 @@ func (m *Manager) path(step int) string {
 	return filepath.Join(m.Dir, fmt.Sprintf("%s%09d%s", m.prefix(), step, FileSuffix))
 }
 
-// Save encodes the snapshot, writes it atomically (temp file in the same
-// directory, fsync-free rename), removes every other checkpoint of this
+// Save writes the snapshot atomically through WriteTo (temp file in the
+// same directory, fsync-free rename), removes every other checkpoint of this
 // participant whatever its step, and returns the number of bytes written.
 // Runs restart at step 1, so a higher-step file in a reused directory
 // belongs to an earlier run and must never outlive — or be restored in
@@ -189,12 +194,12 @@ func (m *Manager) Save(s *Snapshot) (int64, error) {
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return 0, err
 	}
-	data := Encode(s)
 	tmp, err := os.CreateTemp(m.Dir, m.prefix()+"tmp-*")
 	if err != nil {
 		return 0, err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	n, err := s.WriteTo(tmp)
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return 0, err
@@ -219,7 +224,7 @@ func (m *Manager) Save(s *Snapshot) (int64, error) {
 			return 0, err
 		}
 	}
-	return int64(len(data)), nil
+	return n, nil
 }
 
 // steps lists this participant's checkpoint steps in ascending order.

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,9 +18,19 @@ func sample() *Snapshot {
 	return s
 }
 
+// encode is the snapshot's file image: what WriteTo writes into a buffer,
+// which must be exactly the byte count it reports.
+func encode(s *Snapshot) []byte {
+	var b bytes.Buffer
+	if n, err := s.WriteTo(&b); err != nil || n != int64(b.Len()) {
+		panic(fmt.Sprintf("WriteTo reported %d bytes, %v; wrote %d", n, err, b.Len()))
+	}
+	return b.Bytes()
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := sample()
-	data := Encode(s)
+	data := encode(s)
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -35,13 +46,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("section %d mismatch", i)
 		}
 	}
-	if !bytes.Equal(Encode(got), data) {
+	if !bytes.Equal(encode(got), data) {
 		t.Fatal("re-encode is not byte-identical")
 	}
 }
 
 func TestDecodeDetectsEveryByteFlip(t *testing.T) {
-	data := Encode(sample())
+	data := encode(sample())
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5A
@@ -52,7 +63,7 @@ func TestDecodeDetectsEveryByteFlip(t *testing.T) {
 }
 
 func TestDecodeTruncation(t *testing.T) {
-	data := Encode(sample())
+	data := encode(sample())
 	for n := 0; n < len(data); n += 7 {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes not detected", n)

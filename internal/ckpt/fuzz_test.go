@@ -11,16 +11,16 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VCKP"))
-	f.Add(Encode(sample()))
+	f.Add(encode(sample()))
 	s := &Snapshot{Step: 1}
 	s.Add("", nil)
-	f.Add(Encode(s))
+	f.Add(encode(s))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(Encode(got), data) {
+		if !bytes.Equal(encode(got), data) {
 			t.Fatalf("accepted bytes do not round-trip")
 		}
 	})
@@ -38,7 +38,7 @@ func FuzzCorruption(f *testing.F) {
 		s := &Snapshot{Step: step}
 		s.Add("a", sec1)
 		s.Add("b", sec2)
-		data := Encode(s)
+		data := encode(s)
 		if _, err := Decode(data); err != nil {
 			t.Fatalf("clean decode failed: %v", err)
 		}

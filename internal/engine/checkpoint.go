@@ -144,43 +144,45 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 // Everything the next superstep reads is included; per-round scratch
 // (inbox, counters) is empty at a barrier and is not. A machine engine's
 // rows hold its own sends and the messages landed on it, so its snapshot is
-// the full engine's restricted to its machine.
+// the full engine's restricted to its machine. The sections are sub-slices
+// of one engine-lifetime buffer, valid until the next Snapshot.
 func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
 	k, codec := e.k, e.opts.Checkpoint.Codec
-	snap := &ckpt.Snapshot{Step: e.rounds}
 
 	// Outbox rows are serialized as the engine holds them, row by row, so
-	// restore repopulates the identical routing layout.
-	var out []byte
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.outRows)))
-	var payload []byte
+	// restore repopulates the identical routing layout. Payloads are encoded
+	// in place; their length words are patched after.
+	buf := binary.LittleEndian.AppendUint32(e.snapBuf[:0], uint32(len(e.outRows)))
 	for r := range e.outRows {
 		row := &e.outRows[r]
-		out = binary.LittleEndian.AppendUint32(out, uint32(row.n))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(row.n))
 		for ci := range row.chunks {
 			for _, env := range row.filled(ci) {
-				out = binary.LittleEndian.AppendUint32(out, env.dst)
-				payload = codec.Encode(payload[:0], env.payload)
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-				out = append(out, payload...)
+				buf = binary.LittleEndian.AppendUint32(buf, env.dst)
+				at := len(buf)
+				buf = codec.Encode(append(buf, 0, 0, 0, 0), env.payload)
+				binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 			}
 		}
 	}
-	snap.Add(secOutbox, out)
+	outEnd := len(buf)
 
-	var rng []byte
-	rng = binary.LittleEndian.AppendUint32(rng, uint32(k))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
 	for m := 0; m < k; m++ {
-		rng = binary.LittleEndian.AppendUint64(rng, e.rngs[m].State())
+		buf = binary.LittleEndian.AppendUint64(buf, e.rngs[m].State())
 	}
-	snap.Add(secRNG, rng)
+	rngEnd := len(buf)
 
-	prog, err := e.prog.(StateSnapshotter).SaveState()
+	buf, err := e.prog.(StateSnapshotter).AppendState(buf)
 	if err != nil {
-		return nil, fmt.Errorf("program SaveState: %w", err)
+		return nil, fmt.Errorf("program AppendState: %w", err)
 	}
-	snap.Add(secProg, prog)
-	return snap, nil
+	e.snapBuf = buf
+	return &ckpt.Snapshot{Step: e.rounds, Sections: []ckpt.Section{
+		{Name: secOutbox, Data: buf[:outEnd:outEnd]},
+		{Name: secRNG, Data: buf[outEnd:rngEnd:rngEnd]},
+		{Name: secProg, Data: buf[rngEnd:len(buf):len(buf)]},
+	}}, nil
 }
 
 // Restore rolls every piece of volatile superstep state back to the barrier

@@ -19,8 +19,7 @@ import (
 // checkpointed.
 type snapBFS struct{ *bfsProg }
 
-func (p snapBFS) SaveState() ([]byte, error) {
-	buf := make([]byte, 0, 4+len(p.dist)*8)
+func (p snapBFS) AppendState(buf []byte) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.dist)))
 	for _, d := range p.dist {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(d)))

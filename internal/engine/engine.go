@@ -206,8 +206,10 @@ type Engine[M any] struct {
 	// checkpoint; ckptSimSeconds is the simulated clock right after it was
 	// priced (so a crash knows how much simulated work it loses). replayTo
 	// marks the pre-crash round during silent replay: supersteps up to it
-	// re-execute without re-reporting to the sim.Run.
+	// re-execute without re-reporting to the sim.Run. snapBuf holds the
+	// latest Snapshot's sections and persists across runs like inbox.
 	ckptMgr        *ckpt.Manager
+	snapBuf        []byte
 	lastCkptRounds int
 	lastCkptBytes  int64
 	ckptSimSeconds float64
@@ -295,11 +297,11 @@ func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog
 // as a fresh New(g, part, prog, run, opts) would, while keeping what a
 // finished run leaves that depends only on the graph and the partition or
 // is pure capacity: the routing tables, the chunk population, the inbox
-// (which out-of-core runs sort into too), the fold tables and the
-// out-of-core encode scratch. RNG streams, counters and checkpoint state
-// start over, and each run opens its own partition files. One engine per
-// job, Reset per batch: a job of many small batches then pays construction
-// once.
+// (which out-of-core runs sort into too), the fold tables, the out-of-core
+// encode scratch and the snapshot buffer. RNG streams, counters and
+// checkpoint state start over, and each run opens its own partition files.
+// One engine per job, Reset per batch: a job of many small batches then
+// pays construction once.
 func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 10000

@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. Graphs in this repository are limited to
@@ -143,30 +144,20 @@ func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build sorts, deduplicates and freezes the accumulated edges into a CSR
 // graph. Duplicate (from, to) arcs are collapsed keeping the smallest
-// weight, and self-loops are dropped (no benchmark task in the paper uses
-// them).
+// weight (NaN sorts lowest), and self-loops are dropped (no benchmark task
+// in the paper uses them).
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].From != b.edges[j].From {
-			return b.edges[i].From < b.edges[j].From
+	slices.SortFunc(b.edges, func(a, c Edge) int {
+		if k, l := uint64(a.From)<<32|uint64(a.To), uint64(c.From)<<32|uint64(c.To); k != l {
+			return cmp.Compare(k, l)
 		}
-		if b.edges[i].To != b.edges[j].To {
-			return b.edges[i].To < b.edges[j].To
-		}
-		return b.edges[i].Weight < b.edges[j].Weight
+		return cmp.Compare(a.Weight, c.Weight)
 	})
 	g := &Graph{n: b.n, offsets: make([]int64, b.n+1)}
-	var lastFrom, lastTo VertexID
-	have := false
-	for _, e := range b.edges {
-		if e.From == e.To {
-			continue
+	for i, e := range b.edges {
+		if e.From == e.To || i > 0 && e.From == b.edges[i-1].From && e.To == b.edges[i-1].To {
+			continue // a self-loop, or a duplicate of the no heavier arc before
 		}
-		if have && e.From == lastFrom && e.To == lastTo {
-			continue
-		}
-		have = true
-		lastFrom, lastTo = e.From, e.To
 		g.offsets[e.From+1]++
 		g.adj = append(g.adj, e.To)
 		if b.weighted {

@@ -2,6 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -589,5 +594,73 @@ func TestBuilderNumEdgesAdded(t *testing.T) {
 	b.AddUndirectedEdge(0, 1)
 	if b.NumEdgesAdded() != 2 {
 		t.Fatalf("NumEdgesAdded=%d want 2", b.NumEdgesAdded())
+	}
+}
+
+// TestBuildMatchesComparisonSort checks Build's counting sort against the
+// comparison sort it replaced: one sort.Slice of every arc by (From, To,
+// Weight), then the same dedup sweep. Random edge lists with duplicates,
+// self-loops and repeated weights must give identical CSR arrays.
+func TestBuildMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := range 50 {
+		n := 1 + rng.IntN(40)
+		weighted := trial%2 == 0
+		b := NewBuilder(n, weighted)
+		var edges []Edge
+		for range rng.IntN(6 * n) {
+			e := Edge{From: VertexID(rng.IntN(n)), To: VertexID(rng.IntN(n)), Weight: float32(rng.IntN(4)) + 0.5}
+			if !weighted {
+				e.Weight = 0
+			}
+			edges = append(edges, e)
+			b.addEdge(e.From, e.To, e.Weight)
+		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].From != edges[j].From {
+				return edges[i].From < edges[j].From
+			}
+			if edges[i].To != edges[j].To {
+				return edges[i].To < edges[j].To
+			}
+			return edges[i].Weight < edges[j].Weight
+		})
+		want := &Graph{n: n, offsets: make([]int64, n+1)}
+		for i, e := range edges {
+			if e.From == e.To || i > 0 && e.From == edges[i-1].From && e.To == edges[i-1].To {
+				continue
+			}
+			want.offsets[e.From+1]++
+			want.adj = append(want.adj, e.To)
+			if weighted {
+				want.weights = append(want.weights, e.Weight)
+			}
+		}
+		for v := range n {
+			want.offsets[v+1] += want.offsets[v]
+		}
+		g := b.Build()
+		if !slices.Equal(g.offsets, want.offsets) || !slices.Equal(g.adj, want.adj) || !slices.Equal(g.weights, want.weights) {
+			t.Fatalf("trial %d: Build's CSR differs from the comparison sort's", trial)
+		}
+	}
+}
+
+// TestLiveJournalDumpPinned pins the v3 dump of the LiveJournal replica,
+// generated and written exactly as graphgen -dataset LiveJournal does, so a
+// change to the generator or to Build's sort that moves a single arc fails
+// here rather than in every downstream digest.
+func TestLiveJournalDumpPinned(t *testing.T) {
+	const want = "3a2c65ac818a83994b61a2b3774a581b819ea7bc601e929868e7cb400847be83"
+	d, err := Dataset("LiveJournal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := WriteBinary(h, GenerateChungLu(d.Nodes, d.Edges/2, d.Gamma, d.Seed)); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("LiveJournal replica dump sha256 %s, pinned %s", got, want)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"vcmt/internal/graph"
@@ -215,7 +215,7 @@ func (r *PartitionedRunner) writeEdgePartitions() error {
 	verts := make([]graph.VertexID, 0, r.n)
 	for p := 0; p < r.parts; p++ {
 		verts = append(verts[:0], r.order[r.starts[p]:r.starts[p+1]]...)
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+		slices.Sort(verts)
 		w, err := r.create(fmt.Sprintf("edges-%04d.vp", p), KindEdges)
 		if err != nil {
 			return err

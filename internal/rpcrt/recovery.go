@@ -81,9 +81,11 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	}
 	span := w.tracer.Begin(obs.SpanID(args.Trace), "checkpoint", "ckpt",
 		workerProc(w.id), workerComputeTrack, obs.L("round", fmt.Sprint(args.Round)))
+	// The snapshot's sections alias the engine's buffer until its next
+	// snapshot, so the lock covers the write as well.
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	snap, err := w.prog.snapshot()
-	w.mu.Unlock()
 	if err != nil {
 		w.tracer.End(span, obs.L("error", err.Error()))
 		return fmt.Errorf("rpcrt: worker %d snapshot: %w", w.id, err)

@@ -278,10 +278,10 @@ func (p *bkhsProg) forward(ctx vcapi.Context[HopMsg], v, src graph.VertexID, hop
 // StateEntries implements engine.StateReporter.
 func (p *bkhsProg) StateEntries(machine int) int64 { return p.entries[machine] }
 
-// SaveState implements vcapi.StateSnapshotter: hop tables, per-machine
+// AppendState implements vcapi.StateSnapshotter: hop tables, per-machine
 // first-reach counts, and entry counts.
-func (p *bkhsProg) SaveState() ([]byte, error) {
-	buf := appendRows(nil, p.hops, len(p.hops), len(p.hops[0]))
+func (p *bkhsProg) AppendState(buf []byte) ([]byte, error) {
+	buf = appendRows(buf, p.hops, len(p.hops), len(p.hops[0]))
 	return appendRows(buf, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries)), nil
 }
 

@@ -3,9 +3,7 @@ package tasks
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
@@ -94,10 +92,10 @@ type BPPRJob struct {
 	part *graph.Partition
 	cfg  BPPRConfig
 
-	// endpoints[m] maps (src, stopVertex) to the (possibly fractional)
-	// number of walks from src that stopped at stopVertex, for pairs whose
-	// stopVertex lives on machine m.
-	endpoints   []map[uint64]float64
+	// endpoints[m] maps pairKey(src, stopVertex) to the (possibly
+	// fractional) number of walks from src that stopped at stopVertex, for
+	// pairs whose stopVertex lives on machine m.
+	endpoints   []endpointTable
 	baseline    []int64 // entry counts at the start of the current batch
 	launched    int     // walks per node launched so far across batches
 	sourcesDone int     // sources completed (source-subset mode)
@@ -123,15 +121,11 @@ func NewBPPR(g *graph.Graph, part *graph.Partition, cfg BPPRConfig) *BPPRJob {
 	if cfg.PruneThreshold == 0 {
 		cfg.PruneThreshold = 0.25
 	}
-	j := &BPPRJob{
+	return &BPPRJob{
 		g: g, part: part, cfg: cfg,
-		endpoints: make([]map[uint64]float64, part.NumMachines()),
+		endpoints: make([]endpointTable, part.NumMachines()),
 		baseline:  make([]int64, part.NumMachines()),
 	}
-	for m := range j.endpoints {
-		j.endpoints[m] = make(map[uint64]float64)
-	}
-	return j
 }
 
 // Name implements Job.
@@ -170,15 +164,15 @@ func (j *BPPRJob) Estimate(src, target graph.VertexID) float64 {
 		return 0
 	}
 	m := j.part.Owner(target)
-	return j.endpoints[m][pairKey(src, target)] / float64(denom)
+	return j.endpoints[m].get(pairKey(src, target)) / float64(denom)
 }
 
 // EndpointEntries returns the total number of (source, vertex) endpoint
 // pairs recorded so far.
 func (j *BPPRJob) EndpointEntries() int64 {
 	var t int64
-	for _, m := range j.endpoints {
-		t += int64(len(m))
+	for m := range j.endpoints {
+		t += int64(j.endpoints[m].n)
 	}
 	return t
 }
@@ -187,59 +181,65 @@ func (j *BPPRJob) EndpointEntries() int64 {
 // walks launched from src for completed batches (mass conservation).
 func (j *BPPRJob) EndpointMass(src graph.VertexID) float64 {
 	var t float64
-	for _, m := range j.endpoints {
-		for k, c := range m {
-			if uint32(k>>32) == uint32(src) {
-				t += c
+	for m := range j.endpoints {
+		j.EachEndpoint(m, func(s, _ graph.VertexID, walks float64) {
+			if s == src {
+				t += walks
 			}
-		}
+		})
 	}
 	return t
 }
 
 // EachEndpoint calls yield for every (src, v) pair of machine's endpoint
-// table with the number of src's walks that stopped at v.
+// table, in the order the pairs were first recorded, with the number of
+// src's walks that stopped at v.
 func (j *BPPRJob) EachEndpoint(machine int, yield func(src, v graph.VertexID, walks float64)) {
-	for k, c := range j.endpoints[machine] {
-		yield(graph.VertexID(k>>32), graph.VertexID(uint32(k)), c)
+	for _, chunk := range j.endpoints[machine].chunks {
+		for _, e := range chunk {
+			yield(graph.VertexID(e.key>>32), graph.VertexID(uint32(e.key)), e.mass)
+		}
 	}
 }
 
 func (j *BPPRJob) addEndpoint(machine int, src, v graph.VertexID, mass float64) {
-	j.endpoints[machine][pairKey(src, v)] += mass
+	e, _ := j.endpoints[machine].ref(pairKey(src, v))
+	e.mass += mass
 }
 
-// saveEndpoints serializes the per-machine endpoint tables with sorted keys
-// so the bytes are deterministic regardless of map iteration order. It is
-// the checkpointed program state of both BPPR variants (the baseline counts
-// are set at batch start and never change during a batch).
-func (j *BPPRJob) saveEndpoints() ([]byte, error) {
-	var size int
-	for _, m := range j.endpoints {
-		size += 8 + len(m)*16
-	}
-	buf := make([]byte, 0, 4+size)
+// appendEndpoints appends the per-machine endpoint tables to buf, each as
+// its entry count and its entries in first-insertion order — one scan, no
+// sort. That order is fixed by the run: machine m's Seed and Compute calls
+// alone write table m, in the same order for every worker count and
+// backend, and a restore rebuilds it in file order. It is the checkpointed
+// state of both BPPR variants (the baselines are set at batch start).
+func (j *BPPRJob) appendEndpoints(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(j.endpoints)))
-	for _, m := range j.endpoints {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m)))
-		for _, k := range slices.Sorted(maps.Keys(m)) {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m[k]))
+	for m := range j.endpoints {
+		t := &j.endpoints[m]
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.n))
+		for _, chunk := range t.chunks {
+			for _, e := range chunk {
+				buf = binary.LittleEndian.AppendUint64(buf, e.key)
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.mass))
+			}
 		}
 	}
-	return buf, nil
+	return buf
 }
 
-// loadEndpoints restores the endpoint tables from a saveEndpoints snapshot,
+// loadEndpoints restores the endpoint tables from an appendEndpoints image,
 // discarding any entries recorded after the checkpoint was cut. An image
-// too short for the job's machines' tables is an error wrapping
-// ckpt.ErrCorrupt.
+// that does not hold exactly the job's machines' tables, repeats a pair or
+// records a mass that is not positive is an error wrapping ckpt.ErrCorrupt,
+// and leaves the tables as they were.
 func (j *BPPRJob) loadEndpoints(data []byte) error {
 	if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != len(j.endpoints) {
 		return fmt.Errorf("tasks: BPPR snapshot does not hold the job's %d machines: %w", len(j.endpoints), ckpt.ErrCorrupt)
 	}
 	data = data[4:]
-	for m := range j.endpoints {
+	tbls := make([]endpointTable, len(j.endpoints))
+	for m := range tbls {
 		if len(data) < 8 {
 			return fmt.Errorf("tasks: BPPR snapshot truncated at machine %d: %w", m, ckpt.ErrCorrupt)
 		}
@@ -248,14 +248,20 @@ func (j *BPPRJob) loadEndpoints(data []byte) error {
 		if count > uint64(len(data)/16) {
 			return fmt.Errorf("tasks: BPPR snapshot claims %d endpoints for machine %d in %d bytes: %w", count, m, len(data), ckpt.ErrCorrupt)
 		}
-		tbl := make(map[uint64]float64, count)
-		for i := uint64(0); i < count; i++ {
-			key := binary.LittleEndian.Uint64(data)
-			tbl[key] = math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+		for range count {
+			key, mass := binary.LittleEndian.Uint64(data), math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			data = data[16:]
+			e, fresh := tbls[m].ref(key)
+			if !fresh || !(mass > 0) {
+				return fmt.Errorf("tasks: BPPR snapshot repeats pair %#x or records mass %v for it on machine %d: %w", key, mass, m, ckpt.ErrCorrupt)
+			}
+			e.mass = mass
 		}
-		j.endpoints[m] = tbl
 	}
+	if len(data) != 0 {
+		return fmt.Errorf("tasks: BPPR snapshot has %d trailing bytes: %w", len(data), ckpt.ErrCorrupt)
+	}
+	j.endpoints = tbls
 	return nil
 }
 
@@ -336,7 +342,7 @@ type bpprBatch struct {
 
 func (j *BPPRJob) nextBatch(workload int) *bpprBatch {
 	for m := range j.baseline {
-		j.baseline[m] = int64(len(j.endpoints[m]))
+		j.baseline[m] = int64(j.endpoints[m].n)
 	}
 	b := &bpprBatch{job: j, w: workload}
 	if len(j.cfg.Sources) > 0 {
@@ -370,13 +376,13 @@ func (b *bpprBatch) Finish() []int64 {
 // StateEntries implements vcapi.StateReporter: endpoint entries created by
 // the current batch.
 func (b *bpprBatch) StateEntries(machine int) int64 {
-	return int64(len(b.job.endpoints[machine])) - b.job.baseline[machine]
+	return int64(b.job.endpoints[machine].n) - b.job.baseline[machine]
 }
 
-// SaveState implements vcapi.StateSnapshotter: the batch-accumulated
+// AppendState implements vcapi.StateSnapshotter: the batch-accumulated
 // endpoint tables. Both programs' scratch (multinomial buckets, per-source
 // accumulators) is drained within every Compute call and needs no snapshot.
-func (b *bpprBatch) SaveState() ([]byte, error) { return b.job.saveEndpoints() }
+func (b *bpprBatch) AppendState(buf []byte) ([]byte, error) { return b.job.appendEndpoints(buf), nil }
 
 // LoadState implements vcapi.StateSnapshotter.
 func (b *bpprBatch) LoadState(data []byte) error { return b.job.loadEndpoints(data) }

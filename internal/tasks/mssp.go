@@ -279,12 +279,12 @@ func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int) {
 // StateEntries implements engine.StateReporter.
 func (p *msspProg) StateEntries(machine int) int64 { return p.entries[machine] }
 
-// SaveState implements vcapi.StateSnapshotter: the distance tables and the
-// per-machine entry counts. The relaxation scratch (epoch marks and
+// AppendState implements vcapi.StateSnapshotter: the distance tables and
+// the per-machine entry counts. The relaxation scratch (epoch marks and
 // improved lists) is reset at every Compute call and needs no snapshot:
 // epochs only grow, so stale marks never collide after a restore.
-func (p *msspProg) SaveState() ([]byte, error) {
-	buf := appendRows(nil, p.dist, len(p.dist), len(p.dist[0]))
+func (p *msspProg) AppendState(buf []byte) ([]byte, error) {
+	buf = appendRows(buf, p.dist, len(p.dist), len(p.dist[0]))
 	return appendRows(buf, [][]int64{p.entries}, len(p.entries)), nil
 }
 

@@ -72,10 +72,7 @@ func TestResetEqualsFresh(t *testing.T) {
 							cfg := BPPRConfig{WalksPerNode: 6, Seed: seed, Workers: workers, Combine: combine}
 							cfg.CheckpointDir, cfg.CheckpointInterval, cfg.Fault, cfg.OOC = modeConfig(t, mode)
 							j := NewBPPR(g, part, cfg)
-							return j, func() { j.mcEng = nil }, func() []byte {
-								out, _ := j.saveEndpoints()
-								return out
-							}
+							return j, func() { j.mcEng = nil }, func() []byte { return j.appendEndpoints(nil) }
 						},
 					}
 					for task, mk := range build {

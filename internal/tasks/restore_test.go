@@ -25,7 +25,9 @@ func TestRestoreRejectsDamagedSnapshots(t *testing.T) {
 	sources := []graph.VertexID{1, 5, 9}
 	t.Run("bppr", func(t *testing.T) {
 		prog := NewBPPR(g, part, BPPRConfig{Alpha: 0.15, WalksPerNode: 50}).NextBatch(50)
-		requireCorruptRejected(t, engine.New(g, part, prog, nil, snapshotOpts[WalkMsg](WalkCodec{})))
+		e := engine.New(g, part, prog, nil, snapshotOpts[WalkMsg](WalkCodec{}))
+		requireCorruptRejected(t, e)
+		requireForgedEndpointsRejected(t, e)
 	})
 	t.Run("mssp", func(t *testing.T) {
 		job, err := NewMSSP(g, part, MSSPConfig{Sources: sources})

@@ -66,12 +66,14 @@ type StateReporter interface {
 type WeightFunc[M any] func(M) int64
 
 // StateSnapshotter is an optional Program extension required for
-// checkpointing: SaveState serializes all program-owned mutable state at a
-// superstep barrier and LoadState restores it, such that a restored
+// checkpointing: AppendState serializes all program-owned mutable state at
+// a superstep barrier and LoadState restores it, such that a restored
 // program replays subsequent supersteps identically. Encodings must be
-// deterministic (iterate maps in sorted key order) so checkpoint bytes are
-// reproducible.
+// deterministic (iterate in any order fixed by the run, never a map's) so
+// checkpoint bytes are reproducible. AppendState appends to buf, leaving its
+// bytes as they are, and returns the extended slice; neither method keeps
+// its argument, which the executor reuses for the next snapshot.
 type StateSnapshotter interface {
-	SaveState() ([]byte, error)
+	AppendState(buf []byte) ([]byte, error)
 	LoadState(data []byte) error
 }
