@@ -10,12 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"vcmt/internal/graph"
 )
@@ -23,29 +23,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graphgen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
 	var (
-		list     = flag.Bool("list", false, "list the Table 1 dataset replicas")
-		dataset  = flag.String("dataset", "", "generate a named dataset replica")
-		chunglu  = flag.String("chunglu", "", "generate a Chung-Lu graph: n,edges,gamma")
-		seed     = flag.Uint64("seed", 1, "generator seed (custom graphs)")
-		stats    = flag.Bool("stats", false, "print graph statistics")
-		out      = flag.String("out", "", "output file")
-		edgelist = flag.Bool("edgelist", false, "write a text edge list instead of binary")
+		list     = fs.Bool("list", false, "list the Table 1 dataset replicas")
+		dataset  = fs.String("dataset", "", "generate a named dataset replica")
+		chunglu  = fs.String("chunglu", "", "generate a Chung-Lu graph: n,edges,gamma")
+		seed     = fs.Uint64("seed", 1, "generator seed (custom graphs)")
+		stats    = fs.Bool("stats", false, "print graph statistics")
+		out      = fs.String("out", "", "output file")
+		edgelist = fs.Bool("edgelist", false, "write a text edge list instead of binary")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Printf("%-12s %12s %14s %10s %12s %12s\n",
+		fmt.Fprintf(w, "%-12s %12s %14s %10s %12s %12s\n",
 			"name", "paper-nodes", "paper-arcs", "scale", "repl-nodes", "repl-arcs")
 		for _, name := range graph.DatasetNames() {
 			d, err := graph.Dataset(name)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("%-12s %12d %14d %9.0fx %12d %12d\n",
+			fmt.Fprintf(w, "%-12s %12d %14d %9.0fx %12d %12d\n",
 				d.Name, d.PaperNodes, d.PaperEdges, d.ScaleNodes(), d.Nodes, d.Edges)
 		}
-		return
+		return nil
 	}
 
 	var g *graph.Graph
@@ -53,60 +62,50 @@ func main() {
 	case *dataset != "":
 		d, err := graph.Dataset(*dataset)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		g = d.Load()
 	case *chunglu != "":
-		parts := strings.Split(*chunglu, ",")
-		if len(parts) != 3 {
-			log.Fatal("-chunglu needs n,edges,gamma")
-		}
-		n, err := strconv.Atoi(parts[0])
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gamma, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			log.Fatal(err)
+		var n int
+		var m int64
+		var gamma float64
+		if _, err := fmt.Sscanf(*chunglu+"\n", "%d,%d,%g\n", &n, &m, &gamma); err != nil {
+			return fmt.Errorf("-chunglu needs n,edges,gamma: %w", err)
 		}
 		g = graph.GenerateChungLu(n, m, gamma, *seed)
 	default:
-		log.Fatal("need -list, -dataset or -chunglu (see -h)")
+		return errors.New("need -list, -dataset or -chunglu (see -h)")
 	}
 
 	if *stats || *out == "" {
-		degrees, counts := graph.DegreeHistogram(g)
-		maxDeg := 0
-		if len(degrees) > 0 {
-			maxDeg = degrees[len(degrees)-1]
-		}
-		fmt.Printf("vertices:   %d\n", g.NumVertices())
-		fmt.Printf("arcs:       %d\n", g.NumEdges())
-		fmt.Printf("avg degree: %.2f\n", g.AvgDegree())
-		fmt.Printf("max degree: %d\n", maxDeg)
-		fmt.Printf("memory:     %.1f MB (CSR)\n", float64(g.MemoryBytes())/(1<<20))
-		_ = counts
+		fmt.Fprintf(w, "vertices:   %d\n", g.NumVertices())
+		fmt.Fprintf(w, "arcs:       %d\n", g.NumEdges())
+		fmt.Fprintf(w, "avg degree: %.2f\n", g.AvgDegree())
+		fmt.Fprintf(w, "max degree: %d\n", g.MaxDegree())
+		fmt.Fprintf(w, "memory:     %.1f MB (CSR)\n", float64(g.MemoryBytes())/(1<<20))
 	}
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
 		if *edgelist {
 			err = graph.WriteEdgeList(f, g)
 		} else {
 			err = graph.WriteBinary(f, g)
 		}
-		if err != nil {
-			log.Fatal(err)
+		var info os.FileInfo
+		if err == nil {
+			info, err = f.Stat()
 		}
-		info, _ := f.Stat()
-		fmt.Printf("wrote %s (%.1f MB)\n", *out, float64(info.Size())/(1<<20))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", *out, err)
+		}
+		fmt.Fprintf(w, "wrote %s (%.1f MB)\n", *out, float64(info.Size())/(1<<20))
 	}
+	return nil
 }

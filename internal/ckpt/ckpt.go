@@ -11,20 +11,20 @@
 // each participant keeps exactly the file it wrote last. The CRC-64
 // trailer guards against torn or corrupted files: a snapshot that fails
 // the checksum is never loaded silently (Decode returns an error), which
-// the fuzz tests in this package enforce.
+// the fuzz tests in this package enforce. The checksum, the bounds checks
+// and the root of ErrCorrupt are internal/rec's.
 package ckpt
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"vcmt/internal/rec"
 )
 
 // Format constants. Version is bumped on breaking layout changes; Decode
@@ -37,11 +37,10 @@ const (
 	FileSuffix = ".vck"
 )
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // ErrCorrupt is wrapped by Decode errors caused by damaged bytes (bad
-// magic, truncation, or checksum mismatch).
-var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
+// magic or version, truncation, or checksum mismatch), and by the
+// runtimes' section decoders. It wraps rec.ErrCorrupt.
+var ErrCorrupt = rec.Sentinel("ckpt: corrupt checkpoint")
 
 // Section is one named blob inside a snapshot.
 type Section struct {
@@ -78,74 +77,46 @@ func (s *Snapshot) Get(name string) []byte {
 // checksum is folded over the pieces. Identical snapshots produce
 // identical bytes.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	hdr := binary.LittleEndian.AppendUint32([]byte(magic), version)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.Step))
-	pieces := [][]byte{binary.LittleEndian.AppendUint32(hdr, uint32(len(s.Sections)))}
+	var enc rec.Writer
+	enc.Reset(w, 64) // buffers the small fields; section data goes out uncopied
+	enc.Bytes([]byte(magic))
+	enc.U32(version)
+	enc.U64(uint64(s.Step))
+	enc.U32(uint32(len(s.Sections)))
 	for _, sec := range s.Sections {
 		if len(sec.Name) > 1<<16-1 {
 			panic("ckpt: section name too long")
 		}
-		h := append(binary.LittleEndian.AppendUint16(nil, uint16(len(sec.Name))), sec.Name...)
-		pieces = append(pieces, binary.LittleEndian.AppendUint64(h, uint64(len(sec.Data))), sec.Data)
+		enc.U16(uint16(len(sec.Name)))
+		enc.Bytes([]byte(sec.Name))
+		enc.U64(uint64(len(sec.Data)))
+		enc.Span(sec.Data)
 	}
-	var crc uint64
-	for _, p := range pieces {
-		crc = crc64.Update(crc, crcTable, p)
-	}
-	var n int64
-	for _, p := range append(pieces, binary.LittleEndian.AppendUint64(nil, crc)) {
-		k, err := w.Write(p)
-		if n += int64(k); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return enc.Finish()
 }
 
-// Decode parses and verifies a snapshot. Damaged bytes — wrong magic,
-// truncation, oversized lengths, or a checksum mismatch — yield an error
-// wrapping ErrCorrupt; a snapshot is never silently mis-loaded.
+// Decode parses and verifies a snapshot. Damaged bytes — wrong magic or
+// version, truncation, oversized lengths, or a checksum mismatch — yield an
+// error wrapping ErrCorrupt; a snapshot is never silently mis-loaded.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magic)+4+8+4+8 {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrCorrupt, len(data))
+	body, err := rec.Checked(data, ErrCorrupt)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	c := rec.NewCursor(body, ErrCorrupt)
+	if string(c.Bytes(uint64(len(magic)))) != magic {
+		return nil, c.Fail("bad magic")
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := crc64.Checksum(body, crcTable), binary.LittleEndian.Uint64(trailer); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %016x want %016x)", ErrCorrupt, got, want)
+	if v := c.U32(); v != version {
+		return nil, c.Fail("unsupported version %d (want %d)", v, version)
 	}
-	p := body[len(magic):]
-	if v := binary.LittleEndian.Uint32(p); v != version {
-		return nil, fmt.Errorf("ckpt: unsupported version %d (want %d)", v, version)
+	s := &Snapshot{Step: int(c.U64())}
+	for i := c.U32(); i > 0 && c.Err() == nil; i-- {
+		name := string(c.Bytes(uint64(c.U16())))
+		s.Add(name, append([]byte(nil), c.Bytes(c.U64())...))
 	}
-	p = p[4:]
-	s := &Snapshot{Step: int(binary.LittleEndian.Uint64(p))}
-	p = p[8:]
-	count := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	for i := uint32(0); i < count; i++ {
-		if len(p) < 2 {
-			return nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(p))
-		p = p[2:]
-		if len(p) < nameLen+8 {
-			return nil, fmt.Errorf("%w: truncated section name", ErrCorrupt)
-		}
-		name := string(p[:nameLen])
-		p = p[nameLen:]
-		dataLen := binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		if uint64(len(p)) < dataLen {
-			return nil, fmt.Errorf("%w: truncated section data", ErrCorrupt)
-		}
-		s.Add(name, append([]byte(nil), p[:dataLen]...))
-		p = p[dataLen:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(p))
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

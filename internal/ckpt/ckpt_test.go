@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,6 +61,18 @@ func TestDecodeDetectsEveryByteFlip(t *testing.T) {
 		if _, err := Decode(mut); err == nil {
 			t.Fatalf("flip at byte %d not detected", i)
 		}
+	}
+}
+
+// TestDecodeRejectsOtherVersion re-checksums a snapshot under another
+// version word: the checksum passes, and the version is corruption.
+func TestDecodeRejectsOtherVersion(t *testing.T) {
+	data := encode(sample())
+	binary.LittleEndian.PutUint32(data[len(magic):], version+1)
+	body := data[:len(data)-8]
+	binary.LittleEndian.PutUint64(data[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version %d snapshot: got %v, want ErrCorrupt", version+1, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vcmt/internal/ckpt"
+	"vcmt/internal/rec"
 )
 
 // CheckpointOptions enables periodic superstep checkpointing. At each
@@ -193,52 +194,43 @@ func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
 // engine's state is then undefined until the next Reset.
 func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
 	k, codec := e.k, e.opts.Checkpoint.Codec
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("snapshot %s: %w", fmt.Sprintf(format, args...), ckpt.ErrCorrupt)
+	rng := rec.NewCursor(snap.Get(secRNG), ckpt.ErrCorrupt)
+	if int(rng.U32()) != k || rng.Len() != 8*k {
+		return rng.Fail("snapshot rng section does not hold %d machines", k)
 	}
-	rng := snap.Get(secRNG)
-	if len(rng) != 4+8*k || int(binary.LittleEndian.Uint32(rng)) != k {
-		return corrupt("rng section of %d bytes does not hold %d machines", len(rng), k)
+	out := rec.NewCursor(snap.Get(secOutbox), ckpt.ErrCorrupt)
+	if int(out.U32()) != len(e.outRows) {
+		return out.Fail("snapshot outbox section does not hold the engine's %d rows", len(e.outRows))
 	}
-	out := snap.Get(secOutbox)
-	if len(out) < 4 || int(binary.LittleEndian.Uint32(out)) != len(e.outRows) {
-		return corrupt("outbox section does not hold the engine's %d rows", len(e.outRows))
-	}
-	out = out[4:]
 	clear(e.owed)
 	for r := range e.outRows {
-		if len(out) < 4 {
-			return corrupt("outbox row %d truncated", r)
-		}
-		n := binary.LittleEndian.Uint32(out)
-		out = out[4:]
+		n := out.U32()
 		row := &e.outRows[r]
 		row.release()
-		for i := uint32(0); i < n; i++ {
-			if len(out) < 8 {
-				return corrupt("outbox row %d truncated at message %d of %d", r, i, n)
+		for range n {
+			dst := out.U32()
+			payload := out.Bytes(uint64(out.U32()))
+			if err := out.Err(); err != nil {
+				return err
 			}
-			dst := binary.LittleEndian.Uint32(out)
-			plen := int(binary.LittleEndian.Uint32(out[4:]))
 			if int(dst) >= len(e.owners) || int(e.owners[dst]) != r%k {
-				return corrupt("outbox row %d holds a message for vertex %d", r, dst)
+				return out.Fail("snapshot outbox row %d holds a message for vertex %d", r, dst)
 			}
-			if plen > len(out)-8 {
-				return corrupt("outbox payload of %d bytes overruns the section", plen)
+			msg, used := codec.Decode(payload)
+			if used != len(payload) {
+				return out.Fail("snapshot outbox payload decoded %d of %d bytes", used, len(payload))
 			}
-			payload, used := codec.Decode(out[8 : 8+plen])
-			if used != plen {
-				return corrupt("outbox payload decoded %d of %d bytes", used, plen)
-			}
-			out = out[8+plen:]
-			row.push(envelope[M]{dst: dst, payload: payload})
+			row.push(envelope[M]{dst: dst, payload: msg})
 		}
 		e.owed[r/k] += int64(n)
+	}
+	if err := out.Done(); err != nil {
+		return err
 	}
 	e.rounds = snap.Step
 
 	for m := 0; m < k; m++ {
-		e.rngs[m].SetState(binary.LittleEndian.Uint64(rng[4+8*m:]))
+		e.rngs[m].SetState(rng.U64())
 	}
 
 	if err := e.prog.(StateSnapshotter).LoadState(snap.Get(secProg)); err != nil {

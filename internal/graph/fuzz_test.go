@@ -52,8 +52,8 @@ func legacyDump(g *Graph, version uint64) []byte {
 	}
 	data := b.Bytes()
 	binary.LittleEndian.PutUint64(data[8:], version)
-	body := len(data) - binaryTrailerBytes
-	binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], binaryCRCTable))
+	body := len(data) - 8
+	binary.LittleEndian.PutUint64(data[body:], crc64.Checksum(data[:body], crc64.MakeTable(crc64.ECMA)))
 	return data
 }
 

@@ -2,15 +2,14 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+
+	"vcmt/internal/rec"
 )
 
 // WriteEdgeList writes the graph as a whitespace-separated edge list
@@ -144,18 +143,15 @@ const (
 	binaryMagic   = 0x56434d54 // "VCMT"
 	binaryVersion = 3
 
-	binaryHeaderBytes  = 5 * 8
-	binaryTrailerBytes = 8
+	binaryHeaderBytes = 5 * 8
 )
-
-var binaryCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // ErrCorrupt is wrapped by ReadBinary errors caused by damaged bytes: bad
 // magic, unsupported version, a header whose claimed sizes exceed the input,
 // truncation, structural nonsense (offsets out of order, neighbors out of
 // range), trailing garbage, or a checksum mismatch. A damaged graph file is
-// never partially loaded.
-var ErrCorrupt = errors.New("graph: corrupt graph file")
+// never partially loaded. It wraps rec.ErrCorrupt.
+var ErrCorrupt = rec.Sentinel("graph: corrupt graph file")
 
 // binaryHeader is the decoded and validated fixed header of a dump.
 type binaryHeader struct {
@@ -164,71 +160,52 @@ type binaryHeader struct {
 	weighted bool
 }
 
-// bodyBytes returns the exact byte length of the section payload the
-// header describes (offsets + adjacency + optional weights).
-func (h binaryHeader) bodyBytes() int64 {
-	b := int64(h.n+1)*8 + h.arcs*4
+// imageBytes returns the exact byte length of the dump the header
+// describes: header, offsets, adjacency, optional weights and trailer.
+func (h binaryHeader) imageBytes() int64 {
+	b := binaryHeaderBytes + int64(h.n+1)*8 + h.arcs*4 + rec.TrailerLen
 	if h.weighted {
 		b += h.arcs * 4
 	}
 	return b
 }
 
-// parseBinaryHeader validates the fixed 40-byte header. Nothing has been
-// allocated yet when it rejects, so forged size claims cost nothing.
-func parseBinaryHeader(hdr []byte) (binaryHeader, error) {
-	var w [5]uint64
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(hdr[8*i:])
+// parseBinaryHeader validates the fixed 40-byte header at the start of
+// image. Nothing has been allocated yet when it rejects, so forged size
+// claims cost nothing.
+func parseBinaryHeader(image []byte) (binaryHeader, error) {
+	c := rec.NewCursor(image, ErrCorrupt)
+	magic, version, n, arcs, flags := c.U64(), c.U64(), c.U64(), c.U64(), c.U64()
+	switch {
+	case c.Err() != nil:
+		return binaryHeader{}, c.Err()
+	case magic != binaryMagic:
+		return binaryHeader{}, c.Fail("bad magic %#x", magic)
+	case version != binaryVersion:
+		return binaryHeader{}, c.Fail("unsupported version %d (want %d)", version, binaryVersion)
+	case n > maxLoadVertices || arcs > 64*maxLoadVertices:
+		return binaryHeader{}, c.Fail("header claims %d vertices / %d arcs, beyond the loader limit", n, arcs)
 	}
-	if w[0] != binaryMagic {
-		return binaryHeader{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, w[0])
-	}
-	if w[1] != binaryVersion {
-		return binaryHeader{}, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, w[1], binaryVersion)
-	}
-	if w[2] > maxLoadVertices || w[3] > 64*maxLoadVertices {
-		return binaryHeader{}, fmt.Errorf("%w: header claims %d vertices / %d arcs, beyond the loader limit",
-			ErrCorrupt, w[2], w[3])
-	}
-	return binaryHeader{
-		n:        int(w[2]),
-		arcs:     int64(w[3]),
-		weighted: w[4]&1 != 0,
-	}, nil
+	return binaryHeader{n: int(n), arcs: int64(arcs), weighted: flags&1 != 0}, nil
 }
 
 // WriteBinary writes the version 3 binary encoding of the graph: the CSR
 // arrays as raw little-endian sections under a checksummed header, laid out
 // for direct (bulk-read or mmap) loading.
 func WriteBinary(w io.Writer, g *Graph) error {
-	crc := crc64.New(binaryCRCTable)
-	mw := io.MultiWriter(w, crc)
 	flags := uint64(0)
 	if g.Weighted() {
 		flags = 1
 	}
-	var hdr [binaryHeaderBytes]byte
-	for i, v := range []uint64{binaryMagic, binaryVersion, uint64(g.n), uint64(len(g.adj)), flags} {
-		binary.LittleEndian.PutUint64(hdr[8*i:], v)
+	var enc rec.Writer
+	enc.Reset(w, binaryHeaderBytes)
+	for _, v := range []uint64{binaryMagic, binaryVersion, uint64(g.n), uint64(len(g.adj)), flags} {
+		enc.U64(v)
 	}
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeInt64s(mw, g.offsets); err != nil {
-		return err
-	}
-	if err := writeVertexIDs(mw, g.adj); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := writeFloat32s(mw, g.weights); err != nil {
-			return err
-		}
-	}
-	var tr [binaryTrailerBytes]byte
-	binary.LittleEndian.PutUint64(tr[:], crc.Sum64())
-	_, err := w.Write(tr[:])
+	writeSection(&enc, g.offsets)
+	writeSection(&enc, g.adj)
+	writeSection(&enc, g.weights)
+	_, err := enc.Finish()
 	return err
 }
 
@@ -238,186 +215,113 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // in-range neighbors) are verified, so a corrupt file is never silently
 // mis-loaded.
 //
-// When the stream can report its size (io.Seeker, e.g. a file or a
-// bytes.Reader), the header's claimed sizes are checked against the real
-// remainder before anything is allocated, and the body is bulk-read
-// straight into the final 64-bit-aligned arrays. Streams of unknown size
-// are accumulated incrementally, so allocation is bounded by the bytes the
-// input actually contains — a forged header on a 100-byte file can never
-// balloon memory either way.
+// It reads the header, then the rest of the stream — at most one byte past
+// the image the header describes — into one 64-bit-aligned image, and hands
+// that to parseBinaryImage, the mmap loader's parser. When the stream can
+// report its size (io.Seeker, e.g. a file or a bytes.Reader) the image is
+// allocated once at that size; other streams grow it by doubling as the
+// bytes arrive. Either way allocation is bounded by what the input holds,
+// so a forged header on a 100-byte file can never balloon memory.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	remain := int64(-1)
-	if s, ok := r.(io.Seeker); ok {
-		if sz, err := seekerRemaining(s); err == nil {
-			remain = sz
-		}
-	}
 	var hdr [binaryHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
+		return nil, rec.Errorf(ErrCorrupt, "truncated header: %v", err)
 	}
 	h, err := parseBinaryHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	body := h.bodyBytes()
-	if remain >= 0 {
-		want := binaryHeaderBytes + body + binaryTrailerBytes
-		if remain < want {
-			return nil, fmt.Errorf("%w: input is %d bytes, header describes %d", ErrCorrupt, remain, want)
-		}
-		if remain > want {
-			return nil, fmt.Errorf("%w: trailing bytes after checksum", ErrCorrupt)
-		}
-	}
-	buf, err := readBody(r, body, remain >= 0)
-	if err != nil {
-		return nil, err
-	}
-	crc := crc64.Update(0, binaryCRCTable, hdr[:])
-	crc = crc64.Update(crc, binaryCRCTable, buf)
-	var tr [binaryTrailerBytes]byte
-	if _, err := io.ReadFull(r, tr[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum trailer: %v", ErrCorrupt, err)
-	}
-	if want := binary.LittleEndian.Uint64(tr[:]); crc != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %016x want %016x)", ErrCorrupt, crc, want)
-	}
-	if remain < 0 {
-		var one [1]byte
-		if _, err := io.ReadFull(r, one[:]); err != io.EOF {
-			return nil, fmt.Errorf("%w: trailing bytes after checksum", ErrCorrupt)
+	limit := h.imageBytes() + 1
+	size := min(limit, 64<<10)
+	if s, ok := r.(io.Seeker); ok {
+		if cur, err := s.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := s.Seek(0, io.SeekEnd); err == nil {
+				size = min(limit, binaryHeaderBytes+end-cur+1)
+			}
+			if _, err := s.Seek(cur, io.SeekStart); err != nil {
+				return nil, fmt.Errorf("graph: reading a dump: %w", err)
+			}
 		}
 	}
-	return decodeBinaryBody(h, buf)
-}
-
-// seekerRemaining returns the byte count from the current position to the
-// end of the stream, restoring the position.
-func seekerRemaining(s io.Seeker) (int64, error) {
-	cur, err := s.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	end, err := s.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.Seek(cur, io.SeekStart); err != nil {
-		return 0, err
-	}
-	return end - cur, nil
-}
-
-// readBody reads exactly n body bytes into a 64-bit-aligned buffer. With
-// sized set (the input length is known and already validated against the
-// header) the final buffer is allocated up front and filled with one
-// ReadFull. For unknown-size streams the bytes are accumulated through a
-// growing buffer first and copied into the aligned allocation only once
-// they all actually arrived, so a forged header never allocates more than
-// the input holds.
-func readBody(r io.Reader, n int64, sized bool) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	if sized {
-		buf := alignedBytes(n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("%w: truncated body: %v", ErrCorrupt, err)
+	img := alignedBytes(size)
+	n := int64(copy(img, hdr[:]))
+	for {
+		k, err := io.ReadFull(r, img[n:])
+		if n += int64(k); err == io.EOF || err == io.ErrUnexpectedEOF || n == limit {
+			break
 		}
-		return buf, nil
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading a dump: %w", err)
+		}
+		grown := alignedBytes(min(2*n, limit))
+		copy(grown, img)
+		img = grown
 	}
-	var acc bytes.Buffer
-	if m, err := io.CopyN(&acc, r, n); err != nil {
-		return nil, fmt.Errorf("%w: truncated body: read %d of %d bytes: %v", ErrCorrupt, m, n, err)
-	}
-	buf := alignedBytes(n)
-	copy(buf, acc.Bytes())
-	return buf, nil
+	return parseBinaryImage(img[:n])
 }
 
 // decodeBinaryBody turns a complete, checksum-verified body into a Graph.
 // body must be 64-bit aligned (alignedBytes, or an mmap offset that is a
 // multiple of 8). On little-endian hosts the sections are aliased in place
-// — the arrays ARE the file bytes — while big-endian hosts fall back to an
-// explicit element loop. Both paths end in the same structural validation
-// and NewCSRView.
+// — the arrays ARE the file bytes — while big-endian hosts decode them
+// (loadSection). Both paths end in the same structural validation and
+// NewCSRView.
 func decodeBinaryBody(h binaryHeader, body []byte) (*Graph, error) {
-	offBytes := int64(h.n+1) * 8
-	adjBytes := h.arcs * 4
-	var (
-		offsets []int64
-		adj     []VertexID
-		weights []float32
-	)
-	if hostLittleEndian {
-		offsets = castInt64s(body[:offBytes])
-		adj = castVertexIDs(body[offBytes : offBytes+adjBytes])
-		if h.weighted {
-			weights = castFloat32s(body[offBytes+adjBytes:])
-		}
-	} else {
-		offsets = decodeInt64s(body[:offBytes])
-		adj = decodeVertexIDs(body[offBytes : offBytes+adjBytes])
-		if h.weighted {
-			weights = decodeFloat32s(body[offBytes+adjBytes:])
-		}
+	offBytes, adjBytes := int64(h.n+1)*8, h.arcs*4
+	offsets := loadSection[int64](body[:offBytes])
+	adj := loadSection[VertexID](body[offBytes : offBytes+adjBytes])
+	var weights []float32
+	if h.weighted {
+		weights = loadSection[float32](body[offBytes+adjBytes:])
 	}
 	// Structural validation: the checksum guards transport, not the writer,
 	// so a forged-but-consistent file must still describe a valid CSR.
 	if offsets[0] != 0 || offsets[h.n] != int64(len(adj)) {
-		return nil, fmt.Errorf("%w: offset bounds [%d, %d] do not span %d arcs",
-			ErrCorrupt, offsets[0], offsets[h.n], len(adj))
+		return nil, rec.Errorf(ErrCorrupt, "offset bounds [%d, %d] do not span %d arcs",
+			offsets[0], offsets[h.n], len(adj))
 	}
 	for v := 0; v < h.n; v++ {
 		if offsets[v] > offsets[v+1] {
-			return nil, fmt.Errorf("%w: offsets decrease at vertex %d", ErrCorrupt, v)
+			return nil, rec.Errorf(ErrCorrupt, "offsets decrease at vertex %d", v)
 		}
 	}
 	for _, u := range adj {
 		if int(u) >= h.n {
-			return nil, fmt.Errorf("%w: neighbor %d out of range n=%d", ErrCorrupt, u, h.n)
+			return nil, rec.Errorf(ErrCorrupt, "neighbor %d out of range n=%d", u, h.n)
 		}
 	}
 	g, err := NewCSRView(h.n, offsets, adj, weights)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, rec.Errorf(ErrCorrupt, "%v", err)
 	}
 	return g, nil
 }
 
-// parseBinaryImage decodes a complete in-memory dump image — the zero-copy
-// path behind the mmap loader. data must begin on a 64-bit boundary (a
-// page-aligned mapping qualifies); the returned graph aliases data, which
-// therefore must stay mapped and unmodified for the graph's lifetime.
+// parseBinaryImage decodes a complete in-memory dump image — the whole
+// stream ReadBinary read, or the mmap loader's mapping. data must begin on
+// a 64-bit boundary (alignedBytes and a page-aligned mapping qualify); the
+// returned graph aliases data, which therefore must stay unmodified for the
+// graph's lifetime.
 func parseBinaryImage(data []byte) (*Graph, error) {
-	if len(data) < binaryHeaderBytes+binaryTrailerBytes {
-		return nil, fmt.Errorf("%w: truncated header: %d bytes", ErrCorrupt, len(data))
-	}
-	h, err := parseBinaryHeader(data[:binaryHeaderBytes])
+	h, err := parseBinaryHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	want := binaryHeaderBytes + h.bodyBytes() + binaryTrailerBytes
-	if int64(len(data)) < want {
-		return nil, fmt.Errorf("%w: input is %d bytes, header describes %d", ErrCorrupt, len(data), want)
+	if want := h.imageBytes(); int64(len(data)) != want {
+		return nil, rec.Errorf(ErrCorrupt, "input is %d bytes, header describes %d", len(data), want)
 	}
-	if int64(len(data)) > want {
-		return nil, fmt.Errorf("%w: trailing bytes after checksum", ErrCorrupt)
+	body, err := rec.Checked(data, ErrCorrupt)
+	if err != nil {
+		return nil, err
 	}
-	crc := crc64.Checksum(data[:want-binaryTrailerBytes], binaryCRCTable)
-	if got := binary.LittleEndian.Uint64(data[want-binaryTrailerBytes:]); crc != got {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %016x want %016x)", ErrCorrupt, crc, got)
-	}
-	return decodeBinaryBody(h, data[binaryHeaderBytes:want-binaryTrailerBytes])
+	return decodeBinaryBody(h, body[binaryHeaderBytes:])
 }
 
 // LoadBinaryFile reads a graphgen binary file from disk — the shared
 // loader behind vcrun -graph-file, vcbench -graph-dir and the vcserve
 // snapshot store. Dumps are mmapped when the platform supports it (the CSR
-// arrays alias the page cache directly); otherwise — non-unix builds, a
-// header the mapping path will not take, or any mmap hiccup — the stream
-// loader takes over and reports the canonical outcome.
+// arrays alias the page cache directly); otherwise — non-unix builds or
+// any mmap hiccup — the stream loader takes over.
 func LoadBinaryFile(path string) (*Graph, error) {
 	if g, handled, err := mmapBinaryFile(path); handled {
 		if err != nil {

@@ -177,7 +177,7 @@ func TestBinaryForgedStructure(t *testing.T) {
 				body := data[:len(data)-8]
 				mutate(body)
 				mut := append(append([]byte(nil), body...), 0, 0, 0, 0, 0, 0, 0, 0)
-				binary.LittleEndian.PutUint64(mut[len(body):], crc64.Checksum(body, binaryCRCTable))
+				binary.LittleEndian.PutUint64(mut[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
 				for mode, mk := range readers(mut) {
 					if _, err := ReadBinary(mk()); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("forged %s (%s): got %v, want ErrCorrupt", name, mode, err)
@@ -351,9 +351,8 @@ func TestLoadBinaryFile(t *testing.T) {
 }
 
 // TestMmapBinaryFile pins the mmap fast path directly: a v3 file loads
-// byte-identically through it, a v2 file defers to the stream loader (which
-// rejects it), and a corrupt v3 file is rejected with ErrCorrupt (and
-// unmapped).
+// byte-identically through it, and a v2 file and a corrupt v3 file are
+// rejected with ErrCorrupt (and unmapped).
 func TestMmapBinaryFile(t *testing.T) {
 	g := WithUniformWeights(GenerateChungLu(60, 300, 2.4, 5), 1, 2, 6)
 	dir := t.TempDir()
@@ -374,8 +373,8 @@ func TestMmapBinaryFile(t *testing.T) {
 	if err := os.WriteFile(v2, encodeVersion(t, g, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, handled, _ := mmapBinaryFile(v2); handled {
-		t.Fatal("v2 file must defer to the stream loader")
+	if _, handled, err := mmapBinaryFile(v2); !handled || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v2 file: handled=%v err=%v, want handled ErrCorrupt", handled, err)
 	}
 
 	data, err := os.ReadFile(v3)

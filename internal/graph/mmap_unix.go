@@ -11,10 +11,10 @@ import (
 // into the mapping — load cost becomes a header check, one CRC sweep and
 // the structural validation scan, with the section bytes served from the
 // page cache on demand. handled=false asks the caller to fall back to the
-// streaming loader (a header it rejects, a short or unopenable file, a
-// big-endian host, or mmap refusing the file), which then reports the
-// canonical error; handled=true means the outcome — graph or corruption
-// error — is final.
+// streaming loader (an unopenable, empty or irregular file, a big-endian
+// host, or mmap refusing the file); handled=true means the outcome — graph
+// or corruption error — is final. Both loaders judge a dump by
+// parseBinaryImage, so they reject the same files with the same errors.
 //
 // On success the mapping is deliberately never unmapped: loaded graphs are
 // immutable, process-lifetime objects shared by every job, exactly like the
@@ -33,14 +33,7 @@ func mmapBinaryFile(path string) (*Graph, bool, error) {
 		return nil, false, nil
 	}
 	size := st.Size()
-	if size < binaryHeaderBytes+binaryTrailerBytes || size > int64(maxInt) {
-		return nil, false, nil
-	}
-	var hdr [binaryHeaderBytes]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, false, nil
-	}
-	if _, err := parseBinaryHeader(hdr[:]); err != nil {
+	if size == 0 || size > int64(maxInt) {
 		return nil, false, nil
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)

@@ -2,16 +2,17 @@ package graph
 
 import (
 	"encoding/binary"
-	"io"
-	"math"
 	"unsafe"
+
+	"vcmt/internal/rec"
 )
 
 // The v3 dump body is the CSR arrays serialized little-endian at their
 // natural alignment, so on a little-endian host loading is a matter of
 // reinterpreting bytes — no per-element decode. The helpers here hold all
-// of the package's unsafe code: aligned allocation, slice reinterpretation
-// in both directions, and the element-wise fallbacks big-endian hosts use.
+// of the package's unsafe code: aligned allocation and slice
+// reinterpretation in both directions, with the element-wise fallbacks
+// big-endian hosts use.
 
 // hostLittleEndian reports whether the machine's native byte order matches
 // the on-disk little-endian format, enabling zero-copy loads and stores.
@@ -32,112 +33,36 @@ func alignedBytes(n int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), n)
 }
 
-// castInt64s reinterprets a little-endian byte section as []int64. The
-// result aliases b; b's base must be 8-byte aligned.
-func castInt64s(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
+// section is the element type of a dump section.
+type section interface{ int64 | VertexID | float32 }
 
-// castVertexIDs reinterprets a little-endian byte section as []VertexID.
-func castVertexIDs(b []byte) []VertexID {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*VertexID)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// castFloat32s reinterprets a little-endian byte section as []float32.
-func castFloat32s(b []byte) []float32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// writeInt64s writes s as raw little-endian bytes: a single zero-copy
-// Write on little-endian hosts, an element loop elsewhere.
-func writeInt64s(w io.Writer, s []int64) error {
-	if len(s) == 0 {
+// loadSection returns a little-endian byte section as []T: on a
+// little-endian host it aliases b, whose base must be aligned for T, and
+// elsewhere it is decoded element by element.
+func loadSection[T section](b []byte) []T {
+	var zero T
+	n := len(b) / int(unsafe.Sizeof(zero))
+	if n == 0 {
 		return nil
 	}
 	if hostLittleEndian {
-		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
-		return err
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	var buf [8]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	out := make([]T, n)
+	_, _ = binary.Decode(b, binary.LittleEndian, out) // fails only for a b shorter than out
+	return out
 }
 
-// writeVertexIDs writes s as raw little-endian bytes.
-func writeVertexIDs(w io.Writer, s []VertexID) error {
+// writeSection writes s as raw little-endian bytes: one uncopied span on a
+// little-endian host, an encoded copy elsewhere.
+func writeSection[T section](w *rec.Writer, s []T) {
 	if len(s) == 0 {
-		return nil
+		return
 	}
 	if hostLittleEndian {
-		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
-		return err
+		w.Span(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
+		return
 	}
-	var buf [4]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFloat32s writes s as raw little-endian bytes.
-func writeFloat32s(w io.Writer, s []float32) error {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
-		return err
-	}
-	var buf [4]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeInt64s is the big-endian-host fallback for castInt64s.
-func decodeInt64s(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// decodeVertexIDs is the big-endian-host fallback for castVertexIDs.
-func decodeVertexIDs(b []byte) []VertexID {
-	out := make([]VertexID, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// decodeFloat32s is the big-endian-host fallback for castFloat32s.
-func decodeFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
+	b, _ := binary.Append(nil, binary.LittleEndian, s) // fails only for a T of no fixed size
+	w.Span(b)
 }

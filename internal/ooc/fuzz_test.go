@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 )
 
 // FuzzPartitionDecode drives the partition reader over arbitrary bytes: it
@@ -48,12 +49,14 @@ func FuzzPartitionDecode(f *testing.F) {
 	f.Add(valid[:3])                                             // truncated header
 	f.Add(valid[:headerLen])                                     // header only
 	f.Add(valid[:len(valid)-1])                                  // truncated trailer
-	f.Add(valid[:len(valid)-trailerLen-1])                       // missing count+trailer
+	f.Add(valid[:len(valid)-rec.TrailerLen-1])                   // missing count+trailer
 	f.Add([]byte{partMagic0, partMagic1, 9, KindMessages, 0})    // bad version
 	f.Add([]byte{partMagic0, partMagic1, Version, 0x7f, 0})      // unknown kind
 	f.Add([]byte{partMagic0, partMagic1, Version, KindEdges, 4}) // unknown flag
 	// Hostile record length.
 	f.Add(append(append([]byte{}, valid[:headerLen]...), 0xff, 0xff, 0xff, 0xff, 0x7f))
+	// A weighted edge record whose degree overflows degree*5.
+	f.Add(overflowingDegree())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The runner's read buffer, then the smallest one decoding allows,
@@ -95,10 +98,21 @@ func FuzzPartitionDecode(f *testing.F) {
 	})
 }
 
+// overflowingDegree is a weighted edge file holding one record, vertex 0
+// with degree 0x3333333333333334 and 4 body bytes: degree*5 wraps to 4, so a
+// multiplied bound would take it for a record that fits.
+func overflowingDegree() []byte {
+	body := binary.AppendUvarint([]byte{0}, 0x3333333333333334)
+	body = append(body, 1, 2, 3, 4)
+	file := []byte{partMagic0, partMagic1, Version, KindEdges, flagWeighted}
+	return append(binary.AppendUvarint(file, uint64(len(body))), body...)
+}
+
 // decodeAll decodes a whole partition through the constructor every Reader
 // starts with, using a read buffer of bufLen bytes.
 func decodeAll(data []byte, bufLen int) (kind byte, weighted bool, msgs []msgRec, edges []edgeRec, err error) {
-	r := Reader{buf: make([]byte, bufLen)}
+	var r Reader
+	r.dec.Reset(nil, bufLen, ErrCorrupt) // init keeps this buffer
 	if err := r.init(bytes.NewReader(data)); err != nil {
 		return 0, false, nil, nil, err
 	}

@@ -209,6 +209,13 @@ func TestCorruptionMatrix(t *testing.T) {
 	if err := drain(append(append([]byte(nil), valid...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte accepted")
 	}
+	r, err := NewReader(bytes.NewReader(overflowingDegree()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := r.NextEdges(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overflowing degree: err=%v, want ErrCorrupt", err)
+	}
 }
 
 // TestVersionRejected checks that an unsupported version byte surfaces the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 )
 
 // IOStats accumulates measured wall-clock IO from a run. Unlike the encoded
@@ -354,7 +355,7 @@ func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
 			return nil, 0, err
 		}
 		if int(v) >= r.n {
-			return nil, 0, corrupt("edge vertex %d out of range", v)
+			return nil, 0, rec.Errorf(ErrCorrupt, "edge vertex %d out of range", v)
 		}
 		r.deg[v] = int32(len(nbrs))
 		r.adj = append(r.adj, nbrs...)
@@ -406,7 +407,7 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 		}
 		if int(dst) >= r.n || r.partOf[dst] != int32(p) {
 			rd.Close()
-			return corrupt("message for vertex %d routed to partition %d", dst, p)
+			return rec.Errorf(ErrCorrupt, "message for vertex %d routed to partition %d", dst, p)
 		}
 		ib.Dsts = append(ib.Dsts, dst)
 		ib.Data = append(ib.Data, payload...)

@@ -8,6 +8,7 @@ import (
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/obs"
+	"vcmt/internal/rec"
 )
 
 // defaultRPCTimeout bounds every master->worker and worker->worker call:
@@ -125,15 +126,15 @@ func (w *Worker) restore(dir string, parent obs.SpanID) error {
 	if snap == nil {
 		return fmt.Errorf("rpcrt: worker %d restore: no checkpoint in %s", w.id, dir)
 	}
-	ctr := snap.Get(wsecCounters)
+	ctr := rec.NewCursor(snap.Get(wsecCounters), ckpt.ErrCorrupt)
 	w.statsMu.Lock()
 	cs := w.counters()
-	if len(ctr) != 4+8*len(cs) || int(binary.LittleEndian.Uint32(ctr)) != w.nPeer {
+	if int(ctr.U32()) != w.nPeer || ctr.Len() != 8*len(cs) {
 		w.statsMu.Unlock()
-		return fmt.Errorf("rpcrt: worker %d restore: a %d-byte counters section does not fit %d peers: %w", w.id, len(ctr), w.nPeer, ckpt.ErrCorrupt)
+		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, ctr.Fail("a counters section does not fit %d peers", w.nPeer))
 	}
-	for i, c := range cs {
-		*c = int64(binary.LittleEndian.Uint64(ctr[4+8*i:]))
+	for _, c := range cs {
+		*c = int64(ctr.U64())
 	}
 	w.statsMu.Unlock()
 	if err := w.prog.restore(snap); err != nil {

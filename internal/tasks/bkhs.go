@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"slices"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -287,9 +289,8 @@ func (p *bkhsProg) AppendState(buf []byte) ([]byte, error) {
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *bkhsProg) LoadState(data []byte) error {
-	data, err := readRows(data, p.hops, len(p.hops), len(p.hops[0]))
-	if err == nil {
-		_, err = readRows(data, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries))
-	}
-	return err
+	c := rec.NewCursor(data, ckpt.ErrCorrupt)
+	readRows(&c, p.hops, len(p.hops), len(p.hops[0]))
+	readRows(&c, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries))
+	return c.Done()
 }

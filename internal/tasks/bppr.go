@@ -9,6 +9,7 @@ import (
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -234,32 +235,27 @@ func (j *BPPRJob) appendEndpoints(buf []byte) []byte {
 // records a mass that is not positive is an error wrapping ckpt.ErrCorrupt,
 // and leaves the tables as they were.
 func (j *BPPRJob) loadEndpoints(data []byte) error {
-	if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != len(j.endpoints) {
-		return fmt.Errorf("tasks: BPPR snapshot does not hold the job's %d machines: %w", len(j.endpoints), ckpt.ErrCorrupt)
+	c := rec.NewCursor(data, ckpt.ErrCorrupt)
+	if int(c.U32()) != len(j.endpoints) {
+		return c.Fail("tasks: BPPR snapshot does not hold the job's %d machines", len(j.endpoints))
 	}
-	data = data[4:]
 	tbls := make([]endpointTable, len(j.endpoints))
 	for m := range tbls {
-		if len(data) < 8 {
-			return fmt.Errorf("tasks: BPPR snapshot truncated at machine %d: %w", m, ckpt.ErrCorrupt)
-		}
-		count := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		if count > uint64(len(data)/16) {
-			return fmt.Errorf("tasks: BPPR snapshot claims %d endpoints for machine %d in %d bytes: %w", count, m, len(data), ckpt.ErrCorrupt)
+		count := c.U64()
+		if count > uint64(c.Len()/16) {
+			return c.Fail("tasks: BPPR snapshot claims %d endpoints for machine %d in %d bytes", count, m, c.Len())
 		}
 		for range count {
-			key, mass := binary.LittleEndian.Uint64(data), math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-			data = data[16:]
+			key, mass := c.U64(), math.Float64frombits(c.U64())
 			e, fresh := tbls[m].ref(key)
 			if !fresh || !(mass > 0) {
-				return fmt.Errorf("tasks: BPPR snapshot repeats pair %#x or records mass %v for it on machine %d: %w", key, mass, m, ckpt.ErrCorrupt)
+				return c.Fail("tasks: BPPR snapshot repeats pair %#x or records mass %v for it on machine %d", key, mass, m)
 			}
 			e.mass = mass
 		}
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("tasks: BPPR snapshot has %d trailing bytes: %w", len(data), ckpt.ErrCorrupt)
+	if err := c.Done(); err != nil {
+		return err
 	}
 	j.endpoints = tbls
 	return nil

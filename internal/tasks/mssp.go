@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -290,9 +292,8 @@ func (p *msspProg) AppendState(buf []byte) ([]byte, error) {
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *msspProg) LoadState(data []byte) error {
-	data, err := readRows(data, p.dist, len(p.dist), len(p.dist[0]))
-	if err == nil {
-		_, err = readRows(data, [][]int64{p.entries}, len(p.entries))
-	}
-	return err
+	c := rec.NewCursor(data, ckpt.ErrCorrupt)
+	readRows(&c, p.dist, len(p.dist), len(p.dist[0]))
+	readRows(&c, [][]int64{p.entries}, len(p.entries))
+	return c.Done()
 }

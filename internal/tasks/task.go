@@ -16,12 +16,12 @@ import (
 	"path/filepath"
 	"slices"
 
-	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
+	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -205,24 +205,19 @@ func appendRows[T any](buf []byte, rows [][]T, dims ...int) []byte {
 	return buf
 }
 
-// readRows fills rows from an appendRows image written with the same
-// dimensions and returns the bytes after it. An image of other dimensions
-// or too short is an error wrapping ckpt.ErrCorrupt.
-func readRows[T any](data []byte, rows [][]T, dims ...int) ([]byte, error) {
+// readRows fills rows from the appendRows image at c, written with the
+// same dimensions. An image of other dimensions or too short stops c with
+// an error wrapping ckpt.ErrCorrupt.
+func readRows[T any](c *rec.Cursor, rows [][]T, dims ...int) {
 	for _, d := range dims {
-		if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) != d {
-			return nil, fmt.Errorf("tasks: snapshot does not have the program's dimensions %v: %w", dims, ckpt.ErrCorrupt)
+		if int(c.U32()) != d {
+			c.Fail("tasks: snapshot does not have the program's dimensions %v", dims)
 		}
-		data = data[4:]
 	}
 	for _, row := range rows {
-		n, err := binary.Decode(data, binary.LittleEndian, row)
-		if err != nil {
-			return nil, fmt.Errorf("tasks: snapshot: %w: %w", ckpt.ErrCorrupt, err)
-		}
-		data = data[n:]
+		// Decode fails only on the nil Bytes returns once c has stopped.
+		_, _ = binary.Decode(c.Bytes(uint64(binary.Size(row))), binary.LittleEndian, row)
 	}
-	return data, nil
 }
 
 // pairKey packs a (source, vertex) pair into a map key.

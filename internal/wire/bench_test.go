@@ -28,7 +28,7 @@ const benchBatchSize = 4096
 // into a pooled buffer — the sender half of flushOutboxes.
 func BenchmarkDeliverWireEncode(b *testing.B) {
 	batch := benchBatch(benchBatchSize)
-	b.SetBytes(int64(DeliverSize(1, 3, 0, batch)))
+	b.SetBytes(int64(len(EncodeDeliver(nil, 1, 3, 0, batch))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := GetBuf()
@@ -60,7 +60,7 @@ func BenchmarkDeliverWireDecode(b *testing.B) {
 // on the binary codec: encode the batch, decode it on the other side.
 func BenchmarkDeliverWire(b *testing.B) {
 	batch := benchBatch(benchBatchSize)
-	b.SetBytes(int64(DeliverSize(1, 3, 0, batch)))
+	b.SetBytes(int64(len(EncodeDeliver(nil, 1, 3, 0, batch))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := GetBuf()

@@ -31,19 +31,21 @@
 //
 // Every decoder rejects malformed input with an error wrapping ErrCorrupt
 // (version mismatches additionally wrap ErrVersion) and never panics;
-// FuzzWireDecode in this package enforces that. Encoded sizes are pure
-// functions of the encoded values, which is what lets the runtime count
-// exact wire bytes deterministically across replays and crash recovery.
+// FuzzWireDecode in this package enforces that. The canonical varints, the
+// bounds checks and the root of ErrCorrupt are internal/rec's. Encoded
+// sizes are pure functions of the encoded values, which is what lets the
+// runtime count exact wire bytes deterministically across replays and
+// crash recovery.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"vcmt/internal/graph"
+	"vcmt/internal/rec"
 )
 
 // Version is the protocol version stamped into every frame header.
@@ -86,8 +88,9 @@ const MaxFrameBytes = 1 << 27
 const MaxDeliverEnvelopes = 16384
 
 // ErrCorrupt is the sentinel wrapped by every decode error in this
-// package. errors.Is(err, ErrCorrupt) identifies malformed input.
-var ErrCorrupt = errors.New("wire: corrupt frame")
+// package. errors.Is(err, ErrCorrupt) identifies malformed input; it wraps
+// rec.ErrCorrupt.
+var ErrCorrupt = rec.Sentinel("wire: corrupt frame")
 
 // ErrVersion is wrapped by decode errors caused by an unsupported
 // protocol version. It wraps ErrCorrupt, so version errors satisfy both
@@ -112,55 +115,7 @@ type DeliverHeader struct {
 }
 
 // ---------------------------------------------------------------------------
-// Sizes
-
-// uvarintLen returns the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// EnvelopeSize returns the exact encoded size of e in bytes.
-func EnvelopeSize(e Envelope) int {
-	return uvarintLen(uint64(e.Dst)) + uvarintLen(uint64(e.Src)) + 4
-}
-
-// envelopesSize returns the summed encoded size of batch.
-func envelopesSize(batch []Envelope) int {
-	n := 0
-	for _, e := range batch {
-		n += EnvelopeSize(e)
-	}
-	return n
-}
-
-// DeliverSize returns the exact encoded size, header included, of the
-// Deliver frame EncodeDeliver(nil, from, round, tc, batch) would produce.
-func DeliverSize(from, round int, tc TraceContext, batch []Envelope) int {
-	return headerLen + uvarintLen(uint64(from)) + uvarintLen(uint64(round)) +
-		uvarintLen(uint64(tc)) + uvarintLen(uint64(len(batch))) + envelopesSize(batch)
-}
-
-// ---------------------------------------------------------------------------
 // Encoding
-
-// beginFrame appends an 8-byte header with a zero length slot and returns
-// the extended buffer plus the header's offset for endFrame.
-func beginFrame(buf []byte, ftype byte) ([]byte, int) {
-	start := len(buf)
-	buf = append(buf, magic0, magic1, Version, ftype, 0, 0, 0, 0)
-	return buf, start
-}
-
-// endFrame patches the payload length into the header begun at start.
-func endFrame(buf []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(buf[start+4:start+8], uint32(len(buf)-start-headerLen))
-	return buf
-}
 
 func appendEnvelope(buf []byte, e Envelope) []byte {
 	buf = binary.AppendUvarint(buf, uint64(e.Dst))
@@ -171,7 +126,8 @@ func appendEnvelope(buf []byte, e Envelope) []byte {
 // EncodeDeliver appends a Deliver frame for batch to buf and returns the
 // extended buffer. Callers batching into pooled buffers pass *GetBuf().
 func EncodeDeliver(buf []byte, from, round int, tc TraceContext, batch []Envelope) []byte {
-	buf, start := beginFrame(buf, FrameDeliver)
+	start := len(buf)
+	buf = append(buf, magic0, magic1, Version, FrameDeliver, 0, 0, 0, 0) // the length is patched in below
 	buf = binary.AppendUvarint(buf, uint64(from))
 	buf = binary.AppendUvarint(buf, uint64(round))
 	buf = binary.AppendUvarint(buf, uint64(tc))
@@ -179,134 +135,60 @@ func EncodeDeliver(buf []byte, from, round int, tc TraceContext, batch []Envelop
 	for _, e := range batch {
 		buf = appendEnvelope(buf, e)
 	}
-	return endFrame(buf, start)
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-headerLen))
+	return buf
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("wire: "+format+": %w", append(args, ErrCorrupt)...)
-}
-
-// parseFrame validates the header of a complete frame and returns its
-// payload. The input must be exactly one frame: trailing bytes beyond the
-// declared payload length are rejected.
-func parseFrame(frame []byte, wantType byte) ([]byte, error) {
-	if len(frame) < headerLen {
-		return nil, corrupt("truncated header: %d bytes", len(frame))
-	}
-	if frame[0] != magic0 || frame[1] != magic1 {
-		return nil, corrupt("bad magic %#02x%02x", frame[0], frame[1])
-	}
-	if frame[2] != Version {
-		return nil, fmt.Errorf("wire: version %d: %w", frame[2], ErrVersion)
-	}
-	if frame[3] != wantType {
-		return nil, corrupt("frame type %#02x, want %#02x", frame[3], wantType)
-	}
-	plen := binary.LittleEndian.Uint32(frame[4:8])
-	if plen > MaxFrameBytes {
-		return nil, corrupt("payload length %d exceeds limit %d", plen, MaxFrameBytes)
-	}
-	if uint32(len(frame)-headerLen) != plen || len(frame)-headerLen < 0 {
-		return nil, corrupt("payload length %d, have %d bytes", plen, len(frame)-headerLen)
-	}
-	return frame[headerLen:], nil
-}
-
-// uvarint decodes one uvarint from b, returning the value and the rest.
-// Non-minimal encodings (e.g. 0x80 0x00 for zero) are rejected: every
-// value has exactly one valid encoding, so accepted frames are canonical
-// and encoded sizes are pure functions of the values.
-func uvarint(b []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, corrupt("bad %s varint", what)
-	}
-	if n != uvarintLen(v) {
-		return 0, nil, corrupt("non-minimal %s varint", what)
-	}
-	return v, b[n:], nil
-}
-
-// decodeEnvelopes appends count envelopes decoded from b to dst. The
-// caller has already verified count against the remaining byte budget.
-func decodeEnvelopes(b []byte, count int, dst []Envelope) ([]Envelope, []byte, error) {
-	for i := 0; i < count; i++ {
-		var d, s uint64
-		var err error
-		if d, b, err = uvarint(b, "dst"); err != nil {
-			return dst, nil, err
-		}
-		if s, b, err = uvarint(b, "src"); err != nil {
-			return dst, nil, err
-		}
-		if d > math.MaxUint32 || s > math.MaxUint32 {
-			return dst, nil, corrupt("vertex id overflows uint32")
-		}
-		if len(b) < 4 {
-			return dst, nil, corrupt("truncated value")
-		}
-		dst = append(dst, Envelope{
-			Dst: graph.VertexID(d),
-			Src: graph.VertexID(s),
-			Val: math.Float32frombits(binary.LittleEndian.Uint32(b)),
-		})
-		b = b[4:]
-	}
-	return dst, b, nil
-}
-
-// checkCount validates a declared envelope count against the bytes left:
-// each envelope needs at least minEnvelopeBytes, so a count exceeding
-// rest/min is corrupt and must not drive an allocation.
-func checkCount(count uint64, rest int) (int, error) {
-	if count > uint64(rest/minEnvelopeBytes) {
-		return 0, corrupt("envelope count %d exceeds payload capacity %d", count, rest)
-	}
-	return int(count), nil
-}
-
 // DecodeDeliver decodes a Deliver frame, appending its envelopes to dst
-// (pass a pooled slice from GetEnvelopes to avoid allocation). On error
-// dst is returned unchanged — a corrupt frame never applies partially.
+// (pass a pooled slice from GetEnvelopes to avoid allocation). The input
+// must be exactly one frame: trailing bytes beyond the declared payload
+// length are rejected. On error dst is returned unchanged — a corrupt frame
+// never applies partially.
 func DecodeDeliver(frame []byte, dst []Envelope) (DeliverHeader, []Envelope, error) {
-	var h DeliverHeader
-	b, err := parseFrame(frame, FrameDeliver)
-	if err != nil {
-		return h, dst, err
+	c := rec.NewCursor(frame, ErrCorrupt)
+	hdr, plen := c.Bytes(4), c.U32()
+	switch {
+	case c.Err() != nil:
+	case hdr[0] != magic0 || hdr[1] != magic1:
+		c.Fail("bad magic %#02x%02x", hdr[0], hdr[1])
+	case hdr[2] != Version:
+		return DeliverHeader{}, dst, fmt.Errorf("wire: version %d: %w", hdr[2], ErrVersion)
+	case hdr[3] != FrameDeliver:
+		c.Fail("frame type %#02x, want %#02x", hdr[3], FrameDeliver)
+	case plen > MaxFrameBytes:
+		c.Fail("payload length %d exceeds limit %d", plen, MaxFrameBytes)
+	case int(plen) != c.Len():
+		c.Fail("payload length %d, have %d bytes", plen, c.Len())
 	}
-	var from, round, trace, count uint64
-	if from, b, err = uvarint(b, "from"); err != nil {
-		return h, dst, err
-	}
-	if round, b, err = uvarint(b, "round"); err != nil {
-		return h, dst, err
-	}
-	if trace, b, err = uvarint(b, "trace"); err != nil {
-		return h, dst, err
-	}
-	if count, b, err = uvarint(b, "count"); err != nil {
-		return h, dst, err
-	}
+	from, round, trace, count := c.Uvarint(), c.Uvarint(), c.Uvarint(), c.Uvarint()
 	if from > math.MaxInt32 || round > math.MaxInt32 {
-		return h, dst, corrupt("header field overflow")
+		c.Fail("header field overflow")
 	}
-	n, err := checkCount(count, len(b))
-	if err != nil {
-		return h, dst, err
+	// Each envelope needs at least minEnvelopeBytes, so a count exceeding
+	// that share of the payload is corrupt and must not drive an allocation.
+	if count > uint64(c.Len()/minEnvelopeBytes) {
+		c.Fail("envelope count %d exceeds payload capacity %d", count, c.Len())
+	}
+	if err := c.Err(); err != nil {
+		return DeliverHeader{}, dst, err
 	}
 	mark := len(dst)
-	out, b, err := decodeEnvelopes(b, n, dst)
-	if err != nil {
-		return h, dst[:mark], err
+	var ids uint64
+	for range count {
+		d, s := c.Uvarint(), c.Uvarint()
+		ids |= d | s
+		dst = append(dst, Envelope{Dst: graph.VertexID(d), Src: graph.VertexID(s), Val: math.Float32frombits(c.U32())})
 	}
-	if len(b) != 0 {
-		return h, dst[:mark], corrupt("%d trailing bytes", len(b))
+	if ids > math.MaxUint32 {
+		c.Fail("vertex id overflows uint32")
 	}
-	h = DeliverHeader{From: int(from), Round: int(round), Trace: TraceContext(trace), Count: n}
-	return h, out, nil
+	if err := c.Done(); err != nil {
+		return DeliverHeader{}, dst[:mark], err
+	}
+	return DeliverHeader{From: int(from), Round: int(round), Trace: TraceContext(trace), Count: int(count)}, dst, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -47,9 +48,6 @@ func TestDeliverRoundTripProperty(t *testing.T) {
 			tc = TraceContext(rng.Uint64())
 		}
 		frame := EncodeDeliver(nil, from, round, tc, batch)
-		if len(frame) != DeliverSize(from, round, tc, batch) {
-			t.Fatalf("trial %d: frame %d bytes, DeliverSize %d", trial, len(frame), DeliverSize(from, round, tc, batch))
-		}
 		h, got, err := DecodeDeliver(frame, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -149,15 +147,41 @@ func TestDecodeErrorLeavesDstUnchanged(t *testing.T) {
 }
 
 func TestEnvelopeSizeMatchesEncoding(t *testing.T) {
-	for _, e := range []Envelope{
-		{},
-		{Dst: 127, Src: 127, Val: 1},
-		{Dst: 128, Src: 16384, Val: -1},
-		{Dst: math.MaxUint32, Src: math.MaxUint32, Val: float32(math.Inf(1))},
+	for _, c := range []struct {
+		e    Envelope
+		size int
+	}{
+		{Envelope{}, 6},
+		{Envelope{Dst: 127, Src: 127, Val: 1}, 6},
+		{Envelope{Dst: 128, Src: 16384, Val: -1}, 9},
+		{Envelope{Dst: math.MaxUint32, Src: math.MaxUint32, Val: float32(math.Inf(1))}, 14},
 	} {
-		if got, want := len(appendEnvelope(nil, e)), EnvelopeSize(e); got != want {
-			t.Fatalf("envelope %+v: encoded %d bytes, EnvelopeSize %d", e, got, want)
+		if got := len(appendEnvelope(nil, c.e)); got != c.size {
+			t.Fatalf("envelope %+v: encoded %d bytes, want %d", c.e, got, c.size)
 		}
+	}
+}
+
+// TestDeliverBytesPinned holds the Deliver frame to its exact bytes: the
+// header, 1-, 2- and 3-byte varints, a non-zero trace context and the
+// float32 bit patterns.
+func TestDeliverBytesPinned(t *testing.T) {
+	frame := EncodeDeliver(nil, 1, 200, 0x10000, []Envelope{
+		{Dst: 5, Src: 300, Val: 1.5},
+		{Dst: 70000, Src: 0, Val: -2},
+	})
+	want := []byte{
+		'V', 'W', 2, 0x01, 22, 0, 0, 0, // magic, version, type, payload length
+		0x01, 0xc8, 0x01, 0x80, 0x80, 0x04, 0x02, // from 1, round 200, trace 0x10000, count 2
+		0x05, 0xac, 0x02, 0x00, 0x00, 0xc0, 0x3f, // dst 5, src 300, 1.5
+		0xf0, 0xa2, 0x04, 0x00, 0x00, 0x00, 0x00, 0xc0, // dst 70000, src 0, -2
+	}
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("Deliver frame\n got %x\nwant %x", frame, want)
+	}
+	h, got, err := DecodeDeliver(want, nil)
+	if err != nil || h != (DeliverHeader{From: 1, Round: 200, Trace: 0x10000, Count: 2}) || len(got) != 2 {
+		t.Fatalf("decoding the pinned frame: %+v, %d envelopes, %v", h, len(got), err)
 	}
 }
 
