@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 17181
+LOC_MAX := 17449
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
@@ -96,14 +96,16 @@ fault:
 # Checkpoint-overhead benchmark with the regression gate, mirroring the
 # CI fault-recovery job: fails on >50% ns/op regression against the
 # committed BENCH_ckpt.json baseline. The threshold is looser than the
-# wire gate because checkpoint benchmarks go through the filesystem.
+# wire gate because checkpoint benchmarks go through the filesystem, and
+# each size runs 100 iterations: at 2, an 8 MB write's ns/op rested on two
+# samples and the gate failed about half its runs at any commit.
 bench-ckpt:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkCheckpointWrite|BenchmarkCheckpointRecover' 		-pkg ./internal/ckpt -benchtime 2x -out BENCH_ckpt_run.json 		-compare BENCH_ckpt.json -max-regress 0.5
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkCheckpointWrite|BenchmarkCheckpointRecover' 		-pkg ./internal/ckpt -benchtime 100x -out BENCH_ckpt_run.json 		-compare BENCH_ckpt.json -max-regress 0.5
 
 # Refresh the committed checkpoint baseline after a deliberate change;
 # commit the resulting BENCH_ckpt.json alongside the change justifying it.
 bench-ckpt-baseline:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkCheckpointWrite|BenchmarkCheckpointRecover' 		-pkg ./internal/ckpt -benchtime 2x -out BENCH_ckpt.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkCheckpointWrite|BenchmarkCheckpointRecover' 		-pkg ./internal/ckpt -benchtime 100x -out BENCH_ckpt.json
 
 # Wire-codec benchmark with the regression gate, mirroring the CI
 # bench-wire job: fails on >25% ns/op or B/op regression against the

@@ -8,7 +8,8 @@
 // so each runtime defines its own layout without changing the container.
 //
 // Files are written atomically (temp file + rename) and named by superstep;
-// each participant keeps exactly the file it wrote last. The CRC-64
+// each participant keeps exactly the files of its newest snapshot's chain:
+// a base and the deltas after it (see Manager.Cut). The CRC-64
 // trailer guards against torn or corrupted files: a snapshot that fails
 // the checksum is never loaded silently (Decode returns an error), which
 // the fuzz tests in this package enforce. The checksum, the bounds checks
@@ -16,10 +17,12 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,11 +51,38 @@ type Section struct {
 	Data []byte
 }
 
+// ParentSection makes a snapshot a delta of the step it holds (uint64 LE).
+const ParentSection = "parent"
+
 // Snapshot is one checkpoint: the superstep it was cut at plus the
 // runtime-defined sections.
 type Snapshot struct {
 	Step     int
 	Sections []Section
+	Prev     *Snapshot // the snapshot a delta applies to, as Latest loads it
+}
+
+// Parent returns the step s is a delta of, or -1 for a base; a malformed
+// parent section is an error wrapping ErrCorrupt.
+func (s *Snapshot) Parent() (int, error) {
+	for _, sec := range s.Sections {
+		if sec.Name == ParentSection {
+			if len(sec.Data) != 8 || binary.LittleEndian.Uint64(sec.Data) >= uint64(s.Step) {
+				return 0, rec.Errorf(ErrCorrupt, "step %d names no earlier parent", s.Step)
+			}
+			return int(binary.LittleEndian.Uint64(sec.Data)), nil
+		}
+	}
+	return -1, nil
+}
+
+// Len returns the length of s's encoding: what WriteTo writes.
+func (s *Snapshot) Len() int64 {
+	n := int64(len(magic) + 4 + 8 + 4 + rec.TrailerLen)
+	for _, sec := range s.Sections {
+		n += int64(2 + len(sec.Name) + 8 + len(sec.Data))
+	}
+	return n
 }
 
 // Add appends a section.
@@ -142,7 +172,17 @@ type Manager struct {
 	Dir string
 	// Prefix distinguishes this participant's files ("ckpt-" if empty).
 	Prefix string
+
+	chain   []int // the live chain's steps, base first, as Save or Latest left it
+	baseLen int64 // its base's length
 }
+
+// A chain holds at most maxChain snapshots after a base of minDeltaBase
+// bytes or more; a smaller file costs what creating and removing it does.
+const (
+	maxChain     = 16
+	minDeltaBase = 16 << 10
+)
 
 func (m *Manager) prefix() string {
 	if m.Prefix == "" {
@@ -155,13 +195,45 @@ func (m *Manager) path(step int) string {
 	return filepath.Join(m.Dir, fmt.Sprintf("%s%09d%s", m.prefix(), step, FileSuffix))
 }
 
+// Cut saves build(parent): a delta of the live chain's newest step, or a
+// base if parent is -1 — as it is without a live chain, with a full or
+// small one, and on the rebuild of a delta over half the base's size. It
+// reports the bytes written and whether they hold a delta.
+func (m *Manager) Cut(build func(parent int) (*Snapshot, error)) (int64, bool, error) {
+	parent := -1
+	if n := len(m.chain); n > 0 && n < maxChain && m.baseLen >= minDeltaBase {
+		parent = m.chain[n-1]
+	}
+	s, err := build(parent)
+	if err == nil && s.Get(ParentSection) != nil && 2*s.Len() > m.baseLen {
+		s, err = build(-1)
+	}
+	if err != nil {
+		m.chain = nil
+		return 0, false, err
+	}
+	n, err := m.Save(s)
+	return n, s.Get(ParentSection) != nil, err
+}
+
 // Save writes the snapshot atomically through WriteTo (temp file in the
 // same directory, fsync-free rename), removes every other checkpoint of this
-// participant whatever its step, and returns the number of bytes written.
-// Runs restart at step 1, so a higher-step file in a reused directory
-// belongs to an earlier run and must never outlive — or be restored in
-// place of — the file just written.
+// participant but the chain s ends, whatever its step, and every temp file
+// a Save that died left, and returns the number of bytes written. A delta
+// must extend the live chain. Runs restart at step 1 with a base, so a
+// higher-step file in a reused directory belongs to an earlier run and must
+// never outlive — or be restored in place of — the file just written.
 func (m *Manager) Save(s *Snapshot) (int64, error) {
+	chain := m.chain
+	m.chain = nil // until this Save succeeds, the next snapshot is a base
+	switch parent, err := s.Parent(); {
+	case err != nil:
+		return 0, err
+	case parent < 0:
+		chain = nil
+	case len(chain) == 0 || chain[len(chain)-1] != parent:
+		return 0, fmt.Errorf("ckpt: the delta of step %d does not extend the live chain %v", s.Step, chain)
+	}
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return 0, err
 	}
@@ -183,18 +255,26 @@ func (m *Manager) Save(s *Snapshot) (int64, error) {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
+	if len(chain) == 0 {
+		m.baseLen = n
+	}
+	chain = append(chain, s.Step)
 	steps, err := m.steps()
 	if err != nil {
 		return 0, err
 	}
+	tmps, _ := filepath.Glob(filepath.Join(m.Dir, m.prefix()+"tmp-*")) // errs only on a malformed pattern
 	for _, step := range steps {
-		if step == s.Step {
-			continue
+		if !slices.Contains(chain, step) {
+			tmps = append(tmps, m.path(step))
 		}
-		if err := os.Remove(m.path(step)); err != nil {
+	}
+	for _, path := range tmps {
+		if err := os.Remove(path); err != nil {
 			return 0, err
 		}
 	}
+	m.chain = chain
 	return n, nil
 }
 
@@ -225,9 +305,11 @@ func (m *Manager) steps() ([]int, error) {
 }
 
 // Latest loads the highest-step checkpoint — after a Save, the one it
-// wrote — or returns (nil, "", nil) when none exists. A damaged latest
-// checkpoint is an error, not a silent fallback.
+// wrote — or returns (nil, "", nil) when none exists; a delta comes with
+// its chain (via Prev), which the next Cut extends. A damaged checkpoint or
+// a missing link is an error, not a silent fallback.
 func (m *Manager) Latest() (*Snapshot, string, error) {
+	m.chain = nil
 	steps, err := m.steps()
 	if err != nil || len(steps) == 0 {
 		return nil, "", err
@@ -237,5 +319,19 @@ func (m *Manager) Latest() (*Snapshot, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return s, path, nil
+	var chain []int
+	for at := s; ; at = at.Prev {
+		chain = append([]int{at.Step}, chain...)
+		parent, err := at.Parent()
+		if err != nil {
+			return nil, "", fmt.Errorf("%s: %w", path, err)
+		}
+		if parent < 0 {
+			m.chain, m.baseLen = chain, at.Len()
+			return s, path, nil
+		}
+		if at.Prev, err = Load(m.path(parent)); err != nil || at.Prev.Step != parent {
+			return nil, "", fmt.Errorf("%s: link %d: %w (%v)", path, parent, ErrCorrupt, err)
+		}
+	}
 }

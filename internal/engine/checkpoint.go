@@ -6,13 +6,14 @@ import (
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/rec"
+	"vcmt/internal/vcapi"
 )
 
 // CheckpointOptions enables periodic superstep checkpointing. At each
 // barrier whose round number is 1 or a multiple of Interval, the engine
 // snapshots everything the next superstep depends on — buffered outboxes,
 // per-machine RNG streams and program state — into a checksummed ckpt file
-// whose header records the round.
+// whose header records the round, a delta where ckpt.Manager.Cut asks.
 // Combined with an injected fault.Plan, a crashed superstep rolls back to
 // the latest checkpoint and replays forward; the determinism contract
 // (machine-ordered merges, per-machine RNG lanes) makes the replayed run
@@ -75,16 +76,11 @@ func (e *Engine[M]) maybeCheckpoint() error {
 	if e.rounds != 1 && e.rounds%co.Interval != 0 {
 		return nil
 	}
-	snap, err := e.Snapshot()
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint at round %d: %w", e.rounds, err)
-	}
-	bytes, err := e.ckptMgr.Save(snap)
+	bytes, _, err := e.ckptMgr.Cut(e.SnapshotDelta)
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint at round %d: %w", e.rounds, err)
 	}
 	e.lastCkptRounds = e.rounds
-	e.lastCkptBytes = bytes
 	if e.run != nil {
 		e.run.ObserveCheckpoint(e.rounds, bytes)
 		e.ckptSimSeconds = e.run.Seconds()
@@ -106,10 +102,10 @@ func (e *Engine[M]) crashPending() (int, bool) {
 }
 
 // recoverFromCheckpoint reloads the latest checkpoint, prices the recovery
-// (restart + reload + the simulated time of the lost supersteps), and arms
-// silent replay: supersteps up to the pre-crash round re-execute without
-// re-reporting to the sim.Run, so the final report contains every round
-// exactly once — identical to an unfaulted run.
+// (restart + reload of every link of its chain + the simulated time of the
+// lost supersteps), and arms silent replay: supersteps up to the pre-crash
+// round re-execute without re-reporting to the sim.Run, so the final report
+// contains every round exactly once — identical to an unfaulted run.
 func (e *Engine[M]) recoverFromCheckpoint() error {
 	if e.opts.Checkpoint == nil {
 		return fmt.Errorf("engine: crash injected at round %d but checkpointing is not configured", e.rounds+1)
@@ -130,7 +126,11 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 		return fmt.Errorf("engine: recovery: %w", err)
 	}
 	if e.run != nil {
-		e.run.ObserveRecovery(e.rounds, crashRounds-e.rounds, e.lastCkptBytes, lostSeconds)
+		var reload int64
+		for at := snap; at != nil; at = at.Prev {
+			reload += at.Len()
+		}
+		e.run.ObserveRecovery(e.rounds, crashRounds-e.rounds, reload, lostSeconds)
 	}
 	if crashRounds > e.replayTo {
 		e.replayTo = crashRounds
@@ -140,14 +140,19 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 }
 
 // Snapshot captures the barrier state, payloads encoded by the checkpoint
-// Codec, in the outbox, rng and prog sections of a checkpoint whose Step is
-// the round.
+// Codec, in the outbox, rng and prog sections of a base checkpoint whose
+// Step is the round.
 // Everything the next superstep reads is included; per-round scratch
 // (inbox, counters) is empty at a barrier and is not. A machine engine's
 // rows hold its own sends and the messages landed on it, so its snapshot is
 // the full engine's restricted to its machine. The sections are sub-slices
-// of one engine-lifetime buffer, valid until the next Snapshot.
-func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
+// of one engine-lifetime buffer, valid until the next snapshot.
+func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) { return e.SnapshotDelta(-1) }
+
+// SnapshotDelta, a ckpt.Manager.Cut builder, is Snapshot with prog as the
+// program's vcapi.DeltaSnapshotter delta since step parent, the engine's
+// last snapshot or restore, when parent >= 0 and the program makes one.
+func (e *Engine[M]) SnapshotDelta(parent int) (*ckpt.Snapshot, error) {
 	k, codec := e.k, e.opts.Checkpoint.Codec
 
 	// Outbox rows are serialized as the engine holds them, row by row, so
@@ -174,24 +179,37 @@ func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) {
 	}
 	rngEnd := len(buf)
 
-	buf, err := e.prog.(StateSnapshotter).AppendState(buf)
-	if err != nil {
-		return nil, fmt.Errorf("program AppendState: %w", err)
+	var err error
+	if ds, ok := e.prog.(vcapi.DeltaSnapshotter); ok && parent >= 0 {
+		buf, err = ds.AppendDelta(buf)
+	} else {
+		parent = -1
+		buf, err = e.prog.(StateSnapshotter).AppendState(buf)
 	}
-	e.snapBuf = buf
-	return &ckpt.Snapshot{Step: e.rounds, Sections: []ckpt.Section{
+	if err != nil {
+		return nil, fmt.Errorf("program snapshot: %w", err)
+	}
+	progEnd := len(buf)
+	snap := &ckpt.Snapshot{Step: e.rounds, Sections: []ckpt.Section{
 		{Name: secOutbox, Data: buf[:outEnd:outEnd]},
 		{Name: secRNG, Data: buf[outEnd:rngEnd:rngEnd]},
-		{Name: secProg, Data: buf[rngEnd:len(buf):len(buf)]},
-	}}, nil
+		{Name: secProg, Data: buf[rngEnd:progEnd:progEnd]},
+	}}
+	if parent >= 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(parent))
+		snap.Add(ckpt.ParentSection, buf[progEnd:])
+	}
+	e.snapBuf = buf
+	return snap, nil
 }
 
 // Restore rolls every piece of volatile superstep state back to the barrier
-// a Snapshot with the same checkpoint Codec captured. A section that does
-// not fit the engine — missing, truncated, sized for another machine count
-// or addressed to another machine's vertex — is an error wrapping
-// ckpt.ErrCorrupt, as the program's LoadState reports its own; the
-// engine's state is then undefined until the next Reset.
+// a Snapshot or SnapshotDelta with the same checkpoint Codec captured, a
+// delta through the chain ckpt.Manager.Latest links behind it. A section
+// that does not fit the engine — missing, truncated, sized for another
+// machine count or addressed to another machine's vertex — or a broken
+// chain is an error wrapping ckpt.ErrCorrupt, as the program's loads report
+// their own; the engine's state is then undefined until the next Reset.
 func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
 	k, codec := e.k, e.opts.Checkpoint.Codec
 	rng := rec.NewCursor(snap.Get(secRNG), ckpt.ErrCorrupt)
@@ -233,8 +251,26 @@ func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
 		e.rngs[m].SetState(rng.U64())
 	}
 
-	if err := e.prog.(StateSnapshotter).LoadState(snap.Get(secProg)); err != nil {
-		return fmt.Errorf("program LoadState: %w", err)
+	return e.loadProg(snap)
+}
+
+// loadProg restores snap's program state, a delta's on its chain's.
+func (e *Engine[M]) loadProg(snap *ckpt.Snapshot) error {
+	parent, err := snap.Parent()
+	ds, _ := e.prog.(vcapi.DeltaSnapshotter)
+	switch {
+	case err != nil:
+	case parent < 0:
+		err = e.prog.(StateSnapshotter).LoadState(snap.Get(secProg))
+	case snap.Prev == nil || snap.Prev.Step != parent || ds == nil:
+		err = rec.Errorf(ckpt.ErrCorrupt, "a delta without a chain the program loads")
+	default:
+		if err = e.loadProg(snap.Prev); err == nil {
+			err = ds.LoadDelta(snap.Get(secProg))
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("program state of step %d: %w", snap.Step, err)
 	}
 	return nil
 }

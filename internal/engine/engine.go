@@ -202,7 +202,7 @@ type Engine[M any] struct {
 	ooc           oocState[M]
 	oocPartitions int
 
-	// Checkpoint/recovery state. lastCkptRounds/Bytes identify the latest
+	// Checkpoint/recovery state. lastCkptRounds identifies the latest
 	// checkpoint; ckptSimSeconds is the simulated clock right after it was
 	// priced (so a crash knows how much simulated work it loses). replayTo
 	// marks the pre-crash round during silent replay: supersteps up to it
@@ -211,7 +211,6 @@ type Engine[M any] struct {
 	ckptMgr        *ckpt.Manager
 	snapBuf        []byte
 	lastCkptRounds int
-	lastCkptBytes  int64
 	ckptSimSeconds float64
 	replayTo       int
 	recoveries     int
@@ -325,7 +324,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	}
 	e.rounds, e.stopped = 0, false
 	e.oocPartitions = 0
-	e.ckptMgr, e.lastCkptRounds, e.lastCkptBytes, e.ckptSimSeconds = nil, 0, 0, 0
+	e.ckptMgr, e.lastCkptRounds, e.ckptSimSeconds = nil, 0, 0
 	e.replayTo, e.recoveries = 0, 0
 }
 

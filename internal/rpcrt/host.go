@@ -1,6 +1,7 @@
 package rpcrt
 
 import (
+	"encoding/binary"
 	"math"
 
 	"vcmt/internal/ckpt"
@@ -16,8 +17,8 @@ type hosted interface {
 	buffered(d int) int64
 	drain(d int, out []Message) []Message
 	land(from int, batch []Message)
-	collect() []ResultEntry
-	snapshot() (*ckpt.Snapshot, error)
+	collect() []byte
+	snapshot(parent int) (*ckpt.Snapshot, error)
 	restore(snap *ckpt.Snapshot) error
 }
 
@@ -29,10 +30,22 @@ type host[M any] struct {
 	eng    *engine.Engine[M]
 	pack   func(dst graph.VertexID, m M) Message
 	unpack func(Message) M
-	// finish folds the drained batch into the job and reads the worker's
+	// finish folds the drained batch into the job and packs the worker's
 	// share of the output off it; collect calls it once and keeps results.
-	finish  func() []ResultEntry
-	results []ResultEntry
+	finish  func() []byte
+	results []byte
+}
+
+// resultLen is the size of a Collect record, which appendResult writes: a
+// row (a JobSpec.Sources index, or BPPR's source vertex), a vertex and a
+// value (its distance, the worker's BKHS reach count at vertex 0, or the
+// source's walks that stopped there), little-endian uint32, uint32, float64.
+const resultLen = 16
+
+func appendResult(buf []byte, row, v uint32, val float64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, row)
+	buf = binary.LittleEndian.AppendUint32(buf, v)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(val))
 }
 
 // install re-arms the worker's machine engine for M to run prog as the
@@ -41,7 +54,7 @@ type host[M any] struct {
 // that message type. codec is M's checkpoint codec, which Snapshot and
 // Restore read from the engine's options.
 func install[M any](w *Worker, prog vcapi.Program[M], seed uint64, codec engine.Codec[M],
-	pack func(graph.VertexID, M) Message, unpack func(Message) M, finish func() []ResultEntry) *host[M] {
+	pack func(graph.VertexID, M) Message, unpack func(Message) M, finish func() []byte) *host[M] {
 	opts := engine.Options[M]{Seed: tasks.BatchSeed(seed, 0), Checkpoint: &engine.CheckpointOptions[M]{Codec: codec}}
 	for _, h := range w.hosts {
 		if h, ok := h.(*host[M]); ok {
@@ -68,12 +81,12 @@ func hostMSSP(w *Worker, spec JobSpec) (hosted, error) {
 	h = install(w, prog, spec.Seed, tasks.DistCodec{},
 		func(dst graph.VertexID, m tasks.DistMsg) Message { return Message{Dst: dst, Src: m.Src, Val: m.Dist} },
 		func(m Message) tasks.DistMsg { return tasks.DistMsg{Src: m.Src, Dist: m.Val} },
-		func() (out []ResultEntry) {
+		func() (out []byte) {
 			prog.Finish()
 			for i := range spec.Sources {
 				for _, v := range h.eng.Owned(w.id) {
 					if d := job.Distance(i, v); !math.IsInf(d, 1) {
-						out = append(out, ResultEntry{Row: uint32(i), V: v, Val: d})
+						out = appendResult(out, uint32(i), v, d)
 					}
 				}
 			}
@@ -95,10 +108,10 @@ func hostBKHS(w *Worker, spec JobSpec) (hosted, error) {
 			return Message{Dst: dst, Src: m.Src, Val: float32(m.Hop)}
 		},
 		func(m Message) tasks.HopMsg { return tasks.HopMsg{Src: m.Src, Hop: int32(m.Val)} },
-		func() (out []ResultEntry) {
+		func() (out []byte) {
 			prog.Finish()
 			for i := range spec.Sources {
-				out = append(out, ResultEntry{Row: uint32(i), Val: float64(job.Reached(i))})
+				out = appendResult(out, uint32(i), 0, float64(job.Reached(i)))
 			}
 			return out
 		}), nil
@@ -115,10 +128,11 @@ func hostBPPR(w *Worker, spec JobSpec) hosted {
 			return Message{Dst: dst, Src: m.Src, Val: float32(m.Count)}
 		},
 		func(m Message) tasks.WalkMsg { return tasks.WalkMsg{Src: m.Src, Count: int32(m.Val)} },
-		func() (out []ResultEntry) {
+		func() []byte {
 			prog.Finish()
+			out := make([]byte, 0, resultLen*job.EndpointEntries())
 			job.EachEndpoint(w.id, func(src, v graph.VertexID, walks float64) {
-				out = append(out, ResultEntry{Row: src, V: v, Val: walks})
+				out = appendResult(out, src, v, walks)
 			})
 			return out
 		})
@@ -143,7 +157,7 @@ func (h *host[M]) land(from int, batch []Message) {
 	}
 }
 
-func (h *host[M]) collect() []ResultEntry {
+func (h *host[M]) collect() []byte {
 	if h.finish != nil {
 		h.results, h.finish = h.finish(), nil
 	}
@@ -151,7 +165,8 @@ func (h *host[M]) collect() []ResultEntry {
 }
 
 // snapshot is the engine's barrier snapshot: its outbox, rng and prog
-// sections.
-func (h *host[M]) snapshot() (*ckpt.Snapshot, error) { return h.eng.Snapshot() }
+// sections, a delta against step parent when it can be (see
+// engine.SnapshotDelta).
+func (h *host[M]) snapshot(parent int) (*ckpt.Snapshot, error) { return h.eng.SnapshotDelta(parent) }
 
 func (h *host[M]) restore(snap *ckpt.Snapshot) error { return h.eng.Restore(snap) }

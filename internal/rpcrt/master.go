@@ -14,6 +14,7 @@ import (
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
+	"vcmt/internal/rec"
 )
 
 // Cluster is a running set of RPC workers plus the master's connections.
@@ -392,23 +393,28 @@ func (c *Cluster) checkpointAll(round int) (int64, error) {
 	return bytes, nil
 }
 
-// runJob drives the BSP loop: one Step per worker per superstep, the first
-// seeding, until a superstep sends no message. With checkpointing enabled
+// runJob drives the BSP loop — one Step per worker per superstep, the first
+// seeding, until a superstep sends no message — and returns every worker's
+// Collect reply, in worker order. With checkpointing enabled
 // the master cuts a cluster-wide snapshot at the barrier; when a superstep
 // fails it restarts dead workers, rolls every worker back to the latest
 // checkpoint, and silently replays forward — the determinism contract (the
 // engine's delivery order, checkpointed RNG streams) makes the recovered
 // run bit-for-bit identical to an unfaulted one.
-func (c *Cluster) runJob(spec JobSpec) error {
+func (c *Cluster) runJob(spec JobSpec) ([][]byte, error) {
 	c.jobSpan = c.tracer.Begin(0, "job", "rpcrt", 0, 0, obs.L("program", spec.Program))
 	err := c.runJobSteps(spec)
+	var parts [][]byte
+	if err == nil {
+		parts, err = fanOut[[]byte](c, "Worker.Collect", c.jobSpan, noArgs)
+	}
 	if err != nil {
 		c.tracer.End(c.jobSpan, obs.L("error", err.Error()))
 	} else {
 		c.tracer.End(c.jobSpan, obs.L("rounds", strconv.Itoa(c.rounds)))
 	}
 	c.jobSpan = 0
-	return err
+	return parts, err
 }
 
 // runJobSteps is runJob's body; the split keeps the job span balanced
@@ -550,23 +556,30 @@ func (c *Cluster) recoverJob(spec JobSpec, last ckptMeta) (err error) {
 	return nil
 }
 
-// runAndCollect runs the job and gathers every worker's result entries.
-func (c *Cluster) runAndCollect(spec JobSpec) ([]ResultEntry, error) {
-	if err := c.runJob(spec); err != nil {
-		return nil, err
+// eachResult calls fn for every record of the Collect replies parts. A
+// reply of partial records, or a record outside rows × n, is an error
+// wrapping rec.ErrCorrupt; fn has then seen the records before it.
+func eachResult(parts [][]byte, rows, n int, fn func(row, v uint32, val float64)) error {
+	for i, part := range parts {
+		c := rec.NewCursor(part, rec.ErrCorrupt)
+		for c.Len() > 0 {
+			row, v, val := c.U32(), c.U32(), math.Float64frombits(c.U64())
+			if c.Err() == nil && (int64(row) >= int64(rows) || int64(v) >= int64(n)) {
+				c.Fail("record (%d, %d) outside %d rows of %d vertices", row, v, rows, n)
+			}
+			if err := c.Err(); err != nil {
+				return fmt.Errorf("rpcrt: worker %d: %w", i, err)
+			}
+			fn(row, v, val)
+		}
 	}
-	parts, err := fanOut[[]ResultEntry](c, "Worker.Collect", 0, noArgs)
-	var out []ResultEntry
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out, err
+	return nil
 }
 
 // RunMSSP computes shortest-path distances from every source over the RPC
 // cluster. dist[i][v] is +Inf where unreachable.
 func (c *Cluster) RunMSSP(sources []graph.VertexID) ([][]float64, error) {
-	entries, err := c.runAndCollect(JobSpec{Program: "mssp", Sources: sources})
+	parts, err := c.runJob(JobSpec{Program: "mssp", Sources: sources})
 	if err != nil {
 		return nil, err
 	}
@@ -577,8 +590,10 @@ func (c *Cluster) RunMSSP(sources []graph.VertexID) ([][]float64, error) {
 			dist[i][v] = math.Inf(1)
 		}
 	}
-	for _, e := range entries {
-		dist[e.Row][e.V] = e.Val
+	if err := eachResult(parts, len(sources), c.g.NumVertices(), func(row, v uint32, val float64) {
+		dist[row][v] = val
+	}); err != nil {
+		return nil, err
 	}
 	return dist, nil
 }
@@ -593,13 +608,19 @@ func (c *Cluster) RunBPPR(walks int, alpha float64, seed uint64) (map[[2]graph.V
 	if walks < 1 || walks > maxWalks {
 		return nil, fmt.Errorf("rpcrt: BPPR needs 1..%d walks per vertex, got %d", maxWalks, walks)
 	}
-	entries, err := c.runAndCollect(JobSpec{Program: "bppr", Walks: int32(walks), Alpha: alpha, Seed: seed})
+	parts, err := c.runJob(JobSpec{Program: "bppr", Walks: int32(walks), Alpha: alpha, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[[2]graph.VertexID]float64, len(entries))
-	for _, e := range entries {
-		out[[2]graph.VertexID{e.Row, e.V}] = e.Val / float64(walks)
+	records, n := 0, c.g.NumVertices()
+	for _, part := range parts {
+		records += len(part) / resultLen
+	}
+	out := make(map[[2]graph.VertexID]float64, records)
+	if err := eachResult(parts, n, n, func(src, v uint32, walksAt float64) {
+		out[[2]graph.VertexID{src, v}] = walksAt / float64(walks)
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -607,13 +628,15 @@ func (c *Cluster) RunBPPR(walks int, alpha float64, seed uint64) (map[[2]graph.V
 // RunBKHS counts, for every source, the vertices within k hops (excluding
 // the source).
 func (c *Cluster) RunBKHS(sources []graph.VertexID, k int) ([]int64, error) {
-	entries, err := c.runAndCollect(JobSpec{Program: "bkhs", Sources: sources, K: int32(k)})
+	parts, err := c.runJob(JobSpec{Program: "bkhs", Sources: sources, K: int32(k)})
 	if err != nil {
 		return nil, err
 	}
 	counts := make([]int64, len(sources))
-	for _, e := range entries {
-		counts[e.Row] += int64(e.Val)
+	if err := eachResult(parts, len(sources), c.g.NumVertices(), func(row, _ uint32, reached float64) {
+		counts[row] += int64(reached)
+	}); err != nil {
+		return nil, err
 	}
 	return counts, nil
 }

@@ -52,7 +52,7 @@ func (w *Worker) counters() []*int64 {
 	return append(cs, &w.retries, &w.sentBytes, &w.recvBytes, &w.sentFrames, &w.recvFrames)
 }
 
-// ckptManager builds the worker's checkpoint manager: all workers share one
+// ckptManager builds a worker's checkpoint manager: all workers share one
 // directory, isolated by per-worker file prefixes.
 func ckptManager(dir string, id int) *ckpt.Manager {
 	return &ckpt.Manager{Dir: dir, Prefix: fmt.Sprintf("w%d-", id)}
@@ -69,10 +69,11 @@ type CkptArgs struct {
 
 // Checkpoint snapshots the worker's barrier state — its machine engine's
 // snapshot (the rows the next superstep delivers, the RNG streams, the
-// program state) plus the conservation counters — into a checksummed file
-// whose header records the barrier round. It replies with the bytes
-// written. The master calls it at the barrier, when every peer's frames of
-// the superstep have landed.
+// program state, a delta of the job's previous checkpoint where the program
+// makes one) plus the conservation counters — into a checksummed file whose
+// header records the barrier round. It replies with the bytes written. The
+// master calls it at the barrier, when every peer's frames of the superstep
+// have landed.
 func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	if w.dead.Load() {
 		return w.down()
@@ -86,40 +87,48 @@ func (w *Worker) Checkpoint(args CkptArgs, reply *int64) error {
 	// snapshot, so the lock covers the write as well.
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	snap, err := w.prog.snapshot()
-	if err != nil {
-		w.tracer.End(span, obs.L("error", err.Error()))
-		return fmt.Errorf("rpcrt: worker %d snapshot: %w", w.id, err)
-	}
-
 	w.statsMu.Lock()
 	ctr := binary.LittleEndian.AppendUint32(nil, uint32(w.nPeer))
 	for _, c := range w.counters() {
 		ctr = binary.LittleEndian.AppendUint64(ctr, uint64(*c))
 	}
 	w.statsMu.Unlock()
-	snap.Add(wsecCounters, ctr)
 
-	bytes, err := ckptManager(args.Dir, w.id).Save(snap)
+	if w.ckptMgr == nil {
+		w.ckptMgr = ckptManager(args.Dir, w.id)
+	}
+	bytes, delta, err := w.ckptMgr.Cut(func(parent int) (*ckpt.Snapshot, error) {
+		snap, err := w.prog.snapshot(parent)
+		if err == nil {
+			snap.Add(wsecCounters, ctr)
+		}
+		return snap, err
+	})
 	if err != nil {
 		w.tracer.End(span, obs.L("error", err.Error()))
 		return fmt.Errorf("rpcrt: worker %d checkpoint: %w", w.id, err)
 	}
-	w.tracer.End(span, obs.L("bytes", fmt.Sprint(bytes)))
+	kind := "base"
+	if delta {
+		kind = "delta"
+	}
+	w.tracer.End(span, obs.L("kind", kind), obs.L("bytes", fmt.Sprint(bytes)))
 	*reply = bytes
 	return nil
 }
 
 // restore rolls the job StartJob has just installed back to the worker's
-// latest checkpoint in dir: the engine's barrier state and the counters are
-// reloaded, and the worker resumes at the snapshot's barrier superstep.
+// latest checkpoint in dir: the engine's barrier state, through the chain
+// the job's next checkpoint extends, and the counters are reloaded, and the
+// worker resumes at the snapshot's barrier superstep.
 // Recovery restores restarted and surviving workers alike, so whatever the
 // crashed superstep left on a survivor is discarded with the job it
 // belonged to. The caller holds w.mu.
 func (w *Worker) restore(dir string, parent obs.SpanID) error {
 	span := w.tracer.Begin(parent, "restore", "ckpt", workerProc(w.id), workerComputeTrack)
 	defer w.tracer.End(span)
-	snap, _, err := ckptManager(dir, w.id).Latest()
+	mgr := ckptManager(dir, w.id)
+	snap, _, err := mgr.Latest()
 	if err != nil {
 		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, err)
 	}
@@ -140,6 +149,7 @@ func (w *Worker) restore(dir string, parent obs.SpanID) error {
 	if err := w.prog.restore(snap); err != nil {
 		return fmt.Errorf("rpcrt: worker %d restore: %w", w.id, err)
 	}
+	w.ckptMgr = mgr
 	w.stepped = snap.Step
 	return nil
 }

@@ -150,7 +150,7 @@ func TestSequentialJobsOnOneCluster(t *testing.T) {
 func TestUnknownProgramRejected(t *testing.T) {
 	g := graph.GenerateRing(10)
 	c := startTestCluster(t, g, 2)
-	if err := c.runJob(JobSpec{Program: "nope"}); err == nil {
+	if _, err := c.runJob(JobSpec{Program: "nope"}); err == nil {
 		t.Fatal("want error for unknown program")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
@@ -55,16 +56,6 @@ type JobSpec struct {
 	// Seed is the job seed; workers derive the engine's per-machine RNG
 	// streams from it.
 	Seed uint64
-}
-
-// ResultEntry is one unit of program output returned by Collect: Val at
-// (Row, V). Row indexes JobSpec.Sources for mssp (Val = V's distance) and
-// bkhs (Val = the worker's reach count, V unused); for bppr it is the source
-// vertex (Val = its walks that stopped at V).
-type ResultEntry struct {
-	Row uint32
-	V   graph.VertexID
-	Val float64
 }
 
 // Byte counters measure the exact encoded size of the internal/wire
@@ -106,6 +97,8 @@ type Worker struct {
 	hosts []hosted
 	// out is the drain scratch a remote row is converted into for encoding.
 	out []Message
+	// ckptMgr holds the job's live checkpoint chain (nil until one is cut).
+	ckptMgr *ckpt.Manager
 
 	// mu orders landings against the engine's superstep: a peer's frames of
 	// superstep r land only once this worker's own Step r is done
@@ -226,6 +219,7 @@ func (w *Worker) StartJob(args StartJobArgs, _ *struct{}) error {
 	w.stepped = 0
 	w.gen++
 	w.cond.Broadcast()
+	w.ckptMgr = nil
 	var err error
 	switch args.Spec.Program {
 	case "mssp":
@@ -517,8 +511,9 @@ func (w *Worker) Stats(_ struct{}, reply *WorkerStats) error {
 	return nil
 }
 
-// Collect returns the program's output entries for this worker's vertices.
-func (w *Worker) Collect(_ struct{}, reply *[]ResultEntry) error {
+// Collect returns the program's output for this worker's vertices as
+// packed records (see resultLen), which gob moves as one blob.
+func (w *Worker) Collect(_ struct{}, reply *[]byte) error {
 	if w.dead.Load() {
 		return w.down()
 	}

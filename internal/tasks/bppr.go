@@ -210,21 +210,37 @@ func (j *BPPRJob) addEndpoint(machine int, src, v graph.VertexID, mass float64) 
 
 // appendEndpoints appends the per-machine endpoint tables to buf, each as
 // its entry count and its entries in first-insertion order — one scan, no
-// sort. That order is fixed by the run: machine m's Seed and Compute calls
-// alone write table m, in the same order for every worker count and
-// backend, and a restore rebuilds it in file order. It is the checkpointed
-// state of both BPPR variants (the baselines are set at batch start).
-func (j *BPPRJob) appendEndpoints(buf []byte) []byte {
+// sort — and marks them. That order is fixed by the run: machine m's Seed
+// and Compute calls alone write table m, in the same order for every worker
+// count and backend, and a restore rebuilds it in file order. It is the
+// checkpointed state of both BPPR variants (the baselines are set at batch
+// start).
+func (j *BPPRJob) appendEndpoints(buf []byte) []byte { return j.appendTables(buf, false) }
+
+// appendTables is appendEndpoints, or with delta what changed since the
+// tables' last mark: per machine the entry count, the number of changed
+// entries, their positions and masses in first-change order, then the
+// entries since.
+func (j *BPPRJob) appendTables(buf []byte, delta bool) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(j.endpoints)))
 	for m := range j.endpoints {
-		t := &j.endpoints[m]
+		t, from := &j.endpoints[m], 0
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.n))
-		for _, chunk := range t.chunks {
-			for _, e := range chunk {
+		if delta {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.dirty)))
+			for _, pos := range t.dirty {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(pos))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.at(pos).mass))
+			}
+			from = t.saved
+		}
+		for c := from / endpointChunk; c < len(t.chunks); c++ {
+			for _, e := range t.chunks[c][max(from-c*endpointChunk, 0):] {
 				buf = binary.LittleEndian.AppendUint64(buf, e.key)
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.mass))
 			}
 		}
+		t.mark()
 	}
 	return buf
 }
@@ -234,20 +250,40 @@ func (j *BPPRJob) appendEndpoints(buf []byte) []byte {
 // that does not hold exactly the job's machines' tables, repeats a pair or
 // records a mass that is not positive is an error wrapping ckpt.ErrCorrupt,
 // and leaves the tables as they were.
-func (j *BPPRJob) loadEndpoints(data []byte) error {
+func (j *BPPRJob) loadEndpoints(data []byte) error { return j.loadTables(data, false) }
+
+// loadTables is loadEndpoints, or with delta applies an appendTables delta
+// to the tables as of their last mark, listing its changes as the calls
+// that made them did; a delta that also shrinks a table or changes an entry
+// twice or unsaved is corrupt, and leaves the tables undefined.
+func (j *BPPRJob) loadTables(data []byte, delta bool) error {
 	c := rec.NewCursor(data, ckpt.ErrCorrupt)
 	if int(c.U32()) != len(j.endpoints) {
 		return c.Fail("tasks: BPPR snapshot does not hold the job's %d machines", len(j.endpoints))
 	}
-	tbls := make([]endpointTable, len(j.endpoints))
+	tbls := j.endpoints
+	if !delta {
+		tbls = make([]endpointTable, len(j.endpoints))
+	}
 	for m := range tbls {
-		count := c.U64()
-		if count > uint64(c.Len()/16) {
-			return c.Fail("tasks: BPPR snapshot claims %d endpoints for machine %d in %d bytes", count, m, c.Len())
+		t := &tbls[m]
+		count, changed := c.U64(), uint64(0)
+		if delta {
+			changed = c.U64()
 		}
-		for range count {
+		if count < uint64(t.n) || count-uint64(t.n) > uint64(c.Len()/16) || changed > uint64(c.Len()/12) {
+			return c.Fail("tasks: BPPR snapshot claims %d endpoints, %d changed, for machine %d in %d bytes", count, changed, m, c.Len())
+		}
+		for range changed {
+			pos, mass := c.U32(), math.Float64frombits(c.U64())
+			if int(pos) >= t.saved || !t.touch(int32(pos)) || !(mass > 0) {
+				return c.Fail("tasks: BPPR delta changes entry %d of machine %d twice, unsaved or to mass %v", pos, m, mass)
+			}
+			t.at(int32(pos)).mass = mass
+		}
+		for range count - uint64(t.n) {
 			key, mass := c.U64(), math.Float64frombits(c.U64())
-			e, fresh := tbls[m].ref(key)
+			e, fresh := t.ref(key)
 			if !fresh || !(mass > 0) {
 				return c.Fail("tasks: BPPR snapshot repeats pair %#x or records mass %v for it on machine %d", key, mass, m)
 			}
@@ -259,6 +295,14 @@ func (j *BPPRJob) loadEndpoints(data []byte) error {
 	}
 	j.endpoints = tbls
 	return nil
+}
+
+// marked marks the endpoint tables, whatever err a load returned.
+func (j *BPPRJob) marked(err error) error {
+	for m := range j.endpoints {
+		j.endpoints[m].mark()
+	}
+	return err
 }
 
 // exec is the execution half of the config.
@@ -381,7 +425,16 @@ func (b *bpprBatch) StateEntries(machine int) int64 {
 func (b *bpprBatch) AppendState(buf []byte) ([]byte, error) { return b.job.appendEndpoints(buf), nil }
 
 // LoadState implements vcapi.StateSnapshotter.
-func (b *bpprBatch) LoadState(data []byte) error { return b.job.loadEndpoints(data) }
+func (b *bpprBatch) LoadState(data []byte) error { return b.job.marked(b.job.loadEndpoints(data)) }
+
+// AppendDelta implements vcapi.DeltaSnapshotter: the endpoint entries
+// recorded, and those whose mass changed, since the last snapshot or load.
+func (b *bpprBatch) AppendDelta(buf []byte) ([]byte, error) {
+	return b.job.appendTables(buf, true), nil
+}
+
+// LoadDelta implements vcapi.DeltaSnapshotter.
+func (b *bpprBatch) LoadDelta(data []byte) error { return b.job.marked(b.job.loadTables(data, true)) }
 
 // bpprMC is the Pregel-based Monte-Carlo program: each message moves a
 // counted bundle of walks one step (§3, Pregel (BPPR)).

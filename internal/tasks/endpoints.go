@@ -19,6 +19,11 @@ type endpointTable struct {
 	chunks [][]endpoint
 	n      int
 	index  []int32
+	// Since the last mark (none: saved 0), dirty lists, in first-change
+	// order, the saved entries whose mass changed; seen has their bits.
+	saved int
+	dirty []int32
+	seen  []uint64
 }
 
 func (t *endpointTable) at(pos int32) *endpoint {
@@ -56,6 +61,9 @@ func (t *endpointTable) ref(key uint64) (e *endpoint, fresh bool) {
 	}
 	i := t.slot(key)
 	if p := t.index[i]; p != 0 {
+		if int(p) <= t.saved {
+			t.touch(p - 1)
+		}
 		return t.at(p - 1), false
 	}
 	if c := t.n / endpointChunk; c == len(t.chunks) {
@@ -65,4 +73,27 @@ func (t *endpointTable) ref(key uint64) (e *endpoint, fresh bool) {
 	t.n++
 	t.index[i] = int32(t.n)
 	return t.at(int32(t.n - 1)), true
+}
+
+// touch lists entry pos, which the last mark saved, as changed, and reports
+// whether it was not listed yet.
+func (t *endpointTable) touch(pos int32) bool {
+	w, bit := pos/64, uint64(1)<<(pos%64)
+	if t.seen[w]&bit != 0 {
+		return false
+	}
+	t.seen[w] |= bit
+	t.dirty = append(t.dirty, pos)
+	return true
+}
+
+// mark makes the current entries the saved ones, none changed.
+func (t *endpointTable) mark() {
+	for _, pos := range t.dirty {
+		t.seen[pos/64] = 0
+	}
+	t.dirty, t.saved = t.dirty[:0], t.n
+	if w := (t.n + 63) / 64; w > len(t.seen) {
+		t.seen = make([]uint64, max(w, 2*len(t.seen)))
+	}
 }

@@ -77,3 +77,13 @@ type StateSnapshotter interface {
 	AppendState(buf []byte) ([]byte, error)
 	LoadState(data []byte) error
 }
+
+// DeltaSnapshotter is an optional StateSnapshotter extension: AppendDelta
+// appends what changed since the last of the four calls, each of which
+// starts the next delta afresh, and LoadDelta applies such an image on top
+// of the state the last load restored (undefined after a failed one).
+type DeltaSnapshotter interface {
+	StateSnapshotter
+	AppendDelta(buf []byte) ([]byte, error)
+	LoadDelta(data []byte) error
+}
