@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint loc loc-check bench bench-e2e bench-e2e-compare bench-ab bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
+.PHONY: build vet test race lint loc loc-check bench-e2e bench-e2e-compare bench-ab bench-engine bench-engine-baseline bench-workers fault bench-ckpt bench-ckpt-baseline bench-wire bench-wire-baseline bench-ooc bench-ooc-baseline bench-graph bench-graph-baseline smoke-adaptive serve-smoke ooc-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 17449
+LOC_MAX := 17345
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
@@ -39,9 +39,6 @@ test:
 # per-package timeout under the race detector's ~10x slowdown.
 race:
 	$(GO) test -race -short -timeout 20m ./...
-
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): all five
 # workloads, untraced and traced, ~3.5 min; results.json and the traces land

@@ -70,6 +70,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := tasks.Validate(*taskName, *workload, 1, 2); err != nil {
+		return err
+	}
+	if *machines < 1 {
+		return fmt.Errorf("machines must be >= 1, got %d", *machines)
+	}
 
 	d, err := graph.Dataset(*datasetName)
 	if err != nil {

@@ -74,3 +74,24 @@ func TestRunRejectsUnknownTask(t *testing.T) {
 		t.Fatal("want error for unknown task")
 	}
 }
+
+// TestRunRejectsInvalidJobs: a job that cannot be scheduled is an error
+// returned by run before training, never a panic and never a printed
+// schedule.
+func TestRunRejectsInvalidJobs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "0", "-evaluate"},
+		{"-workload", "-5", "-evaluate"},
+		{"-machines", "0"},
+		{"-machines", "-2"},
+		{"-task", "PageRank"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: want an error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed a result:\n%s", args, out.String())
+		}
+	}
+}

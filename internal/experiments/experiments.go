@@ -38,7 +38,7 @@ const (
 type Options struct {
 	// Fast divides replica workloads by 4 (with sane floors); statistics
 	// are re-extrapolated so results stay at paper scale, only noisier.
-	// Used by the Go benchmarks to keep iterations quick.
+	// Used by vcbench -fast and the shape tests to keep runs quick.
 	Fast bool
 	// Seed drives all randomness.
 	Seed uint64

@@ -17,6 +17,7 @@ import (
 // cluster's aggregate cores and memory, local-only traffic and no
 // synchronization across machines, but costs more per hour.
 type ScaleUpResult struct {
+	PaperW          int
 	ClusterSeconds  float64
 	ClusterOverload bool
 	StrongSeconds   float64
@@ -64,6 +65,7 @@ func ScaleUpVsScaleOut(o Options, paperW int) (ScaleUpResult, error) {
 		return ScaleUpResult{}, err
 	}
 	return ScaleUpResult{
+		PaperW:          paperW,
 		ClusterSeconds:  clusterRes.Seconds,
 		ClusterOverload: clusterRes.Overload,
 		StrongSeconds:   strongRes.Seconds,
@@ -86,17 +88,7 @@ type AblationResult struct {
 // broadcast-interface BPPR run with and without mirrors, measuring the
 // wire-byte reduction from per-mirror-machine transmission.
 func AblationMirroring(o Options) (AblationResult, error) {
-	base := setting{
-		dataset: "DBLP", cluster: sim.Galaxy8, machines: 8,
-		system: sim.PregelPlus, task: BPPR, paperW: 160, seed: o.seed(),
-	}
-	// Force the broadcast implementation on the non-mirrored system too, so
-	// the only difference is wire-level mirroring.
-	noMirror := base.system
-	variant := base
-	variant.system = sim.PregelPlusMirror
-
-	d, err := graph.Dataset(base.dataset)
+	d, err := graph.Dataset("DBLP")
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -106,6 +98,8 @@ func AblationMirroring(o Options) (AblationResult, error) {
 	if o.Fast {
 		w = 40
 	}
+	// Force the broadcast implementation on the non-mirrored system too, so
+	// the only difference is wire-level mirroring.
 	runOne := func(sys sim.SystemProfile) (sim.JobResult, error) {
 		job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
 			WalksPerNode: w, Mirror: true, Seed: o.seed(),
@@ -117,20 +111,25 @@ func AblationMirroring(o Options) (AblationResult, error) {
 		}
 		return batch.Run(job, cfg, batch.Equal(w, 2), nil)
 	}
-	b, err := runOne(noMirror)
+	b, err := runOne(sim.PregelPlus)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	v, err := runOne(variant.system)
+	v, err := runOne(sim.PregelPlusMirror)
 	if err != nil {
 		return AblationResult{}, err
 	}
+	return ablation("mirroring", b, v), nil
+}
+
+// ablation pairs a baseline run against its variant.
+func ablation(name string, b, v sim.JobResult) AblationResult {
 	return AblationResult{
-		Name:            "mirroring",
+		Name:            name,
 		BaselineSeconds: b.Seconds, VariantSeconds: v.Seconds,
 		BaselineWireGB: b.WireBytesTotal / (1 << 30), VariantWireGB: v.WireBytesTotal / (1 << 30),
 		BaselineOverload: b.Overload, VariantOverload: v.Overload,
-	}, nil
+	}
 }
 
 // AblationCombining isolates message combining (GraphLab sync vs a
@@ -174,12 +173,7 @@ func systemPairAblation(o Options, name string, baseline, variant sim.SystemProf
 	if err != nil {
 		return AblationResult{}, err
 	}
-	return AblationResult{
-		Name:            name,
-		BaselineSeconds: b.Seconds, VariantSeconds: v.Seconds,
-		BaselineWireGB: b.WireBytesTotal / (1 << 30), VariantWireGB: v.WireBytesTotal / (1 << 30),
-		BaselineOverload: b.Overload, VariantOverload: v.Overload,
-	}, nil
+	return ablation(name, b, v), nil
 }
 
 // AblationUnequalBatching compares the best unequal two-batch split against
@@ -213,12 +207,7 @@ func AblationUnequalBatching(o Options) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	return AblationResult{
-		Name:            "unequal-batching",
-		BaselineSeconds: equal.Seconds, VariantSeconds: unequal.Seconds,
-		BaselineWireGB: equal.WireBytesTotal / (1 << 30), VariantWireGB: unequal.WireBytesTotal / (1 << 30),
-		BaselineOverload: equal.Overload, VariantOverload: unequal.Overload,
-	}, nil
+	return ablation("unequal-batching", equal, unequal), nil
 }
 
 // FinerBatches sweeps every batch count 1..16 (not just the doubling

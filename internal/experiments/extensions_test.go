@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestScaleUpVsScaleOut(t *testing.T) {
 	// At a workload that overloads the 8x16GB cluster at Full-Parallelism,
@@ -131,5 +134,30 @@ func TestFigure11Correlations(t *testing.T) {
 	}
 	if !last.DiskBound {
 		t.Fatal("heaviest workload must be disk-bound on the out-of-core system")
+	}
+}
+
+func TestWriteScaleUpAndAblationsRender(t *testing.T) {
+	var sb strings.Builder
+	WriteScaleUp(&sb, ScaleUpResult{PaperW: 12288, ClusterOverload: true, ClusterSeconds: 7000, StrongSeconds: 3608.4})
+	WriteAblations(&sb, []AblationResult{{
+		Name: "mirroring", BaselineSeconds: 217.2, VariantSeconds: 92.6,
+		BaselineWireGB: 46.554, VariantWireGB: 7.06,
+	}, {
+		Name: "out-of-core", BaselineOverload: true, VariantSeconds: 4925,
+	}})
+	want := `== Scale-up vs scale-out: BPPR 12288 at Full-Parallelism (DBLP, Pregel+) ==
+setup                                      time
+Galaxy-8 (8 machines)                      overload
+Strong-1 (1 machine, 8x memory and cores)  3608s
+
+== Ablations: design choice off (baseline) vs on (variant) (BPPR, DBLP, Galaxy-8) ==
+ablation     baseline  variant  baseline-wire  variant-wire
+mirroring    217s      93s      46.55GB        7.06GB
+out-of-core  overload  4925s    0.00GB         0.00GB
+
+`
+	if sb.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }

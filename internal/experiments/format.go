@@ -19,6 +19,14 @@ func timeCell(r Row) string {
 	return fmt.Sprintf("%.1fs", r.Result.Seconds)
 }
 
+// secCell renders whole seconds, or "overload" past the cutoff.
+func secCell(sec float64, overload bool) string {
+	if overload {
+		return "overload"
+	}
+	return fmt.Sprintf("%.0fs", sec)
+}
+
 // WriteFigure renders a figure as an aligned text table, one series per
 // row, one batch setting per column, with the best batch starred (the
 // paper's yellow arrows).
@@ -108,17 +116,13 @@ func WriteTable3(w io.Writer, rows3 []Table3Row) {
 		if r.MaxDiskUtil > 1 {
 			util = ">100%"
 		}
-		total := fmt.Sprintf("%.0fs", r.TotalSec)
-		if r.Overload {
-			total = "overload"
-		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", r.Batches),
 			fmt.Sprintf("%.0fs", r.NetOveruseSec),
 			fmt.Sprintf("%.0fs", r.IOOveruseSec),
 			util,
 			fmt.Sprintf("%.0f", r.IOQueueLen),
-			total,
+			secCell(r.TotalSec, r.Overload),
 		})
 	}
 	writeAligned(w, rows)
@@ -156,13 +160,9 @@ func WriteFigure9(w io.Writer, panels map[string][]Figure9Point) {
 		fmt.Fprintf(w, "(%s)\n", name)
 		rows := [][]string{{"Δ=W1-W2", "two-batch", "1st alone", "2nd alone"}}
 		for _, p := range pts {
-			comb := fmt.Sprintf("%.0fs", p.CombinedSec)
-			if p.Overload {
-				comb = "overload"
-			}
 			rows = append(rows, []string{
 				fmt.Sprintf("%d", p.Delta),
-				comb,
+				secCell(p.CombinedSec, p.Overload),
 				fmt.Sprintf("%.0fs", p.FirstAlone),
 				fmt.Sprintf("%.0fs", p.SecondAlone),
 			})
@@ -179,13 +179,9 @@ func WriteFigure12(w io.Writer, panels []Figure12Panel) {
 		fmt.Fprintf(w, "(%s, %d machines)\n", p.Task, p.Machines)
 		rows := [][]string{{"workload", "Full-Parallelism", "Optimized", "schedule"}}
 		for _, pt := range p.Points {
-			full := fmt.Sprintf("%.0fs", pt.FullSec)
-			if pt.FullOverload {
-				full = "overload"
-			}
 			rows = append(rows, []string{
 				fmt.Sprintf("%d", pt.PaperW),
-				full,
+				secCell(pt.FullSec, pt.FullOverload),
 				fmt.Sprintf("%.0fs", pt.OptimizedSec),
 				fmt.Sprintf("%v", []int(pt.Schedule)),
 			})
@@ -200,20 +196,9 @@ func WriteFigureAdaptive(w io.Writer, points []AdaptivePoint) {
 	fmt.Fprintln(w, "== Figure A: static vs adaptive §5 tuning under mispriced training (BPPR, DBLP, 4 machines) ==")
 	rows := [][]string{{"bias", "pressure", "workload", "static", "adaptive", "oracle", "replans", "max-err", "schedule"}}
 	for _, p := range points {
-		static := fmt.Sprintf("%.0fs", p.Static.Seconds)
-		if p.Static.Overload {
-			static = "overload"
-		}
+		static := secCell(p.Static.Seconds, p.Static.Overload)
 		if p.StaticDegraded {
 			static += " (degraded)"
-		}
-		adaptive := fmt.Sprintf("%.0fs", p.AdaptiveSec)
-		if p.AdaptiveOverload {
-			adaptive = "overload"
-		}
-		oracle := fmt.Sprintf("%.0fs", p.OracleSec)
-		if p.OracleOverload {
-			oracle = "overload"
 		}
 		sched := fmt.Sprintf("%d batches", len(p.StaticSchedule))
 		if n := len(p.StaticSchedule); n > 0 && n <= 6 {
@@ -224,11 +209,40 @@ func WriteFigureAdaptive(w io.Writer, points []AdaptivePoint) {
 			fmt.Sprintf("%.1f", p.Pressure),
 			fmt.Sprintf("%d", p.Workload),
 			static,
-			fmt.Sprintf("%s (%d batches)", adaptive, p.AdaptiveBatches),
-			oracle,
+			fmt.Sprintf("%s (%d batches)", secCell(p.AdaptiveSec, p.AdaptiveOverload), p.AdaptiveBatches),
+			secCell(p.OracleSec, p.OracleOverload),
 			fmt.Sprintf("%d", p.Replans),
 			fmt.Sprintf("%.2f", p.MaxRelError),
 			sched,
+		})
+	}
+	writeAligned(w, rows)
+	fmt.Fprintln(w)
+}
+
+// WriteScaleUp renders the scale-up vs scale-out comparison (§4.9).
+func WriteScaleUp(w io.Writer, r ScaleUpResult) {
+	fmt.Fprintf(w, "== Scale-up vs scale-out: BPPR %d at Full-Parallelism (DBLP, Pregel+) ==\n", r.PaperW)
+	writeAligned(w, [][]string{
+		{"setup", "time"},
+		{"Galaxy-8 (8 machines)", secCell(r.ClusterSeconds, r.ClusterOverload)},
+		{"Strong-1 (1 machine, 8x memory and cores)", secCell(r.StrongSeconds, r.StrongOverload)},
+	})
+	fmt.Fprintln(w)
+}
+
+// WriteAblations renders the ablations, one row each: the same workload
+// with the design choice off (baseline) and on (variant).
+func WriteAblations(w io.Writer, results []AblationResult) {
+	fmt.Fprintln(w, "== Ablations: design choice off (baseline) vs on (variant) (BPPR, DBLP, Galaxy-8) ==")
+	rows := [][]string{{"ablation", "baseline", "variant", "baseline-wire", "variant-wire"}}
+	for _, r := range results {
+		rows = append(rows, []string{
+			r.Name,
+			secCell(r.BaselineSeconds, r.BaselineOverload),
+			secCell(r.VariantSeconds, r.VariantOverload),
+			fmt.Sprintf("%.2fGB", r.BaselineWireGB),
+			fmt.Sprintf("%.2fGB", r.VariantWireGB),
 		})
 	}
 	writeAligned(w, rows)
