@@ -16,10 +16,9 @@
 // -trace-out a Chrome trace-event JSON span file (load it in Perfetto:
 // run → batch → superstep → per-machine phase spans, with checkpoint,
 // crash and recovery spans when faults are injected), and -debug-addr
-// serves /metrics (Prometheus text), /metrics.json, /debug/trace and
-// /debug/pprof while the job runs. Report, events and traces carry only
-// simulated time, so identical seeded invocations produce byte-identical
-// files.
+// serves /metrics.json, /debug/trace and /debug/pprof while the job runs.
+// Report, events and traces carry only simulated time, so identical seeded
+// invocations produce byte-identical files.
 package main
 
 import (
@@ -74,7 +73,7 @@ func run(args []string, w io.Writer) error {
 		reportPath  = fs.String("report", "", "write a JSON run report to this file")
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto)")
 		eventsPath  = fs.String("events", "", "write a JSONL event log to this file")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /metrics.json and pprof on this address (e.g. :6060)")
+		debugAddr   = fs.String("debug-addr", "", "serve /metrics.json, /debug/trace and pprof on this address (e.g. :6060)")
 		ckptDir     = fs.String("checkpoint-dir", "", "enable superstep checkpointing into this directory")
 		ckptIval    = fs.Int("checkpoint-interval", 0, "checkpoint every N supersteps (0 = engine default)")
 		faultSpec   = fs.String("fault-plan", "", `deterministic fault plan, e.g. "crash:worker=1,step=5" (see internal/fault; crashes need -checkpoint-dir)`)
@@ -180,14 +179,14 @@ func run(args []string, w io.Writer) error {
 	collector := obs.NewCollector(copts)
 	cfg.Observer = collector
 	if *debugAddr != "" {
-		srv, err := obs.StartDebugServerWith(*debugAddr, obs.DebugOptions{
+		srv, err := obs.StartDebugServer(*debugAddr, obs.DebugOptions{
 			Registry: collector.Registry(), Tracer: tracer,
 		})
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		log.Printf("debug server on http://%s (/metrics, /metrics.json, /debug/pprof)", srv.Addr())
+		log.Printf("debug server on http://%s (/metrics.json, /debug/trace, /debug/pprof)", srv.Addr())
 	}
 
 	res, err := batch.Run(job, cfg, batch.Equal(job.TotalWorkload(), *batches), nil)

@@ -261,20 +261,3 @@ func (m *Model) Refit(seed uint64) error {
 	m.Mem, m.Resid = mem, resid
 	return nil
 }
-
-// MaxWorkloadBinarySearch implements the paper's trial-and-error practical
-// guideline (§4.10): binary-search the largest workload in [1, hi] that
-// the probe accepts (probe returns true when the workload does not
-// overload the system). It returns 0 when even workload 1 overloads.
-func MaxWorkloadBinarySearch(probe func(w int) bool, hi int) int {
-	lo := 0
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if probe(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}

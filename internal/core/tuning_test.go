@@ -319,16 +319,3 @@ func TestMeasureBatchReportsResiduals(t *testing.T) {
 		t.Fatalf("bad point %+v", pt)
 	}
 }
-
-func TestMaxWorkloadBinarySearch(t *testing.T) {
-	probe := func(w int) bool { return w <= 37 }
-	if got := MaxWorkloadBinarySearch(probe, 1000); got != 37 {
-		t.Fatalf("got %d want 37", got)
-	}
-	if got := MaxWorkloadBinarySearch(func(int) bool { return false }, 100); got != 0 {
-		t.Fatalf("got %d want 0", got)
-	}
-	if got := MaxWorkloadBinarySearch(func(int) bool { return true }, 100); got != 100 {
-		t.Fatalf("got %d want 100", got)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -40,11 +39,6 @@ func (d DatasetSpec) ScaleNodes() float64 {
 // 8 B per arc (id + metadata), split evenly.
 func (d DatasetSpec) PaperBytesPerMachine(machines int) float64 {
 	return (float64(d.PaperNodes)*16 + float64(d.PaperEdges)*8) / float64(machines)
-}
-
-// ScaleEdges returns the edge-count ratio paper/replica.
-func (d DatasetSpec) ScaleEdges() float64 {
-	return float64(d.PaperEdges) / float64(d.Edges)
 }
 
 // datasetTable enumerates the six datasets of Table 1. Small graphs are
@@ -163,22 +157,4 @@ func MustLoad(name string) *Graph {
 		panic(err)
 	}
 	return d.Load()
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs, used to sanity
-// check the replicas' heavy tails.
-func DegreeHistogram(g *Graph) (degrees []int, counts []int) {
-	hist := map[int]int{}
-	for v := 0; v < g.NumVertices(); v++ {
-		hist[g.Degree(VertexID(v))]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }

@@ -76,37 +76,6 @@ func GenerateChungLu(n int, m int64, gamma float64, seed uint64) *Graph {
 	return b2.Build()
 }
 
-// GenerateRMAT builds a directed RMAT graph (Kronecker-style recursive
-// quadrant sampling) with 2^scale vertices and m arcs. Parameters (a,b,c)
-// follow the Graph500 convention; d = 1-a-b-c.
-func GenerateRMAT(scale int, m int64, a, b, c float64, seed uint64) *Graph {
-	n := 1 << scale
-	rng := randx.New(seed)
-	bd := NewBuilder(n, false)
-	for i := int64(0); i < m; i++ {
-		var u, v int
-		for level := 0; level < scale; level++ {
-			x := rng.Float64()
-			switch {
-			case x < a:
-				// top-left quadrant
-			case x < a+b:
-				v |= 1 << level
-			case x < a+b+c:
-				u |= 1 << level
-			default:
-				u |= 1 << level
-				v |= 1 << level
-			}
-		}
-		if u == v {
-			continue
-		}
-		bd.AddUndirectedEdge(VertexID(u), VertexID(v))
-	}
-	return bd.Build()
-}
-
 // GenerateUniform builds an Erdős–Rényi-style undirected graph with n
 // vertices and approximately m undirected edges.
 func GenerateUniform(n int, m int64, seed uint64) *Graph {

@@ -139,9 +139,6 @@ func (b *Builder) AddUndirectedWeightedEdge(u, v VertexID, w float32) {
 	b.AddWeightedEdge(v, u, w)
 }
 
-// NumEdgesAdded returns the number of arcs accumulated so far.
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build sorts, deduplicates and freezes the accumulated edges into a CSR
 // graph. Duplicate (from, to) arcs are collapsed keeping the smallest
 // weight (NaN sorts lowest), and self-loops are dropped (no benchmark task

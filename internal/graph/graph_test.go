@@ -172,16 +172,6 @@ func TestGenerateChungLuDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateRMAT(t *testing.T) {
-	g := GenerateRMAT(10, 5000, 0.57, 0.19, 0.19, 9)
-	if g.NumVertices() != 1024 {
-		t.Fatalf("n=%d want 1024", g.NumVertices())
-	}
-	if g.NumEdges() == 0 {
-		t.Fatal("no edges generated")
-	}
-}
-
 func TestGenerateUniform(t *testing.T) {
 	g := GenerateUniform(100, 500, 3)
 	if g.NumVertices() != 100 {
@@ -260,18 +250,6 @@ func TestRangePartition(t *testing.T) {
 	}
 }
 
-func TestReplicatedPartition(t *testing.T) {
-	p := ReplicatedPartition(100, 4)
-	if p.NumMachines() != 4 {
-		t.Fatalf("machines=%d", p.NumMachines())
-	}
-	for v := 0; v < 100; v++ {
-		if p.Owner(VertexID(v)) != 0 {
-			t.Fatal("replicated partition must own everything on machine 0")
-		}
-	}
-}
-
 func TestPartitionPanicsOnZeroMachines(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -291,7 +269,7 @@ func TestDatasetRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.ScaleNodes() < 1 || d.ScaleEdges() < 1 {
+		if d.ScaleNodes() < 1 || d.PaperEdges < d.Edges {
 			t.Fatalf("%s: scale factors must be >= 1", name)
 		}
 		// Replica preserves average degree within 20%.
@@ -495,80 +473,6 @@ func TestPropertyNeighborsSorted(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := GenerateStar(10)
-	degrees, counts := DegreeHistogram(g)
-	if len(degrees) != 2 {
-		t.Fatalf("star should have 2 distinct degrees, got %v", degrees)
-	}
-	if degrees[0] != 1 || counts[0] != 9 || degrees[1] != 9 || counts[1] != 1 {
-		t.Fatalf("unexpected histogram %v %v", degrees, counts)
-	}
-}
-
-func TestGenerateBarabasiAlbert(t *testing.T) {
-	g := GenerateBarabasiAlbert(2000, 3, 7)
-	if g.NumVertices() != 2000 {
-		t.Fatalf("n=%d", g.NumVertices())
-	}
-	// ~m edges per arriving vertex (plus the seed clique), both directions.
-	if g.NumEdges() < 2*3*1900 {
-		t.Fatalf("arcs=%d", g.NumEdges())
-	}
-	for v := 0; v < 2000; v++ {
-		if g.Degree(VertexID(v)) == 0 {
-			t.Fatalf("vertex %d isolated", v)
-		}
-	}
-	// Preferential attachment: strong hub formation.
-	if float64(g.MaxDegree()) < 8*g.AvgDegree() {
-		t.Fatalf("no hubs: max=%d avg=%.1f", g.MaxDegree(), g.AvgDegree())
-	}
-}
-
-func TestGenerateBarabasiAlbertDeterministic(t *testing.T) {
-	a := GenerateBarabasiAlbert(300, 2, 5)
-	b := GenerateBarabasiAlbert(300, 2, 5)
-	assertGraphsEqual(t, a, b)
-}
-
-func TestGenerateBarabasiAlbertPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for m=0")
-		}
-	}()
-	GenerateBarabasiAlbert(10, 0, 1)
-}
-
-func TestGenerateWattsStrogatz(t *testing.T) {
-	g := GenerateWattsStrogatz(1000, 6, 0.1, 9)
-	if g.NumVertices() != 1000 {
-		t.Fatalf("n=%d", g.NumVertices())
-	}
-	// Average degree ≈ k (rewiring preserves edge count up to collapsed
-	// duplicates).
-	if g.AvgDegree() < 5 || g.AvgDegree() > 6.5 {
-		t.Fatalf("avg degree %.1f want ~6", g.AvgDegree())
-	}
-	// No rewiring: a pure ring lattice with degree exactly k.
-	lattice := GenerateWattsStrogatz(100, 4, 0, 1)
-	for v := 0; v < 100; v++ {
-		if lattice.Degree(VertexID(v)) != 4 {
-			t.Fatalf("lattice degree(%d)=%d", v, lattice.Degree(VertexID(v)))
-		}
-	}
-}
-
-func TestGenerateWattsStrogatzPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for odd k")
-		}
-	}()
-	GenerateWattsStrogatz(100, 3, 0.1, 1)
-}
-
 func TestMustLoadAndWeightsAccessors(t *testing.T) {
 	g := MustLoad("Web-St")
 	if g.NumVertices() == 0 {
@@ -589,11 +493,11 @@ func TestMustLoadAndWeightsAccessors(t *testing.T) {
 	MustLoad("nope")
 }
 
-func TestBuilderNumEdgesAdded(t *testing.T) {
+func TestBuilderAddUndirectedEdge(t *testing.T) {
 	b := NewBuilder(3, false)
 	b.AddUndirectedEdge(0, 1)
-	if b.NumEdgesAdded() != 2 {
-		t.Fatalf("NumEdgesAdded=%d want 2", b.NumEdgesAdded())
+	if n := b.Build().NumEdges(); n != 2 {
+		t.Fatalf("NumEdges=%d want 2", n)
 	}
 }
 

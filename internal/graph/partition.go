@@ -60,13 +60,3 @@ func RangePartition(n, k int) *Partition {
 	}
 	return p
 }
-
-// ReplicatedPartition models the paper's "whole graph access mode"
-// (§4.9, Fig. 10): every machine holds the entire graph and the workload,
-// not the vertex set, is split. Owner always returns 0; engines treat a
-// replicated partition specially.
-func ReplicatedPartition(n, k int) *Partition {
-	p := &Partition{machines: k, owner: func(VertexID) int { return 0 }, counts: make([]int, k)}
-	p.counts[0] = n
-	return p
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,8 +10,7 @@ import (
 
 // DebugServer serves live run telemetry over HTTP:
 //
-//	/metrics       — the registry in Prometheus text exposition format
-//	/metrics.json  — the registry snapshot as JSON
+//	/metrics.json  — the registry snapshot as JSON (Registry.WriteJSON)
 //	/debug/trace   — completed spans as Chrome trace-event JSON (if a
 //	                 tracer is attached)
 //	/debug/pprof/  — the standard pprof handlers
@@ -33,29 +31,17 @@ type DebugOptions struct {
 }
 
 // StartDebugServer binds addr (e.g. ":6060" or "127.0.0.1:0") and serves
-// the registry in a background goroutine until Close.
-func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	return StartDebugServerWith(addr, DebugOptions{Registry: reg})
-}
-
-// StartDebugServerWith is StartDebugServer plus the optional trace
-// endpoint.
-func StartDebugServerWith(addr string, opts DebugOptions) (*DebugServer, error) {
+// opts in a background goroutine until Close.
+func StartDebugServer(addr string, opts DebugOptions) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
 	}
 	reg := opts.Registry
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, reg) //nolint:errcheck // best-effort over HTTP
-	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(reg.Snapshot()) //nolint:errcheck // best-effort over HTTP
+		reg.WriteJSON(w) //nolint:errcheck // best-effort over HTTP
 	})
 	if opts.Tracer != nil {
 		tr := opts.Tracer

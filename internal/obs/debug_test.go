@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -16,7 +15,7 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 	tr := NewTracer()
 	tr.Add(0, "root", "test", 0, 0, 0, 100)
 
-	srv, err := StartDebugServerWith("127.0.0.1:0", DebugOptions{Registry: reg, Tracer: tr})
+	srv, err := StartDebugServer("127.0.0.1:0", DebugOptions{Registry: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +37,14 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 		return b
 	}
 
-	prom := string(get("/metrics"))
-	if !strings.Contains(prom, "# TYPE test_total counter") {
-		t.Fatalf("/metrics missing TYPE line:\n%s", prom)
+	// /metrics.json is the one exposition; the Prometheus text route is gone.
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(prom, "test_total 7") {
-		t.Fatalf("/metrics missing counter sample:\n%s", prom)
-	}
-	if !strings.Contains(prom, `test_seconds{quantile="0.5"}`) {
-		t.Fatalf("/metrics missing summary quantile:\n%s", prom)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics: status %d, want 404", resp.StatusCode)
 	}
 
 	var snaps []MetricSnapshot

@@ -1,8 +1,9 @@
 // Package obs is the run-telemetry subsystem: a metrics registry
 // (counters, gauges, streaming histograms keyed by name+labels), phase
 // timers, a structured JSONL event log, per-machine time series, and
-// exporters — a machine-readable JSON run report, CSV traces, and a live
-// debug HTTP endpoint (metrics + pprof).
+// exporters — a machine-readable JSON run report, CSV traces, the
+// registry's one metrics exposition (Registry.WriteJSON, served at
+// /metrics.json) and a live debug HTTP endpoint (metrics, spans, pprof).
 //
 // The paper's contribution is measurement: every insight (round–congestion
 // tradeoff, memory-bound vs disk-bound states, straggler machines under
@@ -15,7 +16,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -89,7 +92,6 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	help    map[string]string
 }
 
 type entry struct {
@@ -150,29 +152,6 @@ func (r *Registry) lookup(name string, labels []Label, kind Kind) *entry {
 	}
 	r.entries[key] = e
 	return e
-}
-
-// SetHelp attaches HELP text to a metric family for the Prometheus
-// exposition, overriding the package's built-in default for that name.
-func (r *Registry) SetHelp(name, help string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.help == nil {
-		r.help = make(map[string]string)
-	}
-	r.help[name] = help
-}
-
-// helpFor resolves HELP text: per-registry overrides first, then the
-// package defaults.
-func (r *Registry) helpFor(name string) string {
-	r.mu.Lock()
-	h, ok := r.help[name]
-	r.mu.Unlock()
-	if ok {
-		return h
-	}
-	return helpDefaults[name]
 }
 
 // Counter returns (creating if needed) the counter with this name+labels.
@@ -243,4 +222,13 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		out = append(out, s)
 	}
 	return out
+}
+
+// WriteJSON writes the snapshot as indented JSON, one trailing newline. It
+// is the registry's one exposition: vcserve's and the debug server's
+// /metrics.json both serve exactly these bytes.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.Snapshot())
 }

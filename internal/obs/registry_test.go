@@ -111,3 +111,71 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		t.Fatalf("histogram count=%d want 8000", st.Count)
 	}
 }
+
+// TestRegistryWriteJSONGolden pins the one metrics exposition byte for
+// byte: field names and order, label rendering, omitted zero fields,
+// indentation and the trailing newline. /metrics.json on vcserve and the
+// debug server serve these bytes, and the end-to-end benchmark and the
+// serve smoke script parse them, so any change here must be deliberate.
+func TestRegistryWriteJSONGolden(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("jobs_total", L("task", "mssp")).Add(3)
+	reg.Counter("jobs_total", L("task", "bppr")).Add(1)
+	reg.Gauge("sim_seconds").Set(12.5)
+	reg.Histogram("round_seconds", L("cluster", "g8")).Observe(2.5)
+
+	var b strings.Builder
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	golden := `[
+  {
+    "name": "jobs_total",
+    "labels": [
+      {
+        "key": "task",
+        "value": "bppr"
+      }
+    ],
+    "kind": "counter",
+    "value": 1
+  },
+  {
+    "name": "jobs_total",
+    "labels": [
+      {
+        "key": "task",
+        "value": "mssp"
+      }
+    ],
+    "kind": "counter",
+    "value": 3
+  },
+  {
+    "name": "round_seconds",
+    "labels": [
+      {
+        "key": "cluster",
+        "value": "g8"
+      }
+    ],
+    "kind": "histogram",
+    "count": 1,
+    "sum": 2.5,
+    "min": 2.5,
+    "max": 2.5,
+    "p50": 2.5,
+    "p95": 2.5,
+    "p99": 2.5
+  },
+  {
+    "name": "sim_seconds",
+    "kind": "gauge",
+    "value": 12.5
+  }
+]
+`
+	if b.String() != golden {
+		t.Fatalf("exposition diverges from golden:\n--- got ---\n%s\n--- want ---\n%s", b.String(), golden)
+	}
+}

@@ -2,14 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
-
-	"vcmt/internal/obs"
 )
 
 // Handler returns the service's HTTP mux:
 //
-//	POST /v1/jobs             submit a JobSpec; 202 admitted/queued, 409 rejected
+//	POST /v1/jobs             submit a JobSpec; 202 admitted/queued, 409 rejected,
+//	                          413 for a body over maxSubmitBytes
 //	GET  /v1/jobs             list jobs in submission order
 //	GET  /v1/jobs/{id}        one job's state, plan and result summary
 //	GET  /v1/jobs/{id}/report the completed job's run report (exact bytes,
@@ -17,8 +17,7 @@ import (
 //	GET  /v1/jobs/{id}/trace  the completed job's Chrome trace-event spans
 //	GET  /v1/graphs           resident graph snapshots
 //	GET  /healthz             liveness
-//	GET  /metrics             Prometheus text exposition
-//	GET  /metrics.json        registry snapshot as JSON
+//	GET  /metrics.json        registry snapshot as JSON (obs.Registry.WriteJSON)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -31,12 +30,9 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n")) //nolint:errcheck // best-effort over HTTP
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, s.registry) //nolint:errcheck // best-effort over HTTP
-	})
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, s.registry.Snapshot())
+		w.Header().Set("Content-Type", "application/json")
+		s.registry.WriteJSON(w) //nolint:errcheck // best-effort over HTTP
 	})
 	return mux
 }
@@ -55,12 +51,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // best-effort over HTTP
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A JobSpec is a few hundred
+// bytes; reading stops at the cap, so an oversized body (say, a megabyte
+// tenant name, which would become a metric label) is a 413, not a job.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	// Validation failures are the client's fault; everything past validate

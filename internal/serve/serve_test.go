@@ -210,16 +210,16 @@ func TestAdmitQueueComplete(t *testing.T) {
 	}
 
 	// Metrics: the queue event and completions are visible.
-	var prom bytes.Buffer
-	if err := obs.WritePrometheus(&prom, s.Registry()); err != nil {
-		t.Fatal(err)
+	names := map[string]bool{}
+	for _, m := range s.Registry().Snapshot() {
+		names[m.Name] = true
 	}
 	for _, want := range []string{
 		"serve_jobs_queued_total", "serve_jobs_admitted_total",
 		"serve_jobs_completed_total", "serve_mem_budget_bytes",
 	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Fatalf("metrics missing %s:\n%s", want, prom.String())
+		if !names[want] {
+			t.Fatalf("metrics missing %s: %v", want, names)
 		}
 	}
 	if err := s.EventErr(); err != nil {
@@ -514,9 +514,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusOK || string(body) != "ok\n" {
 		t.Fatalf("healthz: %d %q", code, body)
 	}
-	code, body = get("/metrics")
-	if code != http.StatusOK || !bytes.Contains(body, []byte("serve_jobs_completed_total")) {
-		t.Fatalf("metrics: status %d, missing serve_jobs_completed_total", code)
+	if code, _ := get("/metrics"); code != http.StatusNotFound {
+		t.Fatalf("metrics: status %d, want 404 (/metrics.json is the one exposition)", code)
 	}
 	code, body = get("/metrics.json")
 	if code != http.StatusOK || !bytes.Contains(body, []byte("serve_jobs_submitted_total")) {
@@ -581,8 +580,51 @@ func TestHTTPGolden(t *testing.T) {
 	s.Wait()
 }
 
+// TestSubmitRejectsOversizedBody: a POST /v1/jobs body over
+// maxSubmitBytes (here a 2 MiB tenant name, which would otherwise become a
+// metric label) is a 413 with the JSON error envelope, records no job, and
+// leaves the service accepting the next normal submission.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	s := newTestServer(t, Config{MaxRunning: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	huge := `{"tenant":"` + strings.Repeat("x", 2<<20) + `","task":"BPPR","dataset":"Web-St","workload":8}`
+	code, raw := post(huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413 (%.120s)", code, raw)
+	}
+	var e errorBody
+	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+		t.Fatalf("oversized body: want an error envelope, got %.120s (%v)", raw, err)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("oversized body recorded %d job(s)", len(jobs))
+	}
+
+	code, raw = post(`{"tenant":"alice","task":"BPPR","dataset":"Web-St","workload":8,"batches":2,"seed":7}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after oversized body: status %d, want 202 (%s)", code, raw)
+	}
+	s.Wait()
+}
+
 // TestConcurrentSubmitAndScrape is the -race stress test: many tenants
-// submitting concurrently while /metrics and the job list are scraped.
+// submitting concurrently while /metrics.json and the job list are scraped.
 func TestConcurrentSubmitAndScrape(t *testing.T) {
 	var events bytes.Buffer
 	s := newTestServer(t, Config{MaxRunning: 2, QueueCap: 128, Events: &events})
@@ -611,7 +653,7 @@ func TestConcurrentSubmitAndScrape(t *testing.T) {
 		}(i)
 	}
 	stop := make(chan struct{})
-	for _, path := range []string{"/metrics", "/v1/jobs", "/metrics.json", "/v1/graphs"} {
+	for _, path := range []string{"/v1/jobs", "/metrics.json", "/v1/graphs"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -658,14 +700,18 @@ func TestConcurrentSubmitAndScrape(t *testing.T) {
 	if err := s.EventErr(); err != nil {
 		t.Fatal(err)
 	}
-	var prom bytes.Buffer
-	if err := obs.WritePrometheus(&prom, s.Registry()); err != nil {
-		t.Fatal(err)
+	// Per-tenant labels survive: every tenant shows up in the snapshot.
+	tenants := map[string]bool{}
+	for _, m := range s.Registry().Snapshot() {
+		for _, l := range m.Labels {
+			if l.Key == "tenant" {
+				tenants[l.Value] = true
+			}
+		}
 	}
-	// Per-tenant labels survive: every tenant shows up in the exposition.
 	for i := 0; i < submitters; i++ {
-		if want := fmt.Sprintf(`tenant="t%d"`, i); !strings.Contains(prom.String(), want) {
-			t.Fatalf("metrics missing %s", want)
+		if want := fmt.Sprintf("t%d", i); !tenants[want] {
+			t.Fatalf("metrics missing tenant %s: %v", want, tenants)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 # must queue on the budget, both must complete, and each report must be
 # byte-identical to the equivalent one-shot `vcrun -report` (itself loading
 # the graph through -graph-file). Also verifies corrupt dumps are rejected
-# by both loaders and that the queue shows up in /metrics and the JSONL
-# event log. Run from the repository root (CI and `make serve-smoke` do).
+# by both loaders and that the queue shows up in /metrics.json (the
+# registry snapshot) and the JSONL event log. Run from the repository root (CI and `make serve-smoke` do).
 set -eu
 
 DIR=$(mktemp -d)
@@ -120,13 +120,18 @@ cmp "$DIR/ref.json" "$DIR/report1.json" || die "job-0001 report differs from vcr
 cmp "$DIR/ref.json" "$DIR/report2.json" || die "job-0002 report differs from vcrun -report"
 say "reports byte-identical to vcrun -report"
 
-# The queue must be visible in the Prometheus exposition and the event log.
-curl -sf "http://$BASE/metrics" >"$DIR/metrics.txt"
-grep -q '^serve_jobs_queued_total{.*} 1$' "$DIR/metrics.txt" || die "queued counter missing from /metrics"
-grep -q '^serve_jobs_completed_total{.*} 2$' "$DIR/metrics.txt" || die "completed counter != 2 in /metrics"
+# The queue must be visible in the metrics snapshot and the event log.
+# metric NAME prints the sum of NAME's series in /metrics.json.
+curl -sf "http://$BASE/metrics.json" >"$DIR/metrics.json"
+metric() {
+    python3 -c 'import json, sys
+print(int(sum(m.get("value", 0) for m in json.load(open(sys.argv[1])) if m["name"] == sys.argv[2])))' "$DIR/metrics.json" "$1"
+}
+[ "$(metric serve_jobs_queued_total)" = 1 ] || die "serve_jobs_queued_total != 1 in /metrics.json"
+[ "$(metric serve_jobs_completed_total)" = 2 ] || die "serve_jobs_completed_total != 2 in /metrics.json"
 grep -q '"type":"job_queued"' "$DIR/events.jsonl" || die "job_queued missing from events log"
 grep -c '"type":"job_completed"' "$DIR/events.jsonl" | grep -qx 2 || die "expected 2 job_completed events"
-say "queue visible in /metrics and events.jsonl"
+say "queue visible in /metrics.json and events.jsonl"
 
 stop_server
 say "PASS"
