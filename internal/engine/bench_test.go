@@ -145,6 +145,36 @@ func BenchmarkEngineDeliverySteadyState(b *testing.B) {
 	b.ReportMetric(msgsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmsgs/s")
 }
 
+// BenchmarkEngineFanOut is the steady-state delivery cycle with every
+// vertex's sends made as one SendAll to its neighbor list, the way MSSP,
+// BKHS and PageRank fan out: the engine's one fan-out loop, then the
+// counting sort. Like the per-message cycle it must not allocate once the
+// warm-up has grown the buffers; the CI gate pins it at 0 allocs/op.
+func BenchmarkEngineFanOut(b *testing.B) {
+	g := graph.GenerateChungLu(10000, 40000, 2.5, 3)
+	part := graph.HashPartition(g.NumVertices(), 8)
+	e := New[hopMsg](g, part, &floodProg{rounds: 1}, nil, Options[hopMsg]{Seed: 1})
+	cycle := func() {
+		for m := 0; m < e.k; m++ {
+			ctx := e.ctxs[m]
+			for _, v := range e.vertsByMachine[m] {
+				ctx.vertex = v
+				ctx.SendAll(g.Neighbors(v), hopMsg{Hop: 1})
+			}
+		}
+		e.rollCounters()
+		e.deliver()
+	}
+	cycle()
+	msgsPerOp := float64(2 * g.NumEdges())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.ReportMetric(msgsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmsgs/s")
+}
+
 // BenchmarkEngineKeyedCombine is the keyed counterpart of the steady-state
 // delivery cycle: every vertex sends each neighbor one message in one of
 // four keyed streams, so a barrier is the row appends, the counting sort
@@ -273,7 +303,7 @@ func TestEngineBaselinePinsReuseAndZeroAlloc(t *testing.T) {
 	for _, r := range base.Results {
 		metrics[r.Name] = r.Metrics
 	}
-	for _, name := range []string{"BenchmarkEngineDeliverySteadyState", "BenchmarkEngineKeyedCombine", "BenchmarkEngineBatchReuse/Reset"} {
+	for _, name := range []string{"BenchmarkEngineDeliverySteadyState", "BenchmarkEngineFanOut", "BenchmarkEngineKeyedCombine", "BenchmarkEngineBatchReuse/Reset"} {
 		m, ok := metrics[name]
 		if !ok {
 			t.Fatalf("baseline lacks %s", name)

@@ -56,7 +56,7 @@ func (e *Engine[M]) initCheckpoints() error {
 	if co.Interval <= 0 {
 		co.Interval = 8
 	}
-	if _, ok := e.prog.(StateSnapshotter); !ok {
+	if _, ok := e.prog.(vcapi.StateSnapshotter); !ok {
 		return fmt.Errorf("engine: checkpointing requires the program to implement vcapi.StateSnapshotter")
 	}
 	e.ckptMgr = &ckpt.Manager{Dir: co.Dir}
@@ -184,7 +184,7 @@ func (e *Engine[M]) SnapshotDelta(parent int) (*ckpt.Snapshot, error) {
 		buf, err = ds.AppendDelta(buf)
 	} else {
 		parent = -1
-		buf, err = e.prog.(StateSnapshotter).AppendState(buf)
+		buf, err = e.prog.(vcapi.StateSnapshotter).AppendState(buf)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("program snapshot: %w", err)
@@ -261,7 +261,7 @@ func (e *Engine[M]) loadProg(snap *ckpt.Snapshot) error {
 	switch {
 	case err != nil:
 	case parent < 0:
-		err = e.prog.(StateSnapshotter).LoadState(snap.Get(secProg))
+		err = e.prog.(vcapi.StateSnapshotter).LoadState(snap.Get(secProg))
 	case snap.Prev == nil || snap.Prev.Step != parent || ds == nil:
 		err = rec.Errorf(ckpt.ErrCorrupt, "a delta without a chain the program loads")
 	default:

@@ -56,10 +56,7 @@ func (c *Context[M]) RNG() *randx.RNG { return c.e.rngs[c.machine] }
 func (c *Context[M]) Send(dst graph.VertexID, m M) {
 	e := c.e
 	sc := c.sc
-	w := int64(1)
-	if e.opts.Weight != nil {
-		w = e.opts.Weight(m)
-	}
+	w := c.weight(m)
 	sc.logical += w
 	sc.physical++
 	d := int(e.owners[dst])
@@ -82,49 +79,67 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) {
 	r.n++
 }
 
+// SendAll is Send(u, m) for each u of dsts, in order, to the counter and
+// the byte, with one Weight call and one pass. It does not retain dsts.
+func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) {
+	w, n, sc := c.weight(m), int64(len(dsts)), c.sc
+	sc.logical += w * n
+	sc.physical += n
+	remote := c.fanOut(dsts, m)
+	sc.remoteLogical += w * remote
+	sc.remotePhysical += remote
+}
+
 // Broadcast delivers m to every neighbor of src: the broadcast interface of
 // the mirror-mechanism-based implementation family (§3). On a mirroring
 // system a high-degree src transmits one wire message per mirror machine
-// and the mirrors fan out locally; otherwise the broadcast degenerates to
-// one point-to-point message per neighbor.
+// and the mirrors fan out locally; otherwise the broadcast is SendAll to
+// the neighbors.
 func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 	e := c.e
 	ns := e.curGraph().Neighbors(src)
-	if len(ns) == 0 {
+	if !e.mirrored() || len(ns) < e.run.Config().System.MirrorDegreeThreshold || len(ns) == 0 {
+		c.SendAll(ns, m)
 		return
 	}
-	w := int64(1)
-	if e.opts.Weight != nil {
-		w = e.opts.Weight(m)
-	}
+	// One wire message per mirror machine; local fan-out is free.
+	w := c.weight(m)
+	e.ensureMirrorSpan()
+	span := int64(e.mirrorSpan[src])
 	sc := c.sc
 	sc.logical += w * int64(len(ns))
-	if e.mirrored() && len(ns) >= e.mirrorThreshold() {
-		// One wire message per mirror machine; local fan-out is free.
-		e.ensureMirrorSpan()
-		span := int64(e.mirrorSpan[src])
-		sc.physical += span + 1 // the local copy plus one per mirror
-		sc.fanout += int64(len(ns)) - (span + 1)
-		sc.remoteLogical += w * span
-		sc.remotePhysical += span
-	} else {
-		sc.physical += int64(len(ns))
-		for _, u := range ns {
-			if int(e.owners[u]) != c.machine {
-				sc.remoteLogical += w
-				sc.remotePhysical++
-			}
-		}
+	sc.physical += span + 1 // the local copy plus one per mirror
+	sc.fanout += int64(len(ns)) - (span + 1)
+	sc.remoteLogical += w * span
+	sc.remotePhysical += span
+	c.fanOut(ns, m)
+}
+
+// weight is m's logical multiplicity (Options.Weight, 1 when nil).
+func (c *Context[M]) weight(m M) int64 {
+	if c.e.opts.Weight == nil {
+		return 1
 	}
-	if e.opts.OOC != nil {
-		for _, u := range ns {
+	return c.e.opts.Weight(m)
+}
+
+// fanOut pushes m to every vertex of dsts, in order (out of core through
+// routeOOC), and returns how many of them another machine owns: the
+// engine's one fan-out loop, under SendAll and both arms of Broadcast.
+func (c *Context[M]) fanOut(dsts []graph.VertexID, m M) int64 {
+	e := c.e
+	owners, rows, ooc := e.owners, c.rows, e.opts.OOC != nil
+	var remote int64
+	for _, u := range dsts {
+		d := int(owners[u])
+		if d != c.machine {
+			remote++
+		}
+		if ooc {
 			e.routeOOC(u, m)
+			continue
 		}
-		return
-	}
-	rows := c.rows
-	for _, u := range ns {
-		r := &rows[e.owners[u]] // outRow.push, written out as in Send
+		r := &rows[d] // outRow.push, written out as in Send
 		off := r.n & chunkMask
 		if off == 0 {
 			r.grow()
@@ -132,4 +147,5 @@ func (c *Context[M]) Broadcast(src graph.VertexID, m M) {
 		r.tail[off] = envelope[M]{dst: u, payload: m}
 		r.n++
 	}
+	return remote
 }

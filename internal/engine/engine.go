@@ -52,15 +52,6 @@ import (
 // Program is the user-defined vertex program (see vcapi.Program).
 type Program[M any] = vcapi.Program[M]
 
-// StateReporter is re-exported from vcapi for convenience.
-type StateReporter = vcapi.StateReporter
-
-// StateSnapshotter is re-exported from vcapi for convenience.
-type StateSnapshotter = vcapi.StateSnapshotter
-
-// WeightFunc is re-exported from vcapi for convenience.
-type WeightFunc[M any] = vcapi.WeightFunc[M]
-
 // Combiner merges two messages addressed to the same vertex (Pregel's
 // combiner contract: the operation must be commutative and associative,
 // e.g. summing walk counts or taking a minimum). The engine additionally
@@ -73,7 +64,7 @@ type Combiner[M any] func(a, b M) M
 // Options tunes an engine run.
 type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1 per message.
-	Weight WeightFunc[M]
+	Weight vcapi.WeightFunc[M]
 	// Combiner, when set, merges each vertex's incoming messages into one
 	// (one per key when CombinerKey is also set). Messages are buffered raw
 	// and each vertex's segment is folded once, at delivery, left to right
@@ -345,13 +336,6 @@ func (e *Engine[M]) mirrored() bool {
 		return false
 	}
 	return e.run.Config().System.Mirror
-}
-
-func (e *Engine[M]) mirrorThreshold() int {
-	if e.run == nil {
-		return 0
-	}
-	return e.run.Config().System.MirrorDegreeThreshold
 }
 
 // ensureMirrorSpan computes mirrorSpan once; sync.Once because parallel
@@ -648,16 +632,6 @@ func (e *Engine[M]) placeRow(r *outRow[M], reg []M, cur []int32) {
 	}
 }
 
-// segment returns vertex v's delivered inbox slice for the current
-// superstep (test/fuzz helper; valid between route and the next round).
-func (e *Engine[M]) segment(v graph.VertexID) []M {
-	m := e.owners[v]
-	i := e.rank[v]
-	offs := e.moffs[m]
-	base := e.regionStart[m]
-	return e.inbox[base+offs[i] : base+offs[i+1]]
-}
-
 // observeRound flushes the superstep statistics into the sim.Run. During
 // silent replay (rounds <= replayTo after a recovery) the counters still
 // roll — the replayed supersteps recompute them identically — but nothing
@@ -679,7 +653,7 @@ func (e *Engine[M]) observeRound() {
 		// The observer retains the per-machine slice (reports and traces
 		// reference it after the round), so it cannot be pooled.
 		per := make([]sim.MachineRound, k)
-		reporter, hasState := e.prog.(StateReporter)
+		reporter, hasState := e.prog.(vcapi.StateReporter)
 		for m := 0; m < k; m++ {
 			per[m] = sim.MachineRound{
 				SentLogical:    e.sent[m].logical,

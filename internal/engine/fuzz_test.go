@@ -270,3 +270,13 @@ func FuzzKeyedFold(f *testing.F) {
 		barrier()
 	})
 }
+
+// segment returns vertex v's delivered inbox slice for the current
+// superstep (valid between route and the next round).
+func (e *Engine[M]) segment(v graph.VertexID) []M {
+	m := e.owners[v]
+	i := e.rank[v]
+	offs := e.moffs[m]
+	base := e.regionStart[m]
+	return e.inbox[base+offs[i] : base+offs[i+1]]
+}

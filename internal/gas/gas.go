@@ -267,10 +267,14 @@ func (c *asyncCtx[M]) Send(dst graph.VertexID, m M) {
 	a.enqueue(dst)
 }
 
+func (c *asyncCtx[M]) SendAll(dsts []graph.VertexID, m M) {
+	for _, u := range dsts {
+		c.Send(u, m)
+	}
+}
+
 // Broadcast fans out to every neighbor; the GraphLab family has no
 // mirroring, so this is a plain per-neighbor send.
 func (c *asyncCtx[M]) Broadcast(src graph.VertexID, m M) {
-	for _, u := range c.a.g.Neighbors(src) {
-		c.Send(u, m)
-	}
+	c.SendAll(c.a.g.Neighbors(src), m)
 }

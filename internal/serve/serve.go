@@ -105,7 +105,10 @@ type Server struct {
 	hookBeforeRun func(*Job)
 }
 
-// NewServer builds a server from cfg, applying defaults.
+// NewServer builds a server from cfg, a zero field meaning its default. It
+// panics, naming the field, on values no job could run under: MaxRunning or
+// QueueCap below 1, BudgetBytes below 0, TrainExponent below 3 (the model
+// fits workloads 2^1..2^3 at least) or Tolerance not above 0.
 func NewServer(cfg Config) *Server {
 	if cfg.Cluster.Name == "" {
 		cfg.Cluster = sim.Galaxy8
@@ -130,6 +133,18 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 7
+	}
+	switch {
+	case cfg.MaxRunning < 1:
+		panic(fmt.Sprintf("serve: Config.MaxRunning must be >= 1, got %d", cfg.MaxRunning))
+	case cfg.QueueCap < 1:
+		panic(fmt.Sprintf("serve: Config.QueueCap must be >= 1, got %d", cfg.QueueCap))
+	case !(cfg.BudgetBytes >= 0):
+		panic(fmt.Sprintf("serve: Config.BudgetBytes must be >= 0, got %g", cfg.BudgetBytes))
+	case cfg.TrainExponent < 3:
+		panic(fmt.Sprintf("serve: Config.TrainExponent must be >= 3, got %d", cfg.TrainExponent))
+	case !(cfg.Tolerance > 0):
+		panic(fmt.Sprintf("serve: Config.Tolerance must be > 0, got %g", cfg.Tolerance))
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()

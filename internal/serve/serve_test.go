@@ -771,3 +771,40 @@ func writeFile(t *testing.T, path string, b []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewServerRejectsConfigItCannotRun checks that NewServer panics, naming
+// the field, on each Config value no job could run under — before, each
+// built a server that wedged or failed every job — and that the zero Config
+// still means every default.
+func TestNewServerRejectsConfigItCannotRun(t *testing.T) {
+	cases := []struct {
+		field, value string
+		cfg          Config
+	}{
+		{"MaxRunning", "-1", Config{MaxRunning: -1}},
+		{"QueueCap", "-1", Config{QueueCap: -1}},
+		{"BudgetBytes", "-1", Config{BudgetBytes: -1}},
+		{"TrainExponent", "1", Config{TrainExponent: 1}},
+		{"TrainExponent", "2", Config{TrainExponent: 2}},
+		{"Tolerance", "-0.1", Config{Tolerance: -0.1}},
+	}
+	for _, c := range cases {
+		t.Run(c.field+"="+c.value, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("NewServer with %s=%s did not panic", c.field, c.value)
+				}
+				if msg := fmt.Sprint(p); !strings.Contains(msg, "Config."+c.field) {
+					t.Fatalf("panic %q does not name Config.%s", msg, c.field)
+				}
+			}()
+			NewServer(c.cfg)
+		})
+	}
+	s := NewServer(Config{})
+	if s.maxRun != 2 || s.queueCap != 64 || s.trainExp != 4 || s.tolerance != 0.15 || s.seed != 7 || !(s.budget > 0) {
+		t.Fatalf("zero Config: maxRun %d queueCap %d trainExp %d tolerance %g seed %d budget %g, want the defaults",
+			s.maxRun, s.queueCap, s.trainExp, s.tolerance, s.seed, s.budget)
+	}
+}

@@ -65,11 +65,11 @@ type BKHSJob struct {
 
 	// eng runs every synchronous batch (see runBatch); srcIdx is the
 	// batches' shared source index (see newSourceIndex) and hops their
-	// shared hop tables, one row per batch source, grown to the largest
+	// shared vertex-major hop table (see bkhsProg), grown to the largest
 	// batch and re-initialised per batch instead of reallocated.
 	eng    *engine.Engine[HopMsg]
 	srcIdx []int32
-	hops   [][]uint8
+	hops   []uint8
 }
 
 // NewBKHS constructs a BKHS job.
@@ -172,19 +172,18 @@ func (j *BKHSJob) nextBatch(workload int) (*bkhsProg, error) {
 	for m := 0; m < k; m++ {
 		prog.counts[m] = make([]int64, len(batch))
 	}
-	for len(j.hops) < len(batch) {
-		j.hops = append(j.hops, make([]uint8, n))
+	if len(j.hops) < n*len(batch) {
+		j.hops = make([]uint8, n*len(batch))
 	}
-	prog.hops = j.hops[:len(batch)]
+	prog.hops = j.hops[:n*len(batch)]
 	for i, s := range batch {
 		j.srcIdx[s] = int32(i)
-		// Doubling copies fill a row at memmove speed; a byte loop over
-		// 1024 × n entries per batch is a measurable share of a pass.
-		row := prog.hops[i]
-		row[0] = unreachedHop
-		for f := 1; f < n; f *= 2 {
-			copy(row[f:], row[:f])
-		}
+	}
+	// Doubling copies fill the table at memmove speed; a byte loop over
+	// 1024 × n entries per batch is a measurable share of a pass.
+	prog.hops[0] = unreachedHop
+	for f := 1; f < len(prog.hops); f *= 2 {
+		copy(prog.hops[f:], prog.hops[:f])
 	}
 	return prog, nil
 }
@@ -220,22 +219,14 @@ type bkhsProg struct {
 	job     *BKHSJob
 	sources []graph.VertexID
 	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
-	hops    [][]uint8
+	// hops is vertex-major: v's hop count from batch source i is
+	// hops[v*len(sources)+i], so one vertex's entries share a cache line.
+	hops []uint8
 	// counts[m][i] is machine m's tally of first reaches for batch source
 	// i; per-machine lanes because machines compute concurrently, summed
 	// at batch end.
 	counts  [][]int64
 	entries []int64
-}
-
-// visit records that v is reachable from batch source i within h hops; it
-// returns true when h improves the best known hop count.
-func (p *bkhsProg) visit(i int, v graph.VertexID, h uint8) bool {
-	if p.hops[i][v] <= h {
-		return false
-	}
-	p.hops[i][v] = h
-	return true
 }
 
 func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
@@ -244,23 +235,25 @@ func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
 		if i < 0 {
 			continue
 		}
-		p.visit(i, s, 0)
+		p.hops[int(s)*len(p.sources)+i] = 0
 		p.entries[ctx.Machine()]++
 		p.forward(ctx, s, s, 1)
 	}
 }
 
 func (p *bkhsProg) Compute(ctx vcapi.Context[HopMsg], v graph.VertexID, msgs []HopMsg) {
+	row := p.hops[int(v)*len(p.sources):][:len(p.sources)]
 	for _, m := range msgs {
 		i := int(p.srcIdx[m.Src])
-		first := p.hops[i][v] == unreachedHop
-		if !p.visit(i, v, uint8(m.Hop)) {
+		h := uint8(m.Hop)
+		if row[i] <= h {
 			continue
 		}
-		if first {
+		if row[i] == unreachedHop {
 			p.counts[ctx.Machine()][i]++
 			p.entries[ctx.Machine()]++
 		}
+		row[i] = h
 		if int(m.Hop) < p.job.cfg.K {
 			p.forward(ctx, v, m.Src, m.Hop+1)
 		}
@@ -272,25 +265,24 @@ func (p *bkhsProg) forward(ctx vcapi.Context[HopMsg], v, src graph.VertexID, hop
 		ctx.Broadcast(v, HopMsg{Src: src, Hop: hop})
 		return
 	}
-	for _, u := range ctx.Graph().Neighbors(v) {
-		ctx.Send(u, HopMsg{Src: src, Hop: hop})
-	}
+	ctx.SendAll(ctx.Graph().Neighbors(v), HopMsg{Src: src, Hop: hop})
 }
 
-// StateEntries implements engine.StateReporter.
+// StateEntries implements vcapi.StateReporter.
 func (p *bkhsProg) StateEntries(machine int) int64 { return p.entries[machine] }
 
-// AppendState implements vcapi.StateSnapshotter: hop tables, per-machine
-// first-reach counts, and entry counts.
+// AppendState implements vcapi.StateSnapshotter: the hop table, one row per
+// batch source (see appendColumns), per-machine first-reach counts, and
+// entry counts.
 func (p *bkhsProg) AppendState(buf []byte) ([]byte, error) {
-	buf = appendRows(buf, p.hops, len(p.hops), len(p.hops[0]))
+	buf = appendColumns(buf, p.hops, len(p.sources))
 	return appendRows(buf, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries)), nil
 }
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *bkhsProg) LoadState(data []byte) error {
 	c := rec.NewCursor(data, ckpt.ErrCorrupt)
-	readRows(&c, p.hops, len(p.hops), len(p.hops[0]))
+	readColumns(&c, p.hops, len(p.sources))
 	readRows(&c, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries))
 	return c.Done()
 }

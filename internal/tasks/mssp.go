@@ -68,8 +68,10 @@ type MSSPJob struct {
 	part *graph.Partition
 	cfg  MSSPConfig
 
-	// dist[i] is the distance table of Sources[i]; nil until its batch ran.
+	// dist[i] is the distance table of Sources[i]'s batch (see msspProg),
+	// nil until the batch ran, and col[i] the source's column there.
 	dist [][]float32
+	col  []int
 	done int // sources fully processed so far
 
 	// eng runs every synchronous batch (see runBatch); srcIdx is the
@@ -90,6 +92,7 @@ func NewMSSP(g *graph.Graph, part *graph.Partition, cfg MSSPConfig) (*MSSPJob, e
 	return &MSSPJob{
 		g: g, part: part, cfg: cfg,
 		dist:   make([][]float32, len(cfg.Sources)),
+		col:    make([]int, len(cfg.Sources)),
 		srcIdx: newSourceIndex(g.NumVertices()),
 	}, nil
 }
@@ -109,10 +112,11 @@ func (j *MSSPJob) MemModel() sim.TaskMemModel {
 // Distance returns the computed shortest-path distance from Sources[i] to
 // v, or +Inf if unreachable or not yet computed.
 func (j *MSSPJob) Distance(i int, v graph.VertexID) float64 {
-	if j.dist[i] == nil {
+	t := j.dist[i]
+	if t == nil {
 		return math.Inf(1)
 	}
-	return float64(j.dist[i][v])
+	return float64(t[int(v)*(len(t)/j.g.NumVertices())+j.col[i]])
 }
 
 // SourcesDone returns how many sources have completed.
@@ -172,7 +176,7 @@ func (j *MSSPJob) nextBatch(workload int) *msspProg {
 		job:          j,
 		sources:      batch,
 		srcIdx:       j.srcIdx,
-		dist:         make([][]float32, len(batch)),
+		dist:         make([]float32, j.g.NumVertices()*len(batch)),
 		entries:      make([]int64, k),
 		improved:     make([][]int32, k),
 		improvedList: make([][]int, k),
@@ -183,20 +187,20 @@ func (j *MSSPJob) nextBatch(workload int) *msspProg {
 	}
 	for i, s := range batch {
 		j.srcIdx[s] = int32(i)
-		prog.dist[i] = make([]float32, j.g.NumVertices())
-		for v := range prog.dist[i] {
-			prog.dist[i][v] = float32(math.Inf(1))
-		}
+	}
+	inf := float32(math.Inf(1))
+	for x := range prog.dist {
+		prog.dist[x] = inf
 	}
 	return prog
 }
 
-// Finish implements Batch: the batch's distance tables become the job's.
+// Finish implements Batch: the batch's distance table becomes the job's.
 func (p *msspProg) Finish() []int64 {
 	j := p.job
 	unmarkSources(j.srcIdx, p.sources)
 	for i := range p.sources {
-		j.dist[j.done+i] = p.dist[i]
+		j.dist[j.done+i], j.col[j.done+i] = p.dist, i
 	}
 	j.done += len(p.sources)
 	return p.entries
@@ -209,7 +213,9 @@ type msspProg struct {
 	job     *MSSPJob
 	sources []graph.VertexID
 	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
-	dist    [][]float32
+	// dist is vertex-major: v's distance from batch source i is
+	// dist[v*len(sources)+i], so one vertex's entries share a cache line.
+	dist    []float32
 	entries []int64 // finite entries per machine
 
 	// Relaxation scratch is per machine: machines compute concurrently, so
@@ -225,7 +231,7 @@ func (p *msspProg) Seed(ctx vcapi.Context[DistMsg]) {
 		if i < 0 {
 			continue
 		}
-		p.dist[i][s] = 0
+		p.dist[int(s)*len(p.sources)+i] = 0
 		p.entries[ctx.Machine()]++
 		p.relax(ctx, s, i)
 	}
@@ -237,6 +243,7 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 	epoch := p.epoch[mach]
 	improved := p.improved[mach]
 	list := p.improvedList[mach][:0]
+	row := p.dist[int(v)*len(p.sources):][:len(p.sources)]
 	for _, m := range msgs {
 		i := int(p.srcIdx[m.Src])
 		d := m.Dist
@@ -245,11 +252,11 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 			// distance; the receiver adds the unit edge.
 			d++
 		}
-		if d < p.dist[i][v] {
-			if math.IsInf(float64(p.dist[i][v]), 1) {
+		if d < row[i] {
+			if math.IsInf(float64(row[i]), 1) {
 				p.entries[mach]++
 			}
-			p.dist[i][v] = d
+			row[i] = d
 			if improved[i] != epoch {
 				improved[i] = epoch
 				list = append(list, i)
@@ -263,9 +270,9 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 }
 
 // relax propagates v's current distance for batch source i to every
-// neighbor.
+// neighbor, with one payload for all of them on an unweighted graph.
 func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int) {
-	d := p.dist[i][v]
+	d := p.dist[int(v)*len(p.sources)+i]
 	src := p.sources[i]
 	if p.job.cfg.Mirror {
 		ctx.Broadcast(v, DistMsg{Src: src, Dist: d})
@@ -273,27 +280,32 @@ func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int) {
 	}
 	g := ctx.Graph()
 	ns := g.Neighbors(v)
+	if !g.Weighted() {
+		ctx.SendAll(ns, DistMsg{Src: src, Dist: d + 1})
+		return
+	}
 	for e, u := range ns {
 		ctx.Send(u, DistMsg{Src: src, Dist: d + g.Weight(v, e)})
 	}
 }
 
-// StateEntries implements engine.StateReporter.
+// StateEntries implements vcapi.StateReporter.
 func (p *msspProg) StateEntries(machine int) int64 { return p.entries[machine] }
 
-// AppendState implements vcapi.StateSnapshotter: the distance tables and
-// the per-machine entry counts. The relaxation scratch (epoch marks and
-// improved lists) is reset at every Compute call and needs no snapshot:
-// epochs only grow, so stale marks never collide after a restore.
+// AppendState implements vcapi.StateSnapshotter: the distance table, one
+// row per batch source (see appendColumns), and the per-machine entry
+// counts. The relaxation scratch (epoch marks and improved lists) is reset
+// at every Compute call and needs no snapshot: epochs only grow, so stale
+// marks never collide after a restore.
 func (p *msspProg) AppendState(buf []byte) ([]byte, error) {
-	buf = appendRows(buf, p.dist, len(p.dist), len(p.dist[0]))
+	buf = appendColumns(buf, p.dist, len(p.sources))
 	return appendRows(buf, [][]int64{p.entries}, len(p.entries)), nil
 }
 
 // LoadState implements vcapi.StateSnapshotter.
 func (p *msspProg) LoadState(data []byte) error {
 	c := rec.NewCursor(data, ckpt.ErrCorrupt)
-	readRows(&c, p.dist, len(p.dist), len(p.dist[0]))
+	readColumns(&c, p.dist, len(p.sources))
 	readRows(&c, [][]int64{p.entries}, len(p.entries))
 	return c.Done()
 }

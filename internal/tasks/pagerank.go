@@ -89,7 +89,5 @@ func (p *prProg) scatter(ctx vcapi.Context[RankMsg], v graph.VertexID) {
 		return
 	}
 	share := float32(p.rank[v] / float64(len(ns)))
-	for _, u := range ns {
-		ctx.Send(u, RankMsg{Mass: share})
-	}
+	ctx.SendAll(ns, RankMsg{Mass: share})
 }

@@ -90,7 +90,5 @@ func (p *asyncPRProg) scatter(ctx vcapi.Context[RankMsg], v graph.VertexID) {
 	}
 	p.sent[v] = p.rank[v]
 	share := float32(unsent / float64(len(ns)))
-	for _, u := range ns {
-		ctx.Send(u, RankMsg{Mass: share})
-	}
+	ctx.SendAll(ns, RankMsg{Mass: share})
 }

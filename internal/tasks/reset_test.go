@@ -57,7 +57,9 @@ func TestResetEqualsFresh(t *testing.T) {
 							return j, func() { j.eng = nil }, func() []byte {
 								var out []byte
 								for i := range sources {
-									out = fmt.Append(out, j.dist[i])
+									for v := range n {
+										out = fmt.Append(out, j.Distance(i, graph.VertexID(v)))
+									}
 								}
 								return out
 							}

@@ -13,6 +13,7 @@ package tasks
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 
@@ -217,6 +218,46 @@ func readRows[T any](c *rec.Cursor, rows [][]T, dims ...int) {
 	for _, row := range rows {
 		// Decode fails only on the nil Bytes returns once c has stopped.
 		_, _ = binary.Decode(c.Bytes(uint64(binary.Size(row))), binary.LittleEndian, row)
+	}
+}
+
+// appendColumns appends a vertex-major table (entry i of vertex v at
+// t[v*s+i]) as appendRows appends its s columns of n, gathering with a
+// stride straight into buf; readColumns scatters such an image back.
+func appendColumns[T uint8 | float32](buf []byte, t []T, s int) []byte {
+	buf = slices.Grow(buf, 8+len(t)*binary.Size(t[0]))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t)/s))
+	for i := range s {
+		switch t := any(t).(type) {
+		case []uint8:
+			for x := i; x < len(t); x += s {
+				buf = append(buf, t[x])
+			}
+		case []float32:
+			for x := i; x < len(t); x += s {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(t[x]))
+			}
+		}
+	}
+	return buf
+}
+
+func readColumns[T uint8 | float32](c *rec.Cursor, t []T, s int) {
+	n := len(t) / s
+	readRows[T](c, nil, s, n)
+	for i := range s {
+		switch t := any(t).(type) {
+		case []uint8:
+			for v, b := range c.Bytes(uint64(n)) { // nil once c has stopped
+				t[v*s+i] = b
+			}
+		case []float32:
+			col := c.Bytes(4 * uint64(n))
+			for v := range len(col) / 4 {
+				t[v*s+i] = math.Float32frombits(binary.LittleEndian.Uint32(col[4*v:]))
+			}
+		}
 	}
 }
 

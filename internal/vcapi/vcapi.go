@@ -5,7 +5,9 @@
 // asynchronous engine) and the workers of the real RPC cluster
 // (internal/rpcrt). A vertex program written once against these
 // interfaces runs unchanged on any executor, which is exactly how the
-// paper ports its benchmark tasks across the seven systems (§3).
+// paper ports its benchmark tasks across the seven systems (§3). A fan-out
+// of one payload to many vertices is one Context.SendAll call, which every
+// executor makes exactly Send in a loop: same order, counters and bytes.
 package vcapi
 
 import (
@@ -32,6 +34,10 @@ type Context[M any] interface {
 	// Send transmits a point-to-point message to dst (the Pregel-based
 	// implementation family of §3).
 	Send(dst graph.VertexID, m M)
+	// SendAll sends m to every vertex of dsts, in order: exactly Send(u, m)
+	// for each u, with the same emission order, counters and bytes, in one
+	// call per fan-out. It does not retain dsts.
+	SendAll(dsts []graph.VertexID, m M)
 	// Broadcast delivers m to every neighbor of src (the broadcast
 	// interface of the mirror-mechanism-based family of §3).
 	Broadcast(src graph.VertexID, m M)
