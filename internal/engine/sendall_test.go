@@ -3,6 +3,8 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -113,17 +115,21 @@ func (l *machineLog) OnRound(o sim.RoundObservation) {
 	*l = append(*l, append([]sim.MachineRound(nil), o.Stats.PerMachine...))
 }
 
-// fanRun is everything one run of fanProg shows: in memory also each
-// round's outbox rows, where the order within one SendAll shows (its
-// messages share a payload, so no inbox tells them apart).
+// fanRun is everything one run of fanProg shows: also each round's outbox
+// rows in memory and its sealed partition files out of core, where the
+// order within one SendAll shows (its messages share a payload, so no
+// inbox tells them apart).
 type fanRun struct {
 	rounds machineLog
 	res    sim.JobResult
 	prog   *fanProg
 	rows   [][][]envelope[fanMsg]
+	files  [][]byte
 }
 
-// runFan runs prog to completion as Run does, keeping each round's rows.
+// runFan runs prog to completion as Run does, keeping each round's rows or,
+// out of core, each round's inbox files: it seals them at the end of the
+// round, which leaves the next round's own barrier nothing to seal.
 func runFan(e *Engine[fanMsg], r *fanRun) error {
 	if err := e.initOOC(); err != nil {
 		return err
@@ -133,6 +139,24 @@ func runFan(e *Engine[fanMsg], r *fanRun) error {
 	for first := true; first || e.pending(); first = false {
 		if err := e.Step(); err != nil {
 			return err
+		}
+		if e.ooc.runner != nil {
+			if err := e.ooc.runner.Barrier(); err != nil {
+				return err
+			}
+			inboxes, err := filepath.Glob(filepath.Join(e.opts.OOC.Dir, "inbox-*.vp"))
+			if err != nil {
+				return err
+			}
+			var sealed []byte
+			for _, path := range inboxes { // Glob sorts: creation order
+				b, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				sealed = append(sealed, b...)
+			}
+			r.files = append(r.files, sealed)
 		}
 		rows := make([][]envelope[fanMsg], len(e.outRows))
 		for i := range e.outRows {
@@ -171,6 +195,12 @@ func requireSameRuns(t *testing.T, send, all fanRun) {
 	}
 	if !reflect.DeepEqual(send.rows, all.rows) {
 		t.Fatal("outbox rows differ")
+	}
+	if send.files != nil && len(send.files[0]) == 0 {
+		t.Fatal("the first round sealed no partition file")
+	}
+	if !reflect.DeepEqual(send.files, all.files) {
+		t.Fatal("sealed partition files differ")
 	}
 }
 

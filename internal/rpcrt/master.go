@@ -15,6 +15,7 @@ import (
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
 	"vcmt/internal/rec"
+	"vcmt/internal/tasks"
 )
 
 // Cluster is a running set of RPC workers plus the master's connections.
@@ -626,8 +627,11 @@ func (c *Cluster) RunBPPR(walks int, alpha float64, seed uint64) (map[[2]graph.V
 }
 
 // RunBKHS counts, for every source, the vertices within k hops (excluding
-// the source).
+// the source). k must be in 1..tasks.MaxBKHSHops.
 func (c *Cluster) RunBKHS(sources []graph.VertexID, k int) ([]int64, error) {
+	if k < 1 || k > tasks.MaxBKHSHops {
+		return nil, fmt.Errorf("rpcrt: BKHS needs a radius in 1..%d, got %d", tasks.MaxBKHSHops, k)
+	}
 	parts, err := c.runJob(JobSpec{Program: "bkhs", Sources: sources, K: int32(k)})
 	if err != nil {
 		return nil, err

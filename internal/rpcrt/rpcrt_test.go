@@ -113,6 +113,29 @@ func TestBKHSOverRPCMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBKHSOverRPCRejectsBadRadius: a radius outside 1..MaxBKHSHops fails
+// before the job starts (k=0 used to run radius 2, k=-1 radius 1), and the
+// cluster still runs a valid job afterwards.
+func TestBKHSOverRPCRejectsBadRadius(t *testing.T) {
+	g := graph.GenerateChungLu(120, 480, 2.4, 11)
+	c := startTestCluster(t, g, 2)
+	sources := []graph.VertexID{1, 30}
+	for _, k := range []int{0, -1, tasks.MaxBKHSHops + 1} {
+		if counts, err := c.RunBKHS(sources, k); err == nil {
+			t.Fatalf("k=%d accepted; counts %v", k, counts)
+		}
+	}
+	counts, err := c.RunBKHS(sources, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sources {
+		if want := int64(len(ref.KHop(g, s, 1))); counts[i] != want {
+			t.Fatalf("src %d: got %d want %d", s, counts[i], want)
+		}
+	}
+}
+
 func TestBKHSOverRPCRoundCount(t *testing.T) {
 	g := graph.GenerateChungLu(200, 800, 2.5, 13)
 	c := startTestCluster(t, g, 2)

@@ -2,13 +2,9 @@ package tasks
 
 import (
 	"fmt"
-	"slices"
 
-	"vcmt/internal/ckpt"
-	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
-	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -54,22 +50,12 @@ type BKHSConfig struct {
 // hops of s. Per the paper, each batch terminates after exactly k+1
 // communication rounds (§3).
 type BKHSJob struct {
-	g    *graph.Graph
-	part *graph.Partition
-	cfg  BKHSConfig
+	sourceJob[HopMsg, uint8]
+	cfg BKHSConfig
 
 	// reached[i] counts vertices within K hops of Sources[i] (excluding
 	// the source itself).
 	reached []int64
-	done    int
-
-	// eng runs every synchronous batch (see runBatch); srcIdx is the
-	// batches' shared source index (see newSourceIndex) and hops their
-	// shared vertex-major hop table (see bkhsProg), grown to the largest
-	// batch and re-initialised per batch instead of reallocated.
-	eng    *engine.Engine[HopMsg]
-	srcIdx []int32
-	hops   []uint8
 }
 
 // NewBKHS constructs a BKHS job.
@@ -77,18 +63,14 @@ func NewBKHS(g *graph.Graph, part *graph.Partition, cfg BKHSConfig) *BKHSJob {
 	if cfg.K == 0 {
 		cfg.K = 2
 	}
-	return &BKHSJob{
-		g: g, part: part, cfg: cfg,
-		reached: make([]int64, len(cfg.Sources)),
-		srcIdx:  newSourceIndex(g.NumVertices()),
+	j := &BKHSJob{
+		sourceJob: newSourceJob[HopMsg, uint8]("BKHS", g, part, cfg.Sources, cfg.exec(), hopKind),
+		cfg:       cfg,
+		reached:   make([]int64, len(cfg.Sources)),
 	}
+	j.next, j.recycle = j.NextBatch, true
+	return j
 }
-
-// Name implements Job.
-func (j *BKHSJob) Name() string { return "BKHS" }
-
-// TotalWorkload implements Job: the number of sources.
-func (j *BKHSJob) TotalWorkload() int { return len(j.cfg.Sources) }
 
 // MemModel implements Job: a visited (source, vertex) pair costs ~8 bytes.
 func (j *BKHSJob) MemModel() sim.TaskMemModel {
@@ -103,9 +85,6 @@ func (j *BKHSJob) Reached(i int) int64 {
 	}
 	return j.reached[i]
 }
-
-// SourcesDone returns how many sources have completed.
-func (j *BKHSJob) SourcesDone() int { return j.done }
 
 // exec is the execution half of the config.
 func (c BKHSConfig) exec() execConfig {
@@ -134,56 +113,17 @@ var hopKind = msgKind[HopMsg]{
 	key: func(m HopMsg) uint64 { return uint64(m.Src) },
 }
 
-// RunBatch implements Job: processes the next `workload` sources. It fails
-// when the configured radius exceeds MaxBKHSHops.
-func (j *BKHSJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
-	if workload <= 0 || j.done >= len(j.cfg.Sources) {
-		return make([]int64, j.part.NumMachines()), nil
-	}
-	prog, err := j.nextBatch(workload)
-	if err != nil {
-		return nil, err
-	}
-	if err := runBatch(&j.eng, j.g, j.part, prog, run, j.cfg.exec(), batchIdx, hopKind); err != nil {
-		unmarkSources(j.srcIdx, prog.sources)
-		return nil, fmt.Errorf("tasks: BKHS batch %d: %w", batchIdx, err)
-	}
-	return prog.Finish(), nil
-}
-
 // NextBatch returns the vertex program of the job's next `workload`
-// sources, or an error when the configured radius exceeds MaxBKHSHops.
-func (j *BKHSJob) NextBatch(workload int) (Batch[HopMsg], error) { return j.nextBatch(workload) }
-
-func (j *BKHSJob) nextBatch(workload int) (*bkhsProg, error) {
-	if j.cfg.K > MaxBKHSHops {
-		return nil, fmt.Errorf("tasks: BKHS radius k=%d exceeds the supported maximum %d", j.cfg.K, MaxBKHSHops)
+// sources, or an error when the configured radius is outside
+// 1..MaxBKHSHops.
+func (j *BKHSJob) NextBatch(workload int) (Batch[HopMsg], error) {
+	if j.cfg.K < 1 || j.cfg.K > MaxBKHSHops {
+		return nil, fmt.Errorf("tasks: BKHS radius k=%d is outside the supported 1..%d", j.cfg.K, MaxBKHSHops)
 	}
-	k := j.part.NumMachines()
-	n := j.g.NumVertices()
-	batch := nextSources(j.cfg.Sources, j.done, workload)
-	prog := &bkhsProg{
-		job:     j,
-		sources: batch,
-		srcIdx:  j.srcIdx,
-		counts:  make([][]int64, k),
-		entries: make([]int64, k),
-	}
-	for m := 0; m < k; m++ {
-		prog.counts[m] = make([]int64, len(batch))
-	}
-	if len(j.hops) < n*len(batch) {
-		j.hops = make([]uint8, n*len(batch))
-	}
-	prog.hops = j.hops[:n*len(batch)]
-	for i, s := range batch {
-		j.srcIdx[s] = int32(i)
-	}
-	// Doubling copies fill the table at memmove speed; a byte loop over
-	// 1024 × n entries per batch is a measurable share of a pass.
-	prog.hops[0] = unreachedHop
-	for f := 1; f < len(prog.hops); f *= 2 {
-		copy(prog.hops[f:], prog.hops[:f])
+	prog := &bkhsProg{sourceTable: j.cut(workload, unreachedHop), job: j}
+	prog.lanes = make([][]int64, len(prog.entries))
+	for m := range prog.lanes {
+		prog.lanes[m] = make([]int64, len(prog.sources))
 	}
 	return prog, nil
 }
@@ -191,16 +131,14 @@ func (j *BKHSJob) nextBatch(workload int) (*bkhsProg, error) {
 // Finish implements Batch: the machines' first-reach tallies add up to the
 // job's per-source counts.
 func (p *bkhsProg) Finish() []int64 {
-	j := p.job
-	unmarkSources(j.srcIdx, p.sources)
+	first := p.job.finish()
 	for i := range p.sources {
 		var c int64
-		for m := range p.counts {
-			c += p.counts[m][i]
+		for _, lane := range p.lanes {
+			c += lane[i]
 		}
-		j.reached[j.done+i] = c
+		p.job.reached[first+i] = c
 	}
-	j.done += len(p.sources)
 	return p.entries
 }
 
@@ -214,19 +152,13 @@ const (
 
 // bkhsProg is the per-batch vertex program: a k-bounded multi-source BFS
 // that relaxes minimum hop counts, so it is correct under both synchronous
-// rounds and asynchronous delivery.
+// rounds and asynchronous delivery. Its table holds the hop counts, and
+// its lanes are each machine's tally of first reaches per batch source
+// (per-machine because machines compute concurrently, summed at batch
+// end).
 type bkhsProg struct {
-	job     *BKHSJob
-	sources []graph.VertexID
-	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
-	// hops is vertex-major: v's hop count from batch source i is
-	// hops[v*len(sources)+i], so one vertex's entries share a cache line.
-	hops []uint8
-	// counts[m][i] is machine m's tally of first reaches for batch source
-	// i; per-machine lanes because machines compute concurrently, summed
-	// at batch end.
-	counts  [][]int64
-	entries []int64
+	sourceTable[uint8]
+	job *BKHSJob
 }
 
 func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
@@ -235,14 +167,14 @@ func (p *bkhsProg) Seed(ctx vcapi.Context[HopMsg]) {
 		if i < 0 {
 			continue
 		}
-		p.hops[int(s)*len(p.sources)+i] = 0
+		p.row(s)[i] = 0
 		p.entries[ctx.Machine()]++
 		p.forward(ctx, s, s, 1)
 	}
 }
 
 func (p *bkhsProg) Compute(ctx vcapi.Context[HopMsg], v graph.VertexID, msgs []HopMsg) {
-	row := p.hops[int(v)*len(p.sources):][:len(p.sources)]
+	row := p.row(v)
 	for _, m := range msgs {
 		i := int(p.srcIdx[m.Src])
 		h := uint8(m.Hop)
@@ -250,7 +182,7 @@ func (p *bkhsProg) Compute(ctx vcapi.Context[HopMsg], v graph.VertexID, msgs []H
 			continue
 		}
 		if row[i] == unreachedHop {
-			p.counts[ctx.Machine()][i]++
+			p.lanes[ctx.Machine()][i]++
 			p.entries[ctx.Machine()]++
 		}
 		row[i] = h
@@ -266,23 +198,4 @@ func (p *bkhsProg) forward(ctx vcapi.Context[HopMsg], v, src graph.VertexID, hop
 		return
 	}
 	ctx.SendAll(ctx.Graph().Neighbors(v), HopMsg{Src: src, Hop: hop})
-}
-
-// StateEntries implements vcapi.StateReporter.
-func (p *bkhsProg) StateEntries(machine int) int64 { return p.entries[machine] }
-
-// AppendState implements vcapi.StateSnapshotter: the hop table, one row per
-// batch source (see appendColumns), per-machine first-reach counts, and
-// entry counts.
-func (p *bkhsProg) AppendState(buf []byte) ([]byte, error) {
-	buf = appendColumns(buf, p.hops, len(p.sources))
-	return appendRows(buf, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries)), nil
-}
-
-// LoadState implements vcapi.StateSnapshotter.
-func (p *bkhsProg) LoadState(data []byte) error {
-	c := rec.NewCursor(data, ckpt.ErrCorrupt)
-	readColumns(&c, p.hops, len(p.sources))
-	readRows(&c, slices.Concat(p.counts, [][]int64{p.entries}), len(p.entries))
-	return c.Done()
 }

@@ -2,14 +2,10 @@ package tasks
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"vcmt/internal/ckpt"
-	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
-	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -64,20 +60,13 @@ type MSSPConfig struct {
 // in S. Completed batches keep their distance tables resident (the
 // residual memory the tuning framework of §5 models).
 type MSSPJob struct {
-	g    *graph.Graph
-	part *graph.Partition
-	cfg  MSSPConfig
+	sourceJob[DistMsg, float32]
+	cfg MSSPConfig
 
 	// dist[i] is the distance table of Sources[i]'s batch (see msspProg),
 	// nil until the batch ran, and col[i] the source's column there.
 	dist [][]float32
 	col  []int
-	done int // sources fully processed so far
-
-	// eng runs every synchronous batch (see runBatch); srcIdx is the
-	// batches' shared source index (see newSourceIndex).
-	eng    *engine.Engine[DistMsg]
-	srcIdx []int32
 }
 
 // NewMSSP constructs an MSSP job. It fails for a mirror configuration on a
@@ -89,19 +78,15 @@ func NewMSSP(g *graph.Graph, part *graph.Partition, cfg MSSPConfig) (*MSSPJob, e
 	if cfg.Mirror && cfg.Async {
 		return nil, errors.New("tasks: MSSP cannot combine Mirror with Async")
 	}
-	return &MSSPJob{
-		g: g, part: part, cfg: cfg,
-		dist:   make([][]float32, len(cfg.Sources)),
-		col:    make([]int, len(cfg.Sources)),
-		srcIdx: newSourceIndex(g.NumVertices()),
-	}, nil
+	j := &MSSPJob{
+		sourceJob: newSourceJob[DistMsg, float32]("MSSP", g, part, cfg.Sources, cfg.exec(), distKind),
+		cfg:       cfg,
+		dist:      make([][]float32, len(cfg.Sources)),
+		col:       make([]int, len(cfg.Sources)),
+	}
+	j.next = func(workload int) (Batch[DistMsg], error) { return j.NextBatch(workload), nil }
+	return j, nil
 }
-
-// Name implements Job.
-func (j *MSSPJob) Name() string { return "MSSP" }
-
-// TotalWorkload implements Job: the number of sources.
-func (j *MSSPJob) TotalWorkload() int { return len(j.cfg.Sources) }
 
 // MemModel implements Job: a finite (source, vertex, dist) entry costs ~12
 // bytes.
@@ -118,9 +103,6 @@ func (j *MSSPJob) Distance(i int, v graph.VertexID) float64 {
 	}
 	return float64(t[int(v)*(len(t)/j.g.NumVertices())+j.col[i]])
 }
-
-// SourcesDone returns how many sources have completed.
-func (j *MSSPJob) SourcesDone() int { return j.done }
 
 // exec is the execution half of the config.
 func (c MSSPConfig) exec() execConfig {
@@ -152,71 +134,41 @@ var distKind = msgKind[DistMsg]{
 	key: func(m DistMsg) uint64 { return uint64(m.Src) },
 }
 
-// RunBatch implements Job: processes the next `workload` sources.
-func (j *MSSPJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
-	if workload <= 0 || j.done >= len(j.cfg.Sources) {
-		return make([]int64, j.part.NumMachines()), nil
-	}
-	prog := j.nextBatch(workload)
-	if err := runBatch(&j.eng, j.g, j.part, prog, run, j.cfg.exec(), batchIdx, distKind); err != nil {
-		unmarkSources(j.srcIdx, prog.sources)
-		return nil, fmt.Errorf("tasks: MSSP batch %d: %w", batchIdx, err)
-	}
-	return prog.Finish(), nil
-}
-
 // NextBatch returns the vertex program of the job's next `workload`
 // sources.
-func (j *MSSPJob) NextBatch(workload int) Batch[DistMsg] { return j.nextBatch(workload) }
-
-func (j *MSSPJob) nextBatch(workload int) *msspProg {
+func (j *MSSPJob) NextBatch(workload int) Batch[DistMsg] {
 	k := j.part.NumMachines()
-	batch := nextSources(j.cfg.Sources, j.done, workload)
 	prog := &msspProg{
+		sourceTable:  j.cut(workload, float32(math.Inf(1))),
 		job:          j,
-		sources:      batch,
-		srcIdx:       j.srcIdx,
-		dist:         make([]float32, j.g.NumVertices()*len(batch)),
-		entries:      make([]int64, k),
 		improved:     make([][]int32, k),
 		improvedList: make([][]int, k),
 		epoch:        make([]int32, k),
 	}
-	for m := 0; m < k; m++ {
-		prog.improved[m] = make([]int32, len(batch))
-	}
-	for i, s := range batch {
-		j.srcIdx[s] = int32(i)
-	}
-	inf := float32(math.Inf(1))
-	for x := range prog.dist {
-		prog.dist[x] = inf
+	for m := range prog.improved {
+		prog.improved[m] = make([]int32, len(prog.sources))
 	}
 	return prog
 }
 
 // Finish implements Batch: the batch's distance table becomes the job's.
 func (p *msspProg) Finish() []int64 {
-	j := p.job
-	unmarkSources(j.srcIdx, p.sources)
+	first := p.job.finish()
 	for i := range p.sources {
-		j.dist[j.done+i], j.col[j.done+i] = p.dist, i
+		p.job.dist[first+i], p.job.col[first+i] = p.cells, i
 	}
-	j.done += len(p.sources)
 	return p.entries
 }
 
 // msspProg is the per-batch vertex program: each vertex keeps the best
 // known distance per batch source and relaxes neighbors on improvement,
-// terminating when a round produces no shorter paths (§3).
+// terminating when a round produces no shorter paths (§3). Its table holds
+// the distances, and its entries count the finite ones. The relaxation
+// scratch is reset at every Compute call and needs no snapshot: epochs
+// only grow, so stale marks never collide after a restore.
 type msspProg struct {
-	job     *MSSPJob
-	sources []graph.VertexID
-	srcIdx  []int32 // vertex -> index into sources, -1 for non-sources
-	// dist is vertex-major: v's distance from batch source i is
-	// dist[v*len(sources)+i], so one vertex's entries share a cache line.
-	dist    []float32
-	entries []int64 // finite entries per machine
+	sourceTable[float32]
+	job *MSSPJob
 
 	// Relaxation scratch is per machine: machines compute concurrently, so
 	// each keeps its own epoch marks and improved-source list.
@@ -231,9 +183,9 @@ func (p *msspProg) Seed(ctx vcapi.Context[DistMsg]) {
 		if i < 0 {
 			continue
 		}
-		p.dist[int(s)*len(p.sources)+i] = 0
+		p.row(s)[i] = 0
 		p.entries[ctx.Machine()]++
-		p.relax(ctx, s, i)
+		p.relax(ctx, s, i, 0)
 	}
 }
 
@@ -243,7 +195,7 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 	epoch := p.epoch[mach]
 	improved := p.improved[mach]
 	list := p.improvedList[mach][:0]
-	row := p.dist[int(v)*len(p.sources):][:len(p.sources)]
+	row := p.row(v)
 	for _, m := range msgs {
 		i := int(p.srcIdx[m.Src])
 		d := m.Dist
@@ -265,14 +217,13 @@ func (p *msspProg) Compute(ctx vcapi.Context[DistMsg], v graph.VertexID, msgs []
 	}
 	p.improvedList[mach] = list
 	for _, i := range list {
-		p.relax(ctx, v, i)
+		p.relax(ctx, v, i, row[i])
 	}
 }
 
-// relax propagates v's current distance for batch source i to every
-// neighbor, with one payload for all of them on an unweighted graph.
-func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int) {
-	d := p.dist[int(v)*len(p.sources)+i]
+// relax propagates v's distance d from batch source i to every neighbor,
+// with one payload for all of them on an unweighted graph.
+func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int, d float32) {
 	src := p.sources[i]
 	if p.job.cfg.Mirror {
 		ctx.Broadcast(v, DistMsg{Src: src, Dist: d})
@@ -287,25 +238,4 @@ func (p *msspProg) relax(ctx vcapi.Context[DistMsg], v graph.VertexID, i int) {
 	for e, u := range ns {
 		ctx.Send(u, DistMsg{Src: src, Dist: d + g.Weight(v, e)})
 	}
-}
-
-// StateEntries implements vcapi.StateReporter.
-func (p *msspProg) StateEntries(machine int) int64 { return p.entries[machine] }
-
-// AppendState implements vcapi.StateSnapshotter: the distance table, one
-// row per batch source (see appendColumns), and the per-machine entry
-// counts. The relaxation scratch (epoch marks and improved lists) is reset
-// at every Compute call and needs no snapshot: epochs only grow, so stale
-// marks never collide after a restore.
-func (p *msspProg) AppendState(buf []byte) ([]byte, error) {
-	buf = appendColumns(buf, p.dist, len(p.sources))
-	return appendRows(buf, [][]int64{p.entries}, len(p.entries)), nil
-}
-
-// LoadState implements vcapi.StateSnapshotter.
-func (p *msspProg) LoadState(data []byte) error {
-	c := rec.NewCursor(data, ckpt.ErrCorrupt)
-	readColumns(&c, p.dist, len(p.sources))
-	readRows(&c, [][]int64{p.entries}, len(p.entries))
-	return c.Done()
 }

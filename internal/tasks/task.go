@@ -13,16 +13,13 @@ package tasks
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"path/filepath"
-	"slices"
 
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/gas"
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
-	"vcmt/internal/rec"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -172,93 +169,6 @@ func FirstSources(n, count int) []graph.VertexID {
 		}
 	}
 	return out
-}
-
-// newSourceIndex returns a job-lifetime dense map from vertex to the
-// vertex's index among the current batch's sources, -1 for every other
-// vertex. A batch marks its own sources before it runs and unmarks them
-// after, so the cost per batch is O(batch), not O(n).
-func newSourceIndex(n int) []int32 {
-	idx := make([]int32, n)
-	for v := range idx {
-		idx[v] = -1
-	}
-	return idx
-}
-
-// unmarkSources clears a finished batch's marks from the source index.
-func unmarkSources(idx []int32, batch []graph.VertexID) {
-	for _, s := range batch {
-		idx[s] = -1
-	}
-}
-
-// appendRows appends one part of a program snapshot: the part's dimensions
-// as uint32 words, then rows, all little-endian.
-func appendRows[T any](buf []byte, rows [][]T, dims ...int) []byte {
-	buf = slices.Grow(buf, 4*len(dims)+len(rows)*binary.Size(rows[0]))
-	for _, d := range dims {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-	}
-	for _, row := range rows {
-		buf, _ = binary.Append(buf, binary.LittleEndian, row) // fails only for a T of no fixed size
-	}
-	return buf
-}
-
-// readRows fills rows from the appendRows image at c, written with the
-// same dimensions. An image of other dimensions or too short stops c with
-// an error wrapping ckpt.ErrCorrupt.
-func readRows[T any](c *rec.Cursor, rows [][]T, dims ...int) {
-	for _, d := range dims {
-		if int(c.U32()) != d {
-			c.Fail("tasks: snapshot does not have the program's dimensions %v", dims)
-		}
-	}
-	for _, row := range rows {
-		// Decode fails only on the nil Bytes returns once c has stopped.
-		_, _ = binary.Decode(c.Bytes(uint64(binary.Size(row))), binary.LittleEndian, row)
-	}
-}
-
-// appendColumns appends a vertex-major table (entry i of vertex v at
-// t[v*s+i]) as appendRows appends its s columns of n, gathering with a
-// stride straight into buf; readColumns scatters such an image back.
-func appendColumns[T uint8 | float32](buf []byte, t []T, s int) []byte {
-	buf = slices.Grow(buf, 8+len(t)*binary.Size(t[0]))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t)/s))
-	for i := range s {
-		switch t := any(t).(type) {
-		case []uint8:
-			for x := i; x < len(t); x += s {
-				buf = append(buf, t[x])
-			}
-		case []float32:
-			for x := i; x < len(t); x += s {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(t[x]))
-			}
-		}
-	}
-	return buf
-}
-
-func readColumns[T uint8 | float32](c *rec.Cursor, t []T, s int) {
-	n := len(t) / s
-	readRows[T](c, nil, s, n)
-	for i := range s {
-		switch t := any(t).(type) {
-		case []uint8:
-			for v, b := range c.Bytes(uint64(n)) { // nil once c has stopped
-				t[v*s+i] = b
-			}
-		case []float32:
-			col := c.Bytes(4 * uint64(n))
-			for v := range len(col) / 4 {
-				t[v*s+i] = math.Float32frombits(binary.LittleEndian.Uint32(col[4*v:]))
-			}
-		}
-	}
 }
 
 // pairKey packs a (source, vertex) pair into a map key.

@@ -406,6 +406,55 @@ func TestBKHSRadiusBound(t *testing.T) {
 	}
 }
 
+// TestBKHSRejectsRadiusBelowOne: a negative radius is an error, not a
+// radius-1 search (the source's first hop went out regardless of K).
+func TestBKHSRejectsRadiusBelowOne(t *testing.T) {
+	g := graph.GenerateRing(10)
+	part := graph.HashPartition(10, 2)
+	job := NewBKHS(g, part, BKHSConfig{Sources: []graph.VertexID{0}, K: -1})
+	if _, err := job.NextBatch(1); err == nil {
+		t.Fatal("NextBatch accepted k=-1")
+	}
+	if _, err := job.RunBatch(nil, 1, 0); err == nil {
+		t.Fatalf("RunBatch accepted k=-1; it reached %d vertices", job.Reached(0))
+	}
+}
+
+// TestFinishedJobDropsEngine: once its last batch finishes, a source-batch
+// job holds only its results, not the engine that ran them nor BKHS's
+// recycled hop table, and the results stay readable.
+func TestFinishedJobDropsEngine(t *testing.T) {
+	g := graph.GenerateChungLu(80, 320, 2.5, 19)
+	part := graph.HashPartition(80, 2)
+	sources := []graph.VertexID{0, 9, 40}
+	mssp, err := NewMSSP(g, part, MSSPConfig{Sources: sources, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bkhs := NewBKHS(g, part, BKHSConfig{Sources: sources, Seed: 1})
+	run := sim.NewRun(testRunCfg(2))
+	for i := range 2 {
+		if _, err := mssp.RunBatch(run, 2, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bkhs.RunBatch(run, 2, i); err != nil {
+			t.Fatal(err)
+		}
+		if last := i == 1; (mssp.eng == nil) != last || (bkhs.eng == nil) != last || (bkhs.spare == nil) != last {
+			t.Fatalf("after batch %d: MSSP engine dropped %v, BKHS engine dropped %v, hop table dropped %v; want %v",
+				i, mssp.eng == nil, bkhs.eng == nil, bkhs.spare == nil, last)
+		}
+	}
+	for i, s := range sources {
+		if want := int64(len(ref.KHop(g, s, 2))); bkhs.Reached(i) != want {
+			t.Fatalf("src %d: reached %d, want %d", s, bkhs.Reached(i), want)
+		}
+		if d := mssp.Distance(i, s); d != 0 {
+			t.Fatalf("src %d: distance to itself %v", s, d)
+		}
+	}
+}
+
 func TestBKHSReachedUnprocessedIsMinusOne(t *testing.T) {
 	g := graph.GenerateRing(10)
 	part := graph.HashPartition(10, 2)
