@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 17057
+LOC_MAX := 17139
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
@@ -63,21 +63,23 @@ bench-ab:
 # delivery cycle, its SendAll fan-out and keyed-combine counterparts
 # (counting sort + fold table), the per-batch cost of New against Reset,
 # and the skewed-degree workload, checked against the committed
-# BENCH_engine.json baseline. ns/op and B/op may regress at most 25%, and
-# the 0 allocs/op baselines (the three steady-state cycles and Reset) are
-# matched exactly — one allocation
-# on the delivery, fold or re-arm path fails the gate.
+# BENCH_engine.json baseline. Each benchmark runs 5 times (-count 5): the
+# gate compares the fastest ns/op, the median B/op and the largest
+# allocs/op. ns/op and B/op may regress at most 25%, and the 0 allocs/op
+# baselines (the three steady-state cycles and Reset) are matched exactly —
+# one allocation on the delivery, fold or re-arm path, in any of the five
+# runs, fails the gate.
 # BenchmarkEngineWorkers is deliberately NOT in the gate: its wall clock
 # measures pool scaling, which depends on the host's core count and means
 # nothing on an arbitrary CI runner; it stays an uploaded artifact
 # (bench-workers below).
 bench-engine:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineFanOut$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine_run.json 		-compare BENCH_engine.json -max-regress 0.25
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineFanOut$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -count 5 -out BENCH_engine_run.json 		-compare BENCH_engine.json -max-regress 0.25
 
 # Refresh the committed engine baseline after a deliberate hot-path change;
 # commit the resulting BENCH_engine.json alongside the change justifying it.
 bench-engine-baseline:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineFanOut$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -out BENCH_engine.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkEngineMessageThroughput$$|BenchmarkEngineDeliverySteadyState$$|BenchmarkEngineFanOut$$|BenchmarkEngineKeyedCombine$$|BenchmarkEngineBatchReuse|BenchmarkEngineSkewedDegree/w1$$' 		-pkg ./internal/engine -benchmem -benchtime 20x -count 5 -out BENCH_engine.json
 
 # Worker-pool scaling artifact (not a gate; see bench-engine).
 bench-workers:

@@ -15,6 +15,10 @@
 //
 //	benchjson -bench 'BenchmarkDeliver' -pkg ./internal/wire -benchmem \
 //	    -benchtime 100x -compare BENCH_wire.json -max-regress 0.25
+//
+// With -count N every benchmark runs N times and its lines fold into one
+// result (see fold): the fastest ns/op, so a gate compares what the code
+// can do rather than how loaded the host was, with the slowest beside it.
 package main
 
 import (
@@ -27,17 +31,20 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Result is one benchmark line: the canonical ns/op plus any custom
 // metrics the benchmark reported (b.ReportMetric units, and B/op /
-// allocs/op under -benchmem).
+// allocs/op under -benchmem). Folded from repeated runs, NsPerOp is their
+// minimum and NsPerOpMax their maximum.
 type Result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	NsPerOpMax float64            `json:"ns_per_op_max,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -57,13 +64,14 @@ func main() {
 		pkg        = flag.String("pkg", ".", "package to benchmark")
 		benchtime  = flag.String("benchtime", "1x", "go test -benchtime value")
 		benchmem   = flag.Bool("benchmem", false, "pass -benchmem (records B/op and allocs/op)")
+		count      = flag.Int("count", 1, "run each benchmark this many times and fold the runs into one result")
 		out        = flag.String("out", "", "output JSON path (default stdout)")
 		compare    = flag.String("compare", "", "baseline JSON artifact to compare against")
 		maxRegress = flag.Float64("max-regress", 0.25, "fail when ns/op, B/op or allocs/op regress by more than this fraction (with -compare); a 0 allocs/op baseline is matched exactly")
 	)
 	flag.Parse()
 
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime}
+	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", strconv.Itoa(*count)}
 	if *benchmem {
 		args = append(args, "-benchmem")
 	}
@@ -77,7 +85,7 @@ func main() {
 	}
 
 	// The child go test inherits this process's GOMAXPROCS.
-	o := Output{Package: *pkg, Bench: *bench, Results: parse(&buf, runtime.GOMAXPROCS(0))}
+	o := Output{Package: *pkg, Bench: *bench, Results: fold(parse(&buf, runtime.GOMAXPROCS(0)))}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {
 		o.GoVersion = strings.TrimSpace(string(v))
 	}
@@ -231,4 +239,43 @@ func parse(r *bytes.Buffer, procs int) []Result {
 		results = append(results, res)
 	}
 	return results
+}
+
+// fold merges the lines of each benchmark that ran more than once into one
+// result, in first-run order: ns/op is the minimum, the one figure a loaded
+// host cannot drag down, with the maximum beside it as the spread; B/op
+// and every custom metric are the median; allocs/op is the maximum, so one
+// allocating run still fails a 0-allocs baseline.
+func fold(results []Result) []Result {
+	var out []Result
+	runs := map[string][]Result{}
+	for _, r := range results {
+		if runs[r.Name] == nil {
+			out = append(out, r)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	for i, f := range out {
+		rs := runs[f.Name]
+		if len(rs) == 1 {
+			continue
+		}
+		f.Metrics = map[string]float64{}
+		for _, r := range rs {
+			f.NsPerOp, f.NsPerOpMax = min(f.NsPerOp, r.NsPerOp), max(f.NsPerOpMax, r.NsPerOp)
+		}
+		for metric := range rs[0].Metrics {
+			var vs []float64
+			for _, r := range rs {
+				vs = append(vs, r.Metrics[metric])
+			}
+			slices.Sort(vs)
+			f.Metrics[metric] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+			if metric == "allocs/op" {
+				f.Metrics[metric] = vs[len(vs)-1]
+			}
+		}
+		out[i] = f
+	}
+	return out
 }

@@ -176,3 +176,39 @@ func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
 		t.Fatalf("suffixed fresh result did not match its baseline: %v", regs)
 	}
 }
+
+// TestFoldRepeatedRuns: with -count N every benchmark prints N lines; fold
+// keeps one per name, in first-run order, with the minimum ns/op and the
+// maximum beside it, the median B/op and custom metrics, and the maximum
+// allocs/op — one allocating repeat still fails a 0-allocs baseline.
+func TestFoldRepeatedRuns(t *testing.T) {
+	out := bytes.NewBufferString(strings.Join([]string{
+		"BenchmarkA \t 20\t 300 ns/op\t 10.0 Mmsgs/s\t 100 B/op\t 0 allocs/op",
+		"BenchmarkB \t 20\t 50 ns/op",
+		"BenchmarkA \t 20\t 100 ns/op\t 30.0 Mmsgs/s\t 900 B/op\t 0 allocs/op",
+		"BenchmarkA \t 20\t 200 ns/op\t 15.0 Mmsgs/s\t 120 B/op\t 1 allocs/op",
+		"BenchmarkC \t 20\t 70 ns/op\t 8 B/op",
+		"BenchmarkC \t 20\t 60 ns/op\t 4 B/op",
+	}, "\n"))
+	res := fold(parse(out, 1))
+	if len(res) != 3 || res[0].Name != "BenchmarkA" || res[1].Name != "BenchmarkB" || res[2].Name != "BenchmarkC" {
+		t.Fatalf("folded to %+v, want A, B, C in first-run order", res)
+	}
+	a := res[0]
+	if a.NsPerOp != 100 || a.NsPerOpMax != 300 || a.Iterations != 20 {
+		t.Fatalf("A folded to ns/op %v..%v at %d iterations, want 100..300 at 20", a.NsPerOp, a.NsPerOpMax, a.Iterations)
+	}
+	if a.Metrics["B/op"] != 120 || a.Metrics["Mmsgs/s"] != 15 || a.Metrics["allocs/op"] != 1 {
+		t.Fatalf("A folded to metrics %v, want median B/op 120 and Mmsgs/s 15, max allocs/op 1", a.Metrics)
+	}
+	if b := res[1]; b.NsPerOpMax != 0 || b.NsPerOp != 50 {
+		t.Fatalf("a single run was changed: %+v", b)
+	}
+	if c := res[2]; c.NsPerOp != 60 || c.NsPerOpMax != 70 || c.Metrics["B/op"] != 6 {
+		t.Fatalf("C folded to %+v, want ns/op 60..70 and B/op the mean of its two middles, 6", c)
+	}
+	base := baseline(result("BenchmarkA", 100, map[string]float64{"B/op": 120, "allocs/op": 0}))
+	if regs := compareResults(base, res, 0.25); len(regs) != 1 || !strings.Contains(regs[0], "allocation-free") {
+		t.Fatalf("one allocating repeat against a 0-allocs baseline: %v", regs)
+	}
+}

@@ -67,7 +67,7 @@ func TestBarrierConservationPanics(t *testing.T) {
 	part := graph.HashPartition(10, 2)
 	e := New[int32](g, part, nopProg{}, nil, Options[int32]{Workers: 1})
 	e.ctxs[0].Send(3, 1)
-	e.sent[0] = machineCounters{}
+	e.counters[0] = machineCounters{}
 	e.rollCounters()
 	defer func() {
 		if r := recover(); r == nil {

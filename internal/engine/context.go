@@ -20,7 +20,7 @@ type Context[M any] struct {
 	// Hot-path caches: this machine's send counters and its k outbox rows —
 	// a subslice of Engine.outRows, so pushes through either view update
 	// the same rows.
-	sc   *machineCounters
+	sc   *sendCounters
 	rows []outRow[M]
 }
 
@@ -47,7 +47,7 @@ func (c *Context[M]) OwnedVertices() []graph.VertexID {
 }
 
 // RNG returns the executing machine's deterministic random stream.
-func (c *Context[M]) RNG() *randx.RNG { return c.e.rngs[c.machine] }
+func (c *Context[M]) RNG() *randx.RNG { return &c.e.rngs[c.machine].RNG }
 
 // Send transmits a point-to-point message from the executing machine to
 // vertex dst, to be delivered in the next superstep (the Pregel-based

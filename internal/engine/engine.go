@@ -179,13 +179,10 @@ type Engine[M any] struct {
 	// first parallel phase; see parallel.go).
 	pool *phasePool
 
-	rngs []*randx.RNG
-
-	sent    []machineCounters
-	recv    []machineCounters
-	active  []int64
-	rounds  int
-	stopped bool
+	rngs     []machineRNG
+	counters []machineCounters
+	rounds   int
+	stopped  bool
 
 	// ooc is the out-of-core backend, live while ooc.runner is set; its
 	// scratch persists across runs like inbox. oocPartitions survives the
@@ -216,12 +213,29 @@ type envelope[M any] struct {
 	payload M
 }
 
+// machineCounters is one machine's per-superstep tallies: what it sent,
+// what it received and how many of its vertices ran. The pool worker
+// running the machine writes them per message and per vertex, so a record
+// fills whole 64-byte cache lines: two workers never write one line.
 type machineCounters struct {
+	sent                      sendCounters
+	recvLogical, recvPhysical int64
+	active                    int64
+}
+
+type sendCounters struct {
 	logical, physical, remoteLogical, remotePhysical int64
 	// fanout is the envelopes buffered beyond physical: a mirrored
 	// broadcast is one wire message per mirror machine but one envelope
 	// per neighbor.
 	fanout int64
+}
+
+// machineRNG is one machine's random stream, alone in its cache line like
+// machineCounters: a program draws from it per message.
+type machineRNG struct {
+	randx.RNG
+	_ [56]byte
 }
 
 // New constructs an engine. run may be nil when only the computation result
@@ -255,10 +269,8 @@ func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog
 		moffs:          make([][]int32, k),
 		machLoad:       make([]int64, k),
 		machOrder:      make([]int32, len(local)),
-		rngs:           make([]*randx.RNG, k),
-		sent:           make([]machineCounters, k),
-		recv:           make([]machineCounters, k),
-		active:         make([]int64, k),
+		rngs:           make([]machineRNG, k),
+		counters:       make([]machineCounters, k),
 		ctxs:           make([]*Context[M], k),
 	}
 	for v := 0; v < n; v++ {
@@ -268,8 +280,7 @@ func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog
 		e.vertsByMachine[m] = append(e.vertsByMachine[m], graph.VertexID(v))
 	}
 	for m := 0; m < k; m++ {
-		e.rngs[m] = randx.New(0)
-		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.sent[m], rows: e.outRows[m*k : (m+1)*k]}
+		e.ctxs[m] = &Context[M]{e: e, machine: m, sc: &e.counters[m].sent, rows: e.outRows[m*k : (m+1)*k]}
 	}
 	for _, m := range local {
 		nl := len(e.vertsByMachine[m])
@@ -310,8 +321,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	}
 	for m := 0; m < k; m++ {
 		e.rngs[m].SetState(vcapi.MachineSeed(opts.Seed, m))
-		e.sent[m], e.recv[m] = machineCounters{}, machineCounters{}
-		e.active[m], e.owed[m] = 0, 0
+		e.counters[m], e.owed[m] = machineCounters{}, 0
 	}
 	e.rounds, e.stopped = 0, false
 	e.oocPartitions = 0
@@ -457,8 +467,8 @@ func (e *Engine[M]) Step() error {
 // concurrently.
 func (e *Engine[M]) computeMachine(m, lo, hi int) {
 	ctx := e.ctxs[m]
-	rc := &e.recv[m]
-	before := rc.physical
+	mc := &e.counters[m]
+	before := mc.recvPhysical
 	offs := e.moffs[m][lo : hi+1]
 	base := e.regionStart[m]
 	weigh := e.opts.Weight
@@ -470,19 +480,19 @@ func (e *Engine[M]) computeMachine(m, lo, hi int) {
 		ctx.vertex = v
 		msgs := e.inbox[base+lo : base+hi]
 		if weigh == nil {
-			rc.logical += int64(len(msgs))
+			mc.recvLogical += int64(len(msgs))
 		} else {
 			for _, msg := range msgs {
-				rc.logical += weigh(msg)
+				mc.recvLogical += weigh(msg)
 			}
 		}
-		rc.physical += int64(len(msgs))
+		mc.recvPhysical += int64(len(msgs))
 		e.prog.Compute(ctx, v, msgs)
-		e.active[m]++
+		mc.active++
 	}
 	// The other half of barrier conservation: the Compute calls consumed
 	// exactly the messages the folded segments held.
-	if got, want := rc.physical-before, int64(offs[len(offs)-1]-offs[0]); got != want {
+	if got, want := mc.recvPhysical-before, int64(offs[len(offs)-1]-offs[0]); got != want {
 		panic(fmt.Sprintf("engine: conservation violated in round %d: machine %d received %d messages, its inbox held %d",
 			e.rounds+1, m, got, want))
 	}
@@ -655,14 +665,15 @@ func (e *Engine[M]) observeRound() {
 		per := make([]sim.MachineRound, k)
 		reporter, hasState := e.prog.(vcapi.StateReporter)
 		for m := 0; m < k; m++ {
+			mc := &e.counters[m]
 			per[m] = sim.MachineRound{
-				SentLogical:    e.sent[m].logical,
-				SentPhysical:   e.sent[m].physical,
-				RecvLogical:    e.recv[m].logical,
-				RecvPhysical:   e.recv[m].physical,
-				RemoteLogical:  e.sent[m].remoteLogical,
-				RemotePhysical: e.sent[m].remotePhysical,
-				ActiveVertices: e.active[m],
+				SentLogical:    mc.sent.logical,
+				SentPhysical:   mc.sent.physical,
+				RecvLogical:    mc.recvLogical,
+				RecvPhysical:   mc.recvPhysical,
+				RemoteLogical:  mc.sent.remoteLogical,
+				RemotePhysical: mc.sent.remotePhysical,
+				ActiveVertices: mc.active,
 			}
 			if hasState {
 				per[m].StateEntries = reporter.StateEntries(m)
@@ -678,10 +689,8 @@ func (e *Engine[M]) observeRound() {
 // machine sent to the envelopes its rows owe the next barrier (see
 // checkOwed).
 func (e *Engine[M]) rollCounters() {
-	for m := range e.sent {
-		e.owed[m] += e.sent[m].physical + e.sent[m].fanout
-		e.sent[m] = machineCounters{}
-		e.recv[m] = machineCounters{}
-		e.active[m] = 0
+	for m := range e.counters {
+		e.owed[m] += e.counters[m].sent.physical + e.counters[m].sent.fanout
+		e.counters[m] = machineCounters{}
 	}
 }

@@ -70,7 +70,7 @@ func (e *Engine[M]) runTask(kind phaseKind, i int) {
 	case phaseSeed:
 		m := e.local[i]
 		e.prog.Seed(e.ctxs[m])
-		e.active[m] += int64(len(e.vertsByMachine[m]))
+		e.counters[m].active += int64(len(e.vertsByMachine[m]))
 	case phaseDeliver:
 		e.deliverMachine(int(e.machOrder[i]))
 	case phaseCombine:

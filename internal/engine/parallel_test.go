@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"unsafe"
 
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
@@ -123,6 +124,22 @@ func TestCombinerIdenticalAcrossWorkers(t *testing.T) {
 	for v := range base {
 		if got[v] != base[v] {
 			t.Fatalf("combiner run diverges at %d: %d want %d", v, got[v], base[v])
+		}
+	}
+}
+
+// TestPerMachineRecordsFillCacheLines guards the layout that keeps pool
+// workers off each other's cache lines: a machine's counters and its RNG
+// stream, which its worker writes per message, are records of whole 64-byte
+// lines, so a field added to either cannot put two machines back on one
+// line.
+func TestPerMachineRecordsFillCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"machineCounters": unsafe.Sizeof(machineCounters{}),
+		"machineRNG":      unsafe.Sizeof(machineRNG{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d bytes, not a multiple of a 64-byte cache line", name, size)
 		}
 	}
 }

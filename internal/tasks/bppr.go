@@ -105,6 +105,8 @@ type BPPRJob struct {
 	// for the Monte-Carlo program, pushEng for the mirror variant.
 	mcEng   *engine.Engine[WalkMsg]
 	pushEng *engine.Engine[MassMsg]
+	// scratch[m] is machine m's Compute scratch, for every batch.
+	scratch []bpprScratch
 }
 
 // NewBPPR constructs a BPPR job over the given graph partition. It panics
@@ -126,6 +128,7 @@ func NewBPPR(g *graph.Graph, part *graph.Partition, cfg BPPRConfig) *BPPRJob {
 		g: g, part: part, cfg: cfg,
 		endpoints: make([]endpointTable, part.NumMachines()),
 		baseline:  make([]int64, part.NumMachines()),
+		scratch:   make([]bpprScratch, part.NumMachines()),
 	}
 }
 
@@ -203,9 +206,17 @@ func (j *BPPRJob) EachEndpoint(machine int, yield func(src, v graph.VertexID, wa
 	}
 }
 
-func (j *BPPRJob) addEndpoint(machine int, src, v graph.VertexID, mass float64) {
-	e, _ := j.endpoints[machine].ref(pairKey(src, v))
-	e.mass += mass
+// addStops adds each stop's mass from its source at v to machine's endpoint
+// table, in order: one tight pass that ends a Compute call, after its
+// sends, so the table's index and entry misses come back to back. A call
+// lists its stops in message order, so the table records and changes
+// entries exactly as adding each at its message would.
+func (j *BPPRJob) addStops(machine int, v graph.VertexID, stops []walkMass) {
+	t := &j.endpoints[machine]
+	for _, s := range stops {
+		e, _ := t.ref(pairKey(s.src, v))
+		e.mass += s.mass
+	}
 }
 
 // appendEndpoints appends the per-machine endpoint tables to buf, each as
@@ -380,6 +391,26 @@ type bpprBatch struct {
 	cut     int                     // sources this batch takes off cfg.Sources
 }
 
+// bpprScratch is one machine's Compute scratch, for either program; every
+// Compute call leaves it drained. Machines compute concurrently, so each
+// needs its own, and as a Compute call writes its machine's slice headers,
+// a record fills whole 64-byte cache lines: two pool workers never write
+// one line.
+type bpprScratch struct {
+	stops   []walkMass // the call's walks stopped at its vertex, in message order
+	buckets []int64    // Monte-Carlo: multinomial buckets
+	masses  []walkMass // mirror: the call's mass per source, in first-message order
+	slot    []int32    // mirror: per source vertex, its index in masses + 1
+	_       [32]byte
+}
+
+// walkMass is walk mass from src: stopped at, or arrived at, the vertex of
+// a Compute call.
+type walkMass struct {
+	src  graph.VertexID
+	mass float64
+}
+
 func (j *BPPRJob) nextBatch(workload int) *bpprBatch {
 	for m := range j.baseline {
 		j.baseline[m] = int64(j.endpoints[m].n)
@@ -420,8 +451,9 @@ func (b *bpprBatch) StateEntries(machine int) int64 {
 }
 
 // AppendState implements vcapi.StateSnapshotter: the batch-accumulated
-// endpoint tables. Both programs' scratch (multinomial buckets, per-source
-// accumulators) is drained within every Compute call and needs no snapshot.
+// endpoint tables. Both programs' scratch (stop lists, multinomial buckets,
+// per-source sums) is drained within every Compute call and needs no
+// snapshot.
 func (b *bpprBatch) AppendState(buf []byte) ([]byte, error) { return b.job.appendEndpoints(buf), nil }
 
 // LoadState implements vcapi.StateSnapshotter.
@@ -438,131 +470,125 @@ func (b *bpprBatch) LoadDelta(data []byte) error { return b.job.marked(b.job.loa
 
 // bpprMC is the Pregel-based Monte-Carlo program: each message moves a
 // counted bundle of walks one step (§3, Pregel (BPPR)).
-type bpprMC struct {
-	*bpprBatch
-	// scratch[m] is machine m's multinomial bucket buffer: machines
-	// compute concurrently, so each needs its own.
-	scratch [][]int64
-}
+type bpprMC struct{ *bpprBatch }
 
-func newBpprMC(b *bpprBatch) *bpprMC {
-	return &bpprMC{bpprBatch: b, scratch: make([][]int64, b.job.part.NumMachines())}
-}
+func newBpprMC(b *bpprBatch) *bpprMC { return &bpprMC{b} }
 
 func (p *bpprMC) Seed(ctx vcapi.Context[WalkMsg]) {
 	for _, v := range ctx.OwnedVertices() {
 		if p.sources != nil && !p.sources[v] {
 			continue
 		}
-		p.step(ctx, v, v, int64(p.w))
+		p.Compute(ctx, v, []WalkMsg{{Src: v, Count: int32(p.w)}})
 	}
 }
 
+// Compute stops a Binomial(count, α) portion of each message's walks at v
+// and moves the rest to uniformly random neighbors, then records the stops
+// (see addStops).
 func (p *bpprMC) Compute(ctx vcapi.Context[WalkMsg], v graph.VertexID, msgs []WalkMsg) {
-	for _, m := range msgs {
-		p.step(ctx, v, m.Src, int64(m.Count))
-	}
-}
-
-// step stops a Binomial(count, α) portion of the walks at v and moves the
-// rest to uniformly random neighbors.
-func (p *bpprMC) step(ctx vcapi.Context[WalkMsg], v, src graph.VertexID, count int64) {
-	j := p.job
-	rng := ctx.RNG()
-	ns := ctx.Graph().Neighbors(v)
-	stops := rng.Binomial(count, j.cfg.Alpha)
-	if len(ns) == 0 {
-		stops = count
-	}
-	if stops > 0 {
-		j.addEndpoint(ctx.Machine(), src, v, float64(stops))
-	}
-	rest := count - stops
-	if rest <= 0 {
-		return
-	}
-	if rest*4 <= int64(len(ns)) {
-		// Few walks, many neighbors: route each walk individually.
-		for i := int64(0); i < rest; i++ {
-			ctx.Send(ns[rng.Intn(len(ns))], WalkMsg{Src: src, Count: 1})
-		}
-		return
-	}
 	mach := ctx.Machine()
-	if cap(p.scratch[mach]) < len(ns) {
-		p.scratch[mach] = make([]int64, len(ns))
-	}
-	buckets := p.scratch[mach][:len(ns)]
-	rng.Multinomial(rest, buckets)
-	for i, c := range buckets {
-		if c > 0 {
-			ctx.Send(ns[i], WalkMsg{Src: src, Count: int32(c)})
+	s := &p.job.scratch[mach]
+	rng, ns, alpha := ctx.RNG(), ctx.Graph().Neighbors(v), p.job.cfg.Alpha
+	stops := s.stops[:0]
+	for _, m := range msgs {
+		count := int64(m.Count)
+		stopped := rng.Binomial(count, alpha)
+		if len(ns) == 0 {
+			stopped = count
+		}
+		if stopped > 0 {
+			stops = append(stops, walkMass{m.Src, float64(stopped)})
+		}
+		rest := count - stopped
+		if rest <= 0 {
+			continue
+		}
+		if rest*4 <= int64(len(ns)) {
+			// Few walks, many neighbors: route each walk individually.
+			for range rest {
+				ctx.Send(ns[rng.Intn(len(ns))], WalkMsg{Src: m.Src, Count: 1})
+			}
+			continue
+		}
+		if cap(s.buckets) < len(ns) {
+			s.buckets = make([]int64, len(ns))
+		}
+		buckets := s.buckets[:len(ns)]
+		rng.Multinomial(rest, buckets)
+		for i, c := range buckets {
+			if c > 0 {
+				ctx.Send(ns[i], WalkMsg{Src: m.Src, Count: int32(c)})
+			}
 		}
 	}
+	p.job.addStops(mach, v, stops)
+	s.stops = stops[:0]
 }
 
 // bpprPush is the mirror-mechanism-based program (§3, Pregel-Mirror
 // (BPPR)): walk mass is fractionalized over neighbors and disseminated via
 // the broadcast interface, so one common message serves all neighbors.
-type bpprPush struct {
-	*bpprBatch
-	// Per-machine, per-source aggregation scratch indexed by source vertex
-	// id; accKeys preserves insertion order so execution stays
-	// deterministic. Per machine because machines compute concurrently.
-	acc     [][]float64
-	accKeys [][]graph.VertexID
-}
+type bpprPush struct{ *bpprBatch }
 
-func newBpprPush(b *bpprBatch) *bpprPush {
-	k := b.job.part.NumMachines()
-	return &bpprPush{bpprBatch: b, acc: make([][]float64, k), accKeys: make([][]graph.VertexID, k)}
-}
+func newBpprPush(b *bpprBatch) *bpprPush { return &bpprPush{b} }
 
 func (p *bpprPush) Seed(ctx vcapi.Context[MassMsg]) {
 	for _, v := range ctx.OwnedVertices() {
 		if p.sources != nil && !p.sources[v] {
 			continue
 		}
-		p.push(ctx, v, v, float64(p.w))
+		p.spread(ctx, v, []walkMass{{v, float64(p.w)}})
 	}
 }
 
+// Compute sums the messages' mass per source, sources in first-message
+// order, and spreads it.
 func (p *bpprPush) Compute(ctx vcapi.Context[MassMsg], v graph.VertexID, msgs []MassMsg) {
-	mach := ctx.Machine()
-	if p.acc[mach] == nil {
-		p.acc[mach] = make([]float64, ctx.Graph().NumVertices())
+	s := &p.job.scratch[ctx.Machine()]
+	if s.slot == nil {
+		s.slot = make([]int32, ctx.Graph().NumVertices())
 	}
-	acc := p.acc[mach]
-	keys := p.accKeys[mach]
+	masses := s.masses[:0]
 	for _, m := range msgs {
-		if acc[m.Src] == 0 {
-			keys = append(keys, m.Src)
+		i := s.slot[m.Src]
+		if i == 0 {
+			masses = append(masses, walkMass{src: m.Src})
+			i = int32(len(masses))
+			s.slot[m.Src] = i
 		}
-		acc[m.Src] += float64(m.Mass)
+		masses[i-1].mass += float64(m.Mass)
 	}
-	for _, src := range keys {
-		p.push(ctx, v, src, acc[src])
-		acc[src] = 0
+	for _, m := range masses {
+		s.slot[m.src] = 0
 	}
-	p.accKeys[mach] = keys[:0]
+	p.spread(ctx, v, masses)
+	s.masses = masses[:0]
 }
 
-// push parks α·mass at v and broadcasts the remainder, fractionalized over
-// v's neighbors. Sub-threshold remainders are parked at v so that the total
-// mass per source is conserved exactly.
-func (p *bpprPush) push(ctx vcapi.Context[MassMsg], v, src graph.VertexID, mass float64) {
-	j := p.job
+// spread parks α of each source's mass at v and broadcasts the rest,
+// fractionalized over v's neighbors, in masses order, then records the
+// parked mass (see addStops). A sub-threshold remainder is parked at v too,
+// so the total mass per source is conserved exactly.
+func (p *bpprPush) spread(ctx vcapi.Context[MassMsg], v graph.VertexID, masses []walkMass) {
+	mach := ctx.Machine()
+	s := &p.job.scratch[mach]
 	ns := ctx.Graph().Neighbors(v)
-	stop := j.cfg.Alpha * mass
-	rest := mass - stop
-	if len(ns) == 0 || rest < j.cfg.PruneThreshold {
-		stop = mass
-		rest = 0
+	alpha, prune := p.job.cfg.Alpha, p.job.cfg.PruneThreshold
+	stops := s.stops[:0]
+	for _, m := range masses {
+		stop := alpha * m.mass
+		rest := m.mass - stop
+		if len(ns) == 0 || rest < prune {
+			stop, rest = m.mass, 0
+		}
+		if stop > 0 {
+			stops = append(stops, walkMass{m.src, stop})
+		}
+		if rest > 0 {
+			ctx.Broadcast(v, MassMsg{Src: m.src, Mass: float32(rest / float64(len(ns)))})
+		}
 	}
-	if stop > 0 {
-		j.addEndpoint(ctx.Machine(), src, v, stop)
-	}
-	if rest > 0 {
-		ctx.Broadcast(v, MassMsg{Src: src, Mass: float32(rest / float64(len(ns)))})
-	}
+	p.job.addStops(mach, v, stops)
+	s.stops = stops[:0]
 }

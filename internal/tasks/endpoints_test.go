@@ -2,21 +2,26 @@ package tasks
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"vcmt/internal/ckpt"
 	"vcmt/internal/engine"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/sim"
+	"vcmt/internal/vcapi"
 )
 
 // TestEndpointTableMatchesMap drives an endpoint table and a map with the
@@ -132,6 +137,148 @@ func TestBPPRCheckpointOrderIsCanonical(t *testing.T) {
 	}
 }
 
+// TestBPPREndpointImagesPinned pins what both BPPR programs write through
+// real Compute calls: the sha256 of every checkpoint file a checkpointed
+// run leaves, in step order, for Workers 1 and 4. Later checkpoints change
+// entries an earlier one saved, so the files include deltas, whose bytes
+// follow the order the Compute calls record and change entries in; and the
+// fixture gives some vertex two messages of one source in one call, so the
+// order within a call shows too. The endpoint tables' image is the same
+// for every worker count, so one list serves both.
+func TestBPPREndpointImagesPinned(t *testing.T) {
+	const n, k = 300, 4
+	g := graph.GenerateChungLu(n, 1200, 2.5, 5)
+	part := graph.HashPartition(n, k)
+	want := map[bool][]string{
+		false: {
+			"batch000/ckpt-000000038.vck c361297b87ecd9684b00ad60ea267a5d5825b441e184c63abdc043631b4459bd",
+			"batch000/ckpt-000000040.vck 3597967a7a29a91beb7cdfcce72a3c5fc6b33387e969bf891ced6982ee68a47e",
+			"batch000/ckpt-000000042.vck 5ddbf414a27bca641a1102f13a619bc7add436edf5ad072f285233b524f64d56",
+			"batch001/ckpt-000000066.vck 87c1b02b9a99fde9917ef543c5a0025addef835816271b22378678883069c259",
+			"batch001/ckpt-000000068.vck f4031adb73554ed4f8081623c6e2ff89bff6bd6ae3f04f920fe7d10a68190e03",
+			"batch001/ckpt-000000070.vck d810776c2f737bd428202eddf62115a49816b6d6f3dff4ffe55be523bfbb80d1",
+			"batch001/ckpt-000000072.vck 9b1acf64956c62ebfa891f931df955a04afa74b3a0a84325524cae70b57bf2ab",
+			"batch001/ckpt-000000074.vck 8870e0cddf1def6ffb38619f11ded93ab76f76016b217249cb8b0d4420b938af",
+			"batch001/ckpt-000000076.vck 971e306a838abf466132b264c8866469517fe6d95f5280908c61e8bef89f2ee6",
+			"batch001/ckpt-000000078.vck 6a8c2893ff386a7a89c1f5f29c8ef77a8f661aee85b9e9c632d99b023fa09a10",
+			"batch001/ckpt-000000080.vck 2a1816219a2e0a91170f52013968a68164e55c2616bedb54f9df5b07334fdf57",
+		},
+		true: {
+			"batch000/ckpt-000000004.vck abf6eb246a66f0d1311d6d168804e2b33b729ad93c99fb20b7e2a638b1d14dba",
+			"batch000/ckpt-000000006.vck e8962520b6ba449f899327967bdea9257fe9a220b9860696aa9d7e9a856fb6b1",
+			"batch000/ckpt-000000008.vck 57f41b3a1c60d055b42d6b99fd3e7506b9453c12b3436db6a110ed69e7cbd3a3",
+			"batch001/ckpt-000000002.vck 4e32386361e47ef9709ce4e3b018e9d0f7097bfd8eae1f63736030d851fe63a1",
+			"batch001/ckpt-000000004.vck 5a3ce30474bf580d03b95f04a532339d20bcdf30d41094c576fe9f8414c93281",
+			"batch001/ckpt-000000006.vck 6e9974e982b36816e73ce2b4a1624090715b1549e2977cb4865aa563e974cca6",
+			"batch001/ckpt-000000008.vck 220ddc39684dd3995fb3dc682fa32809b8484f72ae1657bf0925bdb7e6ea0984",
+		},
+	}
+	for _, mirror := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mirror=%v", mirror), func(t *testing.T) {
+			cfg := BPPRConfig{WalksPerNode: 12, Mirror: mirror, Seed: 5, CheckpointInterval: 2}
+			if repeats := repeatedSourceCalls(t, g, part, cfg); repeats == 0 {
+				t.Fatal("no Compute call receives two messages of one source; the fixture pins nothing within a call")
+			}
+			for _, w := range []int{1, 4} {
+				cfg.Workers, cfg.CheckpointDir = w, t.TempDir()
+				job := NewBPPR(g, part, cfg)
+				rc := testRunCfg(k)
+				if mirror {
+					rc.System = sim.PregelPlusMirror
+				}
+				r := sim.NewRun(rc)
+				for b := range 2 {
+					if _, err := job.RunBatch(r, 6, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, deltas := checkpointDigests(t, cfg.CheckpointDir)
+				if deltas == 0 {
+					t.Fatal("the run wrote no delta")
+				}
+				if !slices.Equal(got, want[mirror]) {
+					t.Errorf("workers=%d: checkpoint files\n got %q\nwant %q", w, got, want[mirror])
+				}
+			}
+		})
+	}
+}
+
+// repeatedSourceCalls runs a batch of cfg's program and counts the Compute
+// calls whose messages name one source twice.
+func repeatedSourceCalls(t *testing.T, g *graph.Graph, part *graph.Partition, cfg BPPRConfig) int {
+	t.Helper()
+	job := NewBPPR(g, part, BPPRConfig{WalksPerNode: cfg.WalksPerNode, Seed: cfg.Seed, Mirror: cfg.Mirror})
+	rc := testRunCfg(part.NumMachines())
+	if cfg.Mirror {
+		rc.System = sim.PregelPlusMirror
+		return runCountingRepeats(t, g, part, newBpprPush(job.nextBatch(6)), rc, cfg.Seed,
+			func(m MassMsg) graph.VertexID { return m.Src })
+	}
+	return runCountingRepeats(t, g, part, newBpprMC(job.nextBatch(6)), rc, cfg.Seed,
+		func(m WalkMsg) graph.VertexID { return m.Src })
+}
+
+func runCountingRepeats[M any](t *testing.T, g *graph.Graph, part *graph.Partition, prog vcapi.Program[M],
+	rc sim.JobConfig, seed uint64, src func(M) graph.VertexID) int {
+	c := &repeatCounter[M]{Program: prog, src: src}
+	if err := engine.New(g, part, c, sim.NewRun(rc), engine.Options[M]{Seed: seed, Workers: 1}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.repeats
+}
+
+// repeatCounter wraps a program and counts the Compute calls whose messages
+// repeat a source.
+type repeatCounter[M any] struct {
+	vcapi.Program[M]
+	src     func(M) graph.VertexID
+	repeats int
+}
+
+func (c *repeatCounter[M]) Compute(ctx vcapi.Context[M], v graph.VertexID, msgs []M) {
+	seen := map[graph.VertexID]bool{}
+	for _, m := range msgs {
+		if seen[c.src(m)] {
+			c.repeats++
+			break
+		}
+		seen[c.src(m)] = true
+	}
+	c.Program.Compute(ctx, v, msgs)
+}
+
+// checkpointDigests lists the sha256 of every checkpoint file under dir,
+// batch by batch in step order, as "batch/step sha256", and counts the
+// deltas among them.
+func checkpointDigests(t *testing.T, dir string) (digests []string, deltas int) {
+	t.Helper()
+	files := readTree(t, dir)
+	names := slices.Sorted(maps.Keys(files))
+	for _, name := range names {
+		sum := sha256.Sum256([]byte(files[name]))
+		digests = append(digests, fmt.Sprintf("%s %x", name, sum))
+		snap, err := ckpt.Decode([]byte(files[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Get(ckpt.ParentSection) != nil {
+			deltas++
+		}
+	}
+	return digests, deltas
+}
+
+// TestBPPRScratchFillsCacheLines guards the layout that keeps pool workers
+// off each other's cache lines: a machine's Compute scratch is a record of
+// whole 64-byte lines, so a field added to it cannot put two machines back
+// on one line.
+func TestBPPRScratchFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(bpprScratch{}); size%64 != 0 {
+		t.Fatalf("bpprScratch is %d bytes, not a multiple of a 64-byte cache line", size)
+	}
+}
+
 // readTree maps every file under dir, by relative path, to its contents.
 func readTree(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -210,6 +357,11 @@ func bpprSnapshotEngine(tb testing.TB) (*BPPRJob, *engine.Engine[WalkMsg]) {
 		}
 	}
 	return job, e
+}
+
+// addEndpoint adds mass walks from src stopped at v to machine's table.
+func (j *BPPRJob) addEndpoint(machine int, src, v graph.VertexID, mass float64) {
+	j.addStops(machine, v, []walkMass{{src, mass}})
 }
 
 // fillEndpoints records synthetic endpoints until the job holds n.
