@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -57,6 +56,11 @@ func FuzzPartitionDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, valid[:headerLen]...), 0xff, 0xff, 0xff, 0xff, 0x7f))
 	// A weighted edge record whose degree overflows degree*5.
 	f.Add(overflowingDegree())
+	// CRC-valid files the decoder must reject: two-byte varints ending in a
+	// zero byte, as a destination and as a neighbor, and descending vertices.
+	f.Add(rawFile(KindMessages, []byte{0x81, 0x00, 'x'}))
+	f.Add(rawFile(KindEdges, []byte{0, 1, 0x85, 0x00}))
+	f.Add(rawFile(KindEdges, []byte{2, 1, 0}, []byte{0, 1, 1}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The runner's read buffer, then the smallest one decoding allows,
@@ -108,6 +112,20 @@ func overflowingDegree() []byte {
 	return append(binary.AppendUvarint(file, uint64(len(body))), body...)
 }
 
+// anyID bounds vertex IDs by the width of a VertexID alone.
+const anyID = 1 << 32
+
+// rawFile frames bodies as an unweighted partition of kind with a true
+// record count and CRC trailer, so the decoder meets the bodies as they are.
+func rawFile(kind byte, bodies ...[]byte) []byte {
+	file := []byte{partMagic0, partMagic1, Version, kind, 0}
+	for _, b := range bodies {
+		file = append(binary.AppendUvarint(file, uint64(len(b))), b...)
+	}
+	file = binary.AppendUvarint(append(file, 0), uint64(len(bodies)))
+	return binary.LittleEndian.AppendUint64(file, rec.CRC(0, file))
+}
+
 // decodeAll decodes a whole partition through the constructor every Reader
 // starts with, using a read buffer of bufLen bytes.
 func decodeAll(data []byte, bufLen int) (kind byte, weighted bool, msgs []msgRec, edges []edgeRec, err error) {
@@ -116,30 +134,31 @@ func decodeAll(data []byte, bufLen int) (kind byte, weighted bool, msgs []msgRec
 	if err := r.init(bytes.NewReader(data)); err != nil {
 		return 0, false, nil, nil, err
 	}
-	for {
-		if r.Kind() == KindMessages {
-			dst, payload, err := r.NextMessage()
-			if err != nil {
-				return r.kind, r.weighted, msgs, edges, eofNil(err)
-			}
-			msgs = append(msgs, msgRec{dst, append([]byte(nil), payload...)})
-			continue
-		}
-		v, nbrs, wts, err := r.NextEdges()
-		if err != nil {
-			return r.kind, r.weighted, msgs, edges, eofNil(err)
-		}
-		edges = append(edges, edgeRec{
-			v:    v,
-			nbrs: append([]graph.VertexID(nil), nbrs...),
-			wts:  append([]float32(nil), wts...),
-		})
-	}
+	msgs, edges, err = readAll(&r)
+	return r.kind, r.weighted, msgs, edges, err
 }
 
-func eofNil(err error) error {
-	if err == io.EOF {
-		return nil
+// readAll decodes r's records, the ones before the first fault when there
+// is one, allowing any VertexID.
+func readAll(r *Reader) (msgs []msgRec, edges []edgeRec, err error) {
+	if r.Kind() == KindMessages {
+		var ib Inbox
+		err = r.ReadMessages(&ib, anyID)
+		for i, dst := range ib.Dsts {
+			msgs = append(msgs, msgRec{dst, ib.Payload(i)})
+		}
+		return msgs, nil, err
 	}
-	return err
+	var e EdgeList
+	err = r.ReadEdges(&e, anyID)
+	at := 0
+	for i, v := range e.Verts {
+		end := at + int(e.Degs[i])
+		er := edgeRec{v: v, nbrs: e.Adj[at:end]}
+		if r.Weighted() {
+			er.wts = e.Wts[at:end]
+		}
+		edges, at = append(edges, er), end
+	}
+	return nil, edges, err
 }

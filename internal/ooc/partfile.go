@@ -18,19 +18,23 @@
 // A message record body is uvarint(dst) followed by the raw payload. An edge
 // record body is uvarint(v) uvarint(deg) then deg canonical uvarint neighbor
 // IDs, followed by deg little-endian float32 weights when the weighted flag
-// is set. All varints are canonical (minimal length); decoders reject
-// non-minimal encodings, truncation, trailing bytes, count mismatches and
-// checksum failures with errors wrapping ErrCorrupt, and never panic on
-// hostile input. Allocation during decode is bounded by MaxRecordBytes.
+// is set; an edge file names strictly ascending vertices. All varints are
+// canonical (minimal length); decoders reject non-minimal encodings,
+// truncation, trailing bytes, out-of-order or out-of-range IDs, count
+// mismatches and checksum failures with errors wrapping ErrCorrupt, and
+// never panic on hostile input. Allocation during decode is bounded by
+// MaxRecordBytes.
 //
 // The framing, the varints, the checksum and the bounds checks are
 // internal/rec's: a Writer encodes through a rec.Writer with a writeBufLen
-// buffer and a Reader decodes records in place through a rec.Reader with a
-// readBufLen one, both kept across files, and a PartitionedRunner owns one
-// Reader (it reads one file at a time) and a free list of Writers.
+// buffer and a Reader decodes a whole file from a rec.Reader with a
+// readBufLen one (Reader.decode tells how), both kept across files, and a
+// PartitionedRunner owns one Reader (it reads one file at a time) and a
+// free list of Writers.
 package ooc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -63,9 +67,10 @@ const (
 	headerLen = 5
 
 	// readBufLen and writeBufLen size a Reader's decode buffer and a
-	// Writer's encode buffer. Decoding needs at least MaxVarintLen64 bytes.
-	readBufLen  = 4 << 10
-	writeBufLen = 4 << 10
+	// Writer's encode buffer: each refill or flush is one system call and
+	// one CRC fold. Decoding needs at least MaxVarintLen64 bytes.
+	readBufLen  = 64 << 10
+	writeBufLen = 64 << 10
 )
 
 // ErrCorrupt is wrapped by every decode error caused by malformed input.
@@ -208,20 +213,14 @@ func (w *Writer) Abort() {
 	}
 }
 
-// Reader streams records from a partition, decoding each in place from its
-// read buffer and verifying the record count and CRC trailer when the end
-// marker is reached. Decoded slices alias internal buffers that are reused
-// by the next call.
+// Reader decodes a partition whole: Open parses the header, then one
+// ReadEdges or ReadMessages call decodes every record through the verified
+// end marker, record count and CRC trailer.
 type Reader struct {
 	dec      rec.Reader
 	f        *os.File
 	kind     byte
 	weighted bool
-	records  int64
-	done     bool
-	body     []byte // the current record body, aliasing the read buffer
-	nbrs     []graph.VertexID
-	wts      []float32
 }
 
 // Open opens a partition file and parses its header.
@@ -242,7 +241,7 @@ func NewReader(rd io.Reader) (*Reader, error) {
 	return r, nil
 }
 
-// open is Open on an existing Reader, keeping its buffers.
+// open is Open on an existing Reader, keeping its buffer.
 func (r *Reader) open(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -256,10 +255,10 @@ func (r *Reader) open(path string) error {
 	return nil
 }
 
-// init starts decoding src, keeping r's read buffer and decode scratch, and
-// parses the header. Every Reader, file-backed or not, starts here.
+// init starts decoding src, keeping r's read buffer, and parses the header.
+// Every Reader, file-backed or not, starts here.
 func (r *Reader) init(src io.Reader) error {
-	*r = Reader{dec: r.dec, nbrs: r.nbrs, wts: r.wts}
+	*r = Reader{dec: r.dec}
 	r.dec.Reset(src, readBufLen, ErrCorrupt)
 	hdr, err := r.dec.Bytes(headerLen)
 	if err != nil {
@@ -288,8 +287,8 @@ func (r *Reader) Kind() byte { return r.kind }
 // Weighted reports whether edge records carry weights.
 func (r *Reader) Weighted() bool { return r.weighted }
 
-// Bytes returns the encoded bytes consumed so far: at the verified end of
-// the partition (io.EOF), the whole stream.
+// Bytes returns the encoded bytes consumed so far: after a successful
+// ReadEdges or ReadMessages, the whole stream.
 func (r *Reader) Bytes() int64 { return r.dec.Offset() }
 
 // Close closes the underlying file, if any.
@@ -302,97 +301,143 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// next points r.body at the next record body, or returns io.EOF after
-// verifying the end marker, the record count and the trailer.
-func (r *Reader) next() error {
-	if r.done {
-		return io.EOF
-	}
-	body, err := r.dec.Record(MaxRecordBytes)
-	if err != nil {
-		return err
-	}
-	if body == nil {
-		cnt, err := r.dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		if cnt != uint64(r.records) {
-			return rec.Errorf(ErrCorrupt, "record count %d, decoded %d", cnt, r.records)
-		}
-		if err := r.dec.Trailer(); err != nil {
-			return err
-		}
-		r.done = true
-		return io.EOF
-	}
-	r.body = body
-	r.records++
-	return nil
+// EdgeList is an edge partition decoded whole, in file order: record i is
+// vertex Verts[i] with Degs[i] neighbors, the next Degs[i] IDs of Adj and,
+// when the partition is weighted, the next Degs[i] weights of Wts.
+type EdgeList struct {
+	Verts []graph.VertexID
+	Degs  []int32
+	Adj   []graph.VertexID
+	Wts   []float32
 }
 
-// NextMessage returns the next message record's destination and payload, or
-// io.EOF at the verified end of the partition. The payload aliases an
-// internal buffer valid until the next call.
-func (r *Reader) NextMessage() (graph.VertexID, []byte, error) {
-	if r.kind != KindMessages {
-		return 0, nil, fmt.Errorf("ooc: NextMessage on kind-%d partition", r.kind)
-	}
-	if err := r.next(); err != nil {
-		return 0, nil, err
-	}
-	dst, n := rec.Uvarint(r.body)
-	if n == 0 || dst > math.MaxUint32 {
-		return 0, nil, rec.Errorf(ErrCorrupt, "bad message destination in the record before offset %d", r.dec.Offset())
-	}
-	return graph.VertexID(dst), r.body[n:], nil
-}
-
-// NextEdges returns the next edge record: the vertex, its neighbors, and the
-// parallel weights (nil when unweighted), or io.EOF at the verified end of
-// the partition. The slices alias internal buffers valid until the next call.
-func (r *Reader) NextEdges() (graph.VertexID, []graph.VertexID, []float32, error) {
+// ReadEdges decodes an edge partition's records, through its verified end,
+// into e, keeping its capacity. The records must name strictly ascending
+// vertices, and every vertex and neighbor ID must be below n (<= 1<<32).
+func (r *Reader) ReadEdges(e *EdgeList, n uint64) error {
 	if r.kind != KindEdges {
-		return 0, nil, nil, fmt.Errorf("ooc: NextEdges on kind-%d partition", r.kind)
+		return fmt.Errorf("ooc: ReadEdges on kind-%d partition", r.kind)
 	}
-	if err := r.next(); err != nil {
-		return 0, nil, nil, err
+	e.Verts, e.Degs, e.Adj, e.Wts = e.Verts[:0], e.Degs[:0], e.Adj[:0], e.Wts[:0]
+	return r.decode(e, nil, n)
+}
+
+// ReadMessages decodes a message partition's records, through its verified
+// end, into ib in file order, keeping its capacity. Every destination must
+// be below n (<= 1<<32).
+func (r *Reader) ReadMessages(ib *Inbox, n uint64) error {
+	if r.kind != KindMessages {
+		return fmt.Errorf("ooc: ReadMessages on kind-%d partition", r.kind)
 	}
-	c := rec.NewCursor(r.body, ErrCorrupt)
-	v, deg := c.Uvarint(), c.Uvarint()
-	// Every neighbor costs at least one byte (plus 4 for a weight), so the
-	// remaining body bounds the degree: a hostile count cannot force a
-	// larger allocation than the record it arrived in.
-	per := 1
+	ib.Reset()
+	return r.decode(nil, ib, n)
+}
+
+// uvarint decodes a one- or two-byte canonical uvarint (every ID below
+// 16384) at the start of b inline, with no branch on its length; n = 0
+// leaves the rest, and a b shorter than two bytes, to rec.Uvarint.
+func uvarint(b []byte) (v uint64, n int) {
+	if len(b) < 2 {
+		return 0, 0
+	}
+	c0, c1 := uint64(b[0]), uint64(b[1])
+	two := c0 >> 7 // 1 when a second byte follows
+	if (c1-1)*two >= 0x7f {
+		return 0, 0 // a second byte that is zero or not the last
+	}
+	return c0&0x7f | c1<<7&-two, int(1 + two)
+}
+
+// decode is the one record loop behind ReadEdges (e) and ReadMessages (ib).
+// A record that sits whole in the read buffer is framed and decoded there,
+// with no call into the rec.Reader; one split across a refill, or one whose
+// length prefix is longer than two bytes or malformed, goes through
+// rec.Reader.Record. Either way its body gets every check of the format.
+func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
+	per := uint64(1) // the fewest bytes a neighbor takes: its varint, and its weight
 	if r.weighted {
 		per = 5
 	}
-	if deg > uint64(c.Len()/per) {
-		c.Fail("degree %d exceeds record body", deg)
-	}
-	if err := c.Err(); err != nil {
-		return 0, nil, nil, err
-	}
-	ids := v
-	r.nbrs = slices.Grow(r.nbrs[:0], int(deg))[:deg]
-	for i := range r.nbrs {
-		u := c.Uvarint()
-		ids |= u
-		r.nbrs[i] = graph.VertexID(u)
-	}
-	if ids > math.MaxUint32 {
-		c.Fail("vertex id overflows VertexID")
-	}
-	var wts []float32
-	if r.weighted {
-		r.wts = slices.Grow(r.wts[:0], int(deg))[:deg]
-		for i := range r.wts {
-			r.wts[i] = math.Float32frombits(c.U32())
+	var records, next uint64 // next: the lowest vertex an edge record may name
+	b, k := r.dec.Buffered(), 0
+	for {
+		var body []byte
+		if size, m := uvarint(b[k:]); m > 0 && size <= uint64(len(b)-k-m) {
+			body, k = b[k+m:k+m+int(size)], k+m+int(size)
+		} else {
+			r.dec.Skip(k)
+			var err error
+			if body, err = r.dec.Record(MaxRecordBytes); err != nil {
+				return err
+			}
+			b, k = r.dec.Buffered(), 0
 		}
-		wts = r.wts
+		if len(body) == 0 {
+			break // the end marker: records are never empty
+		}
+		records++
+		if ib != nil {
+			dst, m := uvarint(body)
+			if m == 0 {
+				dst, m = rec.Uvarint(body)
+			}
+			if m == 0 || dst >= n {
+				return rec.Errorf(ErrCorrupt, "bad destination in message record %d", records)
+			}
+			ib.Dsts = append(ib.Dsts, graph.VertexID(dst))
+			ib.Data = append(ib.Data, body[m:]...)
+			ib.Offs = append(ib.Offs, int32(len(ib.Data)))
+			continue
+		}
+		v, m := uvarint(body)
+		deg, m2 := uvarint(body[m:])
+		if m == 0 || m2 == 0 {
+			v, m = rec.Uvarint(body)
+			deg, m2 = rec.Uvarint(body[m:])
+		}
+		nbrs := body[m+m2:]
+		// Every neighbor costs at least per bytes, so the rest of the body
+		// bounds the degree: a hostile count cannot force a larger
+		// allocation than the record it arrived in. The first bound keeps
+		// the product from wrapping.
+		if m == 0 || m2 == 0 || deg > uint64(len(nbrs)) || deg*per > uint64(len(nbrs)) {
+			return rec.Errorf(ErrCorrupt, "bad vertex or degree in edge record %d", records)
+		}
+		if v < next || v >= n {
+			return rec.Errorf(ErrCorrupt, "edge record %d names vertex %d, want one in [%d, %d)", records, v, next, n)
+		}
+		next = v + 1
+		at := len(e.Adj)
+		e.Adj = slices.Grow(e.Adj, int(deg))[:at+int(deg)]
+		j := 0
+		for i := at; i < len(e.Adj); i++ {
+			u, m := uvarint(nbrs[j:])
+			if m == 0 {
+				u, m = rec.Uvarint(nbrs[j:])
+			}
+			if m == 0 || u >= n {
+				return rec.Errorf(ErrCorrupt, "bad neighbor of vertex %d in edge record %d", v, records)
+			}
+			e.Adj[i] = graph.VertexID(u)
+			j += m
+		}
+		wts := nbrs[j:]
+		if want := (per - 1) * deg; uint64(len(wts)) != want {
+			return rec.Errorf(ErrCorrupt, "%d bytes after the neighbors of vertex %d, want %d", len(wts), v, want)
+		}
+		for ; len(wts) > 0; wts = wts[4:] {
+			e.Wts = append(e.Wts, math.Float32frombits(binary.LittleEndian.Uint32(wts)))
+		}
+		e.Verts = append(e.Verts, graph.VertexID(v))
+		e.Degs = append(e.Degs, int32(deg))
 	}
-	if err := c.Done(); err != nil {
-		return 0, nil, nil, err
+	r.dec.Skip(k)
+	cnt, err := r.dec.Uvarint()
+	if err != nil {
+		return err
 	}
-	return graph.VertexID(v), r.nbrs, wts, nil
+	if cnt != records {
+		return rec.Errorf(ErrCorrupt, "record count %d, decoded %d", cnt, records)
+	}
+	return r.dec.Trailer()
 }

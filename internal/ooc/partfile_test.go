@@ -3,9 +3,9 @@ package ooc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -50,17 +50,11 @@ func readMessages(t *testing.T, path string) []msgRec {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	var out []msgRec
-	for {
-		dst, payload, err := r.NextMessage()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("NextMessage: %v", err)
-		}
-		out = append(out, msgRec{dst, append([]byte(nil), payload...)})
+	msgs, _, err := readAll(r)
+	if err != nil {
+		t.Fatalf("ReadMessages: %v", err)
 	}
+	return msgs
 }
 
 // TestMessageRoundTrip drives random message partitions through the codec:
@@ -101,7 +95,8 @@ func TestEdgeRoundTrip(t *testing.T) {
 		recs := []edgeRec{{v: 3}} // zero-degree vertex
 		for i := 0; i < 100; i++ {
 			deg := rng.Intn(20)
-			r := edgeRec{v: graph.VertexID(rng.Uint32())}
+			// Records name ascending vertices; the gaps reach 4-byte varints.
+			r := edgeRec{v: recs[i].v + 1 + graph.VertexID(rng.Intn(1<<24))}
 			for j := 0; j < deg; j++ {
 				r.nbrs = append(r.nbrs, graph.VertexID(rng.Uint32()))
 				if weighted {
@@ -134,18 +129,15 @@ func TestEdgeRoundTrip(t *testing.T) {
 		if r.Kind() != KindEdges || r.Weighted() != weighted {
 			t.Fatalf("header kind=%d weighted=%v", r.Kind(), r.Weighted())
 		}
-		for i := 0; ; i++ {
-			v, nbrs, wts, err := r.NextEdges()
-			if err == io.EOF {
-				if i != len(recs) {
-					t.Fatalf("weighted=%v: %d records back, want %d", weighted, i, len(recs))
-				}
-				break
-			}
-			if err != nil {
-				t.Fatalf("NextEdges: %v", err)
-			}
-			want := recs[i]
+		_, got, err := readAll(r)
+		if err != nil {
+			t.Fatalf("ReadEdges: %v", err)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("weighted=%v: %d records back, want %d", weighted, len(got), len(recs))
+		}
+		for i, want := range recs {
+			v, nbrs, wts := got[i].v, got[i].nbrs, got[i].wts
 			if v != want.v || len(nbrs) != len(want.nbrs) {
 				t.Fatalf("record %d: v=%d deg=%d, want v=%d deg=%d", i, v, len(nbrs), want.v, len(want.nbrs))
 			}
@@ -178,18 +170,8 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain := func(data []byte) error {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		for {
-			if _, _, err := r.NextMessage(); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-		}
+		_, _, _, _, err := decodeAll(data, readBufLen)
+		return err
 	}
 	if err := drain(valid); err != nil {
 		t.Fatalf("valid file rejected: %v", err)
@@ -209,11 +191,7 @@ func TestCorruptionMatrix(t *testing.T) {
 	if err := drain(append(append([]byte(nil), valid...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte accepted")
 	}
-	r, err := NewReader(bytes.NewReader(overflowingDegree()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := r.NextEdges(); !errors.Is(err, ErrCorrupt) {
+	if err := drain(overflowingDegree()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("overflowing degree: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -261,8 +239,9 @@ func TestKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, _, err := r.NextMessage(); err == nil {
-		t.Fatal("NextMessage accepted on edge partition")
+	var ib Inbox
+	if err := r.ReadMessages(&ib, anyID); err == nil {
+		t.Fatal("ReadMessages accepted on edge partition")
 	}
 }
 
@@ -335,61 +314,77 @@ func sizedFile(t *testing.T, kind byte, size int) []byte {
 	return nil
 }
 
-// drainFile opens path through the reader the runner uses and decodes every
-// record, returning the first error other than io.EOF.
-func drainFile(path string) error {
-	r, err := Open(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		if r.Kind() == KindMessages {
-			_, _, err = r.NextMessage()
-		} else {
-			_, _, _, err = r.NextEdges()
+// TestCorruptionAcrossRefills flips every bit of an edge file and a message
+// file that are larger than the read buffer, so the CRC spans refills and
+// the trailer straddles the first one: a full decode must reject every flip
+// with ErrCorrupt. The buffer is small so the flips stay cheap; the decoder
+// treats every buffer size alike (TestRecordAcrossRefill).
+func TestCorruptionAcrossRefills(t *testing.T) {
+	const bufLen = 1 << 10
+	for _, kind := range []byte{KindEdges, KindMessages} {
+		// The trailer occupies [bufLen-4, bufLen+4).
+		valid := sizedFile(t, kind, bufLen+4)
+		if _, _, _, _, err := decodeAll(valid, bufLen); err != nil {
+			t.Fatalf("kind %d: valid file rejected: %v", kind, err)
 		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
+		mut := append([]byte(nil), valid...)
+		for off := range valid {
+			for bit := 0; bit < 8; bit++ {
+				mut[off] = valid[off] ^ 1<<bit
+				if _, _, _, _, err := decodeAll(mut, bufLen); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("kind %d: flip of bit %d at %d: err=%v, want ErrCorrupt", kind, bit, off, err)
+				}
+			}
+			mut[off] = valid[off]
 		}
 	}
 }
 
-// TestCorruptionAcrossRefills flips every bit of an edge file and a message
-// file that are larger than the read buffer, so the CRC spans refills and
-// the trailer straddles the first one: Open plus a full decode must reject
-// every flip with ErrCorrupt.
-func TestCorruptionAcrossRefills(t *testing.T) {
-	for _, kind := range []byte{KindEdges, KindMessages} {
-		// The trailer occupies [readBufLen-4, readBufLen+4).
-		valid := sizedFile(t, kind, readBufLen+4)
-		path := filepath.Join(t.TempDir(), "c.vp")
-		if err := os.WriteFile(path, valid, 0o644); err != nil {
-			t.Fatal(err)
+// TestRecordAcrossRefill decodes files of each kind at every buffer size
+// from the smallest decoding allows to the whole file, so a refill meets
+// every byte of every record, length prefix and body alike, and records of
+// one- and two-byte lengths with one- to three-byte IDs straddle it: each
+// must decode exactly as with the whole file buffered.
+func TestRecordAcrossRefill(t *testing.T) {
+	files := map[string][]byte{}
+	for _, weighted := range []bool{false, true} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, KindEdges, weighted)
+		for v := graph.VertexID(0); v < 12; v++ {
+			nbrs := make([]graph.VertexID, v*v%60) // up to 49: two-byte lengths
+			var wts []float32
+			for i := range nbrs {
+				nbrs[i] = graph.VertexID(i*i*i) * v
+				if weighted {
+					wts = append(wts, float32(i)/3)
+				}
+			}
+			if weighted && wts == nil {
+				wts = []float32{}
+			}
+			w.AppendEdges(v*300, nbrs, wts)
 		}
-		if err := drainFile(path); err != nil {
-			t.Fatalf("kind %d: valid file rejected: %v", kind, err)
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		w.Finish()
+		files[fmt.Sprintf("edges weighted=%v", weighted)] = buf.Bytes()
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, KindMessages, false)
+	for i := 0; i < 30; i++ {
+		w.AppendMessage(graph.VertexID(i*i*i*40), bytes.Repeat([]byte{byte(i)}, i*i%150))
+	}
+	w.Finish()
+	files["messages"] = buf.Bytes()
+	for name, data := range files {
+		_, _, msgs, edges, err := decodeAll(data, len(data))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		for off := range valid {
-			for bit := 0; bit < 8; bit++ {
-				if _, err := f.WriteAt([]byte{valid[off] ^ 1<<bit}, int64(off)); err != nil {
-					t.Fatal(err)
-				}
-				if err := drainFile(path); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("kind %d: flip of bit %d at %d: err=%v, want ErrCorrupt", kind, bit, off, err)
-				}
-			}
-			if _, err := f.WriteAt(valid[off:off+1], int64(off)); err != nil {
-				t.Fatal(err)
+		want := fmt.Sprint(msgs, edges)
+		for bufLen := binary.MaxVarintLen64; bufLen < len(data); bufLen++ {
+			_, _, msgs, edges, err := decodeAll(data, bufLen)
+			if err != nil || fmt.Sprint(msgs, edges) != want {
+				t.Fatalf("%s with a %d-byte buffer: err=%v, or the records differ", name, bufLen, err)
 			}
 		}
-		f.Close()
 	}
 }

@@ -2,7 +2,6 @@ package ooc
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -119,10 +118,8 @@ type PartitionedRunner struct {
 	stats *IOStats
 
 	// Window scratch, reused across partitions.
-	deg  []int32
+	win  EdgeList
 	offs []int64
-	adj  []graph.VertexID
-	wts  []float32
 }
 
 // NewRunner partitions the execution order and writes the edge partition
@@ -148,7 +145,7 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r := &PartitionedRunner{
 		g: g, dir: dir, ownsDir: ownsDir, n: n,
 		order: order, weighted: g.Weighted(), stats: cfg.Stats,
-		partOf: make([]int32, n), deg: make([]int32, n), offs: make([]int64, n+1),
+		partOf: make([]int32, n), offs: make([]int64, n+1),
 	}
 	seen := make([]bool, n)
 	for _, v := range order {
@@ -209,7 +206,7 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 }
 
 // writeEdgePartitions writes each partition's edge records sorted by vertex
-// ID, so Window can rebuild a CSR view with a single ascending sweep.
+// ID, as the format requires, so Window rebuilds a CSR view in one sweep.
 func (r *PartitionedRunner) writeEdgePartitions() error {
 	start := time.Now()
 	var written int64
@@ -343,29 +340,27 @@ func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
 		return nil, 0, err
 	}
 	defer rd.Close()
-	clear(r.deg)
-	r.adj = r.adj[:0]
-	r.wts = r.wts[:0]
-	for {
-		v, nbrs, wts, err := rd.NextEdges()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if int(v) >= r.n {
-			return nil, 0, rec.Errorf(ErrCorrupt, "edge vertex %d out of range", v)
-		}
-		r.deg[v] = int32(len(nbrs))
-		r.adj = append(r.adj, nbrs...)
-		r.wts = append(r.wts, wts...) // stays nil when unweighted
+	e := &r.win
+	span := r.starts[p+1] - r.starts[p] // the most records p's file may hold
+	e.Verts, e.Degs = slices.Grow(e.Verts[:0], span), slices.Grow(e.Degs[:0], span)
+	if err := rd.ReadEdges(e, uint64(r.n)); err != nil {
+		return nil, 0, err
 	}
-	r.offs[0] = 0
-	for v := 0; v < r.n; v++ {
-		r.offs[v+1] = r.offs[v] + int64(r.deg[v])
+	// The records name ascending vertices, so one sweep fills the offsets.
+	at, v := int64(0), 0
+	for i, u := range e.Verts {
+		if r.partOf[u] != int32(p) {
+			return nil, 0, rec.Errorf(ErrCorrupt, "edge record for vertex %d in partition %d", u, p)
+		}
+		for ; v <= int(u); v++ {
+			r.offs[v] = at
+		}
+		at += int64(e.Degs[i])
 	}
-	g, err := graph.NewCSRView(r.n, r.offs, r.adj, r.wts)
+	for ; v <= r.n; v++ {
+		r.offs[v] = at
+	}
+	g, err := graph.NewCSRView(r.n, r.offs, e.Adj, e.Wts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -396,24 +391,16 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 	if err := rd.open(path); err != nil {
 		return err
 	}
-	for {
-		dst, payload, err := rd.NextMessage()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rd.Close()
-			return err
-		}
-		if int(dst) >= r.n || r.partOf[dst] != int32(p) {
-			rd.Close()
+	err := rd.ReadMessages(ib, uint64(r.n))
+	rd.Close()
+	if err != nil {
+		return err
+	}
+	for _, dst := range ib.Dsts {
+		if r.partOf[dst] != int32(p) {
 			return rec.Errorf(ErrCorrupt, "message for vertex %d routed to partition %d", dst, p)
 		}
-		ib.Dsts = append(ib.Dsts, dst)
-		ib.Data = append(ib.Data, payload...)
-		ib.Offs = append(ib.Offs, int32(len(ib.Data)))
 	}
-	rd.Close()
 	encoded := rd.Bytes() // the whole file, as in Window
 	if err := os.Remove(path); err != nil {
 		return err

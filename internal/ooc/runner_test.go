@@ -293,6 +293,68 @@ func TestNewRunnerRemovesFailedEdgeDump(t *testing.T) {
 	}
 }
 
+// TestRunnerRejectsMalformedPartitions hands Window and ReadInbox
+// CRC-valid files that break what the runner wrote, one fault per case:
+// each must fail with ErrCorrupt rather than build a wrong view or index
+// past the graph.
+func TestRunnerRejectsMalformedPartitions(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	r, err := NewRunner(testGraph(t, n, false), identityOrder(n), Config{Dir: dir, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	other, _ := r.Span(1) // identity order: the first vertex of partition 1
+	type edge struct {
+		v    graph.VertexID
+		nbrs []graph.VertexID
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []edge           // an edge file for partition 0, or
+		msgs  []graph.VertexID // an inbox for partition 0
+	}{
+		{name: "descending vertices", edges: []edge{{1, []graph.VertexID{0}}, {0, []graph.VertexID{1}}}},
+		{name: "repeated vertex", edges: []edge{{1, []graph.VertexID{0}}, {1, []graph.VertexID{2}}}},
+		{name: "vertex of another partition", edges: []edge{{graph.VertexID(other), nil}}},
+		{name: "vertex beyond n", edges: []edge{{n, nil}}},
+		{name: "neighbor beyond n", edges: []edge{{0, []graph.VertexID{1, 99}}}},
+		{name: "destination of another partition", msgs: []graph.VertexID{0, graph.VertexID(other)}},
+		{name: "destination beyond n", msgs: []graph.VertexID{0, n}},
+	} {
+		path := filepath.Join(dir, "crafted.vp")
+		kind := byte(KindEdges)
+		if tc.msgs != nil {
+			kind = KindMessages
+		}
+		w, err := Create(path, kind, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tc.edges {
+			w.AppendEdges(e.v, e.nbrs, nil)
+		}
+		for _, dst := range tc.msgs {
+			w.AppendMessage(dst, []byte("m"))
+		}
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.msgs != nil {
+			r.in[0] = path
+			var ib Inbox
+			err = r.ReadInbox(0, &ib)
+		} else {
+			r.edgePaths[0] = path
+			_, _, err = r.Window(0)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err=%v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
 // superstep routes msgs messages through r, seals them at the barrier and
 // streams every partition's edge window and inbox back into ib.
 func superstep(tb testing.TB, r *PartitionedRunner, ib *Inbox, msgs int) {

@@ -332,6 +332,13 @@ func (r *Reader) refill(n int) bool {
 // stream, its length.
 func (r *Reader) Offset() int64 { return r.off + int64(r.pos) }
 
+// Buffered returns the bytes read but not yet consumed, for a decoder that
+// parses the whole records among them in place and then Skips them.
+func (r *Reader) Buffered() []byte { return r.buf[r.pos:r.end] }
+
+// Skip consumes the next n <= len(Buffered()) bytes.
+func (r *Reader) Skip(n int) { r.pos += n }
+
 // Bytes returns the next n bytes.
 func (r *Reader) Bytes(n int) ([]byte, error) {
 	if !r.fill(n) {
