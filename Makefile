@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 17178
+LOC_MAX := 17300
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 
@@ -63,12 +63,13 @@ bench-ab:
 # delivery cycle, its SendAll fan-out and keyed-combine counterparts
 # (counting sort + fold table), the per-batch cost of New against Reset,
 # and the skewed-degree workload, checked against the committed
-# BENCH_engine.json baseline. Each benchmark runs 5 times (-count 5): the
-# gate compares the fastest ns/op, the median B/op and the largest
-# allocs/op. ns/op and B/op may regress at most 25%, and the 0 allocs/op
-# baselines (the three steady-state cycles and Reset) are matched exactly —
-# one allocation on the delivery, fold or re-arm path, in any of the five
-# runs, fails the gate.
+# BENCH_engine.json baseline. Each benchmark runs 5 times (-count 5: five
+# go test passes over the whole set, so one host slow spell cannot cover
+# all of one benchmark's runs): the gate compares the fastest ns/op, the
+# median B/op and the largest allocs/op. ns/op and B/op may regress at most
+# 25%, and the 0 allocs/op baselines (the three steady-state cycles and
+# Reset) are matched exactly — one allocation on the delivery, fold or
+# re-arm path, in any of the five runs, fails the gate.
 # BenchmarkEngineWorkers is deliberately NOT in the gate: its wall clock
 # measures pool scaling, which depends on the host's core count and means
 # nothing on an arbitrary CI runner; it stays an uploaded artifact

@@ -16,9 +16,10 @@
 //	benchjson -bench 'BenchmarkDeliver' -pkg ./internal/wire -benchmem \
 //	    -benchtime 100x -compare BENCH_wire.json -max-regress 0.25
 //
-// With -count N every benchmark runs N times and its lines fold into one
-// result (see fold): the fastest ns/op, so a gate compares what the code
-// can do rather than how loaded the host was, with the slowest beside it.
+// With -count N the benchmark set runs as N separate go test passes and
+// each benchmark's N lines fold into one result (see fold): the fastest
+// ns/op, so a gate compares what the code can do rather than how loaded
+// the host was, with the slowest beside it.
 package main
 
 import (
@@ -64,24 +65,29 @@ func main() {
 		pkg        = flag.String("pkg", ".", "package to benchmark")
 		benchtime  = flag.String("benchtime", "1x", "go test -benchtime value")
 		benchmem   = flag.Bool("benchmem", false, "pass -benchmem (records B/op and allocs/op)")
-		count      = flag.Int("count", 1, "run each benchmark this many times and fold the runs into one result")
+		count      = flag.Int("count", 1, "run the benchmark set this many times, one go test pass each, and fold each benchmark's runs into one result")
 		out        = flag.String("out", "", "output JSON path (default stdout)")
 		compare    = flag.String("compare", "", "baseline JSON artifact to compare against")
 		maxRegress = flag.Float64("max-regress", 0.25, "fail when ns/op, B/op or allocs/op regress by more than this fraction (with -compare); a 0 allocs/op baseline is matched exactly")
 	)
 	flag.Parse()
 
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", strconv.Itoa(*count)}
+	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", "1"}
 	if *benchmem {
 		args = append(args, "-benchmem")
 	}
 	args = append(args, *pkg)
-	cmd := exec.Command("go", args...)
+	// Each repeat is a pass over the whole set, so one benchmark's repeats
+	// lie a pass apart rather than back to back: a host slow spell then
+	// covers a repeat of a few benchmarks, not all of one benchmark's.
 	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		log.Fatalf("go test: %v\n%s", err, buf.String())
+	for range max(*count, 1) {
+		cmd := exec.Command("go", args...)
+		cmd.Stdout = &buf
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			log.Fatalf("go test: %v\n%s", err, buf.String())
+		}
 	}
 
 	// The child go test inherits this process's GOMAXPROCS.

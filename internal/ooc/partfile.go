@@ -26,11 +26,12 @@
 // MaxRecordBytes.
 //
 // The framing, the varints, the checksum and the bounds checks are
-// internal/rec's: a Writer encodes through a rec.Writer with a writeBufLen
-// buffer and a Reader decodes a whole file from a rec.Reader with a
-// readBufLen one (Reader.decode tells how), both kept across files, and a
-// PartitionedRunner owns one Reader (it reads one file at a time) and a
-// free list of Writers.
+// internal/rec's: a Writer encodes through a rec.Writer with a buffer of at
+// most writeBufLen bytes and a Reader decodes a whole file from a
+// rec.Reader with a readBufLen one (Reader.decode tells how), both kept
+// across files, and a PartitionedRunner owns one Reader (it reads one file
+// at a time) and a free list of Writers, whose buffers it sizes from its
+// memory budget.
 package ooc
 
 import (
@@ -66,8 +67,8 @@ const (
 
 	headerLen = 5
 
-	// readBufLen and writeBufLen size a Reader's decode buffer and a
-	// Writer's encode buffer: each refill or flush is one system call and
+	// readBufLen sizes a Reader's decode buffer and writeBufLen a Writer's
+	// encode buffer at most: each refill or flush is one system call and
 	// one CRC fold. Decoding needs at least MaxVarintLen64 bytes.
 	readBufLen  = 64 << 10
 	writeBufLen = 64 << 10
@@ -139,9 +140,7 @@ func (w *Writer) AppendMessage(dst graph.VertexID, payload []byte) error {
 	if rlen > MaxRecordBytes {
 		return fmt.Errorf("ooc: message record of %d bytes exceeds MaxRecordBytes", rlen)
 	}
-	w.enc.Uvarint(uint64(rlen))
-	w.enc.Uvarint(uint64(dst))
-	w.enc.Bytes(payload)
+	w.enc.Record(uint64(dst), payload)
 	w.records++
 	return w.enc.Err()
 }
@@ -334,18 +333,40 @@ func (r *Reader) ReadMessages(ib *Inbox, n uint64) error {
 }
 
 // uvarint decodes a one- or two-byte canonical uvarint (every ID below
-// 16384) at the start of b inline, with no branch on its length; n = 0
-// leaves the rest, and a b shorter than two bytes, to rec.Uvarint.
-func uvarint(b []byte) (v uint64, n int) {
-	if len(b) < 2 {
+// 16384) at b[j:] inline, with one length check and no branch on its
+// length; n = 0 leaves the rest, and fewer than two bytes, to rec.Uvarint.
+// The caller's offset j, rather than a resliced b, keeps the next offset
+// one addition away from the byte just read.
+func uvarint(b []byte, j int) (v uint64, n int) {
+	if j+1 >= len(b) {
 		return 0, 0
 	}
-	c0, c1 := uint64(b[0]), uint64(b[1])
+	c0, c1 := uint64(b[j]), uint64(b[j+1])
 	two := c0 >> 7 // 1 when a second byte follows
 	if (c1-1)*two >= 0x7f {
 		return 0, 0 // a second byte that is zero or not the last
 	}
 	return c0&0x7f | c1<<7&-two, int(1 + two)
+}
+
+// decodeIDs fills ids with the canonical uvarints below n that start b and
+// returns the bytes after them, or ok = false at the first malformed or
+// out-of-range one. It is a function of its own so that the loop keeps its
+// few values in registers.
+func decodeIDs(ids []graph.VertexID, b []byte, n uint64) (rest []byte, ok bool) {
+	j := 0
+	for i := range ids {
+		u, m := uvarint(b, j)
+		if m == 0 {
+			u, m = rec.Uvarint(b[j:])
+		}
+		if m == 0 || u >= n {
+			return nil, false
+		}
+		ids[i] = graph.VertexID(u)
+		j += m
+	}
+	return b[j:], true
 }
 
 // decode is the one record loop behind ReadEdges (e) and ReadMessages (ib).
@@ -362,7 +383,7 @@ func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
 	b, k := r.dec.Buffered(), 0
 	for {
 		var body []byte
-		if size, m := uvarint(b[k:]); m > 0 && size <= uint64(len(b)-k-m) {
+		if size, m := uvarint(b, k); m > 0 && size <= uint64(len(b)-k-m) {
 			body, k = b[k+m:k+m+int(size)], k+m+int(size)
 		} else {
 			r.dec.Skip(k)
@@ -377,7 +398,7 @@ func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
 		}
 		records++
 		if ib != nil {
-			dst, m := uvarint(body)
+			dst, m := uvarint(body, 0)
 			if m == 0 {
 				dst, m = rec.Uvarint(body)
 			}
@@ -389,8 +410,8 @@ func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
 			ib.Offs = append(ib.Offs, int32(len(ib.Data)))
 			continue
 		}
-		v, m := uvarint(body)
-		deg, m2 := uvarint(body[m:])
+		v, m := uvarint(body, 0)
+		deg, m2 := uvarint(body, m)
 		if m == 0 || m2 == 0 {
 			v, m = rec.Uvarint(body)
 			deg, m2 = rec.Uvarint(body[m:])
@@ -409,19 +430,10 @@ func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
 		next = v + 1
 		at := len(e.Adj)
 		e.Adj = slices.Grow(e.Adj, int(deg))[:at+int(deg)]
-		j := 0
-		for i := at; i < len(e.Adj); i++ {
-			u, m := uvarint(nbrs[j:])
-			if m == 0 {
-				u, m = rec.Uvarint(nbrs[j:])
-			}
-			if m == 0 || u >= n {
-				return rec.Errorf(ErrCorrupt, "bad neighbor of vertex %d in edge record %d", v, records)
-			}
-			e.Adj[i] = graph.VertexID(u)
-			j += m
+		wts, ok := decodeIDs(e.Adj[at:], nbrs, n)
+		if !ok {
+			return rec.Errorf(ErrCorrupt, "bad neighbor of vertex %d in edge record %d", v, records)
 		}
-		wts := nbrs[j:]
 		if want := (per - 1) * deg; uint64(len(wts)) != want {
 			return rec.Errorf(ErrCorrupt, "%d bytes after the neighbors of vertex %d, want %d", len(wts), v, want)
 		}

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -384,6 +386,61 @@ func TestRecordAcrossRefill(t *testing.T) {
 			_, _, msgs, edges, err := decodeAll(data, bufLen)
 			if err != nil || fmt.Sprint(msgs, edges) != want {
 				t.Fatalf("%s with a %d-byte buffer: err=%v, or the records differ", name, bufLen, err)
+			}
+		}
+	}
+}
+
+// TestNeighborDecode decodes single-record edge files whose neighbors take
+// one, two, three and five bytes, alone and mixed, against the inline
+// one- and two-byte decode and its fallback: a non-canonical 0x80 0x00, a
+// truncated varint, and a neighbor >= n as the record's last bytes must be
+// ErrCorrupt, and a one-byte last neighbor, with nothing or a weight after
+// it, must decode.
+func TestNeighborDecode(t *testing.T) {
+	weighted := func(nbr byte, weight uint32) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, KindEdges, true)
+		w.AppendEdges(0, []graph.VertexID{graph.VertexID(nbr)}, []float32{math.Float32frombits(weight)})
+		w.Finish()
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+		n    uint64
+		want []graph.VertexID // nil: ErrCorrupt
+	}{
+		{"one byte", rawFile(KindEdges, []byte{0, 2, 5, 7}), 8, []graph.VertexID{5, 7}},
+		{"two bytes", rawFile(KindEdges, []byte{0, 2, 0xac, 0x02, 0xff, 0x7f}), anyID, []graph.VertexID{300, 16383}},
+		{"three bytes", rawFile(KindEdges, []byte{0, 2, 0x80, 0x80, 0x01, 5}), anyID, []graph.VertexID{16384, 5}},
+		{"five bytes", rawFile(KindEdges, []byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}), anyID, []graph.VertexID{1<<32 - 1}},
+		{"mixed", rawFile(KindEdges, []byte{0, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 9, 0x80, 0x80, 0x01, 0xac, 0x02}), anyID,
+			[]graph.VertexID{1<<32 - 1, 9, 16384, 300}},
+		{"one-byte tail", rawFile(KindEdges, []byte{0, 2, 0xac, 0x02, 9}), 301, []graph.VertexID{300, 9}},
+		{"one-byte tail before a weight", weighted(9, 0x80), 10, []graph.VertexID{9}},
+		{"one-byte tail before a zero weight", weighted(9, 0), 10, []graph.VertexID{9}},
+		{"non-canonical last", rawFile(KindEdges, []byte{0, 1, 0x80, 0x00}), anyID, nil},
+		{"non-canonical first", rawFile(KindEdges, []byte{0, 2, 0x80, 0x00, 5}), anyID, nil},
+		{"truncated tail", rawFile(KindEdges, []byte{0, 2, 5, 0x85}), anyID, nil},
+		{"two-byte neighbor >= n last", rawFile(KindEdges, []byte{0, 2, 5, 0xac, 0x02}), 300, nil},
+		{"one-byte neighbor >= n last", rawFile(KindEdges, []byte{0, 2, 1, 7}), 7, nil},
+		{"three-byte neighbor >= n last", rawFile(KindEdges, []byte{0, 2, 5, 0x80, 0x80, 0x01}), 16384, nil},
+	} {
+		for _, bufLen := range []int{binary.MaxVarintLen64, readBufLen} {
+			var r Reader
+			r.dec.Reset(nil, bufLen, ErrCorrupt) // init keeps this buffer
+			err := r.init(bytes.NewReader(tc.file))
+			var e EdgeList
+			if err == nil {
+				err = r.ReadEdges(&e, tc.n)
+			}
+			if tc.want == nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s (%d-byte buffer): err=%v, want ErrCorrupt", tc.name, bufLen, err)
+				}
+			} else if err != nil || !slices.Equal(e.Adj, tc.want) {
+				t.Errorf("%s (%d-byte buffer): %v, %v; want %v", tc.name, bufLen, e.Adj, err, tc.want)
 			}
 		}
 	}

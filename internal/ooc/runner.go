@@ -104,9 +104,10 @@ type PartitionedRunner struct {
 
 	// IO buffers, owned here rather than per file: rd's read buffer serves
 	// every file (one is read at a time), and finished writers wait in
-	// spare with theirs until the next create.
-	rd    Reader
-	spare []*Writer
+	// spare with theirs, of bufLen bytes, until the next create.
+	rd     Reader
+	spare  []*Writer
+	bufLen int
 
 	// Deterministic per-round accounting in encoded bytes; consumed by
 	// TakeRoundIO at each barrier.
@@ -175,6 +176,13 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r.parts = max(r.parts, 1)
 	if r.parts > n && n > 0 {
 		r.parts = n
+	}
+	// Each partition's open inbox file holds a write buffer outside the
+	// window: together they take at most a sixteenth of the budget, within
+	// [4 KiB, writeBufLen] each.
+	r.bufLen = writeBufLen
+	if cfg.MemoryBudgetBytes > 0 {
+		r.bufLen = int(min(max(cfg.MemoryBudgetBytes/int64(16*r.parts), 4<<10), writeBufLen))
 	}
 
 	// Cut the order into parts contiguous ranges, balanced by estimated
@@ -263,11 +271,11 @@ func (r *PartitionedRunner) Route(dst graph.VertexID, payload []byte) error {
 		r.cur[p] = w
 		r.writeBytes += w.Bytes() // the header, charged to the emitting round
 	}
-	before := w.Bytes()
 	if err := w.AppendMessage(dst, payload); err != nil {
 		return err
 	}
-	r.writeBytes += w.Bytes() - before
+	size := rec.UvarintLen(uint64(dst)) + len(payload) // the record's body
+	r.writeBytes += int64(rec.UvarintLen(uint64(size)) + size)
 	return nil
 }
 
@@ -279,6 +287,7 @@ func (r *PartitionedRunner) create(name string, kind byte) (*Writer, error) {
 		w, r.spare = r.spare[n-1], r.spare[:n-1]
 	} else {
 		w = new(Writer)
+		w.enc.Reset(nil, r.bufLen) // create keeps this buffer
 	}
 	return w, w.create(filepath.Join(r.dir, name), kind, kind == KindEdges && r.weighted)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -399,5 +400,43 @@ func TestRunnerSuperstepAllocsFlat(t *testing.T) {
 	}
 	if allocs[1]-allocs[0] >= 15 {
 		t.Fatalf("superstep allocates %v at 5000 messages, %v at 20000", allocs[0], allocs[1])
+	}
+}
+
+// TestWriteBuffersWithinBudget checks that the inbox files' write buffers,
+// which sit outside the resident window, are sized from the budget: at 256
+// partitions under a 1 MiB budget, opening every partition's inbox file
+// allocates 1 MiB of buffers (the 4 KiB floor) and a little per file for
+// its handle and name, not 256 × 64 KiB; one partition keeps 64 KiB.
+func TestWriteBuffersWithinBudget(t *testing.T) {
+	const n = 512
+	g := testGraph(t, n, false)
+	for _, tc := range []struct {
+		parts  int
+		bufLen int
+	}{{256, 4 << 10}, {16, 4 << 10}, {1, writeBufLen}} {
+		r, err := NewRunner(g, identityOrder(n), Config{Dir: t.TempDir(), MemoryBudgetBytes: 1 << 20, Partitions: tc.parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.bufLen != tc.bufLen {
+			t.Errorf("P = %d: write buffers of %d bytes, want %d", tc.parts, r.bufLen, tc.bufLen)
+		}
+		if tc.parts != 256 {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for p := range tc.parts {
+			start, _ := r.Span(p)
+			if err := r.Route(graph.VertexID(start), []byte("m")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(1<<20+tc.parts<<10) {
+			t.Errorf("opening %d inbox files allocated %d bytes", tc.parts, got)
+		}
 	}
 }

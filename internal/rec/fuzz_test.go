@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"math/rand"
 	"testing"
 )
 
@@ -100,6 +102,25 @@ func FuzzDecode(f *testing.F) {
 		w.Uvarint(uint64(len(records)))
 		if _, err := w.Finish(); err != nil || !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("accepted stream is not canonical (%v):\n in %x\nout %x", err, data, re.Bytes())
+		}
+	})
+}
+
+// FuzzCRC checks CRC against hash/crc64 over arbitrary bytes, from an
+// arbitrary running CRC, cut into three chained calls at arbitrary points.
+func FuzzCRC(f *testing.F) {
+	long := make([]byte, 2*blockLen+17)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(uint64(0), []byte("the quick brown fox"), uint32(7), uint32(3))
+	f.Add(^uint64(0), long, uint32(laneLen+1), uint32(blockLen-1))
+	f.Add(uint64(0x1234), long[:blockLen], uint32(0), uint32(blockLen))
+	ecma := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, crc uint64, data []byte, cut1, cut2 uint32) {
+		a := min(int(cut1), len(data))
+		b := min(a+int(cut2), len(data))
+		got := CRC(CRC(CRC(crc, data[:a]), data[a:b]), data[b:])
+		if want := crc64.Update(crc, ecma, data); got != want {
+			t.Fatalf("CRC over %d bytes cut at %d and %d = %#x, want %#x", len(data), a, b, got, want)
 		}
 	})
 }

@@ -35,10 +35,89 @@ func Errorf(sentinel error, format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), sentinel)
 }
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// The CRC runs slicing-by-8 (crcTables[k] advances a byte through k more
+// zero bytes) on four interleaved lanes of laneLen bytes, so four
+// independent table chains share the CPU instead of one. Lanes b-d start
+// from a zero register, and since the CRC register is linear over GF(2)
+// the four fold into the register after the whole block as
+// a·x^(8·3L) ⊕ b·x^(8·2L) ⊕ c·x^(8·L) ⊕ d mod P, L = laneLen.
+const (
+	laneLen  = 4 << 10
+	blockLen = 4 * laneLen
+)
 
-// CRC folds p into a running CRC-64/ECMA; a checksum starts from 0.
-func CRC(crc uint64, p []byte) uint64 { return crc64.Update(crc, crcTable, p) }
+var (
+	crcTables [8]crc64.Table
+	// laneShift[i] is x^(8·(3-i)·laneLen) mod P: lane i's multiplier.
+	laneShift [3]uint64
+)
+
+func init() {
+	crcTables[0] = *crc64.MakeTable(crc64.ECMA)
+	for i := range 256 {
+		for k := 1; k < 8; k++ {
+			c := crcTables[k-1][i]
+			crcTables[k][i] = crcTables[0][byte(c)] ^ c>>8
+		}
+	}
+	// The raw register after n zero bytes from x^0 (bit 63, the reflected
+	// form) is x^(8n) mod P.
+	x := uint64(1) << 63
+	for i := 2; i >= 0; i-- {
+		for range laneLen {
+			x = crcTables[0][byte(x)] ^ x>>8
+		}
+		laneShift[i] = x
+	}
+}
+
+// CRC folds p into a running CRC-64/ECMA; a checksum starts from 0. It
+// equals hash/crc64's Update with the ECMA table, bit for bit. Spans of at
+// least blockLen bytes take the four lanes, the rest one.
+func CRC(crc uint64, p []byte) uint64 {
+	t := &crcTables
+	crc = ^crc
+	for ; len(p) >= blockLen; p = p[blockLen:] {
+		crc = crcBlock(t, crc, (*[blockLen]byte)(p))
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		crc = slice8(t, crc^binary.LittleEndian.Uint64(p))
+	}
+	for _, c := range p {
+		crc = t[0][byte(crc)^c] ^ crc>>8
+	}
+	return ^crc
+}
+
+// slice8 advances a register whose low eight bytes were just xored with
+// the next eight input bytes past them.
+func slice8(t *[8]crc64.Table, c uint64) uint64 {
+	return t[7][byte(c)] ^ t[6][byte(c>>8)] ^ t[5][byte(c>>16)] ^ t[4][byte(c>>24)] ^
+		t[3][byte(c>>32)] ^ t[2][byte(c>>40)] ^ t[1][byte(c>>48)] ^ t[0][byte(c>>56)]
+}
+
+// crcBlock advances the raw register a over one block as four lanes.
+func crcBlock(t *[8]crc64.Table, a uint64, p *[blockLen]byte) uint64 {
+	var b, c, d uint64
+	for i := 0; i < laneLen; i += 8 {
+		a = slice8(t, a^binary.LittleEndian.Uint64(p[i:]))
+		b = slice8(t, b^binary.LittleEndian.Uint64(p[laneLen+i:]))
+		c = slice8(t, c^binary.LittleEndian.Uint64(p[2*laneLen+i:]))
+		d = slice8(t, d^binary.LittleEndian.Uint64(p[3*laneLen+i:]))
+	}
+	return mulmod(a, laneShift[0]) ^ mulmod(b, laneShift[1]) ^ mulmod(c, laneShift[2]) ^ d
+}
+
+// mulmod returns a·b mod P for registers in the CRC's reflected form, where
+// bit 63 is the coefficient of x^0.
+func mulmod(a, b uint64) uint64 {
+	var p uint64
+	for i := 63; i >= 0; i-- {
+		p ^= b & -(a >> i & 1)
+		b = b>>1 ^ crc64.ECMA&-(b&1)
+	}
+	return p
+}
 
 // TrailerLen is the size of the little-endian CRC-64 trailer that ends
 // every checksummed image.
@@ -264,6 +343,22 @@ func (w *Writer) U64(v uint64) { w.Bytes(binary.LittleEndian.AppendUint64(w.tmp[
 func (w *Writer) Uvarint(v uint64) {
 	w.room(binary.MaxVarintLen64)
 	w.buf = binary.AppendUvarint(w.buf, v)
+}
+
+// Record writes one record framed as uvarint(len) and len bytes, whose
+// body is uvarint(key) and then p. A record that fits in the buffer takes
+// one room check.
+func (w *Writer) Record(key uint64, p []byte) {
+	body := UvarintLen(key) + len(p)
+	if n := UvarintLen(uint64(body)) + body; n > cap(w.buf)-len(w.buf) {
+		if w.flush(); n > cap(w.buf) {
+			w.Uvarint(uint64(body))
+			w.Uvarint(key)
+			w.Bytes(p)
+			return
+		}
+	}
+	w.buf = append(binary.AppendUvarint(binary.AppendUvarint(w.buf, uint64(body)), key), p...)
 }
 
 // Len returns the bytes encoded so far, buffered ones included.

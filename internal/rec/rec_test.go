@@ -49,6 +49,47 @@ func TestCRCIsECMA(t *testing.T) {
 	}
 }
 
+// TestCRCLanes checks CRC against hash/crc64 at every length from 0 to
+// three lane blocks and 17 bytes, so every lane boundary ±1 and every tail
+// length is covered: length n starts n%8 bytes into the buffer, from that
+// start's nonzero running CRC. The sweep costs the square of its length,
+// so -short (the race run) keeps the first 300 lengths and those within
+// 17 bytes of a block or one byte of a lane boundary.
+func TestCRCLanes(t *testing.T) {
+	const longest = 3*blockLen + 17
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, longest+8)
+	rng.Read(buf)
+	ecma := crc64.MakeTable(crc64.ECMA)
+	for start := range 8 {
+		seed := rng.Uint64()
+		want := seed // hash/crc64 over buf[start:start+n], one byte at a time
+		for n := 0; n <= longest; n++ {
+			if n > 0 {
+				want = crc64.Update(want, ecma, buf[start+n-1:start+n])
+			}
+			if lane := n % laneLen; n%8 != start || testing.Short() && n >= 300 &&
+				(n+17)%blockLen > 34 && lane > 1 && lane != laneLen-1 {
+				continue
+			}
+			if got := CRC(seed, buf[start:start+n]); got != want {
+				t.Fatalf("CRC(%#x, %d bytes at +%d) = %#x, want %#x", seed, n, start, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkCRC checksums a 64 KiB span: four lane blocks, as a partition
+// file's buffer refill or flush folds.
+func BenchmarkCRC(b *testing.B) {
+	p := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(p)
+	b.SetBytes(int64(len(p)))
+	for b.Loop() {
+		CRC(0, p)
+	}
+}
+
 func TestUvarintCanonical(t *testing.T) {
 	decode := func(b []byte) (uint64, int, error) {
 		c := NewCursor(b, errTest)
@@ -213,6 +254,35 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 	if _, err := read(append(bytes.Clone(data), 0)); !errors.Is(err, errTest) {
 		t.Fatalf("trailing byte: %v", err)
+	}
+}
+
+// TestWriterRecord checks that Record writes exactly the bytes of its
+// three separate writes, for records that fit in the buffer, that need a
+// flush first and that are longer than the buffer.
+func TestWriterRecord(t *testing.T) {
+	var w Writer
+	for _, key := range []uint64{0, 300, math.MaxUint64} {
+		for n := range 40 {
+			p := bytes.Repeat([]byte{byte(n)}, n)
+			var got, want bytes.Buffer
+			w.Reset(&got, 16)
+			w.Bytes([]byte("hdr"))
+			w.Record(key, p)
+			w.Record(key, p)
+			w.Finish()
+			w.Reset(&want, 16)
+			w.Bytes([]byte("hdr"))
+			for range 2 {
+				w.Uvarint(uint64(UvarintLen(key) + n))
+				w.Uvarint(key)
+				w.Bytes(p)
+			}
+			w.Finish()
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("key %d, %d bytes:\n got %x\nwant %x", key, n, got.Bytes(), want.Bytes())
+			}
+		}
 	}
 }
 
