@@ -169,11 +169,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *graphDir != "" {
-		n, err := graph.PrimeDir(*graphDir)
+		names, err := graph.PrimeDir(*graphDir)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "[primed %d dataset replica(s) from %s]\n\n", n, *graphDir)
+		fmt.Fprintf(stdout, "[primed %d dataset replica(s) from %s]\n\n", len(names), *graphDir)
 	}
 
 	o := experiments.Options{Fast: *fast, Seed: *seed, Workers: *workers}

@@ -165,17 +165,9 @@ func runBatches(job tasks.Job, cfg sim.JobConfig, queue Schedule, onBatch func(B
 	return run, nil
 }
 
-// WholeGraphOptions configures the whole-graph access mode of §4.9: the
-// graph is replicated to every machine, the workload (not the vertex set)
-// is split across machines, and machine-local results are aggregated at a
-// master at the end.
-type WholeGraphOptions struct {
-	// Machines is the replication factor K.
-	Machines int
-	// MergeNsPerEntry is the master's per-entry cost to merge the K
-	// partial results.
-	MergeNsPerEntry float64
-}
+// mergeNsPerEntry is the whole-graph master's cost, per residual entry, to
+// merge two partial results.
+const mergeNsPerEntry = 50
 
 // WholeGraphResult extends the job result with the aggregation phase cost,
 // reported separately like the stacked bars of Fig. 10.
@@ -184,22 +176,20 @@ type WholeGraphResult struct {
 	AggregationSeconds float64
 }
 
-// RunWholeGraph executes the job in whole-graph access mode. The job must
-// be built over a single-machine partition of the full graph (every
-// machine runs the same single-machine program on 1/K of the workload;
-// statistics of one replica machine are representative of all). cfg's
-// cluster carries the true machine count, and cfg.GraphBytesPerMachine
-// must be the full paper-scale graph size — the mode's memory downside.
-func RunWholeGraph(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts WholeGraphOptions) (WholeGraphResult, error) {
-	if opts.Machines <= 0 {
-		opts.Machines = cfg.Cluster.Machines
-	}
-	if opts.MergeNsPerEntry == 0 {
-		opts.MergeNsPerEntry = 50
-	}
+// RunWholeGraph executes the job in the whole-graph access mode of §4.9:
+// the graph is replicated to every machine, the workload (not the vertex
+// set) is split across the K machines, and a master aggregates the
+// machine-local results at the end. The job must be built over a
+// single-machine partition of the full graph (every machine runs the same
+// single-machine program on 1/K of the workload; statistics of one replica
+// machine are representative of all). cfg's cluster carries the true
+// machine count K, and cfg.GraphBytesPerMachine must be the full
+// paper-scale graph size — the mode's memory downside.
+func RunWholeGraph(job tasks.Job, cfg sim.JobConfig, sched Schedule) (WholeGraphResult, error) {
+	k := cfg.Cluster.Machines
 	perMachine := make(Schedule, len(sched))
 	for i, w := range sched {
-		perMachine[i] = (w + opts.Machines - 1) / opts.Machines
+		perMachine[i] = (w + k - 1) / k
 	}
 	run, err := runBatches(job, cfg, perMachine, nil)
 	if err != nil {
@@ -214,11 +204,11 @@ func RunWholeGraph(job tasks.Job, cfg sim.JobConfig, sched Schedule, opts WholeG
 	if !run.Overloaded() {
 		entries := float64(run.ResidualEntries()) * run.Config().StatScale
 		bytes := entries * job.MemModel().ResidualBytesPerEntry
-		levels := math.Ceil(math.Log2(float64(opts.Machines)))
-		if opts.Machines == 1 {
+		levels := math.Ceil(math.Log2(float64(k)))
+		if k == 1 {
 			levels = 0
 		}
-		aggSec = levels * (bytes/cfg.Cluster.NetBytesPerSec + entries*opts.MergeNsPerEntry/1e9)
+		aggSec = levels * (bytes/cfg.Cluster.NetBytesPerSec + entries*mergeNsPerEntry/1e9)
 		run.AddSeconds(aggSec)
 	}
 	return WholeGraphResult{JobResult: run.Result(), AggregationSeconds: aggSec}, nil

@@ -213,7 +213,7 @@ func TestRunWholeGraph(t *testing.T) {
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
 	cfg := testCfg(8) // 8 machines in the cost model
 	cfg.GraphBytesPerMachine = float64(g.MemoryBytes())
-	res, err := RunWholeGraph(job, cfg, Equal(64, 2), WholeGraphOptions{Machines: 8})
+	res, err := RunWholeGraph(job, cfg, Equal(64, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRunWholeGraphSkipsAggregationWhenOverloaded(t *testing.T) {
 	cfg := testCfg(8)
 	cfg.GraphBytesPerMachine = float64(g.MemoryBytes())
 	cfg.CutoffSeconds = 1e-9
-	res, err := RunWholeGraph(job, cfg, Equal(64, 2), WholeGraphOptions{Machines: 8})
+	res, err := RunWholeGraph(job, cfg, Equal(64, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,6 +164,17 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
+// Due reports whether the barrier after superstep round takes a
+// checkpoint: the one after round 1, so a crash at any later step has a
+// snapshot to restore, and the one after every interval-th round. An
+// interval of zero or less means 8.
+func Due(round, interval int) bool {
+	if interval <= 0 {
+		interval = 8
+	}
+	return round == 1 || round%interval == 0
+}
+
 // Manager writes and discovers the checkpoints of one participant (one
 // engine run, or one rpcrt worker) inside a directory. Multiple
 // participants share a directory by using distinct prefixes.

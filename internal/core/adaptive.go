@@ -38,19 +38,17 @@ type AdaptiveObserver interface {
 	OnGovernorShrink(batch, fromW, toW int)
 }
 
+// maxReplans caps the closed loop's re-fit + re-plan cycles; the safety
+// governor, which holds each batch to the p·M budget against the
+// *measured* residual, keeps running after the cap.
+const maxReplans = 16
+
 // AdaptiveConfig tunes the closed-loop behavior; zero values select
 // defaults.
 type AdaptiveConfig struct {
 	// Tolerance is the relative prediction error |measured − predicted| /
 	// measured above which the tuner re-fits and re-plans (default 0.15).
 	Tolerance float64
-	// Governor scales the p·M budget the pre-batch safety check enforces
-	// against the *measured* residual (default 1.0; <1 reserves extra
-	// headroom).
-	Governor float64
-	// MaxReplans caps re-fit + re-plan cycles (default 16); the governor
-	// keeps running after the cap.
-	MaxReplans int
 	// Seed drives the LMA random restarts of re-fits.
 	Seed uint64
 	// Observer, when non-nil, receives the tuner telemetry callbacks.
@@ -60,12 +58,6 @@ type AdaptiveConfig struct {
 func (ac AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if ac.Tolerance <= 0 {
 		ac.Tolerance = 0.15
-	}
-	if ac.Governor <= 0 {
-		ac.Governor = 1
-	}
-	if ac.MaxReplans <= 0 {
-		ac.MaxReplans = 16
 	}
 	return ac
 }
@@ -173,7 +165,7 @@ func (m *Model) RunAdaptive(job tasks.Job, cfg sim.JobConfig, total int, ac Adap
 		// Re-fit + re-plan when the prediction missed by more than the
 		// tolerance: append the observed points and learn the true curves.
 		var replanned batch.Schedule
-		if relErr > ac.Tolerance && res.Replans < ac.MaxReplans {
+		if relErr > ac.Tolerance && res.Replans < maxReplans {
 			if obs := measured - prevResid; obs > 0 {
 				memXs = append(memXs, float64(o.Workload))
 				memYs = append(memYs, obs)
@@ -212,7 +204,7 @@ func (m *Model) RunAdaptive(job tasks.Job, cfg sim.JobConfig, total int, ac Adap
 			plan = o.Remaining
 		}
 		if len(plan) > 0 {
-			budget := m.P * m.MachineMemBytes * ac.Governor
+			budget := m.P * m.MachineMemBytes
 			nextW := plan[0]
 			if o.ResidualBytes+m.Mem.Eval(float64(nextW)) > budget {
 				shrunk := int(math.Floor(m.Mem.Invert(budget - o.ResidualBytes)))

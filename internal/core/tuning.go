@@ -47,7 +47,8 @@ type Model struct {
 	// Resid is M_r*(W) = a2·W^b2 + c2 (Eq. 2).
 	Resid lma.PowerFit
 	// P is the overloading parameter: a machine is overloaded when p·M of
-	// its physical memory M is occupied (§5, "Machine Overloading").
+	// its physical memory M is occupied (§5, "Machine Overloading"). Train
+	// sets it to the cluster's usable fraction, 14/16.
 	P float64
 	// MachineMemBytes is the physical memory M per machine.
 	MachineMemBytes float64
@@ -60,9 +61,6 @@ type TrainConfig struct {
 	// MaxExponent is h: training runs use workloads 2^1 .. 2^h. The
 	// condition W >> 2^h keeps training cost minor (§5); default 5.
 	MaxExponent int
-	// P is the overloading parameter (default: the cluster's usable
-	// fraction, 14/16).
-	P float64
 	// Seed drives the LMA random restarts.
 	Seed uint64
 }
@@ -103,9 +101,6 @@ func Train(mk JobFactory, cfg sim.JobConfig, tc TrainConfig) (*Model, error) {
 	if tc.MaxExponent < 3 {
 		return nil, errors.New("core: training needs at least workloads 2^1..2^3 (MaxExponent >= 3)")
 	}
-	if tc.P == 0 {
-		tc.P = cfg.Cluster.UsableFrac
-	}
 	var points []TrainingPoint
 	for r := 1; r <= tc.MaxExponent; r++ {
 		w := 1 << r
@@ -121,7 +116,7 @@ func Train(mk JobFactory, cfg sim.JobConfig, tc TrainConfig) (*Model, error) {
 	}
 	return &Model{
 		Mem: memFit, Resid: residFit,
-		P:               tc.P,
+		P:               cfg.Cluster.UsableFrac,
 		MachineMemBytes: float64(cfg.Cluster.MemBytes),
 		Points:          points,
 	}, nil

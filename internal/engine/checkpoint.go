@@ -10,7 +10,7 @@ import (
 )
 
 // CheckpointOptions enables periodic superstep checkpointing. At each
-// barrier whose round number is 1 or a multiple of Interval, the engine
+// barrier ckpt.Due names (round 1 and every Interval-th round), the engine
 // snapshots everything the next superstep depends on — buffered outboxes,
 // per-machine RNG streams and program state — into a checksummed ckpt file
 // whose header records the round, a delta where ckpt.Manager.Cut asks.
@@ -23,9 +23,8 @@ type CheckpointOptions[M any] struct {
 	Codec Codec[M]
 	// Dir receives the checkpoint files; created if missing.
 	Dir string
-	// Interval is the number of supersteps between checkpoints (default 8).
-	// The barrier after superstep 1 is always checkpointed so any injected
-	// crash at step >= 2 is recoverable.
+	// Interval is the number of supersteps between checkpoints; see
+	// ckpt.Due for the cadence and the default.
 	Interval int
 }
 
@@ -53,9 +52,6 @@ func (e *Engine[M]) initCheckpoints() error {
 	if co.Dir == "" {
 		return fmt.Errorf("engine: checkpointing requires a Dir")
 	}
-	if co.Interval <= 0 {
-		co.Interval = 8
-	}
 	if _, ok := e.prog.(vcapi.StateSnapshotter); !ok {
 		return fmt.Errorf("engine: checkpointing requires the program to implement vcapi.StateSnapshotter")
 	}
@@ -73,7 +69,7 @@ func (e *Engine[M]) maybeCheckpoint() error {
 	if co == nil || e.rounds <= e.replayTo || e.rounds == e.lastCkptRounds {
 		return nil
 	}
-	if e.rounds != 1 && e.rounds%co.Interval != 0 {
+	if !ckpt.Due(e.rounds, co.Interval) {
 		return nil
 	}
 	bytes, _, err := e.ckptMgr.Cut(e.SnapshotDelta)

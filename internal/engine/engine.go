@@ -61,7 +61,9 @@ type Program[M any] = vcapi.Program[M]
 // across machines is modelled by the system profile's Combines flag.
 type Combiner[M any] func(a, b M) M
 
-// Options tunes an engine run.
+// Options tunes an engine run. It carries no overload switch: a run past
+// the cost model's cutoff completes, and batch.Run applies the paper's
+// 6000 s rule between batches.
 type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1 per message.
 	Weight vcapi.WeightFunc[M]
@@ -83,7 +85,8 @@ type Options[M any] struct {
 	// CombinerKey once per message, so it must be a pure function of the
 	// payload. Ignored when Combiner is nil.
 	CombinerKey func(m M) uint64
-	// MaxRounds bounds the superstep count (0 means the default of 10000).
+	// MaxRounds bounds the superstep count (0 means the default of 10000,
+	// which every batch task uses; PageRank sets its iteration count + 2).
 	MaxRounds int
 	// Seed makes per-machine RNG streams deterministic.
 	Seed uint64
@@ -92,9 +95,6 @@ type Options[M any] struct {
 	// OOC forces sequential execution (partition files are one
 	// emission-ordered byte stream).
 	Workers int
-	// StopWhenOverloaded makes the engine abandon the run once the sim.Run
-	// passes the paper's 6000 s cutoff, like the paper's experiments do.
-	StopWhenOverloaded bool
 	// OOC selects the out-of-core execution backend (see OOCOptions):
 	// streamed edge/message partition files and a bounded memory window in
 	// place of in-memory outboxes and inboxes. Forces sequential execution;
@@ -182,7 +182,6 @@ type Engine[M any] struct {
 	rngs     []machineRNG
 	counters []machineCounters
 	rounds   int
-	stopped  bool
 
 	// ooc is the out-of-core backend, live while ooc.runner is set; its
 	// scratch persists across runs like inbox. oocPartitions survives the
@@ -323,7 +322,7 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 		e.rngs[m].SetState(vcapi.MachineSeed(opts.Seed, m))
 		e.counters[m], e.owed[m] = machineCounters{}, 0
 	}
-	e.rounds, e.stopped = 0, false
+	e.rounds = 0
 	e.oocPartitions = 0
 	e.ckptMgr, e.lastCkptRounds, e.ckptSimSeconds = nil, 0, 0
 	e.replayTo, e.recoveries = 0, 0
@@ -386,11 +385,11 @@ func (e *Engine[M]) pending() bool {
 	return false
 }
 
-// Run executes supersteps until no messages remain in flight, the round
-// bound is hit, or (with StopWhenOverloaded) the cost model declares the
-// run overloaded. It returns ErrMaxRounds only for the round bound; an
-// overload stop returns nil, with the overload visible on the sim.Run.
-// Both backends run this loop; they differ only in step and pending.
+// Run executes supersteps until no messages remain in flight or the round
+// bound is hit, which returns ErrMaxRounds. A run past the cost model's
+// cutoff runs on: the overload is visible on the sim.Run, and batch.Run
+// stops between batches. Both backends run this loop; they differ only in
+// step and pending.
 func (e *Engine[M]) Run() error {
 	if err := e.initOOC(); err != nil {
 		return err
@@ -410,10 +409,6 @@ func (e *Engine[M]) Run() error {
 	for e.pending() {
 		if e.rounds >= e.opts.MaxRounds {
 			return fmt.Errorf("%w (%d)", ErrMaxRounds, e.opts.MaxRounds)
-		}
-		if e.opts.StopWhenOverloaded && e.run != nil && e.run.Overloaded() {
-			e.stopped = true
-			return nil
 		}
 		if machine, ok := e.crashPending(); ok {
 			if e.run != nil {
@@ -497,9 +492,6 @@ func (e *Engine[M]) computeMachine(m, lo, hi int) {
 			e.rounds+1, m, got, want))
 	}
 }
-
-// Stopped reports whether the run was abandoned due to overload.
-func (e *Engine[M]) Stopped() bool { return e.stopped }
 
 // deliver routes the pending envelopes into per-vertex inbox segments and
 // applies the combiner's fold. Routing runs one counting sort per
@@ -660,8 +652,8 @@ func (e *Engine[M]) observeRound() {
 	}
 	if e.run != nil {
 		k := e.k
-		// The observer retains the per-machine slice (reports and traces
-		// reference it after the round), so it cannot be pooled.
+		// A fresh slice every round: observers keep it (reports and
+		// traces reference it after the round; see sim.RoundStats).
 		per := make([]sim.MachineRound, k)
 		reporter, hasState := e.prog.(vcapi.StateReporter)
 		for m := 0; m < k; m++ {

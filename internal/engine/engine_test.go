@@ -296,24 +296,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestStopWhenOverloaded(t *testing.T) {
-	g := graph.GenerateChungLu(500, 5000, 2.2, 11)
-	part := graph.HashPartition(500, 2)
-	cfg := sim.JobConfig{
-		Cluster: sim.Galaxy8.WithMachines(2), System: sim.PregelPlus,
-		CutoffSeconds: 1e-9,
-	}
-	run := sim.NewRun(cfg)
-	prog := newBFS(500, 0)
-	e := New[hopMsg](g, part, prog, run, Options[hopMsg]{StopWhenOverloaded: true})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Stopped() {
-		t.Fatal("engine should stop when overloaded")
-	}
-}
-
 func TestContextAccessors(t *testing.T) {
 	g := graph.GenerateRing(6)
 	part := graph.RangePartition(6, 2)

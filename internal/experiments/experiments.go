@@ -202,8 +202,7 @@ func (s setting) jobConfig(d graph.DatasetSpec, replicaW int) sim.JobConfig {
 // makeJob builds a fresh job for one run of the setting.
 func (s setting) makeJob(g *graph.Graph, part *graph.Partition, replicaW int, seed uint64, o Options) (tasks.Job, error) {
 	spec := tasks.Spec{
-		Task: string(s.task), Workload: replicaW, K: 2, Seed: seed,
-		MaxRounds: 5000, Workers: o.Workers, OOC: o.OOC,
+		Task: string(s.task), Workload: replicaW, K: 2, Seed: seed, Workers: o.Workers, OOC: o.OOC,
 	}
 	if s.task != BPPR {
 		spec.Sources = pickSources(g.NumVertices(), replicaW, s.seed)
@@ -249,7 +248,7 @@ func (s setting) run(o Options, labelSuffix string) (Series, error) {
 		sched := batch.Equal(replicaW, k)
 		row := Row{Batches: k, Schedule: sched}
 		if s.wholeGraph {
-			res, err := batch.RunWholeGraph(job, cfg, sched, batch.WholeGraphOptions{Machines: cfg.Cluster.Machines})
+			res, err := batch.RunWholeGraph(job, cfg, sched)
 			if err != nil {
 				return Series{}, err
 			}

@@ -38,29 +38,23 @@ func ScaleUpVsScaleOut(o Options, paperW int) (ScaleUpResult, error) {
 	}
 	replicaW := s.replicaWorkload(o)
 
-	run := func(cluster sim.ClusterProfile, gbPerMachine float64) (sim.JobResult, error) {
+	run := func(cluster sim.ClusterProfile) (sim.JobResult, error) {
 		part := graph.HashPartition(g.NumVertices(), cluster.Machines)
 		job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: replicaW, Seed: o.seed()})
-		cfg := sim.JobConfig{
-			Cluster:              cluster,
-			System:               sim.PregelPlus,
-			StatScale:            d.ScaleNodes() * float64(paperW) / float64(replicaW),
-			NodeScale:            d.ScaleNodes(),
-			GraphBytesPerMachine: gbPerMachine,
-		}
+		cfg := tasks.CostConfig(d, cluster, sim.PregelPlus, d.ScaleNodes()*float64(paperW)/float64(replicaW))
 		return batch.Run(job, cfg, batch.Single(replicaW), nil)
 	}
 
-	clusterRes, err := run(sim.Galaxy8, d.PaperBytesPerMachine(8))
+	clusterRes, err := run(sim.Galaxy8)
 	if err != nil {
 		return ScaleUpResult{}, err
 	}
 	strong := sim.ClusterProfile{
 		Name: "Strong-1", Machines: 1,
 		MemBytes: 8 * (16 << 30), UsableFrac: 14.0 / 16.0,
-		Cores: 64, NetBytesPerSec: 117e6, DiskBytesPerSec: 450e6, Disk: sim.SSD,
+		Cores: 64, NetBytesPerSec: 117e6, DiskBytesPerSec: 450e6,
 	}
-	strongRes, err := run(strong, d.PaperBytesPerMachine(1))
+	strongRes, err := run(strong)
 	if err != nil {
 		return ScaleUpResult{}, err
 	}
@@ -104,12 +98,7 @@ func AblationMirroring(o Options) (AblationResult, error) {
 		job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
 			WalksPerNode: w, Mirror: true, Seed: o.seed(),
 		})
-		cfg := sim.JobConfig{
-			Cluster: sim.Galaxy8, System: sys,
-			StatScale: d.ScaleNodes(), NodeScale: d.ScaleNodes(),
-			GraphBytesPerMachine: d.PaperBytesPerMachine(8),
-		}
-		return batch.Run(job, cfg, batch.Equal(w, 2), nil)
+		return batch.Run(job, tasks.CostConfig(d, sim.Galaxy8, sys, 0), batch.Equal(w, 2), nil)
 	}
 	b, err := runOne(sim.PregelPlus)
 	if err != nil {

@@ -457,13 +457,7 @@ func Table4(o Options) ([]Table4Cell, error) {
 	for _, machines := range []int{1, 2, 4, 8, 16} {
 		part := graph.HashPartition(g.NumVertices(), machines)
 		mkCfg := func(sys sim.SystemProfile, statScale float64) sim.JobConfig {
-			return sim.JobConfig{
-				Cluster:              sim.Galaxy27.WithMachines(machines),
-				System:               sys,
-				StatScale:            statScale,
-				NodeScale:            d.ScaleNodes(),
-				GraphBytesPerMachine: d.PaperBytesPerMachine(machines),
-			}
+			return tasks.CostConfig(d, sim.Galaxy27.WithMachines(machines), sys, statScale)
 		}
 		// PageRank: sync 30 iterations vs async delta propagation.
 		prSync := sim.NewRun(mkCfg(sim.GraphLab, d.ScaleNodes()))
@@ -489,10 +483,7 @@ func Table4(o Options) ([]Table4Cell, error) {
 			}
 			scale := d.ScaleNodes() * float64(w) / float64(rw)
 			runPair := func(sys sim.SystemProfile, async bool) (sim.JobResult, error) {
-				job := tasks.NewBPPR(g, part, tasks.BPPRConfig{
-					WalksPerNode: rw, Async: async, Seed: o.seed(),
-					StopWhenOverloaded: true, MaxRounds: 5000,
-				})
+				job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: rw, Async: async, Seed: o.seed()})
 				return batch.Run(job, mkCfg(sys, scale), batch.Single(rw), nil)
 			}
 			sres, err := runPair(sim.GraphLab, false)

@@ -62,8 +62,7 @@ func FigureRecovery(o Options) (RecoveryResult, error) {
 
 	runOne := func(interval int, crashes []int) (sim.JobResult, error) {
 		mcfg := tasks.MSSPConfig{
-			Sources: sources, Mirror: s.system.Mirror, Seed: o.seed(),
-			MaxRounds: 5000, Workers: o.Workers,
+			Sources: sources, Mirror: s.system.Mirror, Seed: o.seed(), Workers: o.Workers,
 		}
 		if interval > 0 {
 			dir, err := os.MkdirTemp("", "vcmt-recovery-")

@@ -30,7 +30,8 @@ import (
 	"vcmt/internal/vcapi"
 )
 
-// Options tunes an asynchronous run.
+// Options tunes an asynchronous run. Like engine.Options it has no
+// overload switch: batch.Run applies the 6000 s cutoff between batches.
 type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1.
 	Weight vcapi.WeightFunc[M]
@@ -42,8 +43,6 @@ type Options[M any] struct {
 	EpochActivations int
 	// Seed drives the per-machine deterministic RNG streams.
 	Seed uint64
-	// StopWhenOverloaded abandons the run past the 6000 s cutoff.
-	StopWhenOverloaded bool
 }
 
 // ErrMaxEpochs is returned when the epoch bound is hit before the
@@ -72,7 +71,6 @@ type Async[M any] struct {
 	activations []int64
 	epochActs   int
 	epochs      int
-	stopped     bool
 }
 
 type deferredMsg[M any] struct {
@@ -118,9 +116,6 @@ func NewAsync[M any](g *graph.Graph, part *graph.Partition, prog vcapi.Program[M
 
 // Epochs returns the accounting epochs elapsed.
 func (a *Async[M]) Epochs() int { return a.epochs }
-
-// Stopped reports whether the run was abandoned due to overload.
-func (a *Async[M]) Stopped() bool { return a.stopped }
 
 func (a *Async[M]) weight(m M) int64 {
 	if a.opts.Weight == nil {
@@ -179,8 +174,8 @@ func (a *Async[M]) observeEpoch() {
 }
 
 // Run executes until no work remains, returning ErrMaxEpochs if the epoch
-// bound is hit first. An overload stop returns nil with the overload
-// visible on the sim.Run.
+// bound is hit first. A run past the cost model's cutoff runs on, with the
+// overload visible on the sim.Run.
 func (a *Async[M]) Run() error {
 	k := a.part.NumMachines()
 	ctx := &asyncCtx[M]{a: a}
@@ -194,10 +189,6 @@ func (a *Async[M]) Run() error {
 	for a.head < len(a.queue) {
 		if a.epochs >= a.opts.MaxEpochs {
 			return fmt.Errorf("%w (%d)", ErrMaxEpochs, a.opts.MaxEpochs)
-		}
-		if a.opts.StopWhenOverloaded && a.run != nil && a.run.Overloaded() {
-			a.stopped = true
-			return nil
 		}
 		v := a.queue[a.head]
 		a.head++

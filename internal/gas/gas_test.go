@@ -104,9 +104,7 @@ func TestAsyncPageRankMatchesOracle(t *testing.T) {
 	g := graph.GenerateChungLu(100, 500, 2.5, 37)
 	part := graph.HashPartition(100, 4)
 	run := sim.NewRun(cfg(4, sim.GraphLabAsync))
-	got, err := tasks.AsyncPageRank(g, part, run, tasks.AsyncPageRankConfig{
-		Damping: 0.85, Tolerance: 1e-5,
-	})
+	got, err := tasks.AsyncPageRank(g, part, run, tasks.AsyncPageRankConfig{Tolerance: 1e-5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +226,7 @@ func TestAsyncStopWhenOverloaded(t *testing.T) {
 	c := cfg(2, sim.GraphLabAsync)
 	c.CutoffSeconds = 1e-12
 	run := sim.NewRun(c)
-	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Async: true, StopWhenOverloaded: true, Seed: 1})
+	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Async: true, Seed: 1})
 	if _, err := job.RunBatch(run, 64, 0); err != nil {
 		t.Fatal(err)
 	}

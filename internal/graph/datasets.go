@@ -119,16 +119,16 @@ func PrimeDataset(name string, g *Graph) error {
 }
 
 // PrimeDir primes the dataset cache from every <dataset>.bin graphgen dump
-// in dir, returning how many were loaded. Files not named after a Table 1
-// dataset are ignored (the directory may hold other artifacts); a corrupt
-// or mismatched file fails the whole call — callers must never proceed with
-// a silently short set.
-func PrimeDir(dir string) (int, error) {
+// in dir, returning the names of the datasets it primed, in file-name
+// order. Files not named after a Table 1 dataset are ignored (the directory
+// may hold other artifacts); a corrupt or mismatched file fails the whole
+// call — callers must never proceed with a silently short set.
+func PrimeDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	loaded := 0
+	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".bin") {
 			continue
@@ -139,14 +139,14 @@ func PrimeDir(dir string) (int, error) {
 		}
 		g, err := LoadBinaryFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return loaded, err
+			return names, err
 		}
 		if err := PrimeDataset(name, g); err != nil {
-			return loaded, err
+			return names, err
 		}
-		loaded++
+		names = append(names, name)
 	}
-	return loaded, nil
+	return names, nil
 }
 
 // MustLoad loads a dataset replica by name, panicking on unknown names;

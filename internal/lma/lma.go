@@ -51,12 +51,15 @@ var ErrBadInput = errors.New("lma: need at least three points with positive x")
 // where Invert would turn a tighter budget into a bigger batch.
 var ErrNonPhysical = errors.New("lma: fit is non-physical (exponent B ≤ 0)")
 
-// Options tunes the solver; zero values select defaults.
+// The solver runs restarts fits, the first from a heuristic start and the
+// rest from random ones, each bounded by maxIter iterations.
+const (
+	restarts = 8
+	maxIter  = 200
+)
+
+// Options tunes the solver.
 type Options struct {
-	// Restarts is the number of random restarts (default 8).
-	Restarts int
-	// MaxIter is the iteration bound per restart (default 200).
-	MaxIter int
 	// Seed drives the random initialization.
 	Seed uint64
 }
@@ -72,12 +75,6 @@ func FitPower(xs, ys []float64, opts Options) (PowerFit, error) {
 			return PowerFit{}, ErrBadInput
 		}
 	}
-	if opts.Restarts == 0 {
-		opts.Restarts = 8
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 200
-	}
 	rng := randx.New(opts.Seed ^ 0x1afa17)
 
 	var yMin, yMax, xMax float64 = math.Inf(1), math.Inf(-1), 0
@@ -90,7 +87,7 @@ func FitPower(xs, ys []float64, opts Options) (PowerFit, error) {
 	best := PowerFit{}
 	bestSSE := math.Inf(1)
 	anyConverged := false
-	for r := 0; r < opts.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		var init PowerFit
 		if r == 0 {
 			// Heuristic start: c at the low end, b from a log-log slope.
@@ -106,7 +103,7 @@ func FitPower(xs, ys []float64, opts Options) (PowerFit, error) {
 				C: yMin * rng.Float64(),
 			}
 		}
-		fit, sse := levenbergMarquardt(xs, ys, init, opts.MaxIter)
+		fit, sse := levenbergMarquardt(xs, ys, init)
 		if !math.IsInf(sse, 1) && !math.IsNaN(sse) {
 			anyConverged = true
 		}
@@ -166,7 +163,7 @@ func sse(xs, ys []float64, p PowerFit) float64 {
 }
 
 // levenbergMarquardt runs the damped Gauss–Newton loop from init.
-func levenbergMarquardt(xs, ys []float64, p PowerFit, maxIter int) (PowerFit, float64) {
+func levenbergMarquardt(xs, ys []float64, p PowerFit) (PowerFit, float64) {
 	lambda := 1e-3
 	cur := sse(xs, ys, p)
 	for iter := 0; iter < maxIter; iter++ {

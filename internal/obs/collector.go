@@ -3,7 +3,6 @@ package obs
 import (
 	"io"
 	"math"
-	"slices"
 	"strconv"
 
 	"vcmt/internal/sim"
@@ -154,8 +153,6 @@ func (c *Collector) closeBatch() {
 
 // OnRound implements sim.Observer.
 func (c *Collector) OnRound(o sim.RoundObservation) {
-	// The engine reuses its per-machine slice between supersteps.
-	o.Stats.PerMachine = slices.Clone(o.Stats.PerMachine)
 	logical := float64(o.Stats.TotalSentLogical())
 	c.rounds = append(c.rounds, roundRecord{
 		round: o.Round, batch: o.Batch, obs: o, logicalMsgs: logical,

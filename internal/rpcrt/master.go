@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"vcmt/internal/ckpt"
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
 	"vcmt/internal/obs"
@@ -216,12 +217,9 @@ func (c *Cluster) SetRPCTimeout(d time.Duration) {
 
 // SetCheckpoint enables barrier checkpointing for subsequent jobs: every
 // worker snapshots into dir (per-worker file prefixes) at the barrier after
-// superstep 1 and after every interval-th superstep. interval <= 0 means 8.
-// An empty dir disables checkpointing.
+// superstep 1 and after every interval-th superstep (ckpt.Due; interval
+// <= 0 means 8). An empty dir disables checkpointing.
 func (c *Cluster) SetCheckpoint(dir string, interval int) {
-	if interval <= 0 {
-		interval = 8
-	}
 	c.ckptDir = dir
 	c.ckptInterval = interval
 }
@@ -487,8 +485,7 @@ func (c *Cluster) runJobSteps(spec JobSpec) error {
 		if c.rounds > 100000 {
 			return fmt.Errorf("rpcrt: job did not converge")
 		}
-		if c.ckptDir != "" && c.rounds != last.round &&
-			(c.rounds == 1 || c.rounds%c.ckptInterval == 0) {
+		if c.ckptDir != "" && c.rounds != last.round && ckpt.Due(c.rounds, c.ckptInterval) {
 			bytes, err := c.checkpointAll(c.rounds)
 			if err != nil {
 				return fmt.Errorf("rpcrt: checkpoint at round %d: %w", c.rounds, err)

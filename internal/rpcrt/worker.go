@@ -150,8 +150,9 @@ type Worker struct {
 	server   *rpc.Server
 }
 
-// errDown is the error every RPC on a crashed worker returns. net/rpc
-// flattens errors to strings, so callers match on the text.
+// workerDownMsg is the text of the error every RPC on a crashed worker
+// returns (see down). net/rpc flattens errors to strings, so callers match
+// on the text.
 const workerDownMsg = "worker is down"
 
 func (w *Worker) down() error {

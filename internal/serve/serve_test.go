@@ -763,6 +763,14 @@ func TestStoreLoadDirAndGet(t *testing.T) {
 	if _, err := NewStore().LoadDir(dir2); err == nil {
 		t.Fatal("corrupt dump accepted")
 	}
+
+	// So does a dataset's dump saved under another dataset's name: its
+	// vertex count is not that dataset's.
+	dir3 := t.TempDir()
+	writeFile(t, dir3+"/DBLP.bin", buf.Bytes())
+	if _, err := NewStore().LoadDir(dir3); err == nil || !strings.Contains(err.Error(), "not a graphgen dump of this dataset") {
+		t.Fatalf("Web-St dump loaded as DBLP: %v", err)
+	}
 }
 
 func writeFile(t *testing.T, path string, b []byte) {

@@ -2,10 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"vcmt/internal/graph"
@@ -74,56 +71,27 @@ func (s *Store) AddGenerated(name string) error {
 	return nil
 }
 
-// AddFile loads a graphgen binary file as the snapshot for the named
-// dataset. Dumps arrive through the zero-copy bulk/mmap path, which suits
-// snapshots well: they are immutable for the process
-// lifetime, exactly what a shared read-only mapping provides. The file
-// must be a faithful dump of the dataset's replica (PrimeDataset enforces
-// the vertex count; the binary format's CRC trailer guards the bytes),
-// because every extrapolated statistic is keyed to the replica size.
-func (s *Store) AddFile(name, path string) error {
-	d, err := graph.Dataset(name)
+// LoadDir installs a "file" snapshot for every <dataset>.bin graphgen dump
+// in dir (see graph.PrimeDir), returning how many it installed. Dumps
+// arrive through the zero-copy bulk/mmap path, which suits snapshots well:
+// they are immutable for the process lifetime, exactly what a shared
+// read-only mapping provides. Files not named after a Table 1 dataset are
+// ignored; a corrupt file, or a dump of another dataset (every statistic is
+// extrapolated from the replica size, so the vertex count must match),
+// fails the whole load and installs nothing — a service must not come up
+// with a silently short snapshot set.
+func (s *Store) LoadDir(dir string) (int, error) {
+	names, err := graph.PrimeDir(dir)
 	if err != nil {
-		return err
-	}
-	g, err := graph.LoadBinaryFile(path)
-	if err != nil {
-		return err
-	}
-	if err := graph.PrimeDataset(d.Name, g); err != nil {
-		return err
+		return 0, fmt.Errorf("serve: loading %s: %w", dir, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snaps[d.Name] = &Snapshot{Name: d.Name, Spec: d, Graph: g, Source: "file"}
-	return nil
-}
-
-// LoadDir installs a snapshot for every <dataset>.bin file in dir,
-// returning how many were loaded. Files not named after a Table 1 dataset
-// are ignored (the directory may hold other artifacts); corrupt files fail
-// the whole load — a service must not come up with a silently short
-// snapshot set.
-func (s *Store) LoadDir(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
+	for _, name := range names {
+		d, _ := graph.Dataset(name) // PrimeDir names only Table 1 datasets
+		s.snaps[d.Name] = &Snapshot{Name: d.Name, Spec: d, Graph: d.Load(), Source: "file"}
 	}
-	loaded := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".bin") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".bin")
-		if _, err := graph.Dataset(name); err != nil {
-			continue
-		}
-		if err := s.AddFile(name, filepath.Join(dir, e.Name())); err != nil {
-			return loaded, fmt.Errorf("serve: loading %s: %w", e.Name(), err)
-		}
-		loaded++
-	}
-	return loaded, nil
+	return len(names), nil
 }
 
 // Get returns the named snapshot, generating the dataset replica on demand

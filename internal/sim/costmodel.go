@@ -215,7 +215,6 @@ func (r *Run) roundCost(rs RoundStats) RoundResult {
 			NetSeconds:     netSec,
 			DiskSeconds:    diskSec,
 			MemBytes:       peak,
-			SpillBytes:     spillBytes,
 		}
 
 		base := computeSec + netSec + diskSec

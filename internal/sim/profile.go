@@ -175,21 +175,6 @@ func SystemByName(name string) (SystemProfile, error) {
 	return SystemProfile{}, fmt.Errorf("sim: unknown system %q", name)
 }
 
-// DiskType distinguishes the clusters' storage hardware.
-type DiskType int
-
-const (
-	HDD DiskType = iota
-	SSD
-)
-
-func (d DiskType) String() string {
-	if d == SSD {
-		return "SSD"
-	}
-	return "HDD"
-}
-
 // ClusterProfile describes one of the paper's three clusters (Table 1).
 type ClusterProfile struct {
 	Name     string
@@ -202,9 +187,9 @@ type ClusterProfile struct {
 	Cores      int
 	// NetBytesPerSec is per-machine network bandwidth.
 	NetBytesPerSec float64
-	// DiskBytesPerSec is per-machine disk streaming bandwidth.
+	// DiskBytesPerSec is per-machine disk streaming bandwidth: 150 MB/s
+	// for the Galaxy clusters' HDDs, 450 MB/s for Docker-32's SSDs.
 	DiskBytesPerSec float64
-	Disk            DiskType
 	// Cloud marks billed clusters; CreditsPerMachineHour prices them.
 	Cloud                 bool
 	CreditsPerMachineHour float64
@@ -214,15 +199,15 @@ type ClusterProfile struct {
 var (
 	Galaxy8 = ClusterProfile{
 		Name: "Galaxy-8", Machines: 8, MemBytes: 16 << 30, UsableFrac: 14.0 / 16.0,
-		Cores: 8, NetBytesPerSec: 117e6, DiskBytesPerSec: 150e6, Disk: HDD,
+		Cores: 8, NetBytesPerSec: 117e6, DiskBytesPerSec: 150e6,
 	}
 	Galaxy27 = ClusterProfile{
 		Name: "Galaxy-27", Machines: 27, MemBytes: 16 << 30, UsableFrac: 14.0 / 16.0,
-		Cores: 8, NetBytesPerSec: 117e6, DiskBytesPerSec: 150e6, Disk: HDD,
+		Cores: 8, NetBytesPerSec: 117e6, DiskBytesPerSec: 150e6,
 	}
 	Docker32 = ClusterProfile{
 		Name: "Docker-32", Machines: 32, MemBytes: 16 << 30, UsableFrac: 14.0 / 16.0,
-		Cores: 15, NetBytesPerSec: 117e6, DiskBytesPerSec: 450e6, Disk: SSD,
+		Cores: 15, NetBytesPerSec: 117e6, DiskBytesPerSec: 450e6,
 		Cloud: true, CreditsPerMachineHour: 5,
 	}
 )

@@ -77,12 +77,6 @@ func TestAsyncModeString(t *testing.T) {
 	}
 }
 
-func TestDiskTypeString(t *testing.T) {
-	if HDD.String() != "HDD" || SSD.String() != "SSD" {
-		t.Fatal("bad disk strings")
-	}
-}
-
 func TestRunAccumulatesRounds(t *testing.T) {
 	r := NewRun(basicConfig(Galaxy8, PregelPlus))
 	for i := 0; i < 3; i++ {

@@ -23,6 +23,8 @@ type MachineRound struct {
 
 // RoundStats aggregates one superstep across all machines.
 type RoundStats struct {
+	// PerMachine holds one entry per machine. Its producer hands over a
+	// fresh slice every round, which observers may keep.
 	PerMachine []MachineRound
 
 	// OOCReadBytes / OOCWriteBytes are the real partition-file volumes the
@@ -77,7 +79,6 @@ type MachineCost struct {
 	NetSeconds     float64 // wire transfer time for this machine's remote sends
 	DiskSeconds    float64 // out-of-core IO time (0 for in-memory systems)
 	MemBytes       float64 // peak memory demand (graph + buffers + state + residual)
-	SpillBytes     float64 // modeled bytes routed through disk by the cost model
 }
 
 // RoundResult is the cost model's verdict for one superstep.

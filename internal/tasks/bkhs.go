@@ -27,13 +27,12 @@ type BKHSConfig struct {
 	// Async runs batches on the asynchronous GAS executor; the program
 	// relaxes minimum hop counts monotonically, so asynchronous delivery
 	// preserves the k-hop sets.
-	Async     bool
-	Seed      uint64
-	MaxRounds int
+	Async bool
+	// Seed: see MSSPConfig.
+	Seed uint64
 	// Workers sets the engine worker-pool size (see engine.Options.Workers);
 	// results are identical for every value.
-	Workers            int
-	StopWhenOverloaded bool
+	Workers int
 	// CheckpointDir/CheckpointInterval/Fault: see MSSPConfig.
 	CheckpointDir      string
 	CheckpointInterval int
@@ -88,7 +87,7 @@ func (j *BKHSJob) Reached(i int) int64 {
 
 // exec is the execution half of the config.
 func (c BKHSConfig) exec() execConfig {
-	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.Workers,
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 

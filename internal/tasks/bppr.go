@@ -60,13 +60,9 @@ type BPPRConfig struct {
 	Async bool
 	// Seed drives the per-machine deterministic RNG streams.
 	Seed uint64
-	// MaxRounds bounds each batch's supersteps (default 10000).
-	MaxRounds int
 	// Workers sets the engine worker-pool size (see engine.Options.Workers);
 	// results are identical for every value.
 	Workers int
-	// StopWhenOverloaded abandons a batch past the 6000 s cutoff.
-	StopWhenOverloaded bool
 	// CheckpointDir/CheckpointInterval/Fault: see MSSPConfig.
 	CheckpointDir      string
 	CheckpointInterval int
@@ -318,7 +314,7 @@ func (j *BPPRJob) marked(err error) error {
 
 // exec is the execution half of the config.
 func (c BPPRConfig) exec() execConfig {
-	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.Workers,
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 

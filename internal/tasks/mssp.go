@@ -29,13 +29,13 @@ type MSSPConfig struct {
 	Mirror bool
 	// Async runs batches on the asynchronous GAS executor; shortest-path
 	// relaxation is monotone, so asynchronous delivery preserves results.
-	Async     bool
-	Seed      uint64
-	MaxRounds int
+	Async bool
+	// Seed derives every batch's executor seed (see BatchSeed). A batch's
+	// supersteps are bounded by the engine default, 10000.
+	Seed uint64
 	// Workers sets the engine worker-pool size (see engine.Options.Workers);
 	// results are identical for every value.
-	Workers            int
-	StopWhenOverloaded bool
+	Workers int
 	// CheckpointDir, when non-empty, enables superstep checkpointing on the
 	// sync engine (each batch checkpoints into its own subdirectory).
 	// Ignored in Async mode: the GAS executor has no barrier to cut at.
@@ -106,7 +106,7 @@ func (j *MSSPJob) Distance(i int, v graph.VertexID) float64 {
 
 // exec is the execution half of the config.
 func (c MSSPConfig) exec() execConfig {
-	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.MaxRounds, c.Workers, c.StopWhenOverloaded,
+	return execConfig{c.Mirror, c.Async, c.Combine, c.Seed, c.Workers,
 		c.CheckpointDir, c.CheckpointInterval, c.Fault, c.OOC}
 }
 

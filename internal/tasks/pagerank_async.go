@@ -14,23 +14,17 @@ import (
 // propagate only rank deltas above a tolerance, which is why asynchronous
 // execution wins on this light, convergence-driven task (§4.8).
 type AsyncPageRankConfig struct {
-	// Damping is the damping factor (default 0.85).
-	Damping float64
 	// Tolerance is the minimum unpropagated rank delta that re-activates
 	// neighbors, relative to the uniform rank 1/n (default 0.03); smaller
 	// is more accurate but costlier. The relative form keeps convergence
 	// behaviour graph-size independent.
-	Tolerance          float64
-	Seed               uint64
-	StopWhenOverloaded bool
+	Tolerance float64
+	Seed      uint64
 }
 
 // AsyncPageRank runs delta-PageRank on the asynchronous executor and
 // returns the rank vector.
 func AsyncPageRank(g *graph.Graph, part *graph.Partition, run *sim.Run, cfg AsyncPageRankConfig) ([]float64, error) {
-	if cfg.Damping == 0 {
-		cfg.Damping = 0.85
-	}
 	if cfg.Tolerance == 0 {
 		cfg.Tolerance = 0.03
 	}
@@ -41,10 +35,7 @@ func AsyncPageRank(g *graph.Graph, part *graph.Partition, run *sim.Run, cfg Asyn
 		rank: make([]float64, n),
 		sent: make([]float64, n),
 	}
-	a := gas.NewAsync[RankMsg](g, part, prog, run, gas.Options[RankMsg]{
-		Seed:               cfg.Seed,
-		StopWhenOverloaded: cfg.StopWhenOverloaded,
-	})
+	a := gas.NewAsync[RankMsg](g, part, prog, run, gas.Options[RankMsg]{Seed: cfg.Seed})
 	if err := a.Run(); err != nil {
 		return nil, fmt.Errorf("tasks: async PageRank: %w", err)
 	}
@@ -63,7 +54,7 @@ type asyncPRProg struct {
 }
 
 func (p *asyncPRProg) Seed(ctx vcapi.Context[RankMsg]) {
-	base := (1 - p.cfg.Damping) / float64(len(p.rank))
+	base := (1 - damping) / float64(len(p.rank))
 	for _, v := range ctx.OwnedVertices() {
 		p.rank[v] = base
 		p.scatter(ctx, v)
@@ -75,7 +66,7 @@ func (p *asyncPRProg) Compute(ctx vcapi.Context[RankMsg], v graph.VertexID, msgs
 	for _, m := range msgs {
 		delta += float64(m.Mass)
 	}
-	p.rank[v] += p.cfg.Damping * delta
+	p.rank[v] += damping * delta
 	p.scatter(ctx, v)
 }
 

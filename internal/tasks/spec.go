@@ -9,7 +9,8 @@ import (
 )
 
 // Spec names one job the way a vcrun command line or a vcserve submission
-// does; Build turns it into a Job for a system profile.
+// does; Build turns it into a Job for a system profile, which decides the
+// task config's Mirror and Async.
 type Spec struct {
 	// Task is BPPR, MSSP or BKHS.
 	Task string
@@ -22,10 +23,9 @@ type Spec struct {
 	// or BKHS source set; BPPR ignores it.
 	Sources []graph.VertexID
 	Seed    uint64
-	// Workers, MaxRounds, CheckpointDir, CheckpointInterval, Fault and OOC
-	// are the execution settings of MSSPConfig.
+	// Workers, CheckpointDir, CheckpointInterval, Fault and OOC are the
+	// execution settings of MSSPConfig.
 	Workers            int
-	MaxRounds          int
 	CheckpointDir      string
 	CheckpointInterval int
 	Fault              *fault.Plan
@@ -66,8 +66,7 @@ func Build(g *graph.Graph, part *graph.Partition, system sim.SystemProfile, s Sp
 	async := system.Async == sim.FullAsync
 	if s.Task == "BPPR" {
 		return NewBPPR(g, part, BPPRConfig{
-			WalksPerNode: s.Workload, Mirror: system.Mirror, Async: async, Seed: s.Seed,
-			MaxRounds: s.MaxRounds, Workers: s.Workers,
+			WalksPerNode: s.Workload, Mirror: system.Mirror, Async: async, Seed: s.Seed, Workers: s.Workers,
 			CheckpointDir: s.CheckpointDir, CheckpointInterval: s.CheckpointInterval, Fault: s.Fault, OOC: s.OOC,
 		}), nil
 	}
@@ -77,14 +76,12 @@ func Build(g *graph.Graph, part *graph.Partition, system sim.SystemProfile, s Sp
 	}
 	if s.Task == "BKHS" {
 		return NewBKHS(g, part, BKHSConfig{
-			Sources: sources, K: s.K, Mirror: system.Mirror, Async: async, Seed: s.Seed,
-			MaxRounds: s.MaxRounds, Workers: s.Workers,
+			Sources: sources, K: s.K, Mirror: system.Mirror, Async: async, Seed: s.Seed, Workers: s.Workers,
 			CheckpointDir: s.CheckpointDir, CheckpointInterval: s.CheckpointInterval, Fault: s.Fault, OOC: s.OOC,
 		}), nil
 	}
 	job, err := NewMSSP(g, part, MSSPConfig{
-		Sources: sources, Mirror: system.Mirror, Async: async, Seed: s.Seed,
-		MaxRounds: s.MaxRounds, Workers: s.Workers,
+		Sources: sources, Mirror: system.Mirror, Async: async, Seed: s.Seed, Workers: s.Workers,
 		CheckpointDir: s.CheckpointDir, CheckpointInterval: s.CheckpointInterval, Fault: s.Fault, OOC: s.OOC,
 	})
 	if err != nil {

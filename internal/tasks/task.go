@@ -64,8 +64,7 @@ func BatchSeed(seed uint64, batchIdx int) uint64 {
 type execConfig struct {
 	Mirror, Async, Combine bool
 	Seed                   uint64
-	MaxRounds, Workers     int
-	StopWhenOverloaded     bool
+	Workers                int
 	CheckpointDir          string
 	CheckpointInterval     int
 	Fault                  *fault.Plan
@@ -93,17 +92,10 @@ func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partiti
 	seed := BatchSeed(c.Seed, batchIdx)
 	if c.Async {
 		return gas.NewAsync(g, part, prog, run, gas.Options[M]{
-			Weight: kind.weight, Seed: seed, StopWhenOverloaded: c.StopWhenOverloaded,
+			Weight: kind.weight, Seed: seed,
 		}).Run()
 	}
-	opts := engine.Options[M]{
-		Weight:             kind.weight,
-		MaxRounds:          c.MaxRounds,
-		Seed:               seed,
-		Workers:            c.Workers,
-		StopWhenOverloaded: c.StopWhenOverloaded,
-		Fault:              c.Fault,
-	}
+	opts := engine.Options[M]{Weight: kind.weight, Seed: seed, Workers: c.Workers, Fault: c.Fault}
 	// Checkpoints and partition files go to a per-batch subdirectory: engine
 	// rounds restart at 1 every batch, so in a shared directory an older
 	// batch's high-numbered checkpoint would shadow the current one. (An

@@ -468,7 +468,7 @@ func TestPageRankMatchesOracle(t *testing.T) {
 	g := graph.GenerateChungLu(100, 500, 2.5, 37)
 	part := graph.HashPartition(100, 4)
 	run := sim.NewRun(testRunCfg(4))
-	got, err := PageRank(g, part, run, PageRankConfig{Damping: 0.85, Iterations: 60})
+	got, err := PageRank(g, part, run, PageRankConfig{Iterations: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
