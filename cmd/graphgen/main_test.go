@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,6 +37,29 @@ func TestDatasetDumpRoundTrips(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), dump) {
 		t.Fatalf("the reloaded graph writes %d other bytes (the dump is %d)", again.Len(), len(dump))
+	}
+}
+
+// TestEdgeListExport writes a Chung-Lu graph with -edgelist: the file holds
+// one "from to" line per arc of the generated graph, in CSR order.
+func TestEdgeListExport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := run([]string{"-chunglu", "50,120,2.5", "-seed", "3", "-out", path, "-edgelist"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GenerateChungLu(50, 120, 2.5, 3)
+	var want strings.Builder
+	for v := range g.NumVertices() {
+		for _, u := range g.Neighbors(graph.VertexID(v)) {
+			fmt.Fprintf(&want, "%d %d\n", v, u)
+		}
+	}
+	if g.NumEdges() == 0 || string(data) != want.String() {
+		t.Fatalf("-edgelist wrote %q, want the %d arcs %q", data, g.NumEdges(), want.String())
 	}
 }
 

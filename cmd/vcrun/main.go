@@ -215,6 +215,11 @@ func run(args []string, w io.Writer) error {
 			res.CheckpointsWritten, float64(res.CheckpointBytes)/(1<<20), res.CheckpointSeconds,
 			res.Recoveries, res.RoundsLost, res.RecoverySeconds)
 	}
+	if n := spec.Fault.Remaining(); n > 0 {
+		// A crash planned past the job's last superstep never fires: say so
+		// rather than let "0 recoveries" pass for a tested recovery.
+		fmt.Fprintf(w, "fault:     %d planned event(s) never fired (%s)\n", n, spec.Fault)
+	}
 	if system.OutOfCore {
 		fmt.Fprintf(w, "disk:      %.1f s IO, max util %.0f%%, %.1f s overuse, queue %.0f\n",
 			res.DiskSeconds, res.MaxDiskUtil*100, res.IOOveruseSec, res.MaxIOQueueLen)

@@ -34,6 +34,31 @@ func TestRunRejectsInvalidJobs(t *testing.T) {
 	}
 }
 
+// TestRunReportsUnfiredFaults: a BKHS job (k = 2) runs 3 supersteps, so a
+// crash planned at step 5 never fires and the run says so, while a crash at
+// step 2 recovers once and leaves nothing unfired.
+func TestRunReportsUnfiredFaults(t *testing.T) {
+	for _, c := range []struct {
+		step, fault, recovered string
+	}{
+		{"5", "fault:     1 planned event(s) never fired (crash:worker=1,step=5)\n", "0 recoveries"},
+		{"2", "", "1 recoveries"},
+	} {
+		var out strings.Builder
+		plan := "crash:worker=1,step=" + c.step
+		if err := run([]string{"-task", "BKHS", "-checkpoint-dir", t.TempDir(), "-fault-plan", plan}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := out.String()
+		if !strings.Contains(got, "rounds:    3 ") || !strings.Contains(got, c.recovered) {
+			t.Fatalf("%s: unexpected summary:\n%s", plan, got)
+		}
+		if c.fault == "" && strings.Contains(got, "fault:") || !strings.Contains(got, c.fault) {
+			t.Errorf("%s: want fault line %q in:\n%s", plan, c.fault, got)
+		}
+	}
+}
+
 // TestRunPinnedOutputs pins every telemetry file of one GraphD job, so a
 // change to job construction, the batch loop, the cost model or a writer
 // that moves one byte fails here. Outputs carry only simulated time and

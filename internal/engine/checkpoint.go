@@ -18,9 +18,7 @@ import (
 // the latest checkpoint and replays forward; the determinism contract
 // (machine-ordered merges, per-machine RNG lanes) makes the replayed run
 // bit-for-bit identical to an unfaulted one.
-type CheckpointOptions[M any] struct {
-	// Codec serializes outbox payloads.
-	Codec Codec[M]
+type CheckpointOptions struct {
 	// Dir receives the checkpoint files; created if missing.
 	Dir string
 	// Interval is the number of supersteps between checkpoints; see
@@ -46,7 +44,7 @@ func (e *Engine[M]) initCheckpoints() error {
 	if co == nil {
 		return nil
 	}
-	if co.Codec == nil {
+	if e.opts.Codec == nil {
 		return fmt.Errorf("engine: checkpointing requires a Codec")
 	}
 	if co.Dir == "" {
@@ -135,8 +133,8 @@ func (e *Engine[M]) recoverFromCheckpoint() error {
 	return nil
 }
 
-// Snapshot captures the barrier state, payloads encoded by the checkpoint
-// Codec, in the outbox, rng and prog sections of a base checkpoint whose
+// Snapshot captures the barrier state, payloads encoded by Options.Codec,
+// in the outbox, rng and prog sections of a base checkpoint whose
 // Step is the round.
 // Everything the next superstep reads is included; per-round scratch
 // (inbox, counters) is empty at a barrier and is not. A machine engine's
@@ -149,7 +147,7 @@ func (e *Engine[M]) Snapshot() (*ckpt.Snapshot, error) { return e.SnapshotDelta(
 // program's vcapi.DeltaSnapshotter delta since step parent, the engine's
 // last snapshot or restore, when parent >= 0 and the program makes one.
 func (e *Engine[M]) SnapshotDelta(parent int) (*ckpt.Snapshot, error) {
-	k, codec := e.k, e.opts.Checkpoint.Codec
+	k, codec := e.k, e.opts.Codec
 
 	// Outbox rows are serialized as the engine holds them, row by row, so
 	// restore repopulates the identical routing layout. Payloads are encoded
@@ -200,14 +198,14 @@ func (e *Engine[M]) SnapshotDelta(parent int) (*ckpt.Snapshot, error) {
 }
 
 // Restore rolls every piece of volatile superstep state back to the barrier
-// a Snapshot or SnapshotDelta with the same checkpoint Codec captured, a
+// a Snapshot or SnapshotDelta with the same Codec captured, a
 // delta through the chain ckpt.Manager.Latest links behind it. A section
 // that does not fit the engine — missing, truncated, sized for another
 // machine count or addressed to another machine's vertex — or a broken
 // chain is an error wrapping ckpt.ErrCorrupt, as the program's loads report
 // their own; the engine's state is then undefined until the next Reset.
 func (e *Engine[M]) Restore(snap *ckpt.Snapshot) error {
-	k, codec := e.k, e.opts.Checkpoint.Codec
+	k, codec := e.k, e.opts.Codec
 	rng := rec.NewCursor(snap.Get(secRNG), ckpt.ErrCorrupt)
 	if int(rng.U32()) != k || rng.Len() != 8*k {
 		return rng.Fail("snapshot rng section does not hold %d machines", k)

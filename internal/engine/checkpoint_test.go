@@ -61,8 +61,8 @@ func runSnapBFS(t *testing.T, dir string, plan *fault.Plan) (*bfsProg, sim.JobRe
 	e := New[hopMsg](g, part, snapBFS{prog}, run, Options[hopMsg]{
 		Seed:  1,
 		Fault: plan,
-		Checkpoint: &CheckpointOptions[hopMsg]{
-			Codec:    hopMsgCodec{},
+		Codec: hopMsgCodec{},
+		Checkpoint: &CheckpointOptions{
 			Dir:      dir,
 			Interval: 2,
 		},
@@ -165,7 +165,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Missing codec.
 	e := New[hopMsg](g, part, snapBFS{newBFS(g.NumVertices(), 0)}, nil, Options[hopMsg]{
-		Checkpoint: &CheckpointOptions[hopMsg]{Dir: dir},
+		Checkpoint: &CheckpointOptions{Dir: dir},
 	})
 	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "Codec") {
 		t.Fatalf("want missing-codec error, got %v", err)
@@ -173,7 +173,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Missing dir.
 	e = New[hopMsg](g, part, snapBFS{newBFS(g.NumVertices(), 0)}, nil, Options[hopMsg]{
-		Checkpoint: &CheckpointOptions[hopMsg]{Codec: hopMsgCodec{}},
+		Codec: hopMsgCodec{}, Checkpoint: &CheckpointOptions{},
 	})
 	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "Dir") {
 		t.Fatalf("want missing-dir error, got %v", err)
@@ -181,7 +181,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Program without StateSnapshotter.
 	e = New[hopMsg](g, part, newBFS(g.NumVertices(), 0), nil, Options[hopMsg]{
-		Checkpoint: &CheckpointOptions[hopMsg]{Codec: hopMsgCodec{}, Dir: dir},
+		Codec: hopMsgCodec{}, Checkpoint: &CheckpointOptions{Dir: dir},
 	})
 	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "StateSnapshotter") {
 		t.Fatalf("want snapshotter error, got %v", err)

@@ -99,10 +99,14 @@ type Options[M any] struct {
 	// streamed edge/message partition files and a bounded memory window in
 	// place of in-memory outboxes and inboxes. Forces sequential execution;
 	// results are bit-identical to the in-memory engine.
-	OOC *OOCOptions[M]
+	OOC *OOCOptions
 	// Checkpoint enables periodic superstep checkpointing (see
 	// CheckpointOptions). The program must implement vcapi.StateSnapshotter.
-	Checkpoint *CheckpointOptions[M]
+	Checkpoint *CheckpointOptions
+	// Codec serializes message payloads into checkpoints and partition
+	// files; Checkpoint, OOC and a machine engine's Snapshot and Restore
+	// require it.
+	Codec Codec[M]
 	// Fault injects deterministic failures. The engine honors crash events
 	// (any crash rolls the single-process run back to its last checkpoint
 	// and silently replays forward); drop/delay/slow events are wall-clock

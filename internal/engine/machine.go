@@ -18,8 +18,8 @@ import "vcmt/internal/graph"
 // driven by Step, Drain and Land rather than Run. It prices nothing (the
 // runtime that drives it measures wall-clock instead) and supports neither
 // out-of-core execution nor Run's checkpoint cadence: Snapshot and Restore
-// are the driver's to call at its barriers, with Options.Checkpoint
-// supplying the Codec alone.
+// are the driver's to call at its barriers, with Options.Codec encoding
+// the payloads.
 func NewMachine[M any](g *graph.Graph, part *graph.Partition, id int, prog Program[M], opts Options[M]) *Engine[M] {
 	return newEngine(g, part, []int32{int32(id)}, prog, nil, opts)
 }

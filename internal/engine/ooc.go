@@ -8,10 +8,10 @@ import (
 	"vcmt/internal/ooc"
 )
 
-// Codec serializes message payloads for partition files and checkpoints.
-// Encode appends the payload to buf and returns the extended slice; Decode
-// parses one payload from data and returns the payload and the number of
-// bytes consumed.
+// Codec serializes message payloads for partition files and checkpoints
+// (Options.Codec). Encode appends the payload to buf and returns the
+// extended slice; Decode parses one payload from data and returns the
+// payload and the number of bytes consumed.
 type Codec[M any] interface {
 	Encode(buf []byte, m M) []byte
 	Decode(data []byte) (M, int)
@@ -29,10 +29,7 @@ type Codec[M any] interface {
 // append-ordered inbox files reproduces the in-memory delivery layout, so
 // results, RNG streams, counters and reports are identical to an in-memory
 // run. Only the ooc_* IO counters differ.
-type OOCOptions[M any] struct {
-	// Codec serializes message payloads into partition files (the same
-	// contract as checkpoint codecs).
-	Codec Codec[M]
+type OOCOptions struct {
 	// Dir is the partition-file directory; empty means a private temporary
 	// directory removed when the run finishes.
 	Dir string
@@ -42,9 +39,8 @@ type OOCOptions[M any] struct {
 	MemoryBudgetBytes int64
 	// Partitions fixes the partition count; 0 derives it from the budget.
 	Partitions int
-	// Stats, when non-nil, accumulates measured wall-clock IO for disk-
-	// bandwidth calibration (see core.DiskTuneCalibrated). Wall-clock
-	// numbers never enter deterministic reports.
+	// Stats, when non-nil, accumulates measured wall-clock IO (see
+	// ooc.IOStats). Wall-clock numbers never enter deterministic reports.
 	Stats *ooc.IOStats
 }
 
@@ -53,7 +49,6 @@ type OOCOptions[M any] struct {
 // messages land in e.inbox, sorted with e.mcount and e.moffs).
 type oocState[M any] struct {
 	runner *ooc.PartitionedRunner
-	codec  Codec[M]
 	view   *graph.Graph // current partition's edge window, nil outside compute
 	enc    []byte       // encode scratch for Route
 	ib     ooc.Inbox
@@ -74,7 +69,7 @@ func (e *Engine[M]) curGraph() *graph.Graph {
 // merged inbox reproduces the in-memory layout.
 func (e *Engine[M]) routeOOC(dst graph.VertexID, m M) {
 	st := &e.ooc
-	st.enc = st.codec.Encode(st.enc[:0], m)
+	st.enc = e.opts.Codec.Encode(st.enc[:0], m)
 	if err := st.runner.Route(dst, st.enc); err != nil {
 		panic(fmt.Sprintf("engine: ooc route: %v", err))
 	}
@@ -87,7 +82,7 @@ func (e *Engine[M]) initOOC() error {
 	if oo == nil {
 		return nil
 	}
-	if oo.Codec == nil {
+	if e.opts.Codec == nil {
 		return fmt.Errorf("engine: out-of-core execution requires a Codec")
 	}
 	if e.opts.Checkpoint != nil {
@@ -114,7 +109,7 @@ func (e *Engine[M]) initOOC() error {
 	if err != nil {
 		return fmt.Errorf("engine: ooc: %w", err)
 	}
-	e.ooc.runner, e.ooc.codec = runner, oo.Codec
+	e.ooc.runner = runner
 	e.oocPartitions = runner.Partitions()
 	return nil
 }
@@ -194,9 +189,10 @@ func (e *Engine[M]) computePartition(p int) error {
 	}
 	e.regionStart[e.k] = total
 	e.inbox = slices.Grow(e.inbox[:0], int(total))[:total]
+	codec := e.opts.Codec
 	for i, v := range st.ib.Dsts {
 		payload := st.ib.Payload(i)
-		m, used := st.codec.Decode(payload)
+		m, used := codec.Decode(payload)
 		if used != len(payload) {
 			return fmt.Errorf("engine: ooc codec decoded %d of %d bytes", used, len(payload))
 		}

@@ -27,13 +27,13 @@ func (l *roundLog) OnRound(o sim.RoundObservation) {
 
 // oocJob runs BFS in memory (oo == nil) or out of core over a k-machine
 // partition and returns the program, the job result and the priced rounds.
-func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions[hopMsg]) (*bfsProg, sim.JobResult, roundLog) {
+func oocJob(t *testing.T, g *graph.Graph, k int, oo *OOCOptions) (*bfsProg, sim.JobResult, roundLog) {
 	t.Helper()
 	part := graph.HashPartition(g.NumVertices(), k)
 	var rounds roundLog
 	run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(k), System: sim.PregelPlus, Observer: &rounds})
 	prog := newBFS(g.NumVertices(), 0)
-	e := New[hopMsg](g, part, prog, run, Options[hopMsg]{Seed: 42, OOC: oo})
+	e := New[hopMsg](g, part, prog, run, Options[hopMsg]{Seed: 42, OOC: oo, Codec: hopCodec{}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,7 @@ func TestOOCMatchesInMemoryBitForBit(t *testing.T) {
 	g := graph.GenerateChungLu(400, 2400, 2.5, 9)
 	for _, k := range []int{1, 3, 4} {
 		ref, refRes, refRounds := oocJob(t, g, k, nil)
-		prog, res, rounds := oocJob(t, g, k, &OOCOptions[hopMsg]{
-			Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 5,
-		})
+		prog, res, rounds := oocJob(t, g, k, &OOCOptions{Dir: t.TempDir(), Partitions: 5})
 		if !reflect.DeepEqual(ref.dist, prog.dist) {
 			t.Fatalf("k=%d: ooc results diverge from in-memory", k)
 		}
@@ -79,8 +77,9 @@ func TestOOCDerivedPartitionsRespectBudget(t *testing.T) {
 	prog := newBFS(g.NumVertices(), 0)
 	budget := int64(16 << 10)
 	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
-		Seed: 42,
-		OOC:  &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), MemoryBudgetBytes: budget},
+		Seed:  42,
+		Codec: hopCodec{},
+		OOC:   &OOCOptions{Dir: t.TempDir(), MemoryBudgetBytes: budget},
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -99,10 +98,11 @@ func TestOOCWithCombinerAndWeights(t *testing.T) {
 	part := graph.HashPartition(120, 3)
 	opts := Options[countMsg]{
 		Seed:     9,
+		Codec:    countCodec{},
 		Weight:   func(m countMsg) int64 { return m.N },
 		Combiner: func(a, b countMsg) countMsg { return countMsg{N: a.N + b.N} },
 	}
-	mk := func(oo *OOCOptions[countMsg]) sim.JobResult {
+	mk := func(oo *OOCOptions) sim.JobResult {
 		run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(3), System: sim.PregelPlus})
 		o := opts
 		o.OOC = oo
@@ -113,7 +113,7 @@ func TestOOCWithCombinerAndWeights(t *testing.T) {
 		return run.Result()
 	}
 	ref := mk(nil)
-	res := mk(&OOCOptions[countMsg]{Codec: countCodec{}, Dir: t.TempDir(), Partitions: 4})
+	res := mk(&OOCOptions{Dir: t.TempDir(), Partitions: 4})
 	res.OOCReadBytes, res.OOCWriteBytes, res.OOCWindowPeakBytes = 0, 0, 0
 	if !reflect.DeepEqual(ref, res) {
 		t.Fatalf("combined/weighted ooc run differs:\n in-mem %+v\n ooc    %+v", ref, res)
@@ -125,7 +125,8 @@ func TestOOCForcesSequentialWorkers(t *testing.T) {
 	part := graph.HashPartition(12, 2)
 	e := New[hopMsg](g, part, newBFS(12, 0), nil, Options[hopMsg]{
 		Workers: 8,
-		OOC:     &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir()},
+		Codec:   hopCodec{},
+		OOC:     &OOCOptions{Dir: t.TempDir()},
 	})
 	if e.Workers() != 1 {
 		t.Fatalf("ooc run resolved %d workers, want 1", e.Workers())
@@ -139,9 +140,9 @@ func TestOOCValidation(t *testing.T) {
 		name string
 		opts Options[hopMsg]
 	}{
-		{"missing codec", Options[hopMsg]{OOC: &OOCOptions[hopMsg]{}}},
+		{"missing codec", Options[hopMsg]{OOC: &OOCOptions{}}},
 		{"checkpoint conflict", Options[hopMsg]{
-			OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}}, Checkpoint: &CheckpointOptions[hopMsg]{Codec: hopCodec{}, Dir: "x", Interval: 1},
+			Codec: hopCodec{}, OOC: &OOCOptions{}, Checkpoint: &CheckpointOptions{Dir: "x", Interval: 1},
 		}},
 	}
 	for _, tc := range cases {
@@ -157,7 +158,7 @@ func TestOOCStatsPopulated(t *testing.T) {
 	part := graph.HashPartition(200, 2)
 	var st ooc.IOStats
 	e := New[hopMsg](g, part, newBFS(200, 0), nil, Options[hopMsg]{
-		OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3, Stats: &st},
+		Codec: hopCodec{}, OOC: &OOCOptions{Dir: t.TempDir(), Partitions: 3, Stats: &st},
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -67,11 +67,11 @@ func TestResetAcrossModes(t *testing.T) {
 		}},
 		{name: "ooc", opts: func(t *testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 8,
-				OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3}}
+				Codec: hopCodec{}, OOC: &OOCOptions{Dir: t.TempDir(), Partitions: 3}}
 		}},
 		{name: "ooc-combine", opts: func(t *testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 9, Combiner: minHop, CombinerKey: parity,
-				OOC: &OOCOptions[hopMsg]{Codec: hopCodec{}, Dir: t.TempDir(), Partitions: 3}}
+				Codec: hopCodec{}, OOC: &OOCOptions{Dir: t.TempDir(), Partitions: 3}}
 		}},
 		{name: "keyed-again", opts: func(*testing.T) Options[hopMsg] {
 			return Options[hopMsg]{Seed: 10, Combiner: minHop, CombinerKey: parity}

@@ -232,7 +232,7 @@ func TestSendAllEqualsSend(t *testing.T) {
 							opts.Weight = fanWeight
 						}
 						if ooc {
-							opts.OOC = &OOCOptions[fanMsg]{Codec: fanCodec{}, Dir: t.TempDir(), Partitions: 3}
+							opts.Codec, opts.OOC = fanCodec{}, &OOCOptions{Dir: t.TempDir(), Partitions: 3}
 						}
 						if err := runFan(New(g, part, r.prog, run, opts), r); err != nil {
 							t.Fatalf("%s: %v", label, err)

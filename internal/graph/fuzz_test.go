@@ -7,41 +7,6 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList hardens the SNAP-format parser against malformed input:
-// it must either return an error or a structurally valid graph, never
-// panic.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add([]byte("0 1\n1 2\n"))
-	f.Add([]byte("# comment\n3 4 2.5\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("# only a comment\n\n"))
-	f.Add([]byte("0\n"))
-	f.Add([]byte("a b\n"))
-	f.Add([]byte("4294967295 0\n"))
-	f.Add([]byte("0 1 nan\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadEdgeList(bytes.NewReader(data), 0)
-		if err != nil {
-			return
-		}
-		// Structural invariants of any successfully parsed graph.
-		n := g.NumVertices()
-		var arcs int64
-		for v := 0; v < n; v++ {
-			ns := g.Neighbors(VertexID(v))
-			arcs += int64(len(ns))
-			for _, u := range ns {
-				if int(u) >= n {
-					t.Fatalf("neighbor %d out of range n=%d", u, n)
-				}
-			}
-		}
-		if arcs != g.NumEdges() {
-			t.Fatalf("edge count mismatch: %d vs %d", arcs, g.NumEdges())
-		}
-	})
-}
-
 // legacyDump returns g as a dump of a retired format version: the v3 bytes
 // under another version word, re-checksummed — exactly what the v2 writer
 // produced. Loaders must reject it.

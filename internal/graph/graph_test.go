@@ -302,78 +302,31 @@ func TestDatasetLoadCachedAndSized(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := GenerateChungLu(200, 800, 2.5, 5)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf, g.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsEqual(t, g, g2)
-}
-
-func TestEdgeListComments(t *testing.T) {
-	in := "# comment\n0 1\n\n1 2\n"
-	g, err := ReadEdgeList(bytes.NewBufferString(in), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 2 {
-		t.Fatalf("n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-}
-
-func TestEdgeListErrors(t *testing.T) {
-	if _, err := ReadEdgeList(bytes.NewBufferString("0\n"), 0); err == nil {
-		t.Fatal("want error for short line")
-	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("a b\n"), 0); err == nil {
-		t.Fatal("want error for non-numeric")
-	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("0 1 x\n"), 0); err == nil {
-		t.Fatal("want error for bad weight")
-	}
-}
-
-// TestEdgeListExplicitNTooSmall is the regression test for the
-// out-of-range panic: an edge whose endpoint is at or beyond an explicit
-// vertex count used to reach Builder.addEdge's panic; it must instead be a
-// descriptive error.
-func TestEdgeListExplicitNTooSmall(t *testing.T) {
-	for _, in := range []string{"0 5\n", "7 1\n", "0 1\n2 3\n"} {
-		g, err := ReadEdgeList(bytes.NewBufferString(in), 3)
-		if err == nil {
-			t.Fatalf("%q with n=3: loaded %d vertices, want error", in, g.NumVertices())
+// TestWriteEdgeListBytes pins the export format: one "from to" line per arc
+// in CSR order, with the weight appended in %g form on a weighted graph.
+func TestWriteEdgeListBytes(t *testing.T) {
+	plain := NewBuilder(4, false)
+	plain.AddUndirectedEdge(0, 2)
+	plain.AddEdge(3, 1)
+	weighted := NewBuilder(3, true)
+	weighted.AddWeightedEdge(0, 1, 0.5)
+	weighted.AddWeightedEdge(2, 0, 3)
+	weighted.AddWeightedEdge(0, 2, 1e-7)
+	for _, c := range []struct {
+		g    *Graph
+		want string
+	}{
+		{plain.Build(), "0 2\n2 0\n3 1\n"},
+		{weighted.Build(), "0 1 0.5\n0 2 1e-07\n2 0 3\n"},
+		{NewBuilder(2, false).Build(), ""},
+	} {
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, c.g); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The boundary id n-1 is still fine.
-	g, err := ReadEdgeList(bytes.NewBufferString("0 2\n"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 1 {
-		t.Fatalf("n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-}
-
-// TestEdgeListEmpty is the regression test for the silent 1-vertex graph:
-// an input with no edges must be an error when the vertex count is
-// inferred, and a legitimate edgeless graph when n is explicit.
-func TestEdgeListEmpty(t *testing.T) {
-	for _, in := range []string{"", "# header comment\n", "#a\n\n  \n#b\n"} {
-		if g, err := ReadEdgeList(bytes.NewBufferString(in), 0); err == nil {
-			t.Fatalf("%q with inferred n: loaded %d vertices, want error", in, g.NumVertices())
+		if buf.String() != c.want {
+			t.Errorf("WriteEdgeList wrote %q, want %q", buf.String(), c.want)
 		}
-	}
-	g, err := ReadEdgeList(bytes.NewBufferString("# no edges\n"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 4 || g.NumEdges() != 0 {
-		t.Fatalf("explicit n: n=%d m=%d, want 4 isolated vertices", g.NumVertices(), g.NumEdges())
 	}
 }
 

@@ -2,12 +2,9 @@ package graph
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"vcmt/internal/rec"
 )
@@ -38,80 +35,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // imply absurd allocations (the largest graph in the paper has 65.6M
 // vertices).
 const maxLoadVertices = 1 << 28
-
-// ReadEdgeList parses a SNAP-style edge list. Lines starting with '#' are
-// comments. n must be at least max vertex id + 1; pass 0 to infer it. An
-// edge referencing a vertex id at or beyond an explicit n is an error, not
-// a panic, and an input with no edges at all is an error unless n was given
-// explicitly (an explicit n with no edges is a legitimate graph of n
-// isolated vertices). Inputs implying more than 2^28 vertices are rejected.
-func ReadEdgeList(r io.Reader, n int) (*Graph, error) {
-	type rawEdge struct {
-		from, to VertexID
-		w        float32
-	}
-	var edges []rawEdge
-	weighted := false
-	maxID := VertexID(0)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: need at least 2 fields", line)
-		}
-		from, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		to, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		w := float32(1)
-		if len(fields) >= 3 {
-			wf, err := strconv.ParseFloat(fields[2], 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
-			}
-			w = float32(wf)
-			weighted = true
-		}
-		e := rawEdge{from: VertexID(from), to: VertexID(to), w: w}
-		edges = append(edges, e)
-		if e.from > maxID {
-			maxID = e.from
-		}
-		if e.to > maxID {
-			maxID = e.to
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(edges) == 0 && n == 0 {
-		return nil, errors.New("graph: empty edge list (no edges and no explicit vertex count)")
-	}
-	if uint64(maxID)+1 > maxLoadVertices {
-		return nil, fmt.Errorf("graph: vertex id %d exceeds the loader limit", maxID)
-	}
-	if n == 0 {
-		n = int(maxID) + 1
-	} else if len(edges) > 0 && int64(maxID) >= int64(n) {
-		return nil, fmt.Errorf("graph: vertex id %d out of range for declared vertex count %d", maxID, n)
-	}
-	b := NewBuilder(n, weighted)
-	for _, e := range edges {
-		b.AddWeightedEdge(e.from, e.to, e.w)
-	}
-	return b.Build(), nil
-}
 
 // Binary graph file format (version 3):
 //

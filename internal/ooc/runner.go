@@ -14,8 +14,7 @@ import (
 // IOStats accumulates measured wall-clock IO from a run. Unlike the encoded
 // byte counters the runner reports per round (which are deterministic and
 // flow into reports), these include real seconds and exist only to display
-// observed disk bandwidth and to recalibrate core.DiskTune from measurement
-// instead of constants. They never enter deterministic output.
+// observed disk bandwidth. They never enter deterministic output.
 type IOStats struct {
 	ReadBytes    int64
 	WriteBytes   int64

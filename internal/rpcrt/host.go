@@ -51,11 +51,11 @@ func appendResult(buf []byte, row, v uint32, val float64) []byte {
 // install re-arms the worker's machine engine for M to run prog as the
 // single batch of a job seeded seed — on the RNG streams an engine run of
 // that job draws from — building the engine on the worker's first job of
-// that message type. codec is M's checkpoint codec, which Snapshot and
-// Restore read from the engine's options.
+// that message type. codec is M's codec, which Snapshot and Restore read
+// from the engine's options.
 func install[M any](w *Worker, prog vcapi.Program[M], seed uint64, codec engine.Codec[M],
 	pack func(graph.VertexID, M) Message, unpack func(Message) M, finish func() []byte) *host[M] {
-	opts := engine.Options[M]{Seed: tasks.BatchSeed(seed, 0), Checkpoint: &engine.CheckpointOptions[M]{Codec: codec}}
+	opts := engine.Options[M]{Seed: tasks.BatchSeed(seed, 0), Codec: codec}
 	for _, h := range w.hosts {
 		if h, ok := h.(*host[M]); ok {
 			h.eng.Reset(prog, nil, opts)

@@ -40,12 +40,6 @@ type BPPRConfig struct {
 	Alpha float64
 	// WalksPerNode is the workload W: every vertex starts W α-decay walks.
 	WalksPerNode int
-	// Sources restricts the walk origins to a subset of vertices: the
-	// paper's alternative workload setting (§4.9), where the unit task is
-	// a PPR query and a batch contains a subset of source nodes. When set,
-	// the workload unit becomes one source (each source runs WalksPerNode
-	// walks, default 1024), and batches split the source set.
-	Sources []graph.VertexID
 	// Mirror selects the broadcast-interface implementation (fractional
 	// push); required for Pregel+(mirror) runs.
 	Mirror bool
@@ -92,10 +86,9 @@ type BPPRJob struct {
 	// endpoints[m] maps pairKey(src, stopVertex) to the (possibly
 	// fractional) number of walks from src that stopped at stopVertex, for
 	// pairs whose stopVertex lives on machine m.
-	endpoints   []endpointTable
-	baseline    []int64 // entry counts at the start of the current batch
-	launched    int     // walks per node launched so far across batches
-	sourcesDone int     // sources completed (source-subset mode)
+	endpoints []endpointTable
+	baseline  []int64 // entry counts at the start of the current batch
+	launched  int     // walks per node launched so far across batches
 
 	// The engine that runs every synchronous batch (see runBatch): mcEng
 	// for the Monte-Carlo program, pushEng for the mirror variant.
@@ -110,9 +103,6 @@ type BPPRJob struct {
 func NewBPPR(g *graph.Graph, part *graph.Partition, cfg BPPRConfig) *BPPRJob {
 	if cfg.Mirror && cfg.Async {
 		panic("tasks: BPPR cannot combine Mirror with Async")
-	}
-	if len(cfg.Sources) > 0 && cfg.WalksPerNode == 0 {
-		cfg.WalksPerNode = 1024
 	}
 	if cfg.Alpha == 0 {
 		cfg.Alpha = 0.15
@@ -131,14 +121,8 @@ func NewBPPR(g *graph.Graph, part *graph.Partition, cfg BPPRConfig) *BPPRJob {
 // Name implements Job.
 func (j *BPPRJob) Name() string { return "BPPR" }
 
-// TotalWorkload implements Job: walks per node, or the source count in
-// source-subset mode (§4.9).
-func (j *BPPRJob) TotalWorkload() int {
-	if len(j.cfg.Sources) > 0 {
-		return len(j.cfg.Sources)
-	}
-	return j.cfg.WalksPerNode
-}
+// TotalWorkload implements Job: walks per node.
+func (j *BPPRJob) TotalWorkload() int { return j.cfg.WalksPerNode }
 
 // MemModel implements Job: an endpoint entry is a (source, vertex, count)
 // triple (~16 bytes in the C++ systems' hash tables).
@@ -150,21 +134,13 @@ func (j *BPPRJob) MemModel() sim.TaskMemModel {
 func (j *BPPRJob) WalksLaunched() int { return j.launched }
 
 // Estimate returns the current PPR estimate of target with respect to src:
-// the fraction of src's walks that stopped at target. In source-subset
-// mode the denominator is WalksPerNode once src's batch has run.
+// the fraction of src's walks that stopped at target.
 func (j *BPPRJob) Estimate(src, target graph.VertexID) float64 {
-	denom := j.launched
-	if len(j.cfg.Sources) > 0 {
-		if j.launched == 0 {
-			return 0
-		}
-		denom = j.cfg.WalksPerNode
-	}
-	if denom == 0 {
+	if j.launched == 0 {
 		return 0
 	}
 	m := j.part.Owner(target)
-	return j.endpoints[m].get(pairKey(src, target)) / float64(denom)
+	return j.endpoints[m].get(pairKey(src, target)) / float64(j.launched)
 }
 
 // EndpointEntries returns the total number of (source, vertex) endpoint
@@ -353,9 +329,7 @@ var (
 	massKind = msgKind[MassMsg]{codec: massCodec{}}
 )
 
-// RunBatch implements Job. In the default mode, `workload` walks start at
-// every vertex; in source-subset mode, the next `workload` sources each
-// start WalksPerNode walks.
+// RunBatch implements Job: `workload` walks start at every vertex.
 func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, error) {
 	if workload <= 0 {
 		return make([]int64, j.part.NumMachines()), nil
@@ -378,13 +352,11 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 // runs through RunBatch only).
 func (j *BPPRJob) NextBatch(workload int) Batch[WalkMsg] { return newBpprMC(j.nextBatch(workload)) }
 
-// bpprBatch is what both BPPR programs are built on: the walks each origin
-// starts, the batch's origins, and the job bookkeeping around the run.
+// bpprBatch is what both BPPR programs are built on: the walks each vertex
+// starts, and the job bookkeeping around the run.
 type bpprBatch struct {
-	job     *BPPRJob
-	w       int
-	sources map[graph.VertexID]bool // nil: every vertex is an origin
-	cut     int                     // sources this batch takes off cfg.Sources
+	job *BPPRJob
+	w   int
 }
 
 // bpprScratch is one machine's Compute scratch, for either program; every
@@ -411,28 +383,14 @@ func (j *BPPRJob) nextBatch(workload int) *bpprBatch {
 	for m := range j.baseline {
 		j.baseline[m] = int64(j.endpoints[m].n)
 	}
-	b := &bpprBatch{job: j, w: workload}
-	if len(j.cfg.Sources) > 0 {
-		batch := nextSources(j.cfg.Sources, j.sourcesDone, workload)
-		b.w, b.cut = j.cfg.WalksPerNode, len(batch)
-		b.sources = make(map[graph.VertexID]bool, len(batch))
-		for _, s := range batch {
-			b.sources[s] = true
-		}
-	}
-	return b
+	return &bpprBatch{job: j, w: workload}
 }
 
 // Finish implements Batch: the endpoints already accumulated into the job,
 // so only the launch bookkeeping is left.
 func (b *bpprBatch) Finish() []int64 {
 	j := b.job
-	if b.sources != nil {
-		j.sourcesDone += b.cut
-		j.launched = j.cfg.WalksPerNode
-	} else {
-		j.launched += b.w
-	}
+	j.launched += b.w
 	resid := make([]int64, len(j.endpoints))
 	for m := range resid {
 		resid[m] = b.StateEntries(m)
@@ -472,9 +430,6 @@ func newBpprMC(b *bpprBatch) *bpprMC { return &bpprMC{b} }
 
 func (p *bpprMC) Seed(ctx vcapi.Context[WalkMsg]) {
 	for _, v := range ctx.OwnedVertices() {
-		if p.sources != nil && !p.sources[v] {
-			continue
-		}
 		p.Compute(ctx, v, []WalkMsg{{Src: v, Count: int32(p.w)}})
 	}
 }
@@ -531,9 +486,6 @@ func newBpprPush(b *bpprBatch) *bpprPush { return &bpprPush{b} }
 
 func (p *bpprPush) Seed(ctx vcapi.Context[MassMsg]) {
 	for _, v := range ctx.OwnedVertices() {
-		if p.sources != nil && !p.sources[v] {
-			continue
-		}
 		p.spread(ctx, v, []walkMass{{v, float64(p.w)}})
 	}
 }

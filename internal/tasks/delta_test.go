@@ -106,7 +106,7 @@ func TestBPPRChainRestoresFullState(t *testing.T) {
 
 func requireChainRestores[M any](t *testing.T, g *graph.Graph, part *graph.Partition, cfg BPPRConfig, interval int,
 	codec engine.Codec[M], kinds map[bool]int, batch func(*BPPRJob) vcapi.Program[M]) {
-	opts := engine.Options[M]{Seed: cfg.Seed, Workers: 1, Checkpoint: &engine.CheckpointOptions[M]{Codec: codec}}
+	opts := engine.Options[M]{Seed: cfg.Seed, Workers: 1, Codec: codec}
 	e := engine.New(g, part, batch(NewBPPR(g, part, cfg)), nil, opts)
 	restored := engine.New(g, part, batch(NewBPPR(g, part, cfg)), nil, opts)
 	dir := t.TempDir()

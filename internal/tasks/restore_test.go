@@ -47,7 +47,7 @@ func TestRestoreRejectsDamagedSnapshots(t *testing.T) {
 }
 
 func snapshotOpts[M any](codec engine.Codec[M]) engine.Options[M] {
-	return engine.Options[M]{Seed: 7, Workers: 1, Checkpoint: &engine.CheckpointOptions[M]{Codec: codec}}
+	return engine.Options[M]{Seed: 7, Workers: 1, Codec: codec}
 }
 
 // requireCorruptRejected steps e to a barrier with messages buffered,

@@ -82,7 +82,7 @@ func (j *sourceJob[M, T]) RunBatch(run *sim.Run, workload int, batchIdx int) ([]
 // cut cuts the next batch of up to workload sources off S, marks it in the
 // source index and returns its table with every entry fill.
 func (j *sourceJob[M, T]) cut(workload int, fill T) sourceTable[T] {
-	j.batch = nextSources(j.sources, j.done, workload)
+	j.batch = j.sources[j.done:min(j.done+workload, len(j.sources))]
 	for i, s := range j.batch {
 		j.srcIdx[s] = int32(i)
 	}

@@ -95,21 +95,17 @@ func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partiti
 			Weight: kind.weight, Seed: seed,
 		}).Run()
 	}
-	opts := engine.Options[M]{Weight: kind.weight, Seed: seed, Workers: c.Workers, Fault: c.Fault}
+	opts := engine.Options[M]{Weight: kind.weight, Seed: seed, Workers: c.Workers, Fault: c.Fault, Codec: kind.codec}
 	// Checkpoints and partition files go to a per-batch subdirectory: engine
 	// rounds restart at 1 every batch, so in a shared directory an older
 	// batch's high-numbered checkpoint would shadow the current one. (An
 	// empty OOC Dir lets each batch's runner own a temporary directory.)
 	sub := fmt.Sprintf("batch%03d", batchIdx)
 	if c.CheckpointDir != "" {
-		opts.Checkpoint = &engine.CheckpointOptions[M]{
-			Codec: kind.codec, Dir: filepath.Join(c.CheckpointDir, sub), Interval: c.CheckpointInterval,
-		}
+		opts.Checkpoint = &engine.CheckpointOptions{Dir: filepath.Join(c.CheckpointDir, sub), Interval: c.CheckpointInterval}
 	}
 	if oc := c.OOC; oc != nil && !c.Mirror { // the engine rejects OOC with mirroring
-		opts.OOC = &engine.OOCOptions[M]{
-			Codec: kind.codec, MemoryBudgetBytes: oc.MemoryBudgetBytes, Partitions: oc.Partitions, Stats: oc.Stats,
-		}
+		opts.OOC = &engine.OOCOptions{MemoryBudgetBytes: oc.MemoryBudgetBytes, Partitions: oc.Partitions, Stats: oc.Stats}
 		if oc.Dir != "" {
 			opts.OOC.Dir = filepath.Join(oc.Dir, sub)
 		}
@@ -139,12 +135,6 @@ func readPair(data []byte) (src graph.VertexID, payload uint32) {
 		return 0, 0 // a short record: the codec's byte count of 8 exposes it
 	}
 	return binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:8])
-}
-
-// nextSources cuts the next batch of up to workload sources off a job that
-// has finished done of them.
-func nextSources(sources []graph.VertexID, done, workload int) []graph.VertexID {
-	return sources[done:min(done+workload, len(sources))]
 }
 
 // FirstSources is Build's default MSSP and BKHS source selection: the first
@@ -183,6 +173,6 @@ type OOCConfig struct {
 	// Partitions fixes the partition count; 0 derives it from the budget.
 	Partitions int
 	// Stats, when non-nil, accumulates measured wall-clock IO across all
-	// batches for disk-bandwidth calibration (core.DiskTuneCalibrated).
+	// batches (vcrun's measured_disk figure, the benchmark's ooc.io_s).
 	Stats *ooc.IOStats
 }
