@@ -121,7 +121,8 @@ bench-wire:
 bench-wire-baseline:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkDeliver' -pkg ./internal/wire 		-benchmem -benchtime 200x -count 5 -out BENCH_wire.json
 
-# Partition-codec, edge-window and runner-superstep benchmarks with the
+# Partition-codec, edge-window (every vertex computing, and every fourth:
+# BenchmarkWindowSparse) and runner-superstep benchmarks with the
 # regression gate, mirroring the CI ooc job: each runs 5 times (-count 5, as
 # in bench-engine: the fastest ns/op, the median B/op and the largest
 # allocs/op are compared), failing on >50% ns/op, B/op or allocs/op

@@ -20,29 +20,20 @@ type Codec[M any] interface {
 // OOCOptions selects the out-of-core execution backend: instead of buffering
 // outboxes and inboxes in memory, every emitted message is encoded and
 // routed into a per-destination-partition append file, and each superstep
-// streams one partition at a time — its edge file and its inbox — through a
-// bounded memory window (the GraphD/PartitionedVC model; see internal/ooc).
+// streams one partition at a time — its inbox, then its edge file, decoding
+// the adjacency of only the vertices the inbox names — through a bounded
+// memory window (the GraphD/PartitionedVC model; see internal/ooc).
 //
 // The backend preserves the engine's determinism contract bit-for-bit: it
 // forces one worker, executes vertices in the exact machine-major order of
 // the sequential engine, and the per-partition counting sort over
 // append-ordered inbox files reproduces the in-memory delivery layout, so
 // results, RNG streams, counters and reports are identical to an in-memory
-// run. Only the ooc_* IO counters differ.
-type OOCOptions struct {
-	// Dir is the partition-file directory; empty means a private temporary
-	// directory removed when the run finishes.
-	Dir string
-	// MemoryBudgetBytes bounds the resident window (one partition's edges
-	// plus its inbox). Used to derive the partition count when Partitions
-	// is 0, and reported against the observed window peak.
-	MemoryBudgetBytes int64
-	// Partitions fixes the partition count; 0 derives it from the budget.
-	Partitions int
-	// Stats, when non-nil, accumulates measured wall-clock IO (see
-	// ooc.IOStats). Wall-clock numbers never enter deterministic reports.
-	Stats *ooc.IOStats
-}
+// run. Only the ooc_* IO counters differ. The options are the runner's own:
+// the partition-file directory, the memory budget the window peak is
+// reported against, the partition count and the measured-IO sink, whose
+// wall-clock numbers never enter deterministic reports.
+type OOCOptions = ooc.Config
 
 // oocState is the out-of-core backend: the runner of the current run, and
 // inbox and encode scratch that live as long as the engine (decoded
@@ -100,12 +91,7 @@ func (e *Engine[M]) initOOC() error {
 		e.ooc.first = append(e.ooc.first, len(order))
 		order = append(order, e.vertsByMachine[m]...)
 	}
-	runner, err := ooc.NewRunner(e.g, order, ooc.Config{
-		Dir:               oo.Dir,
-		MemoryBudgetBytes: oo.MemoryBudgetBytes,
-		Partitions:        oo.Partitions,
-		Stats:             oo.Stats,
-	})
+	runner, err := ooc.NewRunner(e.g, order, *oo)
 	if err != nil {
 		return fmt.Errorf("engine: ooc: %w", err)
 	}
@@ -150,23 +136,24 @@ func (e *Engine[M]) ranks(d int32, p int) (lo, hi int) {
 	return min(max(start-first, 0), n), min(max(end-first, 0), n)
 }
 
-// computePartition streams partition p through the memory window: load the
-// edge window, read the inbox, and counting-sort it into the in-memory
-// delivery layout (e.inbox regions per machine, stable, so each vertex's
-// segment is in global emission order), then fold and compute exactly as in
-// memory, touching only p's ranks of each machine.
+// computePartition streams partition p through the memory window: read the
+// inbox, load the edge window of the vertices it names (only they compute),
+// and counting-sort the inbox into the in-memory delivery layout (e.inbox
+// regions per machine, stable, so each vertex's segment is in global
+// emission order), then fold and compute exactly as in memory, touching
+// only p's ranks of each machine.
 func (e *Engine[M]) computePartition(p int) error {
 	st := &e.ooc
 	r := st.runner
-	win, _, err := r.Window(p)
+	if err := r.ReadInbox(p, &st.ib); err != nil {
+		return fmt.Errorf("engine: ooc inbox %d: %w", p, err)
+	}
+	win, _, err := r.Window(p, st.ib.Dsts)
 	if err != nil {
 		return fmt.Errorf("engine: ooc window %d: %w", p, err)
 	}
 	st.view = win
 	defer func() { st.view = nil }()
-	if err := r.ReadInbox(p, &st.ib); err != nil {
-		return fmt.Errorf("engine: ooc inbox %d: %w", p, err)
-	}
 
 	for _, d := range e.local {
 		lo, hi := e.ranks(d, p)

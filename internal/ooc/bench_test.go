@@ -45,8 +45,8 @@ func BenchmarkPartitionRead(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "r.vp")
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	const msgs = 20000
-	w, err := Create(path, KindMessages, false)
-	if err != nil {
+	w := new(Writer)
+	if err := w.create(path, KindMessages, false); err != nil {
 		b.Fatal(err)
 	}
 	for m := 0; m < msgs; m++ {
@@ -100,9 +100,20 @@ func BenchmarkRunnerSuperstep(b *testing.B) {
 }
 
 // BenchmarkWindow measures Window on the DBLP replica as one partition (the
-// out-of-core benchmark's configuration): open, decode and verify the whole
-// edge file, then rebuild the full-width CSR view.
-func BenchmarkWindow(b *testing.B) {
+// out-of-core benchmark's configuration) with every vertex computing: open,
+// decode and verify the whole edge file, then rebuild the full-width CSR
+// view.
+func BenchmarkWindow(b *testing.B) { benchWindow(b, 1) }
+
+// BenchmarkWindowSparse is BenchmarkWindow with every fourth vertex
+// computing, about the share of a superstep of the out-of-core benchmark:
+// the whole file is still read and verified, but only those vertices'
+// neighbors are decoded.
+func BenchmarkWindowSparse(b *testing.B) { benchWindow(b, 4) }
+
+// benchWindow times Window over DBLP as one partition with every stride-th
+// vertex computing.
+func benchWindow(b *testing.B, stride int) {
 	spec, err := graph.Dataset("DBLP")
 	if err != nil {
 		b.Fatal(err)
@@ -113,7 +124,11 @@ func BenchmarkWindow(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	_, nb, err := r.Window(0)
+	var dsts []graph.VertexID
+	for v := 0; v < g.NumVertices(); v += stride {
+		dsts = append(dsts, graph.VertexID(v))
+	}
+	_, nb, err := r.Window(0, dsts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,7 +136,7 @@ func BenchmarkWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Window(0); err != nil {
+		if _, _, err := r.Window(0, dsts); err != nil {
 			b.Fatal(err)
 		}
 	}

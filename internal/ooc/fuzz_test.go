@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -18,50 +20,9 @@ import (
 // valid files of both kinds, truncations at structural edges, bad versions,
 // hostile length prefixes and a count mismatch.
 func FuzzPartitionDecode(f *testing.F) {
-	var msgFile bytes.Buffer
-	mw := NewWriter(&msgFile, KindMessages, false)
-	mw.AppendMessage(1, []byte("alpha"))
-	mw.AppendMessage(300, nil)
-	mw.AppendMessage(1<<31, []byte{0xff, 0x00})
-	mw.Finish()
-	f.Add(msgFile.Bytes())
-
-	var edgeFile bytes.Buffer
-	ew := NewWriter(&edgeFile, KindEdges, false)
-	ew.AppendEdges(0, []graph.VertexID{1, 2, 3}, nil)
-	ew.AppendEdges(7, nil, nil)
-	ew.Finish()
-	f.Add(edgeFile.Bytes())
-
-	var wEdgeFile bytes.Buffer
-	ww := NewWriter(&wEdgeFile, KindEdges, true)
-	ww.AppendEdges(2, []graph.VertexID{9}, []float32{1.5})
-	ww.Finish()
-	f.Add(wEdgeFile.Bytes())
-
-	var empty bytes.Buffer
-	NewWriter(&empty, KindMessages, false).Finish()
-	f.Add(empty.Bytes())
-
-	valid := msgFile.Bytes()
-	f.Add([]byte{})
-	f.Add(valid[:3])                                             // truncated header
-	f.Add(valid[:headerLen])                                     // header only
-	f.Add(valid[:len(valid)-1])                                  // truncated trailer
-	f.Add(valid[:len(valid)-rec.TrailerLen-1])                   // missing count+trailer
-	f.Add([]byte{partMagic0, partMagic1, 9, KindMessages, 0})    // bad version
-	f.Add([]byte{partMagic0, partMagic1, Version, 0x7f, 0})      // unknown kind
-	f.Add([]byte{partMagic0, partMagic1, Version, KindEdges, 4}) // unknown flag
-	// Hostile record length.
-	f.Add(append(append([]byte{}, valid[:headerLen]...), 0xff, 0xff, 0xff, 0xff, 0x7f))
-	// A weighted edge record whose degree overflows degree*5.
-	f.Add(overflowingDegree())
-	// CRC-valid files the decoder must reject: two-byte varints ending in a
-	// zero byte, as a destination and as a neighbor, and descending vertices.
-	f.Add(rawFile(KindMessages, []byte{0x81, 0x00, 'x'}))
-	f.Add(rawFile(KindEdges, []byte{0, 1, 0x85, 0x00}))
-	f.Add(rawFile(KindEdges, []byte{2, 1, 0}, []byte{0, 1, 1}))
-
+	for _, seed := range partitionSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The runner's read buffer, then the smallest one decoding allows,
 		// which drives every refill and oversized-record path on short
@@ -80,7 +41,8 @@ func FuzzPartitionDecode(f *testing.F) {
 		// Accepted files must be canonical: re-encoding the decoded records
 		// reproduces the input bit-for-bit.
 		var re bytes.Buffer
-		w := NewWriter(&re, kind, weighted)
+		w := new(Writer)
+		w.start(&re, kind, weighted)
 		for _, m := range msgs {
 			w.AppendMessage(m.dst, m.payload)
 		}
@@ -101,6 +63,150 @@ func FuzzPartitionDecode(f *testing.F) {
 		}
 	})
 }
+
+// partitionSeeds is the decoders' seed corpus: valid files of both kinds,
+// truncations at structural edges, bad versions, hostile length prefixes
+// and CRC-valid files the decoder must reject.
+func partitionSeeds() [][]byte {
+	var seeds [][]byte
+	var msgFile bytes.Buffer
+	mw := new(Writer)
+	mw.start(&msgFile, KindMessages, false)
+	mw.AppendMessage(1, []byte("alpha"))
+	mw.AppendMessage(300, nil)
+	mw.AppendMessage(1<<31, []byte{0xff, 0x00})
+	mw.Finish()
+	seeds = append(seeds, msgFile.Bytes())
+
+	var edgeFile bytes.Buffer
+	ew := new(Writer)
+	ew.start(&edgeFile, KindEdges, false)
+	ew.AppendEdges(0, []graph.VertexID{1, 2, 3}, nil)
+	ew.AppendEdges(7, nil, nil)
+	ew.Finish()
+	seeds = append(seeds, edgeFile.Bytes())
+
+	var wEdgeFile bytes.Buffer
+	ww := new(Writer)
+	ww.start(&wEdgeFile, KindEdges, true)
+	ww.AppendEdges(2, []graph.VertexID{9}, []float32{1.5})
+	ww.Finish()
+	seeds = append(seeds, wEdgeFile.Bytes())
+
+	var empty bytes.Buffer
+	zw := new(Writer)
+	zw.start(&empty, KindMessages, false)
+	zw.Finish()
+	seeds = append(seeds, empty.Bytes())
+
+	valid := msgFile.Bytes()
+	seeds = append(seeds, []byte{})
+	seeds = append(seeds, valid[:3])                                             // truncated header
+	seeds = append(seeds, valid[:headerLen])                                     // header only
+	seeds = append(seeds, valid[:len(valid)-1])                                  // truncated trailer
+	seeds = append(seeds, valid[:len(valid)-rec.TrailerLen-1])                   // missing count+trailer
+	seeds = append(seeds, []byte{partMagic0, partMagic1, 9, KindMessages, 0})    // bad version
+	seeds = append(seeds, []byte{partMagic0, partMagic1, Version, 0x7f, 0})      // unknown kind
+	seeds = append(seeds, []byte{partMagic0, partMagic1, Version, KindEdges, 4}) // unknown flag
+	// Hostile record length.
+	seeds = append(seeds, append(append([]byte{}, valid[:headerLen]...), 0xff, 0xff, 0xff, 0xff, 0x7f))
+	// A weighted edge record whose degree overflows degree*5.
+	seeds = append(seeds, overflowingDegree())
+	// CRC-valid files the decoder must reject: two-byte varints ending in a
+	// zero byte, as a destination and as a neighbor, and descending vertices.
+	seeds = append(seeds, rawFile(KindMessages, []byte{0x81, 0x00, 'x'}))
+	seeds = append(seeds, rawFile(KindEdges, []byte{0, 1, 0x85, 0x00}))
+	seeds = append(seeds, rawFile(KindEdges, []byte{2, 1, 0}, []byte{0, 1, 1}))
+	return seeds
+}
+
+// FuzzSelectiveDecode decodes arbitrary bytes as edge records twice, as
+// Window does whatever the header's kind: in full, and with an arbitrary
+// bitset of the vertices whose neighbors to decode. Neither may panic. When
+// the full decode accepts, the selective one accepts too, with the same
+// records, the marked ones' neighbors and weights, and degree 0 for the
+// rest; a selective rejection is ErrCorrupt, so the full decode rejects
+// too. The read buffer's size must not change the selective decode.
+func FuzzSelectiveDecode(f *testing.F) {
+	for i, seed := range partitionSeeds() {
+		f.Add(seed, []byte{0x55, byte(i)})
+	}
+	// Vertex 1's neighbor is malformed: only a decode that marks it fails.
+	f.Add(rawFile(KindEdges, []byte{0, 2, 5, 7}, []byte{1, 1, 0x85, 0x00}, []byte{9, 0}), []byte{0x01})
+	f.Add(rawFile(KindEdges, []byte{0, 2, 5, 7}, []byte{1, 1, 0x85, 0x00}, []byte{9, 0}), []byte{0x02})
+	f.Fuzz(func(t *testing.T, data, set []byte) {
+		want := make([]uint64, (len(set)+7)/8)
+		for i, c := range set {
+			want[i/8] |= uint64(c) << (i % 8 * 8)
+		}
+		full, errFull := decodeEdges(data, readBufLen, nil)
+		sel, err := decodeEdges(data, readBufLen, want)
+		sel2, err2 := decodeEdges(data, binary.MaxVarintLen64, want)
+		if (err == nil) != (err2 == nil) || fmt.Sprint(sel) != fmt.Sprint(sel2) {
+			t.Fatalf("buffer size changed the selective decode: %v / %v", err, err2)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped error %v", err)
+			}
+			if errFull == nil {
+				t.Fatalf("selective decode rejects what the full decode accepts: %v", err)
+			}
+			return
+		}
+		if errFull != nil {
+			return
+		}
+		if !slices.Equal(sel.Verts, full.Verts) {
+			t.Fatalf("records %v, full decode %v", sel.Verts, full.Verts)
+		}
+		at, sat := 0, 0 // the record's first neighbor in full.Adj and sel.Adj
+		for i, v := range full.Verts {
+			deg := int(full.Degs[i])
+			if !inSet(want, v) {
+				if sel.Degs[i] != 0 {
+					t.Fatalf("unmarked vertex %d has degree %d", v, sel.Degs[i])
+				}
+				at += deg
+				continue
+			}
+			if int(sel.Degs[i]) != deg || len(sel.Adj) < sat+deg || !slices.Equal(sel.Adj[sat:sat+deg], full.Adj[at:at+deg]) {
+				t.Fatalf("marked vertex %d: degree %d, want %d, or its neighbors differ", v, sel.Degs[i], deg)
+			}
+			if len(full.Wts) > 0 && (len(sel.Wts) < sat+deg || !slices.EqualFunc(sel.Wts[sat:sat+deg], full.Wts[at:at+deg], sameBits)) {
+				t.Fatalf("marked vertex %d: weights differ", v)
+			}
+			at, sat = at+deg, sat+deg
+		}
+		wts := 0
+		if len(full.Wts) > 0 {
+			wts = sat
+		}
+		if len(sel.Adj) != sat || len(sel.Wts) != wts {
+			t.Fatalf("%d neighbors and %d weights decoded, want %d and %d", len(sel.Adj), len(sel.Wts), sat, wts)
+		}
+	})
+}
+
+// decodeEdges decodes data's records as edge records, whatever the header's
+// kind, through a read buffer of bufLen bytes: the neighbors of only the
+// vertices in want, or of all when want is nil.
+func decodeEdges(data []byte, bufLen int, want []uint64) (e EdgeList, err error) {
+	var r Reader
+	r.dec.Reset(nil, bufLen, ErrCorrupt) // init keeps this buffer
+	if err = r.init(bytes.NewReader(data)); err == nil {
+		err = r.decode(&e, nil, anyID, want)
+	}
+	return e, err
+}
+
+// inSet reports whether the bitset set holds v.
+func inSet(set []uint64, v graph.VertexID) bool {
+	return int(v>>6) < len(set) && set[v>>6]&(1<<(v&63)) != 0
+}
+
+// sameBits compares two weights bit for bit, so that NaN equals itself.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
 // overflowingDegree is a weighted edge file holding one record, vertex 0
 // with degree 0x3333333333333334 and 4 body bytes: degree*5 wraps to 4, so a
@@ -141,7 +247,7 @@ func decodeAll(data []byte, bufLen int) (kind byte, weighted bool, msgs []msgRec
 // readAll decodes r's records, the ones before the first fault when there
 // is one, allowing any VertexID.
 func readAll(r *Reader) (msgs []msgRec, edges []edgeRec, err error) {
-	if r.Kind() == KindMessages {
+	if r.kind == KindMessages {
 		var ib Inbox
 		err = r.ReadMessages(&ib, anyID)
 		for i, dst := range ib.Dsts {
@@ -155,7 +261,7 @@ func readAll(r *Reader) (msgs []msgRec, edges []edgeRec, err error) {
 	for i, v := range e.Verts {
 		end := at + int(e.Degs[i])
 		er := edgeRec{v: v, nbrs: e.Adj[at:end]}
-		if r.Weighted() {
+		if r.weighted {
 			er.wts = e.Wts[at:end]
 		}
 		edges, at = append(edges, er), end

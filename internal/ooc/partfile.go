@@ -2,8 +2,9 @@
 // engine, following GraphD ("Efficient Processing of Very Large Graphs in a
 // Small Cluster") and PartitionedVC: edges and oversized inboxes live in
 // sequentially-read partition files on disk, and supersteps stream them
-// through a bounded memory window while only O(V) vertex state stays
-// resident. The package is payload-agnostic — messages are opaque []byte
+// through a bounded memory window — a partition's inbox, then the adjacency
+// of only the vertices it names — while only O(V) vertex state stays
+// resident. The package is payload-agnostic: messages are opaque []byte
 // payloads; the engine's typed Codec encodes and decodes around it.
 //
 // This file defines the on-disk partition format, a versioned little-endian
@@ -92,24 +93,8 @@ type Writer struct {
 	records  int64
 }
 
-// NewWriter starts a partition stream on an arbitrary io.Writer (used by
-// tests and the canonical re-encode check); Create is the file-backed form.
-func NewWriter(w io.Writer, kind byte, weighted bool) *Writer {
-	pw := new(Writer)
-	pw.start(w, kind, weighted)
-	return pw
-}
-
-// Create opens path for writing and emits the partition header.
-func Create(path string, kind byte, weighted bool) (*Writer, error) {
-	w := new(Writer)
-	if err := w.create(path, kind, weighted); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// create is Create on an existing Writer, keeping its buffer.
+// create opens path for writing on w, keeping its buffer, and emits the
+// partition header.
 func (w *Writer) create(path string, kind byte, weighted bool) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -212,9 +197,9 @@ func (w *Writer) Abort() {
 	}
 }
 
-// Reader decodes a partition whole: Open parses the header, then one
-// ReadEdges or ReadMessages call decodes every record through the verified
-// end marker, record count and CRC trailer.
+// Reader decodes a partition whole: open (or init) parses the header, then
+// one ReadEdges or ReadMessages call decodes every record through the
+// verified end marker, record count and CRC trailer.
 type Reader struct {
 	dec      rec.Reader
 	f        *os.File
@@ -222,25 +207,8 @@ type Reader struct {
 	weighted bool
 }
 
-// Open opens a partition file and parses its header.
-func Open(path string) (*Reader, error) {
-	r := new(Reader)
-	if err := r.open(path); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// NewReader starts decoding a partition stream from an arbitrary io.Reader.
-func NewReader(rd io.Reader) (*Reader, error) {
-	r := new(Reader)
-	if err := r.init(rd); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// open is Open on an existing Reader, keeping its buffer.
+// open opens a partition file on r, keeping its buffer, and parses its
+// header.
 func (r *Reader) open(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -280,12 +248,6 @@ func (r *Reader) init(src io.Reader) error {
 	return nil
 }
 
-// Kind returns the partition kind (KindEdges or KindMessages).
-func (r *Reader) Kind() byte { return r.kind }
-
-// Weighted reports whether edge records carry weights.
-func (r *Reader) Weighted() bool { return r.weighted }
-
 // Bytes returns the encoded bytes consumed so far: after a successful
 // ReadEdges or ReadMessages, the whole stream.
 func (r *Reader) Bytes() int64 { return r.dec.Offset() }
@@ -318,7 +280,7 @@ func (r *Reader) ReadEdges(e *EdgeList, n uint64) error {
 		return fmt.Errorf("ooc: ReadEdges on kind-%d partition", r.kind)
 	}
 	e.Verts, e.Degs, e.Adj, e.Wts = e.Verts[:0], e.Degs[:0], e.Adj[:0], e.Wts[:0]
-	return r.decode(e, nil, n)
+	return r.decode(e, nil, n, nil)
 }
 
 // ReadMessages decodes a message partition's records, through its verified
@@ -329,7 +291,7 @@ func (r *Reader) ReadMessages(ib *Inbox, n uint64) error {
 		return fmt.Errorf("ooc: ReadMessages on kind-%d partition", r.kind)
 	}
 	ib.Reset()
-	return r.decode(nil, ib, n)
+	return r.decode(nil, ib, n, nil)
 }
 
 // uvarint decodes a one- or two-byte canonical uvarint (every ID below
@@ -373,8 +335,10 @@ func decodeIDs(ids []graph.VertexID, b []byte, n uint64) (rest []byte, ok bool) 
 // A record that sits whole in the read buffer is framed and decoded there,
 // with no call into the rec.Reader; one split across a refill, or one whose
 // length prefix is longer than two bytes or malformed, goes through
-// rec.Reader.Record. Either way its body gets every check of the format.
-func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
+// rec.Reader.Record. Either way its body gets every check of the format;
+// given a bitset want (Window's), an edge record of a vertex outside it has
+// only its vertex ID checked and keeps degree 0 in e.
+func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64, want []uint64) error {
 	per := uint64(1) // the fewest bytes a neighbor takes: its varint, and its weight
 	if r.weighted {
 		per = 5
@@ -411,34 +375,40 @@ func (r *Reader) decode(e *EdgeList, ib *Inbox, n uint64) error {
 			continue
 		}
 		v, m := uvarint(body, 0)
-		deg, m2 := uvarint(body, m)
-		if m == 0 || m2 == 0 {
+		if m == 0 {
 			v, m = rec.Uvarint(body)
-			deg, m2 = rec.Uvarint(body[m:])
 		}
-		nbrs := body[m+m2:]
-		// Every neighbor costs at least per bytes, so the rest of the body
-		// bounds the degree: a hostile count cannot force a larger
-		// allocation than the record it arrived in. The first bound keeps
-		// the product from wrapping.
-		if m == 0 || m2 == 0 || deg > uint64(len(nbrs)) || deg*per > uint64(len(nbrs)) {
-			return rec.Errorf(ErrCorrupt, "bad vertex or degree in edge record %d", records)
-		}
-		if v < next || v >= n {
+		if m == 0 || v < next || v >= n {
 			return rec.Errorf(ErrCorrupt, "edge record %d names vertex %d, want one in [%d, %d)", records, v, next, n)
 		}
 		next = v + 1
-		at := len(e.Adj)
-		e.Adj = slices.Grow(e.Adj, int(deg))[:at+int(deg)]
-		wts, ok := decodeIDs(e.Adj[at:], nbrs, n)
-		if !ok {
-			return rec.Errorf(ErrCorrupt, "bad neighbor of vertex %d in edge record %d", v, records)
-		}
-		if want := (per - 1) * deg; uint64(len(wts)) != want {
-			return rec.Errorf(ErrCorrupt, "%d bytes after the neighbors of vertex %d, want %d", len(wts), v, want)
-		}
-		for ; len(wts) > 0; wts = wts[4:] {
-			e.Wts = append(e.Wts, math.Float32frombits(binary.LittleEndian.Uint32(wts)))
+		deg := uint64(0) // a vertex outside want keeps its neighbors encoded
+		if want == nil || v>>6 < uint64(len(want)) && want[v>>6]&(1<<(v&63)) != 0 {
+			d, m2 := uvarint(body, m)
+			if m2 == 0 {
+				d, m2 = rec.Uvarint(body[m:])
+			}
+			nbrs := body[m+m2:]
+			// Every neighbor costs at least per bytes, so the rest of the
+			// body bounds the degree: a hostile count cannot force a larger
+			// allocation than the record it arrived in. The first bound
+			// keeps the product from wrapping.
+			if m2 == 0 || d > uint64(len(nbrs)) || d*per > uint64(len(nbrs)) {
+				return rec.Errorf(ErrCorrupt, "bad degree of vertex %d in edge record %d", v, records)
+			}
+			deg = d
+			at := len(e.Adj)
+			e.Adj = slices.Grow(e.Adj, int(deg))[:at+int(deg)]
+			wts, ok := decodeIDs(e.Adj[at:], nbrs, n)
+			if !ok {
+				return rec.Errorf(ErrCorrupt, "bad neighbor of vertex %d in edge record %d", v, records)
+			}
+			if w := (per - 1) * deg; uint64(len(wts)) != w {
+				return rec.Errorf(ErrCorrupt, "%d bytes after the neighbors of vertex %d, want %d", len(wts), v, w)
+			}
+			for ; len(wts) > 0; wts = wts[4:] {
+				e.Wts = append(e.Wts, math.Float32frombits(binary.LittleEndian.Uint32(wts)))
+			}
 		}
 		e.Verts = append(e.Verts, graph.VertexID(v))
 		e.Degs = append(e.Degs, int32(deg))

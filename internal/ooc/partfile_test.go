@@ -29,9 +29,9 @@ type edgeRec struct {
 
 func writeMessages(t *testing.T, path string, recs []msgRec) int64 {
 	t.Helper()
-	w, err := Create(path, KindMessages, false)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
+	w := new(Writer)
+	if err := w.create(path, KindMessages, false); err != nil {
+		t.Fatalf("create: %v", err)
 	}
 	for _, r := range recs {
 		if err := w.AppendMessage(r.dst, r.payload); err != nil {
@@ -47,9 +47,9 @@ func writeMessages(t *testing.T, path string, recs []msgRec) int64 {
 
 func readMessages(t *testing.T, path string) []msgRec {
 	t.Helper()
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	r := new(Reader)
+	if err := r.open(path); err != nil {
+		t.Fatalf("open: %v", err)
 	}
 	defer r.Close()
 	msgs, _, err := readAll(r)
@@ -108,9 +108,9 @@ func TestEdgeRoundTrip(t *testing.T) {
 			recs = append(recs, r)
 		}
 		path := filepath.Join(t.TempDir(), "e.vp")
-		w, err := Create(path, KindEdges, weighted)
-		if err != nil {
-			t.Fatalf("Create: %v", err)
+		w := new(Writer)
+		if err := w.create(path, KindEdges, weighted); err != nil {
+			t.Fatalf("create: %v", err)
 		}
 		for _, r := range recs {
 			wts := r.wts
@@ -124,12 +124,12 @@ func TestEdgeRoundTrip(t *testing.T) {
 		if _, err := w.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+		r := new(Reader)
+		if err := r.open(path); err != nil {
+			t.Fatalf("open: %v", err)
 		}
-		if r.Kind() != KindEdges || r.Weighted() != weighted {
-			t.Fatalf("header kind=%d weighted=%v", r.Kind(), r.Weighted())
+		if r.kind != KindEdges || r.weighted != weighted {
+			t.Fatalf("header kind=%d weighted=%v", r.kind, r.weighted)
 		}
 		_, got, err := readAll(r)
 		if err != nil {
@@ -202,7 +202,7 @@ func TestCorruptionMatrix(t *testing.T) {
 // typed ErrVersion (which also satisfies errors.Is(err, ErrCorrupt)).
 func TestVersionRejected(t *testing.T) {
 	data := []byte{partMagic0, partMagic1, 99, KindMessages, 0}
-	_, err := NewReader(bytes.NewReader(data))
+	err := new(Reader).init(bytes.NewReader(data))
 	if !errors.Is(err, ErrVersion) || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err=%v, want ErrVersion wrapping ErrCorrupt", err)
 	}
@@ -211,8 +211,8 @@ func TestVersionRejected(t *testing.T) {
 // TestAbortRemovesFile checks Abort deletes a half-written partition.
 func TestAbortRemovesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.vp")
-	w, err := Create(path, KindMessages, false)
-	if err != nil {
+	w := new(Writer)
+	if err := w.create(path, KindMessages, false); err != nil {
 		t.Fatal(err)
 	}
 	w.AppendMessage(1, []byte("y"))
@@ -225,8 +225,8 @@ func TestAbortRemovesFile(t *testing.T) {
 // TestKindMismatch checks the typed-append and typed-read guards.
 func TestKindMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "k.vp")
-	w, err := Create(path, KindEdges, false)
-	if err != nil {
+	w := new(Writer)
+	if err := w.create(path, KindEdges, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendMessage(1, nil); err == nil {
@@ -236,8 +236,8 @@ func TestKindMismatch(t *testing.T) {
 	if _, err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(path)
-	if err != nil {
+	r := new(Reader)
+	if err := r.open(path); err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
@@ -255,8 +255,8 @@ func TestFormatBytesPinned(t *testing.T) {
 	msgs := filepath.Join(dir, "m.vp")
 	writeMessages(t, msgs, []msgRec{{1, []byte("alpha")}, {300, nil}, {1 << 31, []byte{0xff, 0x00}}})
 	edges := filepath.Join(dir, "e.vp")
-	ew, err := Create(edges, KindEdges, true)
-	if err != nil {
+	ew := new(Writer)
+	if err := ew.create(edges, KindEdges, true); err != nil {
 		t.Fatal(err)
 	}
 	ew.AppendEdges(0, []graph.VertexID{1, 200, 70000}, []float32{0.5, 1, -2})
@@ -288,7 +288,8 @@ func sizedFile(t *testing.T, kind byte, size int) []byte {
 	t.Helper()
 	for pad := 0; pad < 100; pad++ {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, kind, false)
+		w := new(Writer)
+		w.start(&buf, kind, false)
 		add := func(v graph.VertexID, n int) {
 			if kind == KindMessages {
 				w.AppendMessage(v*977, bytes.Repeat([]byte{byte(v)}, n))
@@ -351,7 +352,8 @@ func TestRecordAcrossRefill(t *testing.T) {
 	files := map[string][]byte{}
 	for _, weighted := range []bool{false, true} {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, KindEdges, weighted)
+		w := new(Writer)
+		w.start(&buf, KindEdges, weighted)
 		for v := graph.VertexID(0); v < 12; v++ {
 			nbrs := make([]graph.VertexID, v*v%60) // up to 49: two-byte lengths
 			var wts []float32
@@ -370,7 +372,8 @@ func TestRecordAcrossRefill(t *testing.T) {
 		files[fmt.Sprintf("edges weighted=%v", weighted)] = buf.Bytes()
 	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf, KindMessages, false)
+	w := new(Writer)
+	w.start(&buf, KindMessages, false)
 	for i := 0; i < 30; i++ {
 		w.AppendMessage(graph.VertexID(i*i*i*40), bytes.Repeat([]byte{byte(i)}, i*i%150))
 	}
@@ -400,7 +403,8 @@ func TestRecordAcrossRefill(t *testing.T) {
 func TestNeighborDecode(t *testing.T) {
 	weighted := func(nbr byte, weight uint32) []byte {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, KindEdges, true)
+		w := new(Writer)
+		w.start(&buf, KindEdges, true)
 		w.AppendEdges(0, []graph.VertexID{graph.VertexID(nbr)}, []float32{math.Float32frombits(weight)})
 		w.Finish()
 		return buf.Bytes()

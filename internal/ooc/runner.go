@@ -95,7 +95,9 @@ type PartitionedRunner struct {
 	starts   []int            // len parts+1; order[starts[p]:starts[p+1]] is partition p
 	weighted bool
 
-	edgePaths []string
+	edgePaths []string // partition p's edge file, pinned to its length
+	edgeSizes []int64  // and CRC-64 trailer when written
+	edgeSums  []uint64
 
 	cur []*Writer // next superstep's inbox files, keyed by partition
 	in  []string  // current superstep's readable inbox files ("" = none)
@@ -109,17 +111,21 @@ type PartitionedRunner struct {
 	bufLen int
 
 	// Deterministic per-round accounting in encoded bytes; consumed by
-	// TakeRoundIO at each barrier.
-	readBytes   int64
-	writeBytes  int64
-	windowPeak  int64
-	curWinBytes int64
+	// TakeRoundIO at each barrier. Partition held's edge file and inbox
+	// bytes are resident, in whichever order they were loaded.
+	readBytes  int64
+	writeBytes int64
+	windowPeak int64
+	held       int
+	heldBytes  [2]int64
 
 	stats *IOStats
 
-	// Window scratch, reused across partitions.
+	// Window scratch, reused across partitions; want marks the vertices
+	// whose neighbors Window decodes.
 	win  EdgeList
 	offs []int64
+	want []uint64
 }
 
 // NewRunner partitions the execution order and writes the edge partition
@@ -145,7 +151,7 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r := &PartitionedRunner{
 		g: g, dir: dir, ownsDir: ownsDir, n: n,
 		order: order, weighted: g.Weighted(), stats: cfg.Stats,
-		partOf: make([]int32, n), offs: make([]int64, n+1),
+		partOf: make([]int32, n), offs: make([]int64, n+1), want: make([]uint64, (n+63)/64),
 	}
 	seen := make([]bool, n)
 	for _, v := range order {
@@ -205,6 +211,7 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r.cur = make([]*Writer, r.parts)
 	r.in = make([]string, r.parts)
 	r.edgePaths = make([]string, r.parts)
+	r.edgeSizes, r.edgeSums = make([]int64, r.parts), make([]uint64, r.parts)
 	if err := r.writeEdgePartitions(); err != nil {
 		r.Close() // removes the edge files already finished
 		return nil, err
@@ -213,7 +220,8 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 }
 
 // writeEdgePartitions writes each partition's edge records sorted by vertex
-// ID, as the format requires, so Window rebuilds a CSR view in one sweep.
+// ID, as the format requires, so Window rebuilds a CSR view in one sweep,
+// and pins each file's length and trailer.
 func (r *PartitionedRunner) writeEdgePartitions() error {
 	start := time.Now()
 	var written int64
@@ -237,7 +245,7 @@ func (r *PartitionedRunner) writeEdgePartitions() error {
 			return err
 		}
 		r.spare = append(r.spare, w)
-		r.edgePaths[p] = w.path
+		r.edgePaths[p], r.edgeSizes[p], r.edgeSums[p] = w.path, nb, w.enc.Sum()
 		written += nb
 	}
 	// The one-time edge dump is charged to the first round's write counter.
@@ -337,22 +345,43 @@ func (r *PartitionedRunner) Barrier() error {
 	return nil
 }
 
-// Window streams partition p's edge file into a full-width CSR view: n
-// vertices, zero degree outside the partition. The view aliases scratch
-// buffers reused by the next Window call, and its encoded size is charged
-// to the round's read bytes and the resident window.
-func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
-	start := time.Now()
-	rd := &r.rd
-	if err := rd.open(r.edgePaths[p]); err != nil {
-		return nil, 0, err
-	}
-	defer rd.Close()
+// Window streams partition p's edge file into a full-width CSR view of the
+// vertices dsts (p's inbox destinations, the ones that compute): n
+// vertices, degree 0 for any other. The whole file is read and checked
+// against its pinned length and trailer, so the neighbor bytes it leaves
+// undecoded are the graph's; with no dsts none is opened. Either way the
+// whole file is charged to the round's read bytes and the resident window,
+// as GraphD streams it (Stats counts the bytes really read). The view
+// aliases scratch buffers reused by the next Window call.
+func (r *PartitionedRunner) Window(p int, dsts []graph.VertexID) (*graph.Graph, int64, error) {
 	e := &r.win
-	span := r.starts[p+1] - r.starts[p] // the most records p's file may hold
-	e.Verts, e.Degs = slices.Grow(e.Verts[:0], span), slices.Grow(e.Degs[:0], span)
-	if err := rd.ReadEdges(e, uint64(r.n)); err != nil {
-		return nil, 0, err
+	e.Verts, e.Degs, e.Adj, e.Wts = e.Verts[:0], e.Degs[:0], e.Adj[:0], e.Wts[:0]
+	if len(dsts) > 0 {
+		start, rd := time.Now(), &r.rd
+		if err := rd.open(r.edgePaths[p]); err != nil {
+			return nil, 0, err
+		}
+		defer rd.Close()
+		for _, v := range dsts {
+			r.want[v>>6] |= 1 << (v & 63)
+		}
+		span := r.starts[p+1] - r.starts[p] // the most records p's file may hold
+		e.Verts, e.Degs = slices.Grow(e.Verts, span), slices.Grow(e.Degs, span)
+		// Only the pinned file passes, so its kind needs no check of its own.
+		err := rd.decode(e, nil, uint64(r.n), r.want)
+		for _, v := range dsts {
+			r.want[v>>6] = 0 // every set bit is one of dsts'
+		}
+		if err == nil && (rd.Bytes() != r.edgeSizes[p] || rd.dec.Sum() != r.edgeSums[p]) {
+			err = rec.Errorf(ErrCorrupt, "edge file of partition %d is not the one written", p)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if r.stats != nil {
+			r.stats.ReadBytes += rd.Bytes()
+			r.stats.ReadSeconds += time.Since(start).Seconds()
+		}
 	}
 	// The records name ascending vertices, so one sweep fills the offsets.
 	at, v := int64(0), 0
@@ -372,26 +401,31 @@ func (r *PartitionedRunner) Window(p int) (*graph.Graph, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	nb := rd.Bytes() // the whole file: the reader stopped at its verified trailer
+	nb := r.edgeSizes[p]
 	r.readBytes += nb
-	r.curWinBytes = nb
-	if nb > r.windowPeak {
-		r.windowPeak = nb
-	}
-	if r.stats != nil {
-		r.stats.ReadBytes += nb
-		r.stats.ReadSeconds += time.Since(start).Seconds()
-	}
+	r.hold(p, 0, nb)
 	return g, nb, nil
+}
+
+// hold makes partition p's edge file (part 0) or inbox (part 1) of nb bytes
+// resident beside the other one of p, if loaded, and raises the round's
+// window peak to their sum.
+func (r *PartitionedRunner) hold(p, part int, nb int64) {
+	if p != r.held {
+		r.held, r.heldBytes = p, [2]int64{}
+	}
+	r.heldBytes[part] = nb
+	r.windowPeak = max(r.windowPeak, r.heldBytes[0]+r.heldBytes[1])
 }
 
 // ReadInbox streams partition p's inbox file (if any) into ib in arrival
 // order, deletes the file, and charges the resident footprint against the
-// memory window alongside the current edge window.
+// memory window alongside p's edge window.
 func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 	ib.Reset()
 	path := r.in[p]
 	if path == "" {
+		r.hold(p, 1, 0)
 		return nil
 	}
 	start := time.Now()
@@ -416,9 +450,7 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 	r.in[p] = ""
 	ib.Bytes = int64(len(ib.Data)) + int64(len(ib.Dsts))*8
 	r.readBytes += encoded
-	if resident := r.curWinBytes + ib.Bytes; resident > r.windowPeak {
-		r.windowPeak = resident
-	}
+	r.hold(p, 1, ib.Bytes)
 	if r.stats != nil {
 		r.stats.ReadBytes += encoded
 		r.stats.ReadSeconds += time.Since(start).Seconds()
@@ -432,7 +464,7 @@ func (r *PartitionedRunner) ReadInbox(p int, ib *Inbox) error {
 func (r *PartitionedRunner) TakeRoundIO() (read, write, peak int64) {
 	read, write, peak = r.readBytes, r.writeBytes, r.windowPeak
 	r.readBytes, r.writeBytes, r.windowPeak = 0, 0, 0
-	r.curWinBytes = 0
+	r.heldBytes = [2]int64{}
 	return read, write, peak
 }
 

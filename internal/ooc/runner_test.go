@@ -3,9 +3,11 @@ package ooc
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -50,7 +52,7 @@ func TestRunnerWindowMatchesGraph(t *testing.T) {
 		}
 		covered := 0
 		for p := 0; p < r.Partitions(); p++ {
-			win, nb, err := r.Window(p)
+			win, nb, err := r.Window(p, r.order[r.starts[p]:r.starts[p+1]])
 			if err != nil {
 				t.Fatalf("Window(%d): %v", p, err)
 			}
@@ -175,7 +177,7 @@ func TestRunnerDerivesPartitions(t *testing.T) {
 		t.Fatalf("budget %d derived only %d partitions", budget, r.Partitions())
 	}
 	for p := 0; p < r.Partitions(); p++ {
-		if _, nb, err := r.Window(p); err != nil {
+		if _, nb, err := r.Window(p, r.order); err != nil {
 			t.Fatal(err)
 		} else if nb > budget {
 			t.Fatalf("partition %d edge window %d exceeds budget %d", p, nb, budget)
@@ -201,7 +203,7 @@ func TestRunnerStats(t *testing.T) {
 	}
 	var ib Inbox
 	for p := 0; p < r.Partitions(); p++ {
-		if _, _, err := r.Window(p); err != nil {
+		if _, _, err := r.Window(p, r.order); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.ReadInbox(p, &ib); err != nil {
@@ -329,8 +331,8 @@ func TestRunnerRejectsMalformedPartitions(t *testing.T) {
 		if tc.msgs != nil {
 			kind = KindMessages
 		}
-		w, err := Create(path, kind, false)
-		if err != nil {
+		w := new(Writer)
+		if err := w.create(path, kind, false); err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range tc.edges {
@@ -348,7 +350,7 @@ func TestRunnerRejectsMalformedPartitions(t *testing.T) {
 			err = r.ReadInbox(0, &ib)
 		} else {
 			r.edgePaths[0] = path
-			_, _, err = r.Window(0)
+			_, _, err = r.Window(0, identityOrder(n))
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err=%v, want ErrCorrupt", tc.name, err)
@@ -369,7 +371,7 @@ func superstep(tb testing.TB, r *PartitionedRunner, ib *Inbox, msgs int) {
 		tb.Fatal(err)
 	}
 	for p := 0; p < r.Partitions(); p++ {
-		if _, _, err := r.Window(p); err != nil {
+		if _, _, err := r.Window(p, r.order); err != nil {
 			tb.Fatal(err)
 		}
 		if err := r.ReadInbox(p, ib); err != nil {
@@ -438,5 +440,174 @@ func TestWriteBuffersWithinBudget(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(1<<20+tc.parts<<10) {
 			t.Errorf("opening %d inbox files allocated %d bytes", tc.parts, got)
 		}
+	}
+}
+
+// TestSelectiveWindowMatchesFull draws random graphs, weighted or not,
+// vertex orders, partition counts and active sets, and checks each
+// partition's Window of the active vertices against its full Window: every
+// active vertex has the full decode's neighbors and weights, every other
+// vertex degree 0, and the round's read bytes and window peak are the full
+// window's. Measured IO counts only the files really read.
+func TestSelectiveWindowMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 60; trial++ {
+		n, weighted := 1+rng.Intn(300), rng.Intn(2) == 1
+		b := graph.NewBuilder(n, weighted)
+		for i := rng.Intn(6 * n); i > 0; i-- {
+			u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+			if weighted {
+				b.AddWeightedEdge(u, v, rng.Float32())
+			} else {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		order := make([]graph.VertexID, n)
+		for i, v := range rng.Perm(n) {
+			order[i] = graph.VertexID(v)
+		}
+		var stats IOStats
+		r, err := NewRunner(g, order, Config{Dir: t.TempDir(), Partitions: 1 + rng.Intn(8), Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < r.Partitions(); p++ {
+			start, end := r.Span(p)
+			if _, _, err := r.Window(p, order[start:end]); err != nil {
+				t.Fatalf("trial %d: full Window(%d): %v", trial, p, err)
+			}
+			full, _, fullPeak := r.TakeRoundIO()
+			// An inbox names a vertex once per message, so some twice.
+			active, share := make([]bool, n), rng.Intn(4)
+			var dsts []graph.VertexID
+			for _, v := range order[start:end] {
+				for rng.Intn(4) < share {
+					active[v], dsts = true, append(dsts, v)
+				}
+			}
+			rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+			measured := stats.ReadBytes
+			win, _, err := r.Window(p, dsts)
+			if err != nil {
+				t.Fatalf("trial %d: Window(%d) of %d destinations: %v", trial, p, len(dsts), err)
+			}
+			if read, _, peak := r.TakeRoundIO(); read != full || peak != fullPeak {
+				t.Fatalf("trial %d partition %d: read %d, peak %d; a full window reads %d, peak %d", trial, p, read, peak, full, fullPeak)
+			}
+			if got := stats.ReadBytes - measured; (len(dsts) == 0) != (got == 0) {
+				t.Fatalf("trial %d partition %d: %d destinations, %d bytes measured", trial, p, len(dsts), got)
+			}
+			for v := graph.VertexID(0); int(v) < n; v++ {
+				want := []graph.VertexID{}
+				if active[v] {
+					want = g.Neighbors(v)
+				}
+				if got := win.Neighbors(v); !slices.Equal(got, want) {
+					t.Fatalf("trial %d partition %d vertex %d (active %v): neighbors %v, want %v", trial, p, v, active[v], got, want)
+				}
+				for j := range want {
+					if weighted && win.Weight(v, j) != g.Weight(v, j) {
+						t.Fatalf("trial %d vertex %d: weight %d differs", trial, v, j)
+					}
+				}
+			}
+		}
+		r.Close()
+	}
+}
+
+// TestWindowPeakIgnoresCallOrder loads every partition's inbox and edge
+// window in both orders: the round's window peak is the largest sum of a
+// partition's edge file and inbox either way, and the read bytes agree.
+func TestWindowPeakIgnoresCallOrder(t *testing.T) {
+	const n = 60
+	g := testGraph(t, n, false)
+	var got [2][2]int64
+	for i, inboxFirst := range []bool{false, true} {
+		r, err := NewRunner(g, identityOrder(n), Config{Dir: t.TempDir(), Partitions: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for m := 0; m < 200; m++ {
+			if dst := graph.VertexID(m * 7 % n); r.partOf[dst] != 1 { // partition 1 gets no inbox
+				if err := r.Route(dst, bytes.Repeat([]byte{byte(m)}, m%9)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		r.TakeRoundIO()
+		var ib Inbox
+		want := int64(0)
+		for p := 0; p < r.Partitions(); p++ {
+			if inboxFirst {
+				err = r.ReadInbox(p, &ib)
+				if err == nil {
+					_, _, err = r.Window(p, ib.Dsts)
+				}
+			} else if _, _, err = r.Window(p, r.order); err == nil {
+				err = r.ReadInbox(p, &ib)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = max(want, r.edgeSizes[p]+ib.Bytes)
+		}
+		read, _, peak := r.TakeRoundIO()
+		if peak != want {
+			t.Errorf("inbox first %v: window peak %d, want %d", inboxFirst, peak, want)
+		}
+		got[i] = [2]int64{read, peak}
+	}
+	if got[0] != got[1] {
+		t.Errorf("read bytes and peak %v with the edge window first, %v with the inbox first", got[0], got[1])
+	}
+}
+
+// TestWindowRejectsUnpinnedEdgeFile swaps partition 0's edge file for a
+// CRC-valid one that differs only in the neighbors of a vertex that does
+// not compute, which a selective Window leaves undecoded: only the pinned
+// length and trailer can tell, and they must.
+func TestWindowRejectsUnpinnedEdgeFile(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	g := testGraph(t, n, false)
+	r, err := NewRunner(g, identityOrder(n), Config{Dir: dir, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	active := []graph.VertexID{1}
+	if _, _, err := r.Window(0, active); err != nil {
+		t.Fatalf("the written file: %v", err)
+	}
+	end, _ := r.Span(1)
+	path := filepath.Join(dir, "crafted.vp")
+	w := new(Writer)
+	if err := w.create(path, KindEdges, false); err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.VertexID(0); int(v) < end; v++ {
+		nbrs := g.Neighbors(v)
+		if v == 0 {
+			nbrs = []graph.VertexID{n, n + 1, n + 2} // beyond n, in as many bytes
+		}
+		if err := w.AppendEdges(v, nbrs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != r.edgeSizes[0] {
+		t.Fatalf("crafted file: %v, or its length differs from the written one's", err)
+	}
+	r.edgePaths[0] = path
+	if _, _, err := r.Window(0, active); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err=%v, want ErrCorrupt", err)
 	}
 }

@@ -274,6 +274,7 @@ type Writer struct {
 	dst io.Writer
 	buf []byte // encoded bytes not yet written out
 	crc uint64 // CRC of the bytes written out
+	sum uint64 // the trailer, once Finish wrote it
 	n   int64  // bytes written out
 	err error
 	tmp [8]byte // one fixed-size field's encoding
@@ -371,10 +372,14 @@ func (w *Writer) Err() error { return w.err }
 // before it, and returns the stream's length and the first write error.
 func (w *Writer) Finish() (int64, error) {
 	w.flush()
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.crc)
+	w.sum = w.crc
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.sum)
 	w.flush()
 	return w.n, w.err
 }
+
+// Sum returns the CRC-64 trailer Finish wrote.
+func (w *Writer) Sum() uint64 { return w.sum }
 
 // Reader decodes a stream in place from a buffer it keeps across streams,
 // folding each consumed span into a running CRC-64 as it refills, so
@@ -387,6 +392,7 @@ type Reader struct {
 	off      int64  // stream offset of buf[0]
 	srcErr   error  // the source's first error; io.EOF at its end
 	crc      uint64 // CRC of the stream before buf[0]
+	sum      uint64 // the trailer, once Trailer verified it
 	sentinel error
 }
 
@@ -482,5 +488,9 @@ func (r *Reader) Trailer() error {
 	if r.fill(1) || r.srcErr != io.EOF {
 		return Errorf(r.sentinel, "trailing bytes after the checksum")
 	}
+	r.sum = want
 	return nil
 }
+
+// Sum returns the CRC-64 trailer Trailer verified.
+func (r *Reader) Sum() uint64 { return r.sum }
