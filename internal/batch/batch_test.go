@@ -193,7 +193,7 @@ func TestRunStopsWhenOverloaded(t *testing.T) {
 	part := graph.HashPartition(60, 4)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
 	cfg := testCfg(4)
-	cfg.CutoffSeconds = 1e-9
+	cfg.StatScale = 1e9 // the first batch runs past the cutoff
 	res, err := Run(job, cfg, Equal(64, 8), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestRunWithOptionsStopsWhenOverloaded(t *testing.T) {
 	part := graph.HashPartition(60, 4)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
 	cfg := testCfg(4)
-	cfg.CutoffSeconds = 1e-9
+	cfg.StatScale = 1e9 // the first batch runs past the cutoff
 	hooks := 0
 	res, err := Run(job, cfg, Equal(64, 8), func(o BatchObservation) Schedule {
 		hooks++
@@ -338,7 +338,7 @@ func TestRunWholeGraphSkipsAggregationWhenOverloaded(t *testing.T) {
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Seed: 1})
 	cfg := testCfg(8)
 	cfg.GraphBytesPerMachine = float64(g.MemoryBytes())
-	cfg.CutoffSeconds = 1e-9
+	cfg.StatScale = 1e9 // the first batch runs past the cutoff
 	res, err := RunWholeGraph(job, cfg, Equal(64, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -60,15 +60,15 @@ func hopKey(m hopMsg) uint64 { return uint64(m.Hop & 3) }
 
 // BenchmarkEngineWithCombiner measures whole combined runs of the flood
 // workload, construction included: every message is a row append and each
-// vertex's delivered segment is folded once. "unkeyed" is the plain
-// left-to-right fold, "keyed" goes through the fold table.
+// vertex's delivered segment is folded once, "onekey" into one message and
+// "keyed" into one per hop parity class.
 func BenchmarkEngineWithCombiner(b *testing.B) {
 	g := graph.GenerateChungLu(10000, 40000, 2.5, 3)
 	part := graph.HashPartition(g.NumVertices(), 8)
 	for _, bc := range []struct {
 		name string
 		key  func(hopMsg) uint64
-	}{{"unkeyed", nil}, {"keyed", hopKey}} {
+	}{{"onekey", oneKey[hopMsg]}, {"keyed", hopKey}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := New[hopMsg](g, part, &floodProg{rounds: 10}, nil, Options[hopMsg]{

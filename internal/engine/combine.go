@@ -37,25 +37,16 @@ func (t *foldTable) begin(n int) {
 }
 
 // foldSegment folds one vertex's delivered messages in place and returns
-// how many remain at the front of seg: one for an unkeyed combiner (a full
-// left-to-right fold), otherwise one representative per distinct key,
-// sitting at its key's first occurrence and folded in arrival order. The
-// in-memory and out-of-core backends share this routine, so a combined job
-// yields bit-identical inboxes on both.
+// how many remain at the front of seg: one representative per distinct
+// key, sitting at its key's first occurrence and folded in arrival order.
+// The in-memory and out-of-core backends share this routine, so a combined
+// job yields bit-identical inboxes on both.
 func (e *Engine[M]) foldSegment(t *foldTable, seg []M) int {
 	if len(seg) == 1 {
 		return 1
 	}
 	comb := e.opts.Combiner
 	keyOf := e.opts.CombinerKey
-	if keyOf == nil {
-		acc := seg[0]
-		for _, m := range seg[1:] {
-			acc = comb(acc, m)
-		}
-		seg[0] = acc
-		return 1
-	}
 	t.begin(len(seg))
 	ep := t.epoch
 	mask := uint64(len(t.slots) - 1)

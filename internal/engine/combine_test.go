@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"vcmt/internal/graph"
@@ -26,6 +27,9 @@ func (p *keyedProg) Seed(ctx vcapi.Context[hopMsg]) {
 func (p *keyedProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs []hopMsg) {
 	p.got = append(p.got, msgs...)
 }
+
+// oneKey is the constant fold key: a whole segment folds into one message.
+func oneKey[M any](M) uint64 { return 0 }
 
 func keyedOptions() Options[hopMsg] {
 	return Options[hopMsg]{
@@ -97,12 +101,23 @@ func (p *combSumProg) Compute(ctx vcapi.Context[hopMsg], v graph.VertexID, msgs 
 	p.got = append(p.got, msgs...)
 }
 
+// TestUnkeyedCombinerIsAnError: a Combiner without its key does not run.
+func TestUnkeyedCombinerIsAnError(t *testing.T) {
+	g := graph.GenerateRing(10)
+	opts := keyedOptions()
+	opts.CombinerKey = nil
+	if err := New[hopMsg](g, graph.HashPartition(10, 2), &combSumProg{}, nil, opts).Run(); !errors.Is(err, ErrUnkeyedCombiner) {
+		t.Fatalf("Run returned %v, want ErrUnkeyedCombiner", err)
+	}
+}
+
 func TestCombinerReducesInbox(t *testing.T) {
 	g := graph.GenerateRing(10)
 	part := graph.HashPartition(10, 4)
 	prog := &combSumProg{}
 	e := New[hopMsg](g, part, prog, nil, Options[hopMsg]{
-		Combiner: func(a, b hopMsg) hopMsg { return hopMsg{Hop: a.Hop + b.Hop} },
+		Combiner:    func(a, b hopMsg) hopMsg { return hopMsg{Hop: a.Hop + b.Hop} },
+		CombinerKey: oneKey[hopMsg],
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -129,6 +144,7 @@ func TestCombinerPreservesBFS(t *testing.T) {
 			}
 			return b
 		},
+		CombinerKey: oneKey[hopMsg],
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

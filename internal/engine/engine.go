@@ -67,23 +67,17 @@ type Combiner[M any] func(a, b M) M
 type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1 per message.
 	Weight vcapi.WeightFunc[M]
-	// Combiner, when set, merges each vertex's incoming messages into one
-	// (one per key when CombinerKey is also set). Messages are buffered raw
-	// and each vertex's segment is folded once, at delivery, left to right
-	// in (source machine, emission) order (see foldSegment) — the same fold
-	// on the in-memory and the out-of-core backend, whose reports the
-	// differential tests require to be byte-identical. Nothing merges at
-	// send time: under hash partitioning ≈ 0.2 % of messages share a
-	// (vertex, key) with an earlier one from the same machine, so a
-	// send-side table is pure per-message overhead (DESIGN.md §14).
+	// Combiner, when set, merges a vertex's incoming messages that share a
+	// CombinerKey into one (without a key a run returns ErrUnkeyedCombiner).
+	// Messages are buffered raw and each vertex's segment is folded once, at
+	// delivery, left to right in (source machine, emission) order (see
+	// foldSegment), on both backends alike. Nothing merges at send time:
+	// under hash partitioning ≈ 0.2 % of messages share a (vertex, key) with
+	// an earlier one from the same machine (DESIGN.md §14).
 	Combiner Combiner[M]
-	// CombinerKey, when set alongside Combiner, restricts combining to
-	// messages that agree on a key: only messages addressed to the same
-	// vertex with equal keys merge. Multi-source tasks use the source
-	// vertex as the key so per-source streams stay separate. The fold
-	// looks keys up in an open-addressed table (see foldTable) and calls
-	// CombinerKey once per message, so it must be a pure function of the
-	// payload. Ignored when Combiner is nil.
+	// CombinerKey is the fold's key, a pure function of the payload:
+	// multi-source tasks use the source vertex, so per-source streams stay
+	// separate, and a constant key folds a whole segment into one.
 	CombinerKey func(m M) uint64
 	// MaxRounds bounds the superstep count (0 means the default of 10000,
 	// which every batch task uses; PageRank sets its iteration count + 2).
@@ -117,6 +111,10 @@ type Options[M any] struct {
 // ErrMaxRounds is returned when the superstep bound is hit before the
 // computation drains.
 var ErrMaxRounds = errors.New("engine: maximum superstep count reached")
+
+// ErrUnkeyedCombiner is returned by a run whose Options set a Combiner
+// without a CombinerKey.
+var ErrUnkeyedCombiner = errors.New("engine: a Combiner needs a CombinerKey")
 
 // Engine executes one Program over one graph partition.
 type Engine[M any] struct {
@@ -446,6 +444,9 @@ func (e *Engine[M]) Run() error {
 func (e *Engine[M]) Step() error {
 	switch {
 	case e.rounds == 0:
+		if e.opts.Combiner != nil && e.opts.CombinerKey == nil {
+			return ErrUnkeyedCombiner
+		}
 		e.runPhase(phaseSeed, len(e.local))
 	case e.ooc.runner != nil:
 		if err := e.stepOOC(); err != nil {

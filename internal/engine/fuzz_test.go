@@ -44,10 +44,10 @@ func FuzzDeliverRouting(f *testing.F) {
 		sum := func(a, b int32) int32 { return a + b }
 
 		seq := New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 1, Combiner: sum,
+			Workers: 1, Combiner: sum, CombinerKey: oneKey[int32],
 		})
 		par := New[int32](g, part, nopProg{}, nil, Options[int32]{
-			Workers: 4, Combiner: sum,
+			Workers: 4, Combiner: sum, CombinerKey: oneKey[int32],
 		})
 		defer par.stopPool()
 

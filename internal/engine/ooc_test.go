@@ -97,10 +97,11 @@ func TestOOCWithCombinerAndWeights(t *testing.T) {
 	g := graph.GenerateStar(120)
 	part := graph.HashPartition(120, 3)
 	opts := Options[countMsg]{
-		Seed:     9,
-		Codec:    countCodec{},
-		Weight:   func(m countMsg) int64 { return m.N },
-		Combiner: func(a, b countMsg) countMsg { return countMsg{N: a.N + b.N} },
+		Seed:        9,
+		Codec:       countCodec{},
+		Weight:      func(m countMsg) int64 { return m.N },
+		Combiner:    func(a, b countMsg) countMsg { return countMsg{N: a.N + b.N} },
+		CombinerKey: oneKey[countMsg],
 	}
 	mk := func(oo *OOCOptions) sim.JobResult {
 		run := sim.NewRun(sim.JobConfig{Cluster: sim.Galaxy8.WithMachines(3), System: sim.PregelPlus})

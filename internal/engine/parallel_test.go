@@ -113,6 +113,7 @@ func TestCombinerIdenticalAcrossWorkers(t *testing.T) {
 				}
 				return b
 			},
+			CombinerKey: oneKey[hopMsg],
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

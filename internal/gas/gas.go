@@ -35,15 +35,14 @@ import (
 type Options[M any] struct {
 	// Weight reports logical message multiplicity; nil means 1.
 	Weight vcapi.WeightFunc[M]
-	// MaxEpochs bounds the accounting epochs (0 means 100000).
-	MaxEpochs int
-	// EpochActivations is the number of vertex activations per accounting
-	// epoch (0 means the vertex count): the async analogue of a superstep
-	// for statistics purposes.
-	EpochActivations int
 	// Seed drives the per-machine deterministic RNG streams.
 	Seed uint64
 }
+
+// MaxEpochs bounds a run's accounting epochs. An epoch is as many vertex
+// activations as the graph has vertices: the async analogue of a
+// superstep for statistics purposes.
+const MaxEpochs = 100000
 
 // ErrMaxEpochs is returned when the epoch bound is hit before the
 // computation drains.
@@ -70,6 +69,7 @@ type Async[M any] struct {
 	recv        []counters
 	activations []int64
 	epochActs   int
+	epochLen    int // activations per epoch
 	epochs      int
 }
 
@@ -84,18 +84,10 @@ type counters struct {
 
 // NewAsync constructs an asynchronous executor. run may be nil in tests.
 func NewAsync[M any](g *graph.Graph, part *graph.Partition, prog vcapi.Program[M], run *sim.Run, opts Options[M]) *Async[M] {
-	if opts.MaxEpochs == 0 {
-		opts.MaxEpochs = 100000
-	}
-	if opts.EpochActivations == 0 {
-		opts.EpochActivations = g.NumVertices()
-		if opts.EpochActivations == 0 {
-			opts.EpochActivations = 1
-		}
-	}
 	k := part.NumMachines()
 	a := &Async[M]{
 		g: g, part: part, prog: prog, run: run, opts: opts,
+		epochLen:       max(g.NumVertices(), 1),
 		vertsByMachine: make([][]graph.VertexID, k),
 		rngs:           make([]*randx.RNG, k),
 		inbox:          make([][]M, g.NumVertices()),
@@ -187,8 +179,8 @@ func (a *Async[M]) Run() error {
 	}
 	a.flushDeferred()
 	for a.head < len(a.queue) {
-		if a.epochs >= a.opts.MaxEpochs {
-			return fmt.Errorf("%w (%d)", ErrMaxEpochs, a.opts.MaxEpochs)
+		if a.epochs >= MaxEpochs {
+			return fmt.Errorf("%w (%d)", ErrMaxEpochs, MaxEpochs)
 		}
 		v := a.queue[a.head]
 		a.head++
@@ -209,7 +201,7 @@ func (a *Async[M]) Run() error {
 		a.prog.Compute(ctx, v, msgs)
 		a.activations[m]++
 		a.epochActs++
-		if a.epochActs >= a.opts.EpochActivations {
+		if a.epochActs >= a.epochLen {
 			a.observeEpoch()
 		}
 		if a.head == len(a.queue) {

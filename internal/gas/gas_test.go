@@ -1,6 +1,7 @@
 package gas_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -187,13 +188,15 @@ func TestAsyncDeterministic(t *testing.T) {
 	}
 }
 
+// TestAsyncMaxEpochs: a program that never drains stops at gas.MaxEpochs
+// epochs — on two vertices, about 200 000 activations.
 func TestAsyncMaxEpochs(t *testing.T) {
-	g := graph.GenerateChungLu(100, 400, 2.4, 15)
-	part := graph.HashPartition(100, 2)
+	g := graph.GenerateRing(2)
+	part := graph.HashPartition(2, 2)
 	prog := &chatterProg{limit: 1 << 20}
-	a := gas.NewAsync[int](g, part, prog, nil, gas.Options[int]{MaxEpochs: 2, EpochActivations: 10})
-	if err := a.Run(); err == nil {
-		t.Fatal("want ErrMaxEpochs")
+	a := gas.NewAsync[int](g, part, prog, nil, gas.Options[int]{})
+	if err := a.Run(); !errors.Is(err, gas.ErrMaxEpochs) || a.Epochs() != gas.MaxEpochs {
+		t.Fatalf("Run returned %v after %d epochs, want ErrMaxEpochs after %d", err, a.Epochs(), gas.MaxEpochs)
 	}
 }
 
@@ -224,7 +227,7 @@ func TestAsyncStopWhenOverloaded(t *testing.T) {
 	g := graph.GenerateChungLu(200, 800, 2.4, 17)
 	part := graph.HashPartition(200, 2)
 	c := cfg(2, sim.GraphLabAsync)
-	c.CutoffSeconds = 1e-12
+	c.StatScale = 1e9 // the run goes past the cutoff
 	run := sim.NewRun(c)
 	job := tasks.NewBPPR(g, part, tasks.BPPRConfig{WalksPerNode: 64, Async: true, Seed: 1})
 	if _, err := job.RunBatch(run, 64, 0); err != nil {
@@ -238,8 +241,8 @@ func TestAsyncStopWhenOverloaded(t *testing.T) {
 func TestAsyncEpochsCounted(t *testing.T) {
 	g := graph.GenerateChungLu(100, 400, 2.5, 19)
 	part := graph.HashPartition(100, 4)
-	prog := &chatterProg{limit: 100}
-	a := gas.NewAsync[int](g, part, prog, nil, gas.Options[int]{EpochActivations: 10})
+	prog := &chatterProg{limit: 1000}
+	a := gas.NewAsync[int](g, part, prog, nil, gas.Options[int]{})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}

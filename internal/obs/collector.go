@@ -27,7 +27,6 @@ type Collector struct {
 	reg    *Registry
 	events *EventLog
 
-	phases     PhaseBreakdown
 	rounds     []roundRecord
 	batches    []batchRecord
 	machines   []machineAgg
@@ -163,7 +162,6 @@ func (c *Collector) OnRound(o sim.RoundObservation) {
 		DiskSeconds:    o.Result.DiskSeconds,
 		BarrierSeconds: o.Result.BarrierSeconds,
 	}
-	c.phases.Add(ph)
 	if n := len(c.batches); n > 0 {
 		b := &c.batches[n-1]
 		b.rounds++

@@ -116,7 +116,7 @@ func TestOverloadEventEmittedOnce(t *testing.T) {
 	col := obs.NewCollector(obs.CollectorOptions{Events: &events})
 	run := sim.NewRun(sim.JobConfig{
 		Cluster: sim.Galaxy8, System: sim.PregelPlus,
-		CutoffSeconds: 1e-9, Observer: col,
+		StatScale: 1e9, Observer: col, // the first round goes past the cutoff
 	})
 	run.BeginBatch()
 	run.ObserveRound(skewedRound(8))

@@ -133,7 +133,8 @@ type RunReport struct {
 }
 
 // Report assembles the run report from everything the collector observed
-// plus the job-level result. It closes the trailing batch.
+// plus the job-level result, res, of the one run it observed: the phase
+// totals are res's. It closes the trailing batch.
 func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 	c.Finish()
 	rep := &RunReport{
@@ -168,7 +169,12 @@ func (c *Collector) Report(meta RunMeta, res sim.JobResult) *RunReport {
 			OOCWriteBytes:      res.OOCWriteBytes,
 			OOCWindowPeakBytes: res.OOCWindowPeakBytes,
 		},
-		Phases: c.phases,
+		Phases: PhaseBreakdown{
+			ComputeSeconds: res.ComputeSeconds,
+			NetSeconds:     res.NetSeconds,
+			DiskSeconds:    res.DiskSeconds,
+			BarrierSeconds: res.BarrierSeconds,
+		},
 	}
 	var skewSum float64
 	var skewN int

@@ -136,6 +136,24 @@ func TestBKHSOverRPCRejectsBadRadius(t *testing.T) {
 	}
 }
 
+// TestSourceBatchOverRPCRejectsBadSources: a repeated or out-of-range
+// MSSP/BKHS source is the worker's error, and the cluster still runs jobs.
+func TestSourceBatchOverRPCRejectsBadSources(t *testing.T) {
+	g := graph.GenerateRing(10)
+	c := startTestCluster(t, g, 2)
+	for _, sources := range [][]graph.VertexID{{3, 3}, {12}} {
+		if d, err := c.RunMSSP(sources); err == nil {
+			t.Fatalf("MSSP sources %v accepted; distances %v", sources, d)
+		}
+		if counts, err := c.RunBKHS(sources, 2); err == nil {
+			t.Fatalf("BKHS sources %v accepted; counts %v", sources, counts)
+		}
+	}
+	if counts, err := c.RunBKHS([]graph.VertexID{3}, 2); err != nil || counts[0] != 4 {
+		t.Fatalf("after the rejected jobs: counts %v, error %v", counts, err)
+	}
+}
+
 func TestBKHSOverRPCRoundCount(t *testing.T) {
 	g := graph.GenerateChungLu(200, 800, 2.5, 13)
 	c := startTestCluster(t, g, 2)

@@ -18,8 +18,6 @@ type JobConfig struct {
 	// machine before the system's GraphMemFactor (full graph size / K for
 	// the default partitioning; the full size in whole-graph access mode).
 	GraphBytesPerMachine float64
-	// CutoffSeconds marks the overload threshold (defaults to 6000 s).
-	CutoffSeconds float64
 	// Observer, when non-nil, receives batch and round callbacks: the one
 	// per-round hook of a Run, which telemetry (internal/obs) attaches to.
 	Observer Observer
@@ -75,35 +73,11 @@ type RoundObservation struct {
 // cost model. Engines call ObserveRound after every superstep; the batch
 // runner calls AddResidual between batches; Result summarizes.
 type Run struct {
-	cfg            JobConfig
-	seconds        float64
-	rounds         int
-	batches        int
-	totalLogical   float64
-	maxRoundMsgs   float64
-	peakMem        float64
+	cfg JobConfig
+	// res holds the run's totals as they accumulate; Result adds the
+	// fields derived from them.
+	res            JobResult
 	batchPeakMem   float64
-	maxMemRatio    float64
-	computeSec     float64
-	barrierSec     float64
-	netSec         float64
-	netOveruse     float64
-	diskSec        float64
-	maxDiskUtil    float64
-	ioOveruse      float64
-	maxQueue       float64
-	wireBytes      float64
-	maxSkew        float64
-	oocReadBytes   int64
-	oocWriteBytes  int64
-	oocWindowPeak  int64
-	ckptWritten    int
-	ckptBytes      int64
-	ckptSec        float64
-	recoveries     int
-	roundsLost     int
-	recoverySec    float64
-	overflow       bool
 	residualByMach []int64
 	residualTotal  int64
 	obs            Observer
@@ -111,9 +85,6 @@ type Run struct {
 
 // NewRun starts cost accounting for one job.
 func NewRun(cfg JobConfig) *Run {
-	if cfg.CutoffSeconds == 0 {
-		cfg.CutoffSeconds = DefaultCutoffSeconds
-	}
 	if cfg.StatScale == 0 {
 		cfg.StatScale = 1
 	}
@@ -153,10 +124,10 @@ func (r *Run) ResidualEntries() int64 { return r.residualTotal }
 
 // BeginBatch marks the start of a batch (used for the Batches count).
 func (r *Run) BeginBatch() {
-	r.batches++
+	r.res.Batches++
 	r.batchPeakMem = 0
 	if r.obs != nil {
-		r.obs.OnBatchStart(r.batches, r.seconds)
+		r.obs.OnBatchStart(r.res.Batches, r.res.Seconds)
 	}
 }
 
@@ -181,62 +152,52 @@ func (r *Run) MaxResidualBytes() float64 {
 // ObserveRound prices one superstep and accumulates it.
 func (r *Run) ObserveRound(rs RoundStats) RoundResult {
 	res := r.roundCost(rs)
-	r.seconds += res.Seconds
-	r.rounds++
+	t := &r.res
+	t.Seconds += res.Seconds
+	t.Rounds++
 	logical := float64(rs.TotalSentLogical()) * r.cfg.StatScale
-	r.totalLogical += logical
-	if logical > r.maxRoundMsgs {
-		r.maxRoundMsgs = logical
-	}
-	if res.PeakMemBytes > r.peakMem {
-		r.peakMem = res.PeakMemBytes
-	}
-	if res.PeakMemBytes > r.batchPeakMem {
-		r.batchPeakMem = res.PeakMemBytes
-	}
-	if res.MemRatio > r.maxMemRatio {
-		r.maxMemRatio = res.MemRatio
-	}
-	r.computeSec += res.ComputeSeconds
-	r.barrierSec += res.BarrierSeconds
-	r.netSec += res.NetSeconds
-	r.netOveruse += res.NetOveruseSec
-	r.diskSec += res.DiskSeconds
-	if res.DiskUtil > r.maxDiskUtil {
-		r.maxDiskUtil = res.DiskUtil
-	}
-	r.ioOveruse += res.IOOveruseSec
-	if res.IOQueueLen > r.maxQueue {
-		r.maxQueue = res.IOQueueLen
-	}
-	r.wireBytes += res.WireBytes
-	if res.SkewRatio > r.maxSkew {
-		r.maxSkew = res.SkewRatio
-	}
-	r.oocReadBytes += rs.OOCReadBytes
-	r.oocWriteBytes += rs.OOCWriteBytes
-	if rs.OOCWindowPeakBytes > r.oocWindowPeak {
-		r.oocWindowPeak = rs.OOCWindowPeakBytes
-	}
-	if res.Overflow {
-		r.overflow = true
-	}
+	t.TotalLogicalMsgs += logical
+	raise(&t.MaxMsgsPerRound, logical)
+	raise(&t.PeakMemBytes, res.PeakMemBytes)
+	raise(&r.batchPeakMem, res.PeakMemBytes)
+	raise(&t.MaxMemRatio, res.MemRatio)
+	t.ComputeSeconds += res.ComputeSeconds
+	t.BarrierSeconds += res.BarrierSeconds
+	t.NetSeconds += res.NetSeconds
+	t.NetOveruseSec += res.NetOveruseSec
+	t.DiskSeconds += res.DiskSeconds
+	raise(&t.MaxDiskUtil, res.DiskUtil)
+	t.IOOveruseSec += res.IOOveruseSec
+	raise(&t.MaxIOQueueLen, res.IOQueueLen)
+	t.WireBytesTotal += res.WireBytes
+	raise(&t.MaxSkewRatio, res.SkewRatio)
+	t.OOCReadBytes += rs.OOCReadBytes
+	t.OOCWriteBytes += rs.OOCWriteBytes
+	raise(&t.OOCWindowPeakBytes, rs.OOCWindowPeakBytes)
+	t.Overflow = t.Overflow || res.Overflow
 	if r.obs != nil {
 		r.obs.OnRound(RoundObservation{
-			Round:      r.rounds,
-			Batch:      r.batches,
+			Round:      t.Rounds,
+			Batch:      t.Batches,
 			Stats:      rs,
 			Result:     res,
-			CumSeconds: r.seconds,
+			CumSeconds: t.Seconds,
 			Overloaded: r.Overloaded(),
 		})
 	}
 	return res
 }
 
+// raise sets *p to v when v is larger; a NaN v leaves *p as it is.
+func raise[T int64 | float64](p *T, v T) {
+	if v > *p {
+		*p = v
+	}
+}
+
 // AddSeconds charges extra simulated time outside the superstep loop, e.g.
 // the final aggregation phase of whole-graph access mode (Fig. 10).
-func (r *Run) AddSeconds(s float64) { r.seconds += s }
+func (r *Run) AddSeconds(s float64) { r.res.Seconds += s }
 
 // ObserveCheckpoint charges the simulated cost of writing one checkpoint
 // of `bytes` replica-scale bytes at the given superstep and returns that
@@ -244,12 +205,12 @@ func (r *Run) AddSeconds(s float64) { r.seconds += s }
 // disk.
 func (r *Run) ObserveCheckpoint(round int, bytes int64) float64 {
 	sec := r.checkpointSeconds(bytes)
-	r.seconds += sec
-	r.ckptWritten++
-	r.ckptBytes += bytes
-	r.ckptSec += sec
+	r.res.Seconds += sec
+	r.res.CheckpointsWritten++
+	r.res.CheckpointBytes += bytes
+	r.res.CheckpointSeconds += sec
 	if ro, ok := r.obs.(RecoveryObserver); ok {
-		ro.OnCheckpoint(round, bytes, sec, r.seconds)
+		ro.OnCheckpoint(round, bytes, sec, r.res.Seconds)
 	}
 	return sec
 }
@@ -259,7 +220,7 @@ func (r *Run) ObserveCheckpoint(round int, bytes int64) float64 {
 // that follows — so fault-free accounting is untouched.
 func (r *Run) ObserveCrash(step, machine int) {
 	if co, ok := r.obs.(CrashObserver); ok {
-		co.OnCrash(step, machine, r.seconds)
+		co.OnCrash(step, machine, r.res.Seconds)
 	}
 }
 
@@ -270,72 +231,39 @@ func (r *Run) ObserveCrash(step, machine int) {
 // round is the superstep recovered to.
 func (r *Run) ObserveRecovery(round, roundsLost int, reloadBytes int64, lostSeconds float64) float64 {
 	sec := r.recoverySeconds(reloadBytes, lostSeconds)
-	r.seconds += sec
-	r.recoveries++
-	r.roundsLost += roundsLost
-	r.recoverySec += sec
+	r.res.Seconds += sec
+	r.res.Recoveries++
+	r.res.RoundsLost += roundsLost
+	r.res.RecoverySeconds += sec
 	if ro, ok := r.obs.(RecoveryObserver); ok {
-		ro.OnRecovery(round, roundsLost, reloadBytes, sec, r.seconds)
+		ro.OnRecovery(round, roundsLost, reloadBytes, sec, r.res.Seconds)
 	}
 	return sec
 }
 
 // Seconds returns the simulated time accumulated so far.
-func (r *Run) Seconds() float64 { return r.seconds }
+func (r *Run) Seconds() float64 { return r.res.Seconds }
 
 // Overloaded reports whether the job has blown the cutoff; engines may
 // consult it to stop early, as the paper's 6000 s cutoff does.
 func (r *Run) Overloaded() bool {
-	return r.seconds > r.cfg.CutoffSeconds || r.overflow
+	return r.res.Seconds > DefaultCutoffSeconds || r.res.Overflow
 }
 
-// Result summarizes the job.
+// Result summarizes the job: its totals plus the fields derived from them.
 func (r *Run) Result() JobResult {
-	res := JobResult{
-		Seconds:          r.seconds,
-		Rounds:           r.rounds,
-		Batches:          r.batches,
-		Overload:         r.seconds > r.cfg.CutoffSeconds,
-		Overflow:         r.overflow,
-		TotalLogicalMsgs: r.totalLogical,
-		MaxMsgsPerRound:  r.maxRoundMsgs,
-		PeakMemBytes:     r.peakMem,
-		MaxMemRatio:      r.maxMemRatio,
-		ComputeSeconds:   r.computeSec,
-		BarrierSeconds:   r.barrierSec,
-		NetSeconds:       r.netSec,
-		NetOveruseSec:    r.netOveruse,
-		DiskSeconds:      r.diskSec,
-		MaxDiskUtil:      r.maxDiskUtil,
-		IOOveruseSec:     r.ioOveruse,
-		MaxIOQueueLen:    r.maxQueue,
-		WireBytesTotal:   r.wireBytes,
-		MaxSkewRatio:     r.maxSkew,
-
-		OOCReadBytes:       r.oocReadBytes,
-		OOCWriteBytes:      r.oocWriteBytes,
-		OOCWindowPeakBytes: r.oocWindowPeak,
-
-		CheckpointsWritten: r.ckptWritten,
-		CheckpointBytes:    r.ckptBytes,
-		CheckpointSeconds:  r.ckptSec,
-		Recoveries:         r.recoveries,
-		RoundsLost:         r.roundsLost,
-		RecoverySeconds:    r.recoverySec,
-	}
-	if r.rounds > 0 {
-		res.AvgMsgsPerRound = r.totalLogical / float64(r.rounds)
-		res.WireBytesPerMach = r.wireBytes / float64(r.cfg.Cluster.Machines)
-	}
-	if r.overflow {
-		res.Overload = true
+	res := r.res
+	res.Overload = r.Overloaded()
+	if res.Rounds > 0 {
+		res.AvgMsgsPerRound = res.TotalLogicalMsgs / float64(res.Rounds)
+		res.WireBytesPerMach = res.WireBytesTotal / float64(r.cfg.Cluster.Machines)
 	}
 	if r.cfg.Cluster.Cloud {
 		sec := res.Seconds
-		if res.Overload && sec > r.cfg.CutoffSeconds {
+		if res.Overload && sec > DefaultCutoffSeconds {
 			// The paper prices overloaded runs at the cutoff and marks the
 			// credit figure as a lower bound ('>' in Fig. 7).
-			sec = r.cfg.CutoffSeconds
+			sec = DefaultCutoffSeconds
 			res.CreditsLowerBound = true
 		}
 		res.Credits = sec / 3600 * float64(r.cfg.Cluster.Machines) * r.cfg.Cluster.CreditsPerMachineHour

@@ -300,21 +300,19 @@ func TestCombiningSystemUsesPhysicalCounts(t *testing.T) {
 }
 
 func TestOverloadCutoff(t *testing.T) {
-	cfg := basicConfig(Galaxy8, PregelPlus)
-	cfg.CutoffSeconds = 1
-	r := NewRun(cfg)
+	r := NewRun(basicConfig(Galaxy8, PregelPlus))
 	per := make([]MachineRound, 8)
 	for i := range per {
 		per[i] = MachineRound{SentLogical: 50_000_000, RecvLogical: 50_000_000, RemoteLogical: 45_000_000}
 	}
-	for i := 0; i < 5 && !r.Overloaded(); i++ {
+	for i := 0; i < 1000 && !r.Overloaded(); i++ {
 		r.ObserveRound(RoundStats{PerMachine: per})
 	}
 	if !r.Overloaded() {
 		t.Fatal("run should overload past the cutoff")
 	}
-	if !r.Result().Overload {
-		t.Fatal("result must report overload")
+	if res := r.Result(); !res.Overload || res.Overflow {
+		t.Fatalf("result must report overload past the %v s cutoff without overflow: %+v", DefaultCutoffSeconds, res)
 	}
 }
 
@@ -334,14 +332,14 @@ func TestMonetaryCostOnCloudOnly(t *testing.T) {
 }
 
 func TestMonetaryCostLowerBoundOnOverload(t *testing.T) {
-	cfg := basicConfig(Docker32, PregelPlus)
-	cfg.CutoffSeconds = 0.0001
-	r := NewRun(cfg)
+	r := NewRun(basicConfig(Docker32, PregelPlus))
 	per := make([]MachineRound, 32)
 	for i := range per {
 		per[i] = MachineRound{SentLogical: 10_000_000, RecvLogical: 10_000_000, RemoteLogical: 9_000_000}
 	}
-	r.ObserveRound(RoundStats{PerMachine: per})
+	for i := 0; i < 10000 && !r.Overloaded(); i++ {
+		r.ObserveRound(RoundStats{PerMachine: per})
+	}
 	res := r.Result()
 	if !res.Overload || !res.CreditsLowerBound {
 		t.Fatal("overloaded cloud run must mark credits as lower bound")

@@ -113,9 +113,12 @@ var hopKind = msgKind[HopMsg]{
 }
 
 // NextBatch returns the vertex program of the job's next `workload`
-// sources, or an error when the configured radius is outside
-// 1..MaxBKHSHops.
+// sources, or an error when a source is not a vertex of the graph or
+// repeats another, or the configured radius is outside 1..MaxBKHSHops.
 func (j *BKHSJob) NextBatch(workload int) (Batch[HopMsg], error) {
+	if j.invalid != nil {
+		return nil, j.invalid
+	}
 	if j.cfg.K < 1 || j.cfg.K > MaxBKHSHops {
 		return nil, fmt.Errorf("tasks: BKHS radius k=%d is outside the supported 1..%d", j.cfg.K, MaxBKHSHops)
 	}

@@ -70,7 +70,8 @@ type MSSPJob struct {
 }
 
 // NewMSSP constructs an MSSP job. It fails for a mirror configuration on a
-// weighted graph.
+// weighted graph, and for a source that is not a vertex of g or repeats
+// another.
 func NewMSSP(g *graph.Graph, part *graph.Partition, cfg MSSPConfig) (*MSSPJob, error) {
 	if cfg.Mirror && g.Weighted() {
 		return nil, errors.New("tasks: MSSP broadcast variant requires an unweighted graph")
@@ -83,6 +84,9 @@ func NewMSSP(g *graph.Graph, part *graph.Partition, cfg MSSPConfig) (*MSSPJob, e
 		cfg:       cfg,
 		dist:      make([][]float32, len(cfg.Sources)),
 		col:       make([]int, len(cfg.Sources)),
+	}
+	if j.invalid != nil {
+		return nil, j.invalid
 	}
 	j.next = func(workload int) (Batch[DistMsg], error) { return j.NextBatch(workload), nil }
 	return j, nil

@@ -43,15 +43,38 @@ type sourceJob[M any, T uint8 | float32] struct {
 	batch  []graph.VertexID  // the batch cut last
 	eng    *engine.Engine[M] // runs every synchronous batch (see runBatch)
 	spare  []T               // the recycled table
+	// invalid is why S cannot run, nil when it can (see newSourceJob).
+	invalid error
 }
 
+// newSourceJob returns the core of a job over S; its invalid field is set
+// when a source is not a vertex of g or repeats an earlier one, which would
+// otherwise give a batch two columns for one vertex or index past the
+// table.
 func newSourceJob[M any, T uint8 | float32](name string, g *graph.Graph, part *graph.Partition,
 	sources []graph.VertexID, exec execConfig, kind msgKind[M]) sourceJob[M, T] {
 	idx := make([]int32, g.NumVertices())
 	for v := range idx {
 		idx[v] = -1
 	}
-	return sourceJob[M, T]{name: name, g: g, part: part, sources: sources, exec: exec, kind: kind, srcIdx: idx}
+	j := sourceJob[M, T]{name: name, g: g, part: part, sources: sources, exec: exec, kind: kind, srcIdx: idx}
+	for i, s := range sources {
+		if int(s) >= len(idx) {
+			j.invalid = fmt.Errorf("tasks: %s source %d is not a vertex of a %d-vertex graph", name, s, len(idx))
+			break
+		}
+		if idx[s] >= 0 {
+			j.invalid = fmt.Errorf("tasks: %s source %d appears twice", name, s)
+			break
+		}
+		idx[s] = int32(i)
+	}
+	for _, s := range sources {
+		if int(s) < len(idx) {
+			idx[s] = -1
+		}
+	}
+	return j
 }
 
 // Name implements Job.

@@ -89,13 +89,24 @@ type msgKind[M any] struct {
 // outbox chunks, the inbox and the combine tables once however many batches
 // it is cut into.
 func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partition, prog vcapi.Program[M], run *sim.Run, c execConfig, batchIdx int, kind msgKind[M]) error {
-	seed := BatchSeed(c.Seed, batchIdx)
 	if c.Async {
 		return gas.NewAsync(g, part, prog, run, gas.Options[M]{
-			Weight: kind.weight, Seed: seed,
+			Weight: kind.weight, Seed: BatchSeed(c.Seed, batchIdx),
 		}).Run()
 	}
-	opts := engine.Options[M]{Weight: kind.weight, Seed: seed, Workers: c.Workers, Fault: c.Fault, Codec: kind.codec}
+	opts := batchOptions(c, batchIdx, kind)
+	if *eng == nil {
+		*eng = engine.New(g, part, prog, run, opts)
+	} else {
+		(*eng).Reset(prog, run, opts)
+	}
+	return (*eng).Run()
+}
+
+// batchOptions is the engine configuration of a job's batchIdx-th
+// synchronous batch.
+func batchOptions[M any](c execConfig, batchIdx int, kind msgKind[M]) engine.Options[M] {
+	opts := engine.Options[M]{Weight: kind.weight, Seed: BatchSeed(c.Seed, batchIdx), Workers: c.Workers, Fault: c.Fault, Codec: kind.codec}
 	// Checkpoints and partition files go to a per-batch subdirectory: engine
 	// rounds restart at 1 every batch, so in a shared directory an older
 	// batch's high-numbered checkpoint would shadow the current one. (An
@@ -113,12 +124,7 @@ func runBatch[M any](eng **engine.Engine[M], g *graph.Graph, part *graph.Partiti
 	if c.Combine {
 		opts.Combiner, opts.CombinerKey = kind.combine, kind.key
 	}
-	if *eng == nil {
-		*eng = engine.New(g, part, prog, run, opts)
-	} else {
-		(*eng).Reset(prog, run, opts)
-	}
-	return (*eng).Run()
+	return opts
 }
 
 // appendPair and readPair are the engine.Codec of every message type here —
