@@ -17,7 +17,7 @@ loc:
 # BENCH_* baselines: loc-check fails when the tree has outgrown it, so the
 # tracked size goes up only by an edit to this line that a reviewer sees.
 # Lower it in the PR that shrinks the tree.
-LOC_MAX := 16897
+LOC_MAX := 17035
 loc-check:
 	@n=$$($(LOC)); echo "non-test LoC $$n (LOC_MAX $(LOC_MAX))"; [ $$n -le $(LOC_MAX) ]
 

@@ -291,6 +291,13 @@ func newEngine[M any](g *graph.Graph, part *graph.Partition, local []int32, prog
 	for r := range e.outRows {
 		e.outRows[r].free = &e.free[r/k]
 	}
+	// A released engine's free lists, dealt to the local machines in turn.
+	r := recycler[M]().Get()
+	for i, l := range r.free {
+		m := local[i%len(local)]
+		e.free[m] = append(e.free[m], l...)
+	}
+	e.inbox = r.inbox
 	e.Reset(prog, run, opts)
 	return e
 }
@@ -328,6 +335,28 @@ func (e *Engine[M]) Reset(prog Program[M], run *sim.Run, opts Options[M]) {
 	e.oocPartitions = 0
 	e.ckptMgr, e.lastCkptRounds, e.ckptSimSeconds = nil, 0, 0
 	e.replayTo, e.recoveries = 0, 0
+}
+
+// Release hands a finished job's message buffers — every chunk, the inbox
+// and the out-of-core inbox — to the recyclers the next engine is built
+// from. A later run allocates afresh; a nil engine releases nothing.
+func (e *Engine[M]) Release() {
+	if e == nil {
+		return
+	}
+	r := &released[M]{inbox: e.inbox[:0]}
+	for i := range e.outRows {
+		e.outRows[i].release()
+		e.outRows[i].chunks = nil
+	}
+	for m := range e.free {
+		r.free = append(r.free, e.free[m])
+		e.free[m] = nil
+	}
+	e.inbox = nil
+	recycler[M]().Put(r)
+	oocInboxes.Put(e.ooc.ib) // a nil one is pruned at the next Put
+	e.ooc.ib = nil
 }
 
 // Rounds returns the number of supersteps executed so far.

@@ -6,6 +6,7 @@ import (
 
 	"vcmt/internal/graph"
 	"vcmt/internal/ooc"
+	"vcmt/internal/recycle"
 )
 
 // Codec serializes message payloads for partition files and checkpoints
@@ -42,9 +43,12 @@ type oocState[M any] struct {
 	runner *ooc.PartitionedRunner
 	view   *graph.Graph // current partition's edge window, nil outside compute
 	enc    []byte       // encode scratch for Route
-	ib     ooc.Inbox
-	first  []int // machine m's vertices start at order[first[m]]
+	ib     *ooc.Inbox   // from oocInboxes, at the first run
+	first  []int        // machine m's vertices start at order[first[m]]
 }
+
+// oocInboxes holds released out-of-core inboxes, for engines of any type.
+var oocInboxes recycle.Bin[ooc.Inbox]
 
 // curGraph returns the graph visible to vertex programs: the full in-memory
 // graph, or the current partition's streamed edge window in ooc mode.
@@ -97,6 +101,9 @@ func (e *Engine[M]) initOOC() error {
 	}
 	e.ooc.runner = runner
 	e.oocPartitions = runner.Partitions()
+	if e.ooc.ib == nil {
+		e.ooc.ib = oocInboxes.Get()
+	}
 	return nil
 }
 
@@ -145,7 +152,7 @@ func (e *Engine[M]) ranks(d int32, p int) (lo, hi int) {
 func (e *Engine[M]) computePartition(p int) error {
 	st := &e.ooc
 	r := st.runner
-	if err := r.ReadInbox(p, &st.ib); err != nil {
+	if err := r.ReadInbox(p, st.ib); err != nil {
 		return fmt.Errorf("engine: ooc inbox %d: %w", p, err)
 	}
 	win, _, err := r.Window(p, st.ib.Dsts)

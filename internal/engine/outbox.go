@@ -1,5 +1,12 @@
 package engine
 
+import (
+	"reflect"
+	"sync"
+
+	"vcmt/internal/recycle"
+)
+
 // Outbox rows are lists of fixed-size envelope chunks. A row never
 // reallocates or copies what it already holds: when its last chunk fills it
 // takes another from the source machine's free list (allocating only when
@@ -7,7 +14,8 @@ package engine
 // delivered. An engine's chunk population therefore settles at the peak
 // superstep's demand and stays there — across rounds and, through Reset,
 // across batches — where growing one slice per row allocated about five
-// times the peak and copied four times it, every batch.
+// times the peak and copied four times it, every batch — and, through
+// Release and the message type's recycler, across the jobs of a process.
 //
 // chunkSize is 1024 envelopes (12 KiB for the 8-byte task payloads). The
 // choice is a trade between two fixed costs, both measured on the
@@ -78,4 +86,19 @@ func (r *outRow[M]) release() {
 	r.chunks = r.chunks[:0]
 	r.tail = nil
 	r.n = 0
+}
+
+// released is what Release hands the next engine of a message type: every
+// machine's free list and the inbox, which hold no graph.
+type released[M any] struct {
+	free  [][]*chunk[M]
+	inbox []M
+}
+
+// recyclers maps a message type M to its *recycle.Bin[released[M]].
+var recyclers sync.Map
+
+func recycler[M any]() *recycle.Bin[released[M]] {
+	b, _ := recyclers.LoadOrStore(reflect.TypeFor[M](), new(recycle.Bin[released[M]]))
+	return b.(*recycle.Bin[released[M]])
 }

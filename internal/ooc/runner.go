@@ -9,6 +9,7 @@ import (
 
 	"vcmt/internal/graph"
 	"vcmt/internal/rec"
+	"vcmt/internal/recycle"
 )
 
 // IOStats accumulates measured wall-clock IO from a run. Unlike the encoded
@@ -106,7 +107,6 @@ type PartitionedRunner struct {
 	// IO buffers, owned here rather than per file: rd's read buffer serves
 	// every file (one is read at a time), and finished writers wait in
 	// spare with theirs, of bufLen bytes, until the next create.
-	rd     Reader
 	spare  []*Writer
 	bufLen int
 
@@ -121,12 +121,19 @@ type PartitionedRunner struct {
 
 	stats *IOStats
 
-	// Window scratch, reused across partitions; want marks the vertices
-	// whose neighbors Window decodes.
+	*scratch // taken from scratches by NewRunner, put back by Close
+}
+
+// scratch is a runner's reader and window scratch; want marks the vertices
+// whose neighbors Window decodes. Runners of any graph share scratches.
+type scratch struct {
+	rd   Reader
 	win  EdgeList
 	offs []int64
 	want []uint64
 }
+
+var scratches recycle.Bin[scratch]
 
 // NewRunner partitions the execution order and writes the edge partition
 // files. order must contain every vertex of g exactly once; it defines both
@@ -151,8 +158,11 @@ func NewRunner(g *graph.Graph, order []graph.VertexID, cfg Config) (*Partitioned
 	r := &PartitionedRunner{
 		g: g, dir: dir, ownsDir: ownsDir, n: n,
 		order: order, weighted: g.Weighted(), stats: cfg.Stats,
-		partOf: make([]int32, n), offs: make([]int64, n+1), want: make([]uint64, (n+63)/64),
+		partOf: make([]int32, n), scratch: scratches.Get(),
 	}
+	r.offs = slices.Grow(r.offs[:0], n+1)[:n+1]
+	r.want = slices.Grow(r.want[:0], (n+63)/64)[:(n+63)/64]
+	clear(r.want)
 	seen := make([]bool, n)
 	for _, v := range order {
 		if int(v) >= n || seen[v] {
@@ -352,7 +362,8 @@ func (r *PartitionedRunner) Barrier() error {
 // undecoded are the graph's; with no dsts none is opened. Either way the
 // whole file is charged to the round's read bytes and the resident window,
 // as GraphD streams it (Stats counts the bytes really read). The view
-// aliases scratch buffers reused by the next Window call.
+// aliases scratch that the next Window call, or after Close another runner,
+// reuses.
 func (r *PartitionedRunner) Window(p int, dsts []graph.VertexID) (*graph.Graph, int64, error) {
 	e := &r.win
 	e.Verts, e.Degs, e.Adj, e.Wts = e.Verts[:0], e.Degs[:0], e.Adj[:0], e.Wts[:0]
@@ -397,7 +408,11 @@ func (r *PartitionedRunner) Window(p int, dsts []graph.VertexID) (*graph.Graph, 
 	for ; v <= r.n; v++ {
 		r.offs[v] = at
 	}
-	g, err := graph.NewCSRView(r.n, r.offs, e.Adj, e.Wts)
+	wts := e.Wts // non-nil after a weighted runner's use of the scratch
+	if !r.weighted {
+		wts = nil
+	}
+	g, err := graph.NewCSRView(r.n, r.offs, e.Adj, wts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -487,6 +502,10 @@ func (r *PartitionedRunner) Close() error {
 		if path != "" {
 			os.Remove(path)
 		}
+	}
+	if r.scratch != nil {
+		scratches.Put(r.scratch)
+		r.scratch = nil
 	}
 	if r.ownsDir {
 		return os.RemoveAll(r.dir)

@@ -5,6 +5,7 @@ import (
 
 	"vcmt/internal/fault"
 	"vcmt/internal/graph"
+	"vcmt/internal/recycle"
 	"vcmt/internal/sim"
 	"vcmt/internal/vcapi"
 )
@@ -67,9 +68,12 @@ func NewBKHS(g *graph.Graph, part *graph.Partition, cfg BKHSConfig) *BKHSJob {
 		cfg:       cfg,
 		reached:   make([]int64, len(cfg.Sources)),
 	}
-	j.next, j.recycle = j.NextBatch, true
+	j.next, j.tables = j.NextBatch, &hopTables
 	return j
 }
+
+// hopTables holds finished BKHS batches' hop tables for the next batch.
+var hopTables recycle.Bin[[]uint8]
 
 // MemModel implements Job: a visited (source, vertex) pair costs ~8 bytes.
 func (j *BKHSJob) MemModel() sim.TaskMemModel {
@@ -133,7 +137,7 @@ func (j *BKHSJob) NextBatch(workload int) (Batch[HopMsg], error) {
 // Finish implements Batch: the machines' first-reach tallies add up to the
 // job's per-source counts.
 func (p *bkhsProg) Finish() []int64 {
-	first := p.job.finish()
+	first := p.job.finish(&p.sourceTable)
 	for i := range p.sources {
 		var c int64
 		for _, lane := range p.lanes {

@@ -91,7 +91,8 @@ type BPPRJob struct {
 	launched  int     // walks per node launched so far across batches
 
 	// The engine that runs every synchronous batch (see runBatch): mcEng
-	// for the Monte-Carlo program, pushEng for the mirror variant.
+	// for the Monte-Carlo program, pushEng for the mirror variant; released
+	// and dropped once every walk has launched.
 	mcEng   *engine.Engine[WalkMsg]
 	pushEng *engine.Engine[MassMsg]
 	// scratch[m] is machine m's Compute scratch, for every batch.
@@ -344,7 +345,14 @@ func (j *BPPRJob) RunBatch(run *sim.Run, workload int, batchIdx int) ([]int64, e
 	if err != nil {
 		return nil, fmt.Errorf("tasks: BPPR batch %d: %w", batchIdx, err)
 	}
-	return b.Finish(), nil
+	resid := b.Finish()
+	if j.launched >= j.cfg.WalksPerNode {
+		j.mcEng.Release()
+		j.pushEng.Release()
+		j.mcEng, j.pushEng = nil, nil
+		clear(j.scratch)
+	}
+	return resid, nil
 }
 
 // NextBatch returns the Pregel-based Monte-Carlo vertex program of the

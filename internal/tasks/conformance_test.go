@@ -18,6 +18,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"unsafe"
@@ -56,6 +58,7 @@ func TestRestoreRejectsDamagedSnapshots(t *testing.T)  { eachRow(t, conformer.pr
 func TestCrashWorkerAndBackendInvariance(t *testing.T) { eachRow(t, conformer.invarianceLaw) }
 func TestResultsMatchOracle(t *testing.T)              { eachRow(t, conformer.oracleLaw) }
 func TestDegenerateInputs(t *testing.T)                { eachRow(t, conformer.degenerateLaw) }
+func TestRecycledEqualsFresh(t *testing.T)             { eachRow(t, conformer.recycledLaw) }
 
 // conformer is a row with its message type erased.
 type conformer interface {
@@ -69,6 +72,7 @@ type conformer interface {
 	invarianceLaw(*testing.T)
 	oracleLaw(*testing.T)
 	degenerateLaw(*testing.T)
+	recycledLaw(*testing.T)
 	fuzzer(*testing.F, string) func(*testing.T, []byte)
 }
 
@@ -748,6 +752,54 @@ func (r row[M]) degenerateLaw(t *testing.T) {
 		}
 		if err == nil {
 			t.Fatalf("sources %v on %d vertices: no error", bad, g.NumVertices())
+		}
+	}
+}
+
+// recycledLaw: a job run right after a released job of its message type —
+// on a larger graph, of the other weightedness where the row runs on one,
+// in memory or out of core — takes that job's buffers (outbox chunks,
+// inbox, hop table, runner scratch), and its results, reports and
+// checkpoint files are byte-identical to a fresh run's.
+func (r row[M]) recycledLaw(t *testing.T) {
+	g, part, s := r.fixture(300, 9)
+	other, otherPart := graph.GenerateChungLu(500, 2500, 2.5, 17), graph.HashPartition(500, machines)
+	if !r.weighted {
+		other = graph.WithUniformWeights(other, 1, 4, 19)
+		if _, err := r.job(other, otherPart, nil, 9, execConfig{Mirror: r.mirror}); err != nil {
+			other = graph.GenerateChungLu(500, 2500, 2.5, 17) // MSSP's broadcast variant is unweighted only
+		}
+	}
+	run := func(g *graph.Graph, part *graph.Partition, s []graph.VertexID, ooc bool) (out, report []byte, ckpts string) {
+		c, dir := execConfig{Seed: 5, Workers: 2}, t.TempDir()
+		if ooc {
+			c.OOC = &OOCConfig{Dir: dir, Partitions: 3}
+		} else {
+			c.CheckpointDir, c.CheckpointInterval = dir, 2
+		}
+		j := r.build(t, g, part, s, 9, c)
+		report = batchedReport(t, r.name, j, 3, func() {})
+		if !ooc {
+			ckpts = fmt.Sprint(readTree(t, dir))
+		}
+		return r.out(j), report, ckpts
+	}
+	backends := []bool{false, true}
+	if r.mirror {
+		backends = backends[:1]
+	}
+	for _, primeOOC := range backends {
+		for _, ooc := range backends {
+			runtime.GC() // the recycler holds nothing now: the next run is fresh
+			out, report, ckpts := run(g, part, s, ooc)
+			gc := debug.SetGCPercent(-1) // the run after the prime takes its buffers
+			run(other, otherPart, FirstSources(500, 9), primeOOC)
+			rout, rreport, rckpts := run(g, part, s, ooc)
+			debug.SetGCPercent(gc)
+			if !bytes.Equal(out, rout) || !bytes.Equal(report, rreport) || ckpts != rckpts {
+				t.Fatalf("after a released job (out of core %v), a run (out of core %v) differs from a fresh one: results %v, report %v, checkpoints %v",
+					primeOOC, ooc, !bytes.Equal(out, rout), !bytes.Equal(report, rreport), ckpts != rckpts)
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func (j *MSSPJob) NextBatch(workload int) Batch[DistMsg] {
 
 // Finish implements Batch: the batch's distance table becomes the job's.
 func (p *msspProg) Finish() []int64 {
-	first := p.job.finish()
+	first := p.job.finish(&p.sourceTable)
 	for i := range p.sources {
 		p.job.dist[first+i], p.job.col[first+i] = p.cells, i
 	}

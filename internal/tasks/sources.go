@@ -10,6 +10,7 @@ import (
 	"vcmt/internal/engine"
 	"vcmt/internal/graph"
 	"vcmt/internal/rec"
+	"vcmt/internal/recycle"
 	"vcmt/internal/sim"
 )
 
@@ -17,8 +18,8 @@ import (
 // source set S whose workload unit is one source (§3, §4): it cuts the next
 // batch off S, marks it in the job's source index, runs it on the job's
 // engine, unmarks it and counts it done. Once the last batch finishes it
-// drops the engine and the recycled table, so a finished job holds only its
-// results. M is the task's message type and T its table entry.
+// releases and drops the engine, so a finished job holds only its results.
+// M is the task's message type and T its table entry.
 type sourceJob[M any, T uint8 | float32] struct {
 	name    string
 	g       *graph.Graph
@@ -29,10 +30,9 @@ type sourceJob[M any, T uint8 | float32] struct {
 	// next builds the program of the job's next batch of up to workload
 	// sources, cutting it with cut (the task's NextBatch).
 	next func(workload int) (Batch[M], error)
-	// recycle gives every batch one job-lifetime table, grown to the
-	// largest batch, when the tables hold no results (BKHS); otherwise each
-	// batch gets its own table, which the job keeps (MSSP).
-	recycle bool
+	// tables recycles the batch tables of a job that keeps none (BKHS),
+	// nil when the job keeps them all (MSSP).
+	tables *recycle.Bin[[]T]
 
 	done int // sources fully processed so far
 	// srcIdx maps a vertex to its index among the current batch's sources,
@@ -42,7 +42,6 @@ type sourceJob[M any, T uint8 | float32] struct {
 	srcIdx []int32
 	batch  []graph.VertexID  // the batch cut last
 	eng    *engine.Engine[M] // runs every synchronous batch (see runBatch)
-	spare  []T               // the recycled table
 	// invalid is why S cannot run, nil when it can (see newSourceJob).
 	invalid error
 }
@@ -111,12 +110,12 @@ func (j *sourceJob[M, T]) cut(workload int, fill T) sourceTable[T] {
 	}
 	n := j.g.NumVertices()
 	size := n * len(j.batch)
-	cells := j.spare
-	if !j.recycle || len(cells) < size {
-		cells = make([]T, size)
+	var cells []T
+	if j.tables != nil {
+		cells = *j.tables.Get()
 	}
-	if j.recycle {
-		j.spare = cells
+	if cap(cells) < size {
+		cells = make([]T, size)
 	}
 	cells = cells[:size]
 	// Doubling copies fill the table at memmove speed; a loop over
@@ -131,14 +130,20 @@ func (j *sourceJob[M, T]) cut(workload int, fill T) sourceTable[T] {
 		entries: make([]int64, j.part.NumMachines())}
 }
 
-// finish unmarks the batch cut last, counts it done and returns the index
-// in S of its first source.
-func (j *sourceJob[M, T]) finish() (first int) {
+// finish unmarks the batch cut last, counts it done, recycles its table t
+// unless the job keeps it, and returns the index in S of its first source.
+func (j *sourceJob[M, T]) finish(t *sourceTable[T]) (first int) {
 	first = j.done
 	j.done += len(j.batch)
 	j.unmark()
+	if j.tables != nil {
+		cells := t.cells
+		t.cells = nil
+		j.tables.Put(&cells)
+	}
 	if j.done == len(j.sources) {
-		j.eng, j.spare = nil, nil
+		j.eng.Release()
+		j.eng = nil
 	}
 	return first
 }

@@ -339,9 +339,9 @@ func TestBKHSRejectsRadiusBelowOne(t *testing.T) {
 	}
 }
 
-// TestFinishedJobDropsEngine: once its last batch finishes, a source-batch
-// job holds only its results, not the engine that ran them nor BKHS's
-// recycled hop table, and the results stay readable.
+// TestFinishedJobDropsEngine: once its last batch finishes, a job holds
+// only its results, not the engine that ran them (BPPR's included), and the
+// results stay readable.
 func TestFinishedJobDropsEngine(t *testing.T) {
 	g := graph.GenerateChungLu(80, 320, 2.5, 19)
 	part := graph.HashPartition(80, 2)
@@ -351,6 +351,7 @@ func TestFinishedJobDropsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	bkhs := NewBKHS(g, part, BKHSConfig{Sources: sources, Seed: 1})
+	bppr := NewBPPR(g, part, BPPRConfig{WalksPerNode: 4, Seed: 1})
 	run := sim.NewRun(testRunCfg(2))
 	for i := range 2 {
 		if _, err := mssp.RunBatch(run, 2, i); err != nil {
@@ -359,10 +360,16 @@ func TestFinishedJobDropsEngine(t *testing.T) {
 		if _, err := bkhs.RunBatch(run, 2, i); err != nil {
 			t.Fatal(err)
 		}
-		if last := i == 1; (mssp.eng == nil) != last || (bkhs.eng == nil) != last || (bkhs.spare == nil) != last {
-			t.Fatalf("after batch %d: MSSP engine dropped %v, BKHS engine dropped %v, hop table dropped %v; want %v",
-				i, mssp.eng == nil, bkhs.eng == nil, bkhs.spare == nil, last)
+		if _, err := bppr.RunBatch(run, 2, i); err != nil {
+			t.Fatal(err)
 		}
+		if last := i == 1; (mssp.eng == nil) != last || (bkhs.eng == nil) != last || (bppr.mcEng == nil) != last {
+			t.Fatalf("after batch %d: MSSP engine dropped %v, BKHS engine dropped %v, BPPR engine dropped %v; want %v",
+				i, mssp.eng == nil, bkhs.eng == nil, bppr.mcEng == nil, last)
+		}
+	}
+	if bppr.WalksLaunched() != 4 || bppr.EndpointMass(sources[0]) != 4 {
+		t.Fatalf("BPPR launched %d walks, recorded mass %v for source %d", bppr.WalksLaunched(), bppr.EndpointMass(sources[0]), sources[0])
 	}
 	for i, s := range sources {
 		if want := int64(len(ref.KHop(g, s, 2))); bkhs.Reached(i) != want {
